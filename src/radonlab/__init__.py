@@ -25,7 +25,6 @@ from .harmonics import (
 from .spectrum import (
     SpectralAtom,
     SpectralMeasure,
-    evaluate_f,
     fourier_constant_l1,
     fourier_constant_l2,
     from_cosine_sum,
@@ -42,7 +41,6 @@ from .radon_measure import (
     harmonic_moment,
     reconstruct,
     reconstruct_grid,
-    second_derivative_norm_1d,
     tv_norm,
 )
 from .sparsifier import (
@@ -107,7 +105,6 @@ __all__ = [
     "SpectralAtom",
     "SpectralMeasure",
     "from_cosine_sum",
-    "evaluate_f",
     "fourier_constant_l2",
     "fourier_constant_l1",
     "load_spectrum",
@@ -118,7 +115,6 @@ __all__ = [
     "AffinePart",
     "density_from_spectrum",
     "tv_norm",
-    "second_derivative_norm_1d",
     "check_fourier_bound",
     "reconstruct",
     "reconstruct_grid",

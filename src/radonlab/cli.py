@@ -9,7 +9,7 @@ Subcommands
 Exit codes: 0 pass, 1 assertion fail, 2 parse error, 3 invariant violation,
 4 domain error.  Reports embed the config echo, seed, library version, and
 wall time; reruns with identical config are byte-identical except for the
-wall-time field.  RADONLAB_THREADS caps trial parallelism.
+wall-time field.
 """
 
 from __future__ import annotations

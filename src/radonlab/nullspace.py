@@ -54,10 +54,6 @@ class HarmonicNullTerm:
         """Null membership: strictly below the k-2 threshold."""
         return self.kprime < self.k - 2
 
-    @property
-    def in_set_b(self) -> bool:
-        return self.kprime < self.k
-
     def density(self, omega, b):
         """Pointwise density value h(omega, b)."""
         y = np.asarray(harmonic_eval(self.k, self.j, self.d, omega), dtype=float)

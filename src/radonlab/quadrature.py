@@ -102,18 +102,6 @@ def gauss_legendre(n: int, a: float, b: float) -> QuadratureRule:
     return QuadratureRule(nodes, weights, exactness_degree=2 * n - 1)
 
 
-def map_rule(rule: QuadratureRule, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Affinely remap an interval rule onto (lo, hi); returns (nodes, weights)."""
-    nodes = np.asarray(rule.nodes, dtype=float)
-    a, b = nodes.min(), nodes.max()
-    # reconstruct the original interval from Gauss nodes is lossy; instead we
-    # normalize through the weight total, which equals the interval length
-    length = rule.weights.sum()
-    left = 0.5 * (a + b) - 0.5 * length
-    scale = (hi - lo) / length
-    return lo + (nodes - left) * scale, rule.weights * scale
-
-
 def sphere_rule(d: int, m: int) -> QuadratureRule:
     """Quadrature on the unit sphere S^{d-1} for d in {1, 2, 3}.
 

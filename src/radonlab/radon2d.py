@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidInputError
-from .quadrature import QuadratureRule, gauss_legendre, map_rule, sphere_rule
+from .quadrature import QuadratureRule, gauss_legendre, sphere_rule
 from .radon_measure import RadonDensity
 from .spectrum import SpectralMeasure
 
@@ -90,7 +90,8 @@ def radon_transform_2d(phi: BumpFunction, omega, b: float, rule: QuadratureRule 
     """Line integral of the bump over the hyperplane {x : <omega, x> = b}.
 
     Integrates along the chord the line cuts through the support disk by
-    Gauss-Legendre; returns 0 when the line misses the support.
+    Gauss-Legendre; returns 0 when the line misses the support.  ``rule`` is
+    a reference rule on (-1, 1), mapped onto the chord.
     """
     if phi.d != 2:
         raise InvalidInputError("line-integral transform is implemented for d=2")
@@ -103,9 +104,9 @@ def radon_transform_2d(phi: BumpFunction, omega, b: float, rule: QuadratureRule 
         return 0.0
     half = math.sqrt(h2)
     t0 = float(perp @ phi.center)
-    ts, tw = map_rule(rule, t0 - half, t0 + half)
+    ts = t0 + half * rule.nodes
     pts = b * omega[None, :] + ts[:, None] * perp[None, :]
-    return float(tw @ phi(pts))
+    return float((half * rule.weights) @ phi(pts))
 
 
 def dual_radon_transform(psi, x, rule: QuadratureRule | None = None, check_even: bool = True) -> float:

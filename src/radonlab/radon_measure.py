@@ -5,23 +5,28 @@ A symmetry-closed atomic spectral measure induces a density on hyperplane
 space whose sphere marginal is atomic: finitely many unit directions, each
 carrying a per-direction profile
 
-    g_w(b) = sum_j Re(w_j * exp(-i t_j b)),   w_j = -t_j^2 * c_j,
+    g_w(b) = sum_j Re(w_j * exp(-i t_j b)) + P_w(b),   w_j = -t_j^2 * c_j,
 
-supported on b in (-R, R).  The pair (directions, profiles) is the measure
-through which everything else is computed: its total variation equals the
-Radon-based representation norm of f on the ball of radius R, ramp
-integrals against it reconstruct f up to an affine part, and its pairings
-with harmonic-times-monomial densities are the moments used by the
-null-space analysis.  Profiles may also carry a polynomial component so
-that those harmonic null densities can be merged in as direction atoms of a
-sphere rule.
+supported on b in (-R, R); the polynomial part P_w (zero for spectra) lets
+harmonic null densities merge in as direction atoms of a sphere rule.  Its
+total variation equals the Radon-based representation norm of f on the ball
+of radius R, ramp integrals against it reconstruct f up to an affine part,
+and its harmonic-times-monomial pairings are the null-space moments.
+
+Every profile integral is an evaluation of the exact antiderivatives
+G_k(b) = sum_j Re(w_j e^{-i t_j b} / (-i t_j)^k) + (P_w integrated k times):
+the total variation sums |G_1(r_{k+1}) - G_1(r_k)| over the sign-change
+roots r_k of g_w, the ramp pairing is G_2(u) - G_2(-R) - (u + R) G_1(-R),
+and moments follow by integration by parts.  The one approximation left is
+the root scan of ``sign_change_roots``, run once per density and interval.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial.polynomial import polyint, polyval
 
 from .errors import (
     DomainError,
@@ -31,19 +36,20 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .harmonics import harmonic_eval
-from .quadrature import BallGrid, QuadratureRule, gauss_legendre, map_rule
+from .quadrature import BallGrid
 from .spectrum import SpectralMeasure
 
 _REAL_TOL = 1e-12
 _ROOT_SCAN = 512
 _ROOT_TOL = 1e-12
 
-DEFAULT_PANEL_RULE = gauss_legendre(48, -1.0, 1.0)
-
 
 @dataclass(frozen=True)
 class DirectionProfile:
-    """Profile b -> g(b) of one direction: trigonometric plus polynomial part."""
+    """Profile b -> g(b) of one direction: trigonometric plus polynomial part.
+
+    Trig frequencies are nonzero; a constant belongs to the polynomial part.
+    """
 
     trig_freqs: np.ndarray
     trig_weights: np.ndarray
@@ -55,6 +61,8 @@ class DirectionProfile:
         pc = np.asarray(self.poly_coefs, dtype=float)
         if tf.shape != tw.shape:
             raise InvalidInputError("trig frequencies and weights must align")
+        if np.any(tf == 0):
+            raise InvalidInputError("zero trig frequency: constants belong to the polynomial part")
         for arr in (tf, tw, pc):
             arr.setflags(write=False)
         object.__setattr__(self, "trig_freqs", tf)
@@ -63,13 +71,23 @@ class DirectionProfile:
 
     def __call__(self, b):
         """Real value of the profile (vectorized over any-shape b)."""
+        return self.antiderivative(b, 0)
+
+    def antiderivative(self, b, k: int):
+        """k-th antiderivative G_k of the profile (G_0 = g), vectorized over b.
+
+        The trig part integrates term by term to Re(w e^{-itb} / (-it)^k) and
+        the polynomial part by ``polyint``.  Every integration constant is
+        zero, so G_{k+1}' = G_k holds along the whole chain.
+        """
         b = np.asarray(b, dtype=float)
         out = np.zeros(b.shape)
         if len(self.trig_freqs):
+            scale = self.trig_weights / (-1j * self.trig_freqs) ** k if k else self.trig_weights
             tb = np.multiply.outer(b, self.trig_freqs)
-            out = np.cos(tb) @ self.trig_weights.real + np.sin(tb) @ self.trig_weights.imag
+            out = np.cos(tb) @ scale.real + np.sin(tb) @ scale.imag
         if len(self.poly_coefs):
-            out = out + np.polynomial.polynomial.polyval(b, self.poly_coefs)
+            out = out + polyval(b, polyint(self.poly_coefs, k))
         return out
 
     def imag_residue(self, b) -> float:
@@ -99,6 +117,7 @@ class RadonDensity:
     R: float
     directions: np.ndarray
     profiles: tuple[DirectionProfile, ...]
+    _panels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dirs = np.atleast_2d(np.asarray(self.directions, dtype=float))
@@ -114,6 +133,17 @@ class RadonDensity:
     @property
     def is_empty(self) -> bool:
         return len(self.profiles) == 0
+
+    def panels(self, lo: float, hi: float) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """Sign-constant panels of every profile on (lo, hi), computed once per interval.
+
+        Per profile: the edges (lo, the sign-change roots, hi), G_1 at the
+        edges, and the integral of |g| from lo to each edge.
+        """
+        key = (float(lo), float(hi))
+        if key not in self._panels:
+            self._panels[key] = tuple(_profile_panels(p, *key) for p in self.profiles)
+        return self._panels[key]
 
     def validate(self, tol: float = _REAL_TOL, n_check: int = 17) -> None:
         """Spot-check realness and the evenness g_w(b) = g_{-w}(-b)."""
@@ -209,73 +239,78 @@ def sign_change_roots(fn, lo: float, hi: float, scan: int = _ROOT_SCAN) -> list[
     return roots
 
 
-def _panel_edges(fn, lo: float, hi: float) -> list[float]:
-    return [lo] + sign_change_roots(fn, lo, hi) + [hi]
+def _profile_panels(profile: DirectionProfile, lo: float, hi: float):
+    edges = np.array([lo, *sign_change_roots(profile, lo, hi), hi])
+    g1 = profile.antiderivative(edges, 1)
+    return edges, g1, np.concatenate([[0.0], np.cumsum(np.abs(np.diff(g1)))])
 
 
-def _abs_integral(fn, lo: float, hi: float, rule: QuadratureRule) -> float:
-    """Integral of |fn| over (lo, hi) by sign-split Gauss-Legendre panels."""
-    if hi <= lo:
-        return 0.0
-    edges = _panel_edges(fn, lo, hi)
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b - a <= 0:
-            continue
-        nodes, weights = map_rule(rule, a, b)
-        total += abs(float(weights @ np.asarray(fn(nodes), dtype=float)))
-    return total
-
-
-def direction_masses(density: RadonDensity, rule: QuadratureRule | None = None, lo: float | None = None, hi: float | None = None) -> np.ndarray:
+def direction_masses(density: RadonDensity, lo: float | None = None, hi: float | None = None) -> np.ndarray:
     """Per-direction integral of |g| over (lo, hi); defaults to (-R, R)."""
-    rule = rule or DEFAULT_PANEL_RULE
     lo = -density.R if lo is None else lo
     hi = density.R if hi is None else hi
-    return np.array([_abs_integral(p, lo, hi, rule) for p in density.profiles])
+    return np.array([cum_mass[-1] for _, _, cum_mass in density.panels(lo, hi)])
 
 
-def tv_norm(density: RadonDensity, rule: QuadratureRule | None = None) -> float:
+def tv_norm(density: RadonDensity) -> float:
     """Total variation of the density: the representation norm of f on the ball.
 
-    The sphere marginal being atomic, this is an exact finite sum of
-    one-dimensional integrals of |g_w| over (-R, R), each computed on
-    Gauss-Legendre panels split at the sign-change roots of g_w.
+    The sphere marginal being atomic, this is an exact finite sum over
+    directions of the integral of |g_w| over (-R, R): the sum of
+    |G_1(r_{k+1}) - G_1(r_k)| between consecutive sign-change roots.
     """
     if density.is_empty:
         return 0.0
-    return float(direction_masses(density, rule).sum())
+    return float(direction_masses(density).sum())
 
 
-def profile_moment(density: RadonDensity, i: int, power: int, lo: float, hi: float, rule: QuadratureRule | None = None) -> float:
-    """Signed integral of b^power * g_i(b) over (lo, hi) (no sign splitting)."""
-    rule = rule or DEFAULT_PANEL_RULE
-    if hi <= lo:
-        return 0.0
-    nodes, weights = map_rule(rule, lo, hi)
-    return float(weights @ (nodes**power * density.profiles[i](nodes)))
+def _trig_moments(freqs: np.ndarray, power: int, lo: float, hi: float) -> np.ndarray:
+    """Integrals of b^power exp(-i t b) over (lo, hi), one per frequency t.
 
-
-def second_derivative_norm_1d(f_second_derivative, R: float, rule: QuadratureRule | None = None) -> float:
-    """Independent d=1 oracle: integral of |f''| over (-R, R).
-
-    Deliberately separate from the density path: it scans the callable for
-    sign changes, bisects, and integrates panel by panel.
+    Integration by parts gives e^{-itb} sum_m (-1)^m p!/(p-m)! b^(p-m) / (-it)^(m+1),
+    whose terms grow like p!/(|t| X)^m with X = max(|lo|, |hi|) and cancel
+    badly when |t| X is small against p.  Below |t| X = 0.3 p the series
+    sum_n (-it)^n/n! b^(p+n+1)/(p+n+1) is summed instead; its terms stay
+    below e^{0.3 p} times the result's scale.
     """
-    rule = rule or DEFAULT_PANEL_RULE
-    fn = lambda b: np.asarray(f_second_derivative(np.asarray(b, dtype=float)), dtype=float)
-    xs = np.linspace(-R, R, _ROOT_SCAN)
-    vals = fn(xs)
-    signs = np.sign(vals)
-    signs[signs == 0] = 1.0
-    edges = [-R]
-    for i in np.nonzero(signs[:-1] * signs[1:] < 0)[0]:
-        edges.append(_bisect_root(fn, float(xs[i]), float(xs[i + 1]), float(vals[i])))
-    edges.append(R)
+    out = np.empty(len(freqs), dtype=complex)
+    X = max(abs(lo), abs(hi))
+    series = np.abs(freqs) * X < 0.3 * power
+    t = freqs[~series]
+    acc = np.zeros(len(t), dtype=complex)
+    coef = 1.0
+    for m in range(power + 1):
+        ends = hi ** (power - m) * np.exp(-1j * t * hi) - lo ** (power - m) * np.exp(-1j * t * lo)
+        acc += coef * ends / (-1j * t) ** (m + 1)
+        coef *= -(power - m)
+    out[~series] = acc
+    t = freqs[series]
+    acc = np.zeros(len(t), dtype=complex)
+    term = np.ones(len(t), dtype=complex)  # (-it)^n / n!
+    n = 0
+    while len(t) and np.max(np.abs(term)) * X**n > 1e-17:
+        e = power + n + 1
+        acc += term * (hi**e - lo**e) / e
+        n += 1
+        term *= -1j * t / n
+    out[series] = acc
+    return out
+
+
+def profile_moment(density: RadonDensity, i: int, power: int, lo: float, hi: float) -> float:
+    """Signed integral of b^power * g_i(b) over (lo, hi), in closed form.
+
+    The polynomial part is integrated as the product polynomial (integration
+    by parts would cancel badly at high degree); the trig part as in
+    ``_trig_moments``.
+    """
+    profile = density.profiles[i]
     total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        nodes, weights = map_rule(rule, a, b)
-        total += abs(float(weights @ fn(nodes)))
+    if len(profile.trig_freqs):
+        total += float(np.real(profile.trig_weights @ _trig_moments(profile.trig_freqs, power, lo, hi)))
+    if len(profile.poly_coefs):
+        prim = polyint(np.concatenate([np.zeros(power), profile.poly_coefs]))
+        total += float(polyval(hi, prim) - polyval(lo, prim))
     return total
 
 
@@ -287,13 +322,13 @@ def spectral_second_moment(mu: SpectralMeasure) -> float:
     return float(sum(abs(a.c) * a.t**2 for a in mu.atoms))
 
 
-def check_fourier_bound(mu: SpectralMeasure, R: float, rule: QuadratureRule | None = None, slack: float = 1e-10) -> tuple[float, float, bool]:
+def check_fourier_bound(mu: SpectralMeasure, R: float, slack: float = 1e-10) -> tuple[float, float, bool]:
     """Compare the computed ball norm against the bound 2 R C_f.
 
     Returns (norm, bound, ok) with ok = (norm <= bound + slack).
     """
     density = density_from_spectrum(mu, R)
-    norm = tv_norm(density, rule)
+    norm = tv_norm(density)
     bound = 2.0 * R * spectral_second_moment(mu)
     return norm, bound, norm <= bound + slack
 
@@ -320,47 +355,38 @@ class AffinePart:
         return X @ self.v + self.c
 
 
-def ramp_integral_grid(density: RadonDensity, X, rule: QuadratureRule | None = None) -> np.ndarray:
+def ramp_integral_grid(density: RadonDensity, X) -> np.ndarray:
     """Ramp pairing x -> integral of (<w, x> - b)_+ g_w(b) db, summed over directions.
 
-    The ramp kink at b = <w, x> is handled exactly by integrating only over
-    (-R, <w, x>), where the integrand is smooth; one Gauss-Legendre panel
-    per direction and point suffices.
+    Integrating by parts over (-R, u) with u = <w, x> gives the closed form
+    G_2(u) - G_2(-R) - (u + R) G_1(-R), exact at any frequency.
     """
-    rule = rule or DEFAULT_PANEL_RULE
     X = np.atleast_2d(np.asarray(X, dtype=float))
     out = np.zeros(len(X))
-    if density.is_empty:
-        return out
-    ref = gauss_legendre(len(rule), 0.0, 1.0)
     R = density.R
     for w, profile in zip(density.directions, density.profiles):
         u = X @ w
-        width = u + R
-        nodes = -R + width[:, None] * ref.nodes[None, :]
-        weights = width[:, None] * ref.weights[None, :]
-        vals = (u[:, None] - nodes) * profile(nodes)
-        out += np.einsum("ij,ij->i", weights, vals)
+        out += profile.antiderivative(u, 2) - profile.antiderivative(-R, 2) - (u + R) * profile.antiderivative(-R, 1)
     return out
 
 
-def reconstruct(density: RadonDensity, affine: AffinePart, x, rule: QuadratureRule | None = None) -> float:
+def reconstruct(density: RadonDensity, affine: AffinePart, x) -> float:
     """Evaluate the ramp representation at one interior point of the ball."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if np.linalg.norm(x) >= density.R:
         raise DomainError(f"|x| = {np.linalg.norm(x)} is not inside the open ball of radius {density.R}")
-    return float(ramp_integral_grid(density, x[None, :], rule)[0] + affine(x[None, :])[0])
+    return float(ramp_integral_grid(density, x[None, :])[0] + affine(x[None, :])[0])
 
 
-def reconstruct_grid(density: RadonDensity, affine: AffinePart, X, rule: QuadratureRule | None = None) -> np.ndarray:
+def reconstruct_grid(density: RadonDensity, affine: AffinePart, X) -> np.ndarray:
     """Vectorized reconstruct over a batch of interior points."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if np.any(np.linalg.norm(X, axis=1) >= density.R):
         raise DomainError("grid contains points outside the open ball")
-    return ramp_integral_grid(density, X, rule) + affine(X)
+    return ramp_integral_grid(density, X) + affine(X)
 
 
-def fit_affine(mu: SpectralMeasure, density: RadonDensity, grid: BallGrid, rule: QuadratureRule | None = None) -> AffinePart:
+def fit_affine(mu: SpectralMeasure, density: RadonDensity, grid: BallGrid) -> AffinePart:
     """Least-squares affine part of f minus its ramp pairing on a ball grid.
 
     The residual r(x) = f(x) - ramp(x) is affine in exact arithmetic; the
@@ -372,13 +398,13 @@ def fit_affine(mu: SpectralMeasure, density: RadonDensity, grid: BallGrid, rule:
     design = np.column_stack([X, np.ones(len(X))])
     if np.linalg.matrix_rank(design) < density.d + 1:
         raise SingularFitError("grid points are not in general position")
-    target = mu.evaluate(X) - ramp_integral_grid(density, X, rule)
+    target = mu.evaluate(X) - ramp_integral_grid(density, X)
     theta, *_ = np.linalg.lstsq(design, target, rcond=None)
     residual = float(np.max(np.abs(target - design @ theta)))
     return AffinePart(v=theta[:-1], c=float(theta[-1]), max_affine_residual=residual)
 
 
-def harmonic_moment(density: RadonDensity, k: int, j: int, kprime: int, rule: QuadratureRule | None = None) -> float:
+def harmonic_moment(density: RadonDensity, k: int, j: int, kprime: int) -> float:
     """Pairing of the density with the harmonic-times-monomial Y_{k,j} (x) b^{k'}.
 
     Computed as sum_w Y_{k,j}(w) * integral of b^{k'} g_w(b) db, the exact
@@ -390,12 +416,8 @@ def harmonic_moment(density: RadonDensity, k: int, j: int, kprime: int, rule: Qu
         raise InvalidInputError("moment degree must satisfy 0 <= k' < k")
     if (k - kprime) % 2 != 0:
         raise InvalidInputError("k and k' must share parity (even densities)")
-    rule = rule or DEFAULT_PANEL_RULE
-    if density.is_empty:
-        return 0.0
-    nodes, weights = map_rule(rule, -density.R, density.R)
-    bpow = nodes**kprime
     total = 0.0
-    for w, profile in zip(density.directions, density.profiles):
-        total += float(harmonic_eval(k, j, density.d, w)) * float(weights @ (bpow * profile(nodes)))
+    for i in range(len(density)):
+        y = float(harmonic_eval(k, j, density.d, density.directions[i]))
+        total += y * profile_moment(density, i, kprime, -density.R, density.R)
     return total

@@ -2,12 +2,13 @@
 
 Sampling (convention ``thm2``): neurons (w_i, b_i) are drawn i.i.d. from the
 normalized absolute density |g|/norm -- directions with probability
-proportional to their mass, biases by inverse-CDF on a piecewise-linear
-table -- and the coefficient a_i = sign(g_w(b_i)) is the positive/negative
-part indicator of the signed density.  With outer scale kappa equal to the
-density norm, the expectation of the sampled network is exactly the ramp
-pairing, and the sup error over the ball of radius R decays like
-R * norm / sqrt(n).
+proportional to their mass, biases by inverting the exact CDF of |g_w|,
+which on each sign-constant panel (r_k, r_{k+1}) is |G_1(b) - G_1(r_k)| plus
+the mass of the panels before it -- and the coefficient a_i = sign(g_w(b_i))
+is the positive/negative part indicator of the signed density.  With outer
+scale kappa equal to the density norm, the expectation of the sampled
+network is exactly the ramp pairing, and the sup error over the ball of
+radius R decays like R * norm / sqrt(n).
 
 The ``prop2`` convention additionally folds the negative-bias mass into the
 affine part and pushes neurons through (w, b) -> (w/|w|_1, b/|w|_1), giving
@@ -20,16 +21,15 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateMeasureError, DomainError, InvalidInputError
-from .quadrature import BallGrid, QuadratureRule, ball_grid
+from .quadrature import BallGrid, ball_grid
 from .radon_measure import (
     AffinePart,
+    DirectionProfile,
     RadonDensity,
     density_from_spectrum,
     direction_masses,
@@ -39,7 +39,6 @@ from .radon_measure import (
 )
 from .spectrum import SpectralMeasure
 
-CDF_KNOTS = 4096
 CONVENTIONS = ("thm2", "prop2", "quadrature")
 
 
@@ -145,26 +144,57 @@ class TwoLayerNet:
         )
 
 
-def _bias_tables(density: RadonDensity, lo: float, hi: float) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Piecewise-linear inverse-CDF tables of |g_w| on (lo, hi), per direction."""
-    grid = np.linspace(lo, hi, CDF_KNOTS + 2)[1:-1]
-    cdfs = []
-    for profile in density.profiles:
-        pdf = np.abs(profile(grid))
-        cdf = np.concatenate([[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(grid))])
-        total = cdf[-1]
-        cdfs.append(cdf / total if total > 0 else np.linspace(0.0, 1.0, len(grid)))
-    return grid, cdfs
+_NEWTON_STEPS = 64  # a cap only: bisection alone gets below 1e-9 in 30 steps
 
 
-def sample_network(
-    density: RadonDensity,
-    norm: float,
-    affine: AffinePart,
-    n: int,
-    seed,
-    rule: QuadratureRule | None = None,
-) -> TwoLayerNet:
+def _inverse_cdf(profile: DirectionProfile, panels, u: np.ndarray) -> np.ndarray:
+    """Biases b at which the mass of |g| from the interval's start reaches u * mass.
+
+    The panel holding each target comes from the running masses; inside it
+    the CDF |G_1(b) - G_1(r_k)| is monotone with derivative |g|, so Newton's
+    method is run from the linear guess and replaced by bisection whenever
+    it leaves the shrinking bracket.  Iteration stops once every step is
+    below 1e-9 of the interval: Newton's error after such a step is of its
+    square, and smaller steps would only chase the rounding noise of G_1.
+    """
+    edges, g1, cum = panels
+    target = u * cum[-1]
+    k = np.minimum(np.searchsorted(cum, target, side="right") - 1, len(edges) - 2)
+    rest = target - cum[k]
+    sign = np.where(g1[k + 1] >= g1[k], 1.0, -1.0)
+    lo, hi = edges[k], edges[k + 1]
+    panel_mass = cum[k + 1] - cum[k]
+    b = lo + (hi - lo) * np.divide(rest, panel_mass, out=np.zeros_like(rest), where=panel_mass > 0)
+    tol = 1e-9 * (edges[-1] - edges[0])
+    for _ in range(_NEWTON_STEPS):
+        excess = sign * (profile.antiderivative(b, 1) - g1[k]) - rest
+        lo = np.where(excess <= 0, b, lo)
+        hi = np.where(excess >= 0, b, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = b - excess / (sign * profile(b))
+        step = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
+        converged = np.all(np.abs(step - b) <= tol)
+        b = step
+        if converged:
+            break
+    return b
+
+
+def _draw_biases(density: RadonDensity, idx, u, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse-CDF biases from |g_w| on the open interval (lo, hi) for the
+    drawn directions ``idx``, and the signs a = sign(g_w(b))."""
+    b = np.empty(len(idx))
+    a = np.empty(len(idx))
+    for i, (profile, panels) in enumerate(zip(density.profiles, density.panels(lo, hi))):
+        sel = np.flatnonzero(idx == i)
+        if len(sel):
+            bi = np.clip(_inverse_cdf(profile, panels, u[sel]), np.nextafter(lo, hi), np.nextafter(hi, lo))
+            b[sel] = bi
+            a[sel] = np.where(profile(bi) >= 0, 1.0, -1.0)
+    return b, a
+
+
+def sample_network(density: RadonDensity, norm: float, affine: AffinePart, n: int, seed) -> TwoLayerNet:
     """Importance-sample an n-neuron network from |density|/norm (convention thm2).
 
     Deterministic for a fixed seed: one direction draw, one uniform draw for
@@ -172,20 +202,14 @@ def sample_network(
     """
     if n < 1:
         raise InvalidInputError("need at least one neuron")
-    masses = direction_masses(density, rule)
-    total = float(masses.sum()) if len(masses) else 0.0
+    masses = direction_masses(density)
+    total = float(masses.sum())
     if total <= 0 or norm <= 0:
         raise DegenerateMeasureError("cannot sample from a zero-mass density")
     rng = np.random.default_rng(seed)
     idx = rng.choice(len(masses), size=n, p=masses / total)
     u = rng.random(n)
-    grid, cdfs = _bias_tables(density, -density.R, density.R)
-    b = np.empty(n)
-    a = np.empty(n)
-    for i in range(n):
-        b[i] = np.interp(u[i], cdfs[idx[i]], grid)
-        g = float(density.profiles[idx[i]](b[i]))
-        a[i] = 1.0 if g >= 0 else -1.0
+    b, a = _draw_biases(density, idx, u, -density.R, density.R)
     return TwoLayerNet(
         d=density.d,
         a=a,
@@ -213,13 +237,7 @@ def _exact_l1_unit(w: np.ndarray) -> np.ndarray:
     return out
 
 
-def l1_normalized_network(
-    density: RadonDensity,
-    affine: AffinePart,
-    n: int,
-    seed,
-    rule: QuadratureRule | None = None,
-) -> TwoLayerNet:
+def l1_normalized_network(density: RadonDensity, affine: AffinePart, n: int, seed) -> TwoLayerNet:
     """Sample an l1-normalized network (convention prop2) on a ball with R <= 1.
 
     Negative-bias mass folds into the affine part through the reflection
@@ -231,7 +249,7 @@ def l1_normalized_network(
         raise DomainError("l1-normalized networks require the ball radius R <= 1")
     if n < 1:
         raise InvalidInputError("need at least one neuron")
-    half_masses = direction_masses(density, rule, lo=0.0, hi=density.R)
+    half_masses = direction_masses(density, lo=0.0, hi=density.R)
     l1 = np.abs(density.directions).sum(axis=1)
     weighted = 2.0 * half_masses * l1
     kappa = float(weighted.sum())
@@ -241,30 +259,18 @@ def l1_normalized_network(
     v = affine.v.copy()
     c = affine.c
     for i, w in enumerate(density.directions):
-        m0 = profile_moment(density, i, 0, 0.0, density.R, rule)
-        m1 = profile_moment(density, i, 1, 0.0, density.R, rule)
-        v = v - w * m0
-        c = c + m1
+        v = v - w * profile_moment(density, i, 0, 0.0, density.R)
+        c = c + profile_moment(density, i, 1, 0.0, density.R)
     rng = np.random.default_rng(seed)
     idx = rng.choice(len(weighted), size=n, p=weighted / kappa)
     u = rng.random(n)
-    grid, cdfs = _bias_tables(density, 0.0, density.R)
-    a = np.empty(n)
-    b = np.empty(n)
-    omegas = np.empty((n, density.d))
-    for i in range(n):
-        raw_b = float(np.interp(u[i], cdfs[idx[i]], grid))
-        g = float(density.profiles[idx[i]](raw_b))
-        a[i] = 1.0 if g >= 0 else -1.0
-        w = density.directions[idx[i]]
-        s = float(np.abs(w).sum())
-        omegas[i] = _exact_l1_unit(w.copy())
-        b[i] = min(raw_b / s, 1.0)
+    raw_b, a = _draw_biases(density, idx, u, 0.0, density.R)
+    units = np.array([_exact_l1_unit(w) for w in density.directions])
     net = TwoLayerNet(
         d=density.d,
         a=a,
-        omegas=omegas,
-        b=b,
+        omegas=units[idx],
+        b=np.minimum(raw_b / l1[idx], 1.0),
         kappa=kappa,
         v=v,
         c=float(c),
@@ -311,14 +317,6 @@ class ApproxReport:
         return float(max(self.errors))
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("RADONLAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def error_decay_experiment(
     mu: SpectralMeasure,
     R: float,
@@ -326,51 +324,39 @@ def error_decay_experiment(
     trials: int,
     seed: int,
     grid_size: int = 500,
-    rule: QuadratureRule | None = None,
-    fit_grid: BallGrid | None = None,
     convention: str = "thm2",
 ) -> list[ApproxReport]:
     """Sample `trials` networks at each width and record sup errors on a fixed grid.
 
     Each (width, trial) pair derives its own RNG stream from
-    (seed, width index, trial index), so results are identical whatever the
-    schedule; RADONLAB_THREADS > 1 runs trials concurrently.
+    (seed, width index, trial index), so any one trial can be redrawn alone.
     """
     n_list = [int(n) for n in n_list]
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise InvalidInputError("widths must be strictly increasing")
+    if trials < 1:
+        raise InvalidInputError("need at least one trial")
     density = density_from_spectrum(mu, R)
-    norm = tv_norm(density, rule)
+    norm = tv_norm(density)
     grid = ball_grid(mu.d, R, grid_size, mode="low-discrepancy")
-    fit_grid = fit_grid or ball_grid(mu.d, R, max(200, mu.d + 2), mode="low-discrepancy")
-    affine = fit_affine(mu, density, fit_grid, rule)
-
-    def one_trial(args):
-        ni, n, t = args
-        stream = [seed, ni, t]
-        if convention == "prop2":
-            net = l1_normalized_network(density, affine, n, stream, rule)
-        else:
-            net = sample_network(density, norm, affine, n, stream, rule)
-        return sup_error(net, mu, grid)
-
-    jobs = [(ni, n, t) for ni, n in enumerate(n_list) for t in range(trials)]
-    workers = _max_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            flat = list(pool.map(one_trial, jobs))
-    else:
-        flat = [one_trial(j) for j in jobs]
+    affine = fit_affine(mu, density, ball_grid(mu.d, R, max(200, mu.d + 2), mode="low-discrepancy"))
     reports = []
     for ni, n in enumerate(n_list):
-        errs = tuple(flat[ni * trials : (ni + 1) * trials])
+        errors = []
+        for t in range(trials):
+            stream = [seed, ni, t]
+            if convention == "prop2":
+                net = l1_normalized_network(density, affine, n, stream)
+            else:
+                net = sample_network(density, norm, affine, n, stream)
+            errors.append(sup_error(net, mu, grid))
         reports.append(
             ApproxReport(
                 n=n,
                 trials=trials,
                 seed=seed,
                 bound=R * norm / math.sqrt(n),
-                errors=errs,
+                errors=tuple(errors),
                 grid_size=len(grid),
             )
         )

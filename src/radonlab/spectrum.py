@@ -138,11 +138,6 @@ def from_cosine_sum(d: int, terms) -> SpectralMeasure:
     return SpectralMeasure(d=d, atoms=tuple(atoms))
 
 
-def evaluate_f(mu: SpectralMeasure, x):
-    """Module-level alias for SpectralMeasure.evaluate."""
-    return mu.evaluate(x)
-
-
 def fourier_constant_l2(terms) -> float:
     """C_f = sum |a_i| * |xi_i|_2^2 for the cosine sum (squared-frequency
     first moment of the Fourier measure, Euclidean norm)."""
@@ -184,7 +179,11 @@ def load_spectrum(path) -> tuple[int, list[tuple[float, np.ndarray]]]:
         terms = [(float(t["amplitude"]), np.asarray(t["xi"], dtype=float)) for t in payload["terms"]]
     except (KeyError, TypeError) as exc:
         raise InvalidInputError(f"malformed spectrum file: missing {exc}") from exc
-    for _, xi in terms:
+    if d < 1:
+        raise InvalidInputError(f"spectrum dimension d={d} must be at least 1")
+    for amp, xi in terms:
+        if not np.isfinite(amp):
+            raise InvalidInputError(f"non-finite amplitude {amp} in spectrum file")
         if xi.shape != (d,):
             raise InvalidInputError(f"xi entry of length {len(xi)} does not match d={d}")
         if not np.all(np.isfinite(xi)):

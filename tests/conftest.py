@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.optimize import brentq
 
 import radonlab as rl
 
@@ -31,6 +33,24 @@ def near_cancel_fpp(b):
     """Second derivative of cos(x) - cos(1.01 x)."""
     b = np.asarray(b, dtype=float)
     return -np.cos(b) + (1.0 + EPS) ** 2 * np.cos((1.0 + EPS) * b)
+
+
+def second_derivative_norm_1d(f_second_derivative, R: float, points: int = 8193) -> float:
+    """Independent d=1 oracle: the integral of |f''| over (-R, R).
+
+    Sign changes are bracketed on a dense grid and refined by Brent's method;
+    each piece between roots is integrated by adaptive quadrature.  Shares
+    no code with radonlab.
+    """
+    fn = lambda b: float(f_second_derivative(np.asarray(b, dtype=float)))
+    xs = np.linspace(-R, R, points)
+    signs = np.sign(np.asarray(f_second_derivative(xs), dtype=float))
+    signs[signs == 0] = 1.0
+    edges = [-R]
+    for i in np.nonzero(signs[:-1] * signs[1:] < 0)[0]:
+        edges.append(brentq(fn, xs[i], xs[i + 1], xtol=1e-15, rtol=4 * np.finfo(float).eps))
+    edges.append(R)
+    return sum(abs(quad(fn, a, b, epsabs=1e-15, epsrel=1e-13, limit=200)[0]) for a, b in zip(edges[:-1], edges[1:]))
 
 
 def random_cosine_terms(rng, d, n_terms=3, freq_range=(0.5, 5.0), amp_range=(-2.0, 2.0)):

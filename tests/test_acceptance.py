@@ -19,7 +19,7 @@ import radonlab as rl
 from radonlab.cli import main
 from radonlab.sparsifier import decay_slope
 
-from conftest import EPS, near_cancel_fpp, random_cosine_terms
+from conftest import EPS, near_cancel_fpp, random_cosine_terms, second_derivative_norm_1d
 
 NEAR_CANCEL_TERMS = [(1.0, np.array([1.0])), (-1.0, np.array([1.0 + EPS]))]
 
@@ -37,7 +37,7 @@ def test_criterion_1_near_cancel_constants(tmp_path):
     code = main(["norm", "--spectrum", str(spectrum), "--R", "1", "--out", str(out)])
     with open(out) as fh:
         rep = json.load(fh)
-    oracle = rl.second_derivative_norm_1d(near_cancel_fpp, 1.0)
+    oracle = second_derivative_norm_1d(near_cancel_fpp, 1.0)
     # sharper closed-form bound for the nearly-cancelling pair:
     # |f''| <= eps |b| |sin| + (2 eps + eps^2) |cos| integrates to
     # R (R eps + 4 eps + 2 eps^2) = 0.0502 at R = 1

@@ -236,3 +236,40 @@ def test_unknown_tol_override_is_parse_error(tmp_path, spectrum_path):
         "--tol-override", "definitely_not_a_knob=1",
     ])
     assert code == EXIT_PARSE
+
+
+@pytest.mark.parametrize("d, xi", [(2, [60.0, 80.0]), (1, [1000.0])])
+def test_norm_affine_residual_at_high_frequency(tmp_path, d, xi):
+    path = tmp_path / "spectrum.json"
+    rl.save_spectrum(path, d, [(1.0, xi)])
+    out = tmp_path / "report.json"
+    main(["norm", "--spectrum", str(path), "--R", "1", "--out", str(out)])
+    assert read_json(out)["residual_affine"] <= 1e-6
+
+
+@pytest.mark.parametrize("amplitude", ["NaN", "Infinity", "-Infinity"])
+def test_norm_rejects_non_finite_amplitude(tmp_path, capsys, amplitude):
+    path = tmp_path / "spectrum.json"
+    path.write_text('{"d": 1, "terms": [{"amplitude": %s, "xi": [2.0]}]}' % amplitude)
+    out = tmp_path / "report.json"
+    assert main(["norm", "--spectrum", str(path), "--R", "1", "--out", str(out)]) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith("radonlab: non-finite amplitude")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("d", [0, -2])
+def test_norm_rejects_non_positive_dimension(tmp_path, capsys, d):
+    path = tmp_path / "spectrum.json"
+    path.write_text('{"d": %d, "terms": []}' % d)
+    assert main(["norm", "--spectrum", str(path), "--R", "1", "--out", str(tmp_path / "r.json")]) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith(f"radonlab: spectrum dimension d={d}")
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_approximate_rejects_non_positive_trials(tmp_path, capsys, spectrum_path, trials):
+    code = main([
+        "approximate", "--spectrum", str(spectrum_path), "--R", "1",
+        "--n", "16", "--trials", trials, "--seed", "1", "--report", str(tmp_path / "r.json"),
+    ])
+    assert code == EXIT_PARSE
+    assert capsys.readouterr().err.startswith("radonlab: need at least one trial")

@@ -6,12 +6,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 import radonlab as rl
 from radonlab.errors import DomainError, InvalidInputError, SingularFitError, UnsupportedDimensionError
 from radonlab.radon_measure import DirectionProfile, RadonDensity, profile_moment, ramp_integral_grid
 
-from conftest import EPS, near_cancel_fpp, random_cosine_terms
+from conftest import EPS, near_cancel_fpp, random_cosine_terms, second_derivative_norm_1d
 
 
 @pytest.fixture
@@ -47,7 +48,7 @@ def test_tv_norm_cosine_closed_form(cos_density):
 def test_tv_norm_matches_second_derivative_oracle(near_cancel_measure):
     density = rl.density_from_spectrum(near_cancel_measure, 1.0)
     norm = rl.tv_norm(density)
-    oracle = rl.second_derivative_norm_1d(near_cancel_fpp, 1.0)
+    oracle = second_derivative_norm_1d(near_cancel_fpp, 1.0)
     assert norm == pytest.approx(oracle, abs=1e-8)
     # f'' is positive on (-1, 1), so the oracle integral is f'(1) - f'(-1)
     fp = lambda x: -math.sin(x) + (1 + EPS) * math.sin((1 + EPS) * x)
@@ -55,8 +56,8 @@ def test_tv_norm_matches_second_derivative_oracle(near_cancel_measure):
 
 
 def test_second_derivative_oracle_trivia():
-    assert rl.second_derivative_norm_1d(lambda b: -np.cos(b), math.pi / 2) == pytest.approx(2.0, abs=1e-12)
-    assert rl.second_derivative_norm_1d(lambda b: np.zeros_like(b), 1.0) == 0.0
+    assert second_derivative_norm_1d(lambda b: -np.cos(b), math.pi / 2) == pytest.approx(2.0, abs=1e-12)
+    assert second_derivative_norm_1d(lambda b: np.zeros_like(b), 1.0) == 0.0
 
 
 def test_d1_norm_identity_on_random_cosine_sums():
@@ -71,7 +72,7 @@ def test_d1_norm_identity_on_random_cosine_sums():
             b = np.asarray(b, dtype=float)
             return sum(-a * xi[0] ** 2 * np.cos(xi[0] * b) for a, xi in terms)
 
-        assert norm == pytest.approx(rl.second_derivative_norm_1d(fpp, R), abs=1e-8)
+        assert norm == pytest.approx(second_derivative_norm_1d(fpp, R), abs=1e-8)
 
 
 def test_tv_norm_monotone_in_radius(near_cancel_measure):
@@ -259,3 +260,54 @@ def test_ramp_integral_closed_form_for_cosine(cos_density):
     got = ramp_integral_grid(cos_density, xs[:, None])
     expected = np.cos(xs) - (R * math.sin(R) + math.cos(R))
     assert np.allclose(got, expected, atol=1e-12)
+
+
+def test_ramp_integral_matches_quad_at_high_frequency():
+    # |xi| R = 100: the pairing must stay exact far past any fixed panel rule
+    mu = rl.from_cosine_sum(1, [(1.0, [100.0]), (-0.5, [37.0])])
+    density = rl.density_from_spectrum(mu, 1.0)
+    xs = np.linspace(-0.95, 0.95, 7)
+    got = ramp_integral_grid(density, xs[:, None])
+    expected = [
+        sum(
+            quad(lambda b, u=x * w[0], p=p: (u - b) * p(b), -1.0, x * w[0], epsabs=1e-11, epsrel=1e-11, limit=500)[0]
+            for w, p in zip(density.directions, density.profiles)
+        )
+        for x in xs
+    ]
+    assert np.allclose(got, expected, rtol=0.0, atol=1e-10)
+
+
+def test_moments_exact_on_high_degree_polynomial_profiles():
+    coefs = np.zeros(23)
+    coefs[20], coefs[22] = 1.0, 0.5
+    density = RadonDensity(
+        d=1, R=1.0, directions=np.array([[1.0]]),
+        profiles=(DirectionProfile(np.zeros(0), np.zeros(0, dtype=complex), coefs),),
+    )
+    # int b^21 (b^20 + b^22 / 2) over (lo, hi) = [b^42 / 42 + b^44 / 88]
+    for lo, hi in ((-1.0, 1.0), (0.3, 0.9)):
+        exact = (hi**42 - lo**42) / 42 + (hi**44 - lo**44) / 88
+        assert profile_moment(density, 0, 21, lo, hi) == pytest.approx(exact, rel=1e-13, abs=1e-16)
+    assert profile_moment(density, 0, 20, -1.0, 1.0) == pytest.approx(2 / 41 + 1 / 43, rel=1e-13)
+    # self-pairing of Y_{22,j} b^20: coeff * (int Y^2 = 1) * (int b^40 = 2/41)
+    # (d=2 only: d=3 harmonics stop at degree 12)
+    for j in (1, 2):
+        term = rl.HarmonicNullTerm(k=22, j=j, kprime=20, coeff=1.5, d=2, R=1.0)
+        got = rl.harmonic_moment(rl.null_term_density(term, m=64), 22, j, 20)
+        assert got == pytest.approx(1.5 * 2 / 41, rel=1e-10)
+
+
+@pytest.mark.parametrize("t, power", [(1.0, 20), (0.3, 9), (2.5, 20), (100.0, 3), (100.0, 25)])
+def test_profile_moment_trig_part_matches_quad(t, power):
+    # both branches of the closed form: the series at |t| R < 0.3 power,
+    # integration by parts above it
+    density = RadonDensity(
+        d=1, R=1.0, directions=np.array([[1.0]]),
+        profiles=(DirectionProfile(np.array([t]), np.array([0.7 - 0.4j]), np.zeros(0)),),
+    )
+    profile = density.profiles[0]
+    for lo, hi in ((-1.0, 1.0), (0.0, 1.0), (-0.6, 0.8)):
+        expected = quad(lambda b: b**power * profile(b), lo, hi, epsabs=1e-14, epsrel=1e-13, limit=500)[0]
+        got = profile_moment(density, 0, power, lo, hi)
+        assert got == pytest.approx(expected, rel=1e-11, abs=1e-13)
