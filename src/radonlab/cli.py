@@ -170,7 +170,8 @@ def cmd_verify_null(args) -> int:
     tols = DEFAULTS.apply_overrides(_parse_overrides(args.tol_override))
     term = load_null_term(args.term)
     xs = ball_grid(term.d, term.R, args.grid, seed=args.seed, mode="uniform" if args.seed is not None else "low-discrepancy")
-    rule = sphere_rule(term.d, 64 if term.d == 2 else max(16, term.k + 2))
+    # exact to degree >= k + k' + 2: m - 1 for m circle nodes, 2m - 1 in d=3
+    rule = sphere_rule(term.d, max(64, term.k + term.kprime + 3) if term.d == 2 else max(16, term.k + 2))
     result = verify_null(term, xs, rule, tolerance=tols.null_tol)
     report = {
         "term": {"k": term.k, "j": term.j, "kprime": term.kprime, "coeff": term.coeff, "d": term.d, "R": term.R},

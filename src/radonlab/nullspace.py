@@ -84,18 +84,20 @@ class ModeConnectReport:
     grid_size: int
 
 
-def ramp_moment_closed_form(c: float, kprime: int, R: float) -> float:
+def ramp_moment_closed_form(c, kprime: int, R: float):
     """Closed-form bias integral of the ramp against b^{k'} over (-R, R).
 
     For |c| < R:
         integral (c - b)_+ b^{k'} db
       = (c^{k'+2} - (-R)^{k'+2}) / ((k'+1)(k'+2)) - (-R)^{k'+1} (c+R) / (k'+1),
     the degree-(k'+2) polynomial obtained by integrating the monomial twice.
+    Vectorized over c; every kink position must lie inside (-R, R).
     """
     if kprime < 0:
         raise InvalidInputError("monomial degree must be nonnegative")
-    if abs(c) >= R:
-        raise DomainError(f"kink position |c| = {abs(c)} must lie inside (-R, R)")
+    c = np.asarray(c, dtype=float)
+    if np.any(np.abs(c) >= R):
+        raise DomainError(f"kink position |c| = {np.abs(c).max()} must lie inside (-R, R)")
     k1 = kprime + 1
     k2 = kprime + 2
     return (c**k2 - (-R) ** k2) / (k1 * k2) - (-R) ** k1 * (c + R) / k1
@@ -105,7 +107,8 @@ def verify_null(term: HarmonicNullTerm, xs: BallGrid, rule: QuadratureRule, tole
     """Check that the term pairs to ~0 against every ramp centered in the grid.
 
     The bias integral uses the closed form, so the only numerical error is
-    the sphere rule's; pass a rule exact to degree >= 2k.
+    the sphere rule's; pass a rule exact to degree >= k + k' + 2.  All
+    points and nodes are paired in one points x nodes array.
     """
     if not term.in_set_a:
         raise PreconditionError(
@@ -116,15 +119,10 @@ def verify_null(term: HarmonicNullTerm, xs: BallGrid, rule: QuadratureRule, tole
         raise InvalidInputError("grid and term dimensions differ")
     if xs.R > term.R:
         raise InvalidInputError("grid must lie inside the term's ball")
-    nodes = rule.nodes
-    weights = rule.weights
-    y = np.asarray(harmonic_eval(term.k, term.j, term.d, nodes), dtype=float)
-    worst = 0.0
-    for x in xs.points:
-        u = nodes @ x
-        q = np.array([ramp_moment_closed_form(float(ui), term.kprime, term.R) for ui in u])
-        val = term.coeff * float(weights @ (y * q))
-        worst = max(worst, abs(val))
+    y = np.asarray(harmonic_eval(term.k, term.j, term.d, rule.nodes), dtype=float)
+    q = ramp_moment_closed_form(xs.points @ rule.nodes.T, term.kprime, term.R)
+    vals = term.coeff * (q @ (rule.weights * y))
+    worst = float(np.abs(vals).max(initial=0.0))
     return NullVerificationReport(term=term, points=len(xs), max_ramp_integral=worst, tolerance=tolerance)
 
 
@@ -166,19 +164,26 @@ def null_term_density(term: HarmonicNullTerm, m: int | None = None) -> RadonDens
     return RadonDensity(d=term.d, R=term.R, directions=rule.nodes, profiles=tuple(profiles))
 
 
-def _factor_neurons(n: int, d: int) -> tuple[int, int]:
-    """Split a neuron budget into (sphere nodes, bias nodes).
+def _factor_neurons(n: int, d: int, degree: int) -> tuple[int, int]:
+    """Split a neuron budget into (sphere resolution, bias nodes).
 
-    Bias quadrature fights the ramp kink, so it gets the square-root share;
-    the sphere factor is rounded up to keep the harmonic pairing exact.
+    Bias quadrature fights the ramp kink, so it gets the square-root share.
+    The sphere rule must be exact to ``degree`` (k + k' + 2: the harmonic
+    times the ramp's bias moment); where the budget's share falls short,
+    the sphere factor is raised to that and the bias nodes take the rest of
+    the budget, at least 4.
     """
     m_b = max(4, int(round(math.sqrt(n))))
     if d == 2:
-        m_s = max(8, n // m_b)
-        return m_s, m_b
-    # d == 3: the product sphere rule uses 2 m^2 nodes
-    m = max(4, int(round(math.sqrt(n / (2 * m_b)))))
-    return m, m_b
+        # m equispaced angles are exact to degree m - 1
+        m_s, need = max(8, n // m_b), degree + 1
+    else:
+        # d == 3: the product rule has 2 m^2 nodes, exact to degree 2m - 1
+        m_s, need = max(4, int(round(math.sqrt(n / (2 * m_b))))), (degree + 2) // 2
+    if m_s < need:
+        m_s = need
+        m_b = max(4, int(round(n / (m_s if d == 2 else 2 * m_s**2))))
+    return m_s, m_b
 
 
 def discretize_null(term: HarmonicNullTerm, n: int, R: float | None = None) -> TwoLayerNet:
@@ -191,7 +196,7 @@ def discretize_null(term: HarmonicNullTerm, n: int, R: float | None = None) -> T
     R = term.R if R is None else R
     if n < 16:
         raise InvalidInputError("need at least 16 neurons to factor the product rule")
-    m_s, m_b = _factor_neurons(n, term.d)
+    m_s, m_b = _factor_neurons(n, term.d, term.k + term.kprime + 2)
     srule = sphere_rule(term.d, m_s)
     brule = gauss_legendre(m_b, -R, R)
     y = np.asarray(harmonic_eval(term.k, term.j, term.d, srule.nodes), dtype=float)

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.spatial import cKDTree
 from scipy.special import ndtri
 
 from .errors import InvalidInputError, UnsupportedDimensionError
@@ -59,17 +58,12 @@ class QuadratureRule:
 
 @dataclass(frozen=True)
 class BallGrid:
-    """Finite evaluation set strictly inside the open ball of radius ``R``.
-
-    ``max_spacing`` is the largest nearest-neighbor distance, a coverage
-    diagnostic (meaningless for a single point, where it is 0).
-    """
+    """Finite evaluation set strictly inside the open ball of radius ``R``."""
 
     d: int
     R: float
     points: np.ndarray
     mode: str
-    max_spacing: float
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -78,6 +72,17 @@ class BallGrid:
 
     def __len__(self) -> int:
         return len(self.points)
+
+    @cached_property
+    def max_spacing(self) -> float:
+        """Largest nearest-neighbor distance, a coverage diagnostic computed
+        on first read (meaningless for a single point, where it is 0)."""
+        if len(self.points) < 2:
+            return 0.0
+        from scipy.spatial import cKDTree
+
+        dist, _ = cKDTree(self.points).query(self.points, k=2)
+        return float(dist[:, 1].max())
 
 
 @lru_cache(maxsize=128)
@@ -208,9 +213,4 @@ def ball_grid(d: int, R: float, m: int, seed: int | None = None, mode: str = "lo
         pts = _cube_to_ball(rng.random((m, d if d <= 3 else d + 1)), d, R)
     else:
         raise InvalidInputError(f"unknown ball grid mode: {mode!r}")
-    if len(pts) > 1:
-        dist, _ = cKDTree(pts).query(pts, k=2)
-        max_spacing = float(dist[:, 1].max())
-    else:
-        max_spacing = 0.0
-    return BallGrid(d=d, R=float(R), points=pts, mode=mode, max_spacing=max_spacing)
+    return BallGrid(d=d, R=float(R), points=pts, mode=mode)

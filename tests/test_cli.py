@@ -184,6 +184,27 @@ def test_verify_null_threshold_term_rejected(tmp_path):
     assert main(["verify-null", "--term", str(edge)]) == EXIT_DOMAIN
 
 
+def test_verify_null_high_degree_d2_passes(tmp_path):
+    # k + k' + 2 = 102: the circle rule must grow past 64 nodes
+    term = tmp_path / "k60.json"
+    rl.save_null_term(term, rl.HarmonicNullTerm(k=60, j=1, kprime=40, coeff=1.0, d=2, R=1.0))
+    out = tmp_path / "verdict.json"
+    assert main(["verify-null", "--term", str(term), "--grid", "400", "--out", str(out)]) == EXIT_PASS
+    assert read_json(out)["verdict"] == "pass"
+
+
+def test_modeconnect_d3_high_degree_term(tmp_path):
+    net_path, term_path, out = tmp_path / "net.json", tmp_path / "term.json", tmp_path / "mc.json"
+    rng = np.random.default_rng(9)
+    omegas = rng.normal(size=(32, 3))
+    omegas /= np.linalg.norm(omegas, axis=1)[:, None]
+    rl.save_network(net_path, rl.TwoLayerNet(3, np.ones(32), omegas, rng.uniform(-1, 1, 32), 2.0, np.zeros(3), 0.0))
+    rl.save_null_term(term_path, rl.HarmonicNullTerm(k=9, j=2, kprime=5, coeff=1.5, d=3, R=1.0))
+    code = main(["modeconnect", "--network", str(net_path), "--term", str(term_path), "--n", "3000", "--out", str(out)])
+    assert code == EXIT_PASS
+    assert read_json(out)["functional_change"] <= 1e-3
+
+
 def test_modeconnect_flow(tmp_path, spectrum2_path, term_path):
     net_path = tmp_path / "net.json"
     main([

@@ -45,6 +45,30 @@ def test_ramp_moment_matches_quadrature_on_random_inputs():
 def test_ramp_moment_domain_error():
     with pytest.raises(DomainError):
         rl.ramp_moment_closed_form(1.0, 0, 1.0)
+    with pytest.raises(DomainError):
+        rl.ramp_moment_closed_form(np.array([[0.2, -0.4], [0.9, -1.0]]), 2, 1.0)
+
+
+def test_ramp_moment_vectorized_matches_scalar():
+    c = np.random.default_rng(4).uniform(-0.99, 0.99, (5, 7))
+    got = rl.ramp_moment_closed_form(c, 3, 1.0)
+    assert got.shape == c.shape
+    assert np.allclose(got, [[rl.ramp_moment_closed_form(float(x), 3, 1.0) for x in row] for row in c], rtol=1e-15, atol=0)
+
+
+def test_verify_null_matches_pointwise_loop():
+    # an 8-node circle rule is not exact for k=10, so the pairings are far from 0
+    term = rl.HarmonicNullTerm(k=10, j=2, kprime=4, coeff=1.3, d=2, R=1.0)
+    xs = rl.ball_grid(2, 1.0, 40, seed=3, mode="uniform")
+    rule = rl.sphere_rule(2, 8)
+    y = rl.harmonic_eval(term.k, term.j, 2, rule.nodes)
+    loop = max(
+        abs(term.coeff * float(rule.weights @ (y * np.array([rl.ramp_moment_closed_form(float(u), 4, 1.0) for u in rule.nodes @ x]))))
+        for x in xs.points
+    )
+    report = rl.verify_null(term, xs, rule)
+    assert loop > 1e-3
+    assert report.max_ramp_integral == pytest.approx(loop, rel=1e-13)
 
 
 def test_verify_null_example_density():
@@ -172,6 +196,16 @@ def test_discretize_null_d3():
     net = rl.discretize_null(term, 4000)
     assert float(np.max(np.abs(net.evaluate(grid.points)))) < 5e-3
     assert np.abs(net.a).sum() > 0.5
+
+
+def test_discretize_null_d3_sphere_factor_follows_degree():
+    # the budget alone gives a 5 x 10 product rule, exact to degree 9 < k + k' + 2 = 16
+    term = rl.HarmonicNullTerm(k=9, j=2, kprime=5, coeff=1.0, d=3, R=1.0)
+    grid = rl.ball_grid(3, 1.0, 500, mode="low-discrepancy")
+    net = rl.discretize_null(term, 3000)
+    assert net.n == 2 * 9**2 * 19
+    assert float(np.max(np.abs(net.evaluate(grid.points)))) <= 1e-3
+    assert np.abs(net.a).sum() >= 0.5
 
 
 def test_mode_connect_zero_scale(near_cancel_measure):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,13 @@ from scipy.integrate import quad
 
 import radonlab as rl
 from radonlab.errors import DomainError, InvalidInputError, SingularFitError, UnsupportedDimensionError
-from radonlab.radon_measure import DirectionProfile, RadonDensity, profile_moment, ramp_integral_grid
+from radonlab.radon_measure import (
+    DirectionProfile,
+    RadonDensity,
+    profile_moment,
+    ramp_integral_grid,
+    sign_change_roots,
+)
 
 from conftest import EPS, near_cancel_fpp, random_cosine_terms, second_derivative_norm_1d
 
@@ -164,7 +171,7 @@ def test_fit_affine_rank_deficient_grid(cos_measure):
     density2 = rl.density_from_spectrum(mu2, 1.0)
     # collinear points in d=2: rank-deficient affine design
     pts = np.column_stack([np.linspace(-0.5, 0.5, 10), np.zeros(10)])
-    grid = rl.BallGrid(d=2, R=1.0, points=pts, mode="lattice", max_spacing=0.1)
+    grid = rl.BallGrid(d=2, R=1.0, points=pts, mode="lattice")
     with pytest.raises(SingularFitError):
         rl.fit_affine(mu2, density2, grid)
 
@@ -311,3 +318,64 @@ def test_profile_moment_trig_part_matches_quad(t, power):
         expected = quad(lambda b: b**power * profile(b), lo, hi, epsabs=1e-14, epsrel=1e-13, limit=500)[0]
         got = profile_moment(density, 0, power, lo, hi)
         assert got == pytest.approx(expected, rel=1e-11, abs=1e-13)
+
+
+def scalar_bisection_roots(fn, lo, hi, scan, tol=1e-12):
+    """Reference: bracket sign changes on the scan, then bisect one bracket at a time."""
+    xs = np.linspace(lo, hi, scan)
+    vals = fn(xs)
+    signs = np.sign(vals)
+    signs[signs == 0] = 1.0
+    roots = []
+    for i in np.nonzero(signs[:-1] * signs[1:] < 0)[0]:
+        a, b, fa = float(xs[i]), float(xs[i + 1]), float(vals[i])
+        while b - a > tol:
+            m = 0.5 * (a + b)
+            fm = float(fn(np.array([m]))[0])
+            if fa * fm <= 0:
+                b = m
+            else:
+                a, fa = m, fm
+        roots.append(0.5 * (a + b))
+    return roots
+
+
+def test_vectorized_roots_match_scalar_bisection():
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        n = int(rng.integers(1, 9))
+        R = float(rng.uniform(0.5, 2.0))
+        profile = DirectionProfile(
+            rng.uniform(1.0, 40.0 / R, n) * rng.choice([-1.0, 1.0], n),
+            rng.normal(size=n) + 1j * rng.normal(size=n),
+            rng.normal(size=int(rng.integers(0, 3))),
+        )
+        for scan in (512, 2049):
+            got = sign_change_roots(profile, -R, R, scan)
+            expected = scalar_bisection_roots(profile, -R, R, scan)
+            assert len(got) > 0 and np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("t, R", [(1000.0, 1.0), (3000.0, 1.0), (200.0, 30.0)])
+def test_tv_norm_high_frequency_matches_oracle(t, R):
+    # 637 to 3820 roots: more than the 512-point minimum scan has cells
+    density = rl.density_from_spectrum(rl.from_cosine_sum(1, [(1.0, [t])]), R)
+    points = math.ceil(32.0 * t * 2.0 * R / math.pi) + 1  # 32 points per half-period
+    oracle = second_derivative_norm_1d(lambda b: -(t**2) * np.cos(t * b), R, points=points)
+    assert rl.tv_norm(density) == pytest.approx(oracle, rel=1e-10)
+
+
+def test_tv_norm_memory_bounded_at_high_frequency():
+    # 64 terms up to |t| R = 2e4: the scan has ~2e5 points, so one
+    # points x terms float64 matrix would take ~100 MB
+    rng = np.random.default_rng(5)
+    profile = DirectionProfile(rng.uniform(1e4, 2e4, 64), rng.normal(size=64) + 1j * rng.normal(size=64), np.zeros(0))
+    density = RadonDensity(d=1, R=1.0, directions=np.array([[1.0]]), profiles=(profile,))
+    tracemalloc.start()
+    try:
+        norm = rl.tv_norm(density)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert np.isfinite(norm) and norm > 0
