@@ -164,22 +164,25 @@ def null_term_density(term: HarmonicNullTerm, m: int | None = None) -> RadonDens
     return RadonDensity(d=term.d, R=term.R, directions=rule.nodes, profiles=tuple(profiles))
 
 
-def _factor_neurons(n: int, d: int, degree: int) -> tuple[int, int]:
+def _factor_neurons(n: int, d: int, k: int, kprime: int) -> tuple[int, int]:
     """Split a neuron budget into (sphere resolution, bias nodes).
 
     Bias quadrature fights the ramp kink, so it gets the square-root share.
-    The sphere rule must be exact to ``degree`` (k + k' + 2: the harmonic
-    times the ramp's bias moment); where the budget's share falls short,
-    the sphere factor is raised to that and the bias nodes take the rest of
-    the budget, at least 4.
+    The sphere rule must be exact to degree k + k' + 2 (the harmonic times
+    the ramp's bias moment).  In d=3 its 2m equispaced azimuths are all
+    zeros of sin(j phi) when the azimuthal order j is a multiple of m, which
+    would discretize the term to the zero network, so there m >= k + 1 as
+    well.  Where the budget's share falls short, the sphere factor is raised
+    and the bias nodes take the rest of the budget, at least 4.
     """
+    degree = k + kprime + 2
     m_b = max(4, int(round(math.sqrt(n))))
     if d == 2:
         # m equispaced angles are exact to degree m - 1
         m_s, need = max(8, n // m_b), degree + 1
     else:
         # d == 3: the product rule has 2 m^2 nodes, exact to degree 2m - 1
-        m_s, need = max(4, int(round(math.sqrt(n / (2 * m_b))))), (degree + 2) // 2
+        m_s, need = max(4, int(round(math.sqrt(n / (2 * m_b))))), max((degree + 2) // 2, k + 1)
     if m_s < need:
         m_s = need
         m_b = max(4, int(round(n / (m_s if d == 2 else 2 * m_s**2))))
@@ -196,7 +199,7 @@ def discretize_null(term: HarmonicNullTerm, n: int, R: float | None = None) -> T
     R = term.R if R is None else R
     if n < 16:
         raise InvalidInputError("need at least 16 neurons to factor the product rule")
-    m_s, m_b = _factor_neurons(n, term.d, term.k + term.kprime + 2)
+    m_s, m_b = _factor_neurons(n, term.d, term.k, term.kprime)
     srule = sphere_rule(term.d, m_s)
     brule = gauss_legendre(m_b, -R, R)
     y = np.asarray(harmonic_eval(term.k, term.j, term.d, srule.nodes), dtype=float)

@@ -24,11 +24,13 @@ interval: a uniform scan brackets each sign change and every bracket is
 bisected to ``_ROOT_TOL`` in one array pass.  The scan has at least
 ``_SCAN_PER_HALF_PERIOD`` points per half-period pi/t of the profile's top
 frequency (and never fewer than ``_ROOT_SCAN``), so it brackets every root
-of a single cosine.  A sum of terms can still hide a pair of roots in one
-scan cell of width h, where g dips across zero and back; the norm then
-loses twice the mass of that lobe, at most h^3 max|g''| / 6 per cell, with
-max|g''| <= sum_j |w_j| t_j^2 + max|P_w''|.  A double root, where g touches
-zero without crossing, costs nothing.
+of a single cosine.  A profile whose scan would pass ``_MAX_SCAN`` points
+is refused with ``DomainError`` rather than scanned.  A sum of terms can
+still hide a pair of roots in one scan cell of width h, where g dips
+across zero and back; the norm then loses twice the mass of that lobe, at
+most h^3 max|g''| / 6 per cell, with max|g''| <= sum_j |w_j| t_j^2 +
+max|P_w''|.  A double root, where g touches zero without crossing, costs
+nothing.
 """
 
 from __future__ import annotations
@@ -56,6 +58,9 @@ _ROOT_TOL = 1e-12
 _SCAN_PER_HALF_PERIOD = 16
 # largest points x terms matrix one profile evaluation builds (512 KiB of float64)
 _EVAL_BLOCK = 1 << 16
+# most points a root scan may take: 8 MiB per float64 array of the scan, and
+# |t| * R up to about 1e5 on (-R, R)
+_MAX_SCAN = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -96,23 +101,29 @@ class DirectionProfile:
         evaluated in blocks of at most ``_EVAL_BLOCK`` point-term pairs, so
         memory stays bounded for any number of points and terms.
         """
+        return self._antiderivatives(b, (k,))[0]
+
+    def _antiderivatives(self, b, orders) -> tuple:
+        """G_k for every k in ``orders``, sharing one cos/sin evaluation per block."""
         b = np.asarray(b, dtype=float)
         step = max(1, _EVAL_BLOCK // max(1, len(self.trig_freqs)))
         if b.size <= step:
-            return self._antiderivative_block(b, k)
+            return self._antiderivative_block(b, orders)
         flat = b.ravel()
-        blocks = [self._antiderivative_block(flat[s : s + step], k) for s in range(0, len(flat), step)]
-        return np.concatenate(blocks).reshape(b.shape)
+        blocks = [self._antiderivative_block(flat[s : s + step], orders) for s in range(0, len(flat), step)]
+        return tuple(np.concatenate(parts).reshape(b.shape) for parts in zip(*blocks))
 
-    def _antiderivative_block(self, b: np.ndarray, k: int):
-        out = np.zeros(b.shape)
+    def _antiderivative_block(self, b: np.ndarray, orders) -> tuple:
+        out = [np.zeros(b.shape) for _ in orders]
         if len(self.trig_freqs):
-            scale = self.trig_weights / (-1j * self.trig_freqs) ** k if k else self.trig_weights
             tb = np.multiply.outer(b, self.trig_freqs)
-            out = np.cos(tb) @ scale.real + np.sin(tb) @ scale.imag
+            cos, sin = np.cos(tb), np.sin(tb)
+            for i, k in enumerate(orders):
+                scale = self.trig_weights / (-1j * self.trig_freqs) ** k if k else self.trig_weights
+                out[i] = cos @ scale.real + sin @ scale.imag
         if len(self.poly_coefs):
-            out = out + polyval(b, polyint(self.poly_coefs, k))
-        return out
+            out = [val + polyval(b, polyint(self.poly_coefs, k)) for val, k in zip(out, orders)]
+        return tuple(out)
 
     def imag_residue(self, b) -> float:
         """Largest imaginary part of the complex profile sum (realness check)."""
@@ -268,6 +279,11 @@ def sign_change_roots(fn, lo: float, hi: float, scan: int = _ROOT_SCAN) -> np.nd
 def _profile_panels(profile: DirectionProfile, lo: float, hi: float):
     top = float(np.abs(profile.trig_freqs).max(initial=0.0))
     scan = max(_ROOT_SCAN, math.ceil(_SCAN_PER_HALF_PERIOD * top * (hi - lo) / math.pi) + 1)
+    if scan > _MAX_SCAN:
+        raise DomainError(
+            f"frequency too high for the ball: |xi| * R = {top * max(abs(lo), abs(hi)):.6g} needs a root scan "
+            f"of {scan} points, more than the {_MAX_SCAN} allowed"
+        )
     edges = np.concatenate([[lo], sign_change_roots(profile, lo, hi, scan), [hi]])
     g1 = profile.antiderivative(edges, 1)
     return edges, g1, np.concatenate([[0.0], np.cumsum(np.abs(np.diff(g1)))])

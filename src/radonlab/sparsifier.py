@@ -14,6 +14,13 @@ The ``prop2`` convention additionally folds the negative-bias mass into the
 affine part and pushes neurons through (w, b) -> (w/|w|_1, b/|w|_1), giving
 coefficients |a_i| <= 1, l1-unit directions, biases in [0, 1], and outer
 scale at most sqrt(d) times the norm (requires R <= 1).
+
+A sampled network has only as many distinct directions m as the density,
+so ``sup_error`` sums its ramps per direction from prefix sums over the
+sorted biases, in O(n log n + m N log n) on N grid points, and never builds
+the N x n ramp matrix.  ``TwoLayerNet.evaluate`` stays dense: it serves any
+network, such as the quadrature nets of the null space, whose directions
+are nearly all distinct.
 """
 
 from __future__ import annotations
@@ -83,7 +90,7 @@ class TwoLayerNet:
         return len(self.a)
 
     def evaluate(self, X):
-        """Network value at points of shape (d,) or (N, d)."""
+        """Network value at points of shape (d,) or (N, d), from the dense N x n ramp matrix."""
         pts = np.asarray(X, dtype=float)
         single = pts.ndim <= 1
         pts = np.atleast_2d(pts if pts.ndim else pts.reshape(1))
@@ -153,9 +160,11 @@ def _inverse_cdf(profile: DirectionProfile, panels, u: np.ndarray) -> np.ndarray
     The panel holding each target comes from the running masses; inside it
     the CDF |G_1(b) - G_1(r_k)| is monotone with derivative |g|, so Newton's
     method is run from the linear guess and replaced by bisection whenever
-    it leaves the shrinking bracket.  Iteration stops once every step is
-    below 1e-9 of the interval: Newton's error after such a step is of its
+    it leaves the shrinking bracket.  A draw stops once its step is below
+    1e-9 of the interval: Newton's error after such a step is of its
     square, and smaller steps would only chase the rounding noise of G_1.
+    Only the draws still moving are iterated, and each step reads G_1 and g
+    off one evaluation of the trig terms.
     """
     edges, g1, cum = panels
     target = u * cum[-1]
@@ -166,17 +175,21 @@ def _inverse_cdf(profile: DirectionProfile, panels, u: np.ndarray) -> np.ndarray
     panel_mass = cum[k + 1] - cum[k]
     b = lo + (hi - lo) * np.divide(rest, panel_mass, out=np.zeros_like(rest), where=panel_mass > 0)
     tol = 1e-9 * (edges[-1] - edges[0])
+    live = np.arange(len(b))
+    x, start = b.copy(), g1[k]
     for _ in range(_NEWTON_STEPS):
-        excess = sign * (profile.antiderivative(b, 1) - g1[k]) - rest
-        lo = np.where(excess <= 0, b, lo)
-        hi = np.where(excess >= 0, b, hi)
+        G1, g = profile._antiderivatives(x, (1, 0))
+        excess = sign * (G1 - start) - rest
+        lo = np.where(excess <= 0, x, lo)
+        hi = np.where(excess >= 0, x, hi)
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = b - excess / (sign * profile(b))
+            step = x - excess / (sign * g)
         step = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
-        converged = np.all(np.abs(step - b) <= tol)
-        b = step
-        if converged:
+        moving = np.abs(step - x) > tol
+        b[live] = step
+        if not moving.any():
             break
+        live, x, start, rest, sign, lo, hi = (arr[moving] for arr in (live, step, start, rest, sign, lo, hi))
     return b
 
 
@@ -200,6 +213,11 @@ def sample_network(density: RadonDensity, norm: float, affine: AffinePart, n: in
     Deterministic for a fixed seed: one direction draw, one uniform draw for
     the bias inverse-CDF, signs read off the signed profile.
     """
+    return _sample_thm2(density, norm, affine, n, seed)[0]
+
+
+def _sample_thm2(density: RadonDensity, norm: float, affine: AffinePart, n: int, seed) -> tuple[TwoLayerNet, np.ndarray]:
+    """``sample_network`` and the index of each neuron's direction in the density."""
     if n < 1:
         raise InvalidInputError("need at least one neuron")
     masses = direction_masses(density)
@@ -210,7 +228,7 @@ def sample_network(density: RadonDensity, norm: float, affine: AffinePart, n: in
     idx = rng.choice(len(masses), size=n, p=masses / total)
     u = rng.random(n)
     b, a = _draw_biases(density, idx, u, -density.R, density.R)
-    return TwoLayerNet(
+    net = TwoLayerNet(
         d=density.d,
         a=a,
         omegas=density.directions[idx],
@@ -220,6 +238,7 @@ def sample_network(density: RadonDensity, norm: float, affine: AffinePart, n: in
         c=affine.c,
         convention="thm2",
     )
+    return net, idx
 
 
 def _exact_l1_unit(w: np.ndarray) -> np.ndarray:
@@ -237,6 +256,11 @@ def _exact_l1_unit(w: np.ndarray) -> np.ndarray:
     return out
 
 
+def _l1_units(density: RadonDensity) -> np.ndarray:
+    """The density's directions rescaled to exact l1-unit length, one row each."""
+    return np.array([_exact_l1_unit(w) for w in density.directions])
+
+
 def l1_normalized_network(density: RadonDensity, affine: AffinePart, n: int, seed) -> TwoLayerNet:
     """Sample an l1-normalized network (convention prop2) on a ball with R <= 1.
 
@@ -245,6 +269,11 @@ def l1_normalized_network(density: RadonDensity, affine: AffinePart, n: int, see
     density; neurons are then pushed through (w, b) -> (w/|w|_1, b/|w|_1)
     with the l1 weight absorbed into the outer scale kappa.
     """
+    return _sample_prop2(density, affine, n, seed)[0]
+
+
+def _sample_prop2(density: RadonDensity, affine: AffinePart, n: int, seed) -> tuple[TwoLayerNet, np.ndarray]:
+    """``l1_normalized_network`` and the index of each neuron's direction in the density."""
     if density.R > 1.0:
         raise DomainError("l1-normalized networks require the ball radius R <= 1")
     if n < 1:
@@ -265,11 +294,10 @@ def l1_normalized_network(density: RadonDensity, affine: AffinePart, n: int, see
     idx = rng.choice(len(weighted), size=n, p=weighted / kappa)
     u = rng.random(n)
     raw_b, a = _draw_biases(density, idx, u, 0.0, density.R)
-    units = np.array([_exact_l1_unit(w) for w in density.directions])
     net = TwoLayerNet(
         d=density.d,
         a=a,
-        omegas=units[idx],
+        omegas=_l1_units(density)[idx],
         b=np.minimum(raw_b / l1[idx], 1.0),
         kappa=kappa,
         v=v,
@@ -277,14 +305,68 @@ def l1_normalized_network(density: RadonDensity, affine: AffinePart, n: int, see
         convention="prop2",
     )
     net.check_convention()
-    return net
+    return net, idx
+
+
+def _project(points: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """dirs @ points.T, summed coordinate by coordinate in elementwise products.
+
+    Unlike a BLAS product, the bits of a row depend only on its values, so
+    a direction projects the same from any array it sits in.
+    """
+    out = np.multiply.outer(dirs[:, 0], points[:, 0])
+    for j in range(1, points.shape[1]):
+        out += np.multiply.outer(dirs[:, j], points[:, j])
+    return out
+
+
+def _ramp_sums(a: np.ndarray, b: np.ndarray, labels: np.ndarray, proj: np.ndarray) -> np.ndarray:
+    """sum_i a_i (<w_i, x> - b_i)_+ at every point x, summed per direction group.
+
+    Neuron i has direction label ``labels[i]``, and ``proj[labels[i]]``
+    holds the points' projections on that direction.  Each group's biases
+    are sorted once, with prefix sums A of a_i and B of a_i b_i; a point
+    whose projection p lies above the first k biases of its group gets
+    sum_i a_i (p - b_i)_+ = p A_k - B_k, with k found by binary search (a
+    bias equal to p adds nothing either way).  Groups are added in the
+    order their directions first appear among the neurons.  Cost
+    O(n log n + m N log n) for m groups and N points, with no N x n array.
+    """
+    out = np.zeros(proj.shape[1])
+    if not len(a):
+        return out
+    order = np.lexsort((b, labels))
+    starts = np.flatnonzero(np.diff(labels[order], prepend=-1))
+    ends = np.append(starts[1:], len(order))
+    for g in np.argsort(np.minimum.reduceat(order, starts)):
+        sel = order[starts[g] : ends[g]]
+        bs, a_s = b[sel], a[sel]
+        p = proj[labels[sel[0]]]
+        k = np.searchsorted(bs, p, side="left")
+        out += p * np.append(0.0, np.cumsum(a_s))[k] - np.append(0.0, np.cumsum(a_s * bs))[k]
+    return out
+
+
+def _sup_gap(net: TwoLayerNet, labels: np.ndarray, proj: np.ndarray, points: np.ndarray, f: np.ndarray) -> float:
+    """Largest |net(x) - f(x)| over the points, the ramps from ``_ramp_sums``."""
+    out = _project(points, net.v[None, :])[0] + net.c
+    if net.n:
+        out = out + (net.kappa / net.n) * _ramp_sums(net.a, net.b, labels, proj)
+    return float(np.max(np.abs(out - f)))
 
 
 def sup_error(net: TwoLayerNet, mu: SpectralMeasure, grid: BallGrid) -> float:
-    """Largest deviation between the network and the represented function."""
+    """Largest deviation between the network and the represented function.
+
+    Neurons are grouped by distinct direction and each group's ramps are
+    summed from prefix sums over its sorted biases: O(n log n + m N log n)
+    for m distinct directions and N grid points, never an N x n array.
+    """
     if net.d != mu.d:
         raise InvalidInputError("network and measure dimensions differ")
-    return float(np.max(np.abs(net.evaluate(grid.points) - mu.evaluate(grid.points))))
+    _, first, labels = np.unique(net.omegas, axis=0, return_index=True, return_inverse=True)
+    proj = _project(grid.points, net.omegas[first])
+    return _sup_gap(net, labels.ravel(), proj, grid.points, mu.evaluate(grid.points))
 
 
 @dataclass(frozen=True)
@@ -330,6 +412,8 @@ def error_decay_experiment(
 
     Each (width, trial) pair derives its own RNG stream from
     (seed, width index, trial index), so any one trial can be redrawn alone.
+    A trial's error is ``sup_error`` of its network to the bit: the same
+    per-direction sum, with f and the grid's projections computed once.
     """
     n_list = [int(n) for n in n_list]
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
@@ -340,16 +424,19 @@ def error_decay_experiment(
     norm = tv_norm(density)
     grid = ball_grid(mu.d, R, grid_size, mode="low-discrepancy")
     affine = fit_affine(mu, density, ball_grid(mu.d, R, max(200, mu.d + 2), mode="low-discrepancy"))
+    # f and the projections on every direction a neuron can draw, once
+    f = mu.evaluate(grid.points)
+    proj = _project(grid.points, _l1_units(density) if convention == "prop2" else density.directions)
     reports = []
     for ni, n in enumerate(n_list):
         errors = []
         for t in range(trials):
             stream = [seed, ni, t]
             if convention == "prop2":
-                net = l1_normalized_network(density, affine, n, stream)
+                net, idx = _sample_prop2(density, affine, n, stream)
             else:
-                net = sample_network(density, norm, affine, n, stream)
-            errors.append(sup_error(net, mu, grid))
+                net, idx = _sample_thm2(density, norm, affine, n, stream)
+            errors.append(_sup_gap(net, idx, proj, grid.points, f))
         reports.append(
             ApproxReport(
                 n=n,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -193,16 +194,30 @@ def test_verify_null_high_degree_d2_passes(tmp_path):
     assert read_json(out)["verdict"] == "pass"
 
 
-def test_modeconnect_d3_high_degree_term(tmp_path):
-    net_path, term_path, out = tmp_path / "net.json", tmp_path / "term.json", tmp_path / "mc.json"
+def save_random_d3_network(path):
     rng = np.random.default_rng(9)
     omegas = rng.normal(size=(32, 3))
     omegas /= np.linalg.norm(omegas, axis=1)[:, None]
-    rl.save_network(net_path, rl.TwoLayerNet(3, np.ones(32), omegas, rng.uniform(-1, 1, 32), 2.0, np.zeros(3), 0.0))
+    rl.save_network(path, rl.TwoLayerNet(3, np.ones(32), omegas, rng.uniform(-1, 1, 32), 2.0, np.zeros(3), 0.0))
+
+
+def test_modeconnect_d3_high_degree_term(tmp_path):
+    net_path, term_path, out = tmp_path / "net.json", tmp_path / "term.json", tmp_path / "mc.json"
+    save_random_d3_network(net_path)
     rl.save_null_term(term_path, rl.HarmonicNullTerm(k=9, j=2, kprime=5, coeff=1.5, d=3, R=1.0))
     code = main(["modeconnect", "--network", str(net_path), "--term", str(term_path), "--n", "3000", "--out", str(out)])
     assert code == EXIT_PASS
     assert read_json(out)["functional_change"] <= 1e-3
+
+
+def test_modeconnect_d3_term_of_top_azimuthal_order(tmp_path):
+    # j = 1 has azimuthal order k = 9: a sphere factor m = 9 put every node on its zeros
+    net_path, term_path, out = tmp_path / "net.json", tmp_path / "term.json", tmp_path / "mc.json"
+    save_random_d3_network(net_path)
+    rl.save_null_term(term_path, rl.HarmonicNullTerm(k=9, j=1, kprime=5, coeff=1.5, d=3, R=1.0))
+    code = main(["modeconnect", "--network", str(net_path), "--term", str(term_path), "--n", "3000", "--out", str(out)])
+    assert code == EXIT_PASS
+    assert read_json(out)["coefficient_mass"] >= 0.5
 
 
 def test_modeconnect_flow(tmp_path, spectrum2_path, term_path):
@@ -294,3 +309,32 @@ def test_approximate_rejects_non_positive_trials(tmp_path, capsys, spectrum_path
     ])
     assert code == EXIT_PARSE
     assert capsys.readouterr().err.startswith("radonlab: need at least one trial")
+
+
+@pytest.mark.parametrize("convention, R", [("thm2", "1"), ("prop2", "0.8")])
+def test_approximate_emitted_error_is_last_min_error(tmp_path, spectrum2_path, convention, R):
+    report_path = tmp_path / "report.json"
+    code = main([
+        "approximate", "--spectrum", str(spectrum2_path), "--R", R, "--n", "16,64,512",
+        "--trials", "6", "--seed", "3", "--convention", convention, "--report", str(report_path),
+    ])
+    assert code == EXIT_PASS
+    report = read_json(report_path)
+    assert report["emitted_sup_error"] == report["min_errors"][-1]
+
+
+def test_norm_refuses_unbounded_root_scan(tmp_path, capsys):
+    # |xi| R = 1e8 would ask for a root scan of about 1e9 points
+    path = tmp_path / "spectrum.json"
+    rl.save_spectrum(path, 1, [(1.0, [1e8])])
+    out = tmp_path / "report.json"
+    tracemalloc.start()
+    try:
+        code = main(["norm", "--spectrum", str(path), "--R", "1", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_DOMAIN
+    assert capsys.readouterr().err.startswith("radonlab: frequency too high for the ball: |xi| * R = 1e+08")
+    assert peak < 16 * 2**20
+    assert not out.exists()

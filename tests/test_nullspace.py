@@ -199,12 +199,22 @@ def test_discretize_null_d3():
 
 
 def test_discretize_null_d3_sphere_factor_follows_degree():
-    # the budget alone gives a 5 x 10 product rule, exact to degree 9 < k + k' + 2 = 16
+    # the budget alone gives a 5 x 10 product rule, exact to degree 9 < k + k' + 2 = 16;
+    # m = 9 would do for the degree, and m >= k + 1 = 10 keeps every azimuthal order off the zeros
     term = rl.HarmonicNullTerm(k=9, j=2, kprime=5, coeff=1.0, d=3, R=1.0)
     grid = rl.ball_grid(3, 1.0, 500, mode="low-discrepancy")
     net = rl.discretize_null(term, 3000)
-    assert net.n == 2 * 9**2 * 19
+    assert net.n == 2 * 10**2 * 15
     assert float(np.max(np.abs(net.evaluate(grid.points)))) <= 1e-3
+    assert np.abs(net.a).sum() >= 0.5
+
+
+@pytest.mark.parametrize("j", range(1, 20))
+def test_discretize_null_d3_never_samples_harmonic_zeros(j):
+    # with 2m equispaced azimuths and m <= k, an order-m azimuthal factor
+    # vanishes at every node (j = 1 and j = 10 at m = 9 gave mass ~1e-15)
+    term = rl.HarmonicNullTerm(k=9, j=j, kprime=5, coeff=1.0, d=3, R=1.0)
+    net = rl.discretize_null(term, 3000)
     assert np.abs(net.a).sum() >= 0.5
 
 

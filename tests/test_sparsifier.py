@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 
 import radonlab as rl
+from scipy.optimize import brentq
+
 from radonlab.errors import DegenerateMeasureError, DomainError, InvalidInputError
-from radonlab.sparsifier import decay_slope
+from radonlab.radon_measure import _profile_panels
+from radonlab.sparsifier import _inverse_cdf, _project, _ramp_sums, _sample_thm2, decay_slope
 
 from conftest import random_cosine_terms
 
@@ -219,3 +222,174 @@ def test_decay_csv_format(tmp_path, near_cancel_measure):
     first = lines[1].split(",")
     assert int(first[0]) == 16
     assert float(first[1]) == pytest.approx(reports[0].bound)
+
+
+# --- per-direction ramp sums against the dense sum ---------------------------
+
+
+def dense_ramp_sum(X, omegas, a, b):
+    """sum_i a_i max(<w_i, x> - b_i, 0) at every row x of X, one neuron at a time."""
+    out = np.zeros(len(X))
+    for ai, wi, bi in zip(a, omegas, b):
+        out += ai * np.maximum(X @ wi - bi, 0.0)
+    return out
+
+
+def assert_matches_dense(got, want):
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * np.max(np.abs(want), initial=0.0)
+
+
+def kernel_ramp_sum(net, X):
+    _, first, labels = np.unique(net.omegas, axis=0, return_index=True, return_inverse=True)
+    return _ramp_sums(net.a, net.b, labels.ravel(), _project(X, net.omegas[first]))
+
+
+def dense_sup_error(net, mu, X):
+    values = X @ net.v + net.c
+    if net.n:
+        values = values + net.kappa / net.n * dense_ramp_sum(X, net.omegas, net.a, net.b)
+    return float(np.max(np.abs(values - mu.evaluate(X))))
+
+
+@pytest.fixture
+def axis_measure():
+    # the direction (1, 0) is l1-unit exactly, so prop2 keeps it as drawn
+    return rl.from_cosine_sum(2, [(1.0, [4.0, 0.0]), (-0.7, [1.5, 2.0]), (0.4, [-0.5, 1.0])])
+
+
+def test_ramp_sums_match_dense_thm2(axis_measure):
+    density = rl.density_from_spectrum(axis_measure, 1.0)
+    affine = rl.fit_affine(axis_measure, density, rl.ball_grid(2, 1.0, 200, mode="low-discrepancy"))
+    X = rl.ball_grid(2, 1.0, 500, mode="low-discrepancy").points
+    for n in (1, 37, 4096):
+        net = rl.sample_network(density, rl.tv_norm(density), affine, n, seed=n)
+        assert_matches_dense(kernel_ramp_sum(net, X), dense_ramp_sum(X, net.omegas, net.a, net.b))
+        assert rl.sup_error(net, axis_measure, rl.BallGrid(2, 1.0, X, "lattice")) == pytest.approx(
+            dense_sup_error(net, axis_measure, X), rel=1e-12
+        )
+
+
+def test_ramp_sums_match_dense_prop2_with_clamped_biases(axis_measure):
+    density = rl.density_from_spectrum(axis_measure, 1.0)
+    affine = rl.fit_affine(axis_measure, density, rl.ball_grid(2, 1.0, 200, mode="low-discrepancy"))
+    net = rl.l1_normalized_network(density, affine, 2048, seed=4)
+    # pin every tenth bias at the clamp b = 1 and put points where <w, x> = 1 exactly
+    b = net.b.copy()
+    b[::10] = 1.0
+    net = rl.TwoLayerNet(2, net.a, net.omegas, b, net.kappa, net.v, net.c, convention="prop2")
+    net.check_convention()
+    X = np.vstack([rl.ball_grid(2, 1.0, 300, mode="low-discrepancy").points, [[1.0, 0.0], [-1.0, 0.0]]])
+    assert 1.0 in (X @ net.omegas.T)
+    assert_matches_dense(kernel_ramp_sum(net, X), dense_ramp_sum(X, net.omegas, net.a, net.b))
+    assert rl.sup_error(net, axis_measure, rl.BallGrid(2, 1.0, X, "lattice")) == pytest.approx(
+        dense_sup_error(net, axis_measure, X), rel=1e-12
+    )
+
+
+def test_ramp_sums_ties_and_repeated_directions_out_of_order():
+    rng = np.random.default_rng(5)
+    dirs = np.array([[0.6, 0.8], [-1.0, 0.0], [0.0, 1.0]])
+    order = [2, 0, 2, 1, 0, 1, 2, 0, 0, 2]
+    X = np.array([[0.5, 0.0], [0.0, 0.25], [-0.25, 0.5], [0.3, -0.4], [0.0, 0.0], [-0.5, -0.5]])
+    proj = X @ dirs.T
+    # every bias is a projection of some point on its own direction: all ties
+    b = np.array([proj[i % len(X), k] for i, k in enumerate(order)])
+    a = rng.normal(size=len(order))
+    net = rl.TwoLayerNet(2, a, dirs[order], b, 3.0, np.array([0.2, -0.1]), 0.3, convention="quadrature")
+    want = dense_ramp_sum(X, net.omegas, a, b)
+    assert_matches_dense(kernel_ramp_sum(net, X), want)
+    # labels in any numbering give the same sums
+    relabel = np.array([1, 2, 0])
+    assert_matches_dense(_ramp_sums(a, b, relabel[order], _project(X, dirs[[2, 0, 1]])), want)
+    mu = rl.from_cosine_sum(2, [(1.0, [1.0, 2.0])])
+    assert rl.sup_error(net, mu, rl.BallGrid(2, 1.0, X, "lattice")) == pytest.approx(dense_sup_error(net, mu, X), rel=1e-12)
+
+
+def test_ramp_sums_with_undrawn_directions(axis_measure):
+    density = rl.density_from_spectrum(axis_measure, 1.0)
+    X = rl.ball_grid(2, 1.0, 200, mode="low-discrepancy").points
+    net, idx = _sample_thm2(density, rl.tv_norm(density), rl.AffinePart.zero(2), 3, seed=1)
+    assert len(np.unique(idx)) < len(density)
+    got = _ramp_sums(net.a, net.b, idx, _project(X, density.directions))
+    assert_matches_dense(got, dense_ramp_sum(X, net.omegas, net.a, net.b))
+
+
+def test_ramp_sums_empty_network():
+    X = rl.ball_grid(2, 1.0, 50, mode="lattice").points
+    assert np.array_equal(_ramp_sums(np.zeros(0), np.zeros(0), np.zeros(0, int), np.zeros((0, len(X)))), np.zeros(len(X)))
+    mu = rl.from_cosine_sum(2, [(1.0, [1.0, 2.0])])
+    net = rl.TwoLayerNet(2, np.zeros(0), np.zeros((0, 2)), np.zeros(0), 0.0, np.array([0.5, 1.0]), -0.25, "quadrature")
+    assert rl.sup_error(net, mu, rl.BallGrid(2, 1.0, X, "lattice")) == pytest.approx(dense_sup_error(net, mu, X), rel=1e-12)
+
+
+# in d=3, l1 rescaling reorders directions: (0.5, 0.86, 0) sorts before
+# (0.51, 0.6, 0.62), but its l1-unit form sorts after
+D3_TERMS = [(1.0, [1.5, 2.58, 0.0]), (-0.8, [1.53, 1.8, 1.86]), (0.5, [0.0, 0.6, -0.8])]
+
+
+@pytest.mark.parametrize("convention, R, d", [("thm2", 1.0, 2), ("prop2", 0.8, 2), ("thm2", 1.0, 3), ("prop2", 1.0, 3)])
+def test_error_decay_trials_equal_sup_error_bit_for_bit(axis_measure, convention, R, d):
+    mu = axis_measure if d == 2 else rl.from_cosine_sum(3, D3_TERMS)
+    reports = rl.error_decay_experiment(mu, R, [16, 256], trials=3, seed=11, convention=convention)
+    density = rl.density_from_spectrum(mu, R)
+    affine = rl.fit_affine(mu, density, rl.ball_grid(d, R, 200, mode="low-discrepancy"))
+    grid = rl.ball_grid(d, R, 500, mode="low-discrepancy")
+    for ni, report in enumerate(reports):
+        for t, err in enumerate(report.errors):
+            if convention == "prop2":
+                net = rl.l1_normalized_network(density, affine, report.n, [11, ni, t])
+            else:
+                net = rl.sample_network(density, rl.tv_norm(density), affine, report.n, [11, ni, t])
+            assert rl.sup_error(net, mu, grid) == err
+
+
+# --- inverse CDF against brentq on the exact CDF -----------------------------
+
+
+def random_profile(rng, n_terms, poly_degree):
+    freqs = rng.uniform(1.0, 25.0, n_terms) * rng.choice([-1.0, 1.0], n_terms)
+    weights = rng.normal(size=n_terms) + 1j * rng.normal(size=n_terms)
+    return rl.DirectionProfile(freqs, weights, rng.normal(size=poly_degree + 1))
+
+
+def exact_cdf(profile, lo, hi):
+    """b -> integral of |g| from lo, from roots found by brentq and G_1 written out here."""
+    t, w = profile.trig_freqs, profile.trig_weights
+    p = np.polynomial.Polynomial(profile.poly_coefs)
+    g = lambda b: np.real(np.exp(-1j * np.multiply.outer(b, t)) @ w) + p(b)
+    G1 = lambda b: float(np.real(w @ (np.exp(-1j * t * b) / (-1j * t))) + p.integ()(b))
+    xs = np.linspace(lo, hi, 20001)
+    vals = g(xs)
+    cross = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
+    roots = [brentq(g, xs[i], xs[i + 1], xtol=1e-15, rtol=4 * np.finfo(float).eps) for i in cross]
+    edges = np.array([lo, *roots, hi])
+    cum = np.concatenate([[0.0], np.cumsum(np.abs(np.diff([G1(e) for e in edges])))])
+
+    def cdf(b):
+        k = min(int(np.searchsorted(edges, b, side="right")) - 1, len(edges) - 2)
+        return cum[k] + abs(G1(b) - G1(edges[k]))
+
+    return cdf, np.array(roots), cum[-1]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_inverse_cdf_matches_brentq(seed):
+    rng = np.random.default_rng(seed)
+    profile = random_profile(rng, n_terms=int(rng.integers(1, 5)), poly_degree=int(rng.integers(0, 3)))
+    R = 1.0
+    near_roots = 0
+    for lo, hi in ((-R, R), (0.0, R)):
+        cdf, roots, total = exact_cdf(profile, lo, hi)
+        # draws 1e-6 from each sign-change root, where g -> 0 and Newton falls
+        # back to bisection.  Closer in, the CDF is flat to second order and a
+        # rounding error e in the target moves the root by e / |g(b)|, for
+        # either root finder, so the two could no longer be told apart.
+        near = np.concatenate([roots - 1e-6, roots + 1e-6])
+        near = near[(near > lo) & (near < hi)]
+        near_roots += len(near)
+        u = np.concatenate([rng.random(200), [cdf(b) / total for b in near]])
+        got = _inverse_cdf(profile, _profile_panels(profile, lo, hi), u)
+        want = [brentq(lambda b: cdf(b) - ui * total, lo, hi, xtol=1e-13, maxiter=500) for ui in u]
+        assert np.max(np.abs(got - want)) <= 1e-9 * 2 * R
+        assert np.array_equal(got, _inverse_cdf(profile, _profile_panels(profile, lo, hi), u))
+    assert near_roots >= 2
