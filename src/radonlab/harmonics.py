@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import lpmv
 
 from .errors import DomainError, InvalidInputError, UnsupportedDimensionError
 from .quadrature import QuadratureRule, gauss_legendre
@@ -110,6 +109,8 @@ def harmonic_eval(k: int, j: int, d: int, omega):
     elif d == 3:
         if k > MAX_DEGREE:
             raise InvalidInputError(f"d=3 harmonics capped at degree {MAX_DEGREE}")
+        from scipy.special import lpmv  # loaded on first use: it is most of the import time
+
         m = j - 1 - k  # j = 1..2k+1  <->  m = -k..k
         ct = np.clip(w[:, 2], -1.0, 1.0)
         phi = np.arctan2(w[:, 1], w[:, 0])

@@ -238,8 +238,6 @@ def mode_connect_perturb(
     if grid.R > term.R:
         raise InvalidInputError("grid must lie inside the term's ball")
     null_net = discretize_null(term, n)
-    perturbed = base.with_added(null_net, scale=s)
-    assert perturbed.n == base.n + null_net.n
     # the perturbation is additive, so the functional change is exactly the
     # scaled added component; evaluating it alone keeps s = 0 exactly zero
     change = float(abs(s) * np.max(np.abs(null_net.evaluate(grid.points))))

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import InvalidInputError, UnsupportedDimensionError
 
@@ -179,6 +178,8 @@ def _cube_to_ball(u: np.ndarray, d: int, R: float) -> np.ndarray:
         phi = 2.0 * np.pi * u[:, 2]
         s = np.sqrt(np.maximum(0.0, 1.0 - z**2))
         return np.column_stack([r * s * np.cos(phi), r * s * np.sin(phi), r * z])
+    from scipy.special import ndtri  # loaded on first use: it is most of the import time
+
     normals = ndtri(np.clip(u[:, 1:], 1e-15, 1.0 - 1e-15))
     norms = np.linalg.norm(normals, axis=1)
     norms[norms == 0] = 1.0

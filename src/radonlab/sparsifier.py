@@ -126,30 +126,6 @@ class TwoLayerNet:
             if norm is not None and self.kappa > math.sqrt(self.d) * norm + slack:
                 raise InvalidInputError("prop2 outer scale exceeds sqrt(d) * norm")
 
-    def with_added(self, other: "TwoLayerNet", scale: float = 1.0) -> "TwoLayerNet":
-        """Concatenate another network, folding outer scales into coefficients.
-
-        The result uses the ``quadrature`` convention (kappa/n = 1) so that
-        heterogeneous outer scales combine exactly.
-        """
-        if other.d != self.d:
-            raise InvalidInputError("networks have different input dimensions")
-        a_self = self.a * (self.kappa / self.n) if self.n else np.zeros(0)
-        a_other = other.a * (scale * other.kappa / other.n) if other.n else np.zeros(0)
-        a = np.concatenate([a_self, a_other])
-        omegas = np.vstack([self.omegas, other.omegas]) if len(a) else np.zeros((0, self.d))
-        b = np.concatenate([self.b, other.b])
-        return TwoLayerNet(
-            d=self.d,
-            a=a,
-            omegas=omegas,
-            b=b,
-            kappa=float(len(a)),
-            v=self.v + scale * other.v,
-            c=self.c + scale * other.c,
-            convention="quadrature",
-        )
-
 
 _NEWTON_STEPS = 64  # a cap only: bisection alone gets below 1e-9 in 30 steps
 
@@ -458,22 +434,47 @@ def decay_slope(reports: list[ApproxReport]) -> float:
     return float(slope)
 
 
+def _json_float(x: float) -> str:
+    """A float as ``json`` writes it: its repr, or NaN, Infinity, -Infinity."""
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
+
+
+def _json_list(values, indent: str) -> str:
+    """A list of floats laid out as ``json.dump(indent=2)`` lays it out at this depth."""
+    if not values:
+        return "[]"
+    items = f",\n{indent}  ".join(map(_json_float, values))
+    return f"[\n{indent}  {items}\n{indent}]"
+
+
 def save_network(path, net: TwoLayerNet) -> None:
-    """Write the canonical network JSON schema."""
-    payload = {
-        "d": net.d,
-        "convention": net.convention,
-        "kappa": net.kappa,
-        "neurons": [
-            {"a": float(a), "omega": [float(x) for x in w], "b": float(b)}
-            for a, w, b in zip(net.a, net.omegas, net.b)
-        ],
-        "v": [float(x) for x in net.v],
-        "c": float(net.c),
-    }
+    """Write the canonical network JSON schema.
+
+    The text is what ``json.dump(payload, indent=2, sort_keys=True)`` writes
+    for the schema's fixed keys, composed directly: indented output goes
+    through json's pure-Python encoder, which was most of the cost of
+    saving a wide network.
+    """
+    neurons = [
+        f'    {{\n      "a": {_json_float(a)},\n      "b": {_json_float(b)},\n'
+        f'      "omega": {_json_list(w, "      ")}\n    }}'
+        for a, w, b in zip(net.a.tolist(), net.omegas.tolist(), net.b.tolist())
+    ]
+    neuron_list = "[\n" + ",\n".join(neurons) + "\n  ]" if neurons else "[]"
+    text = (
+        "{\n"
+        f'  "c": {_json_float(float(net.c))},\n'
+        f'  "convention": {json.dumps(net.convention)},\n'
+        f'  "d": {json.dumps(net.d)},\n'
+        f'  "kappa": {json.dumps(net.kappa)},\n'
+        f'  "neurons": {neuron_list},\n'
+        f'  "v": {_json_list(net.v.tolist(), "  ")}\n'
+        "}\n"
+    )
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_network(path) -> TwoLayerNet:

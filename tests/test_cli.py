@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -338,3 +341,12 @@ def test_norm_refuses_unbounded_root_scan(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("radonlab: frequency too high for the ball: |xi| * R = 1e+08")
     assert peak < 16 * 2**20
     assert not out.exists()
+
+
+def test_import_cli_leaves_scipy_special_unloaded():
+    # scipy.special is most of the import time and only the d=3 harmonics
+    # and the d>3 Halton grids use it
+    code = "import sys, radonlab.cli; print('scipy.special' in sys.modules)"
+    src = str(Path(rl.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, cwd=src)
+    assert out.stdout.strip() == "False"

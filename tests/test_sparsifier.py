@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -210,6 +211,41 @@ def test_network_json_roundtrip(tmp_path, near_cancel_setup):
     assert loaded.kappa == net.kappa
     x = np.array([[0.4]])
     assert loaded.evaluate(x)[0] == pytest.approx(net.evaluate(x)[0], abs=1e-15)
+
+
+def json_dump_network(net) -> str:
+    """The network file as json.dump(indent=2, sort_keys=True) writes it."""
+    payload = {
+        "d": net.d,
+        "convention": net.convention,
+        "kappa": net.kappa,
+        "neurons": [
+            {"a": float(a), "omega": [float(x) for x in w], "b": float(b)} for a, w, b in zip(net.a, net.omegas, net.b)
+        ],
+        "v": [float(x) for x in net.v],
+        "c": float(net.c),
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def network_cases():
+    rng = np.random.default_rng(12)
+    wide = 4096
+    yield rl.TwoLayerNet(2, [], np.zeros((0, 2)), [], 1.5, [0.0, -0.0], 0.0)
+    yield rl.TwoLayerNet(1, [1.0, -1.0], [[1.0], [-1.0]], [-0.0, 1e-300], 3, [2.0], 5e-324)
+    yield rl.TwoLayerNet(
+        3, rng.choice([-1.0, 1.0], wide), rng.normal(size=(wide, 3)), rng.uniform(-1, 1, wide), 2.75, rng.normal(size=3), 0.1
+    )
+    yield rl.TwoLayerNet(2, [0.5, 1.0], [[3.0, -4.0], [1e16, 1e-7]], [1.0, 2.0], 7.0, [1e22, 123456789.0], -1.0)
+    yield rl.TwoLayerNet(2, [float("nan")], [[np.inf, -np.inf]], [1.0], float("inf"), [0.0, float("nan")], float("-inf"))
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_save_network_writes_the_bytes_of_json_dump(tmp_path, case):
+    net = list(network_cases())[case]
+    path = tmp_path / "network.json"
+    rl.save_network(path, net)
+    assert path.read_text() == json_dump_network(net)
 
 
 def test_decay_csv_format(tmp_path, near_cancel_measure):
