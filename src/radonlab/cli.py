@@ -19,8 +19,6 @@ import json
 import sys
 import time
 
-import numpy as np
-
 from . import __version__
 from .config import DEFAULTS
 from .errors import EXIT_FAIL, EXIT_PASS, RadonlabError, exit_code_for
@@ -33,10 +31,8 @@ from .radon_measure import (
     tv_norm,
 )
 from .sparsifier import (
-    error_decay_experiment,
-    l1_normalized_network,
+    _ladder,
     load_network,
-    sample_network,
     save_network,
     sup_error,
     write_decay_csv,
@@ -117,26 +113,8 @@ def cmd_approximate(args) -> int:
     mu.validate()
     R = args.R
     n_list = sorted({int(x) for x in args.n.split(",")})
-    reports = error_decay_experiment(
-        mu,
-        R,
-        n_list,
-        trials=args.trials,
-        seed=args.seed,
-        grid_size=args.grid,
-        convention=args.convention,
-    )
-    density = density_from_spectrum(mu, R)
-    norm = tv_norm(density)
-    fit_grid = ball_grid(d, R, max(200, d + 2), mode="low-discrepancy")
-    affine = fit_affine(mu, density, fit_grid)
-    # the emitted network: best seeded trial at the largest width
-    best_trial = int(np.argmin(reports[-1].errors))
-    stream = [args.seed, len(n_list) - 1, best_trial]
-    if args.convention == "prop2":
-        net = l1_normalized_network(density, affine, n_list[-1], stream)
-    else:
-        net = sample_network(density, norm, affine, n_list[-1], stream)
+    # the emitted network: the first best seeded trial at the largest width
+    reports, norm, grid, net = _ladder(mu, R, n_list, args.trials, args.seed, args.grid, args.convention)
     if args.out:
         save_network(args.out, net)
     if args.csv:
@@ -146,7 +124,6 @@ def cmd_approximate(args) -> int:
         passed = True  # constraint satisfaction is the checkable claim here
     else:
         passed = all(r.min_error <= r.bound + tols.bound_slack for r in reports)
-    grid = ball_grid(d, R, args.grid, mode="low-discrepancy")
     report = {
         "convention": args.convention,
         "norm": norm,

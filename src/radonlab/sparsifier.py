@@ -15,12 +15,17 @@ affine part and pushes neurons through (w, b) -> (w/|w|_1, b/|w|_1), giving
 coefficients |a_i| <= 1, l1-unit directions, biases in [0, 1], and outer
 scale at most sqrt(d) times the norm (requires R <= 1).
 
+Both samplers and ``error_decay_experiment`` draw through one path: a plan
+computed once per density and convention, then one inverse-CDF pass per
+direction over the neurons of any number of seeded streams.
+
 A sampled network has only as many distinct directions m as the density,
 so ``sup_error`` sums its ramps per direction from prefix sums over the
 sorted biases, in O(n log n + m N log n) on N grid points, and never builds
-the N x n ramp matrix.  ``TwoLayerNet.evaluate`` stays dense: it serves any
-network, such as the quadrature nets of the null space, whose directions
-are nearly all distinct.
+the N x n ramp matrix.  ``TwoLayerNet.evaluate`` still builds it, for any
+network, until the per-direction sum serves every network (ROADMAP.md,
+"One evaluation path for every network"); the null-space nets would gain
+too, since they repeat each sphere node over all of their bias nodes.
 """
 
 from __future__ import annotations
@@ -183,40 +188,6 @@ def _draw_biases(density: RadonDensity, idx, u, lo: float, hi: float) -> tuple[n
     return b, a
 
 
-def sample_network(density: RadonDensity, norm: float, affine: AffinePart, n: int, seed) -> TwoLayerNet:
-    """Importance-sample an n-neuron network from |density|/norm (convention thm2).
-
-    Deterministic for a fixed seed: one direction draw, one uniform draw for
-    the bias inverse-CDF, signs read off the signed profile.
-    """
-    return _sample_thm2(density, norm, affine, n, seed)[0]
-
-
-def _sample_thm2(density: RadonDensity, norm: float, affine: AffinePart, n: int, seed) -> tuple[TwoLayerNet, np.ndarray]:
-    """``sample_network`` and the index of each neuron's direction in the density."""
-    if n < 1:
-        raise InvalidInputError("need at least one neuron")
-    masses = direction_masses(density)
-    total = float(masses.sum())
-    if total <= 0 or norm <= 0:
-        raise DegenerateMeasureError("cannot sample from a zero-mass density")
-    rng = np.random.default_rng(seed)
-    idx = rng.choice(len(masses), size=n, p=masses / total)
-    u = rng.random(n)
-    b, a = _draw_biases(density, idx, u, -density.R, density.R)
-    net = TwoLayerNet(
-        d=density.d,
-        a=a,
-        omegas=density.directions[idx],
-        b=b,
-        kappa=float(norm),
-        v=affine.v,
-        c=affine.c,
-        convention="thm2",
-    )
-    return net, idx
-
-
 def _exact_l1_unit(w: np.ndarray) -> np.ndarray:
     """Rescale w to unit l1 norm, exactly in floating point.
 
@@ -232,9 +203,81 @@ def _exact_l1_unit(w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _l1_units(density: RadonDensity) -> np.ndarray:
-    """The density's directions rescaled to exact l1-unit length, one row each."""
-    return np.array([_exact_l1_unit(w) for w in density.directions])
+@dataclass(frozen=True)
+class _DrawPlan:
+    """What every network drawn from one density under one convention shares.
+
+    Directions are drawn with probability proportional to ``weights`` and
+    biases from |g_w| on (lo, hi); neuron i stores the direction row
+    ``rows[idx_i]`` and, for prop2, its bias divided by ``l1[idx_i]``.
+    """
+
+    density: RadonDensity
+    convention: str
+    lo: float
+    hi: float
+    weights: np.ndarray
+    kappa: float
+    v: np.ndarray
+    c: float
+    rows: np.ndarray
+    l1: np.ndarray | None
+
+    def net(self, idx: np.ndarray, a: np.ndarray, b: np.ndarray) -> TwoLayerNet:
+        return TwoLayerNet(self.density.d, a, self.rows[idx], b, self.kappa, self.v, self.c, self.convention)
+
+
+def _draw_plan(density: RadonDensity, affine: AffinePart, convention: str, norm: float | None = None) -> _DrawPlan:
+    """The plan of ``sample_network`` (thm2, with ``norm``) or ``l1_normalized_network`` (prop2)."""
+    if convention != "prop2":
+        masses, R = direction_masses(density), density.R
+        return _DrawPlan(density, "thm2", -R, R, masses, float(norm), affine.v, affine.c, density.directions, None)
+    if density.R > 1.0:
+        raise DomainError("l1-normalized networks require the ball radius R <= 1")
+    l1 = np.abs(density.directions).sum(axis=1)
+    weights = 2.0 * direction_masses(density, lo=0.0, hi=density.R) * l1
+    # affine corrections from folding b < 0 onto b > 0
+    v = affine.v.copy()
+    c = affine.c
+    for i, w in enumerate(density.directions):
+        v = v - w * profile_moment(density, i, 0, 0.0, density.R)
+        c = c + profile_moment(density, i, 1, 0.0, density.R)
+    rows = np.array([_exact_l1_unit(w) for w in density.directions])
+    return _DrawPlan(density, "prop2", 0.0, density.R, weights, float(weights.sum()), v, float(c), rows, l1)
+
+
+def _draw(plan: _DrawPlan, streams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Direction indices, signs and biases of the neurons of every (n, seed) stream, end to end.
+
+    Each stream draws its n directions and then its n uniforms from its own
+    generator, so a stream's neurons do not depend on the streams beside
+    it; the biases of all streams come from one inverse-CDF pass per
+    direction, whose draws each stop on their own Newton step.
+    """
+    if any(n < 1 for n, _ in streams):
+        raise InvalidInputError("need at least one neuron")
+    total = float(plan.weights.sum())
+    if total <= 0 or plan.kappa <= 0:
+        raise DegenerateMeasureError("cannot sample from a zero-mass density")
+    p = plan.weights / total
+    rngs = [(n, np.random.default_rng(seed)) for n, seed in streams]
+    draws = [(rng.choice(len(p), size=n, p=p), rng.random(n)) for n, rng in rngs]
+    idx, u = (np.concatenate(x) for x in zip(*draws))
+    b, a = _draw_biases(plan.density, idx, u, plan.lo, plan.hi)
+    if plan.l1 is not None:
+        b = np.minimum(b / plan.l1[idx], 1.0)
+        plan.net(idx, a, b).check_convention()
+    return idx, a, b
+
+
+def sample_network(density: RadonDensity, norm: float, affine: AffinePart, n: int, seed) -> TwoLayerNet:
+    """Importance-sample an n-neuron network from |density|/norm (convention thm2).
+
+    Deterministic for a fixed seed: one direction draw, one uniform draw for
+    the bias inverse-CDF, signs read off the signed profile.
+    """
+    plan = _draw_plan(density, affine, "thm2", norm)
+    return plan.net(*_draw(plan, [(n, seed)]))
 
 
 def l1_normalized_network(density: RadonDensity, affine: AffinePart, n: int, seed) -> TwoLayerNet:
@@ -245,43 +288,8 @@ def l1_normalized_network(density: RadonDensity, affine: AffinePart, n: int, see
     density; neurons are then pushed through (w, b) -> (w/|w|_1, b/|w|_1)
     with the l1 weight absorbed into the outer scale kappa.
     """
-    return _sample_prop2(density, affine, n, seed)[0]
-
-
-def _sample_prop2(density: RadonDensity, affine: AffinePart, n: int, seed) -> tuple[TwoLayerNet, np.ndarray]:
-    """``l1_normalized_network`` and the index of each neuron's direction in the density."""
-    if density.R > 1.0:
-        raise DomainError("l1-normalized networks require the ball radius R <= 1")
-    if n < 1:
-        raise InvalidInputError("need at least one neuron")
-    half_masses = direction_masses(density, lo=0.0, hi=density.R)
-    l1 = np.abs(density.directions).sum(axis=1)
-    weighted = 2.0 * half_masses * l1
-    kappa = float(weighted.sum())
-    if kappa <= 0:
-        raise DegenerateMeasureError("cannot sample from a zero-mass density")
-    # affine corrections from folding b < 0 onto b > 0
-    v = affine.v.copy()
-    c = affine.c
-    for i, w in enumerate(density.directions):
-        v = v - w * profile_moment(density, i, 0, 0.0, density.R)
-        c = c + profile_moment(density, i, 1, 0.0, density.R)
-    rng = np.random.default_rng(seed)
-    idx = rng.choice(len(weighted), size=n, p=weighted / kappa)
-    u = rng.random(n)
-    raw_b, a = _draw_biases(density, idx, u, 0.0, density.R)
-    net = TwoLayerNet(
-        d=density.d,
-        a=a,
-        omegas=_l1_units(density)[idx],
-        b=np.minimum(raw_b / l1[idx], 1.0),
-        kappa=kappa,
-        v=v,
-        c=float(c),
-        convention="prop2",
-    )
-    net.check_convention()
-    return net, idx
+    plan = _draw_plan(density, affine, "prop2")
+    return plan.net(*_draw(plan, [(n, seed)]))
 
 
 def _project(points: np.ndarray, dirs: np.ndarray) -> np.ndarray:
@@ -323,11 +331,11 @@ def _ramp_sums(a: np.ndarray, b: np.ndarray, labels: np.ndarray, proj: np.ndarra
     return out
 
 
-def _sup_gap(net: TwoLayerNet, labels: np.ndarray, proj: np.ndarray, points: np.ndarray, f: np.ndarray) -> float:
-    """Largest |net(x) - f(x)| over the points, the ramps from ``_ramp_sums``."""
-    out = _project(points, net.v[None, :])[0] + net.c
-    if net.n:
-        out = out + (net.kappa / net.n) * _ramp_sums(net.a, net.b, labels, proj)
+def _sup_gap(base: np.ndarray, kappa: float, a, b, labels: np.ndarray, proj: np.ndarray, f: np.ndarray) -> float:
+    """Largest |net(x) - f(x)| over the points, for the net of ``base`` (its
+    affine part at the points), outer scale ``kappa`` and neurons (a, b,
+    labels), the ramps from ``_ramp_sums``."""
+    out = base + (kappa / len(a)) * _ramp_sums(a, b, labels, proj) if len(a) else base
     return float(np.max(np.abs(out - f)))
 
 
@@ -342,7 +350,8 @@ def sup_error(net: TwoLayerNet, mu: SpectralMeasure, grid: BallGrid) -> float:
         raise InvalidInputError("network and measure dimensions differ")
     _, first, labels = np.unique(net.omegas, axis=0, return_index=True, return_inverse=True)
     proj = _project(grid.points, net.omegas[first])
-    return _sup_gap(net, labels.ravel(), proj, grid.points, mu.evaluate(grid.points))
+    base = _project(grid.points, net.v[None, :])[0] + net.c
+    return _sup_gap(base, net.kappa, net.a, net.b, labels.ravel(), proj, mu.evaluate(grid.points))
 
 
 @dataclass(frozen=True)
@@ -375,6 +384,9 @@ class ApproxReport:
         return float(max(self.errors))
 
 
+_BATCH_DRAWS = 2**14  # most neurons per draw pass of a ladder: each holds a few float64 arrays of this size
+
+
 def error_decay_experiment(
     mu: SpectralMeasure,
     R: float,
@@ -390,7 +402,28 @@ def error_decay_experiment(
     (seed, width index, trial index), so any one trial can be redrawn alone.
     A trial's error is ``sup_error`` of its network to the bit: the same
     per-direction sum, with f and the grid's projections computed once.
+
+    The draw plan (direction probabilities, outer scale, affine part and,
+    for prop2, the folded affine part) is computed once per ladder.  Whole
+    streams, in (width, trial) order, are then drawn together in batches of
+    at most ``_BATCH_DRAWS`` neurons, a stream larger than that alone, so a
+    batch costs one inverse-CDF pass per direction rather than one per
+    trial.  The cap bounds the experiment's memory at the cost of more
+    passes: a d=1, 16..4096 x 20-trial ladder (109,120 neurons) makes 7
+    batches and peaks at 3.8 MiB under ``tracemalloc``, against 1.9 MiB in
+    14 batches of 2**13, 6.7 MiB in 4 batches of 2**15 and 15.6 MiB in one.
+    On the ``decay-ladder`` benchmark (2-core VM), caps of 2**13, 2**14
+    and 2**15 gave 1.98x, 2.27x and 2.30x the operations per second of one
+    pass per trial, and raised the peak RSS by 0.2%, 0.6% and 3.1%.
     """
+    return _ladder(mu, R, n_list, trials, seed, grid_size, convention)[0]
+
+
+def _ladder(
+    mu: SpectralMeasure, R: float, n_list, trials: int, seed: int, grid_size: int, convention: str
+) -> tuple[list[ApproxReport], float, BallGrid, TwoLayerNet | None]:
+    """``error_decay_experiment``, with the density norm, the scoring grid,
+    and the network of the first best trial at the largest width."""
     n_list = [int(n) for n in n_list]
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise InvalidInputError("widths must be strictly increasing")
@@ -400,30 +433,32 @@ def error_decay_experiment(
     norm = tv_norm(density)
     grid = ball_grid(mu.d, R, grid_size, mode="low-discrepancy")
     affine = fit_affine(mu, density, ball_grid(mu.d, R, max(200, mu.d + 2), mode="low-discrepancy"))
-    # f and the projections on every direction a neuron can draw, once
+    plan = _draw_plan(density, affine, convention, norm)
+    # f, the affine part and the projections on every direction a neuron can draw, once
     f = mu.evaluate(grid.points)
-    proj = _project(grid.points, _l1_units(density) if convention == "prop2" else density.directions)
-    reports = []
+    base = _project(grid.points, plan.v[None, :])[0] + plan.c
+    proj = _project(grid.points, plan.rows)
+    # whole (n, seed) streams in (width, trial) order, in runs of at most _BATCH_DRAWS neurons
+    batches, size = [[]], 0
     for ni, n in enumerate(n_list):
-        errors = []
         for t in range(trials):
-            stream = [seed, ni, t]
-            if convention == "prop2":
-                net, idx = _sample_prop2(density, affine, n, stream)
-            else:
-                net, idx = _sample_thm2(density, norm, affine, n, stream)
-            errors.append(_sup_gap(net, idx, proj, grid.points, f))
-        reports.append(
-            ApproxReport(
-                n=n,
-                trials=trials,
-                seed=seed,
-                bound=R * norm / math.sqrt(n),
-                errors=tuple(errors),
-                grid_size=len(grid),
-            )
-        )
-    return reports
+            if batches[-1] and size + n > _BATCH_DRAWS:
+                batches.append([])
+                size = 0
+            batches[-1].append((n, [seed, ni, t]))
+            size += n
+    errors, best = [], None
+    for batch in batches:
+        cuts = np.cumsum([n for n, _ in batch])[:-1]
+        for idx, a, b in zip(*(np.split(x, cuts) for x in _draw(plan, batch))):
+            errors.append(_sup_gap(base, plan.kappa, a, b, idx, proj, f))
+            if len(a) == n_list[-1] and (best is None or errors[-1] < best[0]):
+                best = (errors[-1], idx, a, b)
+    reports = [
+        ApproxReport(n, trials, seed, R * norm / math.sqrt(n), tuple(errors[ni * trials : (ni + 1) * trials]), len(grid))
+        for ni, n in enumerate(n_list)
+    ]
+    return reports, norm, grid, plan.net(*best[1:]) if best else None
 
 
 def decay_slope(reports: list[ApproxReport]) -> float:

@@ -350,3 +350,26 @@ def test_import_cli_leaves_scipy_special_unloaded():
     src = str(Path(rl.__file__).parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, cwd=src)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("convention, R", [("thm2", "1"), ("prop2", "0.8")])
+def test_approximate_emits_the_redrawn_best_trial(tmp_path, spectrum2_path, convention, R):
+    widths, trials, seed = [16, 64, 512], 6, 4
+    net_path = tmp_path / "network.json"
+    code = main([
+        "approximate", "--spectrum", str(spectrum2_path), "--R", R, "--n", ",".join(map(str, widths)),
+        "--trials", str(trials), "--seed", str(seed), "--convention", convention,
+        "--out", str(net_path), "--report", str(tmp_path / "report.json"),
+    ])
+    assert code == EXIT_PASS
+    mu = rl.from_cosine_sum(*rl.load_spectrum(spectrum2_path))
+    reports = rl.error_decay_experiment(mu, float(R), widths, trials, seed, convention=convention)
+    stream = [seed, len(widths) - 1, int(np.argmin(reports[-1].errors))]
+    density = rl.density_from_spectrum(mu, float(R))
+    affine = rl.fit_affine(mu, density, rl.ball_grid(2, float(R), 200, mode="low-discrepancy"))
+    if convention == "prop2":
+        net = rl.l1_normalized_network(density, affine, widths[-1], stream)
+    else:
+        net = rl.sample_network(density, rl.tv_norm(density), affine, widths[-1], stream)
+    rl.save_network(tmp_path / "redrawn.json", net)
+    assert net_path.read_bytes() == (tmp_path / "redrawn.json").read_bytes()

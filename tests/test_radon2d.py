@@ -200,3 +200,15 @@ def test_pairing_requires_interior_support():
     wide = rl.BumpFunction(center=[0.5, 0.0], r=0.6)
     with pytest.raises(DomainError):
         rl.radon_pairing_check(mu, density, wide)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_bump_u_is_the_row_sum_bit_for_bit(d):
+    rng = np.random.default_rng(40 + d)
+    bump = rl.BumpFunction(center=rng.uniform(-0.3, 0.3, d), r=0.7, amplitude=1.1)
+    X = rng.uniform(-1.0, 1.0, (4096, d))
+    diff = (X - bump.center) / bump.r
+    assert np.array_equal(bump._u(X), np.sum(diff * diff, axis=1))
+    assert np.array_equal(bump._u(X[0]), np.sum(diff[:1] * diff[:1], axis=1))
+    with pytest.raises(InvalidInputError):
+        bump._u(np.zeros((3, d + 1)))

@@ -4,16 +4,18 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import radonlab as rl
+import radonlab.sparsifier as sparsifier
 from scipy.optimize import brentq
 
 from radonlab.errors import DegenerateMeasureError, DomainError, InvalidInputError
 from radonlab.radon_measure import _profile_panels
-from radonlab.sparsifier import _inverse_cdf, _project, _ramp_sums, _sample_thm2, decay_slope
+from radonlab.sparsifier import _draw, _draw_plan, _inverse_cdf, _project, _ramp_sums, decay_slope
 
 from conftest import random_cosine_terms
 
@@ -344,7 +346,9 @@ def test_ramp_sums_ties_and_repeated_directions_out_of_order():
 def test_ramp_sums_with_undrawn_directions(axis_measure):
     density = rl.density_from_spectrum(axis_measure, 1.0)
     X = rl.ball_grid(2, 1.0, 200, mode="low-discrepancy").points
-    net, idx = _sample_thm2(density, rl.tv_norm(density), rl.AffinePart.zero(2), 3, seed=1)
+    plan = _draw_plan(density, rl.AffinePart.zero(2), "thm2", rl.tv_norm(density))
+    idx, a, b = _draw(plan, [(3, 1)])
+    net = plan.net(idx, a, b)
     assert len(np.unique(idx)) < len(density)
     got = _ramp_sums(net.a, net.b, idx, _project(X, density.directions))
     assert_matches_dense(got, dense_ramp_sum(X, net.omegas, net.a, net.b))
@@ -377,6 +381,54 @@ def test_error_decay_trials_equal_sup_error_bit_for_bit(axis_measure, convention
             else:
                 net = rl.sample_network(density, rl.tv_norm(density), affine, report.n, [11, ni, t])
             assert rl.sup_error(net, mu, grid) == err
+
+
+# --- one draw pass per batch of streams --------------------------------------
+
+LADDER = [16, 64, 256, 1024, 4096]
+
+
+@pytest.mark.parametrize("convention, d", [("thm2", 1), ("thm2", 3), ("prop2", 2)])
+@pytest.mark.parametrize("cap", [1, 100, 2**22])
+def test_error_decay_reports_do_not_depend_on_the_batch_cap(
+    monkeypatch, near_cancel_measure, axis_measure, convention, d, cap
+):
+    # cap 1: every stream its own batch; 100: a width-256 stream over the
+    # cap among smaller ones; 2**22: the whole ladder in one batch
+    mu = {1: near_cancel_measure, 2: axis_measure, 3: rl.from_cosine_sum(3, D3_TERMS)}[d]
+    R = 0.8 if convention == "prop2" else 1.0
+    args = (mu, R, [16, 100, 256], 4, 13)
+    want = rl.error_decay_experiment(*args, convention=convention)
+    monkeypatch.setattr(sparsifier, "_BATCH_DRAWS", cap)
+    assert rl.error_decay_experiment(*args, convention=convention) == want
+
+
+def test_error_decay_memory_stays_bounded(near_cancel_measure):
+    # drawn as one batch, the 109,120 neurons peaked at 15.6 MiB
+    rl.error_decay_experiment(near_cancel_measure, 1.0, [16], trials=1, seed=0)
+    tracemalloc.start()
+    try:
+        rl.error_decay_experiment(near_cancel_measure, 1.0, LADDER, trials=20, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+
+
+def test_error_decay_makes_one_inverse_cdf_call_per_direction_and_batch(monkeypatch, axis_measure):
+    calls = []
+    inverse_cdf = sparsifier._inverse_cdf
+    monkeypatch.setattr(sparsifier, "_inverse_cdf", lambda *args: calls.append(1) or inverse_cdf(*args))
+    trials = 20
+    rl.error_decay_experiment(axis_measure, 1.0, LADDER, trials=trials, seed=2)
+    # whole streams, in order, packed greedily under the cap
+    batches, size = 0, None
+    for n in (n for n in LADDER for _ in range(trials)):
+        if size is None or size + n > sparsifier._BATCH_DRAWS:
+            batches, size = batches + 1, 0
+        size += n
+    density = rl.density_from_spectrum(axis_measure, 1.0)
+    assert 0 < len(calls) <= len(density) * batches < len(LADDER) * trials
 
 
 # --- inverse CDF against brentq on the exact CDF -----------------------------
