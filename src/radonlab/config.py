@@ -2,9 +2,8 @@
 
 The values below fall in two groups.  The *identity tolerances* bound
 floating-point and quadrature error on relations that hold exactly in the
-continuum (symmetry residues, null-measure integrals, affine residuals).
-The *calibration constants* are artifact choices with no analytic status:
-the mean-error slack factor, the decay-slope threshold, and the
+continuum (the Fourier and sampling bounds, null-measure integrals).  The
+*calibration constants* are artifact choices with no analytic status: the
 mode-connectivity thresholds were fixed by convergence runs on the bundled
 examples and are only meaningful for the default resolutions.  Both groups
 can be overridden per run (CLI ``--tol-override key=value``); every report
@@ -19,14 +18,9 @@ from dataclasses import dataclass, field, fields
 @dataclass
 class CalibrationConstants:
     # identity tolerances
-    symmetry_tol: float = 1e-12
     bound_slack: float = 1e-10
     null_tol: float = 1e-8
-    affine_residual_tol: float = 1e-6
-    witness_min: float = 1e-3
     # calibration constants (empirical, see module docstring)
-    mean_error_slack: float = 1.1
-    decay_slope_max: float = -0.4
     modeconnect_func_tol: float = 1e-3
     modeconnect_mass_min: float = 0.5
     overrides: dict = field(default_factory=dict)

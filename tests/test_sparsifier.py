@@ -282,11 +282,16 @@ def kernel_ramp_sum(net, X):
     return _ramp_sums(net.a, net.b, labels.ravel(), _project(X, net.omegas[first]))
 
 
-def dense_sup_error(net, mu, X):
+def dense_evaluate(net, X):
+    """kappa/n sum_i a_i (<w_i, x> - b_i)_+ + <v, x> + c, one neuron at a time."""
     values = X @ net.v + net.c
     if net.n:
         values = values + net.kappa / net.n * dense_ramp_sum(X, net.omegas, net.a, net.b)
-    return float(np.max(np.abs(values - mu.evaluate(X))))
+    return values
+
+
+def dense_sup_error(net, mu, X):
+    return float(np.max(np.abs(dense_evaluate(net, X) - mu.evaluate(X))))
 
 
 @pytest.fixture
@@ -360,6 +365,87 @@ def test_ramp_sums_empty_network():
     mu = rl.from_cosine_sum(2, [(1.0, [1.0, 2.0])])
     net = rl.TwoLayerNet(2, np.zeros(0), np.zeros((0, 2)), np.zeros(0), 0.0, np.array([0.5, 1.0]), -0.25, "quadrature")
     assert rl.sup_error(net, mu, rl.BallGrid(2, 1.0, X, "lattice")) == pytest.approx(dense_sup_error(net, mu, X), rel=1e-12)
+
+
+# --- TwoLayerNet.evaluate against the dense sum -------------------------------
+
+
+def assert_evaluates_as_dense(net, X):
+    X = np.asarray(X, dtype=float)
+    # relative to the size of the terms: a null net's values are 1e-4 of
+    # them, so its cancellation leaves rounding far above 1e-12 of its
+    # values, in the oracle as in the kernel
+    terms = np.abs(X @ net.v + net.c)
+    if net.n:
+        terms = terms + abs(net.kappa) / net.n * dense_ramp_sum(X, net.omegas, np.abs(net.a), net.b)
+    assert np.max(np.abs(net.evaluate(X) - dense_evaluate(net, X))) <= 1e-12 * np.max(terms)
+
+
+def test_evaluate_matches_dense_on_a_null_net():
+    net = rl.discretize_null(rl.HarmonicNullTerm(k=6, j=1, kprime=0, coeff=1.0, d=2, R=1.0), 4000)
+    assert len(np.unique(net.omegas, axis=0)) == 63 and net.n == 3969
+    assert_evaluates_as_dense(net, rl.ball_grid(2, 1.0, 500, mode="low-discrepancy").points)
+
+
+def test_evaluate_matches_dense_on_distinct_directions_with_ties():
+    # dyadic directions and points project exactly, so the biases copied
+    # from projections tie with them in the kernel and the oracle alike
+    rng = np.random.default_rng(7)
+    X = rng.integers(-8, 9, size=(60, 3)) / 16
+    omegas = np.unique(rng.integers(-4, 5, size=(400, 3)) / 4, axis=0)
+    rng.shuffle(omegas)
+    b = rng.uniform(-1.0, 1.0, len(omegas))
+    tied = np.arange(0, len(b), 3)
+    b[tied] = np.sum(omegas[tied] * X[tied % len(X)], axis=1)
+    net = rl.TwoLayerNet(3, rng.normal(size=len(b)), omegas, b, 2.5, np.array([0.5, -0.25, 1.0]), 0.125, "quadrature")
+    assert len(np.unique(net.omegas, axis=0)) == net.n
+    assert np.any(np.isin(net.b, X @ net.omegas.T))
+    assert_evaluates_as_dense(net, X)
+
+
+def test_evaluate_d1_point_shapes():
+    net = rl.TwoLayerNet(1, [1.0, -2.0, 0.5, 0.75], [[1.0], [-1.0], [1.0], [1.0]], [0.25, -0.5, 0.0, 0.25], 3.0, [0.5], -0.25, "quadrature")
+    X = np.linspace(-1.0, 1.0, 9)[:, None]
+    want = dense_evaluate(net, X)
+    got = net.evaluate(X)
+    assert got.shape == (9,)
+    assert_evaluates_as_dense(net, X)
+    for x, w in zip(X[:, 0], want):
+        for point in (x, np.array(x), [x], np.array([x])):
+            value = net.evaluate(point)
+            assert isinstance(value, float)
+            assert abs(value - w) <= 1e-12 * max(1.0, abs(w))
+
+
+def test_evaluate_empty_network():
+    net = rl.TwoLayerNet(2, np.zeros(0), np.zeros((0, 2)), np.zeros(0), 0.0, np.array([0.5, 1.0]), -0.25, "quadrature")
+    X = rl.ball_grid(2, 1.0, 50, mode="lattice").points
+    assert_evaluates_as_dense(net, X)
+    assert net.evaluate([0.5, 0.25]) == 0.25
+
+
+def test_evaluate_rejects_points_of_the_wrong_width():
+    net = rl.TwoLayerNet(2, [1.0], [[0.6, 0.8]], [0.1], 1.0, [0.0, 0.0], 0.0)
+    for X in (np.zeros((5, 3)), np.zeros(3), np.zeros((5, 1)), 0.5):
+        with pytest.raises(InvalidInputError):
+            net.evaluate(X)
+    # nor can the affine part have the wrong width
+    with pytest.raises(InvalidInputError):
+        rl.TwoLayerNet(2, [1.0], [[0.6, 0.8]], [0.1], 1.0, [0.0], 0.0)
+
+
+def test_evaluate_null_net_memory():
+    # the dense N x n ramp matrix of this net peaked at about 30 MiB
+    net = rl.discretize_null(rl.HarmonicNullTerm(k=6, j=1, kprime=0, coeff=1.0, d=2, R=1.0), 4000)
+    X = rl.ball_grid(2, 1.0, 500, mode="low-discrepancy").points
+    net.evaluate(X[:1])
+    tracemalloc.start()
+    try:
+        net.evaluate(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 # in d=3, l1 rescaling reorders directions: (0.5, 0.86, 0) sorts before
