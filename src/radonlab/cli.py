@@ -15,6 +15,7 @@ wall-time field.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -187,7 +188,9 @@ def cmd_modeconnect(args) -> int:
     return EXIT_PASS if passed else EXIT_FAIL
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and reused by every ``main`` call."""
     parser = argparse.ArgumentParser(prog="radonlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

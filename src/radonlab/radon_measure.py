@@ -20,23 +20,33 @@ roots r_k of g_w, the ramp pairing is G_2(u) - G_2(-R) - (u + R) G_1(-R),
 and moments follow by integration by parts.
 
 The roots come from ``sign_change_roots``, run once per density and
-interval: a uniform scan brackets each sign change and every bracket is
-bisected to ``_ROOT_TOL`` in one array pass.  The scan has at least
-``_SCAN_PER_HALF_PERIOD`` points per half-period pi/t of the profile's top
+interval over every profile together: a uniform scan per profile brackets
+each sign change, and the brackets of all profiles are bisected to
+``_ROOT_TOL`` in one array pass.  The scan has at least
+``_SCAN_PER_HALF_PERIOD`` points per half-period pi/t of its profile's top
 frequency (and never fewer than ``_ROOT_SCAN``), so it brackets every root
 of a single cosine.  A profile whose scan would pass ``_MAX_SCAN`` points
-is refused with ``DomainError`` rather than scanned.  A sum of terms can
-still hide a pair of roots in one scan cell of width h, where g dips
-across zero and back; the norm then loses twice the mass of that lobe, at
-most h^3 max|g''| / 6 per cell, with max|g''| <= sum_j |w_j| t_j^2 +
-max|P_w''|.  A double root, where g touches zero without crossing, costs
-nothing.
+is refused with ``DomainError`` before anything is scanned.  A sum of
+terms can still hide a pair of roots in one scan cell of width h, where g
+dips across zero and back; the norm then loses twice the mass of that
+lobe, at most h^3 max|g''| / 6 per cell, with max|g''| <= sum_j |w_j| t_j^2
++ max|P_w''|.  A double root, where g touches zero without crossing,
+costs nothing.
+
+Every profile value comes from one kernel, ``_ProfileStack.values``, over
+the profiles' terms stacked as padded columns, each conjugate pair of
+terms folded into one.  It sums each point's terms in a fixed order with
+elementwise operations, so a value depends only on the profile and the
+point, never on the other points evaluated with it: a root, a sampled
+bias or a ramp pairing has the same bits whichever batch it is computed
+in.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.polynomial import polyint, polyval
@@ -56,11 +66,125 @@ _REAL_TOL = 1e-12
 _ROOT_SCAN = 512
 _ROOT_TOL = 1e-12
 _SCAN_PER_HALF_PERIOD = 16
-# largest points x terms matrix one profile evaluation builds (512 KiB of float64)
+# most (order, term, point) triples one block of a profile evaluation holds
+# (512 KiB per float64 array)
 _EVAL_BLOCK = 1 << 16
+# most points one block of a root scan holds: a block keeps a dozen arrays of
+# its points and the kernel's of each (64 KiB per float64 array)
+_SCAN_BLOCK = 1 << 13
 # most points a root scan may take: 8 MiB per float64 array of the scan, and
 # |t| * R up to about 1e5 on (-R, R)
 _MAX_SCAN = 1 << 20
+# the roots of a stack of profiles: the profile's row and the root
+_ROOTS = np.dtype([("row", np.intp), ("x", float)])
+
+
+def _folded_terms(profile) -> list[tuple[float, complex]]:
+    """The profile's trig terms, with each pair (t, w), (-t, conj w) as one term (t, 2 w).
+
+    The two terms of such a pair are complex conjugates at every b, so the
+    pair is exactly twice the real part of either: a spectrum's profiles,
+    made of such pairs, take half the trig evaluations.
+    """
+    terms = list(zip(profile.trig_freqs.tolist(), profile.trig_weights.tolist()))
+    where = {term: j for j, term in enumerate(terms)}
+    folded, used = [], set()
+    for j, (t, w) in enumerate(terms):
+        if j in used:
+            continue
+        used.add(j)
+        partner = where.get((-t, w.conjugate()))
+        if partner is not None and partner not in used:
+            used.add(partner)
+            w = 2 * w
+        folded.append((t, w))
+    return folded
+
+
+@dataclass(frozen=True)
+class _ProfileStack:
+    """Profiles as padded term arrays: column r holds profile r.
+
+    ``freqs`` and ``weights`` are (terms, profiles), the terms of each
+    profile after ``_folded_terms``, padded with frequency 1 and weight 0;
+    ``poly`` is (degree + 1, profiles), low order first, padded with zero
+    leading coefficients.  Padding adds exact zeros, so a column evaluates
+    to the same bits as the one-profile stack of its profile.
+    """
+
+    freqs: np.ndarray
+    weights: np.ndarray
+    poly: np.ndarray
+    _coefs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @staticmethod
+    def of(profiles) -> "_ProfileStack":
+        terms = [_folded_terms(p) for p in profiles]
+        T = max((len(t) for t in terms), default=0)
+        P = max((len(p.poly_coefs) for p in profiles), default=0)
+        freqs = np.ones((T, len(profiles)))
+        weights = np.zeros((T, len(profiles)), dtype=complex)
+        poly = np.zeros((P, len(profiles)))
+        for r, (p, t) in enumerate(zip(profiles, terms)):
+            if t:
+                freqs[: len(t), r], weights[: len(t), r] = zip(*t)
+            poly[: len(p.poly_coefs), r] = p.poly_coefs
+        return _ProfileStack(freqs, weights, poly)
+
+    def coefs(self, orders: tuple) -> tuple[np.ndarray, np.ndarray]:
+        """The trig table of ``orders``: the frequencies, then for every k the
+        cos and then for every k the sin coefficients of G_k's terms, as one
+        (1 + 2 len(orders), terms, profiles) array; and the polynomial parts
+        of the G_k, (orders, degree + 1, profiles) with zero leading
+        coefficients as padding."""
+        if orders not in self._coefs:
+            scale = np.array([self.weights / (-1j * self.freqs) ** k if k else self.weights for k in orders])
+            trig = np.concatenate([self.freqs[None], scale.real, scale.imag])
+            polys = [polyint(self.poly, k, axis=0) for k in orders] if len(self.poly) else []
+            poly = np.zeros((len(orders), max(map(len, polys), default=0), self.poly.shape[1]))
+            for padded, p in zip(poly, polys):
+                padded[: len(p)] = p
+            self._coefs[orders] = (trig, poly)
+        return self._coefs[orders]
+
+    def values(self, b, orders, rows=None) -> tuple:
+        """G_k for every k in ``orders`` at the points b, point i on row ``rows[i]``.
+
+        ``rows`` may be omitted for a one-profile stack.  A point's terms are
+        summed in order, by a running sum over contiguous term rows, and its
+        polynomial part by Horner's rule as in ``polyval``: elementwise
+        operations only, so a value does not depend on the other points.
+        Points go in blocks of at most ``_EVAL_BLOCK`` (order, term, point) triples.
+        """
+        b = np.asarray(b, dtype=float)
+        flat = b.ravel()
+        trig, poly = self.coefs(tuple(orders))
+        K, T, P = len(orders), trig.shape[1], poly.shape[1]
+        step = max(1, _EVAL_BLOCK // max(1, T * K))
+        out = np.empty((K, len(flat)))
+        for s in range(0, len(flat), step):
+            x = flat[s : s + step]
+            table, c_poly = trig, poly
+            if rows is not None:
+                r = rows[s : s + step]
+                table, c_poly = trig[..., r], poly[..., r] if P else None
+            if T:
+                tb = table[0] * x
+                terms = np.cos(tb) * table[1 : K + 1]
+                terms += np.sin(tb, out=tb) * table[K + 1 :]
+                val = terms[:, 0]
+                for j in range(1, T):
+                    val += terms[:, j]
+            else:
+                val = np.zeros((K, len(x)))
+            if P:
+                # Horner's rule, step for step as numpy's polyval runs it
+                p = c_poly[:, -1] + x * 0
+                for j in range(P - 2, -1, -1):
+                    p = c_poly[:, j] + p * x
+                val += p
+            out[:, s : s + step] = val
+        return tuple(o.reshape(b.shape)[()] for o in out)
 
 
 @dataclass(frozen=True)
@@ -97,33 +221,20 @@ class DirectionProfile:
 
         The trig part integrates term by term to Re(w e^{-itb} / (-it)^k) and
         the polynomial part by ``polyint``.  Every integration constant is
-        zero, so G_{k+1}' = G_k holds along the whole chain.  Points are
-        evaluated in blocks of at most ``_EVAL_BLOCK`` point-term pairs, so
-        memory stays bounded for any number of points and terms.
+        zero, so G_{k+1}' = G_k holds along the whole chain.  This is the
+        one-row case of the profile kernel: the value at a point depends only
+        on that point, bit for bit, not on the other points of b, and memory
+        stays bounded for any number of points and terms.
         """
         return self._antiderivatives(b, (k,))[0]
 
     def _antiderivatives(self, b, orders) -> tuple:
         """G_k for every k in ``orders``, sharing one cos/sin evaluation per block."""
-        b = np.asarray(b, dtype=float)
-        step = max(1, _EVAL_BLOCK // max(1, len(self.trig_freqs)))
-        if b.size <= step:
-            return self._antiderivative_block(b, orders)
-        flat = b.ravel()
-        blocks = [self._antiderivative_block(flat[s : s + step], orders) for s in range(0, len(flat), step)]
-        return tuple(np.concatenate(parts).reshape(b.shape) for parts in zip(*blocks))
+        return self._stack.values(b, orders)
 
-    def _antiderivative_block(self, b: np.ndarray, orders) -> tuple:
-        out = [np.zeros(b.shape) for _ in orders]
-        if len(self.trig_freqs):
-            tb = np.multiply.outer(b, self.trig_freqs)
-            cos, sin = np.cos(tb), np.sin(tb)
-            for i, k in enumerate(orders):
-                scale = self.trig_weights / (-1j * self.trig_freqs) ** k if k else self.trig_weights
-                out[i] = cos @ scale.real + sin @ scale.imag
-        if len(self.poly_coefs):
-            out = [val + polyval(b, polyint(self.poly_coefs, k)) for val, k in zip(out, orders)]
-        return tuple(out)
+    @cached_property
+    def _stack(self) -> _ProfileStack:
+        return _ProfileStack.of((self,))
 
     def imag_residue(self, b) -> float:
         """Largest imaginary part of the complex profile sum (realness check)."""
@@ -177,23 +288,37 @@ class RadonDensity:
         """
         key = (float(lo), float(hi))
         if key not in self._panels:
-            self._panels[key] = tuple(_profile_panels(p, *key) for p in self.profiles)
+            self._panels[key] = _density_panels(self, *key)
         return self._panels[key]
 
+    @cached_property
+    def _stack(self) -> _ProfileStack:
+        return _ProfileStack.of(self.profiles)
+
     def validate(self, tol: float = _REAL_TOL, n_check: int = 17) -> None:
-        """Spot-check realness and the evenness g_w(b) = g_{-w}(-b)."""
+        """Spot-check realness and the evenness g_w(b) = g_{-w}(-b).
+
+        Evenness is checked for every direction in one stacked evaluation;
+        the checks still fail in direction order.
+        """
         if self.is_empty:
             return
         b = np.linspace(-self.R, self.R, n_check)
         index = {tuple(w): i for i, w in enumerate(np.round(self.directions, 12).tolist())}
-        for i, profile in enumerate(self.profiles):
+        partners = [index.get(tuple(np.round(-w, 12).tolist())) for w in self.directions]
+        m = len(self)
+        rows = np.arange(m)
+        mirror = np.array([i if j is None else j for i, j in enumerate(partners)])
+        points = np.concatenate([np.tile(b, m), np.tile(-b, m)])
+        g = self._stack.values(points, (0,), np.concatenate([rows, mirror]).repeat(n_check))[0]
+        gaps = np.abs(g[: m * n_check] - g[m * n_check :]).reshape(m, n_check).max(axis=1)
+        limit = tol * max(1.0, self._scale())
+        for profile, j, gap in zip(self.profiles, partners, gaps):
             if profile.imag_residue(b) > tol:
                 raise InvariantViolationError("profile is not real: spectral symmetry broken")
-            key = tuple(np.round(-self.directions[i], 12).tolist())
-            j = index.get(key)
             if j is None:
                 raise InvariantViolationError("direction set is not antipodally symmetric")
-            if np.max(np.abs(profile(b) - self.profiles[j](-b))) > tol * max(1.0, self._scale()):
+            if gap > limit:
                 raise InvariantViolationError("evenness g_w(b) = g_{-w}(-b) violated")
 
     def _scale(self) -> float:
@@ -246,47 +371,80 @@ def density_from_spectrum(mu: SpectralMeasure, R: float) -> RadonDensity:
     return density
 
 
-def sign_change_roots(fn, lo: float, hi: float, scan: int = _ROOT_SCAN) -> np.ndarray:
-    """Roots of a vectorized real function: a uniform scan, then one bisection pass.
+def sign_change_roots(fn, lo: float, hi: float, scans) -> np.ndarray:
+    """Roots of the real functions x -> fn(rows, x), one per entry of ``scans``:
+    a uniform scan of each, then one bisection pass over all of them.
 
-    Adjacent scan points of opposite sign (a zero counts as positive) bracket
-    a root.  All brackets are halved together, one call of ``fn`` per step on
-    the midpoints of the brackets still wider than ``_ROOT_TOL``, each keeping
+    ``fn(rows, x)`` evaluates function ``rows[i]`` at ``x[i]``.  Function r
+    is scanned at ``np.linspace(lo, hi, scans[r])``, all scans in blocks of
+    at most ``_SCAN_BLOCK`` points; adjacent scan points of opposite sign (a
+    zero counts as positive) bracket a root.  The brackets of every
+    function are halved together, one call of ``fn`` per step on the
+    midpoints of the brackets still wider than ``_ROOT_TOL``, each keeping
     the half whose ends differ in sign; a root is its final bracket's
-    midpoint.  Roots that do not flip the sign between two scan points are
-    not found; the caller sizes ``scan`` (see the module docstring for what
-    a missed pair can cost).
+    midpoint.  Returns one ``(row, x)`` record per root, by row and then x.
+    Roots that do not flip the sign between two scan points are not found;
+    the caller sizes ``scans`` (see the module docstring for what a missed
+    pair can cost).
     """
-    xs = np.linspace(lo, hi, scan)
-    vals = np.asarray(fn(xs), dtype=float)
-    signs = np.sign(vals)
-    signs[signs == 0] = 1.0
-    i = np.flatnonzero(signs[:-1] * signs[1:] < 0)
-    a, b, fa = xs[i], xs[i + 1], vals[i]
+    scans = np.asarray(scans, dtype=np.intp)
+    starts = np.concatenate([[0], np.cumsum(scans)])
+    steps = (hi - lo) / (scans - 1)
+    found = [(np.zeros(0, np.intp), np.zeros(0), np.zeros(0), np.zeros(0))]  # rows, a, b, f(a) of the brackets
+    for s in range(0, starts[-1] - 1, _SCAN_BLOCK):
+        # the block's points, and the first point of the next block
+        idx = np.arange(s, min(s + _SCAN_BLOCK + 1, starts[-1]))
+        rows = np.searchsorted(starts, idx, side="right") - 1
+        k = idx - starts[rows]
+        xs = np.where(k == scans[rows] - 1, hi, k * steps[rows] + lo)  # np.linspace's points, bit for bit
+        vals = np.asarray(fn(rows, xs), dtype=float)
+        signs = np.sign(vals)
+        signs[signs == 0] = 1.0
+        i = np.flatnonzero((signs[:-1] * signs[1:] < 0) & (rows[:-1] == rows[1:]))
+        found.append((rows[i], xs[i], xs[i + 1], vals[i]))
+    row, a, b, fa = (np.concatenate(parts) for parts in zip(*found))
+    roots = np.empty(len(a), dtype=_ROOTS)
+    roots["row"], roots["x"] = row, 0.5 * (a + b)
+    # the brackets still wider than _ROOT_TOL, kept packed
     live = np.flatnonzero(b - a > _ROOT_TOL)
+    row, a, b, fa = row[live], a[live], b[live], fa[live]
     while len(live):
-        m = 0.5 * (a[live] + b[live])
-        fm = np.asarray(fn(m), dtype=float)
-        left = fa[live] * fm <= 0
-        b[live[left]] = m[left]
-        right = live[~left]
-        a[right] = m[~left]
-        fa[right] = fm[~left]
-        live = live[b[live] - a[live] > _ROOT_TOL]
-    return 0.5 * (a + b)
+        m = 0.5 * (a + b)
+        fm = np.asarray(fn(row, m), dtype=float)
+        left = fa * fm <= 0
+        b = np.where(left, m, b)
+        a = np.where(left, a, m)
+        fa = np.where(left, fa, fm)
+        wide = b - a > _ROOT_TOL
+        if not wide.all():
+            roots["x"][live[~wide]] = 0.5 * (a[~wide] + b[~wide])
+            live, row, a, b, fa = live[wide], row[wide], a[wide], b[wide], fa[wide]
+    return roots
 
 
-def _profile_panels(profile: DirectionProfile, lo: float, hi: float):
-    top = float(np.abs(profile.trig_freqs).max(initial=0.0))
-    scan = max(_ROOT_SCAN, math.ceil(_SCAN_PER_HALF_PERIOD * top * (hi - lo) / math.pi) + 1)
-    if scan > _MAX_SCAN:
-        raise DomainError(
-            f"frequency too high for the ball: |xi| * R = {top * max(abs(lo), abs(hi)):.6g} needs a root scan "
-            f"of {scan} points, more than the {_MAX_SCAN} allowed"
-        )
-    edges = np.concatenate([[lo], sign_change_roots(profile, lo, hi, scan), [hi]])
-    g1 = profile.antiderivative(edges, 1)
-    return edges, g1, np.concatenate([[0.0], np.cumsum(np.abs(np.diff(g1)))])
+def _density_panels(density: RadonDensity, lo: float, hi: float):
+    """Per profile: the panel edges (lo, the roots, hi), G_1 at the edges and
+    the running integral of |g|, from one root pass over every profile."""
+    if density.is_empty:
+        return ()
+    scans = []
+    for profile in density.profiles:
+        top = float(np.abs(profile.trig_freqs).max(initial=0.0))
+        scan = max(_ROOT_SCAN, math.ceil(_SCAN_PER_HALF_PERIOD * top * (hi - lo) / math.pi) + 1)
+        if scan > _MAX_SCAN:
+            raise DomainError(
+                f"frequency too high for the ball: |xi| * R = {top * max(abs(lo), abs(hi)):.6g} needs a root scan "
+                f"of {scan} points, more than the {_MAX_SCAN} allowed"
+            )
+        scans.append(scan)
+    stack = density._stack
+    roots = sign_change_roots(lambda rows, x: stack.values(x, (0,), rows)[0], lo, hi, scans)
+    counts = np.bincount(roots["row"], minlength=len(density))
+    cuts = np.cumsum(counts)[:-1]
+    edges = [np.concatenate([[lo], x, [hi]]) for x in np.split(roots["x"], cuts)]
+    g1 = stack.values(np.concatenate(edges), (1,), np.arange(len(density)).repeat(counts + 2))[0]
+    g1 = np.split(g1, np.cumsum(counts + 2)[:-1])
+    return tuple((e, g, np.concatenate([[0.0], np.cumsum(np.abs(np.diff(g)))])) for e, g in zip(edges, g1))
 
 
 def direction_masses(density: RadonDensity, lo: float | None = None, hi: float | None = None) -> np.ndarray:
@@ -407,10 +565,19 @@ def ramp_integral_grid(density: RadonDensity, X) -> np.ndarray:
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     out = np.zeros(len(X))
-    R = density.R
-    for w, profile in zip(density.directions, density.profiles):
-        u = X @ w
-        out += profile.antiderivative(u, 2) - profile.antiderivative(-R, 2) - (u + R) * profile.antiderivative(-R, 1)
+    n, R = len(X), density.R
+    # G_2 and G_1 at the (direction, point) pairs and at each direction's -R,
+    # one kernel call per chunk of about _EVAL_BLOCK pairs: one for a usual grid
+    step = max(1, _EVAL_BLOCK // max(1, n))
+    for s in range(0, len(density), step):
+        u = np.array([X @ w for w in density.directions[s : s + step]])
+        m = len(u)
+        rows = np.arange(s, s + m)
+        points = np.concatenate([u.ravel(), np.full(m, -R)])
+        G2, G1 = density._stack.values(points, (2, 1), np.concatenate([rows.repeat(n), rows]))
+        G2R, G1R = G2[m * n :, None], G1[m * n :, None]
+        for term in G2[: m * n].reshape(m, n) - G2R - (u + R) * G1R:  # directions added in order
+            out += term
     return out
 
 

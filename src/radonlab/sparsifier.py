@@ -398,7 +398,9 @@ def error_decay_experiment(
     """Sample `trials` networks at each width and record sup errors on a fixed grid.
 
     Each (width, trial) pair derives its own RNG stream from
-    (seed, width index, trial index), so any one trial can be redrawn alone.
+    (seed, width index, trial index), so any one trial can be redrawn alone,
+    to the bit: a profile's value does not depend on the other draws of its
+    batch.
     A trial's error is ``sup_error`` of its network to the bit: the same
     per-direction sum, with f and the grid's projections computed once.
 

@@ -49,3 +49,7 @@ def test_traced_norm_run(tmp_path):
     snap = tracer.snapshot()
     assert snap["radon_measure.tv_norm.calls"] == 1
     assert snap["radon_measure.roots_found"] > 0
+    # one root pass per density, and it sees every interior panel edge
+    assert snap["radon_measure.sign_change_roots.calls"] == 1
+    density = rl.density_from_spectrum(rl.from_cosine_sum(*rl.load_spectrum(spectrum)), 1.0)
+    assert snap["radon_measure.roots_found"] == sum(len(edges) - 2 for edges, _, _ in density.panels(-1.0, 1.0))

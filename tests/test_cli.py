@@ -92,6 +92,22 @@ def test_norm_byte_identical_reruns(tmp_path, spectrum_path):
     assert strip_wall_time(out) == first
 
 
+def test_parser_reused_across_calls_keeps_no_state(tmp_path, spectrum_path):
+    # one parser serves every main call of a process: neither an earlier
+    # override nor a parse error may reach a later report
+    out = tmp_path / "report.json"
+    norm = ["norm", "--spectrum", str(spectrum_path), "--R", "1", "--out", str(out)]
+    assert main([*norm, "--tol-override", "bound_slack=1e-9"]) == EXIT_PASS
+    assert main(["norm", "--spectrum", str(spectrum_path), "--R", "not-a-number"]) == EXIT_PARSE
+    assert main([*norm, "--tol-override", "null_tol=1e-7"]) == EXIT_PASS
+    assert cli.build_parser() is cli.build_parser()
+    report = strip_wall_time(out)
+    assert read_json(out)["tol_overrides"] == {"null_tol": 1e-7}
+    src = str(Path(rl.__file__).parents[1])
+    subprocess.run([sys.executable, "-m", "radonlab.cli", *norm, "--tol-override", "null_tol=1e-7"], check=True, cwd=src)
+    assert strip_wall_time(out) == report
+
+
 def test_norm_parse_error_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

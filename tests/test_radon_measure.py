@@ -14,6 +14,7 @@ from radonlab.errors import DomainError, InvalidInputError, SingularFitError, Un
 from radonlab.radon_measure import (
     DirectionProfile,
     RadonDensity,
+    _folded_terms,
     profile_moment,
     ramp_integral_grid,
     sign_change_roots,
@@ -233,6 +234,28 @@ def test_density_validate_catches_broken_evenness():
         bad.validate()
 
 
+def test_density_validate_catches_complex_profile():
+    # one term with no conjugate partner: Im(w e^{-itb}) is not zero
+    bad = RadonDensity(
+        d=1,
+        R=1.0,
+        directions=np.array([[1.0], [-1.0]]),
+        profiles=(
+            DirectionProfile(np.array([1.0]), np.array([1.0 + 1.0j]), np.zeros(0)),
+            DirectionProfile(np.array([1.0]), np.array([1.0 - 1.0j]), np.zeros(0)),
+        ),
+    )
+    with pytest.raises(rl.InvariantViolationError, match="not real"):
+        bad.validate()
+
+
+def test_density_validate_catches_missing_antipode():
+    real = DirectionProfile(np.array([2.0, -2.0]), np.array([1.0 + 0.5j, 1.0 - 0.5j]), np.zeros(0))
+    bad = RadonDensity(d=2, R=1.0, directions=np.array([[1.0, 0.0], [0.0, 1.0]]), profiles=(real, real))
+    with pytest.raises(rl.InvariantViolationError, match="antipodally"):
+        bad.validate()
+
+
 def test_profile_moment_matches_analytic():
     # int b * (-cos b)/2 over (0, R): odd x even integrand, do it analytically
     mu = rl.from_cosine_sum(1, [(1.0, [1.0])])
@@ -267,6 +290,24 @@ def test_ramp_integral_closed_form_for_cosine(cos_density):
     got = ramp_integral_grid(cos_density, xs[:, None])
     expected = np.cos(xs) - (R * math.sin(R) + math.cos(R))
     assert np.allclose(got, expected, atol=1e-12)
+
+
+def test_ramp_integral_is_the_per_direction_sum_bit_for_bit(monkeypatch):
+    # one kernel call over all (direction, point) pairs, or one per chunk of
+    # directions, adds the same values in the same order as a loop over
+    # directions
+    rng = np.random.default_rng(9)
+    mu = rl.from_cosine_sum(2, random_cosine_terms(rng, 2, n_terms=4))
+    term = rl.HarmonicNullTerm(k=4, j=1, kprime=0, coeff=1.0, d=2, R=1.0)
+    density = rl.density_from_spectrum(mu, 1.0).merged_with(rl.null_term_density(term, m=16))
+    X = rl.ball_grid(2, 1.0, 150, mode="low-discrepancy").points
+    loop = np.zeros(len(X))
+    for w, profile in zip(density.directions, density.profiles):
+        u = X @ w
+        loop += profile.antiderivative(u, 2) - profile.antiderivative(-1.0, 2) - (u + 1.0) * profile.antiderivative(-1.0, 1)
+    assert np.array_equal(ramp_integral_grid(density, X), loop)
+    monkeypatch.setattr("radonlab.radon_measure._EVAL_BLOCK", 400)  # chunks of two directions
+    assert np.array_equal(ramp_integral_grid(density, X), loop)
 
 
 def test_ramp_integral_matches_quad_at_high_frequency():
@@ -351,9 +392,85 @@ def test_vectorized_roots_match_scalar_bisection():
             rng.normal(size=int(rng.integers(0, 3))),
         )
         for scan in (512, 2049):
-            got = sign_change_roots(profile, -R, R, scan)
+            got = sign_change_roots(lambda rows, x: profile(x), -R, R, [scan])["x"]
             expected = scalar_bisection_roots(profile, -R, R, scan)
             assert len(got) > 0 and np.array_equal(got, expected)
+
+
+def random_profile(rng, n_terms, poly_degree):
+    return DirectionProfile(
+        rng.uniform(0.5, 40.0, n_terms) * rng.choice([-1.0, 1.0], n_terms),
+        rng.normal(size=n_terms) + 1j * rng.normal(size=n_terms),
+        rng.normal(size=poly_degree + 1) if poly_degree >= 0 else np.zeros(0),
+    )
+
+
+@pytest.mark.parametrize("poly_degree", [-1, 3])
+@pytest.mark.parametrize("n_terms", [1, 2, 3, 8, 64])
+def test_profile_value_does_not_depend_on_its_batch(n_terms, poly_degree):
+    # a BLAS product over the terms gives bits that depend on which other
+    # points share the call; the ordered elementwise sum does not
+    rng = np.random.default_rng(n_terms)
+    profile = random_profile(rng, n_terms, poly_degree)
+    b = rng.uniform(-2.0, 2.0, 1000)
+    for k in (0, 1, 2):
+        batch = profile.antiderivative(b, k)
+        alone = np.array([profile.antiderivative(b[i : i + 1], k)[0] for i in range(len(b))])
+        assert np.array_equal(batch, alone)
+
+
+def test_conjugate_pairs_fold_into_one_term():
+    w = 0.7 - 0.4j
+    # a term repeated with its partner repeated, an unpaired term and a pair split by others
+    freqs = np.array([3.0, -3.0, 3.0, 5.0, -3.0, 11.0, -5.0])
+    weights = np.array([w, np.conj(w), w, 1.5j, np.conj(w), 0.2, -1.5j])
+    profile = DirectionProfile(freqs, weights, np.zeros(0))
+    folded = _folded_terms(profile)
+    assert folded == [(3.0, 2 * w), (-3.0, 2 * np.conj(w)), (5.0, 3.0j), (11.0, 0.2)]
+    b = np.linspace(-2.0, 2.0, 101)
+    for k in (0, 1, 2):
+        naive = sum(wj * np.exp(-1j * tj * b) / (-1j * tj) ** k for tj, wj in zip(freqs, weights))
+        assert np.allclose(profile.antiderivative(b, k), naive.real, rtol=0, atol=1e-13)
+
+
+def test_stacked_profiles_match_their_rows_bit_for_bit():
+    # padding to the largest term count and degree adds exact zeros
+    rng = np.random.default_rng(8)
+    profiles = [random_profile(rng, n, deg) for n, deg in ((1, -1), (5, 2), (2, 0), (0, 4), (3, -1))]
+    density = RadonDensity(d=1, R=2.0, directions=np.ones((len(profiles), 1)), profiles=tuple(profiles))
+    b = rng.uniform(-2.0, 2.0, 300)
+    rows = rng.integers(0, len(profiles), len(b))
+    stacked = density._stack.values(b, (0, 1, 2), rows)
+    for k, values in zip((0, 1, 2), stacked):
+        for r, profile in enumerate(profiles):
+            assert np.array_equal(values[rows == r], profile.antiderivative(b[rows == r], k))
+
+
+def test_one_root_pass_matches_each_profile_alone():
+    rng = np.random.default_rng(12)
+    scans = [512, 700, 2049, 513, 512, 900, 4000]
+    profiles = tuple(random_profile(rng, int(rng.integers(1, 6)), int(rng.integers(-1, 3))) for _ in scans)
+    stack = RadonDensity(d=1, R=1.5, directions=np.ones((len(scans), 1)), profiles=profiles)._stack
+    roots = sign_change_roots(lambda rows, x: stack.values(x, (0,), rows)[0], -1.5, 1.5, scans)
+    assert np.all(np.diff(roots["row"]) >= 0)
+    for r, (profile, scan) in enumerate(zip(profiles, scans)):
+        alone = sign_change_roots(lambda rows, x: profile(x), -1.5, 1.5, [scan])["x"]
+        assert np.array_equal(roots["x"][roots["row"] == r], alone)
+        assert np.array_equal(alone, scalar_bisection_roots(profile, -1.5, 1.5, scan))
+
+
+def test_root_scan_blocks_split_nothing(monkeypatch):
+    # a scan longer than one block, with block edges inside and between profiles
+    rng = np.random.default_rng(4)
+    profiles = tuple(random_profile(rng, 3, -1) for _ in range(3))
+    density = RadonDensity(d=1, R=1.0, directions=np.ones((3, 1)), profiles=profiles)
+    whole = density.panels(-1.0, 1.0)
+    monkeypatch.setattr("radonlab.radon_measure._SCAN_BLOCK", 97)
+    monkeypatch.setattr("radonlab.radon_measure._EVAL_BLOCK", 50)
+    blocked = RadonDensity(d=1, R=1.0, directions=np.ones((3, 1)), profiles=profiles).panels(-1.0, 1.0)
+    for a, b in zip(whole, blocked):
+        for x, y in zip(a, b):
+            assert np.array_equal(x, y)
 
 
 @pytest.mark.parametrize("t, R", [(1000.0, 1.0), (3000.0, 1.0), (200.0, 30.0)])

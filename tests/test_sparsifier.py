@@ -14,7 +14,7 @@ import radonlab.sparsifier as sparsifier
 from scipy.optimize import brentq
 
 from radonlab.errors import DegenerateMeasureError, DomainError, InvalidInputError
-from radonlab.radon_measure import _profile_panels
+from radonlab.radon_measure import RadonDensity
 from radonlab.sparsifier import _draw, _draw_plan, _inverse_cdf, _project, _ramp_sums, decay_slope
 
 from conftest import random_cosine_terms
@@ -546,6 +546,12 @@ def exact_cdf(profile, lo, hi):
     return cdf, np.array(roots), cum[-1]
 
 
+def profile_panels(profile, lo, hi):
+    """The panels of one profile on (lo, hi), as a one-direction density finds them."""
+    density = RadonDensity(d=1, R=max(abs(lo), abs(hi)), directions=np.array([[1.0]]), profiles=(profile,))
+    return density.panels(lo, hi)[0]
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_inverse_cdf_matches_brentq(seed):
     rng = np.random.default_rng(seed)
@@ -562,8 +568,8 @@ def test_inverse_cdf_matches_brentq(seed):
         near = near[(near > lo) & (near < hi)]
         near_roots += len(near)
         u = np.concatenate([rng.random(200), [cdf(b) / total for b in near]])
-        got = _inverse_cdf(profile, _profile_panels(profile, lo, hi), u)
+        got = _inverse_cdf(profile, profile_panels(profile, lo, hi), u)
         want = [brentq(lambda b: cdf(b) - ui * total, lo, hi, xtol=1e-13, maxiter=500) for ui in u]
         assert np.max(np.abs(got - want)) <= 1e-9 * 2 * R
-        assert np.array_equal(got, _inverse_cdf(profile, _profile_panels(profile, lo, hi), u))
+        assert np.array_equal(got, _inverse_cdf(profile, profile_panels(profile, lo, hi), u))
     assert near_roots >= 2
