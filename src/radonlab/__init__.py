@@ -23,7 +23,6 @@ from .harmonics import (
     legendre_eval,
 )
 from .spectrum import (
-    SpectralAtom,
     SpectralMeasure,
     fourier_constant_l1,
     fourier_constant_l2,
@@ -102,7 +101,6 @@ __all__ = [
     "harmonic_eval",
     "funk_hecke_check",
     # spectrum
-    "SpectralAtom",
     "SpectralMeasure",
     "from_cosine_sum",
     "fourier_constant_l2",

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all modules, with the CLI exit-code mapping."""
+"""Exception hierarchy shared by all modules, the CLI exit-code mapping and the input-file integer check."""
 
 from __future__ import annotations
 
@@ -37,6 +37,14 @@ class UnsupportedDimensionError(DomainError):
 
 class DegenerateMeasureError(DomainError):
     """Sampling from a measure with zero total mass."""
+
+
+def integer_field(payload: dict, key: str, what: str) -> int:
+    """``payload[key]`` of an input file as an int: 2 and 2.0 pass, fractions, strings and booleans raise."""
+    value = payload[key]
+    if isinstance(value, bool) or not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise InvalidInputError(f"malformed {what} file: {key!r} must be an integer, not {value!r}")
+    return int(value)
 
 
 # CLI contract: 0 pass, 1 assertion fail, 2 parse error, 3 invariant violation,

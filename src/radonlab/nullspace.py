@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidInputError, PreconditionError
+from .errors import DomainError, InvalidInputError, PreconditionError, integer_field
 from .harmonics import harmonic_dim, harmonic_eval, sphere_surface, weighted_profile_integral
 from .quadrature import BallGrid, QuadratureRule, gauss_legendre, sphere_rule
 from .radon_measure import DirectionProfile, RadonDensity
@@ -272,11 +272,11 @@ def load_null_term(path) -> HarmonicNullTerm:
         payload = json.load(fh)
     try:
         return HarmonicNullTerm(
-            k=int(payload["k"]),
-            j=int(payload["j"]),
-            kprime=int(payload["kprime"]),
+            k=integer_field(payload, "k", "null-term"),
+            j=integer_field(payload, "j", "null-term"),
+            kprime=integer_field(payload, "kprime", "null-term"),
             coeff=float(payload["coeff"]),
-            d=int(payload["d"]),
+            d=integer_field(payload, "d", "null-term"),
             R=float(payload["R"]),
         )
     except (KeyError, TypeError) as exc:

@@ -60,7 +60,7 @@ from .errors import (
 )
 from .harmonics import harmonic_eval
 from .quadrature import BallGrid
-from .spectrum import SpectralMeasure
+from .spectrum import SpectralMeasure, _first_seen
 
 _REAL_TOL = 1e-12
 _ROOT_SCAN = 512
@@ -349,24 +349,20 @@ class RadonDensity:
 
 
 def density_from_spectrum(mu: SpectralMeasure, R: float) -> RadonDensity:
-    """Per-direction profile weights -t^2 c, grouped by the atomic directions.
-
-    Directions are sorted lexicographically for reproducible summation order.
+    """Per-direction profile weights -t^2 c, grouped by the atomic directions
+    to 12 decimals (the antipode key of ``RadonDensity.validate``), so that
+    parallel frequencies such as (1, 1) and (3, 3), whose directions can
+    differ in the last bit, share one: the first seen.  Directions are
+    sorted lexicographically for reproducible summation order.
     """
     if R <= 0:
         raise InvalidInputError("ball radius must be positive")
-    groups: dict = {}
-    for atom in mu.atoms:
-        key = tuple(atom.omega.tolist())
-        groups.setdefault(key, []).append((atom.t, -atom.t**2 * atom.c))
-    keys = sorted(groups)
-    directions = np.array(keys).reshape(len(keys), mu.d)
-    profiles = []
-    for key in keys:
-        freqs = np.array([t for t, _ in groups[key]])
-        weights = np.array([w for _, w in groups[key]])
-        profiles.append(DirectionProfile(freqs, weights, np.zeros(0)))
-    density = RadonDensity(d=mu.d, R=float(R), directions=directions, profiles=tuple(profiles))
+    groups, ids = _first_seen(map(tuple, np.round(mu.omegas, 12).tolist()))
+    first = np.unique(ids, return_index=True)[1]
+    order = sorted(range(len(groups)), key=lambda g: mu.omegas[first[g]].tolist())
+    weights = -mu.freqs**2 * mu.coefs
+    profiles = tuple(DirectionProfile(mu.freqs[ids == g], weights[ids == g], np.zeros(0)) for g in order)
+    density = RadonDensity(d=mu.d, R=float(R), directions=mu.omegas[first[order]], profiles=profiles)
     density.validate()
     return density
 
@@ -521,7 +517,7 @@ def spectral_second_moment(mu: SpectralMeasure) -> float:
 
     For a cosine sum this equals the Euclidean Fourier constant C_f.
     """
-    return float(sum(abs(a.c) * a.t**2 for a in mu.atoms))
+    return float(sum((np.abs(mu.coefs) * mu.freqs**2).tolist()))
 
 
 def check_fourier_bound(mu: SpectralMeasure, R: float, slack: float = 1e-10) -> tuple[float, float, bool]:

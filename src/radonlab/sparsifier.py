@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMeasureError, DomainError, InvalidInputError
+from .errors import DegenerateMeasureError, DomainError, InvalidInputError, integer_field
 from .quadrature import BallGrid, ball_grid
 from .radon_measure import (
     AffinePart,
@@ -143,8 +143,9 @@ class TwoLayerNet:
 _NEWTON_STEPS = 64  # a cap only: bisection alone gets below 1e-9 in 30 steps
 
 
-def _inverse_cdf(profile: DirectionProfile, panels, u: np.ndarray) -> np.ndarray:
-    """Biases b at which the mass of |g| from the interval's start reaches u * mass.
+def _inverse_cdf(profile: DirectionProfile, panels, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Biases b at which the mass of |g| from the interval's start reaches u * mass,
+    and the signs of g at them: +-1, the sign of the panel each b lies in.
 
     The panel holding each target comes from the running masses; inside it
     the CDF |G_1(b) - G_1(r_k)| is monotone with derivative |g|, so Newton's
@@ -159,7 +160,7 @@ def _inverse_cdf(profile: DirectionProfile, panels, u: np.ndarray) -> np.ndarray
     target = u * cum[-1]
     k = np.minimum(np.searchsorted(cum, target, side="right") - 1, len(edges) - 2)
     rest = target - cum[k]
-    sign = np.where(g1[k + 1] >= g1[k], 1.0, -1.0)
+    sign = signs = np.where(g1[k + 1] >= g1[k], 1.0, -1.0)
     lo, hi = edges[k], edges[k + 1]
     panel_mass = cum[k + 1] - cum[k]
     b = lo + (hi - lo) * np.divide(rest, panel_mass, out=np.zeros_like(rest), where=panel_mass > 0)
@@ -179,20 +180,20 @@ def _inverse_cdf(profile: DirectionProfile, panels, u: np.ndarray) -> np.ndarray
         if not moving.any():
             break
         live, x, start, rest, sign, lo, hi = (arr[moving] for arr in (live, step, start, rest, sign, lo, hi))
-    return b
+    return b, signs
 
 
 def _draw_biases(density: RadonDensity, idx, u, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
     """Inverse-CDF biases from |g_w| on the open interval (lo, hi) for the
-    drawn directions ``idx``, and the signs a = sign(g_w(b))."""
+    drawn directions ``idx``, and the signs a = sign(g_w(b)), read off the
+    sign-constant panel each b lies in."""
     b = np.empty(len(idx))
     a = np.empty(len(idx))
     for i, (profile, panels) in enumerate(zip(density.profiles, density.panels(lo, hi))):
         sel = np.flatnonzero(idx == i)
         if len(sel):
-            bi = np.clip(_inverse_cdf(profile, panels, u[sel]), np.nextafter(lo, hi), np.nextafter(hi, lo))
-            b[sel] = bi
-            a[sel] = np.where(profile(bi) >= 0, 1.0, -1.0)
+            bi, a[sel] = _inverse_cdf(profile, panels, u[sel])
+            b[sel] = np.clip(bi, np.nextafter(lo, hi), np.nextafter(hi, lo))
     return b, a
 
 
@@ -518,7 +519,7 @@ def load_network(path) -> TwoLayerNet:
         payload = json.load(fh)
     try:
         neurons = payload["neurons"]
-        d = int(payload["d"])
+        d = integer_field(payload, "d", "network")
         return TwoLayerNet(
             d=d,
             a=np.array([x["a"] for x in neurons], dtype=float),

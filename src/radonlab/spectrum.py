@@ -1,10 +1,11 @@
 """Atomic spectral measures on S^{d-1} x R and the Fourier constants.
 
 A finite cosine sum f(x) = sum_i a_i cos(<xi_i, x>) is encoded as atoms
-(omega, t, c) with f(x) = sum c * exp(i t <omega, x>).  Each cosine term
-contributes the four symmetric atoms (+-xi/|xi|, +-|xi|) with coefficient
-a/4, which makes the measure closed under the conjugate/antipodal symmetry
-group and the reconstruction real-valued.
+(omega, t, c) with f(x) = sum c * exp(i t <omega, x>), held as three arrays:
+unit directions (n, d), frequencies (n,) and complex coefficients (n,).
+Each cosine term contributes the four symmetric atoms (+-xi/|xi|, +-|xi|)
+with coefficient a/4, which makes the measure closed under the
+conjugate/antipodal symmetry group and the reconstruction real-valued.
 """
 
 from __future__ import annotations
@@ -14,64 +15,51 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InconsistentMeasureError, InvalidInputError
+from .errors import InconsistentMeasureError, InvalidInputError, integer_field
 
 _UNIT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class SpectralAtom:
-    """Single atom (direction, frequency, complex coefficient)."""
-
-    omega: np.ndarray
-    t: float
-    c: complex
-
-    def __post_init__(self):
-        w = np.atleast_1d(np.asarray(self.omega, dtype=float))
-        if abs(np.linalg.norm(w) - 1.0) > _UNIT_TOL:
-            raise InvalidInputError(f"atom direction not unit length: |omega| = {np.linalg.norm(w)}")
-        w.setflags(write=False)
-        object.__setattr__(self, "omega", w)
-        object.__setattr__(self, "t", float(self.t))
-        object.__setattr__(self, "c", complex(self.c))
-
-
-@dataclass(frozen=True)
 class SpectralMeasure:
-    """Finite atomic complex measure with the symmetry closure invariant."""
+    """Finite atomic complex measure with the symmetry closure invariant:
+    atom i is (omegas[i], freqs[i], coefs[i]), held in read-only copies."""
 
     d: int
-    atoms: tuple[SpectralAtom, ...]
+    omegas: np.ndarray = ()
+    freqs: np.ndarray = ()
+    coefs: np.ndarray = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "atoms", tuple(self.atoms))
-        for atom in self.atoms:
-            if atom.omega.shape != (self.d,):
-                raise InvalidInputError("atom dimension does not match measure dimension")
+        w, t, c = np.array(self.omegas, float), np.array(self.freqs, float), np.array(self.coefs, complex)
+        w = w.reshape(0, self.d) if w.size == 0 else w
+        if w.ndim != 2 or w.shape[1] != self.d or t.shape != (len(w),) or c.shape != t.shape:
+            raise InvalidInputError(f"atom arrays of shapes {w.shape}, {t.shape}, {c.shape} do not match d={self.d}")
+        dev = np.linalg.norm(w, axis=1) - 1.0
+        if np.any(np.abs(dev) > _UNIT_TOL):
+            raise InvalidInputError(f"atom direction not unit length: |omega| - 1 = {dev[np.argmax(np.abs(dev))]:+.3e}")
+        for name, arr in (("omegas", w), ("freqs", t), ("coefs", c)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     def __len__(self) -> int:
-        return len(self.atoms)
+        return len(self.freqs)
 
     def validate(self, tol: float = _UNIT_TOL) -> None:
         """Check the symmetry closure: for every atom (w, t, c) the partners
-        (-w, -t, c), (-w, t, conj c), (w, -t, conj c) are present."""
-        key = lambda w, t: (tuple(np.round(w, 9)), round(t, 9))
-        table: dict = {}
-        for atom in self.atoms:
-            table[key(atom.omega, atom.t)] = table.get(key(atom.omega, atom.t), 0) + atom.c
-        for atom in self.atoms:
-            partners = [
-                (-atom.omega, -atom.t, atom.c),
-                (-atom.omega, atom.t, atom.c.conjugate()),
-                (atom.omega, -atom.t, atom.c.conjugate()),
-            ]
-            for w, t, c in partners:
-                got = table.get(key(w, t))
-                if got is None or abs(got - c) > tol * max(1.0, abs(c)):
-                    raise InconsistentMeasureError(
-                        f"missing symmetry partner for atom (omega={atom.omega}, t={atom.t})"
-                    )
+        (-w, -t, c), (-w, t, conj c), (w, -t, conj c) are present, to ``tol``
+        relative.  Atoms are keyed by (w, t) to 9 decimals (``np.round``) and
+        summed per key."""
+        w, t, c = np.round(self.omegas, 9), np.round(self.freqs, 9), self.coefs
+        table, ids = _first_seen(_keys(w, t))
+        sums = np.zeros(len(table), dtype=complex)
+        np.add.at(sums, ids, c)
+        pw, pt, pc = np.concatenate([-w, -w, w]), np.concatenate([-t, t, -t]), np.concatenate([c, c.conj(), c.conj()])
+        got = np.array([table.get(k, -1) for k in _keys(pw, pt)], dtype=np.intp)
+        bad = ((got < 0) | (np.abs(sums[got] - pc) > tol * np.maximum(1.0, np.abs(pc)))).reshape(3, -1).any(axis=0)
+        if bad.any():
+            omega, freq = self.omegas[np.argmax(bad)], self.freqs[np.argmax(bad)]
+            raise InconsistentMeasureError(f"missing symmetry partner for atom (omega={omega}, t={freq})")
 
     def evaluate(self, x, tol: float = _UNIT_TOL):
         """Evaluate f(x) = sum c * exp(i t <omega, x>); raises if the imaginary
@@ -93,31 +81,38 @@ class SpectralMeasure:
             if pts.shape[1] != self.d:
                 raise InvalidInputError(f"batch of shape {pts.shape} does not match d={self.d}")
             X = pts
-        if len(self.atoms) == 0:
+        if len(self) == 0:
             return 0.0 if single else np.zeros(len(X))
-        omegas = np.stack([a.omega for a in self.atoms])
-        freqs = np.array([a.t for a in self.atoms])
-        coefs = np.array([a.c for a in self.atoms])
-        phase = (X @ omegas.T) * freqs
-        vals = np.exp(1j * phase) @ coefs
-        scale = max(1.0, float(np.abs(coefs).sum()))
+        phase = (X @ self.omegas.T) * self.freqs
+        vals = np.exp(1j * phase) @ self.coefs
         residue = float(np.abs(vals.imag).max())
-        if residue > tol * scale:
+        if residue > tol * max(1.0, float(np.abs(self.coefs).sum())):
             raise InconsistentMeasureError(
                 f"imaginary residue {residue:.3e} exceeds tolerance; measure is not symmetry closed"
             )
-        out = vals.real
-        return float(out[0]) if single else out
+        return float(vals.real[0]) if single else vals.real
+
+
+def _keys(w: np.ndarray, t: np.ndarray) -> list:
+    """Hashable (direction, frequency) keys, one per row of w."""
+    return list(zip(map(tuple, w.tolist()), t.tolist()))
+
+
+def _first_seen(keys) -> tuple[dict, np.ndarray]:
+    """The distinct keys numbered in the order first seen (the table keeps the
+    first of equal keys), and the number of each key."""
+    table: dict = {}
+    return table, np.array([table.setdefault(k, len(table)) for k in keys], dtype=np.intp)
 
 
 def from_cosine_sum(d: int, terms) -> SpectralMeasure:
     """Spectral measure of f(x) = sum_i a_i cos(<xi_i, x>).
 
     Each term (a, xi) with xi != 0 becomes four atoms at (+-xi/|xi|, +-|xi|)
-    with coefficient a/4.  Atoms sharing (direction, frequency) merge.
-    """
-    merged: dict = {}
-    store: dict = {}
+    with coefficient a/4.  Atoms whose (direction, frequency) agree to 15
+    decimals (``np.round``) merge, in the order first seen: (direction,
+    frequency) from the last term, coefficients summed in term order."""
+    omegas, norms, quarters = [], [], []
     for amp, xi in terms:
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
         if xi.shape != (d,):
@@ -125,17 +120,17 @@ def from_cosine_sum(d: int, terms) -> SpectralMeasure:
         norm = float(np.linalg.norm(xi))
         if norm == 0.0:
             raise InvalidInputError("zero frequency vector: constant terms carry no spectrum")
-        omega = xi / norm
-        quarter = complex(amp) / 4.0
-        for w, t in ((omega, norm), (-omega, -norm), (omega, -norm), (-omega, norm)):
-            k = (tuple(np.round(w, 15)), round(t, 15))
-            merged[k] = merged.get(k, 0.0) + quarter
-            store[k] = (w, t)
-    atoms = []
-    for k, c in merged.items():
-        w, t = store[k]
-        atoms.append(SpectralAtom(omega=w, t=t, c=c))
-    return SpectralMeasure(d=d, atoms=tuple(atoms))
+        omegas.append(xi / norm)
+        norms.append(norm)
+        quarters.append(complex(amp) / 4.0)
+    omega, norm = np.array(omegas).reshape(len(omegas), d), np.array(norms)
+    w = np.stack([omega, -omega, omega, -omega], axis=1).reshape(-1, d)
+    t = np.stack([norm, -norm, -norm, norm], axis=1).ravel()
+    table, ids = _first_seen(_keys(np.round(w, 15), np.round(t, 15)))
+    coefs = np.zeros(len(table), dtype=complex)
+    np.add.at(coefs, ids, np.repeat(quarters, 4))
+    last = len(ids) - 1 - np.unique(ids[::-1], return_index=True)[1]  # each key's last atom
+    return SpectralMeasure(d, w[last], t[last], coefs)
 
 
 def fourier_constant_l2(terms) -> float:
@@ -175,10 +170,11 @@ def load_spectrum(path) -> tuple[int, list[tuple[float, np.ndarray]]]:
     with open(path) as fh:
         payload = json.load(fh)
     try:
-        d = int(payload["d"])
+        d = integer_field(payload, "d", "spectrum")
         terms = [(float(t["amplitude"]), np.asarray(t["xi"], dtype=float)) for t in payload["terms"]]
-    except (KeyError, TypeError) as exc:
-        raise InvalidInputError(f"malformed spectrum file: missing {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        fault = "missing" if isinstance(exc, KeyError) else "wrong type:"
+        raise InvalidInputError(f"malformed spectrum file: {fault} {exc}") from exc
     if d < 1:
         raise InvalidInputError(f"spectrum dimension d={d} must be at least 1")
     for amp, xi in terms:

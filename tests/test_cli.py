@@ -405,3 +405,77 @@ def test_approximate_emits_the_redrawn_best_trial(tmp_path, spectrum2_path, conv
         net = rl.sample_network(density, rl.tv_norm(density), affine, widths[-1], stream)
     rl.save_network(tmp_path / "redrawn.json", net)
     assert net_path.read_bytes() == (tmp_path / "redrawn.json").read_bytes()
+
+
+# --- integer fields of input files -----------------------------------------------
+
+
+def results_of(path):
+    """A report without the echoed paths and the wall time."""
+    return {k: v for k, v in read_json(path).items() if k not in ("config", "wall_time_s")}
+
+
+@pytest.mark.parametrize("d", ["2.5", '"2"', "true", "null"])
+def test_norm_rejects_non_integer_dimension(tmp_path, capsys, d):
+    path = tmp_path / "spectrum.json"
+    path.write_text('{"d": %s, "terms": [{"amplitude": 1.0, "xi": [1.0, 2.0]}]}' % d)
+    out = tmp_path / "report.json"
+    assert main(["norm", "--spectrum", str(path), "--R", "1", "--out", str(out)]) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith("radonlab: malformed spectrum file: 'd' must be an integer")
+    assert not out.exists()
+
+
+def test_norm_accepts_an_integral_float_dimension(tmp_path, spectrum2_path):
+    path = tmp_path / "spectrum.json"
+    path.write_text(spectrum2_path.read_text().replace('"d": 2', '"d": 2.0'))
+    assert '"d": 2.0' in path.read_text()
+    outs = [tmp_path / "a.json", tmp_path / "b.json"]
+    for spec, out in zip((spectrum2_path, path), outs):
+        assert main(["norm", "--spectrum", str(spec), "--R", "1", "--out", str(out)]) == EXIT_PASS
+    assert results_of(outs[0]) == results_of(outs[1])
+
+
+@pytest.mark.parametrize("field", ["k", "j", "kprime", "d"])
+@pytest.mark.parametrize("value", ["6.7", '"2"', "true"])
+def test_verify_null_rejects_non_integer_fields(tmp_path, capsys, term_path, field, value):
+    term = read_json(term_path)
+    term[field] = json.loads(value)
+    path = tmp_path / "bad-term.json"
+    path.write_text(json.dumps(term))
+    out = tmp_path / "report.json"
+    assert main(["verify-null", "--term", str(path), "--out", str(out)]) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith(f"radonlab: malformed null-term file: {field!r} must be an integer")
+    assert not out.exists()
+
+
+def test_verify_null_rejects_truncatable_indices(tmp_path, capsys):
+    # read as int(), k=6.7, j=1.9, kprime=2.2 ran as (6, 1, 2) and passed
+    path = tmp_path / "term.json"
+    path.write_text('{"k": 6.7, "j": 1.9, "kprime": 2.2, "coeff": 1.0, "d": 2, "R": 1.0}')
+    assert main(["verify-null", "--term", str(path), "--out", str(tmp_path / "r.json")]) == EXIT_PARSE
+    assert "'k' must be an integer, not 6.7" in capsys.readouterr().err
+
+
+def test_verify_null_accepts_integral_float_fields(tmp_path, term_path):
+    term = {key: float(v) if key in ("k", "j", "kprime", "d") else v for key, v in read_json(term_path).items()}
+    path = tmp_path / "float-term.json"
+    path.write_text(json.dumps(term))
+    outs = [tmp_path / "a.json", tmp_path / "b.json"]
+    for spec, out in zip((term_path, path), outs):
+        assert main(["verify-null", "--term", str(spec), "--out", str(out)]) == EXIT_PASS
+    assert results_of(outs[0]) == results_of(outs[1])
+
+
+@pytest.mark.parametrize("d", ["2.5", '"2"', "true"])
+def test_modeconnect_rejects_non_integer_network_dimension(tmp_path, capsys, term_path, d):
+    path = tmp_path / "net.json"
+    path.write_text(
+        '{"d": %s, "neurons": [{"a": 1.0, "omega": [1.0, 0.0], "b": 0.0}], "kappa": 1.0, '
+        '"v": [0.0, 0.0], "c": 0.0, "convention": "thm2"}' % d
+    )
+    out = tmp_path / "mc.json"
+    assert main(["modeconnect", "--network", str(path), "--term", str(term_path), "--out", str(out)]) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith("radonlab: malformed network file: 'd' must be an integer")
+    assert not out.exists()
+    path.write_text(path.read_text().replace('"d": %s' % d, '"d": 2.0'))
+    assert rl.load_network(path).d == 2

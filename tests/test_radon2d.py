@@ -143,7 +143,7 @@ def test_adjointness_disjoint_supports():
 
 
 def test_pairing_identity_zero_measure(bump):
-    mu = rl.SpectralMeasure(d=2, atoms=())
+    mu = rl.SpectralMeasure(d=2)
     density = rl.density_from_spectrum(mu, 1.0)
     lhs, rhs = rl.radon_pairing_check(mu, density, bump)
     assert lhs == 0.0

@@ -43,7 +43,7 @@ def test_near_cancel_profile_is_half_second_derivative(near_cancel_measure):
 
 
 def test_empty_spectrum_gives_zero_norm():
-    mu = rl.SpectralMeasure(d=1, atoms=())
+    mu = rl.SpectralMeasure(d=1)
     density = rl.density_from_spectrum(mu, 1.0)
     assert rl.tv_norm(density) == 0.0
 
@@ -98,7 +98,7 @@ def test_fourier_bound_example_values(near_cancel_measure, cos_measure):
     assert ok
     assert norm == pytest.approx(2.0, abs=1e-10)
     assert bound == pytest.approx(math.pi, abs=1e-12)
-    norm, bound, ok = rl.check_fourier_bound(rl.SpectralMeasure(d=1, atoms=()), 1.0)
+    norm, bound, ok = rl.check_fourier_bound(rl.SpectralMeasure(d=1), 1.0)
     assert ok and norm == 0.0 and bound == 0.0
 
 
@@ -141,7 +141,7 @@ def test_reconstruct_outside_ball_rejected(cos_density):
 
 
 def test_fit_affine_zero_spectrum():
-    mu = rl.SpectralMeasure(d=1, atoms=())
+    mu = rl.SpectralMeasure(d=1)
     density = rl.density_from_spectrum(mu, 1.0)
     grid = rl.ball_grid(1, 1.0, 20, mode="lattice")
     affine = rl.fit_affine(mu, density, grid)
@@ -208,14 +208,14 @@ def test_harmonic_moment_self_pairing_positive():
 
 
 def test_harmonic_moment_empty_and_errors():
-    mu = rl.SpectralMeasure(d=2, atoms=())
+    mu = rl.SpectralMeasure(d=2)
     density = rl.density_from_spectrum(mu, 1.0)
     assert rl.harmonic_moment(density, 4, 1, 0) == 0.0
     with pytest.raises(InvalidInputError):
         rl.harmonic_moment(density, 4, 1, 1)  # parity violation
     with pytest.raises(InvalidInputError):
         rl.harmonic_moment(density, 2, 1, 4)  # k' >= k
-    mu1 = rl.SpectralMeasure(d=1, atoms=())
+    mu1 = rl.SpectralMeasure(d=1)
     with pytest.raises(UnsupportedDimensionError):
         rl.harmonic_moment(rl.density_from_spectrum(mu1, 1.0), 2, 1, 0)
 

@@ -96,14 +96,14 @@ def test_bias_histogram_tracks_density(near_cancel_setup):
 
 
 def test_degenerate_density_rejected():
-    mu = rl.SpectralMeasure(d=1, atoms=())
+    mu = rl.SpectralMeasure(d=1)
     density = rl.density_from_spectrum(mu, 1.0)
     with pytest.raises(DegenerateMeasureError):
         rl.sample_network(density, 0.0, rl.AffinePart.zero(1), 4, seed=0)
 
 
 def test_sup_error_zero_network():
-    mu = rl.SpectralMeasure(d=1, atoms=())
+    mu = rl.SpectralMeasure(d=1)
     net = rl.TwoLayerNet(
         d=1, a=np.zeros(0), omegas=np.zeros((0, 1)), b=np.zeros(0),
         kappa=0.0, v=np.zeros(1), c=0.0, convention="quadrature",
@@ -568,8 +568,21 @@ def test_inverse_cdf_matches_brentq(seed):
         near = near[(near > lo) & (near < hi)]
         near_roots += len(near)
         u = np.concatenate([rng.random(200), [cdf(b) / total for b in near]])
-        got = _inverse_cdf(profile, profile_panels(profile, lo, hi), u)
+        got, _ = _inverse_cdf(profile, profile_panels(profile, lo, hi), u)
         want = [brentq(lambda b: cdf(b) - ui * total, lo, hi, xtol=1e-13, maxiter=500) for ui in u]
         assert np.max(np.abs(got - want)) <= 1e-9 * 2 * R
-        assert np.array_equal(got, _inverse_cdf(profile, profile_panels(profile, lo, hi), u))
+        assert np.array_equal(got, _inverse_cdf(profile, profile_panels(profile, lo, hi), u)[0])
     assert near_roots >= 2
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_inverse_cdf_sign_is_the_sign_of_the_profile(seed):
+    rng = np.random.default_rng(seed)
+    profile = random_profile(rng, n_terms=int(rng.integers(1, 5)), poly_degree=int(rng.integers(0, 3)))
+    for lo, hi in ((-1.0, 1.0), (0.0, 1.0)):
+        panels = profile_panels(profile, lo, hi)
+        b, a = _inverse_cdf(profile, panels, rng.random(2000))
+        # away from the panel edges, where g vanishes and its sign is rounding noise
+        away = np.min(np.abs(b[:, None] - panels[0][None, :]), axis=1) > 1e-9 * (hi - lo)
+        assert away.sum() >= 1990
+        assert np.array_equal(a[away], np.where(profile(b[away]) >= 0, 1.0, -1.0))

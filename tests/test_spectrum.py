@@ -11,15 +11,15 @@ from hypothesis import strategies as st
 
 import radonlab as rl
 from radonlab.errors import InconsistentMeasureError, InvalidInputError
-from radonlab.spectrum import SpectralAtom, SpectralMeasure
+from radonlab.spectrum import SpectralMeasure
 
 from conftest import EPS, random_cosine_terms
 
 
 def test_single_cosine_has_four_quarter_atoms(cos_measure):
     assert len(cos_measure) == 4
-    assert all(a.c == pytest.approx(0.25) for a in cos_measure.atoms)
-    keys = sorted((float(a.omega[0]), a.t) for a in cos_measure.atoms)
+    assert all(c == pytest.approx(0.25) for c in cos_measure.coefs)
+    keys = sorted(zip(cos_measure.omegas[:, 0].tolist(), cos_measure.freqs.tolist()))
     assert keys == [(-1.0, -1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, 1.0)]
 
 
@@ -31,10 +31,10 @@ def test_two_term_sum_has_eight_atoms(near_cancel_measure):
 def test_d2_term_normalization():
     mu = rl.from_cosine_sum(2, [(2.0, np.array([3.0, 4.0]))])
     assert len(mu) == 4
-    for atom in mu.atoms:
-        assert abs(atom.t) == pytest.approx(5.0, abs=1e-12)
-        assert np.allclose(np.abs(atom.omega), [0.6, 0.8], atol=1e-12)
-        assert atom.c == pytest.approx(0.5)
+    for omega, t, c in zip(mu.omegas, mu.freqs, mu.coefs):
+        assert abs(t) == pytest.approx(5.0, abs=1e-12)
+        assert np.allclose(np.abs(omega), [0.6, 0.8], atol=1e-12)
+        assert c == pytest.approx(0.5)
 
 
 def test_zero_frequency_rejected():
@@ -59,13 +59,14 @@ def test_evaluate_matches_cosine_sum_on_batches():
 
 
 def test_evaluate_order_independent(near_cancel_measure):
-    flipped = SpectralMeasure(d=1, atoms=tuple(reversed(near_cancel_measure.atoms)))
+    mu = near_cancel_measure
+    flipped = SpectralMeasure(d=1, omegas=mu.omegas[::-1], freqs=mu.freqs[::-1], coefs=mu.coefs[::-1])
     x = 0.731
     assert flipped.evaluate(x) == pytest.approx(near_cancel_measure.evaluate(x), abs=1e-15)
 
 
 def test_inconsistent_measure_detected():
-    lonely = SpectralMeasure(d=1, atoms=(SpectralAtom(omega=[1.0], t=1.0, c=1.0),))
+    lonely = SpectralMeasure(d=1, omegas=[[1.0]], freqs=[1.0], coefs=[1.0])
     with pytest.raises(InconsistentMeasureError):
         lonely.validate()
     with pytest.raises(InconsistentMeasureError):
@@ -74,7 +75,7 @@ def test_inconsistent_measure_detected():
 
 def test_atom_requires_unit_direction():
     with pytest.raises(InvalidInputError):
-        SpectralAtom(omega=[0.5, 0.5], t=1.0, c=1.0)
+        SpectralMeasure(d=2, omegas=[[0.5, 0.5]], freqs=[1.0], coefs=[1.0])
 
 
 def test_fourier_constant_l2_closed_form(near_cancel_terms):
@@ -138,3 +139,222 @@ def test_spectrum_json_rejects_malformed(tmp_path):
     path.write_text('{"d": 2, "terms": [{"amplitude": 1.0, "xi": [1.0]}]}')
     with pytest.raises(InvalidInputError):
         rl.load_spectrum(path)
+
+
+def test_measure_arrays_are_read_only_copies():
+    omegas = np.array([[1.0], [-1.0]])
+    mu = SpectralMeasure(d=1, omegas=omegas, freqs=[2.0, -2.0], coefs=[0.5, 0.5])
+    omegas[0, 0] = 7.0
+    assert mu.omegas.tolist() == [[1.0], [-1.0]]
+    assert mu.freqs.dtype == float and mu.coefs.dtype == complex
+    for arr in (mu.omegas, mu.freqs, mu.coefs):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    empty = SpectralMeasure(d=3)
+    assert len(empty) == 0 and empty.omegas.shape == (0, 3)
+
+
+@pytest.mark.parametrize(
+    "omegas, freqs, coefs",
+    [
+        ([[1.0, 0.0]], [1.0], [1.0]),  # direction of the wrong dimension
+        ([1.0], [1.0], [1.0]),  # directions not a matrix
+        ([[1.0]], [1.0, -1.0], [1.0, 1.0]),  # one direction for two atoms
+        ([[1.0], [-1.0]], [1.0, -1.0], [1.0]),  # one coefficient for two atoms
+    ],
+)
+def test_measure_rejects_mismatched_arrays(omegas, freqs, coefs):
+    with pytest.raises(InvalidInputError):
+        SpectralMeasure(d=1, omegas=omegas, freqs=freqs, coefs=coefs)
+
+
+# --- loading --------------------------------------------------------------------
+
+
+def test_spectrum_dimension_may_be_an_integral_float(tmp_path):
+    path = tmp_path / "spectrum.json"
+    path.write_text('{"d": 2.0, "terms": [{"amplitude": 1.0, "xi": [1.0, 2.0]}]}')
+    d, terms = rl.load_spectrum(path)
+    assert d == 2 and type(d) is int
+    assert [(a, xi.tolist()) for a, xi in terms] == [(1.0, [1.0, 2.0])]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"d": 1, "terms": 5}', "wrong type: 'int' object is not iterable"),
+        ('{"d": 1, "terms": [3.0]}', "wrong type: 'float' object is not subscriptable"),
+        ('{"d": 1, "terms": [{"amplitude": "one", "xi": [1.0]}]}', "wrong type: could not convert string"),
+        ('{"d": 1, "terms": [{"xi": [1.0]}]}', "missing 'amplitude'"),
+        ('{"terms": []}', "missing 'd'"),
+    ],
+)
+def test_spectrum_loader_names_the_fault(tmp_path, text, message):
+    path = tmp_path / "spectrum.json"
+    path.write_text(text)
+    with pytest.raises(InvalidInputError) as info:
+        rl.load_spectrum(path)
+    assert str(info.value).startswith(f"malformed spectrum file: {message}")
+
+
+# --- oracle: the per-atom code the arrays replaced --------------------------------
+#
+# reference_atoms, reference_validate and reference_groups are the per-atom
+# from_cosine_sum, SpectralMeasure.validate and density_from_spectrum grouping
+# as they were before the measure became three arrays.  Keys still round
+# frequencies with Python's round.  Two changes: the profile weight squares t
+# as t * t, which numpy's t**2 also does (Python's t**2 calls libm pow, which
+# can be 1 ulp off), and directions are grouped to 12 decimals, keeping the
+# first seen, where they were grouped by exact value, which split parallel
+# frequencies whose directions differ in the last bit.
+
+
+def reference_atoms(terms):
+    merged: dict = {}
+    store: dict = {}
+    for amp, xi in terms:
+        xi = np.atleast_1d(np.asarray(xi, dtype=float))
+        norm = float(np.linalg.norm(xi))
+        omega = xi / norm
+        quarter = complex(amp) / 4.0
+        for w, t in ((omega, norm), (-omega, -norm), (omega, -norm), (-omega, norm)):
+            k = (tuple(np.round(w, 15)), round(t, 15))
+            merged[k] = merged.get(k, 0.0) + quarter
+            store[k] = (w, t)
+    return [(store[k][0], store[k][1], c) for k, c in merged.items()]
+
+
+def reference_validate(atoms, tol=1e-12) -> bool:
+    key = lambda w, t: (tuple(np.round(w, 9)), round(t, 9))
+    table: dict = {}
+    for w, t, c in atoms:
+        table[key(w, t)] = table.get(key(w, t), 0) + c
+    for w, t, c in atoms:
+        for pw, pt, pc in ((-w, -t, c), (-w, t, c.conjugate()), (w, -t, c.conjugate())):
+            got = table.get(key(pw, pt))
+            if got is None or abs(got - pc) > tol * max(1.0, abs(pc)):
+                return False
+    return True
+
+
+def reference_groups(atoms):
+    groups: dict = {}
+    first: dict = {}
+    for w, t, c in atoms:
+        key = tuple(np.round(w, 12).tolist())
+        first.setdefault(key, tuple(w.tolist()))
+        groups.setdefault(key, []).append((t, -(t * t) * c))
+    return sorted((first[key], members) for key, members in groups.items())
+
+
+def as_measure(d, atoms):
+    return SpectralMeasure(
+        d,
+        np.array([w for w, _, _ in atoms]).reshape(len(atoms), d),
+        [t for _, t, _ in atoms],
+        [c for _, _, c in atoms],
+    )
+
+
+def accepts(mu) -> bool:
+    try:
+        mu.validate()
+    except InconsistentMeasureError:
+        return False
+    return True
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def cosine_sums(draw):
+    """Cosine sums in d = 1..3 with repeated, negated, rescaled and axis-aligned
+    frequencies: the spectra whose atoms merge, and whose directions hold -0.0."""
+    d = draw(st.integers(1, 3))
+    nonzero = st.integers(-6, 6).filter(bool)
+    vector = st.lists(st.integers(-6, 6), min_size=d, max_size=d).filter(any).map(lambda v: np.array(v) / 2)
+    axis = st.tuples(st.integers(0, d - 1), nonzero).map(lambda jk: jk[1] * np.eye(d)[jk[0]])
+    xis = draw(st.lists(st.one_of(vector, axis), min_size=1, max_size=4))
+    for i, scale in draw(st.lists(st.tuples(st.integers(0, len(xis) - 1), st.sampled_from([1, -1, 2, -2])), max_size=5)):
+        xis.append(scale * xis[i])
+    amplitude = st.floats(-3, 3, allow_nan=False, allow_infinity=False)
+    return d, [(draw(amplitude), xi) for xi in draw(st.permutations(xis))]
+
+
+def assert_matches_reference(d, terms, pick=0):
+    mu = rl.from_cosine_sum(d, terms)
+    atoms = reference_atoms(terms)
+    assert same_bits(mu.omegas, np.array([w for w, _, _ in atoms]))
+    assert same_bits(mu.freqs, np.array([t for _, t, _ in atoms]))
+    assert same_bits(mu.coefs, np.array([c for _, _, c in atoms]))
+    # accept/reject: the measure, one atom dropped, one coefficient off by 2e-12 |c|
+    i = pick % len(atoms)
+    w, t, c = atoms[i]
+    variants = [atoms, atoms[:i] + atoms[i + 1 :], atoms[:i] + [(w, t, c * (1 + 2e-12))] + atoms[i + 1 :]]
+    for variant in variants:
+        assert accepts(as_measure(d, variant)) == reference_validate(variant)
+    assert accepts(mu)
+    density = rl.density_from_spectrum(mu, 1.0)
+    groups = reference_groups(atoms)
+    assert same_bits(density.directions, np.array([key for key, _ in groups]).reshape(len(groups), d))
+    for profile, (_, members) in zip(density.profiles, groups):
+        assert same_bits(profile.trig_freqs, np.array([t for t, _ in members]))
+        assert same_bits(profile.trig_weights, np.array([weight for _, weight in members]))
+    moment = sum(abs(c) * (t * t) for _, t, c in atoms)
+    assert rl.radon_measure.spectral_second_moment(mu) == moment
+
+
+@settings(max_examples=200, deadline=None)
+@given(spectrum=cosine_sums(), pick=st.integers(0, 10**6))
+def test_arrays_match_per_atom_reference(spectrum, pick):
+    assert_matches_reference(*spectrum, pick)
+
+
+@pytest.mark.parametrize(
+    "d, terms",
+    [
+        # frequencies one ulp apart share a key: the atoms keep the last term's t
+        (1, [(1.0, [1.0]), (2.0, [np.nextafter(1.0, 2.0)])]),
+        # coefficients add in term order: (c + 1/4) - c = 0, not 1/4
+        (1, [(1e17, [2.0]), (1.0, [2.0]), (-1e17, [-2.0])]),
+        (2, [(1.0, [3.0, 0.0]), (0.5, [-6.0, 0.0]), (-1.0, [0.0, -2.0])]),
+        (3, [(1.0, [0.0, 0.0, 1.0]), (1.0, [0.0, 0.0, 1.0]), (-2.0, [0.0, 0.0, -1.0])]),
+    ],
+)
+def test_crafted_spectra_match_per_atom_reference(d, terms):
+    for pick in range(4 * len(terms)):
+        assert_matches_reference(d, terms, pick)
+
+
+def test_validate_rejects_a_coefficient_off_by_two_tolerances():
+    mu = rl.from_cosine_sum(1, [(8.0, [1.0]), (-4.0, [1.01])])  # |c| >= 1: the tolerance is 1e-12 |c|
+    coefs = mu.coefs.copy()
+    coefs[3] *= 1 + 2e-12
+    with pytest.raises(InconsistentMeasureError, match="missing symmetry partner"):
+        SpectralMeasure(1, mu.omegas, mu.freqs, coefs).validate()
+    coefs[3] = mu.coefs[3] * (1 + 0.5e-12)
+    SpectralMeasure(1, mu.omegas, mu.freqs, coefs).validate()
+
+
+def test_axis_aligned_partners_hold_negative_zero():
+    # (3, 0) and (-6, 0): the direction (1, 0) is also met as (1, -0.0)
+    mu = rl.from_cosine_sum(2, [(1.0, [3.0, 0.0]), (0.5, [-6.0, 0.0])])
+    mu.validate()
+    assert np.signbit(mu.omegas[:, 1]).any()
+    density = rl.density_from_spectrum(mu, 1.0)
+    assert density.directions.tolist() == [[-1.0, 0.0], [1.0, 0.0]]
+    assert [len(p.trig_freqs) for p in density.profiles] == [4, 4]
+
+
+def test_parallel_frequencies_share_one_direction():
+    # (0.5, 0.5) and (1.5, 1.5) normalise to directions one ulp apart; as two
+    # directions the density failed its evenness check (exit 3)
+    t1, t2 = math.sqrt(0.5), math.sqrt(4.5)
+    density = rl.density_from_spectrum(rl.from_cosine_sum(2, [(1.0, [0.5, 0.5]), (1.0, [1.5, 1.5])]), 1.0)
+    assert len(density) == 2
+    assert [sorted(p.trig_freqs.tolist()) for p in density.profiles] == [sorted([t1, -t1, t2, -t2])] * 2
+    on_axis = rl.density_from_spectrum(rl.from_cosine_sum(2, [(1.0, [t1, 0.0]), (1.0, [t2, 0.0])]), 1.0)
+    assert rl.tv_norm(density) == pytest.approx(rl.tv_norm(on_axis), rel=1e-12)
