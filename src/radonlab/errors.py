@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all modules, the CLI exit-code mapping and the input-file integer check."""
+"""Exception hierarchy shared by all modules, the CLI exit-code mapping and the input-file field checks."""
 
 from __future__ import annotations
 
@@ -45,6 +45,15 @@ def integer_field(payload: dict, key: str, what: str) -> int:
     if isinstance(value, bool) or not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
         raise InvalidInputError(f"malformed {what} file: {key!r} must be an integer, not {value!r}")
     return int(value)
+
+
+def float_field(payload: dict, key: str, what: str) -> float:
+    """``payload[key]`` of an input file as a float; a value ``float`` refuses raises, naming the field."""
+    value = payload[key]
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"malformed {what} file: {key!r} must be a number, not {value!r}") from None
 
 
 # CLI contract: 0 pass, 1 assertion fail, 2 parse error, 3 invariant violation,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidInputError, PreconditionError, integer_field
+from .errors import DomainError, InvalidInputError, PreconditionError, float_field, integer_field
 from .harmonics import harmonic_dim, harmonic_eval, sphere_surface, weighted_profile_integral
 from .quadrature import BallGrid, QuadratureRule, gauss_legendre, sphere_rule
 from .radon_measure import DirectionProfile, RadonDensity
@@ -275,9 +275,9 @@ def load_null_term(path) -> HarmonicNullTerm:
             k=integer_field(payload, "k", "null-term"),
             j=integer_field(payload, "j", "null-term"),
             kprime=integer_field(payload, "kprime", "null-term"),
-            coeff=float(payload["coeff"]),
+            coeff=float_field(payload, "coeff", "null-term"),
             d=integer_field(payload, "d", "null-term"),
-            R=float(payload["R"]),
+            R=float_field(payload, "R", "null-term"),
         )
     except (KeyError, TypeError) as exc:
         raise InvalidInputError(f"malformed null-term file: {exc}") from exc

@@ -17,14 +17,18 @@ scale at most sqrt(d) times the norm (requires R <= 1).
 
 Both samplers and ``error_decay_experiment`` draw through one path: a plan
 computed once per density and convention, then one inverse-CDF pass per
-direction over the neurons of any number of seeded streams.
+direction over the neurons of any number of seeded streams.  Each draw is
+a safeguarded Newton solve inside its panel, started from the CDF of a
+sine lobe that vanishes at the panel's sign-change roots.
 
 Every network is evaluated one way: its neurons are grouped by distinct
 direction, and each group's ramps are summed from prefix sums over its
-sorted biases, in O(n log n + m N log n) for m distinct directions on N
-points, with no N x n ramp matrix.  A sampled network has only as many
-distinct directions as the density, and a null-space network repeats each
-sphere node over all of its bias nodes, so m is far below n for both.
+sorted biases, with no N x n ramp matrix.  The same kernel scores all
+seeded streams of a ladder batch at once, one pass per direction, and a
+stream's values have the same bits there as from its network alone.  A
+sampled network has only as many distinct directions as the density, and
+a null-space network repeats each sphere node over all of its bias nodes,
+so the directions are far fewer than the neurons for both.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMeasureError, DomainError, InvalidInputError, integer_field
+from .errors import DegenerateMeasureError, DomainError, InvalidInputError, float_field, integer_field
 from .quadrature import BallGrid, ball_grid
 from .radon_measure import (
     AffinePart,
@@ -98,21 +102,22 @@ class TwoLayerNet:
     def evaluate(self, X):
         """Network value at points of shape (d,) or (N, d); a float for a single point.
 
-        Ramps are summed per distinct direction by ``_ramp_sums``, in
-        O(n log n + m N log n) for m distinct directions and N points, with
-        no N x n array.  With all n directions distinct that is one
-        Python-level pass per neuron, 10-15x the dense product it replaced
-        at 4096 neurons x 500 points (2-core machine); no CLI command
-        evaluates such a net.
+        Ramps are summed per distinct direction by ``_ramp_sums``, with no
+        N x n array.  With all n directions distinct its Python loop makes
+        two steps per neuron: about 13x the dense product at 4096 neurons x
+        500 points in d=3 (2-core machine, 150-170 ms against 11-13 ms); no
+        CLI command evaluates such a net.
         """
         pts = np.asarray(X, dtype=float)
         single = pts.ndim <= 1
         pts = np.atleast_2d(pts if pts.ndim else pts.reshape(1))
         if pts.shape[1] != self.d:
             raise InvalidInputError(f"points of shape {pts.shape} do not match d={self.d}")
-        _, first, labels = np.unique(self.omegas, axis=0, return_index=True, return_inverse=True)
-        base = _project(pts, self.v[None, :])[0] + self.c
-        out = _net_values(base, self.kappa, self.a, self.b, labels.ravel(), _project(pts, self.omegas[first]))
+        out = _project(pts, self.v[None, :])[0] + self.c
+        if self.n:
+            _, first, labels = np.unique(self.omegas, axis=0, return_index=True, return_inverse=True)
+            ramps = _ramp_sums(self.a, self.b, labels.ravel(), _project(pts, self.omegas[first]))
+            out = out + (self.kappa / self.n) * ramps
         return float(out[0]) if single else out
 
     def check_convention(self, R: float | None = None, norm: float | None = None, slack: float = 1e-10) -> None:
@@ -148,13 +153,18 @@ def _inverse_cdf(profile: DirectionProfile, panels, u: np.ndarray) -> tuple[np.n
     and the signs of g at them: +-1, the sign of the panel each b lies in.
 
     The panel holding each target comes from the running masses; inside it
-    the CDF |G_1(b) - G_1(r_k)| is monotone with derivative |g|, so Newton's
-    method is run from the linear guess and replaced by bisection whenever
-    it leaves the shrinking bracket.  A draw stops once its step is below
-    1e-9 of the interval: Newton's error after such a step is of its
-    square, and smaller steps would only chase the rounding noise of G_1.
-    Only the draws still moving are iterated, and each step reads G_1 and g
-    off one evaluation of the trig terms.
+    the CDF |G_1(b) - G_1(r_k)| is monotone with derivative |g|.  Newton's
+    method starts from the CDF of a sine lobe with the panel's roots: the
+    interior panel edges are sign-change roots, where g = 0, so with s the
+    target's share of the panel mass a panel with a root at both edges
+    starts at the fraction arccos(1 - 2s)/pi of its width, one with a root
+    at its left edge only at (2/pi) arccos(1 - s), at its right edge only at
+    (2/pi) arcsin(s), and one with no root at s.  Newton is replaced by
+    bisection whenever it leaves the shrinking bracket.  A draw stops once
+    its step is below 1e-9 of the interval: Newton's error after such a
+    step is of its square, and smaller steps would only chase the rounding
+    noise of G_1.  Only the draws still moving are iterated, and each step
+    reads G_1 and g off one evaluation of the trig terms.
     """
     edges, g1, cum = panels
     target = u * cum[-1]
@@ -163,7 +173,14 @@ def _inverse_cdf(profile: DirectionProfile, panels, u: np.ndarray) -> tuple[np.n
     sign = signs = np.where(g1[k + 1] >= g1[k], 1.0, -1.0)
     lo, hi = edges[k], edges[k + 1]
     panel_mass = cum[k + 1] - cum[k]
-    b = lo + (hi - lo) * np.divide(rest, panel_mass, out=np.zeros_like(rest), where=panel_mass > 0)
+    s = np.clip(np.divide(rest, panel_mass, out=np.zeros_like(rest), where=panel_mass > 0), 0.0, 1.0)
+    left, right = k > 0, k < len(edges) - 2  # the panel's left and right edges are roots
+    lobe = np.where(
+        left,
+        np.where(right, np.arccos(1.0 - 2.0 * s) / np.pi, np.arccos(1.0 - s) * (2.0 / np.pi)),
+        np.where(right, np.arcsin(s) * (2.0 / np.pi), s),
+    )
+    b = lo + (hi - lo) * lobe
     tol = 1e-9 * (edges[-1] - edges[0])
     live = np.arange(len(b))
     x, start = b.copy(), g1[k]
@@ -313,38 +330,83 @@ def _project(points: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ramp_sums(a: np.ndarray, b: np.ndarray, labels: np.ndarray, proj: np.ndarray) -> np.ndarray:
-    """sum_i a_i (<w_i, x> - b_i)_+ at every point x, summed per direction group.
+_SCORE_BLOCK = 2**16  # most entries of each table of one block of (direction, stream) groups
+
+
+def _ramp_sums(a: np.ndarray, b: np.ndarray, labels: np.ndarray, proj: np.ndarray, sizes=None) -> np.ndarray:
+    """sum_i a_i (<w_i, x> - b_i)_+ at every point x, per stream, summed per direction group.
 
     Neuron i has direction label ``labels[i]``, and ``proj[labels[i]]``
-    holds the points' projections on that direction.  Each group's biases
-    are sorted once, with prefix sums A of a_i and B of a_i b_i; a point
-    whose projection p lies above the first k biases of its group gets
-    sum_i a_i (p - b_i)_+ = p A_k - B_k, with k found by binary search (a
-    bias equal to p adds nothing either way).  Groups are added in the
-    order their directions first appear among the neurons.  Cost
-    O(n log n + m N log n) for m groups and N points, with no N x n array.
+    holds the points' projections on that direction.  The neurons are
+    consecutive streams of ``sizes`` neurons, and row s of the
+    (streams, points) result sums stream s alone; without ``sizes`` they
+    are one stream and the result is that row.
+
+    The biases of each (direction, stream) group are sorted once, with
+    prefix sums A of a_i and B of a_i b_i held as the zero-padded rows of
+    one table; a point whose projection p lies above the first k biases
+    of its group gets sum_i a_i (p - b_i)_+ = p A_k - B_k (a bias equal
+    to p adds nothing either way).  k is an exact count: each bias is
+    ranked among its direction's sorted projections by binary search, and
+    the ranks are counted and summed up along the points of every group.
+    Each stream adds its groups in label order, so its row has the same
+    bits in any batch as from its own neurons alone.  Groups go in blocks
+    whose tables hold at most ``_SCORE_BLOCK`` entries each; the Python
+    loop runs over the directions of a block.
     """
-    out = np.zeros(proj.shape[1])
-    if not len(a):
-        return out
-    order = np.lexsort((b, labels))
-    starts = np.flatnonzero(np.diff(labels[order], prepend=-1))
-    ends = np.append(starts[1:], len(order))
-    for g in np.argsort(np.minimum.reduceat(order, starts)):
-        sel = order[starts[g] : ends[g]]
-        bs, a_s = b[sel], a[sel]
-        p = proj[labels[sel[0]]]
-        k = np.searchsorted(bs, p, side="left")
-        out += p * np.append(0.0, np.cumsum(a_s))[k] - np.append(0.0, np.cumsum(a_s * bs))[k]
-    return out
-
-
-def _net_values(base: np.ndarray, kappa: float, a, b, labels: np.ndarray, proj: np.ndarray) -> np.ndarray:
-    """Values at the points of the net of ``base`` (its affine part at the
-    points), outer scale ``kappa`` and neurons (a, b, labels), the ramps
-    from ``_ramp_sums``."""
-    return base + (kappa / len(a)) * _ramp_sums(a, b, labels, proj) if len(a) else base
+    one = sizes is None
+    sizes = np.array([len(a)] if one else sizes, dtype=np.intp)
+    S, N = len(sizes), proj.shape[1]
+    out = np.zeros((S, N))
+    # neurons by (direction, stream), then bias, ties in neuron order: a
+    # stable sort of the group keys after a bias sort that is stable when it
+    # has to be; keys below 2**16 sort by radix
+    key = labels * S + np.repeat(np.arange(S), sizes)
+    order = np.argsort(b)
+    if np.any(b[order[1:]] == b[order[:-1]]):
+        order = np.argsort(b, kind="stable")
+    order = order[np.argsort(key[order].astype(np.uint16) if len(proj) * S <= 2**16 else key[order], kind="stable")]
+    key, a, b = key[order], a[order], b[order]
+    # the (direction, stream) groups, and each neuron's group and 1-based place in it
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    counts = np.diff(np.append(starts, len(order)))
+    group = np.repeat(np.arange(len(starts)), counts)
+    place = np.arange(len(order)) - starts[group] + 1
+    g0 = 0
+    while g0 < len(starts):
+        # as many groups as keep rows x (points + widest group + 2) within the block
+        widest = np.maximum.accumulate(counts[g0 : g0 + max(1, _SCORE_BLOCK // (N + 2))])
+        g1 = g0 + max(1, int(np.count_nonzero(np.arange(1, len(widest) + 1) * (N + 2 + widest) <= _SCORE_BLOCK)))
+        sel = slice(starts[g0], starts[g1] if g1 < len(starts) else len(order))
+        rows, width = group[sel] - g0, widest[g1 - g0 - 1] + 1
+        A, B = prefix = np.zeros((2, g1 - g0, width))
+        prefix[:, rows, place[sel]] = a[sel], a[sel] * b[sel]
+        np.cumsum(prefix, axis=2, out=prefix)
+        # the block's directions, the order of their projections, and each
+        # point's place in it (tied projections get the same k in any order)
+        label, into = np.divmod(key[starts[g0:g1]], S)
+        dirs, first, dir_of = np.unique(label, return_index=True, return_inverse=True)
+        p = proj[dirs]
+        ranks = np.argsort(p, axis=1)
+        place_of = np.empty_like(ranks)
+        place_of[np.arange(len(dirs))[:, None], ranks] = np.arange(N)
+        p = np.sort(p, axis=1)
+        # each bias's count of the points at or below it, then k at every point
+        above = np.empty(sel.stop - sel.start, dtype=np.intp)
+        bs = b[sel]
+        cuts = (np.append(starts[g0 + first], sel.stop) - sel.start).tolist()
+        for j in range(len(dirs)):
+            above[cuts[j] : cuts[j + 1]] = p[j].searchsorted(bs[cuts[j] : cuts[j + 1]], side="right")
+        k = np.bincount(rows * (N + 1) + above, minlength=(g1 - g0) * (N + 1)).reshape(g1 - g0, N + 1)
+        k = np.take_along_axis(np.cumsum(k[:, :N], axis=1), place_of[dir_of], axis=1)
+        k += np.arange(0, A.size, width)[:, None]
+        vals = proj[label] * A.take(k) - B.take(k)
+        # each stream adds its directions in label order
+        bounds = np.append(first, g1 - g0).tolist()
+        for lo, hi in zip(bounds, bounds[1:]):
+            out[into[lo:hi]] += vals[lo:hi]
+        g0 = g1
+    return out[0] if one else out
 
 
 def sup_error(net: TwoLayerNet, mu: SpectralMeasure, grid: BallGrid) -> float:
@@ -403,7 +465,8 @@ def error_decay_experiment(
     to the bit: a profile's value does not depend on the other draws of its
     batch.
     A trial's error is ``sup_error`` of its network to the bit: the same
-    per-direction sum, with f and the grid's projections computed once.
+    per-direction sum, directions added in the same order, with f and the
+    grid's projections computed once.
 
     The draw plan (direction probabilities, outer scale, affine part and,
     for prop2, the folded affine part) is computed once per ladder.  Whole
@@ -412,11 +475,12 @@ def error_decay_experiment(
     batch costs one inverse-CDF pass per direction rather than one per
     trial.  The cap bounds the experiment's memory at the cost of more
     passes: a d=1, 16..4096 x 20-trial ladder (109,120 neurons) makes 7
-    batches and peaks at 3.8 MiB under ``tracemalloc``, against 1.9 MiB in
-    14 batches of 2**13, 6.7 MiB in 4 batches of 2**15 and 15.6 MiB in one.
-    On the ``decay-ladder`` benchmark (2-core VM), caps of 2**13, 2**14
-    and 2**15 gave 1.98x, 2.27x and 2.30x the operations per second of one
-    pass per trial, and raised the peak RSS by 0.2%, 0.6% and 3.1%.
+    batches and peaks at 3.7 MiB under ``tracemalloc``, against 2.6 MiB in
+    14 batches of 2**13, 6.8 MiB in 4 batches of 2**15 and 17.0 MiB in one.
+    A batch also closes once its streams' ramp sums, one row of grid
+    values per stream, fill ``_SCORE_BLOCK`` entries, so thousands of
+    one-neuron streams do not make one large table.  Each batch is scored
+    by one ``_ramp_sums`` call over all of its streams.
     """
     return _ladder(mu, R, n_list, trials, seed, grid_size, convention)[0]
 
@@ -436,39 +500,39 @@ def _ladder(
     grid = ball_grid(mu.d, R, grid_size, mode="low-discrepancy")
     affine = fit_affine(mu, density, ball_grid(mu.d, R, max(200, mu.d + 2), mode="low-discrepancy"))
     plan = _draw_plan(density, affine, convention, norm)
-    # f, the affine part and the projections on every direction a neuron can draw, once
+    # f, the affine part and the projections on every direction a neuron can
+    # draw, once; directions are labelled by the ranks that evaluate gives them
     f = mu.evaluate(grid.points)
     base = _project(grid.points, plan.v[None, :])[0] + plan.c
-    proj = _project(grid.points, plan.rows)
-    # whole (n, seed) streams in (width, trial) order, in runs of at most _BATCH_DRAWS neurons
+    rows, labels = np.unique(plan.rows, axis=0, return_inverse=True)
+    proj, labels = _project(grid.points, rows), labels.ravel()
+    # whole (n, seed) streams in (width, trial) order, in runs of at most
+    # _BATCH_DRAWS neurons and of streams whose ramp sums fill _SCORE_BLOCK
     batches, size = [[]], 0
     for ni, n in enumerate(n_list):
         for t in range(trials):
-            if batches[-1] and size + n > _BATCH_DRAWS:
+            if batches[-1] and (size + n > _BATCH_DRAWS or len(batches[-1]) * len(grid) >= _SCORE_BLOCK):
                 batches.append([])
                 size = 0
             batches[-1].append((n, [seed, ni, t]))
             size += n
     errors, best = [], None
     for batch in batches:
-        cuts = np.cumsum([n for n, _ in batch])[:-1]
-        for idx, a, b in zip(*(np.split(x, cuts) for x in _draw(plan, batch))):
-            errors.append(float(np.max(np.abs(_net_values(base, plan.kappa, a, b, idx, proj) - f))))
-            if len(a) == n_list[-1] and (best is None or errors[-1] < best[0]):
-                best = (errors[-1], idx, a, b)
+        sizes = np.array([n for n, _ in batch])
+        idx, a, b = _draw(plan, batch)
+        sums = _ramp_sums(a, b, labels[idx], proj, sizes)
+        scores = np.max(np.abs(base + (plan.kappa / sizes)[:, None] * sums - f), axis=1)
+        errors.extend(scores.tolist())
+        wide = np.flatnonzero(sizes == n_list[-1])
+        if len(wide) and (best is None or scores[wide].min() < best[0]):
+            s = wide[np.argmin(scores[wide])]
+            cut = slice(sizes[:s].sum(), sizes[: s + 1].sum())
+            best = (scores[s], idx[cut], a[cut], b[cut])
     reports = [
         ApproxReport(n, trials, seed, R * norm / math.sqrt(n), tuple(errors[ni * trials : (ni + 1) * trials]), len(grid))
         for ni, n in enumerate(n_list)
     ]
     return reports, norm, grid, plan.net(*best[1:]) if best else None
-
-
-def decay_slope(reports: list[ApproxReport]) -> float:
-    """Log-log regression slope of mean sup error against width."""
-    x = np.log([r.n for r in reports])
-    y = np.log([r.mean_error for r in reports])
-    slope, _ = np.polyfit(x, y, 1)
-    return float(slope)
 
 
 def _json_float(x: float) -> str:
@@ -478,11 +542,11 @@ def _json_float(x: float) -> str:
     return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
 
 
-def _json_list(values, indent: str) -> str:
-    """A list of floats laid out as ``json.dump(indent=2)`` lays it out at this depth."""
-    if not values:
+def _json_list(items, indent: str) -> str:
+    """A list of json texts laid out as ``json.dump(indent=2)`` lays it out at this depth."""
+    if not items:
         return "[]"
-    items = f",\n{indent}  ".join(map(_json_float, values))
+    items = f",\n{indent}  ".join(items)
     return f"[\n{indent}  {items}\n{indent}]"
 
 
@@ -492,14 +556,22 @@ def save_network(path, net: TwoLayerNet) -> None:
     The text is what ``json.dump(payload, indent=2, sort_keys=True)`` writes
     for the schema's fixed keys, composed directly: indented output goes
     through json's pure-Python encoder, which was most of the cost of
-    saving a wide network.
+    saving a wide network.  A finite net's neurons fill copies of one
+    template with the reprs of their d + 2 floats, in one ``%`` pass; a net
+    with a NaN or an infinity writes each value as json does.
     """
-    neurons = [
-        f'    {{\n      "a": {_json_float(a)},\n      "b": {_json_float(b)},\n'
-        f'      "omega": {_json_list(w, "      ")}\n    }}'
-        for a, w, b in zip(net.a.tolist(), net.omegas.tolist(), net.b.tolist())
-    ]
-    neuron_list = "[\n" + ",\n".join(neurons) + "\n  ]" if neurons else "[]"
+    if all(np.isfinite(x).all() for x in (net.a, net.omegas, net.b)):
+        omega = _json_list(["%s"] * net.d, "      ")
+        neuron = f'    {{\n      "a": %s,\n      "b": %s,\n      "omega": {omega}\n    }}'
+        values = np.column_stack([net.a, net.b, net.omegas]).ravel().tolist()
+        neurons = ",\n".join([neuron] * net.n) % tuple(map(float.__repr__, values))
+    else:
+        neurons = ",\n".join(
+            f'    {{\n      "a": {_json_float(a)},\n      "b": {_json_float(b)},\n'
+            f'      "omega": {_json_list(list(map(_json_float, w)), "      ")}\n    }}'
+            for a, w, b in zip(net.a.tolist(), net.omegas.tolist(), net.b.tolist())
+        )
+    neuron_list = "[\n" + neurons + "\n  ]" if net.n else "[]"
     text = (
         "{\n"
         f'  "c": {_json_float(float(net.c))},\n'
@@ -507,11 +579,19 @@ def save_network(path, net: TwoLayerNet) -> None:
         f'  "d": {json.dumps(net.d)},\n'
         f'  "kappa": {json.dumps(net.kappa)},\n'
         f'  "neurons": {neuron_list},\n'
-        f'  "v": {_json_list(net.v.tolist(), "  ")}\n'
+        f'  "v": {_json_list(list(map(_json_float, net.v.tolist())), "  ")}\n'
         "}\n"
     )
     with open(path, "w") as fh:
         fh.write(text)
+
+
+def _float_field(values, key: str, shape=None) -> np.ndarray:
+    """A network file's list field as a float array, refused with the field's name."""
+    try:
+        return np.array(values, dtype=float).reshape(shape or -1)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"malformed network file: {key!r}: {exc}") from exc
 
 
 def load_network(path) -> TwoLayerNet:
@@ -522,12 +602,12 @@ def load_network(path) -> TwoLayerNet:
         d = integer_field(payload, "d", "network")
         return TwoLayerNet(
             d=d,
-            a=np.array([x["a"] for x in neurons], dtype=float),
-            omegas=np.array([x["omega"] for x in neurons], dtype=float).reshape(len(neurons), d),
-            b=np.array([x["b"] for x in neurons], dtype=float),
-            kappa=float(payload["kappa"]),
-            v=np.asarray(payload["v"], dtype=float),
-            c=float(payload["c"]),
+            a=_float_field([x["a"] for x in neurons], "a"),
+            omegas=_float_field([x["omega"] for x in neurons], "omega", (len(neurons), d)),
+            b=_float_field([x["b"] for x in neurons], "b"),
+            kappa=float_field(payload, "kappa", "network"),
+            v=_float_field(payload["v"], "v"),
+            c=float_field(payload, "c", "network"),
             convention=str(payload["convention"]),
         )
     except (KeyError, TypeError) as exc:

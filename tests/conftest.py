@@ -62,3 +62,11 @@ def random_cosine_terms(rng, d, n_terms=3, freq_range=(0.5, 5.0), amp_range=(-2.
         xi = direction * rng.uniform(*freq_range)
         terms.append((float(rng.uniform(*amp_range)), xi))
     return terms
+
+
+def decay_slope(reports) -> float:
+    """Log-log regression slope of mean sup error against width."""
+    x = np.log([r.n for r in reports])
+    y = np.log([r.mean_error for r in reports])
+    slope, _ = np.polyfit(x, y, 1)
+    return float(slope)

@@ -17,9 +17,8 @@ import pytest
 
 import radonlab as rl
 from radonlab.cli import main
-from radonlab.sparsifier import decay_slope
 
-from conftest import EPS, near_cancel_fpp, random_cosine_terms, second_derivative_norm_1d
+from conftest import EPS, decay_slope, near_cancel_fpp, random_cosine_terms, second_derivative_norm_1d
 
 NEAR_CANCEL_TERMS = [(1.0, np.array([1.0])), (-1.0, np.array([1.0 + EPS]))]
 

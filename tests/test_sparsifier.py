@@ -14,10 +14,10 @@ import radonlab.sparsifier as sparsifier
 from scipy.optimize import brentq
 
 from radonlab.errors import DegenerateMeasureError, DomainError, InvalidInputError
-from radonlab.radon_measure import RadonDensity
-from radonlab.sparsifier import _draw, _draw_plan, _inverse_cdf, _project, _ramp_sums, decay_slope
+from radonlab.radon_measure import RadonDensity, _ProfileStack
+from radonlab.sparsifier import _draw, _draw_plan, _inverse_cdf, _project, _ramp_sums
 
-from conftest import random_cosine_terms
+from conftest import decay_slope, random_cosine_terms
 
 
 @pytest.fixture
@@ -367,6 +367,77 @@ def test_ramp_sums_empty_network():
     assert rl.sup_error(net, mu, rl.BallGrid(2, 1.0, X, "lattice")) == pytest.approx(dense_sup_error(net, mu, X), rel=1e-12)
 
 
+def stream_case(rng, ties):
+    """Neurons of consecutive streams on five directions, and the projections of 40 points.
+
+    Stream 1 and 4 hold one neuron, stream 2 none and stream 5 a single
+    direction, so most streams lack some direction.  With ``ties``, points
+    and directions are dyadic, so the projections are exact; every third
+    bias is a projection of a point on its own direction and every fourth
+    repeats the bias before it with another coefficient.
+    """
+    if ties:
+        dirs = np.array([[1.0, 0.0], [0.0, -1.0], [0.5, 0.5], [-0.25, 0.75], [1.0, 1.0]])
+        X = rng.integers(-8, 9, size=(40, 2)) / 16
+    else:
+        dirs = rng.normal(size=(5, 2))
+        X = rng.uniform(-1.0, 1.0, size=(40, 2))
+    sizes = [9, 1, 0, 23, 1, 12, 40]
+    labels = rng.integers(0, 5, sum(sizes))
+    labels[sizes[0] + sizes[1] + sizes[3] + sizes[4] :][: sizes[5]] = 3
+    proj = _project(X, dirs)
+    b = rng.uniform(-1.0, 1.0, len(labels))
+    a = rng.normal(size=len(labels))
+    if ties:
+        b[::3] = proj[labels[::3], rng.integers(0, len(X), len(b[::3]))]
+        b[4::4] = b[3::4][: len(b[4::4])]
+    return a, b, labels, proj, sizes, X, dirs
+
+
+@pytest.mark.parametrize("ties", [False, True])
+def test_ramp_sums_rows_equal_one_stream_calls_bit_for_bit(monkeypatch, ties):
+    rng = np.random.default_rng(17)
+    a, b, labels, proj, sizes, X, dirs = stream_case(rng, ties)
+    assert not ties or np.isin(b, proj).sum() >= 20 and len(np.unique(b)) < len(b)
+    want = _ramp_sums(a, b, labels, proj, sizes)
+    assert want.shape == (len(sizes), len(X))
+    cuts = np.cumsum(sizes)[:-1]
+    for row, a_t, b_t, l_t in zip(want, np.split(a, cuts), np.split(b, cuts), np.split(labels, cuts)):
+        assert np.array_equal(row, _ramp_sums(a_t, b_t, l_t, proj))
+        assert_matches_dense(row, dense_ramp_sum(X, dirs[l_t], a_t, b_t))
+    # blocks of one (direction, stream) group each, and of a few
+    for block in (1, 200, 3000):
+        monkeypatch.setattr(sparsifier, "_SCORE_BLOCK", block)
+        assert np.array_equal(_ramp_sums(a, b, labels, proj, sizes), want)
+
+
+def ramp_points_per_draw(monkeypatch, freq):
+    density = rl.density_from_spectrum(rl.from_cosine_sum(1, [(1.0, [freq])]), 1.0)
+    points = []
+    values = _ProfileStack.values
+
+    def counted(self, b, *args):
+        points.append(np.size(b))
+        return values(self, b, *args)
+
+    monkeypatch.setattr(_ProfileStack, "values", counted)
+    panels = density.panels(-1.0, 1.0)[0]
+    u = np.random.default_rng(0).random(10_000)
+    _inverse_cdf(density.profiles[0], panels, u)
+    return len(panels[0]) - 2, sum(points) / len(u)
+
+
+def test_inverse_cdf_starts_from_the_lobe_of_its_panel(monkeypatch):
+    # cos(5x) on (-1, 1) has four roots, so most draws lie in panels with a
+    # root at both edges, where a sine lobe is the profile itself; the
+    # linear start took 4.67 profile points per draw
+    roots, per_draw = ramp_points_per_draw(monkeypatch, 5.0)
+    assert roots == 4 and per_draw <= 2.0
+    # cos(0.7x) has none: its start is still linear (3.36 points per draw)
+    roots, per_draw = ramp_points_per_draw(monkeypatch, 0.7)
+    assert roots == 0 and per_draw <= 3.5
+
+
 # --- TwoLayerNet.evaluate against the dense sum -------------------------------
 
 
@@ -469,6 +540,20 @@ def test_error_decay_trials_equal_sup_error_bit_for_bit(axis_measure, convention
             assert rl.sup_error(net, mu, grid) == err
 
 
+def test_error_decay_adds_directions_in_the_order_evaluate_does():
+    # prop2 in d=3 draws l1-unit rows whose sorted order is not the
+    # density's; at these widths, labelling them in the density's order
+    # moves 2 of the 18 errors off sup_error in the last bit
+    mu, R = rl.from_cosine_sum(3, D3_TERMS), 1.0
+    reports = rl.error_decay_experiment(mu, R, [16, 256, 1024], trials=6, seed=11, convention="prop2")
+    density = rl.density_from_spectrum(mu, R)
+    affine = rl.fit_affine(mu, density, rl.ball_grid(3, R, 200, mode="low-discrepancy"))
+    grid = rl.ball_grid(3, R, 500, mode="low-discrepancy")
+    for ni, report in enumerate(reports):
+        for t, err in enumerate(report.errors):
+            assert rl.sup_error(rl.l1_normalized_network(density, affine, report.n, [11, ni, t]), mu, grid) == err
+
+
 # --- one draw pass per batch of streams --------------------------------------
 
 LADDER = [16, 64, 256, 1024, 4096]
@@ -498,6 +583,20 @@ def test_error_decay_memory_stays_bounded(near_cancel_measure):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak < 10 * 2**20
+
+
+def test_error_decay_of_many_narrow_streams_stays_bounded(near_cancel_measure):
+    # 8,000 streams of one or two neurons fit one draw batch; their ramp
+    # sums as one (streams, points) table would take 32 MiB
+    rl.error_decay_experiment(near_cancel_measure, 1.0, [1], trials=1, seed=0)
+    tracemalloc.start()
+    try:
+        reports = rl.error_decay_experiment(near_cancel_measure, 1.0, [1, 2], trials=4000, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [len(r.errors) for r in reports] == [4000, 4000]
     assert peak < 10 * 2**20
 
 
