@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 
 class RadonlabError(Exception):
     """Base class for all library errors."""
@@ -47,13 +49,18 @@ def integer_field(payload: dict, key: str, what: str) -> int:
     return int(value)
 
 
-def float_field(payload: dict, key: str, what: str) -> float:
-    """``payload[key]`` of an input file as a float; a value ``float`` refuses raises, naming the field."""
+def float_field(payload: dict, key: str, what: str, array: bool = False):
+    """``payload[key]`` of an input file as a float, or with ``array`` as a float array of the lists' shape.
+
+    A value that does not convert raises, naming the field.
+    """
     value = payload[key]
     try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise InvalidInputError(f"malformed {what} file: {key!r} must be a number, not {value!r}") from None
+        return np.array(value, dtype=float) if array else float(value)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(
+            f"malformed {what} file: {key!r} must be {'numbers' if array else 'a number'}: {exc}"
+        ) from None
 
 
 # CLI contract: 0 pass, 1 assertion fail, 2 parse error, 3 invariant violation,

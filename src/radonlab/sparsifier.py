@@ -358,14 +358,9 @@ def _ramp_sums(a: np.ndarray, b: np.ndarray, labels: np.ndarray, proj: np.ndarra
     sizes = np.array([len(a)] if one else sizes, dtype=np.intp)
     S, N = len(sizes), proj.shape[1]
     out = np.zeros((S, N))
-    # neurons by (direction, stream), then bias, ties in neuron order: a
-    # stable sort of the group keys after a bias sort that is stable when it
-    # has to be; keys below 2**16 sort by radix
+    # neurons by (direction, stream), then bias, ties in neuron order
     key = labels * S + np.repeat(np.arange(S), sizes)
-    order = np.argsort(b)
-    if np.any(b[order[1:]] == b[order[:-1]]):
-        order = np.argsort(b, kind="stable")
-    order = order[np.argsort(key[order].astype(np.uint16) if len(proj) * S <= 2**16 else key[order], kind="stable")]
+    order = np.lexsort((b, key))
     key, a, b = key[order], a[order], b[order]
     # the (direction, stream) groups, and each neuron's group and 1-based place in it
     starts = np.flatnonzero(np.diff(key, prepend=-1))
@@ -556,21 +551,15 @@ def save_network(path, net: TwoLayerNet) -> None:
     The text is what ``json.dump(payload, indent=2, sort_keys=True)`` writes
     for the schema's fixed keys, composed directly: indented output goes
     through json's pure-Python encoder, which was most of the cost of
-    saving a wide network.  A finite net's neurons fill copies of one
-    template with the reprs of their d + 2 floats, in one ``%`` pass; a net
-    with a NaN or an infinity writes each value as json does.
+    saving a wide network.  The neurons fill copies of one template with
+    their d + 2 floats in one ``%`` pass: their reprs, or json's names for
+    them when the net holds a NaN or an infinity.
     """
-    if all(np.isfinite(x).all() for x in (net.a, net.omegas, net.b)):
-        omega = _json_list(["%s"] * net.d, "      ")
-        neuron = f'    {{\n      "a": %s,\n      "b": %s,\n      "omega": {omega}\n    }}'
-        values = np.column_stack([net.a, net.b, net.omegas]).ravel().tolist()
-        neurons = ",\n".join([neuron] * net.n) % tuple(map(float.__repr__, values))
-    else:
-        neurons = ",\n".join(
-            f'    {{\n      "a": {_json_float(a)},\n      "b": {_json_float(b)},\n'
-            f'      "omega": {_json_list(list(map(_json_float, w)), "      ")}\n    }}'
-            for a, w, b in zip(net.a.tolist(), net.omegas.tolist(), net.b.tolist())
-        )
+    fmt = float.__repr__ if all(np.isfinite(x).all() for x in (net.a, net.omegas, net.b)) else _json_float
+    omega = _json_list(["%s"] * net.d, "      ")
+    neuron = f'    {{\n      "a": %s,\n      "b": %s,\n      "omega": {omega}\n    }}'
+    values = np.column_stack([net.a, net.b, net.omegas]).ravel().tolist()
+    neurons = ",\n".join([neuron] * net.n) % tuple(map(fmt, values))
     neuron_list = "[\n" + neurons + "\n  ]" if net.n else "[]"
     text = (
         "{\n"
@@ -586,27 +575,19 @@ def save_network(path, net: TwoLayerNet) -> None:
         fh.write(text)
 
 
-def _float_field(values, key: str, shape=None) -> np.ndarray:
-    """A network file's list field as a float array, refused with the field's name."""
-    try:
-        return np.array(values, dtype=float).reshape(shape or -1)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"malformed network file: {key!r}: {exc}") from exc
-
-
 def load_network(path) -> TwoLayerNet:
     with open(path) as fh:
         payload = json.load(fh)
     try:
         neurons = payload["neurons"]
-        d = integer_field(payload, "d", "network")
+        columns = {key: [x[key] for x in neurons] for key in ("a", "omega", "b")}
         return TwoLayerNet(
-            d=d,
-            a=_float_field([x["a"] for x in neurons], "a"),
-            omegas=_float_field([x["omega"] for x in neurons], "omega", (len(neurons), d)),
-            b=_float_field([x["b"] for x in neurons], "b"),
+            d=integer_field(payload, "d", "network"),
+            a=float_field(columns, "a", "network", array=True),
+            omegas=float_field(columns, "omega", "network", array=True),
+            b=float_field(columns, "b", "network", array=True),
             kappa=float_field(payload, "kappa", "network"),
-            v=_float_field(payload["v"], "v"),
+            v=float_field(payload, "v", "network", array=True),
             c=float_field(payload, "c", "network"),
             convention=str(payload["convention"]),
         )

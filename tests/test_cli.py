@@ -490,28 +490,32 @@ def test_verify_null_names_a_non_numeric_field(tmp_path, capsys, term_path, fiel
     path.write_text(json.dumps(term))
     out = tmp_path / "report.json"
     assert main(["verify-null", "--term", str(path), "--out", str(out)]) == EXIT_PARSE
-    assert capsys.readouterr().err == f"radonlab: malformed null-term file: {field!r} must be a number, not 'abc'\n"
+    assert capsys.readouterr().err == (
+        f"radonlab: malformed null-term file: {field!r} must be a number: could not convert string to float: 'abc'\n"
+    )
     assert not out.exists()
 
 
 @pytest.mark.parametrize(
     "field, value, message",
     [
-        ("kappa", '"x"', "'kappa' must be a number, not 'x'"),
-        ("c", "null", "'c' must be a number, not None"),
-        ("a", '"x"', "'a': could not convert string to float: 'x'"),
-        ("b", '{"x": 1}', "'b': float() argument must be a string or a real number, not 'dict'"),
-        ("omega", '[1.0, "x"]', "'omega': could not convert string to float: 'x'"),
-        ("omega", "[1.0, 0.0, 0.5]", "'omega': cannot reshape array of size 3 into shape (1,2)"),
-        ("v", '["x", 0.0]', "'v': could not convert string to float: 'x'"),
+        ("kappa", '"x"', "malformed network file: 'kappa' must be a number: could not convert string to float: 'x'"),
+        ("c", "null", "malformed network file: 'c' must be a number: float() argument must be a string or a real number, not 'NoneType'"),
+        ("a", '"x"', "malformed network file: 'a' must be numbers: could not convert string to float: 'x'"),
+        ("b", '{"x": 1}', "malformed network file: 'b' must be numbers: float() argument must be a string or a real number, not 'dict'"),
+        ("omega", '[1.0, "x"]', "malformed network file: 'omega' must be numbers: could not convert string to float: 'x'"),
+        ("v", '["x", 0.0]', "malformed network file: 'v' must be numbers: could not convert string to float: 'x'"),
+        # the field converts, and the network refuses its shape
+        ("v", "[[0.0, 0.0]]", "affine part v of shape (1, 2) does not match d=2"),
+        ("omega", "[1.0, 0.0, 0.5]", "cannot reshape array of size 3 into shape (1,2)"),
     ],
 )
-def test_modeconnect_names_a_non_numeric_network_field(tmp_path, capsys, term_path, field, value, message):
+def test_modeconnect_refuses_a_malformed_network_field(tmp_path, capsys, term_path, field, value, message):
     net = {"d": 2, "neurons": [{"a": 1.0, "omega": [1.0, 0.0], "b": 0.0}], "kappa": 1.0, "v": [0.0, 0.0], "c": 0.0}
     (net["neurons"][0] if field in ("a", "b", "omega") else net)[field] = json.loads(value)
     path = tmp_path / "net.json"
     path.write_text(json.dumps({**net, "convention": "thm2"}))
     out = tmp_path / "mc.json"
     assert main(["modeconnect", "--network", str(path), "--term", str(term_path), "--out", str(out)]) == EXIT_PARSE
-    assert capsys.readouterr().err.startswith(f"radonlab: malformed network file: {message}")
+    assert capsys.readouterr().err == f"radonlab: {message}\n"
     assert not out.exists()
