@@ -9,6 +9,15 @@ proportional to |x|^k Y_{k,j}(x/|x|), the non-null witness.  Discretizing a
 null density on a product quadrature yields finite ReLU networks with
 substantial coefficient mass and near-zero function values: displacement
 directions of near-constant loss.
+
+The bias integral has three nonzero monomial coefficients in c = <w, x>,
+kept in one place (``_ramp_moment``).  ``ramp_moment_closed_form``
+evaluates them pointwise; ``verify_null`` pairs them with the sphere
+rule by moments, so a whole grid costs one integer power of the
+points x nodes array and two matrix-vector products.  Integer powers are
+taken by repeated squaring (``_int_power``): numpy sends a float array to
+any integer power but 2 through libm ``pow``, tens of times slower than
+the products.
 """
 
 from __future__ import annotations
@@ -46,6 +55,10 @@ class HarmonicNullTerm:
         n = harmonic_dim(self.k, self.d)
         if not 1 <= self.j <= n:
             raise InvalidInputError(f"index j={self.j} outside 1..{n}")
+        if not math.isfinite(self.coeff):
+            raise InvalidInputError(f"null term coefficient coeff must be finite, not {self.coeff}")
+        if not math.isfinite(self.R):
+            raise InvalidInputError(f"ball radius R must be finite, not {self.R}")
         if self.R <= 0:
             raise InvalidInputError("ball radius must be positive")
 
@@ -84,31 +97,59 @@ class ModeConnectReport:
     grid_size: int
 
 
+def _int_power(x: np.ndarray, n: int) -> np.ndarray:
+    """x**n for an integer n >= 2 by repeated squaring, with elementwise products only.
+
+    The bits of n are taken from the top, so that every product after the
+    first is made in place.  The relative error is at most (n - 1) * 2**-53,
+    against about one ulp for libm ``pow``; that is far inside any tolerance
+    the pairings are checked to.
+    """
+    result = x * x
+    for i, bit in enumerate(bin(n)[3:]):
+        if i:
+            result *= result
+        if bit == "1":
+            result *= x
+    return result
+
+
+def _ramp_moment(c: np.ndarray, kprime: int, R: float) -> tuple[int, float, float, float]:
+    """The closed form of ``ramp_moment_closed_form`` as (k2, top, lin, const):
+    the integral is top * c^k2 + lin * c + const.  Refuses a negative k' and
+    any kink position c outside (-R, R)."""
+    if kprime < 0:
+        raise InvalidInputError("monomial degree must be nonnegative")
+    if c.max(initial=0.0) >= R or c.min(initial=0.0) <= -R:
+        raise DomainError(f"kink position |c| = {max(c.max(), -c.min())} must lie inside (-R, R)")
+    k1 = kprime + 1
+    k2 = kprime + 2
+    return k2, 1.0 / (k1 * k2), -((-R) ** k1) / k1, (-R) ** k2 / k2
+
+
 def ramp_moment_closed_form(c, kprime: int, R: float):
     """Closed-form bias integral of the ramp against b^{k'} over (-R, R).
 
-    For |c| < R:
+    For |c| < R, with k1 = k'+1 and k2 = k'+2,
         integral (c - b)_+ b^{k'} db
-      = (c^{k'+2} - (-R)^{k'+2}) / ((k'+1)(k'+2)) - (-R)^{k'+1} (c+R) / (k'+1),
-    the degree-(k'+2) polynomial obtained by integrating the monomial twice.
+      = c^{k2} / (k1 k2) - (-R)^{k1} c / k1 + (-R)^{k2} / k2,
+    the degree-k2 polynomial obtained by integrating the monomial twice.
     Vectorized over c; every kink position must lie inside (-R, R).
     """
-    if kprime < 0:
-        raise InvalidInputError("monomial degree must be nonnegative")
     c = np.asarray(c, dtype=float)
-    if np.any(np.abs(c) >= R):
-        raise DomainError(f"kink position |c| = {np.abs(c).max()} must lie inside (-R, R)")
-    k1 = kprime + 1
-    k2 = kprime + 2
-    return (c**k2 - (-R) ** k2) / (k1 * k2) - (-R) ** k1 * (c + R) / k1
+    k2, top, lin, const = _ramp_moment(c, kprime, R)
+    return top * _int_power(c, k2) + lin * c + const
 
 
 def verify_null(term: HarmonicNullTerm, xs: BallGrid, rule: QuadratureRule, tolerance: float = 1e-8) -> NullVerificationReport:
     """Check that the term pairs to ~0 against every ramp centered in the grid.
 
     The bias integral uses the closed form, so the only numerical error is
-    the sphere rule's; pass a rule exact to degree >= k + k' + 2.  All
-    points and nodes are paired in one points x nodes array.
+    the sphere rule's; pass a rule exact to degree >= k + k' + 2.  The
+    pairing of point x is sum_i v_i q(<w_i, x>) with v = weights * Y_{k,j},
+    and q has three monomials, so the grid's pairings are the moments
+    top * (c^k2 @ v) + lin * (c @ v) + const * sum(v) of the points x nodes
+    array c: one integer power and two matrix-vector products.
     """
     if not term.in_set_a:
         raise PreconditionError(
@@ -120,8 +161,10 @@ def verify_null(term: HarmonicNullTerm, xs: BallGrid, rule: QuadratureRule, tole
     if xs.R > term.R:
         raise InvalidInputError("grid must lie inside the term's ball")
     y = np.asarray(harmonic_eval(term.k, term.j, term.d, rule.nodes), dtype=float)
-    q = ramp_moment_closed_form(xs.points @ rule.nodes.T, term.kprime, term.R)
-    vals = term.coeff * (q @ (rule.weights * y))
+    v = rule.weights * y
+    c = xs.points @ rule.nodes.T
+    k2, top, lin, const = _ramp_moment(c, term.kprime, term.R)
+    vals = term.coeff * (top * (_int_power(c, k2) @ v) + lin * (c @ v) + const * v.sum())
     worst = float(np.abs(vals).max(initial=0.0))
     return NullVerificationReport(term=term, points=len(xs), max_ramp_integral=worst, tolerance=tolerance)
 
@@ -233,6 +276,8 @@ def mode_connect_perturb(
     the parameter-space displacement sum |s a_i|: large displacement with
     near-zero functional change is the flat direction being exhibited.
     """
+    if not math.isfinite(s):
+        raise InvalidInputError(f"scale s must be finite, not {s}")
     if base.d != term.d:
         raise InvalidInputError("network and term dimensions differ")
     if grid.R > term.R:

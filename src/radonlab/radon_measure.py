@@ -26,12 +26,13 @@ each sign change, and the brackets of all profiles are bisected to
 ``_SCAN_PER_HALF_PERIOD`` points per half-period pi/t of its profile's top
 frequency (and never fewer than ``_ROOT_SCAN``), so it brackets every root
 of a single cosine.  A profile whose scan would pass ``_MAX_SCAN`` points
-is refused with ``DomainError`` before anything is scanned.  A sum of
-terms can still hide a pair of roots in one scan cell of width h, where g
-dips across zero and back; the norm then loses twice the mass of that
-lobe, at most h^3 max|g''| / 6 per cell, with max|g''| <= sum_j |w_j| t_j^2
-+ max|P_w''|.  A double root, where g touches zero without crossing,
-costs nothing.
+is refused with ``DomainError`` before anything is scanned;
+``density_from_spectrum`` refuses one on (-R, R) before it validates the
+density.  A sum of terms can still hide a pair of roots in one scan cell
+of width h, where g dips across zero and back; the norm then loses twice
+the mass of that lobe, at most h^3 max|g''| / 6 per cell, with
+max|g''| <= sum_j |w_j| t_j^2 + max|P_w''|.  A double root, where g
+touches zero without crossing, costs nothing.
 
 Every profile value comes from one kernel, ``_ProfileStack.values``, over
 the profiles' terms stacked as padded columns, each conjugate pair of
@@ -355,6 +356,8 @@ def density_from_spectrum(mu: SpectralMeasure, R: float) -> RadonDensity:
     differ in the last bit, share one: the first seen.  Directions are
     sorted lexicographically for reproducible summation order.
     """
+    if not math.isfinite(R):
+        raise InvalidInputError(f"ball radius R must be finite, not {R}")
     if R <= 0:
         raise InvalidInputError("ball radius must be positive")
     groups, ids = _first_seen(map(tuple, np.round(mu.omegas, 12).tolist()))
@@ -362,6 +365,8 @@ def density_from_spectrum(mu: SpectralMeasure, R: float) -> RadonDensity:
     order = sorted(range(len(groups)), key=lambda g: mu.omegas[first[g]].tolist())
     weights = -mu.freqs**2 * mu.coefs
     profiles = tuple(DirectionProfile(mu.freqs[ids == g], weights[ids == g], np.zeros(0)) for g in order)
+    # a ball too large to scan is refused before validate evaluates anything on it
+    _scan_sizes(profiles, -R, R)
     density = RadonDensity(d=mu.d, R=float(R), directions=mu.omegas[first[order]], profiles=profiles)
     density.validate()
     return density
@@ -418,21 +423,29 @@ def sign_change_roots(fn, lo: float, hi: float, scans) -> np.ndarray:
     return roots
 
 
+def _scan_sizes(profiles, lo: float, hi: float) -> list[int]:
+    """Root-scan points of each profile on (lo, hi); a scan of more than
+    ``_MAX_SCAN`` points raises ``DomainError``."""
+    scans = []
+    for profile in profiles:
+        top = float(np.abs(profile.trig_freqs).max(initial=0.0))
+        cells = _SCAN_PER_HALF_PERIOD * top * (hi - lo) / math.pi
+        # compared as a float, so that a count that overflows to inf is refused too
+        if not cells <= _MAX_SCAN - 1:
+            raise DomainError(
+                f"frequency too high for the ball: |xi| * R = {top * max(abs(lo), abs(hi)):.6g} needs a root scan "
+                f"of more than the {_MAX_SCAN} points allowed"
+            )
+        scans.append(max(_ROOT_SCAN, math.ceil(cells) + 1))
+    return scans
+
+
 def _density_panels(density: RadonDensity, lo: float, hi: float):
     """Per profile: the panel edges (lo, the roots, hi), G_1 at the edges and
     the running integral of |g|, from one root pass over every profile."""
     if density.is_empty:
         return ()
-    scans = []
-    for profile in density.profiles:
-        top = float(np.abs(profile.trig_freqs).max(initial=0.0))
-        scan = max(_ROOT_SCAN, math.ceil(_SCAN_PER_HALF_PERIOD * top * (hi - lo) / math.pi) + 1)
-        if scan > _MAX_SCAN:
-            raise DomainError(
-                f"frequency too high for the ball: |xi| * R = {top * max(abs(lo), abs(hi)):.6g} needs a root scan "
-                f"of {scan} points, more than the {_MAX_SCAN} allowed"
-            )
-        scans.append(scan)
+    scans = _scan_sizes(density.profiles, lo, hi)
     stack = density._stack
     roots = sign_change_roots(lambda rows, x: stack.values(x, (0,), rows)[0], lo, hi, scans)
     counts = np.bincount(roots["row"], minlength=len(density))

@@ -27,6 +27,9 @@ from radonlab.errors import (
     exit_code_for,
 )
 
+# a numpy warning here would reach the stderr of a CLI user
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 @pytest.fixture
 def spectrum_path(tmp_path):
@@ -518,4 +521,61 @@ def test_modeconnect_refuses_a_malformed_network_field(tmp_path, capsys, term_pa
     out = tmp_path / "mc.json"
     assert main(["modeconnect", "--network", str(path), "--term", str(term_path), "--out", str(out)]) == EXIT_PARSE
     assert capsys.readouterr().err == f"radonlab: {message}\n"
+    assert not out.exists()
+
+
+# --- non-finite values -----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("coeff", "NaN", "null term coefficient coeff must be finite, not nan"),
+        ("coeff", "Infinity", "null term coefficient coeff must be finite, not inf"),
+        ("R", "NaN", "ball radius R must be finite, not nan"),
+        ("R", "Infinity", "ball radius R must be finite, not inf"),
+    ],
+)
+def test_verify_null_refuses_a_non_finite_term(tmp_path, capsys, term_path, field, value, message):
+    # NaN exited 1 with a NaN report, and an infinite R exited 4 after a numpy warning
+    term = read_json(term_path)
+    path = tmp_path / "bad-term.json"
+    path.write_text(json.dumps(term).replace(f'"{field}": {term[field]}', f'"{field}": {value}'))
+    assert value in path.read_text()
+    out = tmp_path / "report.json"
+    assert main(["verify-null", "--term", str(path), "--out", str(out)]) == EXIT_PARSE
+    assert capsys.readouterr().err == f"radonlab: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("s", ["inf", "nan", "-inf"])
+def test_modeconnect_refuses_a_non_finite_scale(tmp_path, capsys, term_path, s):
+    # --s inf passed: functional_change inf <= inf * 1e-3
+    path = tmp_path / "net.json"
+    rl.save_network(path, rl.TwoLayerNet(2, np.ones(1), np.array([[1.0, 0.0]]), np.zeros(1), 1.0, np.zeros(2), 0.0))
+    out = tmp_path / "mc.json"
+    argv = ["modeconnect", "--network", str(path), "--term", str(term_path), f"--s={s}", "--out", str(out)]
+    assert main(argv) == EXIT_PARSE
+    assert capsys.readouterr().err == f"radonlab: scale s must be finite, not {float(s)}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["norm", "approximate"])
+@pytest.mark.parametrize(
+    "R, code, message",
+    [
+        ("inf", EXIT_PARSE, "radonlab: ball radius R must be finite, not inf\n"),
+        ("nan", EXIT_PARSE, "radonlab: ball radius R must be finite, not nan\n"),
+        # finite, but the root scan's size overflows a float
+        ("1e308", EXIT_DOMAIN, "radonlab: frequency too high for the ball: |xi| * R = 1.11803e+308"),
+    ],
+)
+def test_density_commands_refuse_an_unusable_radius(tmp_path, capsys, spectrum2_path, command, R, code, message):
+    # inf and 1e308 raised OverflowError from the scan size, nan exited 2 with
+    # "cannot convert float NaN to integer"
+    out = tmp_path / "report.json"
+    argv = [command, "--spectrum", str(spectrum2_path), f"--R={R}"]
+    argv += ["--out", str(out)] if command == "norm" else ["--n", "16", "--seed", "1", "--report", str(out)]
+    assert main(argv) == code
+    assert capsys.readouterr().err.startswith(message)
     assert not out.exists()

@@ -4,12 +4,18 @@ discretized networks, and flat-direction perturbations."""
 from __future__ import annotations
 
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import radonlab as rl
 from radonlab.errors import DomainError, InvalidInputError, PreconditionError
+from radonlab.nullspace import _int_power
+
+# a numpy warning here would reach the stderr of a CLI user
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def ramp_moment_quadrature(c, kprime, R, n=64):
@@ -69,6 +75,47 @@ def test_verify_null_matches_pointwise_loop():
     report = rl.verify_null(term, xs, rule)
     assert loop > 1e-3
     assert report.max_ramp_integral == pytest.approx(loop, rel=1e-13)
+
+
+def test_int_power_matches_exact_powers():
+    x = np.random.default_rng(5).uniform(-1.0, 1.0, 400)
+    for n in range(2, 65):
+        got = _int_power(x, n)
+        for xi, gi in zip(x.tolist(), got.tolist()):
+            exact = Fraction(xi) ** n
+            # relative error is meaningful only above the subnormal range
+            if abs(exact) >= 2.0**-1022:
+                assert abs(Fraction(gi) - exact) <= n * 2.0**-53 * abs(exact), (n, xi)
+
+
+@pytest.mark.parametrize(
+    "term, rule",
+    [
+        # no rule is exact to degree k + k' + 2, so the pairings are far from 0
+        (rl.HarmonicNullTerm(k=12, j=5, kprime=6, coeff=0.7, d=3, R=2.0), rl.sphere_rule(3, 6)),
+        (rl.HarmonicNullTerm(k=60, j=1, kprime=40, coeff=1.0, d=2, R=1.0), rl.sphere_rule(2, 64)),
+        # 8 circle nodes alias cos(9 t) cos(t) and cos(8 t): the linear and the
+        # constant monomial of the bias integral pair to nonzero values
+        (rl.HarmonicNullTerm(k=9, j=1, kprime=1, coeff=1.0, d=2, R=1.0), rl.sphere_rule(2, 8)),
+        (rl.HarmonicNullTerm(k=8, j=1, kprime=2, coeff=1.0, d=2, R=1.0), rl.sphere_rule(2, 8)),
+    ],
+)
+def test_verify_null_matches_pointwise_loop_on_inexact_rules(term, rule):
+    xs = rl.ball_grid(term.d, term.R, 30, seed=4, mode="uniform")
+    y = rl.harmonic_eval(term.k, term.j, term.d, rule.nodes)
+    loop = max(
+        abs(term.coeff * float(rule.weights @ (y * np.array([rl.ramp_moment_closed_form(float(u), term.kprime, term.R) for u in rule.nodes @ x]))))
+        for x in xs.points
+    )
+    report = rl.verify_null(term, xs, rule)
+    assert loop > 1e-6
+    assert report.max_ramp_integral == pytest.approx(loop, rel=1e-12)
+
+
+def test_verify_null_refuses_a_kink_on_the_sphere():
+    xs = rl.BallGrid(2, 1.0, np.array([[1.0, 0.0]]), "uniform")
+    with pytest.raises(DomainError, match=re.escape("kink position |c| = 1.0 must lie inside (-R, R)")):
+        rl.verify_null(EX2_TERM, xs, rl.sphere_rule(2, 64))
 
 
 def test_verify_null_example_density():
