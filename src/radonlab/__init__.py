@@ -10,7 +10,6 @@ from .errors import (
     InvariantViolationError,
     PreconditionError,
     RadonlabError,
-    SingularFitError,
     UnsupportedDimensionError,
 )
 from .quadrature import BallGrid, QuadratureRule, ball_grid, gauss_legendre, sphere_rule
@@ -38,7 +37,6 @@ from .radon_measure import (
     density_from_spectrum,
     fit_affine,
     harmonic_moment,
-    reconstruct,
     reconstruct_grid,
     tv_norm,
 )
@@ -86,7 +84,6 @@ __all__ = [
     "PreconditionError",
     "UnsupportedDimensionError",
     "DegenerateMeasureError",
-    "SingularFitError",
     # quadrature
     "QuadratureRule",
     "BallGrid",
@@ -114,7 +111,6 @@ __all__ = [
     "density_from_spectrum",
     "tv_norm",
     "check_fourier_bound",
-    "reconstruct",
     "reconstruct_grid",
     "fit_affine",
     "harmonic_moment",

@@ -13,10 +13,6 @@ class InvalidInputError(RadonlabError):
     """Caller supplied malformed or out-of-contract values (CLI exit 2)."""
 
 
-class SingularFitError(InvalidInputError):
-    """Least-squares design matrix is rank deficient."""
-
-
 class InvariantViolationError(RadonlabError):
     """A computed object violates one of its declared invariants (CLI exit 3)."""
 

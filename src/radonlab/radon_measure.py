@@ -1,5 +1,5 @@
 """Radon densities of spectral measures: total-variation norms, ball
-reconstruction, affine fitting, and harmonic moments.
+reconstruction, the affine part in closed form, and harmonic moments.
 
 A symmetry-closed atomic spectral measure induces a density on hyperplane
 space whose sphere marginal is atomic: finitely many unit directions, each
@@ -17,7 +17,8 @@ Every profile integral is an evaluation of the exact antiderivatives
 G_k(b) = sum_j Re(w_j e^{-i t_j b} / (-i t_j)^k) + (P_w integrated k times):
 the total variation sums |G_1(r_{k+1}) - G_1(r_k)| over the sign-change
 roots r_k of g_w, the ramp pairing is G_2(u) - G_2(-R) - (u + R) G_1(-R),
-and moments follow by integration by parts.
+the affine part is what that leaves of sum_w G_2(<w, x>) = f(x), and
+moments follow by integration by parts.
 
 The roots come from ``sign_change_roots``, run once per density and
 interval over every profile together: a uniform scan per profile brackets
@@ -56,11 +57,9 @@ from .errors import (
     DomainError,
     InvalidInputError,
     InvariantViolationError,
-    SingularFitError,
     UnsupportedDimensionError,
 )
 from .harmonics import harmonic_eval
-from .quadrature import BallGrid
 from .spectrum import SpectralMeasure, _first_seen
 
 _REAL_TOL = 1e-12
@@ -365,8 +364,11 @@ def density_from_spectrum(mu: SpectralMeasure, R: float) -> RadonDensity:
     order = sorted(range(len(groups)), key=lambda g: mu.omegas[first[g]].tolist())
     weights = -mu.freqs**2 * mu.coefs
     profiles = tuple(DirectionProfile(mu.freqs[ids == g], weights[ids == g], np.zeros(0)) for g in order)
-    # a ball too large to scan is refused before validate evaluates anything on it
+    # a ball too large to scan is refused before validate evaluates anything on
+    # it, and so is one whose diameter overflows, which an empty spectrum never scans
     _scan_sizes(profiles, -R, R)
+    if not math.isfinite(2.0 * R):
+        raise DomainError(f"ball radius R = {R:g} is too large: its diameter 2R overflows a float")
     density = RadonDensity(d=mu.d, R=float(R), directions=mu.omegas[first[order]], profiles=profiles)
     density.validate()
     return density
@@ -546,11 +548,10 @@ def check_fourier_bound(mu: SpectralMeasure, R: float, slack: float = 1e-10) -> 
 
 @dataclass(frozen=True)
 class AffinePart:
-    """Affine remainder (v, c) with the sup residual of its least-squares fit."""
+    """Affine remainder x -> <v, x> + c of a ramp representation on the ball."""
 
     v: np.ndarray
     c: float
-    max_affine_residual: float = 0.0
 
     def __post_init__(self):
         v = np.atleast_1d(np.asarray(self.v, dtype=float))
@@ -559,7 +560,7 @@ class AffinePart:
 
     @staticmethod
     def zero(d: int) -> "AffinePart":
-        return AffinePart(v=np.zeros(d), c=0.0, max_affine_residual=0.0)
+        return AffinePart(v=np.zeros(d), c=0.0)
 
     def __call__(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -590,38 +591,30 @@ def ramp_integral_grid(density: RadonDensity, X) -> np.ndarray:
     return out
 
 
-def reconstruct(density: RadonDensity, affine: AffinePart, x) -> float:
-    """Evaluate the ramp representation at one interior point of the ball."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.linalg.norm(x) >= density.R:
-        raise DomainError(f"|x| = {np.linalg.norm(x)} is not inside the open ball of radius {density.R}")
-    return float(ramp_integral_grid(density, x[None, :])[0] + affine(x[None, :])[0])
-
-
 def reconstruct_grid(density: RadonDensity, affine: AffinePart, X) -> np.ndarray:
-    """Vectorized reconstruct over a batch of interior points."""
+    """The ramp representation, ramp pairing plus affine part, at interior points of the ball."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if np.any(np.linalg.norm(X, axis=1) >= density.R):
         raise DomainError("grid contains points outside the open ball")
     return ramp_integral_grid(density, X) + affine(X)
 
 
-def fit_affine(mu: SpectralMeasure, density: RadonDensity, grid: BallGrid) -> AffinePart:
-    """Least-squares affine part of f minus its ramp pairing on a ball grid.
+def fit_affine(density: RadonDensity) -> AffinePart:
+    """The affine part of the ball representation f = ramp pairing + affine, in closed form.
 
-    The residual r(x) = f(x) - ramp(x) is affine in exact arithmetic; the
-    returned ``max_affine_residual`` certifies how affine it is on this grid.
+    For the density of f, sum_w G_2(<w, x>) = f(x), so the ramp pairing
+    leaves f(x) - ramp(x) = sum_w [G_2(-R) + (<w, x> + R) G_1(-R)], the Taylor
+    term of f along w at b = -R: v = sum_w G_1(-R) w and
+    c = sum_w [G_2(-R) + R G_1(-R)], from one kernel call at -R.  Nothing
+    is fitted: the name dates from a least-squares fit and is kept for its
+    callers.  The ``norm`` command checks the whole identity on a ball grid
+    as ``residual_affine``.
     """
-    X = grid.points
-    if len(X) < density.d + 2:
-        raise InvalidInputError(f"need at least d+2 = {density.d + 2} grid points")
-    design = np.column_stack([X, np.ones(len(X))])
-    if np.linalg.matrix_rank(design) < density.d + 1:
-        raise SingularFitError("grid points are not in general position")
-    target = mu.evaluate(X) - ramp_integral_grid(density, X)
-    theta, *_ = np.linalg.lstsq(design, target, rcond=None)
-    residual = float(np.max(np.abs(target - design @ theta)))
-    return AffinePart(v=theta[:-1], c=float(theta[-1]), max_affine_residual=residual)
+    if density.is_empty:
+        return AffinePart.zero(density.d)
+    m, R = len(density), density.R
+    G2, G1 = density._stack.values(np.full(m, -R), (2, 1), np.arange(m))
+    return AffinePart(v=G1 @ density.directions, c=float(np.sum(G2 + R * G1)))
 
 
 def harmonic_moment(density: RadonDensity, k: int, j: int, kprime: int) -> float:

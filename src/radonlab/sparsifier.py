@@ -499,8 +499,7 @@ def _ladder(
     density = density_from_spectrum(mu, R)
     norm = tv_norm(density)
     grid = ball_grid(mu.d, R, grid_size, mode="low-discrepancy")
-    affine = fit_affine(mu, density, ball_grid(mu.d, R, max(200, mu.d + 2), mode="low-discrepancy"))
-    plan = _draw_plan(density, affine, convention, norm)
+    plan = _draw_plan(density, fit_affine(density), convention, norm)
     # f, the affine part and the projections on every direction a neuron can
     # draw, once; directions are labelled by the ranks that evaluate gives them
     f = mu.evaluate(grid.points)

@@ -83,7 +83,6 @@ def test_criterion_2_fourier_bound_random_spectra():
 def test_criterion_3_affine_representation():
     started = time.perf_counter()
     rng = np.random.default_rng(77)
-    worst_resid = 0.0
     worst_recon = 0.0
     for trial in range(10):
         d = 1 if trial % 2 == 0 else 2
@@ -92,14 +91,13 @@ def test_criterion_3_affine_representation():
         R = 1.0
         density = rl.density_from_spectrum(mu, R)
         grid = rl.ball_grid(d, R, 200, mode="low-discrepancy")
-        affine = rl.fit_affine(mu, density, grid)
-        worst_resid = max(worst_resid, affine.max_affine_residual)
+        affine = rl.fit_affine(density)
         recon = rl.reconstruct_grid(density, affine, grid.points)
         worst_recon = max(worst_recon, float(np.max(np.abs(recon - mu.evaluate(grid.points)))))
     elapsed = time.perf_counter() - started
-    ok = worst_resid <= 1e-6 and worst_recon <= 1e-6 and elapsed < 30.0
+    ok = worst_recon <= 1e-6 and elapsed < 30.0
     report(3, "affine-residual representation", ok,
-           f"max residual={worst_resid:.3e}, max recon err={worst_recon:.3e}, t={elapsed:.2f}s")
+           f"max |f - ramp - affine|={worst_recon:.3e}, t={elapsed:.2f}s")
 
 
 def test_criterion_4_sampling_rate():
@@ -125,8 +123,7 @@ def test_criterion_5_l1_convention():
         mu = rl.from_cosine_sum(2, terms)
         density = rl.density_from_spectrum(mu, 1.0)
         norm = rl.tv_norm(density)
-        grid = rl.ball_grid(2, 1.0, 150, mode="low-discrepancy")
-        affine = rl.fit_affine(mu, density, grid)
+        affine = rl.fit_affine(density)
         net = rl.l1_normalized_network(density, affine, 128, seed=trial)
         ok = ok and bool(np.all(np.abs(net.omegas).sum(axis=1) == 1.0))
         ok = ok and bool(np.all((net.b >= 0.0) & (net.b <= 1.0)))
@@ -185,7 +182,7 @@ def test_criterion_7_null_invariance_and_flat_direction():
     mu = rl.from_cosine_sum(2, terms)
     density = rl.density_from_spectrum(mu, 1.0)
     grid = rl.ball_grid(2, 1.0, 200, mode="low-discrepancy")
-    affine = rl.fit_affine(mu, density, grid)
+    affine = rl.fit_affine(density)
     base_vals = rl.reconstruct_grid(density, affine, grid.points)
     term = rl.HarmonicNullTerm(k=4, j=1, kprime=0, coeff=1.0, d=2, R=1.0)
     merged = density.merged_with(rl.null_term_density(term, m=64))

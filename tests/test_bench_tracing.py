@@ -53,3 +53,20 @@ def test_traced_norm_run(tmp_path):
     assert snap["radon_measure.sign_change_roots.calls"] == 1
     density = rl.density_from_spectrum(rl.from_cosine_sum(*rl.load_spectrum(spectrum)), 1.0)
     assert snap["radon_measure.roots_found"] == sum(len(edges) - 2 for edges, _, _ in density.panels(-1.0, 1.0))
+
+
+def test_traced_approximate_run(tmp_path):
+    spectrum = tmp_path / "spectrum.json"
+    rl.save_spectrum(spectrum, 2, [(1.0, [3.0, 4.0]), (-0.5, [1.0, -2.0])])
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        argv = ["approximate", "--spectrum", str(spectrum), "--R", "1", "--n", "16,64", "--trials", "3", "--seed", "1"]
+        code = main(argv + ["--report", str(tmp_path / "r.json")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    snap = tracer.snapshot()
+    assert snap["radon_measure.fit_affine.calls"] == 1
+    # the scoring grid is the only grid: the affine part needs none
+    assert snap["quadrature.ball_grid.calls"] == 1

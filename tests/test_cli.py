@@ -401,7 +401,7 @@ def test_approximate_emits_the_redrawn_best_trial(tmp_path, spectrum2_path, conv
     reports = rl.error_decay_experiment(mu, float(R), widths, trials, seed, convention=convention)
     stream = [seed, len(widths) - 1, int(np.argmin(reports[-1].errors))]
     density = rl.density_from_spectrum(mu, float(R))
-    affine = rl.fit_affine(mu, density, rl.ball_grid(2, float(R), 200, mode="low-discrepancy"))
+    affine = rl.fit_affine(density)
     if convention == "prop2":
         net = rl.l1_normalized_network(density, affine, widths[-1], stream)
     else:
@@ -579,3 +579,27 @@ def test_density_commands_refuse_an_unusable_radius(tmp_path, capsys, spectrum2_
     assert main(argv) == code
     assert capsys.readouterr().err.startswith(message)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["norm", "approximate"])
+@pytest.mark.parametrize("terms", ["[]", '[{"amplitude": 1.0, "xi": [1.0]}]'])
+def test_density_commands_refuse_a_ball_whose_diameter_overflows(tmp_path, capsys, command, terms):
+    # the empty spectrum exited 1 from norm with a NaN bound_2RCf, and 2 from
+    # approximate with a rank check's "grid points are not in general position"
+    path = tmp_path / "spectrum.json"
+    path.write_text('{"d": 1, "terms": %s}' % terms)
+    out = tmp_path / "report.json"
+    argv = [command, "--spectrum", str(path), "--R=1e308"]
+    argv += ["--out", str(out)] if command == "norm" else ["--n", "16", "--seed", "1", "--report", str(out)]
+    assert main(argv) == EXIT_DOMAIN
+    assert capsys.readouterr().err.startswith("radonlab: ")
+    assert not out.exists()
+
+
+def test_norm_of_the_empty_spectrum_on_a_ball_whose_diameter_is_finite(tmp_path):
+    path = tmp_path / "empty.json"
+    rl.save_spectrum(path, 1, [])
+    out = tmp_path / "report.json"
+    assert main(["norm", "--spectrum", str(path), "--R=5e307", "--out", str(out)]) == EXIT_PASS
+    report = read_json(out)
+    assert report["bound_2RCf"] == 0.0 and report["norm"] == 0.0
