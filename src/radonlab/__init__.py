@@ -14,7 +14,6 @@ from .errors import (
 )
 from .quadrature import BallGrid, QuadratureRule, ball_grid, gauss_legendre, sphere_rule
 from .harmonics import (
-    LegendrePoly,
     SphericalHarmonic,
     funk_hecke_check,
     harmonic_dim,
@@ -92,7 +91,6 @@ __all__ = [
     "ball_grid",
     # harmonics
     "SphericalHarmonic",
-    "LegendrePoly",
     "harmonic_dim",
     "legendre_eval",
     "harmonic_eval",

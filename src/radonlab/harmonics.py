@@ -13,7 +13,7 @@ the Funk-Hecke identity is what the test suite pins down.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,29 +56,6 @@ def legendre_eval(k: int, d: int, t):
     else:
         raise UnsupportedDimensionError(f"legendre_eval supports d in {{2, 3}}, got {d}")
     return out if out.ndim else float(out)
-
-
-@dataclass(frozen=True)
-class LegendrePoly:
-    """Legendre polynomial in dimension d with monomial coefficients."""
-
-    k: int
-    d: int
-    coefficients: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        if self.d == 2:
-            poly = np.polynomial.Chebyshev.basis(self.k).convert(kind=np.polynomial.Polynomial)
-        elif self.d == 3:
-            poly = np.polynomial.Legendre.basis(self.k).convert(kind=np.polynomial.Polynomial)
-        else:
-            raise UnsupportedDimensionError(f"LegendrePoly supports d in {{2, 3}}, got {self.d}")
-        coefficients = np.asarray(poly.coef, dtype=float)
-        coefficients.setflags(write=False)
-        object.__setattr__(self, "coefficients", coefficients)
-
-    def __call__(self, t):
-        return legendre_eval(self.k, self.d, t)
 
 
 def _check_index(k: int, j: int, d: int) -> None:

@@ -22,8 +22,10 @@ moments follow by integration by parts.
 
 The roots come from ``sign_change_roots``, run once per density and
 interval over every profile together: a uniform scan per profile brackets
-each sign change, and the brackets of all profiles are bisected to
-``_ROOT_TOL`` in one array pass.  The scan has at least
+each sign change, and the brackets of all profiles are refined together by
+``_bracketed_newton``, Newton's method on g with g' = G_{-1} that falls back
+to the midpoint whenever a step leaves its bracket.  The sampler's
+inverse-CDF draws are its other caller.  The scan has at least
 ``_SCAN_PER_HALF_PERIOD`` points per half-period pi/t of its profile's top
 frequency (and never fewer than ``_ROOT_SCAN``), so it brackets every root
 of a single cosine.  A profile whose scan would pass ``_MAX_SCAN`` points
@@ -51,7 +53,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from numpy.polynomial.polynomial import polyint, polyval
+from numpy.polynomial.polynomial import polyder, polyint, polyval
 
 from .errors import (
     DomainError,
@@ -64,7 +66,6 @@ from .spectrum import SpectralMeasure, _first_seen
 
 _REAL_TOL = 1e-12
 _ROOT_SCAN = 512
-_ROOT_TOL = 1e-12
 _SCAN_PER_HALF_PERIOD = 16
 # most (order, term, point) triples one block of a profile evaluation holds
 # (512 KiB per float64 array)
@@ -75,6 +76,9 @@ _SCAN_BLOCK = 1 << 13
 # most points a root scan may take: 8 MiB per float64 array of the scan, and
 # |t| * R up to about 1e5 on (-R, R)
 _MAX_SCAN = 1 << 20
+# a cap only: bisection alone takes a bracket as wide as the interval below
+# 1e-9 of it in 30 steps
+_NEWTON_STEPS = 64
 # the roots of a stack of profiles: the profile's row and the root
 _ROOTS = np.dtype([("row", np.intp), ("x", float)])
 
@@ -136,11 +140,17 @@ class _ProfileStack:
         cos and then for every k the sin coefficients of G_k's terms, as one
         (1 + 2 len(orders), terms, profiles) array; and the polynomial parts
         of the G_k, (orders, degree + 1, profiles) with zero leading
-        coefficients as padding."""
+        coefficients as padding.  Order -1 is the derivative g': its trig
+        weights w / (-it)^-1 = w (-it) come from the same formula, and its
+        polynomial part from ``polyder``."""
         if orders not in self._coefs:
             scale = np.array([self.weights / (-1j * self.freqs) ** k if k else self.weights for k in orders])
             trig = np.concatenate([self.freqs[None], scale.real, scale.imag])
-            polys = [polyint(self.poly, k, axis=0) for k in orders] if len(self.poly) else []
+            polys = (
+                [polyint(self.poly, k, axis=0) if k >= 0 else polyder(self.poly, -k, axis=0) for k in orders]
+                if len(self.poly)
+                else []
+            )
             poly = np.zeros((len(orders), max(map(len, polys), default=0), self.poly.shape[1]))
             for padded, p in zip(poly, polys):
                 padded[: len(p)] = p
@@ -224,13 +234,9 @@ class DirectionProfile:
         zero, so G_{k+1}' = G_k holds along the whole chain.  This is the
         one-row case of the profile kernel: the value at a point depends only
         on that point, bit for bit, not on the other points of b, and memory
-        stays bounded for any number of points and terms.
+        stays bounded for any number of points and terms.  k = -1 gives g'.
         """
-        return self._antiderivatives(b, (k,))[0]
-
-    def _antiderivatives(self, b, orders) -> tuple:
-        """G_k for every k in ``orders``, sharing one cos/sin evaluation per block."""
-        return self._stack.values(b, orders)
+        return self._stack.values(b, (k,))[0]
 
     @cached_property
     def _stack(self) -> _ProfileStack:
@@ -374,18 +380,49 @@ def density_from_spectrum(mu: SpectralMeasure, R: float) -> RadonDensity:
     return density
 
 
-def sign_change_roots(fn, lo: float, hi: float, scans) -> np.ndarray:
-    """Roots of the real functions x -> fn(rows, x), one per entry of ``scans``:
-    a uniform scan of each, then one bisection pass over all of them.
+def _bracketed_newton(fn, x, lo, hi, tol: float) -> np.ndarray:
+    """Solve F = 0 in each bracket [lo, hi] by Newton's method kept inside it.
 
-    ``fn(rows, x)`` evaluates function ``rows[i]`` at ``x[i]``.  Function r
-    is scanned at ``np.linspace(lo, hi, scans[r])``, all scans in blocks of
-    at most ``_SCAN_BLOCK`` points; adjacent scan points of opposite sign (a
-    zero counts as positive) bracket a root.  The brackets of every
-    function are halved together, one call of ``fn`` per step on the
-    midpoints of the brackets still wider than ``_ROOT_TOL``, each keeping
-    the half whose ends differ in sign; a root is its final bracket's
-    midpoint.  Returns one ``(row, x)`` record per root, by row and then x.
+    ``fn(live, x)`` returns F and F' of the brackets ``live`` (indices into
+    x) at the points x, oriented so that F(lo) <= 0 <= F(hi).  Each step
+    moves the bracket end on the side of F's sign to x and takes the Newton
+    step x - F/F' if it lies in the closed bracket (a step onto an end
+    counts), else the midpoint.  A bracket stops once its step is at most
+    ``tol``, and every bracket after ``_NEWTON_STEPS`` steps; its solution
+    is its last step.  Each bracket's steps read only its own F, so a
+    solution does not depend on the other brackets solved with it.
+    """
+    x = np.asarray(x, dtype=float)
+    out = x.copy()
+    live = np.arange(len(x))
+    for _ in range(_NEWTON_STEPS):
+        if not len(live):
+            break
+        F, dF = fn(live, x)
+        lo = np.where(F <= 0, x, lo)
+        hi = np.where(F >= 0, x, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = x - F / dF
+        step = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
+        out[live] = step
+        moving = np.abs(step - x) > tol
+        live, x, lo, hi = live[moving], step[moving], lo[moving], hi[moving]
+    return out
+
+
+def sign_change_roots(fn, lo: float, hi: float, scans) -> np.ndarray:
+    """Roots of the real functions x -> fn(rows, x)[0], one per entry of ``scans``:
+    a uniform scan of each, then one Newton pass over all of them.
+
+    ``fn(rows, x)`` returns the value and the derivative of function
+    ``rows[i]`` at ``x[i]``.  Function r is scanned at
+    ``np.linspace(lo, hi, scans[r])``, all scans in blocks of at most
+    ``_SCAN_BLOCK`` points, reading the values only; adjacent scan points of
+    opposite sign (a zero counts as positive) bracket a root.  The brackets
+    of every function are refined together by ``_bracketed_newton`` from
+    their midpoints, each oriented by the sign at its left end, until a
+    step is at most 1e-9 of hi - lo: Newton's error after such a step is of
+    its square.  Returns one ``(row, x)`` record per root, by row and then x.
     Roots that do not flip the sign between two scan points are not found;
     the caller sizes ``scans`` (see the module docstring for what a missed
     pair can cost).
@@ -400,28 +437,22 @@ def sign_change_roots(fn, lo: float, hi: float, scans) -> np.ndarray:
         rows = np.searchsorted(starts, idx, side="right") - 1
         k = idx - starts[rows]
         xs = np.where(k == scans[rows] - 1, hi, k * steps[rows] + lo)  # np.linspace's points, bit for bit
-        vals = np.asarray(fn(rows, xs), dtype=float)
+        vals = np.asarray(fn(rows, xs)[0], dtype=float)
         signs = np.sign(vals)
         signs[signs == 0] = 1.0
         i = np.flatnonzero((signs[:-1] * signs[1:] < 0) & (rows[:-1] == rows[1:]))
         found.append((rows[i], xs[i], xs[i + 1], vals[i]))
     row, a, b, fa = (np.concatenate(parts) for parts in zip(*found))
+    # rising brackets keep the sign of fn, falling ones flip it
+    sign = np.where(fa < 0, 1.0, -1.0)
+
+    def oriented(live, x):
+        g, dg = fn(row[live], x)
+        return sign[live] * g, sign[live] * dg
+
     roots = np.empty(len(a), dtype=_ROOTS)
-    roots["row"], roots["x"] = row, 0.5 * (a + b)
-    # the brackets still wider than _ROOT_TOL, kept packed
-    live = np.flatnonzero(b - a > _ROOT_TOL)
-    row, a, b, fa = row[live], a[live], b[live], fa[live]
-    while len(live):
-        m = 0.5 * (a + b)
-        fm = np.asarray(fn(row, m), dtype=float)
-        left = fa * fm <= 0
-        b = np.where(left, m, b)
-        a = np.where(left, a, m)
-        fa = np.where(left, fa, fm)
-        wide = b - a > _ROOT_TOL
-        if not wide.all():
-            roots["x"][live[~wide]] = 0.5 * (a[~wide] + b[~wide])
-            live, row, a, b, fa = live[wide], row[wide], a[wide], b[wide], fa[wide]
+    roots["row"] = row
+    roots["x"] = _bracketed_newton(oriented, 0.5 * (a + b), a, b, 1e-9 * (hi - lo))
     return roots
 
 
@@ -449,7 +480,7 @@ def _density_panels(density: RadonDensity, lo: float, hi: float):
         return ()
     scans = _scan_sizes(density.profiles, lo, hi)
     stack = density._stack
-    roots = sign_change_roots(lambda rows, x: stack.values(x, (0,), rows)[0], lo, hi, scans)
+    roots = sign_change_roots(lambda rows, x: stack.values(x, (0, -1), rows), lo, hi, scans)
     counts = np.bincount(roots["row"], minlength=len(density))
     cuts = np.cumsum(counts)[:-1]
     edges = [np.concatenate([[lo], x, [hi]]) for x in np.split(roots["x"], cuts)]

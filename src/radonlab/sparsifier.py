@@ -18,8 +18,9 @@ scale at most sqrt(d) times the norm (requires R <= 1).
 Both samplers and ``error_decay_experiment`` draw through one path: a plan
 computed once per density and convention, then one inverse-CDF pass per
 direction over the neurons of any number of seeded streams.  Each draw is
-a safeguarded Newton solve inside its panel, started from the CDF of a
-sine lobe that vanishes at the panel's sign-change roots.
+a Newton solve kept inside its panel, by the same bracketed Newton that
+refines the sign-change roots, started from the CDF of a sine lobe that
+vanishes at the panel's roots.
 
 Every network is evaluated one way: its neurons are grouped by distinct
 direction, and each group's ramps are summed from prefix sums over its
@@ -46,6 +47,7 @@ from .radon_measure import (
     AffinePart,
     DirectionProfile,
     RadonDensity,
+    _bracketed_newton,
     density_from_spectrum,
     direction_masses,
     fit_affine,
@@ -145,32 +147,29 @@ class TwoLayerNet:
                 raise InvalidInputError("prop2 outer scale exceeds sqrt(d) * norm")
 
 
-_NEWTON_STEPS = 64  # a cap only: bisection alone gets below 1e-9 in 30 steps
-
-
 def _inverse_cdf(profile: DirectionProfile, panels, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Biases b at which the mass of |g| from the interval's start reaches u * mass,
     and the signs of g at them: +-1, the sign of the panel each b lies in.
 
     The panel holding each target comes from the running masses; inside it
-    the CDF |G_1(b) - G_1(r_k)| is monotone with derivative |g|.  Newton's
-    method starts from the CDF of a sine lobe with the panel's roots: the
-    interior panel edges are sign-change roots, where g = 0, so with s the
-    target's share of the panel mass a panel with a root at both edges
-    starts at the fraction arccos(1 - 2s)/pi of its width, one with a root
-    at its left edge only at (2/pi) arccos(1 - s), at its right edge only at
-    (2/pi) arcsin(s), and one with no root at s.  Newton is replaced by
-    bisection whenever it leaves the shrinking bracket.  A draw stops once
-    its step is below 1e-9 of the interval: Newton's error after such a
-    step is of its square, and smaller steps would only chase the rounding
-    noise of G_1.  Only the draws still moving are iterated, and each step
-    reads G_1 and g off one evaluation of the trig terms.
+    the CDF |G_1(b) - G_1(r_k)| is monotone with derivative |g|, and
+    ``radon_measure._bracketed_newton`` solves for b with the panel as its
+    bracket.  Newton's method starts from the CDF of a sine lobe with the
+    panel's roots: the interior panel edges are sign-change roots, where
+    g = 0, so with s the target's share of the panel mass a panel with a
+    root at both edges starts at the fraction arccos(1 - 2s)/pi of its
+    width, one with a root at its left edge only at (2/pi) arccos(1 - s), at
+    its right edge only at (2/pi) arcsin(s), and one with no root at s.  A
+    draw stops once its step is at most 1e-9 of the interval: Newton's error
+    after such a step is of its square, and smaller steps would only chase
+    the rounding noise of G_1.  Each step reads G_1 and g off one evaluation
+    of the trig terms.
     """
     edges, g1, cum = panels
     target = u * cum[-1]
     k = np.minimum(np.searchsorted(cum, target, side="right") - 1, len(edges) - 2)
     rest = target - cum[k]
-    sign = signs = np.where(g1[k + 1] >= g1[k], 1.0, -1.0)
+    sign = np.where(g1[k + 1] >= g1[k], 1.0, -1.0)
     lo, hi = edges[k], edges[k + 1]
     panel_mass = cum[k + 1] - cum[k]
     s = np.clip(np.divide(rest, panel_mass, out=np.zeros_like(rest), where=panel_mass > 0), 0.0, 1.0)
@@ -180,24 +179,14 @@ def _inverse_cdf(profile: DirectionProfile, panels, u: np.ndarray) -> tuple[np.n
         np.where(right, np.arccos(1.0 - 2.0 * s) / np.pi, np.arccos(1.0 - s) * (2.0 / np.pi)),
         np.where(right, np.arcsin(s) * (2.0 / np.pi), s),
     )
-    b = lo + (hi - lo) * lobe
-    tol = 1e-9 * (edges[-1] - edges[0])
-    live = np.arange(len(b))
-    x, start = b.copy(), g1[k]
-    for _ in range(_NEWTON_STEPS):
-        G1, g = profile._antiderivatives(x, (1, 0))
-        excess = sign * (G1 - start) - rest
-        lo = np.where(excess <= 0, x, lo)
-        hi = np.where(excess >= 0, x, hi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = x - excess / (sign * g)
-        step = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
-        moving = np.abs(step - x) > tol
-        b[live] = step
-        if not moving.any():
-            break
-        live, x, start, rest, sign, lo, hi = (arr[moving] for arr in (live, step, start, rest, sign, lo, hi))
-    return b, signs
+    start = g1[k]
+
+    def excess(live, x):
+        G1, g = profile._stack.values(x, (1, 0))
+        return sign[live] * (G1 - start[live]) - rest[live], sign[live] * g
+
+    b = _bracketed_newton(excess, lo + (hi - lo) * lobe, lo, hi, 1e-9 * (edges[-1] - edges[0]))
+    return b, sign
 
 
 def _draw_biases(density: RadonDensity, idx, u, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import json
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -85,6 +86,40 @@ def test_norm_empty_spectrum(tmp_path):
     assert main(["norm", "--spectrum", str(path), "--R", "1", "--out", str(out)]) == EXIT_PASS
     report = read_json(out)
     assert report["norm"] == 0.0 and report["bound_2RCf"] == 0.0
+
+
+def run_cli(*args):
+    """The CLI in a child process, so that a run that never ends fails the test instead of stalling it."""
+    src = str(Path(rl.__file__).parents[1])
+    return subprocess.run([sys.executable, "-m", "radonlab.cli", *map(str, args)], cwd=src, timeout=120)
+
+
+def cos_norm(t, R):
+    """The norm of cos(t x) on (-R, R) in d=1: the integral of |t^2 cos(t b)| over (-R, R)."""
+    half_periods, rest = divmod(t * R, math.pi)
+    last = math.sin(rest) if rest <= math.pi / 2 else 2.0 - math.sin(rest)
+    return 2.0 * t * (2.0 * half_periods + last)
+
+
+@pytest.fixture
+def slow_cos_path(tmp_path):
+    path = tmp_path / "slow_cos.json"
+    rl.save_spectrum(path, 1, [(1.0, [0.001])])
+    return path
+
+
+@pytest.mark.parametrize("R", [12000.0, 1e5])
+def test_norm_ends_with_roots_beyond_8192(tmp_path, slow_cos_path, R):
+    # cos(0.001x) has a root at 10996 within R = 12000, where one ulp (1.8e-12)
+    # is wider than 1e-12: a bisection to that absolute width never ends there
+    out = tmp_path / "report.json"
+    assert run_cli("norm", "--spectrum", slow_cos_path, "--R", R, "--out", out).returncode == EXIT_PASS
+    assert read_json(out)["norm"] == pytest.approx(cos_norm(0.001, R), rel=1e-12, abs=0)
+
+
+def test_approximate_ends_with_roots_beyond_8192(tmp_path, slow_cos_path):
+    args = ["--n", "16,64", "--trials", "3", "--seed", "1", "--report", tmp_path / "report.json"]
+    assert run_cli("approximate", "--spectrum", slow_cos_path, "--R", "1e5", *args).returncode == EXIT_PASS
 
 
 def test_norm_byte_identical_reruns(tmp_path, spectrum_path):

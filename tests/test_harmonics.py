@@ -59,12 +59,6 @@ def test_legendre_domain_error():
         rl.legendre_eval(2, 3, 1.5)
 
 
-def test_legendre_poly_coefficients_match_callable():
-    poly = rl.LegendrePoly(4, 2)
-    t = np.linspace(-1, 1, 11)
-    assert np.allclose(np.polynomial.polynomial.polyval(t, poly.coefficients), poly(t), atol=1e-12)
-
-
 def test_legendre_weighted_orthogonality():
     # orthogonal under (1-t^2)^((d-3)/2), diagonal strictly positive
     for d in (2, 3):

@@ -7,7 +7,7 @@ import radonlab as rl
 PUBLIC_API = [
     "AffinePart", "ApproxReport", "BallGrid", "BumpFunction", "CalibrationConstants",
     "DegenerateMeasureError", "DirectionProfile", "DomainError", "HarmonicNullTerm",
-    "InconsistentMeasureError", "InvalidInputError", "InvariantViolationError", "LegendrePoly",
+    "InconsistentMeasureError", "InvalidInputError", "InvariantViolationError",
     "ModeConnectReport", "NullVerificationReport", "PreconditionError", "QuadratureRule",
     "RadonDensity", "RadonlabError", "SpectralMeasure", "SphericalHarmonic", "TwoLayerNet",
     "UnsupportedDimensionError", "__version__", "adjointness_check", "ball_grid",
@@ -24,5 +24,5 @@ PUBLIC_API = [
 
 def test_public_api_is_pinned():
     assert sorted(rl.__all__) == PUBLIC_API
-    assert len(PUBLIC_API) == 61
+    assert len(PUBLIC_API) == 60
     assert all(hasattr(rl, name) for name in PUBLIC_API)

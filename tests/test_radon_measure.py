@@ -12,9 +12,12 @@ from scipy.integrate import quad
 import radonlab as rl
 from radonlab.errors import DomainError, InvalidInputError, UnsupportedDimensionError
 from radonlab.radon_measure import (
+    _NEWTON_STEPS,
     DirectionProfile,
     RadonDensity,
+    _bracketed_newton,
     _folded_terms,
+    _ProfileStack,
     profile_moment,
     ramp_integral_grid,
     sign_change_roots,
@@ -410,6 +413,11 @@ def scalar_bisection_roots(fn, lo, hi, scan, tol=1e-12):
     return roots
 
 
+def value_and_slope(profile, x):
+    """g and g' of one profile, the pair ``sign_change_roots`` refines with."""
+    return profile(x), profile.antiderivative(x, -1)
+
+
 def test_vectorized_roots_match_scalar_bisection():
     rng = np.random.default_rng(31)
     for _ in range(20):
@@ -421,9 +429,10 @@ def test_vectorized_roots_match_scalar_bisection():
             rng.normal(size=int(rng.integers(0, 3))),
         )
         for scan in (512, 2049):
-            got = sign_change_roots(lambda rows, x: profile(x), -R, R, [scan])["x"]
+            got = sign_change_roots(lambda rows, x: value_and_slope(profile, x), -R, R, [scan])["x"]
             expected = scalar_bisection_roots(profile, -R, R, scan)
-            assert len(got) > 0 and np.array_equal(got, expected)
+            assert len(got) > 0 and len(got) == len(expected)
+            assert np.max(np.abs(got - expected)) <= 2e-12 * max(1.0, R)
 
 
 def random_profile(rng, n_terms, poly_degree):
@@ -480,12 +489,73 @@ def test_one_root_pass_matches_each_profile_alone():
     scans = [512, 700, 2049, 513, 512, 900, 4000]
     profiles = tuple(random_profile(rng, int(rng.integers(1, 6)), int(rng.integers(-1, 3))) for _ in scans)
     stack = RadonDensity(d=1, R=1.5, directions=np.ones((len(scans), 1)), profiles=profiles)._stack
-    roots = sign_change_roots(lambda rows, x: stack.values(x, (0,), rows)[0], -1.5, 1.5, scans)
+    roots = sign_change_roots(lambda rows, x: stack.values(x, (0, -1), rows), -1.5, 1.5, scans)
     assert np.all(np.diff(roots["row"]) >= 0)
     for r, (profile, scan) in enumerate(zip(profiles, scans)):
-        alone = sign_change_roots(lambda rows, x: profile(x), -1.5, 1.5, [scan])["x"]
+        alone = sign_change_roots(lambda rows, x: value_and_slope(profile, x), -1.5, 1.5, [scan])["x"]
         assert np.array_equal(roots["x"][roots["row"] == r], alone)
-        assert np.array_equal(alone, scalar_bisection_roots(profile, -1.5, 1.5, scan))
+        expected = scalar_bisection_roots(profile, -1.5, 1.5, scan)
+        assert len(alone) == len(expected) and np.max(np.abs(alone - expected), initial=0.0) <= 2e-12 * 1.5
+
+
+def newton_iterates(F, dF, x, lo, hi, tol):
+    """The solutions of ``_bracketed_newton`` on F(live, x), and the points it evaluated, step by step."""
+    seen = []
+
+    def fn(live, x):
+        seen.append(x.copy())
+        return F(live, x), dF(live, x)
+
+    x, lo, hi = (np.asarray(v, dtype=float) for v in (x, lo, hi))
+    return _bracketed_newton(fn, x, lo, hi, tol), seen
+
+
+def test_bracketed_newton_ends_within_its_cap_at_zero_tolerance():
+    # a zero tolerance stops a bracket only on a step of exactly zero; the cap ends the rest
+    rng = np.random.default_rng(3)
+    lo = rng.uniform(-3.0, 0.0, 200)
+    hi = lo + rng.uniform(1e-3, 2.0, 200)
+    roots = rng.uniform(lo, hi)
+    F = lambda live, x: np.sinh(x - roots[live])
+    dF = lambda live, x: np.cosh(x - roots[live])
+    out, seen = newton_iterates(F, dF, 0.5 * (lo + hi), lo, hi, 0.0)
+    assert len(seen) <= _NEWTON_STEPS
+    assert np.all((lo <= out) & (out <= hi))
+    assert np.max(np.abs(out - roots)) <= 4 * np.spacing(3.0)
+
+
+def test_bracketed_newton_takes_the_midpoint_where_the_slope_vanishes():
+    # F = x^3 - 1 has F' = 0 at the bracket's midpoint 0: the step is 1/0,
+    # which falls back to the midpoint of [0, 1] without a warning; for
+    # F = x^3, F = 0 there as well, and 0/0 ends the bracket at 0
+    dF = lambda live, x: 3.0 * x**2
+    out, seen = newton_iterates(lambda live, x: x**3 - 1.0, dF, [0.0], [-1.0], [1.0], 1e-12)
+    assert seen[1][0] == 0.5 and out[0] == pytest.approx(1.0, abs=1e-15)
+    out, seen = newton_iterates(lambda live, x: x**3, dF, [0.0], [-1.0], [1.0], 1e-12)
+    assert out[0] == 0.0 and len(seen) == 1
+
+
+def test_bracketed_newton_accepts_a_step_onto_a_bracket_end():
+    # F = x - 1 on [0, 1]: from 0.5 the Newton step lands exactly on the end 1,
+    # which a test against the open bracket would replace by the midpoint 0.75
+    out, seen = newton_iterates(lambda live, x: x - 1.0, lambda live, x: np.ones_like(x), [0.5], [0.0], [1.0], 1e-12)
+    assert seen[1][0] == 1.0 and out[0] == 1.0 and len(seen) == 2
+
+
+def test_root_pass_makes_few_kernel_calls(monkeypatch):
+    # the scan, a few Newton steps and G_1 at the panel edges: a root
+    # bisection to 1e-12 made 34-36 calls on these spectra
+    calls = []
+    values = _ProfileStack.values
+    monkeypatch.setattr(_ProfileStack, "values", lambda self, *args: calls.append(1) or values(self, *args))
+    rng = np.random.default_rng(2024)
+    for _ in range(40):
+        d, R = int(rng.integers(1, 4)), float(rng.uniform(0.5, 3.0))
+        terms = random_cosine_terms(rng, d, int(rng.integers(1, 6)), freq_range=(0.5, 40.0 / R))
+        density = rl.density_from_spectrum(rl.from_cosine_sum(d, terms), R)
+        calls.clear()
+        density.panels(-R, R)
+        assert len(calls) <= 8
 
 
 def test_root_scan_blocks_split_nothing(monkeypatch):
