@@ -14,7 +14,6 @@ from .errors import (
 )
 from .quadrature import BallGrid, QuadratureRule, ball_grid, gauss_legendre, sphere_rule
 from .harmonics import (
-    SphericalHarmonic,
     funk_hecke_check,
     harmonic_dim,
     harmonic_eval,
@@ -30,7 +29,6 @@ from .spectrum import (
 )
 from .radon_measure import (
     AffinePart,
-    DirectionProfile,
     RadonDensity,
     check_fourier_bound,
     density_from_spectrum,
@@ -90,7 +88,6 @@ __all__ = [
     "sphere_rule",
     "ball_grid",
     # harmonics
-    "SphericalHarmonic",
     "harmonic_dim",
     "legendre_eval",
     "harmonic_eval",
@@ -103,7 +100,6 @@ __all__ = [
     "load_spectrum",
     "save_spectrum",
     # radon densities
-    "DirectionProfile",
     "RadonDensity",
     "AffinePart",
     "density_from_spectrum",

@@ -38,7 +38,6 @@ from .sparsifier import (
     _ladder,
     load_network,
     save_network,
-    sup_error,
     write_decay_csv,
 )
 from .spectrum import from_cosine_sum, fourier_constant_l1, fourier_constant_l2, load_spectrum
@@ -117,7 +116,7 @@ def cmd_approximate(args) -> int:
     R = args.R
     n_list = sorted({int(x) for x in args.n.split(",")})
     # the emitted network: the first best seeded trial at the largest width
-    reports, norm, grid, net = _ladder(mu, R, n_list, args.trials, args.seed, args.grid, args.convention)
+    reports, norm, net, emitted_error = _ladder(mu, R, n_list, args.trials, args.seed, args.grid, args.convention)
     if args.out:
         save_network(args.out, net)
     if args.csv:
@@ -137,7 +136,7 @@ def cmd_approximate(args) -> int:
         "min_errors": [r.min_error for r in reports],
         "max_errors": [r.max_error for r in reports],
         "emitted_width": net.n,
-        "emitted_sup_error": sup_error(net, mu, grid),
+        "emitted_sup_error": emitted_error,
         "passed": passed,
     }
     report.update(_meta(args, args.seed, tols, started))

@@ -13,7 +13,6 @@ the Funk-Hecke identity is what the test suite pins down.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,21 +103,6 @@ def harmonic_eval(k: int, j: int, d: int, omega):
     return out if np.asarray(omega).ndim > 1 else float(out[0])
 
 
-@dataclass(frozen=True)
-class SphericalHarmonic:
-    """Orthonormal real harmonic Y_{k,j} on S^{d-1} as a callable."""
-
-    k: int
-    j: int
-    d: int
-
-    def __post_init__(self):
-        _check_index(self.k, self.j, self.d)
-
-    def __call__(self, omega):
-        return harmonic_eval(self.k, self.j, self.d, omega)
-
-
 def weighted_profile_integral(eta, k: int, d: int, m: int = 128) -> float:
     """Integral of eta(t) * P_{k,d}(t) * (1-t^2)^((d-3)/2) over (-1, 1).
 
@@ -156,7 +140,6 @@ def funk_hecke_check(
     rule: QuadratureRule,
     j: int = 1,
     harmonic=None,
-    profile_nodes: int = 128,
 ) -> tuple[float, float]:
     """Both sides of the Funk-Hecke reduction for a profile ``eta``.
 
@@ -168,10 +151,10 @@ def funk_hecke_check(
     """
     if d not in (2, 3):
         raise UnsupportedDimensionError(f"funk_hecke_check supports d in {{2, 3}}, got {d}")
-    Y = harmonic if harmonic is not None else SphericalHarmonic(k, j, d)
+    Y = harmonic if harmonic is not None else lambda w: harmonic_eval(k, j, d, w)
     omega = np.asarray(omega, dtype=float)
     inner = rule.nodes @ omega
     lhs = float(rule.weights @ (np.asarray(eta(inner), dtype=float) * np.asarray(Y(rule.nodes), dtype=float)))
     y_at_omega = float(np.asarray(Y(omega)).reshape(-1)[0])
-    rhs = sphere_surface(d - 1) * y_at_omega * weighted_profile_integral(eta, k, d, m=profile_nodes)
+    rhs = sphere_surface(d - 1) * y_at_omega * weighted_profile_integral(eta, k, d)
     return lhs, rhs

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import DomainError, InvalidInputError, PreconditionError, float_field, integer_field
 from .harmonics import harmonic_dim, harmonic_eval, sphere_surface, weighted_profile_integral
 from .quadrature import BallGrid, QuadratureRule, gauss_legendre, sphere_rule
-from .radon_measure import DirectionProfile, RadonDensity
+from .radon_measure import RadonDensity
 from .sparsifier import TwoLayerNet
 
 
@@ -66,11 +66,6 @@ class HarmonicNullTerm:
     def in_set_a(self) -> bool:
         """Null membership: strictly below the k-2 threshold."""
         return self.kprime < self.k - 2
-
-    def density(self, omega, b):
-        """Pointwise density value h(omega, b)."""
-        y = np.asarray(harmonic_eval(self.k, self.j, self.d, omega), dtype=float)
-        return self.coeff * y * np.asarray(b, dtype=float) ** self.kprime
 
 
 @dataclass(frozen=True)
@@ -199,12 +194,9 @@ def null_term_density(term: HarmonicNullTerm, m: int | None = None) -> RadonDens
     m = m or (64 if term.d == 2 else 16)
     rule = sphere_rule(term.d, m)
     y = np.asarray(harmonic_eval(term.k, term.j, term.d, rule.nodes), dtype=float)
-    profiles = []
-    for yi, wi in zip(y, rule.weights):
-        coefs = np.zeros(term.kprime + 1)
-        coefs[term.kprime] = term.coeff * yi * wi
-        profiles.append(DirectionProfile(np.zeros(0), np.zeros(0, dtype=complex), coefs))
-    return RadonDensity(d=term.d, R=term.R, directions=rule.nodes, profiles=tuple(profiles))
+    poly = np.zeros((term.kprime + 1, len(y)))
+    poly[term.kprime] = term.coeff * y * rule.weights
+    return RadonDensity(d=term.d, R=term.R, directions=rule.nodes, poly=poly)
 
 
 def _factor_neurons(n: int, d: int, k: int, kprime: int) -> tuple[int, int]:

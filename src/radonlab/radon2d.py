@@ -159,37 +159,33 @@ def _dual_transform(psi, xs: np.ndarray, rule: QuadratureRule) -> np.ndarray:
     return out
 
 
-def radon_transform_2d(phi: BumpFunction, omega, b: float, rule: QuadratureRule | None = None) -> float:
+def radon_transform_2d(phi: BumpFunction, omega, b: float) -> float:
     """Line integral of the bump over the hyperplane {x : <omega, x> = b}.
 
     Integrates along the chord the line cuts through the support disk by
-    Gauss-Legendre; returns 0 when the line misses the support.  ``rule`` is
-    a reference rule on (-1, 1), mapped onto the chord.
+    64-node Gauss-Legendre; returns 0 when the line misses the support.
     """
     if phi.d != 2:
         raise InvalidInputError("line-integral transform is implemented for d=2")
-    rule = rule or gauss_legendre(64, -1.0, 1.0)
     omegas = np.asarray(omega, dtype=float).reshape(1, 2)
-    return float(_line_integrals(phi, omegas, np.array([b], dtype=float), rule)[0])
+    return float(_line_integrals(phi, omegas, np.array([b], dtype=float), gauss_legendre(64, -1.0, 1.0))[0])
 
 
-def dual_radon_transform(psi, x, rule: QuadratureRule | None = None, check_even: bool = True) -> float:
-    """Circle integral of psi(omega, <omega, x>) over all directions.
+def dual_radon_transform(psi, x) -> float:
+    """Circle integral of psi(omega, <omega, x>) over all directions, by a 64-node rule.
 
     ``psi(omega_batch, b_batch)`` must be vectorized.  Odd integrands are
     rejected: hyperplane-space functions are even by convention.
     """
-    rule = rule or sphere_rule(2, 64)
+    rule = sphere_rule(2, 64)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     nodes = rule.nodes
-    if check_even:
-        sample_b = np.linspace(-0.9, 0.9, 7)
-        for bb in sample_b:
-            vals = np.asarray(psi(nodes, np.full(len(nodes), bb)), dtype=float)
-            flipped = np.asarray(psi(-nodes, np.full(len(nodes), -bb)), dtype=float)
-            scale = max(1.0, float(np.abs(vals).max()))
-            if np.max(np.abs(vals - flipped)) > _EVEN_TOL * scale:
-                raise InvalidInputError("dual transform requires an even integrand on S^1 x R")
+    for bb in np.linspace(-0.9, 0.9, 7):
+        vals = np.asarray(psi(nodes, np.full(len(nodes), bb)), dtype=float)
+        flipped = np.asarray(psi(-nodes, np.full(len(nodes), -bb)), dtype=float)
+        scale = max(1.0, float(np.abs(vals).max()))
+        if np.max(np.abs(vals - flipped)) > _EVEN_TOL * scale:
+            raise InvalidInputError("dual transform requires an even integrand on S^1 x R")
     return float(_dual_transform(psi, x[None, :], rule)[0])
 
 
@@ -260,9 +256,10 @@ def radon_pairing_check(
     omegas, b, bias_weights = _bias_lines(phi, density.directions, chord_rule)
     rphi = _line_integrals(phi, omegas, b, chord_rule).reshape(bias_weights.shape)
     b = b.reshape(bias_weights.shape)
+    g = density.antiderivative(b, 0, np.arange(len(b)).repeat(b.shape[1]))
     lhs = 0.0
-    for profile, nodes, weights, values in zip(density.profiles, b, bias_weights, rphi):
-        lhs += float(weights @ (profile(nodes) * values))
+    for weights, values in zip(bias_weights, g * rphi):
+        lhs += float(weights @ values)
     pts, wts = _disk_rule(phi.center, phi.r, resolution)
     rhs = float(wts @ (mu.evaluate(pts) * phi.laplacian(pts)))
     return lhs, rhs

@@ -37,13 +37,15 @@ the mass of that lobe, at most h^3 max|g''| / 6 per cell, with
 max|g''| <= sum_j |w_j| t_j^2 + max|P_w''|.  A double root, where g
 touches zero without crossing, costs nothing.
 
-Every profile value comes from one kernel, ``_ProfileStack.values``, over
-the profiles' terms stacked as padded columns, each conjugate pair of
-terms folded into one.  It sums each point's terms in a fixed order with
-elementwise operations, so a value depends only on the profile and the
-point, never on the other points evaluated with it: a root, a sampled
-bias or a ramp pairing has the same bits whichever batch it is computed
-in.
+A density is its profile arrays: column r of ``freqs``, ``weights`` and
+``poly`` is the profile of direction r, padded with empty slots and zero
+coefficients.  Every profile value comes from one kernel,
+``RadonDensity._values``, over a table the density builds once, with each
+conjugate pair of terms folded into one.  It sums each point's terms in a
+fixed order with elementwise operations, so a value depends only on the
+profile and the point, never on the other points evaluated with it: a
+root, a sampled bias or a ramp pairing has the same bits whichever batch
+it is computed in.
 """
 
 from __future__ import annotations
@@ -79,18 +81,18 @@ _MAX_SCAN = 1 << 20
 # a cap only: bisection alone takes a bracket as wide as the interval below
 # 1e-9 of it in 30 steps
 _NEWTON_STEPS = 64
-# the roots of a stack of profiles: the profile's row and the root
+# the roots of a set of functions: the function's row and the root
 _ROOTS = np.dtype([("row", np.intp), ("x", float)])
 
 
-def _folded_terms(profile) -> list[tuple[float, complex]]:
-    """The profile's trig terms, with each pair (t, w), (-t, conj w) as one term (t, 2 w).
+def _folded_terms(freqs: np.ndarray, weights: np.ndarray) -> list[tuple[float, complex]]:
+    """The terms (t, w), with each pair (t, w), (-t, conj w) as one term (t, 2 w).
 
     The two terms of such a pair are complex conjugates at every b, so the
     pair is exactly twice the real part of either: a spectrum's profiles,
     made of such pairs, take half the trig evaluations.
     """
-    terms = list(zip(profile.trig_freqs.tolist(), profile.trig_weights.tolist()))
+    terms = list(zip(freqs.tolist(), weights.tolist()))
     where = {term: j for j, term in enumerate(terms)}
     folded, used = [], set()
     for j, (t, w) in enumerate(terms):
@@ -106,78 +108,138 @@ def _folded_terms(profile) -> list[tuple[float, complex]]:
 
 
 @dataclass(frozen=True)
-class _ProfileStack:
-    """Profiles as padded term arrays: column r holds profile r.
+class RadonDensity:
+    """Even real density on S^{d-1} x (-R, R) with an atomic sphere marginal.
 
-    ``freqs`` and ``weights`` are (terms, profiles), the terms of each
-    profile after ``_folded_terms``, padded with frequency 1 and weight 0;
-    ``poly`` is (degree + 1, profiles), low order first, padded with zero
-    leading coefficients.  Padding adds exact zeros, so a column evaluates
-    to the same bits as the one-profile stack of its profile.
+    Direction r, row r of ``directions``, carries the profile held in column
+    r of the arrays:
+
+        g_r(b) = sum_j Re(weights[j, r] exp(-i freqs[j, r] b)) + sum_p poly[p, r] b^p.
+
+    ``freqs`` and ``weights`` are (slots, m) and hold the raw terms; a slot
+    with frequency 0 is empty and must have weight 0, since a constant
+    belongs to the polynomial part.  ``poly`` is (degree + 1, m), low order
+    first.  The three are kept as read-only copies.
     """
 
-    freqs: np.ndarray
-    weights: np.ndarray
-    poly: np.ndarray
-    _coefs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    d: int
+    R: float
+    directions: np.ndarray
+    freqs: np.ndarray = ()
+    weights: np.ndarray = ()
+    poly: np.ndarray = ()
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _panels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @staticmethod
-    def of(profiles) -> "_ProfileStack":
-        terms = [_folded_terms(p) for p in profiles]
-        T = max((len(t) for t in terms), default=0)
-        P = max((len(p.poly_coefs) for p in profiles), default=0)
-        freqs = np.ones((T, len(profiles)))
-        weights = np.zeros((T, len(profiles)), dtype=complex)
-        poly = np.zeros((P, len(profiles)))
-        for r, (p, t) in enumerate(zip(profiles, terms)):
-            if t:
-                freqs[: len(t), r], weights[: len(t), r] = zip(*t)
-            poly[: len(p.poly_coefs), r] = p.poly_coefs
-        return _ProfileStack(freqs, weights, poly)
+    def __post_init__(self):
+        dirs = np.atleast_2d(np.asarray(self.directions, dtype=float))
+        columns = {"directions": dirs}
+        for name, dtype in (("freqs", float), ("weights", complex), ("poly", float)):
+            a = np.array(getattr(self, name), dtype=dtype)
+            a = a.reshape(0, len(dirs)) if a.size == 0 else a
+            if a.ndim != 2 or a.shape[1] != len(dirs):
+                raise InvalidInputError(f"{name} of shape {a.shape} must have one column per direction, {len(dirs)}")
+            columns[name] = a
+        if columns["freqs"].shape != columns["weights"].shape:
+            raise InvalidInputError("trig frequencies and weights must align")
+        if np.any((columns["freqs"] == 0) & (columns["weights"] != 0)):
+            raise InvalidInputError("zero trig frequency: constants belong to the polynomial part")
+        for name, a in columns.items():
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
-    def coefs(self, orders: tuple) -> tuple[np.ndarray, np.ndarray]:
-        """The trig table of ``orders``: the frequencies, then for every k the
-        cos and then for every k the sin coefficients of G_k's terms, as one
-        (1 + 2 len(orders), terms, profiles) array; and the polynomial parts
-        of the G_k, (orders, degree + 1, profiles) with zero leading
-        coefficients as padding.  Order -1 is the derivative g': its trig
-        weights w / (-it)^-1 = w (-it) come from the same formula, and its
-        polynomial part from ``polyder``."""
-        if orders not in self._coefs:
-            scale = np.array([self.weights / (-1j * self.freqs) ** k if k else self.weights for k in orders])
-            trig = np.concatenate([self.freqs[None], scale.real, scale.imag])
+    def __len__(self) -> int:
+        return len(self.directions)
+
+    @property
+    def is_empty(self) -> bool:
+        return len(self) == 0
+
+    def panels(self, lo: float, hi: float) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """Sign-constant panels of every profile on (lo, hi), computed once per interval.
+
+        Per profile: the edges (lo, the sign-change roots, hi), G_1 at the
+        edges, and the integral of |g| from lo to each edge.
+        """
+        key = (float(lo), float(hi))
+        if key not in self._panels:
+            self._panels[key] = _density_panels(self, *key)
+        return self._panels[key]
+
+    def antiderivative(self, b, k: int, rows):
+        """k-th antiderivative G_k of the profiles at the points b (G_0 = g, and
+        k = -1 gives g'): point i on column ``rows[i]``, or every point on
+        column ``rows`` for an int.
+
+        The trig part integrates term by term to Re(w e^{-itb} / (-it)^k) and
+        the polynomial part by ``polyint``.  Every integration constant is
+        zero, so G_{k+1}' = G_k holds along the whole chain.
+        """
+        return self._values(b, (k,), rows)[0]
+
+    @cached_property
+    def _folded(self) -> tuple[np.ndarray, np.ndarray]:
+        """The filled slots of each column, in slot order, after ``_folded_terms``,
+        padded with frequency 1 and weight 0 to (terms, m)."""
+        columns = [_folded_terms(f[f != 0], w[f != 0]) for f, w in zip(self.freqs.T, self.weights.T)]
+        T = max(map(len, columns), default=0)
+        freqs, weights = np.ones((T, len(self))), np.zeros((T, len(self)), dtype=complex)
+        for r, terms in enumerate(columns):
+            if terms:
+                freqs[: len(terms), r], weights[: len(terms), r] = zip(*terms)
+        return freqs, weights
+
+    def _table(self, orders: tuple) -> tuple[np.ndarray, np.ndarray]:
+        """The kernel table of ``orders``, built once per density: the
+        frequencies, then for every k the cos and then for every k the sin
+        coefficients of G_k's terms, as one (1 + 2 len(orders), terms, m)
+        array; and the polynomial parts of the G_k, (orders, degree + 1, m)
+        with zero leading coefficients as padding.  Order -1 is the
+        derivative g': its trig weights w / (-it)^-1 = w (-it) come from the
+        same formula, and its polynomial part from ``polyder``."""
+        if orders not in self._tables:
+            freqs, weights = self._folded
+            scale = np.array([weights / (-1j * freqs) ** k if k else weights for k in orders])
+            trig = np.concatenate([freqs[None], scale.real, scale.imag])
             polys = (
                 [polyint(self.poly, k, axis=0) if k >= 0 else polyder(self.poly, -k, axis=0) for k in orders]
                 if len(self.poly)
                 else []
             )
-            poly = np.zeros((len(orders), max(map(len, polys), default=0), self.poly.shape[1]))
+            poly = np.zeros((len(orders), max(map(len, polys), default=0), len(self)))
             for padded, p in zip(poly, polys):
                 padded[: len(p)] = p
-            self._coefs[orders] = (trig, poly)
-        return self._coefs[orders]
+            self._tables[orders] = (trig, poly)
+        return self._tables[orders]
 
-    def values(self, b, orders, rows=None) -> tuple:
-        """G_k for every k in ``orders`` at the points b, point i on row ``rows[i]``.
+    def _values(self, b, orders, rows) -> tuple:
+        """G_k for every k in ``orders`` at the points b, point i on column ``rows[i]``,
+        or every point on column ``rows`` for an int.
 
-        ``rows`` may be omitted for a one-profile stack.  A point's terms are
-        summed in order, by a running sum over contiguous term rows, and its
-        polynomial part by Horner's rule as in ``polyval``: elementwise
-        operations only, so a value does not depend on the other points.
-        Points go in blocks of at most ``_EVAL_BLOCK`` (order, term, point) triples.
+        A point's terms are summed in order, by a running sum over contiguous
+        term rows, and its polynomial part by Horner's rule as in
+        ``polyval``: elementwise operations only, so a value does not depend
+        on the other points.  Padding adds exact zeros, so a column has the
+        same bits in any density it sits in.  Points go in blocks of at most
+        ``_EVAL_BLOCK`` (order, term, point) triples; each block gathers its
+        columns with ``take``, whose contiguous result keeps the elementwise
+        operations after it fast, and an int reads its column as a slice.
         """
         b = np.asarray(b, dtype=float)
         flat = b.ravel()
-        trig, poly = self.coefs(tuple(orders))
+        trig, poly = self._table(tuple(orders))
+        one = np.ndim(rows) == 0
+        if one:
+            trig, poly = trig[..., rows : rows + 1], poly[..., rows : rows + 1]
         K, T, P = len(orders), trig.shape[1], poly.shape[1]
         step = max(1, _EVAL_BLOCK // max(1, T * K))
         out = np.empty((K, len(flat)))
         for s in range(0, len(flat), step):
             x = flat[s : s + step]
             table, c_poly = trig, poly
-            if rows is not None:
+            if not one:
                 r = rows[s : s + step]
-                table, c_poly = trig[..., r], poly[..., r] if P else None
+                table, c_poly = trig.take(r, axis=-1), poly.take(r, axis=-1)
             if T:
                 tb = table[0] * x
                 terms = np.cos(tb) * table[1 : K + 1]
@@ -196,145 +258,39 @@ class _ProfileStack:
             out[:, s : s + step] = val
         return tuple(o.reshape(b.shape)[()] for o in out)
 
+    def validate(self) -> None:
+        """Spot-check realness and the evenness g_w(b) = g_{-w}(-b) at 17 points of [-R, R].
 
-@dataclass(frozen=True)
-class DirectionProfile:
-    """Profile b -> g(b) of one direction: trigonometric plus polynomial part.
-
-    Trig frequencies are nonzero; a constant belongs to the polynomial part.
-    """
-
-    trig_freqs: np.ndarray
-    trig_weights: np.ndarray
-    poly_coefs: np.ndarray
-
-    def __post_init__(self):
-        tf = np.asarray(self.trig_freqs, dtype=float)
-        tw = np.asarray(self.trig_weights, dtype=complex)
-        pc = np.asarray(self.poly_coefs, dtype=float)
-        if tf.shape != tw.shape:
-            raise InvalidInputError("trig frequencies and weights must align")
-        if np.any(tf == 0):
-            raise InvalidInputError("zero trig frequency: constants belong to the polynomial part")
-        for arr in (tf, tw, pc):
-            arr.setflags(write=False)
-        object.__setattr__(self, "trig_freqs", tf)
-        object.__setattr__(self, "trig_weights", tw)
-        object.__setattr__(self, "poly_coefs", pc)
-
-    def __call__(self, b):
-        """Real value of the profile (vectorized over any-shape b)."""
-        return self.antiderivative(b, 0)
-
-    def antiderivative(self, b, k: int):
-        """k-th antiderivative G_k of the profile (G_0 = g), vectorized over b.
-
-        The trig part integrates term by term to Re(w e^{-itb} / (-it)^k) and
-        the polynomial part by ``polyint``.  Every integration constant is
-        zero, so G_{k+1}' = G_k holds along the whole chain.  This is the
-        one-row case of the profile kernel: the value at a point depends only
-        on that point, bit for bit, not on the other points of b, and memory
-        stays bounded for any number of points and terms.  k = -1 gives g'.
-        """
-        return self._stack.values(b, (k,))[0]
-
-    @cached_property
-    def _stack(self) -> _ProfileStack:
-        return _ProfileStack.of((self,))
-
-    def imag_residue(self, b) -> float:
-        """Largest imaginary part of the complex profile sum (realness check)."""
-        if not len(self.trig_freqs):
-            return 0.0
-        b = np.asarray(b, dtype=float)
-        tb = np.multiply.outer(b, self.trig_freqs)
-        vals = np.exp(-1j * tb) @ self.trig_weights
-        return float(np.abs(vals.imag).max())
-
-    def merged(self, other: "DirectionProfile") -> "DirectionProfile":
-        freqs = np.concatenate([self.trig_freqs, other.trig_freqs])
-        weights = np.concatenate([self.trig_weights, other.trig_weights])
-        p, q = self.poly_coefs, other.poly_coefs
-        coefs = np.zeros(max(len(p), len(q)))
-        coefs[: len(p)] += p
-        coefs[: len(q)] += q
-        return DirectionProfile(freqs, weights, coefs)
-
-
-@dataclass(frozen=True)
-class RadonDensity:
-    """Even real density on S^{d-1} x (-R, R) with an atomic sphere marginal."""
-
-    d: int
-    R: float
-    directions: np.ndarray
-    profiles: tuple[DirectionProfile, ...]
-    _panels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        dirs = np.atleast_2d(np.asarray(self.directions, dtype=float))
-        if len(self.profiles) != len(dirs) and len(dirs) > 0:
-            raise InvalidInputError("one profile per direction required")
-        dirs.setflags(write=False)
-        object.__setattr__(self, "directions", dirs)
-        object.__setattr__(self, "profiles", tuple(self.profiles))
-
-    def __len__(self) -> int:
-        return len(self.profiles)
-
-    @property
-    def is_empty(self) -> bool:
-        return len(self.profiles) == 0
-
-    def panels(self, lo: float, hi: float) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-        """Sign-constant panels of every profile on (lo, hi), computed once per interval.
-
-        Per profile: the edges (lo, the sign-change roots, hi), G_1 at the
-        edges, and the integral of |g| from lo to each edge.
-        """
-        key = (float(lo), float(hi))
-        if key not in self._panels:
-            self._panels[key] = _density_panels(self, *key)
-        return self._panels[key]
-
-    @cached_property
-    def _stack(self) -> _ProfileStack:
-        return _ProfileStack.of(self.profiles)
-
-    def validate(self, tol: float = _REAL_TOL, n_check: int = 17) -> None:
-        """Spot-check realness and the evenness g_w(b) = g_{-w}(-b).
-
-        Evenness is checked for every direction in one stacked evaluation;
-        the checks still fail in direction order.
+        Realness is checked on the raw terms, before conjugate pairs fold,
+        and evenness for every direction in one stacked evaluation; the
+        checks still fail in direction order.
         """
         if self.is_empty:
             return
-        b = np.linspace(-self.R, self.R, n_check)
+        n = 17
+        b = np.linspace(-self.R, self.R, n)
+        residues = np.abs((np.exp(-1j * np.multiply.outer(b, self.freqs)) * self.weights).sum(axis=1).imag).max(axis=0)
         index = {tuple(w): i for i, w in enumerate(np.round(self.directions, 12).tolist())}
         partners = [index.get(tuple(np.round(-w, 12).tolist())) for w in self.directions]
         m = len(self)
         rows = np.arange(m)
         mirror = np.array([i if j is None else j for i, j in enumerate(partners)])
         points = np.concatenate([np.tile(b, m), np.tile(-b, m)])
-        g = self._stack.values(points, (0,), np.concatenate([rows, mirror]).repeat(n_check))[0]
-        gaps = np.abs(g[: m * n_check] - g[m * n_check :]).reshape(m, n_check).max(axis=1)
-        limit = tol * max(1.0, self._scale())
-        for profile, j, gap in zip(self.profiles, partners, gaps):
-            if profile.imag_residue(b) > tol:
+        g = self._values(points, (0,), np.concatenate([rows, mirror]).repeat(n))[0]
+        gaps = np.abs(g[: m * n] - g[m * n :]).reshape(m, n).max(axis=1)
+        scale = (np.abs(self.weights).sum(axis=0) + np.abs(self.poly).sum(axis=0)).max()
+        limit = _REAL_TOL * max(1.0, float(scale))
+        for residue, j, gap in zip(residues, partners, gaps):
+            if residue > _REAL_TOL:
                 raise InvariantViolationError("profile is not real: spectral symmetry broken")
             if j is None:
                 raise InvariantViolationError("direction set is not antipodally symmetric")
             if gap > limit:
                 raise InvariantViolationError("evenness g_w(b) = g_{-w}(-b) violated")
 
-    def _scale(self) -> float:
-        return max(
-            (float(np.abs(p.trig_weights).sum() + np.abs(p.poly_coefs).sum()) for p in self.profiles),
-            default=1.0,
-        )
-
     def merged_with(self, other: "RadonDensity") -> "RadonDensity":
-        """Union of two densities on the same ball (profiles add on shared directions)."""
+        """Union of two densities on the same ball: on a shared direction the
+        slots of ``other`` follow those of ``self`` and the polynomials add."""
         if other.is_empty:
             return self
         if self.is_empty:
@@ -342,16 +298,18 @@ class RadonDensity:
         if self.d != other.d or self.R != other.R:
             raise InvalidInputError("densities live on different hyperplane spaces")
         index = {tuple(w): i for i, w in enumerate(self.directions.tolist())}
-        dirs = [w for w in self.directions]
-        profs = list(self.profiles)
-        for w, p in zip(other.directions, other.profiles):
-            i = index.get(tuple(w.tolist()))
-            if i is None:
-                dirs.append(w)
-                profs.append(p)
-            else:
-                profs[i] = profs[i].merged(p)
-        return RadonDensity(self.d, self.R, np.array(dirs), tuple(profs))
+        cols = np.array([index.get(tuple(w), -1) for w in other.directions.tolist()])
+        new = cols < 0
+        cols[new] = len(self) + np.arange(np.count_nonzero(new))
+        m, S, P = len(self) + np.count_nonzero(new), len(self.freqs), len(self.poly)
+        freqs = np.zeros((S + len(other.freqs), m))
+        weights = np.zeros(freqs.shape, dtype=complex)
+        poly = np.zeros((max(P, len(other.poly)), m))
+        freqs[:S, : len(self)], weights[:S, : len(self)], poly[:P, : len(self)] = self.freqs, self.weights, self.poly
+        freqs[S:, cols], weights[S:, cols] = other.freqs, other.weights
+        poly[: len(other.poly), cols] += other.poly
+        directions = np.concatenate([self.directions, other.directions[new]])
+        return RadonDensity(self.d, self.R, directions, freqs, weights, poly)
 
 
 def density_from_spectrum(mu: SpectralMeasure, R: float) -> RadonDensity:
@@ -359,7 +317,8 @@ def density_from_spectrum(mu: SpectralMeasure, R: float) -> RadonDensity:
     to 12 decimals (the antipode key of ``RadonDensity.validate``), so that
     parallel frequencies such as (1, 1) and (3, 3), whose directions can
     differ in the last bit, share one: the first seen.  Directions are
-    sorted lexicographically for reproducible summation order.
+    sorted lexicographically for reproducible summation order, and each
+    atom fills the slot of its rank among its direction's atoms.
     """
     if not math.isfinite(R):
         raise InvalidInputError(f"ball radius R must be finite, not {R}")
@@ -368,14 +327,22 @@ def density_from_spectrum(mu: SpectralMeasure, R: float) -> RadonDensity:
     groups, ids = _first_seen(map(tuple, np.round(mu.omegas, 12).tolist()))
     first = np.unique(ids, return_index=True)[1]
     order = sorted(range(len(groups)), key=lambda g: mu.omegas[first[g]].tolist())
-    weights = -mu.freqs**2 * mu.coefs
-    profiles = tuple(DirectionProfile(mu.freqs[ids == g], weights[ids == g], np.zeros(0)) for g in order)
+    column = np.empty(len(groups), dtype=np.intp)
+    column[order] = np.arange(len(groups))
+    by_group = np.argsort(ids, kind="stable")
+    counts = np.bincount(ids)
+    rank = np.empty(len(ids), dtype=np.intp)
+    rank[by_group] = np.arange(len(ids)) - (np.cumsum(counts) - counts)[ids[by_group]]
+    freqs = np.zeros((counts.max(initial=0), len(groups)))
+    weights = np.zeros(freqs.shape, dtype=complex)
+    freqs[rank, column[ids]] = mu.freqs
+    weights[rank, column[ids]] = -mu.freqs**2 * mu.coefs
+    density = RadonDensity(mu.d, float(R), mu.omegas[first[order]], freqs, weights)
     # a ball too large to scan is refused before validate evaluates anything on
     # it, and so is one whose diameter overflows, which an empty spectrum never scans
-    _scan_sizes(profiles, -R, R)
+    _scan_sizes(density, -R, R)
     if not math.isfinite(2.0 * R):
         raise DomainError(f"ball radius R = {R:g} is too large: its diameter 2R overflows a float")
-    density = RadonDensity(d=mu.d, R=float(R), directions=mu.omegas[first[order]], profiles=profiles)
     density.validate()
     return density
 
@@ -456,21 +423,21 @@ def sign_change_roots(fn, lo: float, hi: float, scans) -> np.ndarray:
     return roots
 
 
-def _scan_sizes(profiles, lo: float, hi: float) -> list[int]:
-    """Root-scan points of each profile on (lo, hi); a scan of more than
+def _scan_sizes(density: RadonDensity, lo: float, hi: float) -> np.ndarray:
+    """Root-scan points of each profile on (lo, hi), sized by its top raw
+    frequency (empty slots count as none); a scan of more than
     ``_MAX_SCAN`` points raises ``DomainError``."""
-    scans = []
-    for profile in profiles:
-        top = float(np.abs(profile.trig_freqs).max(initial=0.0))
-        cells = _SCAN_PER_HALF_PERIOD * top * (hi - lo) / math.pi
-        # compared as a float, so that a count that overflows to inf is refused too
-        if not cells <= _MAX_SCAN - 1:
-            raise DomainError(
-                f"frequency too high for the ball: |xi| * R = {top * max(abs(lo), abs(hi)):.6g} needs a root scan "
-                f"of more than the {_MAX_SCAN} points allowed"
-            )
-        scans.append(max(_ROOT_SCAN, math.ceil(cells) + 1))
-    return scans
+    top = np.abs(density.freqs).max(axis=0, initial=0.0)
+    cells = _SCAN_PER_HALF_PERIOD * top * (hi - lo) / math.pi
+    # compared as floats, so that a count that overflows to inf is refused too
+    refused = ~(cells <= _MAX_SCAN - 1)
+    if refused.any():
+        t = top[np.argmax(refused)]
+        raise DomainError(
+            f"frequency too high for the ball: |xi| * R = {t * max(abs(lo), abs(hi)):.6g} needs a root scan "
+            f"of more than the {_MAX_SCAN} points allowed"
+        )
+    return np.maximum(_ROOT_SCAN, np.ceil(cells).astype(np.intp) + 1)
 
 
 def _density_panels(density: RadonDensity, lo: float, hi: float):
@@ -478,13 +445,12 @@ def _density_panels(density: RadonDensity, lo: float, hi: float):
     the running integral of |g|, from one root pass over every profile."""
     if density.is_empty:
         return ()
-    scans = _scan_sizes(density.profiles, lo, hi)
-    stack = density._stack
-    roots = sign_change_roots(lambda rows, x: stack.values(x, (0, -1), rows), lo, hi, scans)
+    scans = _scan_sizes(density, lo, hi)
+    roots = sign_change_roots(lambda rows, x: density._values(x, (0, -1), rows), lo, hi, scans)
     counts = np.bincount(roots["row"], minlength=len(density))
     cuts = np.cumsum(counts)[:-1]
     edges = [np.concatenate([[lo], x, [hi]]) for x in np.split(roots["x"], cuts)]
-    g1 = stack.values(np.concatenate(edges), (1,), np.arange(len(density)).repeat(counts + 2))[0]
+    g1 = density._values(np.concatenate(edges), (1,), np.arange(len(density)).repeat(counts + 2))[0]
     g1 = np.split(g1, np.cumsum(counts + 2)[:-1])
     return tuple((e, g, np.concatenate([[0.0], np.cumsum(np.abs(np.diff(g)))])) for e, g in zip(edges, g1))
 
@@ -548,12 +514,13 @@ def profile_moment(density: RadonDensity, i: int, power: int, lo: float, hi: flo
     by parts would cancel badly at high degree); the trig part as in
     ``_trig_moments``.
     """
-    profile = density.profiles[i]
+    freqs, weights, poly = density.freqs[:, i], density.weights[:, i], density.poly[:, i]
+    filled = freqs != 0
     total = 0.0
-    if len(profile.trig_freqs):
-        total += float(np.real(profile.trig_weights @ _trig_moments(profile.trig_freqs, power, lo, hi)))
-    if len(profile.poly_coefs):
-        prim = polyint(np.concatenate([np.zeros(power), profile.poly_coefs]))
+    if filled.any():
+        total += float(np.real(weights[filled] @ _trig_moments(freqs[filled], power, lo, hi)))
+    if len(poly):
+        prim = polyint(np.concatenate([np.zeros(power), poly]))
         total += float(polyval(hi, prim) - polyval(lo, prim))
     return total
 
@@ -615,7 +582,7 @@ def ramp_integral_grid(density: RadonDensity, X) -> np.ndarray:
         m = len(u)
         rows = np.arange(s, s + m)
         points = np.concatenate([u.ravel(), np.full(m, -R)])
-        G2, G1 = density._stack.values(points, (2, 1), np.concatenate([rows.repeat(n), rows]))
+        G2, G1 = density._values(points, (2, 1), np.concatenate([rows.repeat(n), rows]))
         G2R, G1R = G2[m * n :, None], G1[m * n :, None]
         for term in G2[: m * n].reshape(m, n) - G2R - (u + R) * G1R:  # directions added in order
             out += term
@@ -644,7 +611,7 @@ def fit_affine(density: RadonDensity) -> AffinePart:
     if density.is_empty:
         return AffinePart.zero(density.d)
     m, R = len(density), density.R
-    G2, G1 = density._stack.values(np.full(m, -R), (2, 1), np.arange(m))
+    G2, G1 = density._values(np.full(m, -R), (2, 1), np.arange(m))
     return AffinePart(v=G1 @ density.directions, c=float(np.sum(G2 + R * G1)))
 
 

@@ -45,7 +45,6 @@ from .errors import DegenerateMeasureError, DomainError, InvalidInputError, floa
 from .quadrature import BallGrid, ball_grid
 from .radon_measure import (
     AffinePart,
-    DirectionProfile,
     RadonDensity,
     _bracketed_newton,
     density_from_spectrum,
@@ -147,9 +146,10 @@ class TwoLayerNet:
                 raise InvalidInputError("prop2 outer scale exceeds sqrt(d) * norm")
 
 
-def _inverse_cdf(profile: DirectionProfile, panels, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Biases b at which the mass of |g| from the interval's start reaches u * mass,
-    and the signs of g at them: +-1, the sign of the panel each b lies in.
+def _inverse_cdf(density: RadonDensity, row: int, panels, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Biases b at which the mass of |g| of the profile in column ``row`` from
+    the interval's start reaches u * mass, and the signs of g at them: +-1,
+    the sign of the panel each b lies in.
 
     The panel holding each target comes from the running masses; inside it
     the CDF |G_1(b) - G_1(r_k)| is monotone with derivative |g|, and
@@ -182,7 +182,7 @@ def _inverse_cdf(profile: DirectionProfile, panels, u: np.ndarray) -> tuple[np.n
     start = g1[k]
 
     def excess(live, x):
-        G1, g = profile._stack.values(x, (1, 0))
+        G1, g = density._values(x, (1, 0), row)
         return sign[live] * (G1 - start[live]) - rest[live], sign[live] * g
 
     b = _bracketed_newton(excess, lo + (hi - lo) * lobe, lo, hi, 1e-9 * (edges[-1] - edges[0]))
@@ -195,10 +195,10 @@ def _draw_biases(density: RadonDensity, idx, u, lo: float, hi: float) -> tuple[n
     sign-constant panel each b lies in."""
     b = np.empty(len(idx))
     a = np.empty(len(idx))
-    for i, (profile, panels) in enumerate(zip(density.profiles, density.panels(lo, hi))):
+    for i, panels in enumerate(density.panels(lo, hi)):
         sel = np.flatnonzero(idx == i)
         if len(sel):
-            bi, a[sel] = _inverse_cdf(profile, panels, u[sel])
+            bi, a[sel] = _inverse_cdf(density, i, panels, u[sel])
             b[sel] = np.clip(bi, np.nextafter(lo, hi), np.nextafter(hi, lo))
     return b, a
 
@@ -477,9 +477,10 @@ def error_decay_experiment(
 
 def _ladder(
     mu: SpectralMeasure, R: float, n_list, trials: int, seed: int, grid_size: int, convention: str
-) -> tuple[list[ApproxReport], float, BallGrid, TwoLayerNet | None]:
-    """``error_decay_experiment``, with the density norm, the scoring grid,
-    and the network of the first best trial at the largest width."""
+) -> tuple[list[ApproxReport], float, TwoLayerNet | None, float | None]:
+    """``error_decay_experiment``, with the density norm, the network of the
+    first best trial at the largest width, and that trial's error: its
+    ``sup_error`` on the scoring grid, to the bit."""
     n_list = [int(n) for n in n_list]
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise InvalidInputError("widths must be strictly increasing")
@@ -521,7 +522,9 @@ def _ladder(
         ApproxReport(n, trials, seed, R * norm / math.sqrt(n), tuple(errors[ni * trials : (ni + 1) * trials]), len(grid))
         for ni, n in enumerate(n_list)
     ]
-    return reports, norm, grid, plan.net(*best[1:]) if best else None
+    if best is None:
+        return reports, norm, None, None
+    return reports, norm, plan.net(*best[1:]), float(best[0])
 
 
 def _json_float(x: float) -> str:

@@ -53,6 +53,20 @@ def second_derivative_norm_1d(f_second_derivative, R: float, points: int = 8193)
     return sum(abs(quad(fn, a, b, epsabs=1e-15, epsrel=1e-13, limit=200)[0]) for a, b in zip(edges[:-1], edges[1:]))
 
 
+def padded_density(directions, profiles, R: float = 1.0) -> rl.RadonDensity:
+    """A density whose column r holds ``profiles[r]`` = (freqs, weights, poly),
+    padded with empty slots and zero coefficients."""
+    directions = np.atleast_2d(np.asarray(directions, dtype=float))
+    slots = max((len(f) for f, _, _ in profiles), default=0)
+    degree = max((len(p) for _, _, p in profiles), default=0)
+    freqs = np.zeros((slots, len(profiles)))
+    weights = np.zeros(freqs.shape, dtype=complex)
+    poly = np.zeros((degree, len(profiles)))
+    for r, (f, w, p) in enumerate(profiles):
+        freqs[: len(f), r], weights[: len(w), r], poly[: len(p), r] = f, w, p
+    return rl.RadonDensity(directions.shape[1], R, directions, freqs, weights, poly)
+
+
 def random_cosine_terms(rng, d, n_terms=3, freq_range=(0.5, 5.0), amp_range=(-2.0, 2.0)):
     """Random cosine sum with frequencies bounded away from zero."""
     terms = []

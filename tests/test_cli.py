@@ -386,14 +386,19 @@ def test_approximate_rejects_non_positive_trials(tmp_path, capsys, spectrum_path
 
 @pytest.mark.parametrize("convention, R", [("thm2", "1"), ("prop2", "0.8")])
 def test_approximate_emitted_error_is_last_min_error(tmp_path, spectrum2_path, convention, R):
-    report_path = tmp_path / "report.json"
+    report_path, net_path = tmp_path / "report.json", tmp_path / "net.json"
     code = main([
         "approximate", "--spectrum", str(spectrum2_path), "--R", R, "--n", "16,64,512",
         "--trials", "6", "--seed", "3", "--convention", convention, "--report", str(report_path),
+        "--out", str(net_path),
     ])
     assert code == EXIT_PASS
     report = read_json(report_path)
     assert report["emitted_sup_error"] == report["min_errors"][-1]
+    # the ladder's own score is the emitted network's sup error on the default grid, to the bit
+    mu = rl.from_cosine_sum(*rl.load_spectrum(spectrum2_path))
+    grid = rl.ball_grid(2, float(R), 500, mode="low-discrepancy")
+    assert report["emitted_sup_error"] == rl.sup_error(rl.load_network(net_path), mu, grid)
 
 
 def test_norm_refuses_unbounded_root_scan(tmp_path, capsys):

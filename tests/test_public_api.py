@@ -6,10 +6,10 @@ import radonlab as rl
 
 PUBLIC_API = [
     "AffinePart", "ApproxReport", "BallGrid", "BumpFunction", "CalibrationConstants",
-    "DegenerateMeasureError", "DirectionProfile", "DomainError", "HarmonicNullTerm",
+    "DegenerateMeasureError", "DomainError", "HarmonicNullTerm",
     "InconsistentMeasureError", "InvalidInputError", "InvariantViolationError",
     "ModeConnectReport", "NullVerificationReport", "PreconditionError", "QuadratureRule",
-    "RadonDensity", "RadonlabError", "SpectralMeasure", "SphericalHarmonic", "TwoLayerNet",
+    "RadonDensity", "RadonlabError", "SpectralMeasure", "TwoLayerNet",
     "UnsupportedDimensionError", "__version__", "adjointness_check", "ball_grid",
     "check_fourier_bound", "density_from_spectrum", "discretize_null", "dual_radon_transform",
     "error_decay_experiment", "fit_affine", "fourier_constant_l1", "fourier_constant_l2",
@@ -24,5 +24,5 @@ PUBLIC_API = [
 
 def test_public_api_is_pinned():
     assert sorted(rl.__all__) == PUBLIC_API
-    assert len(PUBLIC_API) == 60
+    assert len(PUBLIC_API) == 58
     assert all(hasattr(rl, name) for name in PUBLIC_API)

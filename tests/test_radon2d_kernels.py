@@ -193,11 +193,11 @@ def test_radon_pairing_check_matches_the_loop(res):
     lhs, rhs = rl.radon_pairing_check(mu, density, rl.BumpFunction(center, r, amp), res)
 
     want_lhs = 0.0
-    for omega, profile in zip(density.directions, density.profiles):
+    for row, omega in enumerate(density.directions):
         p = float(omega @ center)
         bs, bw = gauss_on(res, p - r, p + r)
         vals = np.array([chord_loop(center, r, amp, omega, float(b), res) for b in bs])
-        want_lhs += float(bw @ (profile(bs) * vals))
+        want_lhs += float(bw @ (density.antiderivative(bs, 0, row) * vals))
     pts, wts = disk_loop(center, r, res)
     f = sum(a * np.cos(pts @ xi) for a, xi in terms)
     want_rhs = float(wts @ (f * bump_laplacian(center, r, amp, pts)))

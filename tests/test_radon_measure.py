@@ -13,17 +13,16 @@ import radonlab as rl
 from radonlab.errors import DomainError, InvalidInputError, UnsupportedDimensionError
 from radonlab.radon_measure import (
     _NEWTON_STEPS,
-    DirectionProfile,
     RadonDensity,
     _bracketed_newton,
     _folded_terms,
-    _ProfileStack,
+    direction_masses,
     profile_moment,
     ramp_integral_grid,
     sign_change_roots,
 )
 
-from conftest import EPS, near_cancel_fpp, random_cosine_terms, second_derivative_norm_1d
+from conftest import EPS, near_cancel_fpp, padded_density, random_cosine_terms, second_derivative_norm_1d
 
 # a numpy warning here means an overflow or an invalid value in a reconstruction
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -42,15 +41,15 @@ def cos_density(cos_measure):
 def test_cos_profile_is_half_negative_cosine(cos_density):
     # symbolic oracle: -1/4 (e^{-ib} + e^{ib}) = -cos(b)/2 on each direction
     b = np.linspace(-1.5, 1.5, 31)
-    for profile in cos_density.profiles:
-        assert np.allclose(profile(b), -0.5 * np.cos(b), atol=1e-14)
+    for r in range(len(cos_density)):
+        assert np.allclose(cos_density.antiderivative(b, 0, r), -0.5 * np.cos(b), atol=1e-14)
 
 
 def test_near_cancel_profile_is_half_second_derivative(near_cancel_measure):
     density = rl.density_from_spectrum(near_cancel_measure, 1.0)
     b = np.linspace(-1, 1, 41)
-    for profile in density.profiles:
-        assert np.allclose(profile(b), 0.5 * near_cancel_fpp(b), atol=1e-13)
+    for r in range(len(density)):
+        assert np.allclose(density.antiderivative(b, 0, r), 0.5 * near_cancel_fpp(b), atol=1e-13)
 
 
 def test_empty_spectrum_gives_zero_norm():
@@ -125,7 +124,7 @@ def test_fourier_bound_on_random_spectra():
 
 
 def test_reconstruct_affine_only():
-    density = RadonDensity(d=2, R=1.0, directions=np.zeros((0, 2)), profiles=())
+    density = RadonDensity(d=2, R=1.0, directions=np.zeros((0, 2)))
     affine = rl.AffinePart(v=[2.0, -1.0], c=0.5)
     assert rl.reconstruct_grid(density, affine, [[0.3, 0.4]])[0] == pytest.approx(2 * 0.3 - 0.4 + 0.5, abs=1e-15)
 
@@ -163,14 +162,9 @@ def test_fit_affine_zero_spectrum():
 
 def test_fit_affine_negative_control_detects_non_null_corruption(cos_measure, cos_density):
     # adding a density that does NOT represent zero must break the representation
-    corrupt = RadonDensity(
-        d=1,
-        R=cos_density.R,
-        directions=cos_density.directions,
-        profiles=tuple(
-            p.merged(DirectionProfile(np.array([0.9]), np.array([0.8 + 0j]), np.zeros(0)))
-            for p in cos_density.profiles
-        ),
+    m = len(cos_density)
+    corrupt = cos_density.merged_with(
+        RadonDensity(1, cos_density.R, cos_density.directions, freqs=np.full((1, m), 0.9), weights=np.full((1, m), 0.8 + 0j))
     )
     grid = rl.ball_grid(1, math.pi / 2, 64, mode="lattice")
     affine = rl.fit_affine(corrupt)
@@ -252,38 +246,34 @@ def test_harmonic_moment_empty_and_errors():
         rl.harmonic_moment(rl.density_from_spectrum(mu1, 1.0), 2, 1, 0)
 
 
+def test_density_arrays_refuse_a_weight_in_an_empty_slot_and_misaligned_columns():
+    with pytest.raises(InvalidInputError, match="zero trig frequency"):
+        RadonDensity(d=1, R=1.0, directions=[[1.0], [-1.0]], freqs=[[1.0, 0.0]], weights=[[1.0, 0.5]])
+    with pytest.raises(InvalidInputError, match="must align"):
+        RadonDensity(d=1, R=1.0, directions=[[1.0], [-1.0]], freqs=[[1.0, 1.0]], weights=[[1.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(InvalidInputError, match="one column per direction"):
+        RadonDensity(d=1, R=1.0, directions=[[1.0], [-1.0]], poly=[[1.0, 2.0, 3.0]])
+    # an empty slot with weight 0 is no term
+    density = RadonDensity(d=1, R=1.0, directions=[[1.0]], freqs=[[0.0], [2.0]], weights=[[0.0], [1.0]])
+    assert density.antiderivative(0.5, 0, 0) == math.cos(1.0)
+
+
 def test_density_validate_catches_broken_evenness():
-    bad = RadonDensity(
-        d=1,
-        R=1.0,
-        directions=np.array([[1.0], [-1.0]]),
-        profiles=(
-            DirectionProfile(np.array([1.0]), np.array([1.0 + 0j]), np.zeros(0)),
-            DirectionProfile(np.array([1.0]), np.array([2.0 + 0j]), np.zeros(0)),
-        ),
-    )
+    bad = RadonDensity(d=1, R=1.0, directions=[[1.0], [-1.0]], freqs=[[1.0, 1.0]], weights=[[1.0, 2.0]])
     with pytest.raises(rl.InvariantViolationError):
         bad.validate()
 
 
 def test_density_validate_catches_complex_profile():
     # one term with no conjugate partner: Im(w e^{-itb}) is not zero
-    bad = RadonDensity(
-        d=1,
-        R=1.0,
-        directions=np.array([[1.0], [-1.0]]),
-        profiles=(
-            DirectionProfile(np.array([1.0]), np.array([1.0 + 1.0j]), np.zeros(0)),
-            DirectionProfile(np.array([1.0]), np.array([1.0 - 1.0j]), np.zeros(0)),
-        ),
-    )
+    bad = RadonDensity(d=1, R=1.0, directions=[[1.0], [-1.0]], freqs=[[1.0, 1.0]], weights=[[1.0 + 1.0j, 1.0 - 1.0j]])
     with pytest.raises(rl.InvariantViolationError, match="not real"):
         bad.validate()
 
 
 def test_density_validate_catches_missing_antipode():
-    real = DirectionProfile(np.array([2.0, -2.0]), np.array([1.0 + 0.5j, 1.0 - 0.5j]), np.zeros(0))
-    bad = RadonDensity(d=2, R=1.0, directions=np.array([[1.0, 0.0], [0.0, 1.0]]), profiles=(real, real))
+    real = (np.array([2.0, -2.0]), np.array([1.0 + 0.5j, 1.0 - 0.5j]), np.zeros(0))
+    bad = padded_density([[1.0, 0.0], [0.0, 1.0]], [real, real])
     with pytest.raises(rl.InvariantViolationError, match="antipodally"):
         bad.validate()
 
@@ -334,9 +324,10 @@ def test_ramp_integral_is_the_per_direction_sum_bit_for_bit(monkeypatch):
     density = rl.density_from_spectrum(mu, 1.0).merged_with(rl.null_term_density(term, m=16))
     X = rl.ball_grid(2, 1.0, 150, mode="low-discrepancy").points
     loop = np.zeros(len(X))
-    for w, profile in zip(density.directions, density.profiles):
+    for r, w in enumerate(density.directions):
         u = X @ w
-        loop += profile.antiderivative(u, 2) - profile.antiderivative(-1.0, 2) - (u + 1.0) * profile.antiderivative(-1.0, 1)
+        G = density.antiderivative
+        loop += G(u, 2, r) - G(-1.0, 2, r) - (u + 1.0) * G(-1.0, 1, r)
     assert np.array_equal(ramp_integral_grid(density, X), loop)
     monkeypatch.setattr("radonlab.radon_measure._EVAL_BLOCK", 400)  # chunks of two directions
     assert np.array_equal(ramp_integral_grid(density, X), loop)
@@ -348,10 +339,11 @@ def test_ramp_integral_matches_quad_at_high_frequency():
     density = rl.density_from_spectrum(mu, 1.0)
     xs = np.linspace(-0.95, 0.95, 7)
     got = ramp_integral_grid(density, xs[:, None])
+    G = density.antiderivative
     expected = [
         sum(
-            quad(lambda b, u=x * w[0], p=p: (u - b) * p(b), -1.0, x * w[0], epsabs=1e-11, epsrel=1e-11, limit=500)[0]
-            for w, p in zip(density.directions, density.profiles)
+            quad(lambda b, u=x * w[0], r=r: (u - b) * G(b, 0, r), -1.0, x * w[0], epsabs=1e-11, epsrel=1e-11, limit=500)[0]
+            for r, w in enumerate(density.directions)
         )
         for x in xs
     ]
@@ -361,10 +353,7 @@ def test_ramp_integral_matches_quad_at_high_frequency():
 def test_moments_exact_on_high_degree_polynomial_profiles():
     coefs = np.zeros(23)
     coefs[20], coefs[22] = 1.0, 0.5
-    density = RadonDensity(
-        d=1, R=1.0, directions=np.array([[1.0]]),
-        profiles=(DirectionProfile(np.zeros(0), np.zeros(0, dtype=complex), coefs),),
-    )
+    density = RadonDensity(d=1, R=1.0, directions=np.array([[1.0]]), poly=coefs[:, None])
     # int b^21 (b^20 + b^22 / 2) over (lo, hi) = [b^42 / 42 + b^44 / 88]
     for lo, hi in ((-1.0, 1.0), (0.3, 0.9)):
         exact = (hi**42 - lo**42) / 42 + (hi**44 - lo**44) / 88
@@ -382,13 +371,10 @@ def test_moments_exact_on_high_degree_polynomial_profiles():
 def test_profile_moment_trig_part_matches_quad(t, power):
     # both branches of the closed form: the series at |t| R < 0.3 power,
     # integration by parts above it
-    density = RadonDensity(
-        d=1, R=1.0, directions=np.array([[1.0]]),
-        profiles=(DirectionProfile(np.array([t]), np.array([0.7 - 0.4j]), np.zeros(0)),),
-    )
-    profile = density.profiles[0]
+    density = RadonDensity(d=1, R=1.0, directions=np.array([[1.0]]), freqs=[[t]], weights=[[0.7 - 0.4j]])
     for lo, hi in ((-1.0, 1.0), (0.0, 1.0), (-0.6, 0.8)):
-        expected = quad(lambda b: b**power * profile(b), lo, hi, epsabs=1e-14, epsrel=1e-13, limit=500)[0]
+        g = lambda b: density.antiderivative(b, 0, 0)
+        expected = quad(lambda b: b**power * g(b), lo, hi, epsabs=1e-14, epsrel=1e-13, limit=500)[0]
         got = profile_moment(density, 0, power, lo, hi)
         assert got == pytest.approx(expected, rel=1e-11, abs=1e-13)
 
@@ -413,9 +399,14 @@ def scalar_bisection_roots(fn, lo, hi, scan, tol=1e-12):
     return roots
 
 
-def value_and_slope(profile, x):
-    """g and g' of one profile, the pair ``sign_change_roots`` refines with."""
-    return profile(x), profile.antiderivative(x, -1)
+def value_and_slope(density, r, x):
+    """g and g' of column r, the pair ``sign_change_roots`` refines with."""
+    return density.antiderivative(x, 0, r), density.antiderivative(x, -1, r)
+
+
+def alone(profile, R=1.0):
+    """A density of one direction whose column is ``profile`` = (freqs, weights, poly)."""
+    return padded_density([[1.0]], [profile], R)
 
 
 def test_vectorized_roots_match_scalar_bisection():
@@ -423,20 +414,23 @@ def test_vectorized_roots_match_scalar_bisection():
     for _ in range(20):
         n = int(rng.integers(1, 9))
         R = float(rng.uniform(0.5, 2.0))
-        profile = DirectionProfile(
-            rng.uniform(1.0, 40.0 / R, n) * rng.choice([-1.0, 1.0], n),
-            rng.normal(size=n) + 1j * rng.normal(size=n),
-            rng.normal(size=int(rng.integers(0, 3))),
+        density = alone(
+            (
+                rng.uniform(1.0, 40.0 / R, n) * rng.choice([-1.0, 1.0], n),
+                rng.normal(size=n) + 1j * rng.normal(size=n),
+                rng.normal(size=int(rng.integers(0, 3))),
+            ),
+            R,
         )
         for scan in (512, 2049):
-            got = sign_change_roots(lambda rows, x: value_and_slope(profile, x), -R, R, [scan])["x"]
-            expected = scalar_bisection_roots(profile, -R, R, scan)
+            got = sign_change_roots(lambda rows, x: value_and_slope(density, 0, x), -R, R, [scan])["x"]
+            expected = scalar_bisection_roots(lambda x: density.antiderivative(x, 0, 0), -R, R, scan)
             assert len(got) > 0 and len(got) == len(expected)
             assert np.max(np.abs(got - expected)) <= 2e-12 * max(1.0, R)
 
 
 def random_profile(rng, n_terms, poly_degree):
-    return DirectionProfile(
+    return (
         rng.uniform(0.5, 40.0, n_terms) * rng.choice([-1.0, 1.0], n_terms),
         rng.normal(size=n_terms) + 1j * rng.normal(size=n_terms),
         rng.normal(size=poly_degree + 1) if poly_degree >= 0 else np.zeros(0),
@@ -449,12 +443,12 @@ def test_profile_value_does_not_depend_on_its_batch(n_terms, poly_degree):
     # a BLAS product over the terms gives bits that depend on which other
     # points share the call; the ordered elementwise sum does not
     rng = np.random.default_rng(n_terms)
-    profile = random_profile(rng, n_terms, poly_degree)
+    density = alone(random_profile(rng, n_terms, poly_degree))
     b = rng.uniform(-2.0, 2.0, 1000)
     for k in (0, 1, 2):
-        batch = profile.antiderivative(b, k)
-        alone = np.array([profile.antiderivative(b[i : i + 1], k)[0] for i in range(len(b))])
-        assert np.array_equal(batch, alone)
+        batch = density.antiderivative(b, k, 0)
+        one = np.array([density.antiderivative(b[i : i + 1], k, 0)[0] for i in range(len(b))])
+        assert np.array_equal(batch, one)
 
 
 def test_conjugate_pairs_fold_into_one_term():
@@ -462,40 +456,55 @@ def test_conjugate_pairs_fold_into_one_term():
     # a term repeated with its partner repeated, an unpaired term and a pair split by others
     freqs = np.array([3.0, -3.0, 3.0, 5.0, -3.0, 11.0, -5.0])
     weights = np.array([w, np.conj(w), w, 1.5j, np.conj(w), 0.2, -1.5j])
-    profile = DirectionProfile(freqs, weights, np.zeros(0))
-    folded = _folded_terms(profile)
+    folded = _folded_terms(freqs, weights)
     assert folded == [(3.0, 2 * w), (-3.0, 2 * np.conj(w)), (5.0, 3.0j), (11.0, 0.2)]
+    density = alone((freqs, weights, np.zeros(0)))
     b = np.linspace(-2.0, 2.0, 101)
     for k in (0, 1, 2):
         naive = sum(wj * np.exp(-1j * tj * b) / (-1j * tj) ** k for tj, wj in zip(freqs, weights))
-        assert np.allclose(profile.antiderivative(b, k), naive.real, rtol=0, atol=1e-13)
+        assert np.allclose(density.antiderivative(b, k, 0), naive.real, rtol=0, atol=1e-13)
 
 
 def test_stacked_profiles_match_their_rows_bit_for_bit():
     # padding to the largest term count and degree adds exact zeros
     rng = np.random.default_rng(8)
     profiles = [random_profile(rng, n, deg) for n, deg in ((1, -1), (5, 2), (2, 0), (0, 4), (3, -1))]
-    density = RadonDensity(d=1, R=2.0, directions=np.ones((len(profiles), 1)), profiles=tuple(profiles))
+    density = padded_density(np.ones((len(profiles), 1)), profiles, R=2.0)
     b = rng.uniform(-2.0, 2.0, 300)
     rows = rng.integers(0, len(profiles), len(b))
-    stacked = density._stack.values(b, (0, 1, 2), rows)
+    stacked = density._values(b, (0, 1, 2), rows)
     for k, values in zip((0, 1, 2), stacked):
         for r, profile in enumerate(profiles):
-            assert np.array_equal(values[rows == r], profile.antiderivative(b[rows == r], k))
+            assert np.array_equal(values[rows == r], alone(profile, 2.0).antiderivative(b[rows == r], k, 0))
+
+
+def test_an_int_row_reads_the_same_bits_as_an_array_of_it():
+    # an int reads its column as a slice, an array gathers it point by point
+    rng = np.random.default_rng(10)
+    profiles = [random_profile(rng, n, deg) for n, deg in ((4, -1), (0, 3), (2, 1), (7, 0))]
+    term = rl.HarmonicNullTerm(k=4, j=1, kprime=2, coeff=1.0, d=2, R=2.0)
+    spectral = rl.density_from_spectrum(rl.from_cosine_sum(2, random_cosine_terms(rng, 2, 5)), 2.0)
+    b = rng.uniform(-2.0, 2.0, 400)
+    merged = spectral.merged_with(rl.null_term_density(term, m=8))
+    for density in (padded_density(np.ones((len(profiles), 1)), profiles, R=2.0), merged):
+        for r in range(len(density)):
+            for k in (-1, 0, 1, 2):
+                assert np.array_equal(density.antiderivative(b, k, r), density.antiderivative(b, k, np.full(len(b), r)))
 
 
 def test_one_root_pass_matches_each_profile_alone():
     rng = np.random.default_rng(12)
     scans = [512, 700, 2049, 513, 512, 900, 4000]
-    profiles = tuple(random_profile(rng, int(rng.integers(1, 6)), int(rng.integers(-1, 3))) for _ in scans)
-    stack = RadonDensity(d=1, R=1.5, directions=np.ones((len(scans), 1)), profiles=profiles)._stack
-    roots = sign_change_roots(lambda rows, x: stack.values(x, (0, -1), rows), -1.5, 1.5, scans)
+    profiles = [random_profile(rng, int(rng.integers(1, 6)), int(rng.integers(-1, 3))) for _ in scans]
+    density = padded_density(np.ones((len(scans), 1)), profiles, R=1.5)
+    roots = sign_change_roots(lambda rows, x: density._values(x, (0, -1), rows), -1.5, 1.5, scans)
     assert np.all(np.diff(roots["row"]) >= 0)
     for r, (profile, scan) in enumerate(zip(profiles, scans)):
-        alone = sign_change_roots(lambda rows, x: value_and_slope(profile, x), -1.5, 1.5, [scan])["x"]
-        assert np.array_equal(roots["x"][roots["row"] == r], alone)
-        expected = scalar_bisection_roots(profile, -1.5, 1.5, scan)
-        assert len(alone) == len(expected) and np.max(np.abs(alone - expected), initial=0.0) <= 2e-12 * 1.5
+        one = alone(profile, 1.5)
+        own = sign_change_roots(lambda rows, x: value_and_slope(one, 0, x), -1.5, 1.5, [scan])["x"]
+        assert np.array_equal(roots["x"][roots["row"] == r], own)
+        expected = scalar_bisection_roots(lambda x: one.antiderivative(x, 0, 0), -1.5, 1.5, scan)
+        assert len(own) == len(expected) and np.max(np.abs(own - expected), initial=0.0) <= 2e-12 * 1.5
 
 
 def newton_iterates(F, dF, x, lo, hi, tol):
@@ -546,8 +555,8 @@ def test_root_pass_makes_few_kernel_calls(monkeypatch):
     # the scan, a few Newton steps and G_1 at the panel edges: a root
     # bisection to 1e-12 made 34-36 calls on these spectra
     calls = []
-    values = _ProfileStack.values
-    monkeypatch.setattr(_ProfileStack, "values", lambda self, *args: calls.append(1) or values(self, *args))
+    values = RadonDensity._values
+    monkeypatch.setattr(RadonDensity, "_values", lambda self, *args: calls.append(1) or values(self, *args))
     rng = np.random.default_rng(2024)
     for _ in range(40):
         d, R = int(rng.integers(1, 4)), float(rng.uniform(0.5, 3.0))
@@ -561,12 +570,11 @@ def test_root_pass_makes_few_kernel_calls(monkeypatch):
 def test_root_scan_blocks_split_nothing(monkeypatch):
     # a scan longer than one block, with block edges inside and between profiles
     rng = np.random.default_rng(4)
-    profiles = tuple(random_profile(rng, 3, -1) for _ in range(3))
-    density = RadonDensity(d=1, R=1.0, directions=np.ones((3, 1)), profiles=profiles)
-    whole = density.panels(-1.0, 1.0)
+    profiles = [random_profile(rng, 3, -1) for _ in range(3)]
+    whole = padded_density(np.ones((3, 1)), profiles).panels(-1.0, 1.0)
     monkeypatch.setattr("radonlab.radon_measure._SCAN_BLOCK", 97)
     monkeypatch.setattr("radonlab.radon_measure._EVAL_BLOCK", 50)
-    blocked = RadonDensity(d=1, R=1.0, directions=np.ones((3, 1)), profiles=profiles).panels(-1.0, 1.0)
+    blocked = padded_density(np.ones((3, 1)), profiles).panels(-1.0, 1.0)
     for a, b in zip(whole, blocked):
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
@@ -585,8 +593,7 @@ def test_tv_norm_memory_bounded_at_high_frequency():
     # 64 terms up to |t| R = 2e4: the scan has ~2e5 points, so one
     # points x terms float64 matrix would take ~100 MB
     rng = np.random.default_rng(5)
-    profile = DirectionProfile(rng.uniform(1e4, 2e4, 64), rng.normal(size=64) + 1j * rng.normal(size=64), np.zeros(0))
-    density = RadonDensity(d=1, R=1.0, directions=np.array([[1.0]]), profiles=(profile,))
+    density = alone((rng.uniform(1e4, 2e4, 64), rng.normal(size=64) + 1j * rng.normal(size=64), np.zeros(0)))
     tracemalloc.start()
     try:
         norm = rl.tv_norm(density)
@@ -595,3 +602,21 @@ def test_tv_norm_memory_bounded_at_high_frequency():
         tracemalloc.stop()
     assert peak < 16 * 2**20
     assert np.isfinite(norm) and norm > 0
+
+
+def test_empty_slots_and_a_poly_only_column_scan_at_a_huge_radius():
+    # empty slots count as no frequency: a column of 2 cos(t b) beside an empty
+    # slot, and a constant column without terms, keep small scans at R = 1e7
+    R, t = 1e7, 0.005
+    density = RadonDensity(
+        d=1, R=R, directions=np.array([[1.0], [-1.0]]),
+        freqs=np.array([[t, 0.0], [0.0, 0.0], [-t, 0.0]]), weights=np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]),
+        poly=np.array([[0.0, 1.0]]),
+    )
+    # the integral of |cos u| over (0, X) is 2 k + (sin r or 2 - sin r), X = k pi + r
+    k, rest = divmod(t * R, math.pi)
+    lobes = 2 * k + (math.sin(rest) if rest <= math.pi / 2 else 2 - math.sin(rest))
+    masses = direction_masses(density)
+    assert masses[0] == pytest.approx(2 * 2 * lobes / t, rel=1e-9)
+    assert masses[1] == 2 * R
+    assert rl.tv_norm(density) == masses[0] + masses[1]

@@ -14,10 +14,10 @@ import radonlab.sparsifier as sparsifier
 from scipy.optimize import brentq
 
 from radonlab.errors import DegenerateMeasureError, DomainError, InvalidInputError
-from radonlab.radon_measure import RadonDensity, _ProfileStack
+from radonlab.radon_measure import RadonDensity
 from radonlab.sparsifier import _draw, _draw_plan, _inverse_cdf, _project, _ramp_sums
 
-from conftest import decay_slope, random_cosine_terms
+from conftest import decay_slope, padded_density, random_cosine_terms
 
 # a numpy warning here means an overflow or an invalid value in a draw or a score
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -70,10 +70,10 @@ def test_thm2_biases_inside_ball_and_signs_follow_profile():
     density = rl.density_from_spectrum(mu, R)
     net = rl.sample_network(density, rl.tv_norm(density), rl.AffinePart.zero(2), 4096, seed=17)
     assert np.all((net.b > -R) & (net.b < R))
-    for w, profile in zip(density.directions, density.profiles):
+    for r, w in enumerate(density.directions):
         sel = np.all(net.omegas == w, axis=1)
         assert sel.any()
-        assert np.array_equal(net.a[sel], np.where(profile(net.b[sel]) >= 0, 1.0, -1.0))
+        assert np.array_equal(net.a[sel], np.where(density.antiderivative(net.b[sel], 0, r) >= 0, 1.0, -1.0))
 
 
 def test_bias_histogram_tracks_density(near_cancel_setup):
@@ -89,7 +89,7 @@ def test_bias_histogram_tracks_density(near_cancel_setup):
         nodes, weights = map(np.asarray, np.polynomial.legendre.leggauss(64))
         nodes = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
         weights = 0.5 * (hi - lo) * weights
-        mass = sum(float(weights @ np.abs(p(nodes))) for p in density.profiles)
+        mass = sum(float(weights @ np.abs(density.antiderivative(nodes, 0, r))) for r in range(len(density)))
         probs.append(mass / norm)
     probs = np.array(probs)
     chi2 = float(np.sum((counts - n * probs) ** 2 / np.maximum(n * probs, 1e-12)))
@@ -124,8 +124,8 @@ def test_quadrature_network_converges_to_reconstruction(cos_measure):
     for m in (32, 128):
         rule = rl.gauss_legendre(m, -R, R)
         a, omegas, b = [], [], []
-        for w, profile in zip(density.directions, density.profiles):
-            a.extend(profile(rule.nodes) * rule.weights)
+        for r, w in enumerate(density.directions):
+            a.extend(density.antiderivative(rule.nodes, 0, r) * rule.weights)
             omegas.extend([w] * m)
             b.extend(rule.nodes)
         net = rl.TwoLayerNet(
@@ -415,16 +415,16 @@ def test_ramp_sums_rows_equal_one_stream_calls_bit_for_bit(monkeypatch, ties):
 def ramp_points_per_draw(monkeypatch, freq):
     density = rl.density_from_spectrum(rl.from_cosine_sum(1, [(1.0, [freq])]), 1.0)
     points = []
-    values = _ProfileStack.values
+    values = RadonDensity._values
 
     def counted(self, b, *args):
         points.append(np.size(b))
         return values(self, b, *args)
 
-    monkeypatch.setattr(_ProfileStack, "values", counted)
+    monkeypatch.setattr(RadonDensity, "_values", counted)
     panels = density.panels(-1.0, 1.0)[0]
     u = np.random.default_rng(0).random(10_000)
-    _inverse_cdf(density.profiles[0], panels, u)
+    _inverse_cdf(density, 0, panels, u)
     return len(panels[0]) - 2, sum(points) / len(u)
 
 
@@ -621,15 +621,16 @@ def test_error_decay_makes_one_inverse_cdf_call_per_direction_and_batch(monkeypa
 
 
 def random_profile(rng, n_terms, poly_degree):
+    """A density on the unit ball of one direction, whose profile has these terms and degree."""
     freqs = rng.uniform(1.0, 25.0, n_terms) * rng.choice([-1.0, 1.0], n_terms)
     weights = rng.normal(size=n_terms) + 1j * rng.normal(size=n_terms)
-    return rl.DirectionProfile(freqs, weights, rng.normal(size=poly_degree + 1))
+    return padded_density([[1.0]], [(freqs, weights, rng.normal(size=poly_degree + 1))])
 
 
 def exact_cdf(profile, lo, hi):
     """b -> integral of |g| from lo, from roots found by brentq and G_1 written out here."""
-    t, w = profile.trig_freqs, profile.trig_weights
-    p = np.polynomial.Polynomial(profile.poly_coefs)
+    t, w = profile.freqs[:, 0], profile.weights[:, 0]
+    p = np.polynomial.Polynomial(profile.poly[:, 0])
     g = lambda b: np.real(np.exp(-1j * np.multiply.outer(b, t)) @ w) + p(b)
     G1 = lambda b: float(np.real(w @ (np.exp(-1j * t * b) / (-1j * t))) + p.integ()(b))
     xs = np.linspace(lo, hi, 20001)
@@ -647,9 +648,8 @@ def exact_cdf(profile, lo, hi):
 
 
 def profile_panels(profile, lo, hi):
-    """The panels of one profile on (lo, hi), as a one-direction density finds them."""
-    density = RadonDensity(d=1, R=max(abs(lo), abs(hi)), directions=np.array([[1.0]]), profiles=(profile,))
-    return density.panels(lo, hi)[0]
+    """The panels of one profile on (lo, hi)."""
+    return profile.panels(lo, hi)[0]
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -668,10 +668,10 @@ def test_inverse_cdf_matches_brentq(seed):
         near = near[(near > lo) & (near < hi)]
         near_roots += len(near)
         u = np.concatenate([rng.random(200), [cdf(b) / total for b in near]])
-        got, _ = _inverse_cdf(profile, profile_panels(profile, lo, hi), u)
+        got, _ = _inverse_cdf(profile, 0, profile_panels(profile, lo, hi), u)
         want = [brentq(lambda b: cdf(b) - ui * total, lo, hi, xtol=1e-13, maxiter=500) for ui in u]
         assert np.max(np.abs(got - want)) <= 1e-9 * 2 * R
-        assert np.array_equal(got, _inverse_cdf(profile, profile_panels(profile, lo, hi), u)[0])
+        assert np.array_equal(got, _inverse_cdf(profile, 0, profile_panels(profile, lo, hi), u)[0])
     assert near_roots >= 2
 
 
@@ -681,8 +681,8 @@ def test_inverse_cdf_sign_is_the_sign_of_the_profile(seed):
     profile = random_profile(rng, n_terms=int(rng.integers(1, 5)), poly_degree=int(rng.integers(0, 3)))
     for lo, hi in ((-1.0, 1.0), (0.0, 1.0)):
         panels = profile_panels(profile, lo, hi)
-        b, a = _inverse_cdf(profile, panels, rng.random(2000))
+        b, a = _inverse_cdf(profile, 0, panels, rng.random(2000))
         # away from the panel edges, where g vanishes and its sign is rounding noise
         away = np.min(np.abs(b[:, None] - panels[0][None, :]), axis=1) > 1e-9 * (hi - lo)
         assert away.sum() >= 1990
-        assert np.array_equal(a[away], np.where(profile(b[away]) >= 0, 1.0, -1.0))
+        assert np.array_equal(a[away], np.where(profile.antiderivative(b[away], 0, 0) >= 0, 1.0, -1.0))

@@ -300,9 +300,11 @@ def assert_matches_reference(d, terms, pick=0):
     density = rl.density_from_spectrum(mu, 1.0)
     groups = reference_groups(atoms)
     assert same_bits(density.directions, np.array([key for key, _ in groups]).reshape(len(groups), d))
-    for profile, (_, members) in zip(density.profiles, groups):
-        assert same_bits(profile.trig_freqs, np.array([t for t, _ in members]))
-        assert same_bits(profile.trig_weights, np.array([weight for _, weight in members]))
+    # column r holds direction r's atoms in atom order, then empty slots
+    for r, (_, members) in enumerate(groups):
+        empty = [0.0] * (len(density.freqs) - len(members))
+        assert same_bits(density.freqs[:, r], np.array([t for t, _ in members] + empty))
+        assert same_bits(density.weights[:, r], np.array([weight for _, weight in members] + empty, dtype=complex))
     moment = sum(abs(c) * (t * t) for _, t, c in atoms)
     assert rl.radon_measure.spectral_second_moment(mu) == moment
 
@@ -346,7 +348,7 @@ def test_axis_aligned_partners_hold_negative_zero():
     assert np.signbit(mu.omegas[:, 1]).any()
     density = rl.density_from_spectrum(mu, 1.0)
     assert density.directions.tolist() == [[-1.0, 0.0], [1.0, 0.0]]
-    assert [len(p.trig_freqs) for p in density.profiles] == [4, 4]
+    assert np.count_nonzero(density.freqs, axis=0).tolist() == [4, 4]
 
 
 def test_parallel_frequencies_share_one_direction():
@@ -355,6 +357,6 @@ def test_parallel_frequencies_share_one_direction():
     t1, t2 = math.sqrt(0.5), math.sqrt(4.5)
     density = rl.density_from_spectrum(rl.from_cosine_sum(2, [(1.0, [0.5, 0.5]), (1.0, [1.5, 1.5])]), 1.0)
     assert len(density) == 2
-    assert [sorted(p.trig_freqs.tolist()) for p in density.profiles] == [sorted([t1, -t1, t2, -t2])] * 2
+    assert [sorted(f[f != 0].tolist()) for f in density.freqs.T] == [sorted([t1, -t1, t2, -t2])] * 2
     on_axis = rl.density_from_spectrum(rl.from_cosine_sum(2, [(1.0, [t1, 0.0]), (1.0, [t2, 0.0])]), 1.0)
     assert rl.tv_norm(density) == pytest.approx(rl.tv_norm(on_axis), rel=1e-12)
