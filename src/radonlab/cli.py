@@ -78,7 +78,6 @@ def cmd_norm(args) -> int:
     tols = DEFAULTS.apply_overrides(_parse_overrides(args.tol_override))
     d, terms = load_spectrum(args.spectrum)
     mu = from_cosine_sum(d, terms)
-    mu.validate()
     R = args.R
     density = density_from_spectrum(mu, R)
     norm = tv_norm(density)
@@ -112,7 +111,6 @@ def cmd_approximate(args) -> int:
     tols = DEFAULTS.apply_overrides(_parse_overrides(args.tol_override))
     d, terms = load_spectrum(args.spectrum)
     mu = from_cosine_sum(d, terms)
-    mu.validate()
     R = args.R
     n_list = sorted({int(x) for x in args.n.split(",")})
     # the emitted network: the first best seeded trial at the largest width

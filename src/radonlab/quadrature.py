@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -71,17 +71,6 @@ class BallGrid:
 
     def __len__(self) -> int:
         return len(self.points)
-
-    @cached_property
-    def max_spacing(self) -> float:
-        """Largest nearest-neighbor distance, a coverage diagnostic computed
-        on first read (meaningless for a single point, where it is 0)."""
-        if len(self.points) < 2:
-            return 0.0
-        from scipy.spatial import cKDTree
-
-        dist, _ = cKDTree(self.points).query(self.points, k=2)
-        return float(dist[:, 1].max())
 
 
 @lru_cache(maxsize=128)
@@ -153,15 +142,23 @@ def _vdc(indices: np.ndarray, base: int) -> np.ndarray:
     return out
 
 
-_HALTON_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+def _primes(n: int) -> np.ndarray:
+    """The first n primes, from a sieve of Eratosthenes up to Rosser's bound
+    n (ln n + ln ln n) on the n-th prime (n >= 6)."""
+    top = int(n * (math.log(n) + math.log(math.log(n)))) + 1 if n >= 6 else 12
+    sieve = np.ones(top, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(top) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    return np.flatnonzero(sieve)[:n]
 
 
 def _halton(m: int, dims: int) -> np.ndarray:
-    """First m Halton points (index starting at 1, so no point at the origin)."""
-    if dims > len(_HALTON_BASES):
-        raise InvalidInputError(f"low-discrepancy grids support at most {len(_HALTON_BASES)} dimensions")
+    """First m Halton points in the bases of the first ``dims`` primes
+    (index starting at 1, so no point at the origin)."""
     idx = np.arange(1, m + 1)
-    return np.column_stack([_vdc(idx, b) for b in _HALTON_BASES[:dims]])
+    return np.column_stack([_vdc(idx, b) for b in _primes(dims).tolist()])
 
 
 def _cube_to_ball(u: np.ndarray, d: int, R: float) -> np.ndarray:

@@ -8,7 +8,11 @@ carrying a per-direction profile
     g_w(b) = sum_j Re(w_j * exp(-i t_j b)) + P_w(b),   w_j = -t_j^2 * c_j,
 
 supported on b in (-R, R); the polynomial part P_w (zero for spectra) lets
-harmonic null densities merge in as direction atoms of a sphere rule.  Its
+harmonic null densities merge in as direction atoms of a sphere rule.
+The closure makes every profile real and even, g_w(b) = g_{-w}(-b), and
+lets each conjugate pair of atoms (t, w), (-t, conj w) of a direction
+be stored as one term (t, 2 w): ``density_from_spectrum`` checks the
+closure once, on the measure, and folds the pairs as it builds.  Its
 total variation equals the Radon-based representation norm of f on the ball
 of radius R, ramp integrals against it reconstruct f up to an affine part,
 and its harmonic-times-monomial pairings are the null-space moments.
@@ -30,7 +34,7 @@ inverse-CDF draws are its other caller.  The scan has at least
 frequency (and never fewer than ``_ROOT_SCAN``), so it brackets every root
 of a single cosine.  A profile whose scan would pass ``_MAX_SCAN`` points
 is refused with ``DomainError`` before anything is scanned;
-``density_from_spectrum`` refuses one on (-R, R) before it validates the
+``density_from_spectrum`` refuses one on (-R, R) as it builds the
 density.  A sum of terms can still hide a pair of roots in one scan cell
 of width h, where g dips across zero and back; the norm then loses twice
 the mass of that lobe, at most h^3 max|g''| / 6 per cell, with
@@ -40,19 +44,18 @@ touches zero without crossing, costs nothing.
 A density is its profile arrays: column r of ``freqs``, ``weights`` and
 ``poly`` is the profile of direction r, padded with empty slots and zero
 coefficients.  Every profile value comes from one kernel,
-``RadonDensity._values``, over a table the density builds once, with each
-conjugate pair of terms folded into one.  It sums each point's terms in a
-fixed order with elementwise operations, so a value depends only on the
-profile and the point, never on the other points evaluated with it: a
-root, a sampled bias or a ramp pairing has the same bits whichever batch
-it is computed in.
+``RadonDensity._values``, over a table the density builds once from those
+arrays as they are.  It sums each point's terms in a fixed order with
+elementwise operations, so a value depends only on the profile and the
+point, never on the other points evaluated with it: a root, a sampled
+bias or a ramp pairing has the same bits whichever batch it is computed
+in.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.polynomial import polyder, polyint, polyval
@@ -60,13 +63,11 @@ from numpy.polynomial.polynomial import polyder, polyint, polyval
 from .errors import (
     DomainError,
     InvalidInputError,
-    InvariantViolationError,
     UnsupportedDimensionError,
 )
 from .harmonics import harmonic_eval
 from .spectrum import SpectralMeasure, _first_seen
 
-_REAL_TOL = 1e-12
 _ROOT_SCAN = 512
 _SCAN_PER_HALF_PERIOD = 16
 # most (order, term, point) triples one block of a profile evaluation holds
@@ -109,17 +110,20 @@ def _folded_terms(freqs: np.ndarray, weights: np.ndarray) -> list[tuple[float, c
 
 @dataclass(frozen=True)
 class RadonDensity:
-    """Even real density on S^{d-1} x (-R, R) with an atomic sphere marginal.
+    """Real density on S^{d-1} x (-R, R) with an atomic sphere marginal.
 
     Direction r, row r of ``directions``, carries the profile held in column
     r of the arrays:
 
         g_r(b) = sum_j Re(weights[j, r] exp(-i freqs[j, r] b)) + sum_p poly[p, r] b^p.
 
-    ``freqs`` and ``weights`` are (slots, m) and hold the raw terms; a slot
-    with frequency 0 is empty and must have weight 0, since a constant
-    belongs to the polynomial part.  ``poly`` is (degree + 1, m), low order
-    first.  The three are kept as read-only copies.
+    ``freqs`` and ``weights`` are (slots, m) and hold the terms the kernel
+    sums, slot by slot; a slot with frequency 0 is empty and must have
+    weight 0, since a constant belongs to the polynomial part.  ``poly`` is
+    (degree + 1, m), low order first.  The three are kept as read-only
+    copies.  Evenness, g_w(b) = g_{-w}(-b), is not checked here: it is the
+    symmetry closure of the measure the density comes from, which
+    ``density_from_spectrum`` checks.
     """
 
     d: int
@@ -177,29 +181,18 @@ class RadonDensity:
         """
         return self._values(b, (k,), rows)[0]
 
-    @cached_property
-    def _folded(self) -> tuple[np.ndarray, np.ndarray]:
-        """The filled slots of each column, in slot order, after ``_folded_terms``,
-        padded with frequency 1 and weight 0 to (terms, m)."""
-        columns = [_folded_terms(f[f != 0], w[f != 0]) for f, w in zip(self.freqs.T, self.weights.T)]
-        T = max(map(len, columns), default=0)
-        freqs, weights = np.ones((T, len(self))), np.zeros((T, len(self)), dtype=complex)
-        for r, terms in enumerate(columns):
-            if terms:
-                freqs[: len(terms), r], weights[: len(terms), r] = zip(*terms)
-        return freqs, weights
-
     def _table(self, orders: tuple) -> tuple[np.ndarray, np.ndarray]:
         """The kernel table of ``orders``, built once per density: the
         frequencies, then for every k the cos and then for every k the sin
-        coefficients of G_k's terms, as one (1 + 2 len(orders), terms, m)
-        array; and the polynomial parts of the G_k, (orders, degree + 1, m)
-        with zero leading coefficients as padding.  Order -1 is the
+        coefficients of G_k's terms, as one (1 + 2 len(orders), slots, m)
+        array with an empty slot as frequency 1 and weight 0; and the
+        polynomial parts of the G_k, (orders, degree + 1, m) with zero
+        leading coefficients as padding.  Order -1 is the
         derivative g': its trig weights w / (-it)^-1 = w (-it) come from the
         same formula, and its polynomial part from ``polyder``."""
         if orders not in self._tables:
-            freqs, weights = self._folded
-            scale = np.array([weights / (-1j * freqs) ** k if k else weights for k in orders])
+            freqs = np.where(self.freqs == 0, 1.0, self.freqs)
+            scale = np.array([self.weights / (-1j * freqs) ** k if k else self.weights for k in orders])
             trig = np.concatenate([freqs[None], scale.real, scale.imag])
             polys = (
                 [polyint(self.poly, k, axis=0) if k >= 0 else polyder(self.poly, -k, axis=0) for k in orders]
@@ -258,36 +251,6 @@ class RadonDensity:
             out[:, s : s + step] = val
         return tuple(o.reshape(b.shape)[()] for o in out)
 
-    def validate(self) -> None:
-        """Spot-check realness and the evenness g_w(b) = g_{-w}(-b) at 17 points of [-R, R].
-
-        Realness is checked on the raw terms, before conjugate pairs fold,
-        and evenness for every direction in one stacked evaluation; the
-        checks still fail in direction order.
-        """
-        if self.is_empty:
-            return
-        n = 17
-        b = np.linspace(-self.R, self.R, n)
-        residues = np.abs((np.exp(-1j * np.multiply.outer(b, self.freqs)) * self.weights).sum(axis=1).imag).max(axis=0)
-        index = {tuple(w): i for i, w in enumerate(np.round(self.directions, 12).tolist())}
-        partners = [index.get(tuple(np.round(-w, 12).tolist())) for w in self.directions]
-        m = len(self)
-        rows = np.arange(m)
-        mirror = np.array([i if j is None else j for i, j in enumerate(partners)])
-        points = np.concatenate([np.tile(b, m), np.tile(-b, m)])
-        g = self._values(points, (0,), np.concatenate([rows, mirror]).repeat(n))[0]
-        gaps = np.abs(g[: m * n] - g[m * n :]).reshape(m, n).max(axis=1)
-        scale = (np.abs(self.weights).sum(axis=0) + np.abs(self.poly).sum(axis=0)).max()
-        limit = _REAL_TOL * max(1.0, float(scale))
-        for residue, j, gap in zip(residues, partners, gaps):
-            if residue > _REAL_TOL:
-                raise InvariantViolationError("profile is not real: spectral symmetry broken")
-            if j is None:
-                raise InvariantViolationError("direction set is not antipodally symmetric")
-            if gap > limit:
-                raise InvariantViolationError("evenness g_w(b) = g_{-w}(-b) violated")
-
     def merged_with(self, other: "RadonDensity") -> "RadonDensity":
         """Union of two densities on the same ball: on a shared direction the
         slots of ``other`` follow those of ``self`` and the polynomials add."""
@@ -313,13 +276,17 @@ class RadonDensity:
 
 
 def density_from_spectrum(mu: SpectralMeasure, R: float) -> RadonDensity:
-    """Per-direction profile weights -t^2 c, grouped by the atomic directions
-    to 12 decimals (the antipode key of ``RadonDensity.validate``), so that
-    parallel frequencies such as (1, 1) and (3, 3), whose directions can
-    differ in the last bit, share one: the first seen.  Directions are
-    sorted lexicographically for reproducible summation order, and each
-    atom fills the slot of its rank among its direction's atoms.
+    """The density of a symmetry-closed measure on the ball of radius R.
+
+    ``mu.validate()`` runs first: a closed measure has real, even profiles,
+    so nothing is checked after it.  Atoms are grouped by direction to 12
+    decimals, so that parallel frequencies such as (1, 1) and (3, 3), whose
+    directions can differ in the last bit, share one: the first seen.
+    Directions are sorted lexicographically for reproducible summation
+    order.  Column r holds direction r's atoms as terms (t, -t^2 c) in atom
+    order, each exact conjugate pair as one slot by ``_folded_terms``.
     """
+    mu.validate()
     if not math.isfinite(R):
         raise InvalidInputError(f"ball radius R must be finite, not {R}")
     if R <= 0:
@@ -327,23 +294,22 @@ def density_from_spectrum(mu: SpectralMeasure, R: float) -> RadonDensity:
     groups, ids = _first_seen(map(tuple, np.round(mu.omegas, 12).tolist()))
     first = np.unique(ids, return_index=True)[1]
     order = sorted(range(len(groups)), key=lambda g: mu.omegas[first[g]].tolist())
-    column = np.empty(len(groups), dtype=np.intp)
-    column[order] = np.arange(len(groups))
-    by_group = np.argsort(ids, kind="stable")
-    counts = np.bincount(ids)
-    rank = np.empty(len(ids), dtype=np.intp)
-    rank[by_group] = np.arange(len(ids)) - (np.cumsum(counts) - counts)[ids[by_group]]
-    freqs = np.zeros((counts.max(initial=0), len(groups)))
-    weights = np.zeros(freqs.shape, dtype=complex)
-    freqs[rank, column[ids]] = mu.freqs
-    weights[rank, column[ids]] = -mu.freqs**2 * mu.coefs
-    density = RadonDensity(mu.d, float(R), mu.omegas[first[order]], freqs, weights)
-    # a ball too large to scan is refused before validate evaluates anything on
+    members = [[] for _ in groups]  # each direction's atoms with a frequency, in atom order
+    for j in np.flatnonzero(mu.freqs).tolist():
+        members[ids[j]].append(j)
+    weights = -mu.freqs**2 * mu.coefs
+    columns = [_folded_terms(mu.freqs[members[g]], weights[members[g]]) for g in order]
+    freqs = np.zeros((max(map(len, columns), default=0), len(columns)))
+    folded = np.zeros(freqs.shape, dtype=complex)
+    for r, terms in enumerate(columns):
+        if terms:
+            freqs[: len(terms), r], folded[: len(terms), r] = zip(*terms)
+    density = RadonDensity(mu.d, float(R), mu.omegas[first[order]], freqs, folded)
+    # a ball too large to scan is refused here, before anything is evaluated on
     # it, and so is one whose diameter overflows, which an empty spectrum never scans
     _scan_sizes(density, -R, R)
     if not math.isfinite(2.0 * R):
         raise DomainError(f"ball radius R = {R:g} is too large: its diameter 2R overflows a float")
-    density.validate()
     return density
 
 
@@ -424,7 +390,7 @@ def sign_change_roots(fn, lo: float, hi: float, scans) -> np.ndarray:
 
 
 def _scan_sizes(density: RadonDensity, lo: float, hi: float) -> np.ndarray:
-    """Root-scan points of each profile on (lo, hi), sized by its top raw
+    """Root-scan points of each profile on (lo, hi), sized by its top
     frequency (empty slots count as none); a scan of more than
     ``_MAX_SCAN`` points raises ``DomainError``."""
     top = np.abs(density.freqs).max(axis=0, initial=0.0)

@@ -204,17 +204,26 @@ def _draw_biases(density: RadonDensity, idx, u, lo: float, hi: float) -> tuple[n
 
 
 def _exact_l1_unit(w: np.ndarray) -> np.ndarray:
-    """Rescale w to unit l1 norm, exactly in floating point.
+    """Rescale w to unit l1 norm, exactly in floating point: ``np.abs(out).sum() == 1.0``.
 
-    The largest-magnitude coordinate is rewritten as the complement of the
-    others so that the absolute values sum to 1.0 under sequential float
-    addition (guaranteed for d <= 8, where numpy sums sequentially).
+    The largest-magnitude coordinate is rewritten as 1 minus the sum of the
+    others.  From d = 3 on numpy's sum, which adds in an order of its own
+    (pairwise from d = 8), can still miss 1.0 by an ulp, and stepping that
+    coordinate cannot always mend it: one step can carry the sum from just
+    below 1.0 to just above.  Such a row is rounded to multiples of 2^-53
+    instead, the largest coordinate again taking the rest.  Every partial
+    sum of such numbers up to 1 is exact, so the sum is 1.0 in any order
+    and any d; each other coordinate moves by at most 2^-54.
     """
     s = float(np.abs(w).sum())
     out = w / s
     k = int(np.argmax(np.abs(out)))
     rest = float(np.sum(np.abs(np.delete(out, k))))
     out[k] = math.copysign(max(1.0 - rest, 0.0), out[k] if out[k] != 0 else 1.0)
+    if np.abs(out).sum() != 1.0:
+        q = np.round(np.abs(out) * 2.0**53)
+        q[k] = 2.0**53 - np.delete(q, k).sum()  # integers below 2^53: exact
+        out = np.copysign(q * 2.0**-53, out)
     return out
 
 

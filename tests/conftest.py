@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -51,6 +53,14 @@ def second_derivative_norm_1d(f_second_derivative, R: float, points: int = 8193)
         edges.append(brentq(fn, xs[i], xs[i + 1], xtol=1e-15, rtol=4 * np.finfo(float).eps))
     edges.append(R)
     return sum(abs(quad(fn, a, b, epsabs=1e-15, epsrel=1e-13, limit=200)[0]) for a, b in zip(edges[:-1], edges[1:]))
+
+
+def abs_cos_integral(X: float) -> float:
+    """The integral of |cos u| over (-X, X), X >= 0, by half-periods: each
+    whole one holds 2, and the rest y holds sin y up to pi / 2 and 2 - sin y
+    after it."""
+    whole, y = divmod(X, math.pi)
+    return 2.0 * (2.0 * whole + (math.sin(y) if y <= math.pi / 2 else 2.0 - math.sin(y)))
 
 
 def padded_density(directions, profiles, R: float = 1.0) -> rl.RadonDensity:

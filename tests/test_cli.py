@@ -28,6 +28,8 @@ from radonlab.errors import (
     exit_code_for,
 )
 
+from conftest import abs_cos_integral
+
 # a numpy warning here would reach the stderr of a CLI user
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -214,6 +216,41 @@ def test_approximate_prop2_constraints(tmp_path, spectrum2_path):
     assert net.convention == "prop2"
     assert np.all(np.abs(net.omegas).sum(axis=1) == 1.0)
     assert np.all((net.b >= 0) & (net.b <= 1))
+
+
+def test_approximate_prop2_in_d3(tmp_path):
+    # the largest coordinate rewritten alone left this direction's row summing to 1 + 2^-52
+    path = tmp_path / "spectrum.json"
+    path.write_text('{"d": 3, "terms": [{"amplitude": 1.0, "xi": [0.412, 1.043, -0.129]}]}')
+    net_path = tmp_path / "net.json"
+    code = main([
+        "approximate", "--spectrum", str(path), "--R", "1",
+        "--n", "16,64", "--trials", "3", "--seed", "1", "--convention", "prop2",
+        "--out", str(net_path), "--report", str(tmp_path / "r.json"),
+    ])
+    assert code == EXIT_PASS
+    net = rl.load_network(net_path)
+    assert np.all(np.abs(net.omegas).sum(axis=1) == 1.0)
+
+
+@pytest.mark.parametrize("d", [9, 32])
+def test_norm_and_approximate_past_nine_dimensions(tmp_path, d):
+    # the Halton grid of d > 3 takes d + 1 prime bases; nine were listed
+    xi = np.zeros(d)
+    xi[[0, 1, 2, -1]] = [0.412, 1.043, -0.129, 0.7]
+    path = tmp_path / "spectrum.json"
+    rl.save_spectrum(path, d, [(-1.5, xi)])
+    out = tmp_path / "norm.json"
+    assert main(["norm", "--spectrum", str(path), "--R", "1.5", "--out", str(out)]) == EXIT_PASS
+    report = read_json(out)
+    t = float(np.linalg.norm(xi))
+    assert report["norm"] == pytest.approx(1.5 * t * abs_cos_integral(1.5 * t), rel=1e-12)
+    assert report["residual_affine"] <= 1e-12
+    code = main([
+        "approximate", "--spectrum", str(path), "--R", "1",
+        "--n", "16,64", "--trials", "2", "--seed", "1", "--report", str(tmp_path / "r.json"),
+    ])
+    assert code == EXIT_PASS
 
 
 def test_approximate_prop2_radius_domain_error(tmp_path, spectrum_path):

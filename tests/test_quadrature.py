@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 import radonlab as rl
 from radonlab.errors import InvalidInputError, UnsupportedDimensionError
+from radonlab.quadrature import _halton, _primes
 
 
 def monomial_integral(p, a, b):
@@ -146,7 +149,6 @@ def test_ball_grid_containment(mode):
     assert np.all(np.linalg.norm(grid.points, axis=1) < 1.0)
     if mode != "lattice":
         assert len(grid) == 100
-    assert grid.max_spacing > 0
 
 
 def test_ball_grid_determinism():
@@ -168,10 +170,19 @@ def test_ball_grid_rejects_bad_inputs():
 def test_ball_grid_higher_dimensions():
     # d > 3 has no deterministic sphere rule, but evaluation grids must still
     # exist for the sampling path
-    for d in (4, 5):
+    for d in (4, 5, 8, 9, 32):
         uniform = rl.ball_grid(d, 1.0, 150, seed=3, mode="uniform")
         assert uniform.points.shape == (150, d)
         assert np.all(np.linalg.norm(uniform.points, axis=1) < 1.0)
         halton = rl.ball_grid(d, 1.0, 150)
         assert halton.points.shape == (150, d)
         assert np.all(np.linalg.norm(halton.points, axis=1) < 1.0)
+
+
+def test_halton_bases_are_the_first_primes():
+    # d <= 8 keeps the nine bases it always had (d > 3 takes d + 1 columns)
+    assert _primes(9).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23]
+    primes = [p for p in range(2, 8000) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+    for n in (1, 5, 6, 10, 33, 65, 1000):
+        assert _primes(n).tolist() == primes[:n]
+    assert np.array_equal(_halton(50, 33)[:, :9], _halton(50, 9))

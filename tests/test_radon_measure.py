@@ -22,7 +22,7 @@ from radonlab.radon_measure import (
     sign_change_roots,
 )
 
-from conftest import EPS, near_cancel_fpp, padded_density, random_cosine_terms, second_derivative_norm_1d
+from conftest import EPS, abs_cos_integral, near_cancel_fpp, padded_density, random_cosine_terms, second_derivative_norm_1d
 
 # a numpy warning here means an overflow or an invalid value in a reconstruction
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -61,6 +61,17 @@ def test_empty_spectrum_gives_zero_norm():
 def test_tv_norm_cosine_closed_form(cos_density):
     # analytic oracle: sum over S^0 of int |cos b| / 2 over (-pi/2, pi/2) = 2
     assert rl.tv_norm(cos_density) == pytest.approx(2.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 9, 12, 32, 64])
+def test_tv_norm_of_one_cosine_is_its_closed_form_in_any_d(d):
+    # |a| t^2 int_{-R}^{R} |cos(t b)| db = |a| t int_{-tR}^{tR} |cos u| du
+    rng = np.random.default_rng(d)
+    xi = rng.normal(size=d)
+    xi *= rng.uniform(2.0, 20.0) / np.linalg.norm(xi)
+    a, R, t = -1.7, 1.3, float(np.linalg.norm(xi))
+    density = rl.density_from_spectrum(rl.from_cosine_sum(d, [(a, xi)]), R)
+    assert rl.tv_norm(density) == pytest.approx(abs(a) * t * abs_cos_integral(t * R), rel=1e-12)
 
 
 def test_tv_norm_matches_second_derivative_oracle(near_cancel_measure):
@@ -258,24 +269,37 @@ def test_density_arrays_refuse_a_weight_in_an_empty_slot_and_misaligned_columns(
     assert density.antiderivative(0.5, 0, 0) == math.cos(1.0)
 
 
-def test_density_validate_catches_broken_evenness():
-    bad = RadonDensity(d=1, R=1.0, directions=[[1.0], [-1.0]], freqs=[[1.0, 1.0]], weights=[[1.0, 2.0]])
-    with pytest.raises(rl.InvariantViolationError):
-        bad.validate()
+@pytest.mark.parametrize(
+    "omegas, freqs, coefs",
+    [
+        # (1, -1) is missing: the conjugate partner of (1, 1) in its direction
+        ([[1.0], [-1.0], [-1.0]], [1.0, -1.0, 1.0], [1.0 + 1.0j, 1.0 + 1.0j, 1.0 - 1.0j]),
+        # the direction (1, 0) has no antipode
+        ([[1.0, 0.0], [1.0, 0.0]], [2.0, -2.0], [1.0 + 0.5j, 1.0 - 0.5j]),
+        # the antipode carries twice the coefficient: g_w(b) = g_{-w}(-b) breaks
+        ([[1.0], [1.0], [-1.0], [-1.0]], [1.0, -1.0, -1.0, 1.0], [0.25, 0.25, 0.5, 0.5]),
+    ],
+    ids=["conjugate", "antipode", "antipode-coefficient"],
+)
+def test_density_refuses_an_open_measure(omegas, freqs, coefs):
+    mu = rl.SpectralMeasure(len(omegas[0]), omegas, freqs, coefs)
+    with pytest.raises(rl.InvariantViolationError, match="missing symmetry partner"):
+        rl.density_from_spectrum(mu, 1.0)
 
 
-def test_density_validate_catches_complex_profile():
-    # one term with no conjugate partner: Im(w e^{-itb}) is not zero
-    bad = RadonDensity(d=1, R=1.0, directions=[[1.0], [-1.0]], freqs=[[1.0, 1.0]], weights=[[1.0 + 1.0j, 1.0 - 1.0j]])
-    with pytest.raises(rl.InvariantViolationError, match="not real"):
-        bad.validate()
-
-
-def test_density_validate_catches_missing_antipode():
-    real = (np.array([2.0, -2.0]), np.array([1.0 + 0.5j, 1.0 - 0.5j]), np.zeros(0))
-    bad = padded_density([[1.0, 0.0], [0.0, 1.0]], [real, real])
-    with pytest.raises(rl.InvariantViolationError, match="antipodally"):
-        bad.validate()
+def test_a_measure_closed_at_nine_decimals_has_the_closed_form_norm():
+    # cos(<xi, x>) with |xi| = t, whose two conjugate atoms sit on directions
+    # 3e-11 rad apart: one key to 9 decimals, two directions to 12, and four
+    # one-atom columns, real term by term and even with their antipodes
+    t, R, theta = 3.0, 1.0, math.atan2(0.8, 0.6)
+    w = np.array([0.6, 0.8])
+    v = np.array([math.cos(theta + 3e-11), math.sin(theta + 3e-11)])
+    assert np.round(w, 9).tolist() == np.round(v, 9).tolist()
+    assert np.round(w, 12).tolist() != np.round(v, 12).tolist()
+    mu = rl.SpectralMeasure(2, [w, v, -w, -v], [t, -t, -t, t], [0.25] * 4)
+    density = rl.density_from_spectrum(mu, R)
+    assert len(density) == 4
+    assert rl.tv_norm(density) == pytest.approx(t * abs_cos_integral(t * R), rel=1e-12)
 
 
 def test_profile_moment_matches_analytic():

@@ -15,7 +15,7 @@ from scipy.optimize import brentq
 
 from radonlab.errors import DegenerateMeasureError, DomainError, InvalidInputError
 from radonlab.radon_measure import RadonDensity
-from radonlab.sparsifier import _draw, _draw_plan, _inverse_cdf, _project, _ramp_sums
+from radonlab.sparsifier import _draw, _draw_plan, _exact_l1_unit, _inverse_cdf, _project, _ramp_sums
 
 from conftest import decay_slope, padded_density, random_cosine_terms
 
@@ -686,3 +686,22 @@ def test_inverse_cdf_sign_is_the_sign_of_the_profile(seed):
         away = np.min(np.abs(b[:, None] - panels[0][None, :]), axis=1) > 1e-9 * (hi - lo)
         assert away.sum() >= 1990
         assert np.array_equal(a[away], np.where(profile.antiderivative(b[away], 0, 0) >= 0, 1.0, -1.0))
+
+
+@pytest.mark.parametrize("d", range(2, 11))
+def test_exact_l1_unit_rows_sum_to_one_in_every_d(d):
+    rng = np.random.default_rng(d)
+    W = rng.normal(size=(2000, d))
+    W[::7, -1] = 0.0  # some rows on a coordinate hyperplane
+    rows = np.array([_exact_l1_unit(w) for w in W])
+    assert np.all(np.abs(rows).sum(axis=1) == 1.0)
+    unit = W / np.abs(W).sum(axis=1)[:, None]
+    assert np.all(np.abs(rows - unit) <= 4 * d * np.finfo(float).eps)
+    assert np.array_equal(np.sign(rows), np.sign(unit))
+    # a row whose rewritten largest coordinate already sums to 1.0 keeps its bits
+    for w, row in zip(W, rows):
+        plain = w / np.abs(w).sum()
+        k = np.argmax(np.abs(plain))
+        plain[k] = math.copysign(1.0 - np.abs(np.delete(plain, k)).sum(), plain[k])
+        if np.abs(plain).sum() == 1.0:
+            assert plain.tobytes() == row.tobytes()

@@ -202,11 +202,12 @@ def test_spectrum_loader_names_the_fault(tmp_path, text, message):
 # reference_atoms, reference_validate and reference_groups are the per-atom
 # from_cosine_sum, SpectralMeasure.validate and density_from_spectrum grouping
 # as they were before the measure became three arrays.  Keys still round
-# frequencies with Python's round.  Two changes: the profile weight squares t
-# as t * t, which numpy's t**2 also does (Python's t**2 calls libm pow, which
-# can be 1 ulp off), and directions are grouped to 12 decimals, keeping the
+# frequencies with Python's round.  Three changes: the profile weight squares
+# t as t * t, which numpy's t**2 also does (Python's t**2 calls libm pow,
+# which can be 1 ulp off); directions are grouped to 12 decimals, keeping the
 # first seen, where they were grouped by exact value, which split parallel
-# frequencies whose directions differ in the last bit.
+# frequencies whose directions differ in the last bit; and each group's
+# terms fold by reference_fold, as the density stores them.
 
 
 def reference_atoms(terms):
@@ -244,7 +245,23 @@ def reference_groups(atoms):
         key = tuple(np.round(w, 12).tolist())
         first.setdefault(key, tuple(w.tolist()))
         groups.setdefault(key, []).append((t, -(t * t) * c))
-    return sorted((first[key], members) for key, members in groups.items())
+    return sorted((first[key], reference_fold(members)) for key, members in groups.items())
+
+
+def reference_fold(members):
+    """The terms in order, each with its first unused exact partner (-t, conj w)
+    after it taken in as (t, 2 w)."""
+    folded, used = [], [False] * len(members)
+    for i, (t, w) in enumerate(members):
+        if used[i]:
+            continue
+        for j in range(i + 1, len(members)):
+            if not used[j] and members[j] == (-t, w.conjugate()):
+                used[j] = True
+                w = 2 * w
+                break
+        folded.append((t, w))
+    return folded
 
 
 def as_measure(d, atoms):
@@ -300,7 +317,7 @@ def assert_matches_reference(d, terms, pick=0):
     density = rl.density_from_spectrum(mu, 1.0)
     groups = reference_groups(atoms)
     assert same_bits(density.directions, np.array([key for key, _ in groups]).reshape(len(groups), d))
-    # column r holds direction r's atoms in atom order, then empty slots
+    # column r holds direction r's folded atoms in atom order, then empty slots
     for r, (_, members) in enumerate(groups):
         empty = [0.0] * (len(density.freqs) - len(members))
         assert same_bits(density.freqs[:, r], np.array([t for t, _ in members] + empty))
@@ -348,7 +365,8 @@ def test_axis_aligned_partners_hold_negative_zero():
     assert np.signbit(mu.omegas[:, 1]).any()
     density = rl.density_from_spectrum(mu, 1.0)
     assert density.directions.tolist() == [[-1.0, 0.0], [1.0, 0.0]]
-    assert np.count_nonzero(density.freqs, axis=0).tolist() == [4, 4]
+    # each direction's four atoms are two conjugate pairs, each one slot
+    assert np.count_nonzero(density.freqs, axis=0).tolist() == [2, 2]
 
 
 def test_parallel_frequencies_share_one_direction():
@@ -357,6 +375,7 @@ def test_parallel_frequencies_share_one_direction():
     t1, t2 = math.sqrt(0.5), math.sqrt(4.5)
     density = rl.density_from_spectrum(rl.from_cosine_sum(2, [(1.0, [0.5, 0.5]), (1.0, [1.5, 1.5])]), 1.0)
     assert len(density) == 2
-    assert [sorted(f[f != 0].tolist()) for f in density.freqs.T] == [sorted([t1, -t1, t2, -t2])] * 2
+    # each conjugate pair of atoms is one slot, with the sign of t seen first
+    assert density.freqs.tolist() == [[-t1, t1], [-t2, t2]]
     on_axis = rl.density_from_spectrum(rl.from_cosine_sum(2, [(1.0, [t1, 0.0]), (1.0, [t2, 0.0])]), 1.0)
     assert rl.tv_norm(density) == pytest.approx(rl.tv_norm(on_axis), rel=1e-12)
