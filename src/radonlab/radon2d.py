@@ -10,10 +10,12 @@ even integrands (no half-cylinder factor); the dual transform integrates
 over the whole circle.  Both sides of the adjointness identity use the same
 convention, which fixes the normalization globally.
 
-Cost: at resolution n the adjointness check evaluates the bump at n^3
-points (n directions x n bias nodes x n chord nodes) and psi at 2 n^3
-(2 n^2 disk points x n circle nodes), all as array expressions in blocks
-of at most 2^14 evaluations, with no Python call per line or per point.
+Cost: at resolution n the adjointness check evaluates the bump at n^2
+chord points for its lhs (the n lines of one direction x n chord nodes;
+the other directions reuse them) and at 2 n^2 disk points for its rhs,
+and psi at 2 n^3 + n^2 points (2 n^2 disk points x n circle nodes, and
+the n^2 lines), all as array expressions in blocks of at most 2^14
+evaluations, with no Python call per line or per point.
 ``radon_transform_2d`` and ``dual_radon_transform`` are the 1 x 1 cases of
 the same two kernels, whose per-line and per-point sums use the BLAS dots
 of a scalar loop, so the checks keep the values of one.
@@ -22,6 +24,7 @@ of a scalar loop, so the checks keep the values of one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -31,6 +34,7 @@ from .radon_measure import RadonDensity
 from .spectrum import SpectralMeasure
 
 _EVEN_TOL = 1e-9
+_UNIT_TOL = 1e-12  # how far |omega| may be from 1
 _BLOCK = 2**14  # evaluations per block of a transform kernel
 
 
@@ -47,8 +51,12 @@ class BumpFunction:
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.center, dtype=float))
-        if self.r <= 0:
-            raise InvalidInputError("bump radius must be positive")
+        if not np.all(np.isfinite(c)):
+            raise InvalidInputError(f"bump center must be finite, got {c}")
+        if not (np.isfinite(self.r) and self.r > 0):
+            raise InvalidInputError(f"bump radius must be positive and finite, got {self.r}")
+        if not np.isfinite(self.amplitude):
+            raise InvalidInputError(f"bump amplitude must be finite, got {self.amplitude}")
         c.setflags(write=False)
         object.__setattr__(self, "center", c)
 
@@ -159,16 +167,34 @@ def _dual_transform(psi, xs: np.ndarray, rule: QuadratureRule) -> np.ndarray:
     return out
 
 
+@cache
+def _chord_rule_64() -> QuadratureRule:
+    """The reference chord rule of ``radon_transform_2d``, built once."""
+    return gauss_legendre(64, -1.0, 1.0)
+
+
+@cache
+def _circle_rule_64() -> QuadratureRule:
+    """The circle rule of ``dual_radon_transform``, built once."""
+    return sphere_rule(2, 64)
+
+
 def radon_transform_2d(phi: BumpFunction, omega, b: float) -> float:
     """Line integral of the bump over the hyperplane {x : <omega, x> = b}.
 
     Integrates along the chord the line cuts through the support disk by
     64-node Gauss-Legendre; returns 0 when the line misses the support.
+    ``omega`` must be a unit 2-vector and ``b`` finite: any other omega
+    names a different line or none.
     """
     if phi.d != 2:
         raise InvalidInputError("line-integral transform is implemented for d=2")
-    omegas = np.asarray(omega, dtype=float).reshape(1, 2)
-    return float(_line_integrals(phi, omegas, np.array([b], dtype=float), gauss_legendre(64, -1.0, 1.0))[0])
+    omega = np.asarray(omega, dtype=float)
+    if omega.shape != (2,) or not np.all(np.isfinite(omega)) or abs(np.hypot(*omega) - 1.0) > _UNIT_TOL:
+        raise InvalidInputError(f"omega must be a unit 2-vector, got {omega}")
+    if np.ndim(b) != 0 or not np.isfinite(b):
+        raise InvalidInputError(f"bias must be a finite number, got {b}")
+    return float(_line_integrals(phi, omega[None, :], np.array([b], dtype=float), _chord_rule_64())[0])
 
 
 def dual_radon_transform(psi, x) -> float:
@@ -177,8 +203,12 @@ def dual_radon_transform(psi, x) -> float:
     ``psi(omega_batch, b_batch)`` must be vectorized.  Odd integrands are
     rejected: hyperplane-space functions are even by convention.
     """
-    rule = sphere_rule(2, 64)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    rule = _circle_rule_64()
+    x = np.asarray(x, dtype=float)
+    if x.shape != (2,):
+        raise InvalidInputError(f"dual transform takes a point in the plane, got an array of shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise InvalidInputError(f"dual transform point must be finite, got {x}")
     nodes = rule.nodes
     for bb in np.linspace(-0.9, 0.9, 7):
         vals = np.asarray(psi(nodes, np.full(len(nodes), bb)), dtype=float)
@@ -222,14 +252,22 @@ def adjointness_check(phi: BumpFunction, psi, resolution: int = 64) -> tuple[flo
     lhs: integral over S^1 x R of (R phi) * psi, the bias integral truncated
     to the support interval of R phi along each direction.
     rhs: integral over the support disk of phi * (dual transform of psi).
+
+    ``BumpFunction`` is radial, so R phi(omega, b) depends on b - <omega, c>
+    alone, and ``_bias_lines`` puts every direction's bias nodes at the same
+    offsets from <omega, c>: the n line integrals of the first direction
+    serve all n directions.  The offsets agree up to the rounding of
+    <omega, c> +- r, which moves the lhs by less than 1e-15 relative.
     """
     if phi.d != 2:
         raise InvalidInputError("adjointness check is implemented for d=2")
     circle = sphere_rule(2, resolution)
     chord_rule = gauss_legendre(resolution, -1.0, 1.0)
     omegas, b, bias_weights = _bias_lines(phi, circle.nodes, chord_rule)
-    integrand = _line_integrals(phi, omegas, b, chord_rule) * np.asarray(psi(omegas, b), dtype=float)
-    per_direction = circle.weights * _rowdot(bias_weights, integrand.reshape(bias_weights.shape))
+    n = len(chord_rule)
+    rphi = _line_integrals(phi, omegas[:n], b[:n], chord_rule)  # the same n values along every direction
+    integrand = np.asarray(psi(omegas, b), dtype=float).reshape(bias_weights.shape) * rphi
+    per_direction = circle.weights * _rowdot(bias_weights, integrand)
     lhs = float(sum(per_direction.tolist()))  # a running total, direction by direction
     pts, wts = _disk_rule(phi.center, phi.r, resolution)
     rhs = float(wts @ (phi(pts) * _dual_transform(psi, pts, circle)))
@@ -248,8 +286,14 @@ def radon_pairing_check(
     rhs: integral of f * (Laplacian of phi) over the support disk.
     Independent quadrature paths; agreement validates that the density is
     the distributional Laplacian of f in hyperplane coordinates.
+
+    Each direction keeps its own line integrals, unlike the adjointness
+    check: its lines are few (density directions x n, well under a
+    millisecond at n = 96), and the lhs can be a near-cancelling sum (about
+    -2e-4 from terms of order 1), in which reusing one direction's line
+    integrals moves it by about 1e-13 relative.
     """
-    if density.d != 2 or mu.d != 2:
+    if density.d != 2 or mu.d != 2 or phi.d != 2:
         raise InvalidInputError("pairing check is implemented for d=2")
     phi.check_support_inside(density.R)
     chord_rule = gauss_legendre(resolution, -1.0, 1.0)

@@ -12,6 +12,8 @@ import radonlab as rl
 from radonlab.errors import DomainError, InvalidInputError
 from radonlab.radon2d import _disk_rule
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 @pytest.fixture
 def bump():
@@ -84,6 +86,53 @@ def test_radon_total_mass_fubini(bump):
     )
     pts, wts = _disk_rule(bump.center, bump.r, 96)
     assert total_from_lines == pytest.approx(float(wts @ bump(pts)), rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "omega, b",
+    [
+        ([2.0, 0.0], 0.2),  # the line x = 0.1, which (1, 0) with b = 0.1 names
+        ([0.0, 0.0], 0.1),
+        ([math.nan, 0.0], 0.1),
+        ([1.0, 0.0, 0.0], 0.1),
+        ([0.6, 0.8], math.nan),
+        ([0.6, 0.8], math.inf),
+        ([0.6, 0.8], np.array([0.1, 0.2])),
+    ],
+    ids=["not-unit", "zero", "nan-omega", "three-vector", "nan-bias", "inf-bias", "two-biases"],
+)
+def test_radon_refuses_what_names_no_line(bump, omega, b):
+    with pytest.raises(InvalidInputError):
+        rl.radon_transform_2d(bump, np.array(omega), b)
+
+
+@pytest.mark.parametrize(
+    "center, r, amplitude",
+    [
+        ([math.nan, 0.0], 0.5, 1.0),
+        ([0.0, math.inf], 0.5, 1.0),
+        ([0.0, 0.0], math.nan, 1.0),
+        ([0.0, 0.0], math.inf, 1.0),
+        ([0.0, 0.0], 0.0, 1.0),
+        ([0.0, 0.0], 0.5, math.nan),
+        ([0.0, 0.0], 0.5, -math.inf),
+    ],
+    ids=["nan-center", "inf-center", "nan-r", "inf-r", "zero-r", "nan-amplitude", "inf-amplitude"],
+)
+def test_bump_refuses_non_finite_or_empty(center, r, amplitude):
+    with pytest.raises(InvalidInputError):
+        rl.BumpFunction(center, r, amplitude)
+
+
+@pytest.mark.parametrize("x, shape", [([0.1, 0.2, 0.3], r"\(3,\)"), (0.1, r"\(\)"), ([[0.1, 0.2]], r"\(1, 2\)")])
+def test_dual_transform_refuses_a_point_off_the_plane(x, shape):
+    with pytest.raises(InvalidInputError, match=shape):
+        rl.dual_radon_transform(psi_even, x)
+
+
+def test_dual_transform_refuses_a_non_finite_point():
+    with pytest.raises(InvalidInputError):
+        rl.dual_radon_transform(psi_even, [math.nan, 0.2])
 
 
 def test_dual_transform_constant_and_quadratic():
@@ -200,6 +249,13 @@ def test_pairing_requires_interior_support():
     wide = rl.BumpFunction(center=[0.5, 0.0], r=0.6)
     with pytest.raises(DomainError):
         rl.radon_pairing_check(mu, density, wide)
+
+
+@pytest.mark.parametrize("center", [[0.1], [0.1, 0.0, 0.0]], ids=["d1", "d3"])
+def test_pairing_refuses_a_bump_off_the_plane(center):
+    mu = rl.from_cosine_sum(2, [(1.0, [1.0, 0.0])])
+    with pytest.raises(InvalidInputError):
+        rl.radon_pairing_check(mu, rl.density_from_spectrum(mu, 1.0), rl.BumpFunction(center, 0.3))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

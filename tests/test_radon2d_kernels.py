@@ -14,6 +14,8 @@ from scipy.integrate import quad
 import radonlab as rl
 from radonlab.radon2d import _BLOCK, _disk_rule, _dual_transform, _line_integrals
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def bump_values(center, r, amplitude, X):
     u = np.sum(((np.atleast_2d(X) - center) / r) ** 2, axis=1)
@@ -110,6 +112,29 @@ def test_line_integrals_match_quad_along_the_chord(seed):
     assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want))
 
 
+@pytest.mark.parametrize("seed", [6, 7, 8])
+def test_line_integrals_depend_on_the_offset_from_the_centre_alone(seed):
+    """The bump is radial: lines at the same offset r x_j from <omega, c> have one integral.
+
+    The bound is relative to the profile's largest value, not to each
+    line's: near the support's edge the bump's relative change per unit of
+    u = |(x - c)/r|^2 is 1/(1 - u)^2, so the last-bit differences of the
+    chord points that the direction brings move the outermost lines by up
+    to about 1e-10 of their own, tiny, values.
+    """
+    rng = np.random.default_rng(seed)
+    center, r, amp = rng.uniform(-0.3, 0.3, 2), float(rng.uniform(0.3, 0.7)), float(rng.uniform(-2.0, 2.0))
+    phi = rl.BumpFunction(center, r, amp)
+    omegas = unit(rng.uniform(0.0, 2.0 * np.pi, 64))
+    for n in (32, 64, 96):
+        rule = rl.gauss_legendre(n, -1.0, 1.0)
+        x = np.concatenate([[-1.0], rule.nodes, [1.0]])  # the tangent lines and the rule's offsets
+        b = (omegas @ center)[:, None] + r * x
+        got = _line_integrals(phi, np.repeat(omegas, len(x), axis=0), b.ravel(), rule).reshape(b.shape)
+        assert np.all(got[:, [0, -1]] == 0.0)
+        assert np.all(np.abs(got - got[0]) <= 1e-14 * np.abs(got[0]).max())
+
+
 def psi_mixed(W, B):
     W, B = np.atleast_2d(W), np.asarray(B, dtype=float)
     return np.exp(-(B**2)) * (1.0 + 0.4 * W[:, 0] ** 2 - 0.3 * W[:, 0] * W[:, 1]) + 0.2 * B**2 * W[:, 1] ** 2
@@ -203,6 +228,31 @@ def test_radon_pairing_check_matches_the_loop(res):
     want_rhs = float(wts @ (f * bump_laplacian(center, r, amp, pts)))
     assert lhs == pytest.approx(want_lhs, rel=1e-14, abs=0)
     assert rhs == pytest.approx(want_rhs, rel=1e-14, abs=1e-15)
+
+
+@pytest.mark.parametrize("res", [32, 64])
+def test_adjointness_check_evaluates_the_bump_at_3n2_points(res, monkeypatch):
+    # n^2 chord points for the lhs, one direction's lines; 2 n^2 disk points for the rhs
+    evaluated = []
+    from_u = rl.BumpFunction._from_u
+
+    def counting(self, u):
+        evaluated.append(u.size)
+        return from_u(self, u)
+
+    monkeypatch.setattr(rl.BumpFunction, "_from_u", counting)
+    rl.adjointness_check(rl.BumpFunction([0.1, -0.05], 0.5, 1.2), lambda W, B: np.exp(-np.asarray(B) ** 2), res)
+    assert sum(evaluated) == 3 * res**2
+
+
+def test_radon_transform_2d_is_the_one_line_kernel_with_a_fresh_rule():
+    rng = np.random.default_rng(9)
+    center, r, amp = seeded_bump(rng)
+    phi = rl.BumpFunction(center, r, amp)
+    omegas, b = seeded_lines(rng, center, r, 200)
+    got = np.array([rl.radon_transform_2d(phi, w, float(bb)) for w, bb in zip(omegas, b)])
+    want = _line_integrals(phi, omegas, b, rl.gauss_legendre(64, -1.0, 1.0))
+    assert got.tobytes() == want.tobytes()
 
 
 def test_adjointness_check_memory_stays_blocked():
