@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .config import DEFAULTS
 from .errors import EXIT_FAIL, EXIT_PASS, RadonlabError, exit_code_for
-from .nullspace import load_null_term, mode_connect_perturb, verify_null
+from .nullspace import _null_rule_size, load_null_term, mode_connect_perturb, verify_null
 from .quadrature import ball_grid, sphere_rule
 from .radon_measure import (
     density_from_spectrum,
@@ -147,8 +147,7 @@ def cmd_verify_null(args) -> int:
     tols = DEFAULTS.apply_overrides(_parse_overrides(args.tol_override))
     term = load_null_term(args.term)
     xs = ball_grid(term.d, term.R, args.grid, seed=args.seed, mode="uniform" if args.seed is not None else "low-discrepancy")
-    # exact to degree >= k + k' + 2: m - 1 for m circle nodes, 2m - 1 in d=3
-    rule = sphere_rule(term.d, max(64, term.k + term.kprime + 3) if term.d == 2 else max(16, term.k + 2))
+    rule = sphere_rule(term.d, _null_rule_size(term))
     result = verify_null(term, xs, rule, tolerance=tols.null_tol)
     report = {
         "term": {"k": term.k, "j": term.j, "kprime": term.kprime, "coeff": term.coeff, "d": term.d, "R": term.R},

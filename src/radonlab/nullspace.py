@@ -185,14 +185,20 @@ def witness_nonzero(k: int, j: int, d: int, R: float, x) -> float:
     return sphere_surface(d - 1) / (k * (k - 1)) * r**k * y * moment
 
 
+def _null_rule_size(term: HarmonicNullTerm) -> int:
+    """Sphere-rule size for the term's pairings, exact to degree k + k' + 2: m - 1
+    for m circle nodes, 2m - 1 in d=3 (see ``_factor_neurons`` for m > k there)."""
+    return max(64, term.k + term.kprime + 3) if term.d == 2 else max(16, term.k + 2)
+
+
 def null_term_density(term: HarmonicNullTerm, m: int | None = None) -> RadonDensity:
     """Interpret the term as a RadonDensity on the direction atoms of a sphere rule.
 
     The continuous sphere marginal is discretized on an antipodally symmetric
-    rule; quadrature weights fold into polynomial bias profiles.
+    rule of size m, by default ``_null_rule_size``; quadrature weights fold
+    into polynomial bias profiles.
     """
-    m = m or (64 if term.d == 2 else 16)
-    rule = sphere_rule(term.d, m)
+    rule = sphere_rule(term.d, m or _null_rule_size(term))
     y = np.asarray(harmonic_eval(term.k, term.j, term.d, rule.nodes), dtype=float)
     poly = np.zeros((term.kprime + 1, len(y)))
     poly[term.kprime] = term.coeff * y * rule.weights

@@ -193,8 +193,8 @@ def ball_grid(d: int, R: float, m: int, seed: int | None = None, mode: str = "lo
     """
     if m < 1:
         raise InvalidInputError("need at least one grid point")
-    if R <= 0:
-        raise InvalidInputError("ball radius must be positive")
+    if not (math.isfinite(R) and R > 0):
+        raise InvalidInputError(f"ball radius R must be positive and finite, not {R}")
     if mode == "lattice":
         n_side = m if d == 1 else math.ceil(m ** (1.0 / d))
         axis = R * (2.0 * np.arange(n_side) + 1.0 - n_side) / n_side

@@ -148,6 +148,14 @@ def _line_integrals(phi: BumpFunction, omegas: np.ndarray, b: np.ndarray, rule: 
     return out
 
 
+def _psi_values(psi, omegas: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """psi(omegas, b) as floats, one per line (omegas[i], b[i]); any other count is refused."""
+    vals = np.asarray(psi(omegas, b), dtype=float)
+    if vals.size != len(b):
+        raise InvalidInputError(f"psi must return one value per line, {len(b)}, not an array of shape {vals.shape}")
+    return vals.reshape(len(b))
+
+
 def _dual_transform(psi, xs: np.ndarray, rule: QuadratureRule) -> np.ndarray:
     """Circle integral of psi(omega, <omega, x>) at each row x of ``xs``.
 
@@ -162,7 +170,7 @@ def _dual_transform(psi, xs: np.ndarray, rule: QuadratureRule) -> np.ndarray:
     for lo in range(0, len(xs), step):
         x = xs[lo : lo + step]
         b = np.matmul(nodes, x[:, :, None])[:, :, 0]  # row i is nodes @ x_i
-        vals = np.asarray(psi(tiled[: b.size], b.ravel()), dtype=float).reshape(b.shape)
+        vals = _psi_values(psi, tiled[: b.size], b.ravel()).reshape(b.shape)
         out[lo : lo + step] = _rowdot(weights[: len(x)], vals)
     return out
 
@@ -211,8 +219,8 @@ def dual_radon_transform(psi, x) -> float:
         raise InvalidInputError(f"dual transform point must be finite, got {x}")
     nodes = rule.nodes
     for bb in np.linspace(-0.9, 0.9, 7):
-        vals = np.asarray(psi(nodes, np.full(len(nodes), bb)), dtype=float)
-        flipped = np.asarray(psi(-nodes, np.full(len(nodes), -bb)), dtype=float)
+        vals = _psi_values(psi, nodes, np.full(len(nodes), bb))
+        flipped = _psi_values(psi, -nodes, np.full(len(nodes), -bb))
         scale = max(1.0, float(np.abs(vals).max()))
         if np.max(np.abs(vals - flipped)) > _EVEN_TOL * scale:
             raise InvalidInputError("dual transform requires an even integrand on S^1 x R")
@@ -266,7 +274,7 @@ def adjointness_check(phi: BumpFunction, psi, resolution: int = 64) -> tuple[flo
     omegas, b, bias_weights = _bias_lines(phi, circle.nodes, chord_rule)
     n = len(chord_rule)
     rphi = _line_integrals(phi, omegas[:n], b[:n], chord_rule)  # the same n values along every direction
-    integrand = np.asarray(psi(omegas, b), dtype=float).reshape(bias_weights.shape) * rphi
+    integrand = _psi_values(psi, omegas, b).reshape(bias_weights.shape) * rphi
     per_direction = circle.weights * _rowdot(bias_weights, integrand)
     lhs = float(sum(per_direction.tolist()))  # a running total, direction by direction
     pts, wts = _disk_rule(phi.center, phi.r, resolution)

@@ -71,8 +71,9 @@ from .spectrum import SpectralMeasure, _first_seen
 _ROOT_SCAN = 512
 _SCAN_PER_HALF_PERIOD = 16
 # most (order, term, point) triples one block of a profile evaluation holds
-# (512 KiB per float64 array)
-_EVAL_BLOCK = 1 << 16
+# (128 KiB per float64 array; its gathered columns take 1 + 2 / K times as
+# much): at 1 << 16 a d=1 sampling ladder took 2.6 times the page faults
+_EVAL_BLOCK = 1 << 14
 # most points one block of a root scan holds: a block keeps a dozen arrays of
 # its points and the kernel's of each (64 KiB per float64 array)
 _SCAN_BLOCK = 1 << 13
@@ -155,16 +156,11 @@ class RadonDensity:
     def __len__(self) -> int:
         return len(self.directions)
 
-    @property
-    def is_empty(self) -> bool:
-        return len(self) == 0
-
-    def panels(self, lo: float, hi: float) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-        """Sign-constant panels of every profile on (lo, hi), computed once per interval.
-
-        Per profile: the edges (lo, the sign-change roots, hi), G_1 at the
-        edges, and the integral of |g| from lo to each edge.
-        """
+    def panels(self, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Sign-constant panels of every profile on (lo, hi), computed once per interval: flat
+        arrays ``(starts, edges, g1, cum)`` whose entries ``starts[r]:starts[r + 1]`` are profile
+        r's panel edges (lo, its sign-change roots, hi), G_1 at them and the integral of |g| from
+        lo to each."""
         key = (float(lo), float(hi))
         if key not in self._panels:
             self._panels[key] = _density_panels(self, *key)
@@ -179,7 +175,7 @@ class RadonDensity:
         the polynomial part by ``polyint``.  Every integration constant is
         zero, so G_{k+1}' = G_k holds along the whole chain.
         """
-        return self._values(b, (k,), rows)[0]
+        return self._values(b, (k,), np.full(np.size(b), rows) if np.ndim(rows) == 0 else rows)[0]
 
     def _table(self, orders: tuple) -> tuple[np.ndarray, np.ndarray]:
         """The kernel table of ``orders``, built once per density: the
@@ -206,8 +202,7 @@ class RadonDensity:
         return self._tables[orders]
 
     def _values(self, b, orders, rows) -> tuple:
-        """G_k for every k in ``orders`` at the points b, point i on column ``rows[i]``,
-        or every point on column ``rows`` for an int.
+        """G_k for every k in ``orders`` at the points b, point i on column ``rows[i]``.
 
         A point's terms are summed in order, by a running sum over contiguous
         term rows, and its polynomial part by Horner's rule as in
@@ -216,23 +211,17 @@ class RadonDensity:
         same bits in any density it sits in.  Points go in blocks of at most
         ``_EVAL_BLOCK`` (order, term, point) triples; each block gathers its
         columns with ``take``, whose contiguous result keeps the elementwise
-        operations after it fast, and an int reads its column as a slice.
+        operations after it fast.
         """
         b = np.asarray(b, dtype=float)
         flat = b.ravel()
         trig, poly = self._table(tuple(orders))
-        one = np.ndim(rows) == 0
-        if one:
-            trig, poly = trig[..., rows : rows + 1], poly[..., rows : rows + 1]
         K, T, P = len(orders), trig.shape[1], poly.shape[1]
         step = max(1, _EVAL_BLOCK // max(1, T * K))
         out = np.empty((K, len(flat)))
         for s in range(0, len(flat), step):
-            x = flat[s : s + step]
-            table, c_poly = trig, poly
-            if not one:
-                r = rows[s : s + step]
-                table, c_poly = trig.take(r, axis=-1), poly.take(r, axis=-1)
+            x, r = flat[s : s + step], rows[s : s + step]
+            table, c_poly = trig.take(r, axis=-1), poly.take(r, axis=-1)
             if T:
                 tb = table[0] * x
                 terms = np.cos(tb) * table[1 : K + 1]
@@ -254,9 +243,9 @@ class RadonDensity:
     def merged_with(self, other: "RadonDensity") -> "RadonDensity":
         """Union of two densities on the same ball: on a shared direction the
         slots of ``other`` follow those of ``self`` and the polynomials add."""
-        if other.is_empty:
+        if not len(other):
             return self
-        if self.is_empty:
+        if not len(self):
             return other
         if self.d != other.d or self.R != other.R:
             raise InvalidInputError("densities live on different hyperplane spaces")
@@ -407,25 +396,31 @@ def _scan_sizes(density: RadonDensity, lo: float, hi: float) -> np.ndarray:
 
 
 def _density_panels(density: RadonDensity, lo: float, hi: float):
-    """Per profile: the panel edges (lo, the roots, hi), G_1 at the edges and
-    the running integral of |g|, from one root pass over every profile."""
-    if density.is_empty:
-        return ()
-    scans = _scan_sizes(density, lo, hi)
-    roots = sign_change_roots(lambda rows, x: density._values(x, (0, -1), rows), lo, hi, scans)
-    counts = np.bincount(roots["row"], minlength=len(density))
-    cuts = np.cumsum(counts)[:-1]
-    edges = [np.concatenate([[lo], x, [hi]]) for x in np.split(roots["x"], cuts)]
-    g1 = density._values(np.concatenate(edges), (1,), np.arange(len(density)).repeat(counts + 2))[0]
-    g1 = np.split(g1, np.cumsum(counts + 2)[:-1])
-    return tuple((e, g, np.concatenate([[0.0], np.cumsum(np.abs(np.diff(g)))])) for e, g in zip(edges, g1))
+    """The panels of ``RadonDensity.panels``, from one root pass over every profile.
+    The running integral of |g| restarts at 0 on each profile: the profiles with c
+    edges are summed as the rows of one (profiles, c) table of panel masses."""
+    roots = sign_change_roots(lambda rows, x: density._values(x, (0, -1), rows), lo, hi, _scan_sizes(density, lo, hi))
+    counts = np.bincount(roots["row"], minlength=len(density)) + 2
+    starts = np.concatenate([[0], np.cumsum(counts)])
+    rows = np.arange(len(density)).repeat(counts)
+    place = np.arange(len(rows)) - starts[rows]  # each edge's place in its profile
+    edges = np.where(place == 0, lo, hi)
+    edges[(place > 0) & (place < counts[rows] - 1)] = roots["x"]
+    g1 = density._values(edges, (1,), rows)[0]
+    mass = np.where(place > 0, np.abs(np.diff(g1, prepend=0.0)), 0.0)
+    cum = np.empty(len(mass))
+    for c in np.unique(counts).tolist():
+        sel = np.flatnonzero(counts[rows] == c)
+        cum[sel] = np.cumsum(mass[sel].reshape(-1, c), axis=1).ravel()
+    return starts, edges, g1, cum
 
 
 def direction_masses(density: RadonDensity, lo: float | None = None, hi: float | None = None) -> np.ndarray:
     """Per-direction integral of |g| over (lo, hi); defaults to (-R, R)."""
     lo = -density.R if lo is None else lo
     hi = density.R if hi is None else hi
-    return np.array([cum_mass[-1] for _, _, cum_mass in density.panels(lo, hi)])
+    starts, _, _, cum = density.panels(lo, hi)
+    return cum[starts[1:] - 1]
 
 
 def tv_norm(density: RadonDensity) -> float:
@@ -435,8 +430,6 @@ def tv_norm(density: RadonDensity) -> float:
     directions of the integral of |g_w| over (-R, R): the sum of
     |G_1(r_{k+1}) - G_1(r_k)| between consecutive sign-change roots.
     """
-    if density.is_empty:
-        return 0.0
     return float(direction_masses(density).sum())
 
 
@@ -574,8 +567,6 @@ def fit_affine(density: RadonDensity) -> AffinePart:
     callers.  The ``norm`` command checks the whole identity on a ball grid
     as ``residual_affine``.
     """
-    if density.is_empty:
-        return AffinePart.zero(density.d)
     m, R = len(density), density.R
     G2, G1 = density._values(np.full(m, -R), (2, 1), np.arange(m))
     return AffinePart(v=G1 @ density.directions, c=float(np.sum(G2 + R * G1)))

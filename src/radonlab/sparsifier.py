@@ -16,11 +16,11 @@ coefficients |a_i| <= 1, l1-unit directions, biases in [0, 1], and outer
 scale at most sqrt(d) times the norm (requires R <= 1).
 
 Both samplers and ``error_decay_experiment`` draw through one path: a plan
-computed once per density and convention, then one inverse-CDF pass per
-direction over the neurons of any number of seeded streams.  Each draw is
-a Newton solve kept inside its panel, by the same bracketed Newton that
-refines the sign-change roots, started from the CDF of a sine lobe that
-vanishes at the panel's roots.
+computed once per density and convention, then one inverse-CDF pass over
+the neurons of any number of seeded streams, whatever their directions.
+Each draw is a Newton solve kept inside its panel, by the same bracketed
+Newton that refines the sign-change roots, started from the CDF of a sine
+lobe that vanishes at the panel's roots.
 
 Every network is evaluated one way: its neurons are grouped by distinct
 direction, and each group's ramps are summed from prefix sums over its
@@ -146,61 +146,55 @@ class TwoLayerNet:
                 raise InvalidInputError("prop2 outer scale exceeds sqrt(d) * norm")
 
 
-def _inverse_cdf(density: RadonDensity, row: int, panels, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Biases b at which the mass of |g| of the profile in column ``row`` from
-    the interval's start reaches u * mass, and the signs of g at them: +-1,
-    the sign of the panel each b lies in.
-
-    The panel holding each target comes from the running masses; inside it
-    the CDF |G_1(b) - G_1(r_k)| is monotone with derivative |g|, and
-    ``radon_measure._bracketed_newton`` solves for b with the panel as its
-    bracket.  Newton's method starts from the CDF of a sine lobe with the
-    panel's roots: the interior panel edges are sign-change roots, where
-    g = 0, so with s the target's share of the panel mass a panel with a
-    root at both edges starts at the fraction arccos(1 - 2s)/pi of its
-    width, one with a root at its left edge only at (2/pi) arccos(1 - s), at
-    its right edge only at (2/pi) arcsin(s), and one with no root at s.  A
-    draw stops once its step is at most 1e-9 of the interval: Newton's error
-    after such a step is of its square, and smaller steps would only chase
-    the rounding noise of G_1.  Each step reads G_1 and g off one evaluation
-    of the trig terms.
-    """
-    edges, g1, cum = panels
-    target = u * cum[-1]
-    k = np.minimum(np.searchsorted(cum, target, side="right") - 1, len(edges) - 2)
-    rest = target - cum[k]
-    sign = np.where(g1[k + 1] >= g1[k], 1.0, -1.0)
-    lo, hi = edges[k], edges[k + 1]
-    panel_mass = cum[k + 1] - cum[k]
-    s = np.clip(np.divide(rest, panel_mass, out=np.zeros_like(rest), where=panel_mass > 0), 0.0, 1.0)
-    left, right = k > 0, k < len(edges) - 2  # the panel's left and right edges are roots
-    lobe = np.where(
-        left,
-        np.where(right, np.arccos(1.0 - 2.0 * s) / np.pi, np.arccos(1.0 - s) * (2.0 / np.pi)),
-        np.where(right, np.arcsin(s) * (2.0 / np.pi), s),
-    )
-    start = g1[k]
-
-    def excess(live, x):
-        G1, g = density._values(x, (1, 0), row)
-        return sign[live] * (G1 - start[live]) - rest[live], sign[live] * g
-
-    b = _bracketed_newton(excess, lo + (hi - lo) * lobe, lo, hi, 1e-9 * (edges[-1] - edges[0]))
-    return b, sign
-
-
 def _draw_biases(density: RadonDensity, idx, u, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
     """Inverse-CDF biases from |g_w| on the open interval (lo, hi) for the
-    drawn directions ``idx``, and the signs a = sign(g_w(b)), read off the
-    sign-constant panel each b lies in."""
-    b = np.empty(len(idx))
-    a = np.empty(len(idx))
-    for i, panels in enumerate(density.panels(lo, hi)):
-        sel = np.flatnonzero(idx == i)
-        if len(sel):
-            bi, a[sel] = _inverse_cdf(density, i, panels, u[sel])
-            b[sel] = np.clip(bi, np.nextafter(lo, hi), np.nextafter(hi, lo))
-    return b, a
+    drawn directions ``idx``, and the signs a = sign(g_w(b)) of the panels
+    they lie in: neuron i's bias is where the mass of |g| of profile
+    ``idx[i]`` from lo reaches u_i times its mass, clipped into (lo, hi).
+
+    The panel holding each target comes from its profile's running masses;
+    inside it the CDF |G_1(b) - G_1(r_k)| is monotone with derivative |g|,
+    and one ``_bracketed_newton`` call solves every neuron's b, whatever its
+    direction, with its panel as its bracket.  Newton's method starts from
+    the CDF of a sine lobe with the panel's roots: the interior panel edges
+    are sign-change roots, where g = 0, so with s the target's share of the
+    panel mass a panel with a root at both edges starts at the fraction
+    arccos(1 - 2s)/pi of its width, one with a root at its left edge only
+    at (2/pi) arccos(1 - s), at its right edge only at (2/pi) arcsin(s), and
+    one with no root at s.  A draw stops once its step is at most 1e-9 of
+    the interval: Newton's error after such a step is of its square, and
+    smaller steps would only chase the rounding noise of G_1.  Each step
+    reads G_1 and g off one evaluation of the trig terms, of the draw's own
+    profile only, so a bias has the same bits in any batch.
+    """
+    starts, edges, g1, cum = density.panels(lo, hi)
+    first, last = starts[idx], starts[idx + 1] - 1  # each neuron's profile: its first and last edge
+    target = u * cum[last]
+    k = np.empty(len(idx), dtype=np.intp)
+    for r in range(len(density)):
+        sel = np.flatnonzero(idx == r)
+        k[sel] = np.searchsorted(cum[starts[r] : starts[r + 1]], target[sel], side="right")
+    k = np.minimum(first + k - 1, last - 1)
+    rest = target - cum[k]
+    sign = np.where(g1[k + 1] >= g1[k], 1.0, -1.0)
+    left, right = edges[k], edges[k + 1]
+    panel_mass = cum[k + 1] - cum[k]
+    s = np.clip(np.divide(rest, panel_mass, out=np.zeros_like(rest), where=panel_mass > 0), 0.0, 1.0)
+    rooted_left, rooted_right = k > first, k < last - 1  # the panel's left and right edges are roots
+    lobe = np.where(
+        rooted_left,
+        np.where(rooted_right, np.arccos(1.0 - 2.0 * s) / np.pi, np.arccos(1.0 - s) * (2.0 / np.pi)),
+        np.where(rooted_right, np.arcsin(s) * (2.0 / np.pi), s),
+    )
+    start, x = g1[k], left + (right - left) * lobe
+    del first, last, target, k, panel_mass, s, lobe  # a batch's Newton pass holds only what it reads
+
+    def excess(live, x):
+        G1, g = density._values(x, (1, 0), idx[live])
+        return sign[live] * (G1 - start[live]) - rest[live], sign[live] * g
+
+    b = _bracketed_newton(excess, x, left, right, 1e-9 * (hi - lo))
+    return np.clip(b, np.nextafter(lo, hi), np.nextafter(hi, lo)), sign
 
 
 def _exact_l1_unit(w: np.ndarray) -> np.ndarray:
@@ -275,8 +269,8 @@ def _draw(plan: _DrawPlan, streams) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
     Each stream draws its n directions and then its n uniforms from its own
     generator, so a stream's neurons do not depend on the streams beside
-    it; the biases of all streams come from one inverse-CDF pass per
-    direction, whose draws each stop on their own Newton step.
+    it; the biases of all streams come from one inverse-CDF pass, whose
+    draws each stop on their own Newton step.
     """
     if any(n < 1 for n, _ in streams):
         raise InvalidInputError("need at least one neuron")
@@ -471,11 +465,11 @@ def error_decay_experiment(
     for prop2, the folded affine part) is computed once per ladder.  Whole
     streams, in (width, trial) order, are then drawn together in batches of
     at most ``_BATCH_DRAWS`` neurons, a stream larger than that alone, so a
-    batch costs one inverse-CDF pass per direction rather than one per
-    trial.  The cap bounds the experiment's memory at the cost of more
-    passes: a d=1, 16..4096 x 20-trial ladder (109,120 neurons) makes 7
-    batches and peaks at 3.7 MiB under ``tracemalloc``, against 2.6 MiB in
-    14 batches of 2**13, 6.8 MiB in 4 batches of 2**15 and 17.0 MiB in one.
+    batch costs one inverse-CDF pass rather than one per trial.  The cap
+    bounds the experiment's memory at the cost of more passes: a d=1,
+    16..4096 x 20-trial ladder (109,120 neurons) makes 7 batches and peaks
+    at 4.4 MiB under ``tracemalloc``, against 2.7 MiB in 14 batches of
+    2**13, 7.4 MiB in 4 batches of 2**15 and 20.0 MiB in one.
     A batch also closes once its streams' ramp sums, one row of grid
     values per stream, fill ``_SCORE_BLOCK`` entries, so thousands of
     one-neuron streams do not make one large table.  Each batch is scored

@@ -13,6 +13,7 @@ import pytest
 import radonlab as rl
 from radonlab.errors import DomainError, InvalidInputError, PreconditionError
 from radonlab.nullspace import _int_power
+from radonlab.radon_measure import ramp_integral_grid
 
 # a numpy warning here would reach the stderr of a CLI user
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -300,6 +301,15 @@ def test_mode_connect_linear_in_scale():
     r3 = rl.mode_connect_perturb(base, EX2_TERM, 500, 3.0, grid)
     assert r3.functional_change == pytest.approx(3.0 * r1.functional_change, rel=1e-12)
     assert r3.displacement == pytest.approx(3.0 * r1.displacement, rel=1e-12)
+
+
+def test_null_term_density_is_null_at_high_degree():
+    # k + k' + 2 = 102: a 64-node circle, exact to degree 63, left 1.7e-4
+    term = rl.HarmonicNullTerm(k=60, j=1, kprime=40, coeff=1.0, d=2, R=1.0)
+    X = rl.ball_grid(2, 1.0, 50, seed=0, mode="uniform").points
+    assert np.max(np.abs(ramp_integral_grid(rl.null_term_density(term), X))) <= 1e-12
+    # an explicit rule size is kept
+    assert len(rl.null_term_density(term, m=64)) == 64
 
 
 def test_null_term_json_roundtrip(tmp_path):

@@ -167,6 +167,12 @@ def test_ball_grid_rejects_bad_inputs():
         rl.ball_grid(2, 1.0, 10, mode="nope")
 
 
+@pytest.mark.parametrize("R", [math.inf, math.nan])
+def test_ball_grid_refuses_a_non_finite_radius(R):
+    with pytest.raises(InvalidInputError, match="finite"):
+        rl.ball_grid(2, R, 5)
+
+
 def test_ball_grid_higher_dimensions():
     # d > 3 has no deterministic sphere rule, but evaluation grids must still
     # exist for the sampling path

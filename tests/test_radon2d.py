@@ -135,6 +135,16 @@ def test_dual_transform_refuses_a_non_finite_point():
         rl.dual_radon_transform(psi_even, [math.nan, 0.2])
 
 
+def test_dual_transform_refuses_a_psi_of_the_wrong_count():
+    with pytest.raises(InvalidInputError, match="one value per line, 64"):
+        rl.dual_radon_transform(lambda W, B: np.ones(3), [0.1, 0.2])
+
+
+def test_adjointness_refuses_a_psi_of_the_wrong_count(bump):
+    with pytest.raises(InvalidInputError, match="one value per line, 1024"):
+        rl.adjointness_check(bump, lambda W, B: np.ones(3), 32)
+
+
 def test_dual_transform_constant_and_quadratic():
     assert rl.dual_radon_transform(lambda W, B: np.ones(len(np.atleast_2d(W))), [0.3, 0.2]) == pytest.approx(
         2 * math.pi, abs=1e-12

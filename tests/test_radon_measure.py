@@ -599,9 +599,8 @@ def test_root_scan_blocks_split_nothing(monkeypatch):
     monkeypatch.setattr("radonlab.radon_measure._SCAN_BLOCK", 97)
     monkeypatch.setattr("radonlab.radon_measure._EVAL_BLOCK", 50)
     blocked = padded_density(np.ones((3, 1)), profiles).panels(-1.0, 1.0)
-    for a, b in zip(whole, blocked):
-        for x, y in zip(a, b):
-            assert np.array_equal(x, y)
+    for x, y in zip(whole, blocked):
+        assert np.array_equal(x, y)
 
 
 @pytest.mark.parametrize("t, R", [(1000.0, 1.0), (3000.0, 1.0), (200.0, 30.0)])

@@ -15,7 +15,7 @@ from scipy.optimize import brentq
 
 from radonlab.errors import DegenerateMeasureError, DomainError, InvalidInputError
 from radonlab.radon_measure import RadonDensity
-from radonlab.sparsifier import _draw, _draw_plan, _exact_l1_unit, _inverse_cdf, _project, _ramp_sums
+from radonlab.sparsifier import _draw, _draw_biases, _draw_plan, _exact_l1_unit, _project, _ramp_sums
 
 from conftest import decay_slope, padded_density, random_cosine_terms
 
@@ -422,10 +422,9 @@ def ramp_points_per_draw(monkeypatch, freq):
         return values(self, b, *args)
 
     monkeypatch.setattr(RadonDensity, "_values", counted)
-    panels = density.panels(-1.0, 1.0)[0]
     u = np.random.default_rng(0).random(10_000)
-    _inverse_cdf(density, 0, panels, u)
-    return len(panels[0]) - 2, sum(points) / len(u)
+    draw_one(density, u, -1.0, 1.0)
+    return len(one_profile_edges(density, -1.0, 1.0)) - 2, sum(points) / len(u)
 
 
 def test_inverse_cdf_starts_from_the_lobe_of_its_panel(monkeypatch):
@@ -601,30 +600,37 @@ def test_error_decay_of_many_narrow_streams_stays_bounded(near_cancel_measure):
     assert peak < 10 * 2**20
 
 
-def test_error_decay_makes_one_inverse_cdf_call_per_direction_and_batch(monkeypatch, axis_measure):
-    calls = []
-    inverse_cdf = sparsifier._inverse_cdf
-    monkeypatch.setattr(sparsifier, "_inverse_cdf", lambda *args: calls.append(1) or inverse_cdf(*args))
-    trials = 20
-    rl.error_decay_experiment(axis_measure, 1.0, LADDER, trials=trials, seed=2)
-    # whole streams, in order, packed greedily under the cap
-    batches, size = 0, None
+def test_error_decay_makes_one_newton_call_per_batch(monkeypatch, axis_measure):
+    # every direction's draws of a batch are solved together
+    newton, scored = [], []
+    bracketed_newton, ramp_sums = sparsifier._bracketed_newton, sparsifier._ramp_sums
+    monkeypatch.setattr(sparsifier, "_bracketed_newton", lambda *args: newton.append(1) or bracketed_newton(*args))
+    monkeypatch.setattr(sparsifier, "_ramp_sums", lambda *args: scored.append(1) or ramp_sums(*args))
+    trials, grid_size = 20, 500
+    rl.error_decay_experiment(axis_measure, 1.0, LADDER, trials=trials, seed=2, grid_size=grid_size)
+    # whole streams, in order, packed greedily under both caps
+    batches, size, streams = 0, None, 0
     for n in (n for n in LADDER for _ in range(trials)):
-        if size is None or size + n > sparsifier._BATCH_DRAWS:
-            batches, size = batches + 1, 0
-        size += n
-    density = rl.density_from_spectrum(axis_measure, 1.0)
-    assert 0 < len(calls) <= len(density) * batches < len(LADDER) * trials
+        if size is None or size + n > sparsifier._BATCH_DRAWS or streams * grid_size >= sparsifier._SCORE_BLOCK:
+            batches, size, streams = batches + 1, 0, 0
+        size, streams = size + n, streams + 1
+    assert len(rl.density_from_spectrum(axis_measure, 1.0)) == 6
+    assert len(newton) == len(scored) == batches < len(LADDER) * trials
 
 
 # --- inverse CDF against brentq on the exact CDF -----------------------------
 
 
-def random_profile(rng, n_terms, poly_degree):
-    """A density on the unit ball of one direction, whose profile has these terms and degree."""
+def random_terms(rng, n_terms, poly_degree):
+    """A profile's (freqs, weights, poly) with these terms and degree."""
     freqs = rng.uniform(1.0, 25.0, n_terms) * rng.choice([-1.0, 1.0], n_terms)
     weights = rng.normal(size=n_terms) + 1j * rng.normal(size=n_terms)
-    return padded_density([[1.0]], [(freqs, weights, rng.normal(size=poly_degree + 1))])
+    return freqs, weights, rng.normal(size=poly_degree + 1)
+
+
+def random_profile(rng, n_terms, poly_degree):
+    """A density on the unit ball of one direction, whose profile has these terms and degree."""
+    return padded_density([[1.0]], [random_terms(rng, n_terms, poly_degree)])
 
 
 def exact_cdf(profile, lo, hi):
@@ -647,9 +653,15 @@ def exact_cdf(profile, lo, hi):
     return cdf, np.array(roots), cum[-1]
 
 
-def profile_panels(profile, lo, hi):
-    """The panels of one profile on (lo, hi)."""
-    return profile.panels(lo, hi)[0]
+def one_profile_edges(density, lo, hi):
+    """The panel edges on (lo, hi) of the density's first profile."""
+    starts, edges, _, _ = density.panels(lo, hi)
+    return edges[starts[0] : starts[1]]
+
+
+def draw_one(density, u, lo, hi):
+    """Biases and signs of draws u from the density's first profile on (lo, hi)."""
+    return _draw_biases(density, np.zeros(len(u), dtype=np.intp), u, lo, hi)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -668,10 +680,10 @@ def test_inverse_cdf_matches_brentq(seed):
         near = near[(near > lo) & (near < hi)]
         near_roots += len(near)
         u = np.concatenate([rng.random(200), [cdf(b) / total for b in near]])
-        got, _ = _inverse_cdf(profile, 0, profile_panels(profile, lo, hi), u)
+        got, _ = draw_one(profile, u, lo, hi)
         want = [brentq(lambda b: cdf(b) - ui * total, lo, hi, xtol=1e-13, maxiter=500) for ui in u]
         assert np.max(np.abs(got - want)) <= 1e-9 * 2 * R
-        assert np.array_equal(got, _inverse_cdf(profile, 0, profile_panels(profile, lo, hi), u)[0])
+        assert np.array_equal(got, draw_one(profile, u, lo, hi)[0])
     assert near_roots >= 2
 
 
@@ -680,12 +692,26 @@ def test_inverse_cdf_sign_is_the_sign_of_the_profile(seed):
     rng = np.random.default_rng(seed)
     profile = random_profile(rng, n_terms=int(rng.integers(1, 5)), poly_degree=int(rng.integers(0, 3)))
     for lo, hi in ((-1.0, 1.0), (0.0, 1.0)):
-        panels = profile_panels(profile, lo, hi)
-        b, a = _inverse_cdf(profile, 0, panels, rng.random(2000))
+        b, a = draw_one(profile, rng.random(2000), lo, hi)
         # away from the panel edges, where g vanishes and its sign is rounding noise
-        away = np.min(np.abs(b[:, None] - panels[0][None, :]), axis=1) > 1e-9 * (hi - lo)
+        away = np.min(np.abs(b[:, None] - one_profile_edges(profile, lo, hi)[None, :]), axis=1) > 1e-9 * (hi - lo)
         assert away.sum() >= 1990
         assert np.array_equal(a[away], np.where(profile.antiderivative(b[away], 0, 0) >= 0, 1.0, -1.0))
+
+
+@pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (0.0, 1.0)])
+def test_a_batch_draws_each_direction_as_it_would_alone(lo, hi):
+    # profiles of different term counts and degrees, padded into one density
+    rng = np.random.default_rng(11)
+    profiles = [random_terms(rng, int(rng.integers(1, 5)), int(rng.integers(0, 3))) for _ in range(4)]
+    density = padded_density(rng.normal(size=(4, 2)), profiles)
+    idx, u = rng.integers(0, 4, 4000), rng.random(4000)
+    b, a = _draw_biases(density, idx, u, lo, hi)
+    for r, profile in enumerate(profiles):
+        sel = idx == r
+        alone = padded_density(density.directions[r : r + 1], [profile])
+        for got in (_draw_biases(density, idx[sel], u[sel], lo, hi), draw_one(alone, u[sel], lo, hi)):
+            assert np.array_equal(got[0], b[sel]) and np.array_equal(got[1], a[sel])
 
 
 @pytest.mark.parametrize("d", range(2, 11))
