@@ -13,12 +13,7 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .quadrature import BallGrid, QuadratureRule, ball_grid, gauss_legendre, sphere_rule
-from .harmonics import (
-    funk_hecke_check,
-    harmonic_dim,
-    harmonic_eval,
-    legendre_eval,
-)
+from .harmonics import harmonic_dim, harmonic_eval
 from .spectrum import (
     SpectralMeasure,
     fourier_constant_l1,
@@ -30,10 +25,8 @@ from .spectrum import (
 from .radon_measure import (
     AffinePart,
     RadonDensity,
-    check_fourier_bound,
     density_from_spectrum,
     fit_affine,
-    harmonic_moment,
     reconstruct_grid,
     tv_norm,
 )
@@ -59,7 +52,6 @@ from .nullspace import (
     ramp_moment_closed_form,
     save_null_term,
     verify_null,
-    witness_nonzero,
 )
 from .radon2d import (
     BumpFunction,
@@ -89,9 +81,7 @@ __all__ = [
     "ball_grid",
     # harmonics
     "harmonic_dim",
-    "legendre_eval",
     "harmonic_eval",
-    "funk_hecke_check",
     # spectrum
     "SpectralMeasure",
     "from_cosine_sum",
@@ -104,10 +94,8 @@ __all__ = [
     "AffinePart",
     "density_from_spectrum",
     "tv_norm",
-    "check_fourier_bound",
     "reconstruct_grid",
     "fit_affine",
-    "harmonic_moment",
     # sparsifier
     "TwoLayerNet",
     "ApproxReport",
@@ -124,7 +112,6 @@ __all__ = [
     "ModeConnectReport",
     "ramp_moment_closed_form",
     "verify_null",
-    "witness_nonzero",
     "discretize_null",
     "mode_connect_perturb",
     "null_term_density",

@@ -84,11 +84,9 @@ def cmd_norm(args) -> int:
     c_f = fourier_constant_l2(terms)
     c_tilde = fourier_constant_l1(terms)
     bound = 2.0 * R * c_f
-    residual = 0.0
-    if terms:
-        # the whole identity f = ramp pairing + affine part, on points inside the ball
-        X = ball_grid(d, R, max(args.grid, d + 2), mode="low-discrepancy").points
-        residual = float(np.max(np.abs(mu.evaluate(X) - ramp_integral_grid(density, X) - fit_affine(density)(X))))
+    # the whole identity f = ramp pairing + affine part, on points inside the ball
+    X = ball_grid(d, R, args.grid, mode="low-discrepancy").points
+    residual = float(np.max(np.abs(mu.evaluate(X) - ramp_integral_grid(density, X) - fit_affine(density)(X))))
     ok = norm <= bound + tols.bound_slack
     report = {
         "norm": norm,

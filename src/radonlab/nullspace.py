@@ -5,10 +5,11 @@ k' < k - 2 pairs to zero against every ramp (<w, x> - b)_+ for x inside the
 ball: the bias integral of the ramp against b^{k'} is a polynomial of
 degree k' + 2 < k in <w, x>, hence orthogonal to the degree-k harmonic.
 At the threshold k' = k - 2 the degree-k term survives and the pairing is
-proportional to |x|^k Y_{k,j}(x/|x|), the non-null witness.  Discretizing a
-null density on a product quadrature yields finite ReLU networks with
-substantial coefficient mass and near-zero function values: displacement
-directions of near-constant loss.
+proportional to |x|^k Y_{k,j}(x/|x|), the non-null witness, which is the
+ramp pairing ``ramp_integral_grid`` of the term's ``null_term_density``.
+Discretizing a null density on a product quadrature yields finite ReLU
+networks with substantial coefficient mass and near-zero function values:
+displacement directions of near-constant loss.
 
 The bias integral has three nonzero monomial coefficients in c = <w, x>,
 kept in one place (``_ramp_moment``).  ``ramp_moment_closed_form``
@@ -24,13 +25,12 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidInputError, PreconditionError, float_field, integer_field
-from .harmonics import harmonic_dim, harmonic_eval, sphere_surface, weighted_profile_integral
+from .errors import DomainError, InvalidInputError, PreconditionError, UnsupportedDimensionError, float_field, integer_field
+from .harmonics import harmonic_dim, harmonic_eval
 from .quadrature import BallGrid, QuadratureRule, gauss_legendre, sphere_rule
 from .radon_measure import RadonDensity
 from .sparsifier import TwoLayerNet
@@ -48,6 +48,8 @@ class HarmonicNullTerm:
     R: float
 
     def __post_init__(self):
+        if self.d not in (2, 3):
+            raise UnsupportedDimensionError(f"null terms are supported in d = 2 and d = 3, not d = {self.d}")
         if self.kprime < 0:
             raise InvalidInputError("monomial degree must be nonnegative")
         if (self.k - self.kprime) % 2 != 0:
@@ -147,10 +149,7 @@ def verify_null(term: HarmonicNullTerm, xs: BallGrid, rule: QuadratureRule, tole
     array c: one integer power and two matrix-vector products.
     """
     if not term.in_set_a:
-        raise PreconditionError(
-            "term is outside the null set (needs k' < k - 2); use witness_nonzero "
-            "for the threshold case k' = k - 2"
-        )
+        raise PreconditionError("term is outside the null set (needs k' < k - 2)")
     if xs.d != term.d:
         raise InvalidInputError("grid and term dimensions differ")
     if xs.R > term.R:
@@ -162,27 +161,6 @@ def verify_null(term: HarmonicNullTerm, xs: BallGrid, rule: QuadratureRule, tole
     vals = term.coeff * (top * (_int_power(c, k2) @ v) + lin * (c @ v) + const * v.sum())
     worst = float(np.abs(vals).max(initial=0.0))
     return NullVerificationReport(term=term, points=len(xs), max_ramp_integral=worst, tolerance=tolerance)
-
-
-def witness_nonzero(k: int, j: int, d: int, R: float, x) -> float:
-    """Ramp pairing of Y_{k,j} (x) b^{k-2}: the term that is NOT null.
-
-    Equals |S^{d-2}|/(k(k-1)) * |x|^k * Y_{k,j}(x/|x|) * m_k, where m_k is
-    the weighted moment of t^k against the degree-k Legendre polynomial in
-    dimension d (nonzero).  Vanishes only on the zero set of the harmonic.
-    """
-    if k < 2:
-        raise InvalidInputError("witness needs degree k >= 2")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    r = float(np.linalg.norm(x))
-    if r >= R:
-        raise DomainError("witness point must lie inside the open ball")
-    if r == 0.0:
-        warnings.warn("witness at x = 0 is degenerate (harmonic direction undefined)")
-        return 0.0
-    moment = weighted_profile_integral(lambda t: t**k, k, d, m=max(64, 2 * k))
-    y = float(harmonic_eval(k, j, d, x / r))
-    return sphere_surface(d - 1) / (k * (k - 1)) * r**k * y * moment
 
 
 def _null_rule_size(term: HarmonicNullTerm) -> int:

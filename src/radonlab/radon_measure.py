@@ -1,5 +1,5 @@
 """Radon densities of spectral measures: total-variation norms, ball
-reconstruction, the affine part in closed form, and harmonic moments.
+reconstruction, the affine part in closed form, and profile moments.
 
 A symmetry-closed atomic spectral measure induces a density on hyperplane
 space whose sphere marginal is atomic: finitely many unit directions, each
@@ -14,8 +14,8 @@ lets each conjugate pair of atoms (t, w), (-t, conj w) of a direction
 be stored as one term (t, 2 w): ``density_from_spectrum`` checks the
 closure once, on the measure, and folds the pairs as it builds.  Its
 total variation equals the Radon-based representation norm of f on the ball
-of radius R, ramp integrals against it reconstruct f up to an affine part,
-and its harmonic-times-monomial pairings are the null-space moments.
+of radius R, and ramp integrals against it reconstruct f up to an affine
+part.
 
 Every profile integral is an evaluation of the exact antiderivatives
 G_k(b) = sum_j Re(w_j e^{-i t_j b} / (-i t_j)^k) + (P_w integrated k times):
@@ -60,12 +60,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.polynomial import polyder, polyint, polyval
 
-from .errors import (
-    DomainError,
-    InvalidInputError,
-    UnsupportedDimensionError,
-)
-from .harmonics import harmonic_eval
+from .errors import DomainError, InvalidInputError
 from .spectrum import SpectralMeasure, _first_seen
 
 _ROOT_SCAN = 512
@@ -243,12 +238,12 @@ class RadonDensity:
     def merged_with(self, other: "RadonDensity") -> "RadonDensity":
         """Union of two densities on the same ball: on a shared direction the
         slots of ``other`` follow those of ``self`` and the polynomials add."""
+        if self.d != other.d or self.R != other.R:
+            raise InvalidInputError("densities live on different hyperplane spaces")
         if not len(other):
             return self
         if not len(self):
             return other
-        if self.d != other.d or self.R != other.R:
-            raise InvalidInputError("densities live on different hyperplane spaces")
         index = {tuple(w): i for i, w in enumerate(self.directions.tolist())}
         cols = np.array([index.get(tuple(w), -1) for w in other.directions.tolist()])
         new = cols < 0
@@ -492,17 +487,6 @@ def spectral_second_moment(mu: SpectralMeasure) -> float:
     return float(sum((np.abs(mu.coefs) * mu.freqs**2).tolist()))
 
 
-def check_fourier_bound(mu: SpectralMeasure, R: float, slack: float = 1e-10) -> tuple[float, float, bool]:
-    """Compare the computed ball norm against the bound 2 R C_f.
-
-    Returns (norm, bound, ok) with ok = (norm <= bound + slack).
-    """
-    density = density_from_spectrum(mu, R)
-    norm = tv_norm(density)
-    bound = 2.0 * R * spectral_second_moment(mu)
-    return norm, bound, norm <= bound + slack
-
-
 @dataclass(frozen=True)
 class AffinePart:
     """Affine remainder x -> <v, x> + c of a ramp representation on the ball."""
@@ -570,22 +554,3 @@ def fit_affine(density: RadonDensity) -> AffinePart:
     m, R = len(density), density.R
     G2, G1 = density._values(np.full(m, -R), (2, 1), np.arange(m))
     return AffinePart(v=G1 @ density.directions, c=float(np.sum(G2 + R * G1)))
-
-
-def harmonic_moment(density: RadonDensity, k: int, j: int, kprime: int) -> float:
-    """Pairing of the density with the harmonic-times-monomial Y_{k,j} (x) b^{k'}.
-
-    Computed as sum_w Y_{k,j}(w) * integral of b^{k'} g_w(b) db, the exact
-    pairing for an atomic sphere marginal.
-    """
-    if density.d not in (2, 3):
-        raise UnsupportedDimensionError("harmonic moments need d in {2, 3}")
-    if kprime < 0 or kprime >= k:
-        raise InvalidInputError("moment degree must satisfy 0 <= k' < k")
-    if (k - kprime) % 2 != 0:
-        raise InvalidInputError("k and k' must share parity (even densities)")
-    total = 0.0
-    for i in range(len(density)):
-        y = float(harmonic_eval(k, j, density.d, density.directions[i]))
-        total += y * profile_moment(density, i, kprime, -density.R, density.R)
-    return total

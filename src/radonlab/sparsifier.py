@@ -82,7 +82,12 @@ class TwoLayerNet:
         if self.convention not in CONVENTIONS:
             raise InvalidInputError(f"unknown convention {self.convention!r}")
         a = np.atleast_1d(np.asarray(self.a, dtype=float))
-        omegas = np.asarray(self.omegas, dtype=float).reshape(len(a), self.d)
+        omegas = np.asarray(self.omegas, dtype=float)
+        if self.d < 1 or omegas.size != len(a) * self.d:
+            raise InvalidInputError(
+                f"neuron directions omega of shape {omegas.shape} do not form an n x d = {len(a)} x {self.d} array"
+            )
+        omegas = omegas.reshape(len(a), self.d)
         b = np.atleast_1d(np.asarray(self.b, dtype=float))
         v = np.atleast_1d(np.asarray(self.v, dtype=float))
         if len(b) != len(a):

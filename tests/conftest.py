@@ -1,4 +1,5 @@
-"""Shared fixtures: bundled example spectra and random cosine sums."""
+"""Shared fixtures and oracles: bundled example spectra, random cosine sums,
+and the Funk-Hecke and threshold-witness identities built from numpy alone."""
 
 from __future__ import annotations
 
@@ -10,8 +11,11 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 import radonlab as rl
+from radonlab.radon_measure import ramp_integral_grid, spectral_second_moment
 
 EPS = 0.01
+# |S^0| and |S^1|: the surface of the sphere that Funk-Hecke reduces S^{d-1} to
+SPHERE_SURFACE = {1: 2.0, 2: 2.0 * math.pi}
 
 
 @pytest.fixture
@@ -61,6 +65,54 @@ def abs_cos_integral(X: float) -> float:
     after it."""
     whole, y = divmod(X, math.pi)
     return 2.0 * (2.0 * whole + (math.sin(y) if y <= math.pi / 2 else 2.0 - math.sin(y)))
+
+
+def norm_and_fourier_bound(mu, R: float) -> tuple[float, float]:
+    """The ball norm of mu's density and the bound 2 R C_f it may not pass, with
+    C_f the spectrum's second moment: the comparison the ``norm`` command makes."""
+    return rl.tv_norm(rl.density_from_spectrum(mu, R)), 2.0 * R * spectral_second_moment(mu)
+
+
+def legendre_oracle(k: int, d: int, t):
+    """Degree-k Legendre polynomial of dimension d with P(1) = 1, orthogonal under
+    (1 - t^2)^((d-3)/2): Chebyshev cos(k arccos t) for d=2, classical Legendre for d=3."""
+    t = np.asarray(t, dtype=float)
+    if d == 2:
+        return np.cos(k * np.arccos(t))
+    return np.polynomial.legendre.legval(t, np.eye(k + 1)[k])
+
+
+def weighted_legendre_integral(eta, k: int, d: int, m: int = 128) -> float:
+    """Integral of eta(t) P_{k,d}(t) (1 - t^2)^((d-3)/2) over (-1, 1): m-node
+    Gauss-Chebyshev for d=2, whose weight is the endpoint-singular one, and
+    m-node Gauss-Legendre for d=3."""
+    t, w = np.polynomial.chebyshev.chebgauss(m) if d == 2 else np.polynomial.legendre.leggauss(m)
+    return float(w @ (np.asarray(eta(t), dtype=float) * legendre_oracle(k, d, t)))
+
+
+def funk_hecke_sides(eta, k: int, d: int, omega, rule, Y) -> tuple[float, float]:
+    """Both sides of the Funk-Hecke identity for a profile eta and a degree-k
+    harmonic Y on S^{d-1}, d in {2, 3}: the sphere-rule value of
+    x -> eta(<omega, x>) Y(x), and |S^{d-2}| Y(omega) times the weighted
+    Legendre integral of eta."""
+    omega = np.asarray(omega, dtype=float)
+    values = np.asarray(eta(rule.nodes @ omega), dtype=float) * np.asarray(Y(rule.nodes), dtype=float)
+    lhs = float(rule.weights @ values)
+    rhs = SPHERE_SURFACE[d - 1] * float(np.asarray(Y(omega)).reshape(-1)[0]) * weighted_legendre_integral(eta, k, d)
+    return lhs, rhs
+
+
+def witness_closed_form(k: int, d: int, r: float, y: float) -> float:
+    """The ramp pairing of Y (x) b^{k-2}, Y a degree-k harmonic, at a point x
+    with |x| = r and Y(x / |x|) = y: |S^{d-2}| / (k (k-1)) r^k y m_k, with
+    m_k the weighted moment of t^k against P_{k,d}."""
+    return SPHERE_SURFACE[d - 1] / (k * (k - 1)) * r**k * y * weighted_legendre_integral(lambda t: t**k, k, d)
+
+
+def threshold_pairing(k: int, j: int, d: int, x) -> float:
+    """The library's ramp pairing of the threshold term Y_{k,j} (x) b^{k-2} on the unit ball, at x."""
+    term = rl.HarmonicNullTerm(k=k, j=j, kprime=k - 2, coeff=1.0, d=d, R=1.0)
+    return float(ramp_integral_grid(rl.null_term_density(term), np.atleast_2d(x))[0])
 
 
 def padded_density(directions, profiles, R: float = 1.0) -> rl.RadonDensity:

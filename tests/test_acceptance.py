@@ -18,7 +18,16 @@ import pytest
 import radonlab as rl
 from radonlab.cli import main
 
-from conftest import EPS, decay_slope, near_cancel_fpp, random_cosine_terms, second_derivative_norm_1d
+from conftest import (
+    EPS,
+    decay_slope,
+    funk_hecke_sides,
+    near_cancel_fpp,
+    norm_and_fourier_bound,
+    random_cosine_terms,
+    second_derivative_norm_1d,
+    threshold_pairing,
+)
 
 NEAR_CANCEL_TERMS = [(1.0, np.array([1.0])), (-1.0, np.array([1.0 + EPS]))]
 
@@ -71,9 +80,9 @@ def test_criterion_2_fourier_bound_random_spectra():
         d, R = cases[count % len(cases)]
         terms = random_cosine_terms(rng, d, n_terms=int(rng.integers(1, 5)))
         mu = rl.from_cosine_sum(d, terms)
-        norm, bound, holds = rl.check_fourier_bound(mu, R, slack=1e-10)
+        norm, bound = norm_and_fourier_bound(mu, R)
         worst_slack = max(worst_slack, norm - bound)
-        ok = ok and holds
+        ok = ok and norm <= bound + 1e-10
         count += 1
     elapsed = time.perf_counter() - started
     ok = ok and elapsed < 10.0
@@ -167,7 +176,7 @@ def test_criterion_6_null_terms_and_witness():
         if abs(rl.harmonic_eval(4, 1, 2, w)) < 0.2:
             continue
         x = w * rng.uniform(0.6, 0.95)
-        witness_ok = witness_ok and abs(rl.witness_nonzero(4, 1, 2, 1.0, x)) > 1e-3
+        witness_ok = witness_ok and abs(threshold_pairing(4, 1, 2, x)) > 1e-3
         found += 1
     elapsed = time.perf_counter() - started
     ok = all_terms_ok and witness_ok and elapsed < 30.0
@@ -239,7 +248,7 @@ def test_criterion_9_infrastructure(tmp_path):
         eta = lambda t, c=coeffs: np.polynomial.polynomial.polyval(np.asarray(t), c)
         w = rng.normal(size=d)
         w /= np.linalg.norm(w)
-        lhs, rhs = rl.funk_hecke_check(eta, k, d, w, rules[d], j=j)
+        lhs, rhs = funk_hecke_sides(eta, k, d, w, rules[d], lambda x: rl.harmonic_eval(k, j, d, x))
         fh_worst = max(fh_worst, abs(lhs - rhs))
     fh_ok = fh_worst <= 1e-8
     # orthonormality up to k = 6

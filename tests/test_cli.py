@@ -88,6 +88,9 @@ def test_norm_empty_spectrum(tmp_path):
     assert main(["norm", "--spectrum", str(path), "--R", "1", "--out", str(out)]) == EXIT_PASS
     report = read_json(out)
     assert report["norm"] == 0.0 and report["bound_2RCf"] == 0.0
+    assert report["residual_affine"] == 0.0
+    # the grid is refused whether or not there are terms to check on it
+    assert main(["norm", "--spectrum", str(path), "--R", "1", "--grid", "0"]) == EXIT_PARSE
 
 
 def run_cli(*args):
@@ -276,10 +279,39 @@ def test_verify_null_pass_and_fail(tmp_path, term_path):
     assert read_json(out)["tol_overrides"] == {"null_tol": 1e-30}
 
 
-def test_verify_null_threshold_term_rejected(tmp_path):
+def test_verify_null_threshold_term_rejected(tmp_path, capsys):
     edge = tmp_path / "edge.json"
     rl.save_null_term(edge, rl.HarmonicNullTerm(k=4, j=1, kprime=2, coeff=1.0, d=2, R=1.0))
     assert main(["verify-null", "--term", str(edge)]) == EXIT_DOMAIN
+    assert capsys.readouterr().err == "radonlab: term is outside the null set (needs k' < k - 2)\n"
+
+
+@pytest.mark.parametrize("d", [1, 4])
+def test_verify_null_refuses_a_term_outside_two_and_three_dimensions(tmp_path, capsys, term_path, d):
+    # d=4 exited 4 from the sphere rule, pointing to a Monte Carlo path that null terms do not have
+    term = read_json(term_path)
+    term["d"] = d
+    path = tmp_path / "bad-term.json"
+    path.write_text(json.dumps(term))
+    out = tmp_path / "report.json"
+    assert main(["verify-null", "--term", str(path), "--out", str(out)]) == EXIT_DOMAIN
+    assert capsys.readouterr().err == f"radonlab: null terms are supported in d = 2 and d = 3, not d = {d}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", ["0", "-1"])
+@pytest.mark.parametrize("command", ["norm", "approximate", "verify-null"])
+def test_commands_refuse_a_grid_without_points(tmp_path, capsys, spectrum_path, term_path, command, grid):
+    # norm raised the grid to d + 2 points and exited 0
+    out = tmp_path / "report.json"
+    if command == "verify-null":
+        argv = [command, "--term", str(term_path), "--out", str(out)]
+    else:
+        argv = [command, "--spectrum", str(spectrum_path), "--R", "1"]
+        argv += ["--out", str(out)] if command == "norm" else ["--n", "16", "--seed", "1", "--report", str(out)]
+    assert main([*argv, f"--grid={grid}"]) == EXIT_PARSE
+    assert capsys.readouterr().err == "radonlab: need at least one grid point\n"
+    assert not out.exists()
 
 
 def test_verify_null_high_degree_d2_passes(tmp_path):
@@ -587,7 +619,7 @@ def test_verify_null_names_a_non_numeric_field(tmp_path, capsys, term_path, fiel
         ("v", '["x", 0.0]', "malformed network file: 'v' must be numbers: could not convert string to float: 'x'"),
         # the field converts, and the network refuses its shape
         ("v", "[[0.0, 0.0]]", "affine part v of shape (1, 2) does not match d=2"),
-        ("omega", "[1.0, 0.0, 0.5]", "cannot reshape array of size 3 into shape (1,2)"),
+        ("omega", "[1.0, 0.0, 0.5]", "neuron directions omega of shape (1, 3) do not form an n x d = 1 x 2 array"),
     ],
 )
 def test_modeconnect_refuses_a_malformed_network_field(tmp_path, capsys, term_path, field, value, message):
@@ -597,6 +629,19 @@ def test_modeconnect_refuses_a_malformed_network_field(tmp_path, capsys, term_pa
     path.write_text(json.dumps({**net, "convention": "thm2"}))
     out = tmp_path / "mc.json"
     assert main(["modeconnect", "--network", str(path), "--term", str(term_path), "--out", str(out)]) == EXIT_PARSE
+    assert capsys.readouterr().err == f"radonlab: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("d", [0, -1])
+def test_modeconnect_refuses_a_non_positive_network_dimension(tmp_path, capsys, term_path, d):
+    # the empty network with d=-1 exited 2 with numpy's "cannot reshape array of
+    # size 0 into shape (0,newaxis)"; with d=0 it loaded
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps({"d": d, "neurons": [], "kappa": 1.0, "v": [], "c": 0.0, "convention": "thm2"}))
+    out = tmp_path / "mc.json"
+    assert main(["modeconnect", "--network", str(path), "--term", str(term_path), "--out", str(out)]) == EXIT_PARSE
+    message = f"neuron directions omega of shape (0,) do not form an n x d = 0 x {d} array"
     assert capsys.readouterr().err == f"radonlab: {message}\n"
     assert not out.exists()
 

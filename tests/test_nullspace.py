@@ -15,6 +15,8 @@ from radonlab.errors import DomainError, InvalidInputError, PreconditionError
 from radonlab.nullspace import _int_power
 from radonlab.radon_measure import ramp_integral_grid
 
+from conftest import threshold_pairing, witness_closed_form
+
 # a numpy warning here would reach the stderr of a CLI user
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -167,22 +169,29 @@ def test_term_parity_and_index_validation():
 
 
 def test_witness_nonzero_at_example_point():
-    value = rl.witness_nonzero(4, 1, 2, 1.0, np.array([0.5, 0.0]))
+    x = np.array([0.5, 0.0])
+    value = threshold_pairing(4, 1, 2, x)
     assert abs(value) > 1e-3
     # cross-check against direct sphere quadrature of the threshold pairing
     rule = rl.sphere_rule(2, 128)
-    x = np.array([0.5, 0.0])
     u = rule.nodes @ x
     q = np.array([rl.ramp_moment_closed_form(float(ui), 2, 1.0) for ui in u])
     y = rl.harmonic_eval(4, 1, 2, rule.nodes)
     direct = float(rule.weights @ (y * q))
     assert value == pytest.approx(direct, rel=1e-10)
+    # and against the Funk-Hecke closed form, in both dimensions and at two degrees
+    rng = np.random.default_rng(3)
+    for d, k in ((2, 4), (2, 6), (3, 4), (3, 5)):
+        w = rng.normal(size=d)
+        w /= np.linalg.norm(w)
+        closed = witness_closed_form(k, d, 0.7, rl.harmonic_eval(k, 1, d, w))
+        assert threshold_pairing(k, 1, d, 0.7 * w) == pytest.approx(closed, rel=1e-10)
 
 
 def test_witness_zero_on_nodal_line():
     theta = math.pi / 8  # cos(4 theta) = 0
     x = 0.5 * np.array([math.cos(theta), math.sin(theta)])
-    assert abs(rl.witness_nonzero(4, 1, 2, 1.0, x)) < 1e-12
+    assert abs(threshold_pairing(4, 1, 2, x)) < 1e-12
 
 
 def test_witness_sign_flips_across_nodal_line():
@@ -191,8 +200,8 @@ def test_witness_sign_flips_across_nodal_line():
     x1 = 0.6 * np.array([math.cos(theta), math.sin(theta)])
     theta2 = math.pi / 4 - theta
     x2 = 0.6 * np.array([math.cos(theta2), math.sin(theta2)])
-    v1 = rl.witness_nonzero(4, 1, 2, 1.0, x1)
-    v2 = rl.witness_nonzero(4, 1, 2, 1.0, x2)
+    v1 = threshold_pairing(4, 1, 2, x1)
+    v2 = threshold_pairing(4, 1, 2, x2)
     assert v1 == pytest.approx(-v2, rel=1e-10)
     assert abs(v1) > 1e-4
 
@@ -208,13 +217,8 @@ def test_witness_generic_points_exceed_threshold():
             if abs(rl.harmonic_eval(4, 1, d, w)) < 0.2:
                 continue
             x = w * rng.uniform(0.6, 0.95)
-            assert abs(rl.witness_nonzero(4, 1, d, 1.0, x)) > 1e-3
+            assert abs(threshold_pairing(4, 1, d, x)) > 1e-3
             found += 1
-
-
-def test_witness_degenerate_origin():
-    with pytest.warns(UserWarning):
-        assert rl.witness_nonzero(4, 1, 2, 1.0, np.zeros(2)) == 0.0
 
 
 def test_discretize_null_linearity():

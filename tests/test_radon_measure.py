@@ -10,7 +10,7 @@ import pytest
 from scipy.integrate import quad
 
 import radonlab as rl
-from radonlab.errors import DomainError, InvalidInputError, UnsupportedDimensionError
+from radonlab.errors import DomainError, InvalidInputError
 from radonlab.radon_measure import (
     _NEWTON_STEPS,
     RadonDensity,
@@ -22,10 +22,28 @@ from radonlab.radon_measure import (
     sign_change_roots,
 )
 
-from conftest import EPS, abs_cos_integral, near_cancel_fpp, padded_density, random_cosine_terms, second_derivative_norm_1d
+from conftest import (
+    EPS,
+    abs_cos_integral,
+    near_cancel_fpp,
+    norm_and_fourier_bound,
+    padded_density,
+    random_cosine_terms,
+    second_derivative_norm_1d,
+)
 
 # a numpy warning here means an overflow or an invalid value in a reconstruction
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+
+def harmonic_moment(density, k, j, kprime):
+    """Pairing of a density with Y_{k,j} (x) b^{k'}: the sum over its directions w
+    of Y_{k,j}(w) times the moment of b^{k'} against g_w over (-R, R)."""
+    R = density.R
+    return sum(
+        rl.harmonic_eval(k, j, density.d, w) * profile_moment(density, i, kprime, -R, R)
+        for i, w in enumerate(density.directions)
+    )
 
 
 def sup_gap(mu, density, affine, X) -> float:
@@ -111,16 +129,16 @@ def test_tv_norm_monotone_in_radius(near_cancel_measure):
 
 
 def test_fourier_bound_example_values(near_cancel_measure, cos_measure):
-    norm, bound, ok = rl.check_fourier_bound(near_cancel_measure, 1.0)
-    assert ok and norm <= bound
+    norm, bound = norm_and_fourier_bound(near_cancel_measure, 1.0)
+    assert norm <= bound
     assert bound == pytest.approx(4.0402, abs=1e-12)
     assert norm == pytest.approx(0.0276583565, abs=1e-8)
-    norm, bound, ok = rl.check_fourier_bound(cos_measure, math.pi / 2)
-    assert ok
+    norm, bound = norm_and_fourier_bound(cos_measure, math.pi / 2)
+    assert norm <= bound + 1e-10
     assert norm == pytest.approx(2.0, abs=1e-10)
     assert bound == pytest.approx(math.pi, abs=1e-12)
-    norm, bound, ok = rl.check_fourier_bound(rl.SpectralMeasure(d=1), 1.0)
-    assert ok and norm == 0.0 and bound == 0.0
+    norm, bound = norm_and_fourier_bound(rl.SpectralMeasure(d=1), 1.0)
+    assert norm == 0.0 and bound == 0.0
 
 
 def test_fourier_bound_on_random_spectra():
@@ -129,8 +147,8 @@ def test_fourier_bound_on_random_spectra():
         for R in (0.5, 1.0, 2.0):
             terms = random_cosine_terms(rng, d, n_terms=3)
             mu = rl.from_cosine_sum(d, terms)
-            norm, bound, ok = rl.check_fourier_bound(mu, R)
-            assert ok, (d, R, norm, bound)
+            norm, bound = norm_and_fourier_bound(mu, R)
+            assert norm <= bound + 1e-10, (d, R, norm, bound)
             assert bound == pytest.approx(2 * R * rl.fourier_constant_l2(terms), rel=1e-12)
 
 
@@ -231,7 +249,7 @@ def test_harmonic_moment_parity_zero():
     # profile even in b against an odd monomial integrates to zero
     mu = rl.from_cosine_sum(2, [(1.0, [2.0, 0.0])])
     density = rl.density_from_spectrum(mu, 1.0)
-    assert rl.harmonic_moment(density, 3, 1, 1) == pytest.approx(0.0, abs=1e-12)
+    assert harmonic_moment(density, 3, 1, 1) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_harmonic_moment_self_pairing_positive():
@@ -239,22 +257,21 @@ def test_harmonic_moment_self_pairing_positive():
     density = rl.null_term_density(term, m=64)
     # self-pairing oracle: coeff * int Y^2 over the circle (= 1, orthonormal)
     # times int b^0 db over (-R, R) = 2 R
-    got = rl.harmonic_moment(density, 4, 1, 0)
+    got = harmonic_moment(density, 4, 1, 0)
     assert got == pytest.approx(2.0, rel=1e-10)
     assert got > 0.5
 
 
-def test_harmonic_moment_empty_and_errors():
-    mu = rl.SpectralMeasure(d=2)
-    density = rl.density_from_spectrum(mu, 1.0)
-    assert rl.harmonic_moment(density, 4, 1, 0) == 0.0
-    with pytest.raises(InvalidInputError):
-        rl.harmonic_moment(density, 4, 1, 1)  # parity violation
-    with pytest.raises(InvalidInputError):
-        rl.harmonic_moment(density, 2, 1, 4)  # k' >= k
-    mu1 = rl.SpectralMeasure(d=1)
-    with pytest.raises(UnsupportedDimensionError):
-        rl.harmonic_moment(rl.density_from_spectrum(mu1, 1.0), 2, 1, 0)
+def test_merged_with_refuses_another_hyperplane_space_even_when_one_side_is_empty():
+    # an empty side was returned before the check: an empty d=2, R=1 density
+    # merged with a d=3, R=2 null density gave that null density, in either order
+    null3 = rl.null_term_density(rl.HarmonicNullTerm(k=4, j=1, kprime=0, coeff=1.0, d=3, R=2.0))
+    empty = lambda d, R: rl.density_from_spectrum(rl.SpectralMeasure(d=d), R)
+    null2 = rl.null_term_density(rl.HarmonicNullTerm(k=4, j=1, kprime=0, coeff=1.0, d=2, R=1.0))
+    for other in (empty(2, 1.0), empty(3, 1.0), null2):
+        for a, b in ((other, null3), (null3, other)):
+            with pytest.raises(InvalidInputError, match="different hyperplane spaces"):
+                a.merged_with(b)
 
 
 def test_density_arrays_refuse_a_weight_in_an_empty_slot_and_misaligned_columns():
@@ -387,7 +404,7 @@ def test_moments_exact_on_high_degree_polynomial_profiles():
     # (d=2 only: d=3 harmonics stop at degree 12)
     for j in (1, 2):
         term = rl.HarmonicNullTerm(k=22, j=j, kprime=20, coeff=1.5, d=2, R=1.0)
-        got = rl.harmonic_moment(rl.null_term_density(term, m=64), 22, j, 20)
+        got = harmonic_moment(rl.null_term_density(term, m=64), 22, j, 20)
         assert got == pytest.approx(1.5 * 2 / 41, rel=1e-10)
 
 
