@@ -12,7 +12,10 @@ echoes the overrides that were applied.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
+
+from .errors import InvalidInputError
 
 
 @dataclass
@@ -26,14 +29,17 @@ class CalibrationConstants:
     overrides: dict = field(default_factory=dict)
 
     def apply_overrides(self, pairs: dict[str, float]) -> "CalibrationConstants":
-        """Return a copy with the given fields replaced; remembers what changed."""
+        """Return a copy with the given fields replaced by finite numbers; remembers what changed."""
         valid = {f.name for f in fields(self) if f.name != "overrides"}
         unknown = set(pairs) - valid
         if unknown:
             raise KeyError(f"unknown tolerance override(s): {sorted(unknown)}")
         out = CalibrationConstants(**{f.name: getattr(self, f.name) for f in fields(self) if f.name != "overrides"})
         for key, value in pairs.items():
-            setattr(out, key, float(value))
+            value = float(value)
+            if not math.isfinite(value):
+                raise InvalidInputError(f"tolerance override {key} must be finite, not {value}")
+            setattr(out, key, value)
         out.overrides = dict(pairs)
         return out
 

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidInputError, UnsupportedDimensionError
+from .errors import DomainError, InvalidInputError, UnsupportedDimensionError
 
 MAX_DEGREE = 12  # d=3 normalization constants are tabulated up to here
 
@@ -61,7 +61,7 @@ def harmonic_eval(k: int, j: int, d: int, omega):
             out = np.sin(k * theta) / math.sqrt(math.pi)
     elif d == 3:
         if k > MAX_DEGREE:
-            raise InvalidInputError(f"d=3 harmonics capped at degree {MAX_DEGREE}")
+            raise DomainError(f"d=3 harmonics capped at degree {MAX_DEGREE}")
         from scipy.special import lpmv  # loaded on first use: it is most of the import time
 
         m = j - 1 - k  # j = 1..2k+1  <->  m = -k..k

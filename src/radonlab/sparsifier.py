@@ -23,10 +23,10 @@ Newton that refines the sign-change roots, started from the CDF of a sine
 lobe that vanishes at the panel's roots.
 
 Every network is evaluated one way: its neurons are grouped by distinct
-direction, and each group's ramps are summed from prefix sums over its
-sorted biases, with no N x n ramp matrix.  The same kernel scores all
-seeded streams of a ladder batch at once, one pass per direction, and a
-stream's values have the same bits there as from its network alone.  A
+direction, and each direction's ramps are summed from one histogram of its
+biases over the sorted projections, with no N x n ramp matrix.  The same
+kernel scores all seeded streams of a ladder batch at once, one pass per
+direction, and a stream's values have the same bits as in its own net.  A
 sampled network has only as many distinct directions as the density, and
 a null-space network repeats each sphere node over all of its bias nodes,
 so the directions are far fewer than the neurons for both.
@@ -110,9 +110,9 @@ class TwoLayerNet:
 
         Ramps are summed per distinct direction by ``_ramp_sums``, with no
         N x n array.  With all n directions distinct its Python loop makes
-        two steps per neuron: about 13x the dense product at 4096 neurons x
-        500 points in d=3 (2-core machine, 150-170 ms against 11-13 ms); no
-        CLI command evaluates such a net.
+        one step per neuron: about 5x the dense product at 4096 neurons x
+        500 points in d=3 (shared 2-core machine, 185-245 ms against 32-48
+        ms for max(X W^T - b, 0) a); no CLI command evaluates such a net.
         """
         pts = np.asarray(X, dtype=float)
         single = pts.ndim <= 1
@@ -327,11 +327,11 @@ def _project(points: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     return out
 
 
-_SCORE_BLOCK = 2**16  # most entries of each table of one block of (direction, stream) groups
+_SCORE_BLOCK = 2**16  # (stream, point) entries that close a ladder batch: the size of _ramp_sums' tables
 
 
 def _ramp_sums(a: np.ndarray, b: np.ndarray, labels: np.ndarray, proj: np.ndarray, sizes=None) -> np.ndarray:
-    """sum_i a_i (<w_i, x> - b_i)_+ at every point x, per stream, summed per direction group.
+    """sum_i a_i (<w_i, x> - b_i)_+ at every point x, per stream, from one bias histogram per direction.
 
     Neuron i has direction label ``labels[i]``, and ``proj[labels[i]]``
     holds the points' projections on that direction.  The neurons are
@@ -339,71 +339,30 @@ def _ramp_sums(a: np.ndarray, b: np.ndarray, labels: np.ndarray, proj: np.ndarra
     (streams, points) result sums stream s alone; without ``sizes`` they
     are one stream and the result is that row.
 
-    The biases of each (direction, stream) group are sorted once, with
-    prefix sums A of a_i and B of a_i b_i held as the zero-padded rows of
-    one table; a point whose projection p lies above the first k biases
-    of its group gets sum_i a_i (p - b_i)_+ = p A_k - B_k (a bias equal
-    to p adds nothing either way).  k is an exact count: each bias is
-    ranked among its direction's sorted projections by binary search, and
-    the ranks are counted and summed up along the points of every group.
-    Each stream adds its groups in label order, so its row has the same
-    bits in any batch as from its own neurons alone.  Groups go in blocks
-    whose tables hold at most ``_SCORE_BLOCK`` entries each; the Python
-    loop runs over the directions of a block.
+    Per direction, in label order, with its projections sorted into ps:
+    neuron i falls in slot k_i, the count of points at or below b_i, so
+    exactly the points from ps[k_i] on lie above it (a bias equal to a
+    point adds nothing either way).  The running sums A of a_i and B of
+    a_i b_i over each stream's slots give sum_i a_i (p - b_i)_+ = p A - B
+    at each sorted point p.  A bin sums its own stream's neurons in their order, and a
+    direction a stream lacks adds zeros, so a row has the same bits in any
+    batch as from that stream's neurons alone.
     """
     one = sizes is None
     sizes = np.array([len(a)] if one else sizes, dtype=np.intp)
     S, N = len(sizes), proj.shape[1]
     out = np.zeros((S, N))
-    # neurons by (direction, stream), then bias, ties in neuron order: the
-    # order of np.lexsort((b, key)), at a fraction of its cost.  An unstable
-    # bias sort is exact unless biases tie; the keys take the smallest
-    # dtype, which numpy sorts stably by radix up to 16 bits
-    key = labels * S + np.repeat(np.arange(S), sizes)
-    order = np.argsort(b)
-    if np.any(b[order[1:]] == b[order[:-1]]):
-        order = np.argsort(b, kind="stable")
-    order = order[np.argsort(key[order].astype(np.min_scalar_type(len(proj) * S)), kind="stable")]
-    key, a, b = key[order], a[order], b[order]
-    # the (direction, stream) groups, and each neuron's group and 1-based place in it
-    starts = np.flatnonzero(np.diff(key, prepend=-1))
-    counts = np.diff(np.append(starts, len(order)))
-    group = np.repeat(np.arange(len(starts)), counts)
-    place = np.arange(len(order)) - starts[group] + 1
-    g0 = 0
-    while g0 < len(starts):
-        # as many groups as keep rows x (points + widest group + 2) within the block
-        widest = np.maximum.accumulate(counts[g0 : g0 + max(1, _SCORE_BLOCK // (N + 2))])
-        g1 = g0 + max(1, int(np.count_nonzero(np.arange(1, len(widest) + 1) * (N + 2 + widest) <= _SCORE_BLOCK)))
-        sel = slice(starts[g0], starts[g1] if g1 < len(starts) else len(order))
-        rows, width = group[sel] - g0, widest[g1 - g0 - 1] + 1
-        A, B = prefix = np.zeros((2, g1 - g0, width))
-        prefix[:, rows, place[sel]] = a[sel], a[sel] * b[sel]
-        np.cumsum(prefix, axis=2, out=prefix)
-        # the block's directions, the order of their projections, and each
-        # point's place in it (tied projections get the same k in any order)
-        label, into = np.divmod(key[starts[g0:g1]], S)
-        dirs, first, dir_of = np.unique(label, return_index=True, return_inverse=True)
-        p = proj[dirs]
-        ranks = np.argsort(p, axis=1)
-        place_of = np.empty_like(ranks)
-        place_of[np.arange(len(dirs))[:, None], ranks] = np.arange(N)
-        p = np.sort(p, axis=1)
-        # each bias's count of the points at or below it, then k at every point
-        above = np.empty(sel.stop - sel.start, dtype=np.intp)
-        bs = b[sel]
-        cuts = (np.append(starts[g0 + first], sel.stop) - sel.start).tolist()
-        for j in range(len(dirs)):
-            above[cuts[j] : cuts[j + 1]] = p[j].searchsorted(bs[cuts[j] : cuts[j + 1]], side="right")
-        k = np.bincount(rows * (N + 1) + above, minlength=(g1 - g0) * (N + 1)).reshape(g1 - g0, N + 1)
-        k = np.take_along_axis(np.cumsum(k[:, :N], axis=1), place_of[dir_of], axis=1)
-        k += np.arange(0, A.size, width)[:, None]
-        vals = proj[label] * A.take(k) - B.take(k)
-        # each stream adds its directions in label order
-        bounds = np.append(first, g1 - g0).tolist()
-        for lo, hi in zip(bounds, bounds[1:]):
-            out[into[lo:hi]] += vals[lo:hi]
-        g0 = g1
+    by_label = np.argsort(labels, kind="stable")
+    labels, a, b = labels[by_label], a[by_label], b[by_label]
+    ab = a * b
+    first_bin = np.repeat(np.arange(S), sizes)[by_label] * (N + 1)  # of each neuron's stream
+    cuts = np.flatnonzero(np.diff(labels, prepend=-1)).tolist() + [len(a)]
+    for lo, hi in zip(cuts, cuts[1:]):
+        order = np.argsort(proj[labels[lo]])
+        ps = proj[labels[lo], order]
+        bins = first_bin[lo:hi] + ps.searchsorted(b[lo:hi], side="right")
+        A, B = (np.bincount(bins, w[lo:hi], S * (N + 1)).reshape(S, N + 1)[:, :N].cumsum(axis=1) for w in (a, ab))
+        out[:, order] += ps * A - B
     return out[0] if one else out
 
 
@@ -476,9 +435,10 @@ def error_decay_experiment(
     at 4.4 MiB under ``tracemalloc``, against 2.7 MiB in 14 batches of
     2**13, 7.4 MiB in 4 batches of 2**15 and 20.0 MiB in one.
     A batch also closes once its streams' ramp sums, one row of grid
-    values per stream, fill ``_SCORE_BLOCK`` entries, so thousands of
-    one-neuron streams do not make one large table.  Each batch is scored
-    by one ``_ramp_sums`` call over all of its streams.
+    values per stream, fill ``_SCORE_BLOCK`` entries, which bounds the two
+    (streams, grid points + 1) histograms ``_ramp_sums`` builds for each
+    direction, however many one-neuron streams the ladder has.  Each batch
+    is scored by one ``_ramp_sums`` call over all of its streams.
     """
     return _ladder(mu, R, n_list, trials, seed, grid_size, convention)[0]
 

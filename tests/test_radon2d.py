@@ -12,8 +12,6 @@ import radonlab as rl
 from radonlab.errors import DomainError, InvalidInputError
 from radonlab.radon2d import _disk_rule
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 @pytest.fixture
 def bump():

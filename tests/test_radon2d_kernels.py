@@ -14,8 +14,6 @@ from scipy.integrate import quad
 import radonlab as rl
 from radonlab.radon2d import _BLOCK, _disk_rule, _dual_transform, _line_integrals
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def bump_values(center, r, amplitude, X):
     u = np.sum(((np.atleast_2d(X) - center) / r) ** 2, axis=1)

