@@ -269,6 +269,8 @@ def density_from_spectrum(mu: SpectralMeasure, R: float) -> RadonDensity:
     Directions are sorted lexicographically for reproducible summation
     order.  Column r holds direction r's atoms as terms (t, -t^2 c) in atom
     order, each exact conjugate pair as one slot by ``_folded_terms``.
+    A slot whose weight, or whose weight -i t w in g', overflows a float
+    is refused with ``DomainError``, after the scan size is checked.
     """
     mu.validate()
     if not math.isfinite(R):
@@ -281,7 +283,8 @@ def density_from_spectrum(mu: SpectralMeasure, R: float) -> RadonDensity:
     members = [[] for _ in groups]  # each direction's atoms with a frequency, in atom order
     for j in np.flatnonzero(mu.freqs).tolist():
         members[ids[j]].append(j)
-    weights = -mu.freqs**2 * mu.coefs
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        weights = -mu.freqs**2 * mu.coefs
     columns = [_folded_terms(mu.freqs[members[g]], weights[members[g]]) for g in order]
     freqs = np.zeros((max(map(len, columns), default=0), len(columns)))
     folded = np.zeros(freqs.shape, dtype=complex)
@@ -294,6 +297,10 @@ def density_from_spectrum(mu: SpectralMeasure, R: float) -> RadonDensity:
     _scan_sizes(density, -R, R)
     if not math.isfinite(2.0 * R):
         raise DomainError(f"ball radius R = {R:g} is too large: its diameter 2R overflows a float")
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(density.weights * density.freqs).all()
+    if not finite:
+        raise DomainError("spectrum too large: a density weight -t^2 c, or its weight i t^3 c in g', overflows a float")
     return density
 
 

@@ -275,16 +275,23 @@ def _draw(plan: _DrawPlan, streams) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     Each stream draws its n directions and then its n uniforms from its own
     generator, so a stream's neurons do not depend on the streams beside
     it; the biases of all streams come from one inverse-CDF pass, whose
-    draws each stop on their own Newton step.
+    draws each stop on their own Newton step.  The directions are what
+    ``Generator.choice(len(p), size=n, p=p)`` draws, searched in one
+    normalized CDF of the weights built once per call, without choice's
+    checks of p on every stream: a total mass that is not finite is
+    refused here instead.
     """
     if any(n < 1 for n, _ in streams):
         raise InvalidInputError("need at least one neuron")
     total = float(plan.weights.sum())
+    if not math.isfinite(total):
+        raise DomainError(f"cannot sample from a density of total mass {total}")
     if total <= 0 or plan.kappa <= 0:
         raise DegenerateMeasureError("cannot sample from a zero-mass density")
-    p = plan.weights / total
+    cdf = np.cumsum(plan.weights / total)
+    cdf /= cdf[-1]
     rngs = [(n, np.random.default_rng(seed)) for n, seed in streams]
-    draws = [(rng.choice(len(p), size=n, p=p), rng.random(n)) for n, rng in rngs]
+    draws = [(cdf.searchsorted(rng.random(n), side="right"), rng.random(n)) for n, rng in rngs]
     idx, u = (np.concatenate(x) for x in zip(*draws))
     b, a = _draw_biases(plan.density, idx, u, plan.lo, plan.hi)
     if plan.l1 is not None:
@@ -347,20 +354,33 @@ def _ramp_sums(a: np.ndarray, b: np.ndarray, labels: np.ndarray, proj: np.ndarra
     at each sorted point p.  A bin sums its own stream's neurons in their order, and a
     direction a stream lacks adds zeros, so a row has the same bits in any
     batch as from that stream's neurons alone.
+
+    The neurons are grouped by label with one stable argsort of the labels
+    narrowed to the smallest unsigned type that holds them, which numpy
+    radix-sorts up to 16 bits.  The slots are searched with each
+    direction's biases in sorted order, which is several times cheaper per
+    key than unsorted: the neurons are sorted by (label, bias) once per
+    call, and each direction's slots are read back into label order.
     """
     one = sizes is None
     sizes = np.array([len(a)] if one else sizes, dtype=np.intp)
     S, N = len(sizes), proj.shape[1]
     out = np.zeros((S, N))
-    by_label = np.argsort(labels, kind="stable")
-    labels, a, b = labels[by_label], a[by_label], b[by_label]
+    key = labels.astype(np.min_scalar_type(labels.max(initial=0)))
+    by_label = np.argsort(key, kind="stable")
+    by_bias = np.argsort(b)
+    by_slot = by_bias[np.argsort(key[by_bias], kind="stable")]  # by (label, bias)
+    labels, sorted_b = labels[by_label], b[by_slot]
+    cuts = np.flatnonzero(np.diff(labels, prepend=-1)).tolist() + [len(a)]
+    place = np.empty_like(by_slot)  # each neuron's place in its direction's bias order
+    place[by_slot] = np.arange(len(a)) - np.repeat(cuts[:-1], np.diff(cuts))
+    place, a, b = place[by_label], a[by_label], b[by_label]
     ab = a * b
     first_bin = np.repeat(np.arange(S), sizes)[by_label] * (N + 1)  # of each neuron's stream
-    cuts = np.flatnonzero(np.diff(labels, prepend=-1)).tolist() + [len(a)]
     for lo, hi in zip(cuts, cuts[1:]):
         order = np.argsort(proj[labels[lo]])
         ps = proj[labels[lo], order]
-        bins = first_bin[lo:hi] + ps.searchsorted(b[lo:hi], side="right")
+        bins = first_bin[lo:hi] + ps.searchsorted(sorted_b[lo:hi], side="right")[place[lo:hi]]
         A, B = (np.bincount(bins, w[lo:hi], S * (N + 1)).reshape(S, N + 1)[:, :N].cumsum(axis=1) for w in (a, ab))
         out[:, order] += ps * A - B
     return out[0] if one else out
@@ -392,7 +412,11 @@ class ApproxReport:
 
     @property
     def mean_error(self) -> float:
-        return float(np.mean(self.errors))
+        with np.errstate(over="ignore"):
+            mean = float(np.mean(self.errors))
+        if math.isinf(mean):  # their sum overflowed; a sum of errors / n cannot
+            mean = float(np.sum(np.divide(self.errors, len(self.errors))))
+        return mean
 
     @property
     def min_error(self) -> float:
@@ -518,13 +542,17 @@ def save_network(path, net: TwoLayerNet) -> None:
     through json's pure-Python encoder, which was most of the cost of
     saving a wide network.  The neurons fill copies of one template with
     their d + 2 floats in one ``%`` pass: their reprs, or json's names for
-    them when the net holds a NaN or an infinity.
+    NaN and the infinities.  Each distinct bit pattern is formatted once,
+    so 0.0 and -0.0 stay apart: a ladder's net repeats its few direction
+    rows and its +-1 coefficients over every neuron, and formatting a
+    float is most of the cost of each.
     """
-    fmt = float.__repr__ if all(np.isfinite(x).all() for x in (net.a, net.omegas, net.b)) else _json_float
     omega = _json_list(["%s"] * net.d, "      ")
     neuron = f'    {{\n      "a": %s,\n      "b": %s,\n      "omega": {omega}\n    }}'
-    values = np.column_stack([net.a, net.b, net.omegas]).ravel().tolist()
-    neurons = ",\n".join([neuron] * net.n) % tuple(map(fmt, values))
+    values = np.column_stack([net.a, net.b, net.omegas]).ravel()
+    bits, which = np.unique(values.view(np.int64), return_inverse=True)
+    texts = np.array([_json_float(x) for x in bits.view(np.float64).tolist()], dtype=object)
+    neurons = ",\n".join([neuron] * net.n) % tuple(texts[which].tolist())
     neuron_list = "[\n" + neurons + "\n  ]" if net.n else "[]"
     text = (
         "{\n"

@@ -11,11 +11,12 @@ conjugate/antipodal symmetry group and the reconstruction real-valued.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InconsistentMeasureError, InvalidInputError, integer_field
+from .errors import DomainError, InconsistentMeasureError, InvalidInputError, integer_field
 
 _UNIT_TOL = 1e-12
 
@@ -117,9 +118,13 @@ def from_cosine_sum(d: int, terms) -> SpectralMeasure:
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
         if xi.shape != (d,):
             raise InvalidInputError(f"frequency vector shape {xi.shape} does not match d={d}")
-        norm = float(np.linalg.norm(xi))
+        # |xi| as scale * |xi / scale|, whose squares cannot overflow; a power of two scales exactly
+        scale = math.ldexp(1.0, math.frexp(float(np.abs(xi).max()))[1] - 1)
+        norm = scale * float(np.linalg.norm(xi / scale))
         if norm == 0.0:
             raise InvalidInputError("zero frequency vector: constant terms carry no spectrum")
+        if math.isinf(norm) and np.isfinite(xi).all():
+            raise DomainError(f"frequency too high: |xi| of xi = {xi.tolist()} overflows a float")
         omegas.append(xi / norm)
         norms.append(norm)
         quarters.append(complex(amp) / 4.0)

@@ -738,6 +738,45 @@ def test_density_commands_refuse_a_ball_whose_diameter_overflows(tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["norm", "approximate"])
+@pytest.mark.parametrize(
+    "spectrum, message",
+    [
+        # amplitude * |xi|^2 overflows: norm exited 1 with a NaN report and
+        # approximate 2 with numpy's "Probabilities contain NaN"
+        ('{"d": 2, "terms": [{"amplitude": 1e308, "xi": [1.0, 2.0]}]}', "radonlab: spectrum too large: "),
+        # only the weight i t^3 c of g' overflows: norm exited 0 with an infinite norm
+        ('{"d": 2, "terms": [{"amplitude": 4e307, "xi": [1.0, 2.0]}]}', "radonlab: spectrum too large: "),
+        # |xi|^2 overflowed to a zero direction: both exited 2 with "atom direction not unit length"
+        ('{"d": 1, "terms": [{"amplitude": 1.0, "xi": [1e200]}]}', "radonlab: frequency too high for the ball: "),
+        ('{"d": 2, "terms": [{"amplitude": 1.0, "xi": [1.7e308, -1.7e308]}]}', "radonlab: frequency too high: |xi| of "),
+    ],
+)
+def test_density_commands_refuse_a_spectrum_too_large_for_a_float(tmp_path, capsys, command, spectrum, message):
+    path = tmp_path / "spectrum.json"
+    path.write_text(spectrum)
+    out = tmp_path / "report.json"
+    argv = [command, "--spectrum", str(path), "--R=1"]
+    argv += ["--out", str(out)] if command == "norm" else ["--n", "16", "--seed", "1", "--report", str(out)]
+    assert main(argv) == EXIT_DOMAIN
+    assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["norm", "approximate"])
+def test_density_commands_run_a_large_finite_amplitude(tmp_path, command):
+    path = tmp_path / "spectrum.json"
+    path.write_text('{"d": 2, "terms": [{"amplitude": 1e307, "xi": [1.0, 2.0]}]}')
+    out = tmp_path / "report.json"
+    argv = [command, "--spectrum", str(path), "--R=1"]
+    argv += ["--out", str(out)] if command == "norm" else ["--n", "16,64", "--seed", "1", "--report", str(out)]
+    assert main(argv) == EXIT_PASS
+    report = read_json(out)
+    numbers = [v for key, v in report.items() if key != "wall_time_s" and isinstance(v, (float, list))]
+    assert all(math.isfinite(x) for v in numbers for x in (v if isinstance(v, list) else [v]))
+    assert report["norm"] > 1e307
+
+
 def test_norm_of_the_empty_spectrum_on_a_ball_whose_diameter_is_finite(tmp_path):
     path = tmp_path / "empty.json"
     rl.save_spectrum(path, 1, [])

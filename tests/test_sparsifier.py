@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -238,9 +239,20 @@ def network_cases():
     )
     yield rl.TwoLayerNet(2, [0.5, 1.0], [[3.0, -4.0], [1e16, 1e-7]], [1.0, 2.0], 7.0, [1e22, 123456789.0], -1.0)
     yield rl.TwoLayerNet(2, [float("nan")], [[np.inf, -np.inf]], [1.0], float("inf"), [0.0, float("nan")], float("-inf"))
+    # 0.0 and -0.0 compare equal but are written apart
+    yield rl.TwoLayerNet(2, [0.0, -0.0, 1.0], [[-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]], [-0.0, 0.0, -0.0], 1.0, [-0.0, 0.0], -0.0)
+    # a repeated NaN, one of them with a payload and its sign bit set, among repeated finite values
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000001], dtype=np.uint64).view(np.float64)
+    yield rl.TwoLayerNet(2, [nans[0], 1.0, nans[1]], [[nans[1], 0.5], [0.5, nans[0]], [1.0, 1.0]], [nans[0], nans[0], 0.5], 2.0, [0.0, 0.0], 0.0)
+    # a ladder's net: 6 direction rows repeated over 4096 neurons, coefficients +-1
+    rows = rng.normal(size=(6, 3))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    yield rl.TwoLayerNet(
+        3, rng.choice([-1.0, 1.0], wide), rows[rng.integers(0, 6, wide)], rng.uniform(-1, 1, wide), 2.5, rng.normal(size=3), 0.3
+    )
 
 
-@pytest.mark.parametrize("case", range(5))
+@pytest.mark.parametrize("case", range(8))
 def test_save_network_writes_the_bytes_of_json_dump(tmp_path, case):
     net = list(network_cases())[case]
     path = tmp_path / "network.json"
@@ -413,6 +425,62 @@ def test_ramp_sums_rows_equal_one_stream_calls_bit_for_bit(ties):
     for row, a_t, b_t, l_t in zip(want, np.split(a, cuts), np.split(b, cuts), np.split(labels, cuts)):
         assert np.array_equal(row, _ramp_sums(a_t, b_t, l_t, proj))
         assert_matches_dense(row, dense_ramp_sum(X, dirs[l_t], a_t, b_t))
+
+
+def test_ramp_sums_with_more_labels_than_a_byte_holds():
+    # labels up to 299 are grouped as uint16, while a stream whose labels
+    # stay below 256 is grouped as uint8 in its own call
+    rng = np.random.default_rng(23)
+    dirs = rng.normal(size=(300, 2))
+    X = rng.uniform(-1.0, 1.0, size=(30, 2))
+    proj = _project(X, dirs)
+    sizes = [500, 200, 1]
+    labels = np.concatenate([rng.integers(0, 300, 500), rng.integers(0, 256, 200), [299]])
+    assert len(np.unique(labels)) > 256 and labels[500:700].max() < 256
+    b = rng.uniform(-1.5, 1.5, len(labels))
+    a = rng.normal(size=len(labels))
+    want = _ramp_sums(a, b, labels, proj, sizes)
+    cuts = np.cumsum(sizes)[:-1]
+    for row, a_t, b_t, l_t in zip(want, np.split(a, cuts), np.split(b, cuts), np.split(labels, cuts)):
+        assert np.array_equal(row, _ramp_sums(a_t, b_t, l_t, proj))
+        assert_matches_dense(row, dense_ramp_sum(X, dirs[l_t], a_t, b_t))
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [[0.2, 0.5, 0.3], [1.0, 0.0, 2.5, 0.0, 1e-12], [3.0], [0.0, 7.0], np.random.default_rng(3).random(40)],
+)
+def test_direction_draws_are_generator_choice(monkeypatch, weights):
+    # _draw searches one CDF per call; Generator.choice builds and checks it per stream
+    seen = []
+
+    def uniforms(density, idx, u, lo, hi):
+        seen.append(u)
+        return np.zeros(len(idx)), np.ones(len(idx))
+
+    monkeypatch.setattr(sparsifier, "_draw_biases", uniforms)
+    weights = np.asarray(weights, dtype=float)
+    plan = sparsifier._DrawPlan(None, "thm2", -1.0, 1.0, weights, 1.0, np.zeros(1), 0.0, np.ones((len(weights), 1)), None)
+    streams = [(1, 0), (7, 11), (300, [4, 1, 2]), (64, 2**40)]
+    idx, _, _ = _draw(plan, streams)
+    p = weights / weights.sum()
+    want = []
+    for n, seed in streams:
+        rng = np.random.default_rng(seed)
+        want.append((rng.choice(len(p), size=n, p=p), rng.random(n)))
+    want_idx, want_u = (np.concatenate(x) for x in zip(*want))
+    assert idx.dtype == want_idx.dtype and np.array_equal(idx, want_idx)
+    assert np.array_equal(seen[0], want_u)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_draw_refuses_a_non_finite_total_mass(axis_measure, bad):
+    density = rl.density_from_spectrum(axis_measure, 1.0)
+    plan = _draw_plan(density, rl.AffinePart.zero(2), "thm2", rl.tv_norm(density))
+    weights = plan.weights.copy()
+    weights[1] = bad
+    with pytest.raises(DomainError, match="total mass"):
+        _draw(dataclasses.replace(plan, weights=weights), [(4, 1)])
 
 
 def ramp_points_per_draw(monkeypatch, freq):
