@@ -27,7 +27,6 @@ from .radon_measure import (
     RadonDensity,
     density_from_spectrum,
     fit_affine,
-    reconstruct_grid,
     tv_norm,
 )
 from .sparsifier import (
@@ -94,7 +93,6 @@ __all__ = [
     "AffinePart",
     "density_from_spectrum",
     "tv_norm",
-    "reconstruct_grid",
     "fit_affine",
     # sparsifier
     "TwoLayerNet",

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 
@@ -24,9 +25,9 @@ import numpy as np
 
 from . import __version__
 from .config import DEFAULTS
-from .errors import EXIT_FAIL, EXIT_PASS, RadonlabError, exit_code_for
-from .nullspace import _null_rule_size, load_null_term, mode_connect_perturb, verify_null
-from .quadrature import ball_grid, sphere_rule
+from .errors import EXIT_FAIL, EXIT_PASS, DomainError, InvalidInputError, RadonlabError, exit_code_for
+from .nullspace import load_null_term, mode_connect_perturb, verify_null
+from .quadrature import ball_grid
 from .radon_measure import (
     density_from_spectrum,
     fit_affine,
@@ -34,12 +35,7 @@ from .radon_measure import (
     spectral_second_moment,
     tv_norm,
 )
-from .sparsifier import (
-    _ladder,
-    load_network,
-    save_network,
-    write_decay_csv,
-)
+from .sparsifier import error_decay_experiment, load_network, save_network, write_decay_csv
 from .spectrum import from_cosine_sum, fourier_constant_l1, fourier_constant_l2, load_spectrum
 
 
@@ -84,6 +80,8 @@ def cmd_norm(args) -> int:
     c_f = fourier_constant_l2(terms)
     c_tilde = fourier_constant_l1(terms)
     bound = 2.0 * R * c_f
+    if not math.isfinite(bound):
+        raise DomainError(f"the Fourier bound 2 R C_f = 2 * {R} * {c_f} overflows a float")
     # the whole identity f = ramp pairing + affine part, on points inside the ball
     X = ball_grid(d, R, args.grid, mode="low-discrepancy").points
     residual = float(np.max(np.abs(mu.evaluate(X) - ramp_integral_grid(density, X) - fit_affine(density)(X))))
@@ -110,9 +108,14 @@ def cmd_approximate(args) -> int:
     d, terms = load_spectrum(args.spectrum)
     mu = from_cosine_sum(d, terms)
     R = args.R
-    n_list = sorted({int(x) for x in args.n.split(",")})
+    try:
+        n_list = sorted({int(x) for x in args.n.split(",")})
+    except ValueError:
+        raise InvalidInputError(f"--n must be a width or comma-separated widths, not {args.n!r}") from None
     # the emitted network: the first best seeded trial at the largest width
-    reports, norm, net, emitted_error = _ladder(mu, R, n_list, args.trials, args.seed, args.grid, args.convention)
+    reports, norm, net, emitted_error = error_decay_experiment(
+        mu, R, n_list, args.trials, args.seed, args.grid, args.convention
+    )
     if args.out:
         save_network(args.out, net)
     if args.csv:
@@ -145,8 +148,7 @@ def cmd_verify_null(args) -> int:
     tols = DEFAULTS.apply_overrides(_parse_overrides(args.tol_override))
     term = load_null_term(args.term)
     xs = ball_grid(term.d, term.R, args.grid, seed=args.seed, mode="uniform" if args.seed is not None else "low-discrepancy")
-    rule = sphere_rule(term.d, _null_rule_size(term))
-    result = verify_null(term, xs, rule, tolerance=tols.null_tol)
+    result = verify_null(term, xs, tolerance=tols.null_tol)
     report = {
         "term": {"k": term.k, "j": term.j, "kprime": term.kprime, "coeff": term.coeff, "d": term.d, "R": term.R},
         "points": result.points,

@@ -17,16 +17,13 @@ import numpy as np
 
 from .errors import DomainError, InvalidInputError, UnsupportedDimensionError
 
-MAX_DEGREE = 12  # d=3 normalization constants are tabulated up to here
+MAX_DEGREE = 12  # highest d=3 degree: lpmv, normalized by constants computed with math.factorial
 
 
 def harmonic_dim(k: int, d: int) -> int:
     """Dimension N_{k,d} of degree-k harmonic homogeneous polynomials in R^d."""
     if d < 2:
-        raise UnsupportedDimensionError(
-            "harmonics need d >= 2; d=1 reduces to parity and is handled by "
-            "the two-point sphere rule in radonlab.radon_measure"
-        )
+        raise UnsupportedDimensionError(f"harmonics need d >= 2, not d = {d}")
     if k < 0:
         raise InvalidInputError("degree must be nonnegative")
     if k == 0:

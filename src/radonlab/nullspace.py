@@ -138,11 +138,14 @@ def ramp_moment_closed_form(c, kprime: int, R: float):
     return top * _int_power(c, k2) + lin * c + const
 
 
-def verify_null(term: HarmonicNullTerm, xs: BallGrid, rule: QuadratureRule, tolerance: float = 1e-8) -> NullVerificationReport:
+def verify_null(
+    term: HarmonicNullTerm, xs: BallGrid, rule: QuadratureRule | None = None, tolerance: float = 1e-8
+) -> NullVerificationReport:
     """Check that the term pairs to ~0 against every ramp centered in the grid.
 
     The bias integral uses the closed form, so the only numerical error is
-    the sphere rule's; pass a rule exact to degree >= k + k' + 2.  The
+    the sphere rule's.  The default rule, of size ``_null_rule_size``, is
+    exact to degree k + k' + 2; a rule passed in should be too.  The
     pairing of point x is sum_i v_i q(<w_i, x>) with v = weights * Y_{k,j},
     and q has three monomials, so the grid's pairings are the moments
     top * (c^k2 @ v) + lin * (c @ v) + const * sum(v) of the points x nodes
@@ -154,6 +157,8 @@ def verify_null(term: HarmonicNullTerm, xs: BallGrid, rule: QuadratureRule, tole
         raise InvalidInputError("grid and term dimensions differ")
     if xs.R > term.R:
         raise InvalidInputError("grid must lie inside the term's ball")
+    if rule is None:
+        rule = sphere_rule(term.d, _null_rule_size(term))
     y = np.asarray(harmonic_eval(term.k, term.j, term.d, rule.nodes), dtype=float)
     v = rule.weights * y
     c = xs.points @ rule.nodes.T
@@ -208,19 +213,18 @@ def _factor_neurons(n: int, d: int, k: int, kprime: int) -> tuple[int, int]:
     return m_s, m_b
 
 
-def discretize_null(term: HarmonicNullTerm, n: int, R: float | None = None) -> TwoLayerNet:
+def discretize_null(term: HarmonicNullTerm, n: int) -> TwoLayerNet:
     """Product-quadrature ReLU network carrying the term's density.
 
     Neurons sit at (direction node, bias node) with coefficients
     h(w_i, b_j) * weight_i * weight_j; the quadrature convention makes the
     network value the quadrature approximation of the (null) ramp pairing.
     """
-    R = term.R if R is None else R
     if n < 16:
         raise InvalidInputError("need at least 16 neurons to factor the product rule")
     m_s, m_b = _factor_neurons(n, term.d, term.k, term.kprime)
     srule = sphere_rule(term.d, m_s)
-    brule = gauss_legendre(m_b, -R, R)
+    brule = gauss_legendre(m_b, -term.R, term.R)
     y = np.asarray(harmonic_eval(term.k, term.j, term.d, srule.nodes), dtype=float)
     h = term.coeff * np.multiply.outer(y * srule.weights, brule.nodes**term.kprime * brule.weights)
     n_dir = len(srule.nodes)

@@ -1,10 +1,10 @@
-"""Deterministic integration rules on intervals, spheres (d <= 3), and ball grids.
+"""Deterministic integration rules on intervals, spheres (d = 2, 3), and ball grids.
 
-Interval rules are Gauss-Legendre.  Sphere rules are the two-point counting
-measure on S^0, equispaced angles on S^1 (trapezoidal, spectrally exact for
-band-limited integrands), and a Gauss-Legendre x equispaced-azimuth product
-rule on S^2.  Ball grids provide evaluation sets for sup-norm estimates and
-come in lattice, low-discrepancy (Halton), and seeded-uniform flavors.
+Interval rules are Gauss-Legendre.  Sphere rules are equispaced angles on
+S^1 (trapezoidal, spectrally exact for band-limited integrands) and a
+Gauss-Legendre x equispaced-azimuth product rule on S^2.  Ball grids
+provide evaluation sets for sup-norm estimates and come in lattice,
+low-discrepancy (Halton), and seeded-uniform flavors.
 """
 
 from __future__ import annotations
@@ -16,11 +16,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidInputError, UnsupportedDimensionError
-
-#: exactness declared for rules that integrate every polynomial exactly
-#: (the S^0 counting measure); large sentinel rather than infinity so the
-#: field stays an int.
-EXACT_ALL = 10**6
 
 
 @dataclass(frozen=True)
@@ -96,23 +91,15 @@ def gauss_legendre(n: int, a: float, b: float) -> QuadratureRule:
 
 
 def sphere_rule(d: int, m: int) -> QuadratureRule:
-    """Quadrature on the unit sphere S^{d-1} for d in {1, 2, 3}.
+    """Quadrature on the unit sphere S^{d-1} for d in {2, 3}.
 
-    d=1: the two-point counting measure on {-1, +1} (total 2).
     d=2: m equispaced angles with equal weights 2*pi/m.
     d=3: Gauss-Legendre in cos(theta) (m nodes) times 2m equispaced azimuths.
     """
-    if d not in (1, 2, 3):
-        raise UnsupportedDimensionError(
-            f"no deterministic sphere rule for d={d}; use the Monte Carlo "
-            "sampling path in radonlab.sparsifier for d > 3"
-        )
+    if d not in (2, 3):
+        raise UnsupportedDimensionError(f"sphere rules are defined for d = 2 and d = 3, not d = {d}")
     if m < 1:
         raise InvalidInputError("resolution must be positive")
-    if d == 1:
-        nodes = np.array([[-1.0], [1.0]])
-        weights = np.array([1.0, 1.0])
-        return QuadratureRule(nodes, weights, exactness_degree=EXACT_ALL)
     if d == 2:
         theta = 2.0 * np.pi * np.arange(m) / m
         nodes = np.column_stack([np.cos(theta), np.sin(theta)])

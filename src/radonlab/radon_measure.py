@@ -430,9 +430,14 @@ def tv_norm(density: RadonDensity) -> float:
 
     The sphere marginal being atomic, this is an exact finite sum over
     directions of the integral of |g_w| over (-R, R): the sum of
-    |G_1(r_{k+1}) - G_1(r_k)| between consecutive sign-change roots.
+    |G_1(r_{k+1}) - G_1(r_k)| between consecutive sign-change roots.  A
+    norm that overflows a float raises ``DomainError``.
     """
-    return float(direction_masses(density).sum())
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        norm = float(direction_masses(density).sum())
+    if not math.isfinite(norm):
+        raise DomainError(f"density norm too large: its direction masses sum to {norm}, past the float range")
+    return norm
 
 
 def _trig_moments(freqs: np.ndarray, power: int, lo: float, hi: float) -> np.ndarray:
@@ -537,14 +542,6 @@ def ramp_integral_grid(density: RadonDensity, X) -> np.ndarray:
         for term in G2[: m * n].reshape(m, n) - G2R - (u + R) * G1R:  # directions added in order
             out += term
     return out
-
-
-def reconstruct_grid(density: RadonDensity, affine: AffinePart, X) -> np.ndarray:
-    """The ramp representation, ramp pairing plus affine part, at interior points of the ball."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if np.any(np.linalg.norm(X, axis=1) >= density.R):
-        raise DomainError("grid contains points outside the open ball")
-    return ramp_integral_grid(density, X) + affine(X)
 
 
 def fit_affine(density: RadonDensity) -> AffinePart:

@@ -15,9 +15,10 @@ affine part and pushes neurons through (w, b) -> (w/|w|_1, b/|w|_1), giving
 coefficients |a_i| <= 1, l1-unit directions, biases in [0, 1], and outer
 scale at most sqrt(d) times the norm (requires R <= 1).
 
-Both samplers and ``error_decay_experiment`` draw through one path: a plan
-computed once per density and convention, then one inverse-CDF pass over
-the neurons of any number of seeded streams, whatever their directions.
+Both samplers and ``error_decay_experiment``, the width ladder behind the
+``approximate`` command, draw through one path: a plan computed once per
+density and convention, then one inverse-CDF pass over the neurons of any
+number of seeded streams, whatever their directions.
 Each draw is a Newton solve kept inside its panel, by the same bracketed
 Newton that refines the sign-change roots, started from the CDF of a sine
 lobe that vanishes at the panel's roots.
@@ -126,8 +127,9 @@ class TwoLayerNet:
             out = out + (self.kappa / self.n) * ramps
         return float(out[0]) if single else out
 
-    def check_convention(self, R: float | None = None, norm: float | None = None, slack: float = 1e-10) -> None:
-        """Assert the weight constraints of the declared convention."""
+    def check_convention(self, R: float | None = None, norm: float | None = None) -> None:
+        """Assert the weight constraints of the declared convention; a prop2
+        outer scale may pass sqrt(d) * norm by 1e-10."""
         if self.n == 0:
             return
         if self.convention == "thm2":
@@ -147,7 +149,7 @@ class TwoLayerNet:
                 raise InvalidInputError("prop2 biases must lie in [0, 1]")
             if not np.all(np.abs(self.a) <= 1.0):
                 raise InvalidInputError("prop2 coefficients must satisfy |a| <= 1")
-            if norm is not None and self.kappa > math.sqrt(self.d) * norm + slack:
+            if norm is not None and self.kappa > math.sqrt(self.d) * norm + 1e-10:
                 raise InvalidInputError("prop2 outer scale exceeds sqrt(d) * norm")
 
 
@@ -250,11 +252,12 @@ class _DrawPlan:
         return TwoLayerNet(self.density.d, a, self.rows[idx], b, self.kappa, self.v, self.c, self.convention)
 
 
-def _draw_plan(density: RadonDensity, affine: AffinePart, convention: str, norm: float | None = None) -> _DrawPlan:
-    """The plan of ``sample_network`` (thm2, with ``norm``) or ``l1_normalized_network`` (prop2)."""
+def _draw_plan(density: RadonDensity, affine: AffinePart, convention: str) -> _DrawPlan:
+    """The plan of ``sample_network`` (thm2) or ``l1_normalized_network`` (prop2).
+    A thm2 outer scale is the density norm, summed as ``tv_norm`` sums it."""
     if convention != "prop2":
         masses, R = direction_masses(density), density.R
-        return _DrawPlan(density, "thm2", -R, R, masses, float(norm), affine.v, affine.c, density.directions, None)
+        return _DrawPlan(density, "thm2", -R, R, masses, float(masses.sum()), affine.v, affine.c, density.directions, None)
     if density.R > 1.0:
         raise DomainError("l1-normalized networks require the ball radius R <= 1")
     l1 = np.abs(density.directions).sum(axis=1)
@@ -300,13 +303,14 @@ def _draw(plan: _DrawPlan, streams) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return idx, a, b
 
 
-def sample_network(density: RadonDensity, norm: float, affine: AffinePart, n: int, seed) -> TwoLayerNet:
-    """Importance-sample an n-neuron network from |density|/norm (convention thm2).
+def sample_network(density: RadonDensity, affine: AffinePart, n: int, seed) -> TwoLayerNet:
+    """Importance-sample an n-neuron network from |density|/norm (convention thm2),
+    with outer scale kappa the density norm.
 
     Deterministic for a fixed seed: one direction draw, one uniform draw for
     the bias inverse-CDF, signs read off the signed profile.
     """
-    plan = _draw_plan(density, affine, "thm2", norm)
+    plan = _draw_plan(density, affine, "thm2")
     return plan.net(*_draw(plan, [(n, seed)]))
 
 
@@ -438,8 +442,11 @@ def error_decay_experiment(
     seed: int,
     grid_size: int = 500,
     convention: str = "thm2",
-) -> list[ApproxReport]:
+) -> tuple[list[ApproxReport], float, TwoLayerNet, float]:
     """Sample `trials` networks at each width and record sup errors on a fixed grid.
+
+    Returns the reports, one per width, the density norm, the network of
+    the first best trial at the largest width, and that trial's error.
 
     Each (width, trial) pair derives its own RNG stream from
     (seed, width index, trial index), so any one trial can be redrawn alone,
@@ -464,16 +471,9 @@ def error_decay_experiment(
     direction, however many one-neuron streams the ladder has.  Each batch
     is scored by one ``_ramp_sums`` call over all of its streams.
     """
-    return _ladder(mu, R, n_list, trials, seed, grid_size, convention)[0]
-
-
-def _ladder(
-    mu: SpectralMeasure, R: float, n_list, trials: int, seed: int, grid_size: int, convention: str
-) -> tuple[list[ApproxReport], float, TwoLayerNet | None, float | None]:
-    """``error_decay_experiment``, with the density norm, the network of the
-    first best trial at the largest width, and that trial's error: its
-    ``sup_error`` on the scoring grid, to the bit."""
     n_list = [int(n) for n in n_list]
+    if not n_list:
+        raise InvalidInputError("need at least one width in the width list")
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise InvalidInputError("widths must be strictly increasing")
     if trials < 1:
@@ -481,7 +481,7 @@ def _ladder(
     density = density_from_spectrum(mu, R)
     norm = tv_norm(density)
     grid = ball_grid(mu.d, R, grid_size, mode="low-discrepancy")
-    plan = _draw_plan(density, fit_affine(density), convention, norm)
+    plan = _draw_plan(density, fit_affine(density), convention)
     # f, the affine part and the projections on every direction a neuron can
     # draw, once; directions are labelled by the ranks that evaluate gives them
     f = mu.evaluate(grid.points)
@@ -514,8 +514,6 @@ def _ladder(
         ApproxReport(n, trials, seed, R * norm / math.sqrt(n), tuple(errors[ni * trials : (ni + 1) * trials]), len(grid))
         for ni, n in enumerate(n_list)
     ]
-    if best is None:
-        return reports, norm, None, None
     return reports, norm, plan.net(*best[1:]), float(best[0])
 
 

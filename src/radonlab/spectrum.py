@@ -46,25 +46,25 @@ class SpectralMeasure:
     def __len__(self) -> int:
         return len(self.freqs)
 
-    def validate(self, tol: float = _UNIT_TOL) -> None:
+    def validate(self) -> None:
         """Check the symmetry closure: for every atom (w, t, c) the partners
-        (-w, -t, c), (-w, t, conj c), (w, -t, conj c) are present, to ``tol``
-        relative.  Atoms are keyed by (w, t) to 9 decimals (``np.round``) and
+        (-w, -t, c), (-w, t, conj c), (w, -t, conj c) are present, to 1e-12
+        relative.  Atoms are keyed by (w, t) to 9 decimals (``_rounded``) and
         summed per key."""
-        w, t, c = np.round(self.omegas, 9), np.round(self.freqs, 9), self.coefs
+        w, t, c = np.round(self.omegas, 9), _rounded(self.freqs, 9), self.coefs
         table, ids = _first_seen(_keys(w, t))
         sums = np.zeros(len(table), dtype=complex)
         np.add.at(sums, ids, c)
         pw, pt, pc = np.concatenate([-w, -w, w]), np.concatenate([-t, t, -t]), np.concatenate([c, c.conj(), c.conj()])
         got = np.array([table.get(k, -1) for k in _keys(pw, pt)], dtype=np.intp)
-        bad = ((got < 0) | (np.abs(sums[got] - pc) > tol * np.maximum(1.0, np.abs(pc)))).reshape(3, -1).any(axis=0)
+        bad = ((got < 0) | (np.abs(sums[got] - pc) > _UNIT_TOL * np.maximum(1.0, np.abs(pc)))).reshape(3, -1).any(axis=0)
         if bad.any():
             omega, freq = self.omegas[np.argmax(bad)], self.freqs[np.argmax(bad)]
             raise InconsistentMeasureError(f"missing symmetry partner for atom (omega={omega}, t={freq})")
 
-    def evaluate(self, x, tol: float = _UNIT_TOL):
+    def evaluate(self, x):
         """Evaluate f(x) = sum c * exp(i t <omega, x>); raises if the imaginary
-        residue exceeds ``tol`` (inconsistent measure).
+        residue exceeds 1e-12 times the coefficients' total (inconsistent measure).
 
         Accepts a scalar (d=1 only), a point of shape (d,), or a batch (n, d).
         """
@@ -87,11 +87,19 @@ class SpectralMeasure:
         phase = (X @ self.omegas.T) * self.freqs
         vals = np.exp(1j * phase) @ self.coefs
         residue = float(np.abs(vals.imag).max())
-        if residue > tol * max(1.0, float(np.abs(self.coefs).sum())):
+        if residue > _UNIT_TOL * max(1.0, float(np.abs(self.coefs).sum())):
             raise InconsistentMeasureError(
                 f"imaginary residue {residue:.3e} exceeds tolerance; measure is not symmetry closed"
             )
         return float(vals.real[0]) if single else vals.real
+
+
+def _rounded(t: np.ndarray, decimals: int) -> np.ndarray:
+    """``np.round(t, decimals)``, with each value whose scaling by 10**decimals
+    overflows left as it is: far above 2**52, every float is an integer."""
+    with np.errstate(over="ignore"):
+        rounded = np.round(t, decimals)
+    return np.where(np.isfinite(rounded), rounded, t)
 
 
 def _keys(w: np.ndarray, t: np.ndarray) -> list:
@@ -111,7 +119,7 @@ def from_cosine_sum(d: int, terms) -> SpectralMeasure:
 
     Each term (a, xi) with xi != 0 becomes four atoms at (+-xi/|xi|, +-|xi|)
     with coefficient a/4.  Atoms whose (direction, frequency) agree to 15
-    decimals (``np.round``) merge, in the order first seen: (direction,
+    decimals (``_rounded``) merge, in the order first seen: (direction,
     frequency) from the last term, coefficients summed in term order."""
     omegas, norms, quarters = [], [], []
     for amp, xi in terms:
@@ -131,7 +139,7 @@ def from_cosine_sum(d: int, terms) -> SpectralMeasure:
     omega, norm = np.array(omegas).reshape(len(omegas), d), np.array(norms)
     w = np.stack([omega, -omega, omega, -omega], axis=1).reshape(-1, d)
     t = np.stack([norm, -norm, -norm, norm], axis=1).ravel()
-    table, ids = _first_seen(_keys(np.round(w, 15), np.round(t, 15)))
+    table, ids = _first_seen(_keys(np.round(w, 15), _rounded(t, 15)))
     coefs = np.zeros(len(table), dtype=complex)
     np.add.at(coefs, ids, np.repeat(quarters, 4))
     last = len(ids) - 1 - np.unique(ids[::-1], return_index=True)[1]  # each key's last atom
@@ -141,19 +149,23 @@ def from_cosine_sum(d: int, terms) -> SpectralMeasure:
 def fourier_constant_l2(terms) -> float:
     """C_f = sum |a_i| * |xi_i|_2^2 for the cosine sum (squared-frequency
     first moment of the Fourier measure, Euclidean norm)."""
-    total = 0.0
-    for amp, xi in terms:
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        total += abs(float(amp)) * float(xi @ xi)
-    return total
+    return _fourier_constant("C_f", terms, lambda xi: xi @ xi)
 
 
 def fourier_constant_l1(terms) -> float:
     """Same first moment with the l1 norm of the frequency: sum |a_i| * |xi_i|_1^2."""
+    # numpy's ** overflows to inf where a Python float's raises; both take libm pow's bits
+    return _fourier_constant("C_tilde", terms, lambda xi: np.abs(xi).sum() ** 2)
+
+
+def _fourier_constant(name: str, terms, square) -> float:
+    """sum |a_i| * square(xi_i), summed in term order; a sum that overflows raises ``DomainError``."""
     total = 0.0
-    for amp, xi in terms:
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        total += abs(float(amp)) * float(np.abs(xi).sum()) ** 2
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        for amp, xi in terms:
+            total += abs(float(amp)) * float(square(np.atleast_1d(np.asarray(xi, dtype=float))))
+    if not math.isfinite(total):
+        raise DomainError(f"Fourier constant {name} = {total} overflows a float")
     return total
 
 

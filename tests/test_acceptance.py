@@ -17,6 +17,7 @@ import pytest
 
 import radonlab as rl
 from radonlab.cli import main
+from radonlab.radon_measure import ramp_integral_grid
 
 from conftest import (
     EPS,
@@ -101,7 +102,7 @@ def test_criterion_3_affine_representation():
         density = rl.density_from_spectrum(mu, R)
         grid = rl.ball_grid(d, R, 200, mode="low-discrepancy")
         affine = rl.fit_affine(density)
-        recon = rl.reconstruct_grid(density, affine, grid.points)
+        recon = ramp_integral_grid(density, grid.points) + affine(grid.points)
         worst_recon = max(worst_recon, float(np.max(np.abs(recon - mu.evaluate(grid.points)))))
     elapsed = time.perf_counter() - started
     ok = worst_recon <= 1e-6 and elapsed < 30.0
@@ -112,7 +113,7 @@ def test_criterion_3_affine_representation():
 def test_criterion_4_sampling_rate():
     started = time.perf_counter()
     mu = rl.from_cosine_sum(1, NEAR_CANCEL_TERMS)
-    reports = rl.error_decay_experiment(mu, 1.0, [16, 64, 256, 1024, 4096], trials=20, seed=11)
+    reports = rl.error_decay_experiment(mu, 1.0, [16, 64, 256, 1024, 4096], trials=20, seed=11)[0]
     min_ok = all(r.min_error <= r.bound for r in reports)
     mean_ok = all(r.mean_error <= 1.1 * r.bound for r in reports)
     slope = decay_slope(reports)
@@ -140,7 +141,7 @@ def test_criterion_5_l1_convention():
         ok = ok and net.kappa <= math.sqrt(2.0) * norm + 1e-10
     # error decreases with width (rate constant is unknowable, trend is not)
     mu = rl.from_cosine_sum(2, random_cosine_terms(np.random.default_rng(5), 2, n_terms=2))
-    reps = rl.error_decay_experiment(mu, 1.0, [64, 1024], trials=10, seed=3, convention="prop2")
+    reps = rl.error_decay_experiment(mu, 1.0, [64, 1024], trials=10, seed=3, convention="prop2")[0]
     trend_ok = reps[1].mean_error < reps[0].mean_error
     elapsed = time.perf_counter() - started
     ok = ok and trend_ok
@@ -192,12 +193,12 @@ def test_criterion_7_null_invariance_and_flat_direction():
     density = rl.density_from_spectrum(mu, 1.0)
     grid = rl.ball_grid(2, 1.0, 200, mode="low-discrepancy")
     affine = rl.fit_affine(density)
-    base_vals = rl.reconstruct_grid(density, affine, grid.points)
+    base_vals = ramp_integral_grid(density, grid.points) + affine(grid.points)
     term = rl.HarmonicNullTerm(k=4, j=1, kprime=0, coeff=1.0, d=2, R=1.0)
     merged = density.merged_with(rl.null_term_density(term, m=64))
-    delta = float(np.max(np.abs(rl.reconstruct_grid(merged, affine, grid.points) - base_vals)))
+    delta = float(np.max(np.abs(ramp_integral_grid(merged, grid.points) + affine(grid.points) - base_vals)))
     invariance_ok = delta <= 1e-6
-    base = rl.sample_network(density, rl.tv_norm(density), affine, 64, seed=1)
+    base = rl.sample_network(density, affine, 64, seed=1)
     mc = rl.mode_connect_perturb(base, term, 2000, 1.0, rl.ball_grid(2, 1.0, 500, mode="low-discrepancy"))
     flat_ok = mc.functional_change <= 1e-3 and mc.coefficient_mass >= 0.5
     elapsed = time.perf_counter() - started

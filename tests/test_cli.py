@@ -473,6 +473,14 @@ def test_approximate_rejects_non_positive_trials(tmp_path, capsys, spectrum_path
     assert capsys.readouterr().err.startswith("radonlab: need at least one trial")
 
 
+@pytest.mark.parametrize("widths", [",", "", "16,,64", "16.5"])
+def test_approximate_refuses_a_width_list_without_widths(tmp_path, capsys, spectrum_path, widths):
+    # "--n ," printed int()'s "invalid literal for int() with base 10: ''"
+    argv = ["approximate", "--spectrum", str(spectrum_path), "--R", "1", "--n", widths, "--seed", "1"]
+    assert main(argv + ["--report", str(tmp_path / "r.json")]) == EXIT_PARSE
+    assert capsys.readouterr().err == f"radonlab: --n must be a width or comma-separated widths, not {widths!r}\n"
+
+
 @pytest.mark.parametrize("convention, R", [("thm2", "1"), ("prop2", "0.8")])
 def test_approximate_emitted_error_is_last_min_error(tmp_path, spectrum2_path, convention, R):
     report_path, net_path = tmp_path / "report.json", tmp_path / "net.json"
@@ -527,14 +535,14 @@ def test_approximate_emits_the_redrawn_best_trial(tmp_path, spectrum2_path, conv
     ])
     assert code == EXIT_PASS
     mu = rl.from_cosine_sum(*rl.load_spectrum(spectrum2_path))
-    reports = rl.error_decay_experiment(mu, float(R), widths, trials, seed, convention=convention)
+    reports = rl.error_decay_experiment(mu, float(R), widths, trials, seed, convention=convention)[0]
     stream = [seed, len(widths) - 1, int(np.argmin(reports[-1].errors))]
     density = rl.density_from_spectrum(mu, float(R))
     affine = rl.fit_affine(density)
     if convention == "prop2":
         net = rl.l1_normalized_network(density, affine, widths[-1], stream)
     else:
-        net = rl.sample_network(density, rl.tv_norm(density), affine, widths[-1], stream)
+        net = rl.sample_network(density, affine, widths[-1], stream)
     rl.save_network(tmp_path / "redrawn.json", net)
     assert net_path.read_bytes() == (tmp_path / "redrawn.json").read_bytes()
 
@@ -750,6 +758,15 @@ def test_density_commands_refuse_a_ball_whose_diameter_overflows(tmp_path, capsy
         # |xi|^2 overflowed to a zero direction: both exited 2 with "atom direction not unit length"
         ('{"d": 1, "terms": [{"amplitude": 1.0, "xi": [1e200]}]}', "radonlab: frequency too high for the ball: "),
         ('{"d": 2, "terms": [{"amplitude": 1.0, "xi": [1.7e308, -1.7e308]}]}', "radonlab: frequency too high: |xi| of "),
+        # each term passes, their masses overflow the norm's sum: norm exited 0
+        # with "norm": Infinity and "bound_ok": true, after numpy's overflow warning
+        (
+            '{"d": 2, "terms": [{"amplitude": 3e307, "xi": [1, 2]}, {"amplitude": 3e307, "xi": [2, -1]},'
+            ' {"amplitude": 3e307, "xi": [-1.5, 0.3]}]}',
+            "radonlab: density norm too large: ",
+        ),
+        # rounding |xi| to 15 decimals for its key overflowed, with numpy's warning
+        ('{"d": 1, "terms": [{"amplitude": 1.0, "xi": [1e300]}]}', "radonlab: frequency too high for the ball: "),
     ],
 )
 def test_density_commands_refuse_a_spectrum_too_large_for_a_float(tmp_path, capsys, command, spectrum, message):
@@ -759,7 +776,31 @@ def test_density_commands_refuse_a_spectrum_too_large_for_a_float(tmp_path, caps
     argv = [command, "--spectrum", str(path), "--R=1"]
     argv += ["--out", str(out)] if command == "norm" else ["--n", "16", "--seed", "1", "--report", str(out)]
     assert main(argv) == EXIT_DOMAIN
-    assert capsys.readouterr().err.startswith(message)
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "spectrum, R, message",
+    [
+        # norm and C_f are finite: exited 0 with "C_tilde": Infinity and "bound_ok": true
+        ('{"d": 2, "terms": [{"amplitude": 3e307, "xi": [1, 2]}]}', "1", "Fourier constant C_tilde = inf overflows a float"),
+        ('{"d": 1, "terms": [{"amplitude": 1e308, "xi": [1]}, {"amplitude": 1e308, "xi": [1.5]}]}', "0.01",
+         "Fourier constant C_f = inf overflows a float"),
+        # |xi|_1 squared past the float range: Python's float ** raised a raw OverflowError
+        ('{"d": 2, "terms": [{"amplitude": 1e-300, "xi": [9e153, 9e153]}]}', "1e-160",
+         "Fourier constant C_tilde = inf overflows a float"),
+        ('{"d": 1, "terms": [{"amplitude": 1e308, "xi": [1e-4]}]}', "1e8",
+         "the Fourier bound 2 R C_f = 2 * 100000000.0 * 1e+300 overflows a float"),
+    ],
+)
+def test_norm_refuses_a_fourier_constant_past_the_float_range(tmp_path, capsys, spectrum, R, message):
+    path = tmp_path / "spectrum.json"
+    path.write_text(spectrum)
+    out = tmp_path / "report.json"
+    assert main(["norm", "--spectrum", str(path), f"--R={R}", "--out", str(out)]) == EXIT_DOMAIN
+    assert capsys.readouterr().err == f"radonlab: {message}\n"
     assert not out.exists()
 
 

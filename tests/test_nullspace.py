@@ -269,12 +269,11 @@ def test_discretize_null_d3_never_samples_harmonic_zeros(j):
 
 def test_mode_connect_zero_scale(near_cancel_measure):
     density = rl.density_from_spectrum(near_cancel_measure, 1.0)
-    norm = rl.tv_norm(density)
-    base = rl.sample_network(density, norm, rl.AffinePart.zero(1), 32, seed=0)
+    base = rl.sample_network(density, rl.AffinePart.zero(1), 32, seed=0)
     # dimensions must match the term
     mu2 = rl.from_cosine_sum(2, [(1.0, [1.0, 0.3])])
     d2 = rl.density_from_spectrum(mu2, 1.0)
-    base2 = rl.sample_network(d2, rl.tv_norm(d2), rl.AffinePart.zero(2), 32, seed=0)
+    base2 = rl.sample_network(d2, rl.AffinePart.zero(2), 32, seed=0)
     grid = rl.ball_grid(2, 1.0, 200, mode="low-discrepancy")
     report = rl.mode_connect_perturb(base2, EX2_TERM, 2000, 0.0, grid)
     assert report.functional_change == 0.0
@@ -284,7 +283,7 @@ def test_mode_connect_zero_scale(near_cancel_measure):
 def test_mode_connect_flat_direction():
     mu = rl.from_cosine_sum(2, [(1.0, [1.0, 0.3])])
     density = rl.density_from_spectrum(mu, 1.0)
-    base = rl.sample_network(density, rl.tv_norm(density), rl.AffinePart.zero(2), 64, seed=4)
+    base = rl.sample_network(density, rl.AffinePart.zero(2), 64, seed=4)
     grid = rl.ball_grid(2, 1.0, 500, mode="low-discrepancy")
     report = rl.mode_connect_perturb(base, EX2_TERM, 2000, 1.0, grid)
     assert report.functional_change <= 1e-3
@@ -296,7 +295,7 @@ def test_mode_connect_flat_direction():
 def test_mode_connect_linear_in_scale():
     mu = rl.from_cosine_sum(2, [(1.0, [1.0, 0.3])])
     density = rl.density_from_spectrum(mu, 1.0)
-    base = rl.sample_network(density, rl.tv_norm(density), rl.AffinePart.zero(2), 16, seed=4)
+    base = rl.sample_network(density, rl.AffinePart.zero(2), 16, seed=4)
     grid = rl.ball_grid(2, 1.0, 100, mode="low-discrepancy")
     r1 = rl.mode_connect_perturb(base, EX2_TERM, 500, 1.0, grid)
     r3 = rl.mode_connect_perturb(base, EX2_TERM, 500, 3.0, grid)

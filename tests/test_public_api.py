@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import radonlab as rl
+from radonlab import cli
 
 PUBLIC_API = [
     "AffinePart", "ApproxReport", "BallGrid", "BumpFunction", "CalibrationConstants",
@@ -16,7 +20,7 @@ PUBLIC_API = [
     "from_cosine_sum", "gauss_legendre", "harmonic_dim", "harmonic_eval",
     "l1_normalized_network", "load_network", "load_null_term",
     "load_spectrum", "mode_connect_perturb", "null_term_density", "radon_pairing_check",
-    "radon_transform_2d", "ramp_moment_closed_form", "reconstruct_grid", "sample_network",
+    "radon_transform_2d", "ramp_moment_closed_form", "sample_network",
     "save_network", "save_null_term", "save_spectrum", "sphere_rule", "sup_error", "tv_norm",
     "verify_null", "write_decay_csv",
 ]  # fmt: skip
@@ -24,5 +28,19 @@ PUBLIC_API = [
 
 def test_public_api_is_pinned():
     assert sorted(rl.__all__) == PUBLIC_API
-    assert len(PUBLIC_API) == 53
+    assert len(PUBLIC_API) == 52
     assert all(hasattr(rl, name) for name in PUBLIC_API)
+
+
+def test_cli_imports_no_private_name():
+    # the CLI is built on the public surface, so a name it needs is a public name
+    tree = ast.parse(Path(cli.__file__).read_text())
+    imported = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "radonlab")
+        for alias in node.names
+    ]
+    assert ("sparsifier", "error_decay_experiment") in imported
+    # __version__ is public: a dunder, and in __all__
+    assert [name for name in imported if name[1].startswith("_") and not name[1].endswith("__")] == []

@@ -92,15 +92,8 @@ def test_gauss_legendre_invalid_inputs():
 
 
 def test_sphere_rule_totals():
-    assert rl.sphere_rule(1, 1).weights.sum() == pytest.approx(2.0, abs=1e-12)
     assert rl.sphere_rule(2, 64).weights.sum() == pytest.approx(2 * np.pi, abs=1e-12)
     assert rl.sphere_rule(3, 16).weights.sum() == pytest.approx(4 * np.pi, abs=1e-12)
-
-
-def test_sphere_rule_d1_is_counting_measure():
-    rule = rl.sphere_rule(1, 1)
-    assert sorted(rule.nodes.ravel().tolist()) == [-1.0, 1.0]
-    assert np.all(rule.weights == 1.0)
 
 
 def test_sphere_rule_d2_constant_and_harmonic_cancellation():
@@ -117,9 +110,10 @@ def test_sphere_rule_d3_coordinate_second_moment():
     assert rule.integrate(lambda w: w[:, 1] ** 2) == pytest.approx(4 * np.pi / 3, rel=1e-12)
 
 
-def test_sphere_rule_unsupported_dimension_mentions_monte_carlo():
-    with pytest.raises(UnsupportedDimensionError, match="Monte Carlo"):
-        rl.sphere_rule(4, 8)
+def test_sphere_rule_refuses_unsupported_dimensions():
+    for d in (1, 4):
+        with pytest.raises(UnsupportedDimensionError, match=f"defined for d = 2 and d = 3, not d = {d}"):
+            rl.sphere_rule(d, 8)
 
 
 def test_rules_are_permutation_invariant():

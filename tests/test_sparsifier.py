@@ -35,7 +35,7 @@ def test_single_neuron_sign_from_cosine(cos_measure):
     R = math.pi / 2
     density = rl.density_from_spectrum(cos_measure, R)
     norm = rl.tv_norm(density)
-    net = rl.sample_network(density, norm, rl.AffinePart.zero(1), 1, seed=0)
+    net = rl.sample_network(density, rl.AffinePart.zero(1), 1, seed=0)
     assert net.a.tolist() == [-1.0]
     assert -R < net.b[0] < R
     assert net.kappa == norm
@@ -43,17 +43,17 @@ def test_single_neuron_sign_from_cosine(cos_measure):
 
 def test_sampling_determinism(near_cancel_setup):
     mu, density, norm, affine = near_cancel_setup
-    n1 = rl.sample_network(density, norm, affine, 64, seed=123)
-    n2 = rl.sample_network(density, norm, affine, 64, seed=123)
+    n1 = rl.sample_network(density, affine, 64, seed=123)
+    n2 = rl.sample_network(density, affine, 64, seed=123)
     assert np.array_equal(n1.a, n2.a) and np.array_equal(n1.b, n2.b)
     assert np.array_equal(n1.omegas, n2.omegas)
-    n3 = rl.sample_network(density, norm, affine, 64, seed=124)
+    n3 = rl.sample_network(density, affine, 64, seed=124)
     assert not np.array_equal(n1.b, n3.b)
 
 
 def test_thm2_convention_invariants(near_cancel_setup):
     mu, density, norm, affine = near_cancel_setup
-    net = rl.sample_network(density, norm, affine, 512, seed=9)
+    net = rl.sample_network(density, affine, 512, seed=9)
     net.check_convention(R=density.R, norm=norm)
     assert set(np.unique(net.a)) <= {-1.0, 1.0}
     assert np.all((net.b > -density.R) & (net.b < density.R))
@@ -66,7 +66,7 @@ def test_thm2_biases_inside_ball_and_signs_follow_profile():
     mu = rl.from_cosine_sum(2, [(1.0, [30.0, 40.0]), (-0.8, [-12.0, 5.0]), (0.4, [0.5, 2.0])])
     R = 1.0
     density = rl.density_from_spectrum(mu, R)
-    net = rl.sample_network(density, rl.tv_norm(density), rl.AffinePart.zero(2), 4096, seed=17)
+    net = rl.sample_network(density, rl.AffinePart.zero(2), 4096, seed=17)
     assert np.all((net.b > -R) & (net.b < R))
     for r, w in enumerate(density.directions):
         sel = np.all(net.omegas == w, axis=1)
@@ -78,7 +78,7 @@ def test_bias_histogram_tracks_density(near_cancel_setup):
     # chi-square sanity: sampled biases follow |g| / norm across 8 bins
     mu, density, norm, affine = near_cancel_setup
     n = 4000
-    net = rl.sample_network(density, norm, affine, n, seed=21)
+    net = rl.sample_network(density, affine, n, seed=21)
     edges = np.linspace(-1.0, 1.0, 9)
     counts, _ = np.histogram(net.b, bins=edges)
     rule = rl.gauss_legendre(48, -1, 1)
@@ -99,7 +99,7 @@ def test_degenerate_density_rejected():
     mu = rl.SpectralMeasure(d=1)
     density = rl.density_from_spectrum(mu, 1.0)
     with pytest.raises(DegenerateMeasureError):
-        rl.sample_network(density, 0.0, rl.AffinePart.zero(1), 4, seed=0)
+        rl.sample_network(density, rl.AffinePart.zero(1), 4, seed=0)
 
 
 def test_sup_error_zero_network():
@@ -179,7 +179,7 @@ def test_l1_network_represents_f(near_cancel_setup):
 
 
 def test_error_decay_experiment_small(near_cancel_measure):
-    reports = rl.error_decay_experiment(near_cancel_measure, 1.0, [16, 64, 256], trials=10, seed=1)
+    reports = rl.error_decay_experiment(near_cancel_measure, 1.0, [16, 64, 256], trials=10, seed=1)[0]
     for r in reports:
         assert r.min_error <= r.bound
         assert r.mean_error <= 1.1 * r.bound
@@ -189,8 +189,8 @@ def test_error_decay_experiment_small(near_cancel_measure):
 
 
 def test_error_decay_deterministic_and_schedule_independent(near_cancel_measure):
-    r1 = rl.error_decay_experiment(near_cancel_measure, 1.0, [16, 64], trials=4, seed=5)
-    r2 = rl.error_decay_experiment(near_cancel_measure, 1.0, [16, 64], trials=4, seed=5)
+    r1 = rl.error_decay_experiment(near_cancel_measure, 1.0, [16, 64], trials=4, seed=5)[0]
+    r2 = rl.error_decay_experiment(near_cancel_measure, 1.0, [16, 64], trials=4, seed=5)[0]
     assert [r.errors for r in r1] == [r.errors for r in r2]
 
 
@@ -199,9 +199,15 @@ def test_error_decay_requires_increasing_widths(near_cancel_measure):
         rl.error_decay_experiment(near_cancel_measure, 1.0, [64, 64], trials=2, seed=0)
 
 
+def test_error_decay_requires_a_width(near_cancel_measure):
+    # an empty list raised "not enough values to unpack (expected 2, got 0)"
+    with pytest.raises(InvalidInputError, match="need at least one width"):
+        rl.error_decay_experiment(near_cancel_measure, 1.0, [], trials=2, seed=1)
+
+
 def test_network_json_roundtrip(tmp_path, near_cancel_setup):
     mu, density, norm, affine = near_cancel_setup
-    net = rl.sample_network(density, norm, affine, 32, seed=2)
+    net = rl.sample_network(density, affine, 32, seed=2)
     path = tmp_path / "network.json"
     rl.save_network(path, net)
     loaded = rl.load_network(path)
@@ -261,7 +267,7 @@ def test_save_network_writes_the_bytes_of_json_dump(tmp_path, case):
 
 
 def test_decay_csv_format(tmp_path, near_cancel_measure):
-    reports = rl.error_decay_experiment(near_cancel_measure, 1.0, [16, 64], trials=3, seed=8)
+    reports = rl.error_decay_experiment(near_cancel_measure, 1.0, [16, 64], trials=3, seed=8)[0]
     path = tmp_path / "decay.csv"
     rl.write_decay_csv(path, reports)
     lines = path.read_text().strip().splitlines()
@@ -315,7 +321,7 @@ def test_ramp_sums_match_dense_thm2(axis_measure):
     affine = rl.fit_affine(density)
     X = rl.ball_grid(2, 1.0, 500, mode="low-discrepancy").points
     for n in (1, 37, 4096):
-        net = rl.sample_network(density, rl.tv_norm(density), affine, n, seed=n)
+        net = rl.sample_network(density, affine, n, seed=n)
         assert_matches_dense(kernel_ramp_sum(net, X), dense_ramp_sum(X, net.omegas, net.a, net.b))
         assert rl.sup_error(net, axis_measure, rl.BallGrid(2, 1.0, X, "lattice")) == pytest.approx(
             dense_sup_error(net, axis_measure, X), rel=1e-12
@@ -361,7 +367,7 @@ def test_ramp_sums_ties_and_repeated_directions_out_of_order():
 def test_ramp_sums_with_undrawn_directions(axis_measure):
     density = rl.density_from_spectrum(axis_measure, 1.0)
     X = rl.ball_grid(2, 1.0, 200, mode="low-discrepancy").points
-    plan = _draw_plan(density, rl.AffinePart.zero(2), "thm2", rl.tv_norm(density))
+    plan = _draw_plan(density, rl.AffinePart.zero(2), "thm2")
     idx, a, b = _draw(plan, [(3, 1)])
     net = plan.net(idx, a, b)
     assert len(np.unique(idx)) < len(density)
@@ -476,7 +482,7 @@ def test_direction_draws_are_generator_choice(monkeypatch, weights):
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_draw_refuses_a_non_finite_total_mass(axis_measure, bad):
     density = rl.density_from_spectrum(axis_measure, 1.0)
-    plan = _draw_plan(density, rl.AffinePart.zero(2), "thm2", rl.tv_norm(density))
+    plan = _draw_plan(density, rl.AffinePart.zero(2), "thm2")
     weights = plan.weights.copy()
     weights[1] = bad
     with pytest.raises(DomainError, match="total mass"):
@@ -598,7 +604,7 @@ D3_TERMS = [(1.0, [1.5, 2.58, 0.0]), (-0.8, [1.53, 1.8, 1.86]), (0.5, [0.0, 0.6,
 @pytest.mark.parametrize("convention, R, d", [("thm2", 1.0, 2), ("prop2", 0.8, 2), ("thm2", 1.0, 3), ("prop2", 1.0, 3)])
 def test_error_decay_trials_equal_sup_error_bit_for_bit(axis_measure, convention, R, d):
     mu = axis_measure if d == 2 else rl.from_cosine_sum(3, D3_TERMS)
-    reports = rl.error_decay_experiment(mu, R, [16, 256], trials=3, seed=11, convention=convention)
+    reports = rl.error_decay_experiment(mu, R, [16, 256], trials=3, seed=11, convention=convention)[0]
     density = rl.density_from_spectrum(mu, R)
     affine = rl.fit_affine(density)
     grid = rl.ball_grid(d, R, 500, mode="low-discrepancy")
@@ -607,7 +613,7 @@ def test_error_decay_trials_equal_sup_error_bit_for_bit(axis_measure, convention
             if convention == "prop2":
                 net = rl.l1_normalized_network(density, affine, report.n, [11, ni, t])
             else:
-                net = rl.sample_network(density, rl.tv_norm(density), affine, report.n, [11, ni, t])
+                net = rl.sample_network(density, affine, report.n, [11, ni, t])
             assert rl.sup_error(net, mu, grid) == err
 
 
@@ -616,7 +622,7 @@ def test_error_decay_adds_directions_in_the_order_evaluate_does():
     # density's; at these widths, labelling them in the density's order
     # moves 2 of the 18 errors off sup_error in the last bit
     mu, R = rl.from_cosine_sum(3, D3_TERMS), 1.0
-    reports = rl.error_decay_experiment(mu, R, [16, 256, 1024], trials=6, seed=11, convention="prop2")
+    reports = rl.error_decay_experiment(mu, R, [16, 256, 1024], trials=6, seed=11, convention="prop2")[0]
     density = rl.density_from_spectrum(mu, R)
     affine = rl.fit_affine(density)
     grid = rl.ball_grid(3, R, 500, mode="low-discrepancy")
@@ -642,7 +648,9 @@ def test_error_decay_reports_do_not_depend_on_the_batch_cap(
     args = (mu, R, [16, 100, 256], 4, 13)
     want = rl.error_decay_experiment(*args, convention=convention)
     monkeypatch.setattr(sparsifier, "_BATCH_DRAWS", cap)
-    assert rl.error_decay_experiment(*args, convention=convention) == want
+    got = rl.error_decay_experiment(*args, convention=convention)
+    assert got[:2] == want[:2] and got[3] == want[3]
+    assert np.array_equal(got[2].b, want[2].b) and np.array_equal(got[2].omegas, want[2].omegas)
 
 
 def test_error_decay_memory_stays_bounded(near_cancel_measure):
@@ -663,7 +671,7 @@ def test_error_decay_of_many_narrow_streams_stays_bounded(near_cancel_measure):
     rl.error_decay_experiment(near_cancel_measure, 1.0, [1], trials=1, seed=0)
     tracemalloc.start()
     try:
-        reports = rl.error_decay_experiment(near_cancel_measure, 1.0, [1, 2], trials=4000, seed=3)
+        reports = rl.error_decay_experiment(near_cancel_measure, 1.0, [1, 2], trials=4000, seed=3)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

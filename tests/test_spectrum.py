@@ -369,6 +369,15 @@ def test_axis_aligned_partners_hold_negative_zero():
     assert np.count_nonzero(density.freqs, axis=0).tolist() == [2, 2]
 
 
+def test_frequencies_too_large_to_round_keep_their_own_keys():
+    # rounding to 15 decimals overflowed above about 1.8e293 (9 decimals in
+    # validate: 1.8e299), with numpy's warning, and every such frequency had the key inf
+    mu = rl.from_cosine_sum(1, [(1.0, [1e300]), (2.0, [1.5e300])])
+    assert sorted(mu.freqs.tolist()) == [-1.5e300, -1.5e300, -1e300, -1e300, 1e300, 1e300, 1.5e300, 1.5e300]
+    assert sorted(mu.coefs.real.tolist()) == [0.25] * 4 + [0.5] * 4
+    mu.validate()
+
+
 def test_parallel_frequencies_share_one_direction():
     # (0.5, 0.5) and (1.5, 1.5) normalise to directions one ulp apart; as two
     # directions the density failed its evenness check (exit 3)
