@@ -3,9 +3,13 @@
 Conventions: harmonics are L^2(S^{d-1})-orthonormal and real.  For d=2 the
 basis is 1/sqrt(2*pi) at degree 0 and {cos(k.), sin(k.)}/sqrt(pi) above.
 For d=3 we use associated-Legendre harmonics with the sqrt(2) convention
-for nonzero azimuthal order.  The test suite pins these down against the
-Funk-Hecke identity, with the weighted Legendre polynomials of its
-reduction (Chebyshev for d=2, classical Legendre for d=3) built beside
+for nonzero azimuthal order and the Condon-Shortley phase.  Their
+Legendre factor is the fully normalized associated Legendre function,
+computed by the recurrence in degree from the sectoral value P_m^m
+(Holmes & Featherstone, J. Geodesy 76, 2002), so every degree is in range:
+no factorial of the degree is ever formed.  The test suite pins these down
+against the Funk-Hecke identity, with the weighted Legendre polynomials of
+its reduction (Chebyshev for d=2, classical Legendre for d=3) built beside
 the tests.
 """
 
@@ -15,9 +19,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, InvalidInputError, UnsupportedDimensionError
-
-MAX_DEGREE = 12  # highest d=3 degree: lpmv, normalized by constants computed with math.factorial
+from .errors import InvalidInputError, UnsupportedDimensionError
 
 
 def harmonic_dim(k: int, d: int) -> int:
@@ -28,7 +30,8 @@ def harmonic_dim(k: int, d: int) -> int:
         raise InvalidInputError("degree must be nonnegative")
     if k == 0:
         return 1
-    return (2 * k + d - 2) * math.factorial(k + d - 3) // (math.factorial(k) * math.factorial(d - 2))
+    # (2k + d - 2) (k + d - 3)! / (k! (d - 2)!), without the factorials of k
+    return (2 * k + d - 2) * math.comb(k + d - 3, d - 2) // k
 
 
 def _check_index(k: int, j: int, d: int) -> None:
@@ -37,6 +40,28 @@ def _check_index(k: int, j: int, d: int) -> None:
     n = harmonic_dim(k, d)
     if not 1 <= j <= n:
         raise InvalidInputError(f"harmonic index j={j} outside 1..{n} for (k={k}, d={d})")
+
+
+def _normalized_legendre(k: int, m: int, t: np.ndarray) -> np.ndarray:
+    """sqrt((2k+1)/(4 pi) (k-m)!/(k+m)!) P_k^m(t) for 0 <= m <= k, Condon-Shortley phase included.
+
+    The sectoral value comes from P_0^0 = 1/sqrt(4 pi) by
+    P_i^i = -sqrt((2i+1)/(2i)) sqrt(1-t^2) P_{i-1}^{i-1}, then the degree
+    rises by P_{m+1}^m = sqrt(2m+3) t P_m^m and
+    P_n^m = a_n (t P_{n-1}^m - P_{n-2}^m / a_{n-1}), a_n = sqrt((4n^2-1)/(n^2-m^2)).
+    """
+    s = np.sqrt(np.maximum(0.0, 1.0 - t * t))
+    p = np.full_like(t, 1.0 / math.sqrt(4.0 * math.pi))
+    for i in range(1, m + 1):
+        p = -math.sqrt((2 * i + 1) / (2 * i)) * s * p
+    if k == m:
+        return p
+    a = math.sqrt(2 * m + 3)
+    p_prev, p = p, a * t * p
+    for n in range(m + 2, k + 1):
+        a_prev, a = a, math.sqrt((4 * n * n - 1) / (n * n - m * m))
+        p_prev, p = p, a * (t * p - p_prev / a_prev)
+    return p
 
 
 def harmonic_eval(k: int, j: int, d: int, omega):
@@ -57,21 +82,17 @@ def harmonic_eval(k: int, j: int, d: int, omega):
         else:
             out = np.sin(k * theta) / math.sqrt(math.pi)
     elif d == 3:
-        if k > MAX_DEGREE:
-            raise DomainError(f"d=3 harmonics capped at degree {MAX_DEGREE}")
-        from scipy.special import lpmv  # loaded on first use: it is most of the import time
-
         m = j - 1 - k  # j = 1..2k+1  <->  m = -k..k
         ct = np.clip(w[:, 2], -1.0, 1.0)
         phi = np.arctan2(w[:, 1], w[:, 0])
         am = abs(m)
-        norm = math.sqrt((2 * k + 1) / (4.0 * math.pi) * math.factorial(k - am) / math.factorial(k + am))
+        p = _normalized_legendre(k, am, ct)
         if m > 0:
-            out = math.sqrt(2.0) * norm * lpmv(am, k, ct) * np.cos(am * phi)
+            out = math.sqrt(2.0) * p * np.cos(am * phi)
         elif m < 0:
-            out = math.sqrt(2.0) * norm * lpmv(am, k, ct) * np.sin(am * phi)
+            out = math.sqrt(2.0) * p * np.sin(am * phi)
         else:
-            out = norm * lpmv(0, k, ct)
+            out = p
     else:
         raise UnsupportedDimensionError(f"harmonic_eval supports d in {{2, 3}}, got {d}")
     return out if np.asarray(omega).ndim > 1 else float(out[0])

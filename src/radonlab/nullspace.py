@@ -36,6 +36,28 @@ from .radon_measure import RadonDensity
 from .sparsifier import TwoLayerNet
 
 
+_MAX_RULE_NODES = 2**16  # largest sphere rule a null term may need
+
+
+def _rule_resolution(d: int, k: int, kprime: int) -> int:
+    """Smallest sphere-rule resolution m for the pairings of Y_k (x) b^{k'}.
+
+    The rule must be exact to degree k + k' + 2 (the harmonic times the
+    ramp's bias moment): m circle nodes are exact to degree m - 1, and the
+    d=3 product rule of 2 m^2 nodes to 2m - 1.  In d=3 its 2m equispaced
+    azimuths are all zeros of sin(j phi) when the azimuthal order j is a
+    multiple of m, which would discretize the term to the zero network, so
+    there m >= k + 1 as well.
+    """
+    degree = k + kprime + 2
+    return degree + 1 if d == 2 else max((degree + 2) // 2, k + 1)
+
+
+def _rule_nodes(d: int, m: int) -> int:
+    """Node count of ``sphere_rule(d, m)``."""
+    return m if d == 2 else 2 * m * m
+
+
 @dataclass(frozen=True)
 class HarmonicNullTerm:
     """One density coeff * Y_{k,j} (x) b^{k'} on S^{d-1} x (-R, R)."""
@@ -63,6 +85,12 @@ class HarmonicNullTerm:
             raise InvalidInputError(f"ball radius R must be finite, not {self.R}")
         if self.R <= 0:
             raise InvalidInputError("ball radius must be positive")
+        nodes = _rule_nodes(self.d, _rule_resolution(self.d, self.k, self.kprime))
+        if nodes > _MAX_RULE_NODES:
+            raise DomainError(
+                f"null term k={self.k}, k'={self.kprime} in d={self.d} needs a sphere rule of {nodes} nodes,"
+                f" above the limit of {_MAX_RULE_NODES}"
+            )
 
     @property
     def in_set_a(self) -> bool:
@@ -169,9 +197,8 @@ def verify_null(
 
 
 def _null_rule_size(term: HarmonicNullTerm) -> int:
-    """Sphere-rule size for the term's pairings, exact to degree k + k' + 2: m - 1
-    for m circle nodes, 2m - 1 in d=3 (see ``_factor_neurons`` for m > k there)."""
-    return max(64, term.k + term.kprime + 3) if term.d == 2 else max(16, term.k + 2)
+    """Sphere-rule size for the term's pairings: ``_rule_resolution``, at least 64 circle nodes or 16 in d=3."""
+    return max(64 if term.d == 2 else 16, _rule_resolution(term.d, term.k, term.kprime))
 
 
 def null_term_density(term: HarmonicNullTerm, m: int | None = None) -> RadonDensity:
@@ -192,24 +219,16 @@ def _factor_neurons(n: int, d: int, k: int, kprime: int) -> tuple[int, int]:
     """Split a neuron budget into (sphere resolution, bias nodes).
 
     Bias quadrature fights the ramp kink, so it gets the square-root share.
-    The sphere rule must be exact to degree k + k' + 2 (the harmonic times
-    the ramp's bias moment).  In d=3 its 2m equispaced azimuths are all
-    zeros of sin(j phi) when the azimuthal order j is a multiple of m, which
-    would discretize the term to the zero network, so there m >= k + 1 as
-    well.  Where the budget's share falls short, the sphere factor is raised
-    and the bias nodes take the rest of the budget, at least 4.
+    Where the budget's share of the sphere falls short of ``_rule_resolution``,
+    the sphere factor is raised and the bias nodes take the rest of the
+    budget, at least 4.
     """
-    degree = k + kprime + 2
     m_b = max(4, int(round(math.sqrt(n))))
-    if d == 2:
-        # m equispaced angles are exact to degree m - 1
-        m_s, need = max(8, n // m_b), degree + 1
-    else:
-        # d == 3: the product rule has 2 m^2 nodes, exact to degree 2m - 1
-        m_s, need = max(4, int(round(math.sqrt(n / (2 * m_b))))), max((degree + 2) // 2, k + 1)
+    m_s = max(8, n // m_b) if d == 2 else max(4, int(round(math.sqrt(n / (2 * m_b)))))
+    need = _rule_resolution(d, k, kprime)
     if m_s < need:
         m_s = need
-        m_b = max(4, int(round(n / (m_s if d == 2 else 2 * m_s**2))))
+        m_b = max(4, int(round(n / _rule_nodes(d, m_s))))
     return m_s, m_b
 
 

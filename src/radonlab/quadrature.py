@@ -162,9 +162,11 @@ def _cube_to_ball(u: np.ndarray, d: int, R: float) -> np.ndarray:
         phi = 2.0 * np.pi * u[:, 2]
         s = np.sqrt(np.maximum(0.0, 1.0 - z**2))
         return np.column_stack([r * s * np.cos(phi), r * s * np.sin(phi), r * z])
-    from scipy.special import ndtri  # loaded on first use: it is most of the import time
+    import statistics  # the standard library's inverse normal is Wichura's AS 241
 
-    normals = ndtri(np.clip(u[:, 1:], 1e-15, 1.0 - 1e-15))
+    inv_cdf = statistics.NormalDist().inv_cdf
+    p = np.clip(u[:, 1:], 1e-15, 1.0 - 1e-15)
+    normals = np.array([inv_cdf(x) for x in p.ravel().tolist()]).reshape(p.shape)
     norms = np.linalg.norm(normals, axis=1)
     norms[norms == 0] = 1.0
     return normals / norms[:, None] * r[:, None]

@@ -481,11 +481,17 @@ def error_decay_experiment(
     density = density_from_spectrum(mu, R)
     norm = tv_norm(density)
     grid = ball_grid(mu.d, R, grid_size, mode="low-discrepancy")
-    plan = _draw_plan(density, fit_affine(density), convention)
     # f, the affine part and the projections on every direction a neuron can
-    # draw, once; directions are labelled by the ranks that evaluate gives them
-    f = mu.evaluate(grid.points)
-    base = _project(grid.points, plan.v[None, :])[0] + plan.c
+    # draw, once; directions are labelled by the ranks that evaluate gives them.
+    # Overflow is refused below, not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        plan = _draw_plan(density, fit_affine(density), convention)
+        f = mu.evaluate(grid.points)
+        base = _project(grid.points, plan.v[None, :])[0] + plan.c
+    if not np.isfinite(f).all():
+        raise DomainError(f"f overflows a float on the ball of radius R = {R}")
+    if not np.isfinite(base).all():
+        raise DomainError(f"the affine part (v, c) = ({plan.v.tolist()}, {plan.c}) of f overflows a float on the ball")
     rows, labels = np.unique(plan.rows, axis=0, return_inverse=True)
     proj, labels = _project(grid.points, rows), labels.ravel()
     # whole (n, seed) streams in (width, trial) order, in runs of at most
@@ -502,8 +508,11 @@ def error_decay_experiment(
     for batch in batches:
         sizes = np.array([n for n, _ in batch])
         idx, a, b = _draw(plan, batch)
-        sums = _ramp_sums(a, b, labels[idx], proj, sizes)
-        scores = np.max(np.abs(base + (plan.kappa / sizes)[:, None] * sums - f), axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = _ramp_sums(a, b, labels[idx], proj, sizes)
+            scores = np.max(np.abs(base + (plan.kappa / sizes)[:, None] * sums - f), axis=1)
+        if not np.isfinite(scores).all():
+            raise DomainError("a sampled network's sup error overflows a float")
         errors.extend(scores.tolist())
         wide = np.flatnonzero(sizes == n_list[-1])
         if len(wide) and (best is None or scores[wide].min() < best[0]):

@@ -311,25 +311,34 @@ def test_commands_refuse_a_grid_without_points(tmp_path, capsys, spectrum_path, 
     assert not out.exists()
 
 
-def test_verify_null_high_degree_d2_passes(tmp_path):
-    # k + k' + 2 = 102: the circle rule must grow past 64 nodes
-    term = tmp_path / "k60.json"
-    rl.save_null_term(term, rl.HarmonicNullTerm(k=60, j=1, kprime=40, coeff=1.0, d=2, R=1.0))
+@pytest.mark.parametrize(
+    "term",
+    [
+        # k + k' + 2 = 102: the circle rule must grow past 64 nodes
+        rl.HarmonicNullTerm(k=60, j=1, kprime=40, coeff=1.0, d=2, R=1.0),
+        # d=3 harmonics stopped at degree 12
+        rl.HarmonicNullTerm(k=40, j=17, kprime=20, coeff=1.0, d=3, R=1.0),
+    ],
+)
+def test_verify_null_high_degree_passes(tmp_path, term):
+    path = tmp_path / "term.json"
+    rl.save_null_term(path, term)
     out = tmp_path / "verdict.json"
-    assert main(["verify-null", "--term", str(term), "--grid", "400", "--out", str(out)]) == EXIT_PASS
-    assert read_json(out)["verdict"] == "pass"
+    assert main(["verify-null", "--term", str(path), "--grid", "400", "--out", str(out)]) == EXIT_PASS
+    report = read_json(out)
+    assert report["verdict"] == "pass" and report["max_ramp_integral"] <= 1e-12
 
 
-def save_random_d3_network(path):
+def save_random_network(path, d=3):
     rng = np.random.default_rng(9)
-    omegas = rng.normal(size=(32, 3))
+    omegas = rng.normal(size=(32, d))
     omegas /= np.linalg.norm(omegas, axis=1)[:, None]
-    rl.save_network(path, rl.TwoLayerNet(3, np.ones(32), omegas, rng.uniform(-1, 1, 32), 2.0, np.zeros(3), 0.0))
+    rl.save_network(path, rl.TwoLayerNet(d, np.ones(32), omegas, rng.uniform(-1, 1, 32), 2.0, np.zeros(d), 0.0))
 
 
 def test_modeconnect_d3_high_degree_term(tmp_path):
     net_path, term_path, out = tmp_path / "net.json", tmp_path / "term.json", tmp_path / "mc.json"
-    save_random_d3_network(net_path)
+    save_random_network(net_path)
     rl.save_null_term(term_path, rl.HarmonicNullTerm(k=9, j=2, kprime=5, coeff=1.5, d=3, R=1.0))
     code = main(["modeconnect", "--network", str(net_path), "--term", str(term_path), "--n", "3000", "--out", str(out)])
     assert code == EXIT_PASS
@@ -339,7 +348,7 @@ def test_modeconnect_d3_high_degree_term(tmp_path):
 def test_modeconnect_d3_term_of_top_azimuthal_order(tmp_path):
     # j = 1 has azimuthal order k = 9: a sphere factor m = 9 put every node on its zeros
     net_path, term_path, out = tmp_path / "net.json", tmp_path / "term.json", tmp_path / "mc.json"
-    save_random_d3_network(net_path)
+    save_random_network(net_path)
     rl.save_null_term(term_path, rl.HarmonicNullTerm(k=9, j=1, kprime=5, coeff=1.5, d=3, R=1.0))
     code = main(["modeconnect", "--network", str(net_path), "--term", str(term_path), "--n", "3000", "--out", str(out)])
     assert code == EXIT_PASS
@@ -347,14 +356,20 @@ def test_modeconnect_d3_term_of_top_azimuthal_order(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["verify-null", "modeconnect"])
-def test_d3_term_above_the_degree_cap_is_a_domain_error(tmp_path, capsys, command):
-    # a valid term exited 2, as if the file were malformed
+@pytest.mark.parametrize(
+    "d, k, kprime, nodes",
+    [(2, 10**8, 0, 10**8 + 3), (2, 65000, 534, 65537), (3, 181, 1, 66248), (3, 10**8, 0, 2 * (10**8 + 1) ** 2)],
+)
+def test_term_past_the_rule_size_bound_is_a_domain_error(tmp_path, capsys, command, d, k, kprime, nodes):
+    # the sphere rule exact to degree k + k' + 2 (with m >= k + 1 in d=3) would pass 2^16 nodes;
+    # k = 1e8 hung in harmonic_dim's factorials
     net_path, term_path, out = tmp_path / "net.json", tmp_path / "term.json", tmp_path / "report.json"
-    save_random_d3_network(net_path)
-    rl.save_null_term(term_path, rl.HarmonicNullTerm(k=14, j=1, kprime=0, coeff=1.0, d=3, R=1.0))
+    save_random_network(net_path, d)
+    term_path.write_text(json.dumps({"k": k, "j": 1, "kprime": kprime, "coeff": 1.0, "d": d, "R": 1.0}))
     argv = [command, "--term", str(term_path), "--out", str(out)]
     assert main(argv + (["--network", str(net_path)] if command == "modeconnect" else [])) == EXIT_DOMAIN
-    assert capsys.readouterr().err == "radonlab: d=3 harmonics capped at degree 12\n"
+    message = f"null term k={k}, k'={kprime} in d={d} needs a sphere rule of {nodes} nodes, above the limit of 65536"
+    assert capsys.readouterr().err == f"radonlab: {message}\n"
     assert not out.exists()
 
 
@@ -515,13 +530,21 @@ def test_norm_refuses_unbounded_root_scan(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_import_cli_leaves_scipy_special_unloaded():
-    # scipy.special is most of the import time and only the d=3 harmonics
-    # and the d>3 Halton grids use it
-    code = "import sys, radonlab.cli; print('scipy.special' in sys.modules)"
+def test_import_cli_leaves_scipy_special_unloaded(tmp_path):
+    # the library is numpy-only: the d=3 harmonics and the d > 3 ball grids,
+    # scipy's last two callers, run without loading any scipy module
+    term, spectrum = tmp_path / "term.json", tmp_path / "spectrum.json"
+    rl.save_null_term(term, rl.HarmonicNullTerm(k=7, j=3, kprime=1, coeff=1.0, d=3, R=1.0))
+    rl.save_spectrum(spectrum, 8, [(1.0, [0.5, 0.0, 0.3, 0.0, 0.0, 0.2, 0.0, 0.1])])
+    code = (
+        "import sys, radonlab.cli as c\n"
+        f"assert c.main(['verify-null', '--term', {str(term)!r}, '--out', {str(tmp_path / 'null.json')!r}]) == 0\n"
+        f"assert c.main(['norm', '--spectrum', {str(spectrum)!r}, '--R', '1', '--out', {str(tmp_path / 'norm.json')!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
     src = str(Path(rl.__file__).parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, cwd=src)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("convention, R", [("thm2", "1"), ("prop2", "0.8")])
@@ -802,6 +825,29 @@ def test_norm_refuses_a_fourier_constant_past_the_float_range(tmp_path, capsys, 
     assert main(["norm", "--spectrum", str(path), f"--R={R}", "--out", str(out)]) == EXIT_DOMAIN
     assert capsys.readouterr().err == f"radonlab: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "spectrum, R, message",
+    [
+        # the norm is finite, the affine constant is not: exited 0 with
+        # "emitted_sup_error": NaN and "passed": true, after numpy's overflow warnings
+        ('{"d": 1, "terms": [{"amplitude": 1e308, "xi": [1e-4]}]}', "1e8",
+         "the affine part (v, c) = ([0.0], -inf) of f overflows a float on the ball"),
+        # f itself overflows: exited 1 with NaN errors
+        ('{"d": 1, "terms": [{"amplitude": 1e308, "xi": [1]}, {"amplitude": 1e308, "xi": [1.5]}]}', "0.01",
+         "f overflows a float on the ball of radius R = 0.01"),
+    ],
+)
+def test_approximate_refuses_values_past_the_float_range(tmp_path, capsys, spectrum, R, message):
+    path = tmp_path / "spectrum.json"
+    path.write_text(spectrum)
+    outputs = report, net, csv = tmp_path / "report.json", tmp_path / "net.json", tmp_path / "decay.csv"
+    argv = ["approximate", "--spectrum", str(path), f"--R={R}", "--n", "16", "--seed", "1"]
+    argv += ["--report", str(report), "--out", str(net), "--csv", str(csv)]
+    assert main(argv) == EXIT_DOMAIN
+    assert capsys.readouterr().err == f"radonlab: {message}\n"
+    assert not any(p.exists() for p in outputs)
 
 
 @pytest.mark.parametrize("command", ["norm", "approximate"])

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
+from scipy.special import lpmv
 
 import radonlab as rl
 from radonlab.errors import InvalidInputError, UnsupportedDimensionError
@@ -45,6 +47,15 @@ def test_harmonic_dim_values():
     assert rl.harmonic_dim(0, 2) == 1
     assert rl.harmonic_dim(5, 2) == 2
     assert rl.harmonic_dim(4, 3) == 9
+
+
+def test_harmonic_dim_at_huge_degree_is_immediate():
+    # factorials of k took 2 s at k = 3e5 and grew faster than linearly
+    start = time.perf_counter()
+    assert rl.harmonic_dim(10**8, 2) == 2
+    assert rl.harmonic_dim(10**8, 3) == 2 * 10**8 + 1
+    assert time.perf_counter() - start < 0.1
+    assert [rl.harmonic_dim(k, 5) for k in range(5)] == [1, 5, 14, 30, 55]
 
 
 def test_harmonic_dim_rejects_low_dimension():
@@ -111,15 +122,6 @@ def test_harmonic_d3_degree_one_is_scaled_coordinates():
     assert matched == {0, 1, 2}
 
 
-def test_harmonic_orthonormality_identity_up_to_k6():
-    tol = 1e-8
-    for d, rule in ((2, rl.sphere_rule(2, 64)), (3, rl.sphere_rule(3, 16))):
-        pairs = [(k, j) for k in range(7) for j in range(1, rl.harmonic_dim(k, d) + 1)]
-        vals = np.stack([rl.harmonic_eval(k, j, d, rule.nodes) for k, j in pairs])
-        gram = (vals * rule.weights) @ vals.T
-        assert np.max(np.abs(gram - np.eye(len(pairs)))) < tol
-
-
 def test_harmonic_parity():
     rng = np.random.default_rng(5)
     for d in (2, 3):
@@ -180,3 +182,50 @@ def test_funk_hecke_random_polynomial_profiles():
         w /= np.linalg.norm(w)
         lhs, rhs = funk_hecke_sides(eta, k, d, w, rules[d], orthonormal_harmonic(k, j, d))
         assert abs(lhs - rhs) <= 1e-8
+
+
+def test_d3_harmonics_match_lpmv_to_degree_12():
+    # oracle: scipy's associated Legendre function (Condon-Shortley phase
+    # included) times the factorial normalization, where both are exact
+    rng = np.random.default_rng(23)
+    w = rng.normal(size=(400, 3))
+    w /= np.linalg.norm(w, axis=1)[:, None]
+    w = np.vstack([w, [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]]])
+    phi = np.arctan2(w[:, 1], w[:, 0])
+    worst = 0.0
+    for k in range(13):
+        for j in range(1, 2 * k + 2):
+            m = j - 1 - k
+            am = abs(m)
+            norm = math.sqrt((2 * k + 1) / (4 * math.pi) * math.factorial(k - am) / math.factorial(k + am))
+            azimuth = 1.0 if m == 0 else math.sqrt(2.0) * (np.cos(am * phi) if m > 0 else np.sin(am * phi))
+            expected = norm * lpmv(am, k, w[:, 2]) * azimuth
+            worst = max(worst, float(np.max(np.abs(rl.harmonic_eval(k, j, 3, w) - expected))))
+    assert worst <= 1e-13
+
+
+def test_harmonic_orthonormality_up_to_k40_on_exact_rules():
+    # the Gram matrix integrates degree <= 80: 81 circle nodes, and the
+    # 41-node product rule on S^2, exact to degree 2 * 41 - 1
+    for d, rule in ((2, rl.sphere_rule(2, 81)), (3, rl.sphere_rule(3, 41))):
+        pairs = [(k, j) for k in range(41) for j in range(1, rl.harmonic_dim(k, d) + 1)]
+        vals = np.stack([rl.harmonic_eval(k, j, d, rule.nodes) for k, j in pairs])
+        gram = (vals * rule.weights) @ vals.T
+        assert np.max(np.abs(gram - np.eye(len(pairs)))) < 1e-12, d
+
+
+@pytest.mark.parametrize("k", [30, 37, 60, 120])
+def test_funk_hecke_at_high_degree_d3(k):
+    # the Legendre polynomial of degree k as profile: the self-pairing is
+    # |S^1| Y(omega) / (k + 1/2) for every harmonic of degree k (the
+    # oracle's 128-node Legendre integral is exact to degree 255 >= 2k)
+    rng = np.random.default_rng(k)
+    rule = rl.sphere_rule(3, k + 2)
+    eta = lambda t: legendre_oracle(k, 3, t)
+    for j in (1, k + 1, k + 2, 2 * k + 1):
+        omega = rng.normal(size=3)
+        omega /= np.linalg.norm(omega)
+        lhs, rhs = funk_hecke_sides(eta, k, 3, omega, rule, orthonormal_harmonic(k, j, 3))
+        y = rl.harmonic_eval(k, j, 3, omega)
+        assert rhs == pytest.approx(2 * math.pi * y / (k + 0.5), rel=1e-10, abs=1e-14)
+        assert abs(lhs - rhs) <= 1e-12

@@ -151,6 +151,21 @@ def test_verify_null_all_set_a_terms_k_le_8():
                     assert report.max_ramp_integral <= 1e-8, (d, k, j, kprime)
 
 
+def test_verify_null_d3_above_the_old_degree_cap():
+    # d=3 harmonics stopped at degree 12; the default rule is exact to degree k + k' + 2
+    xs = rl.ball_grid(3, 1.0, 100, mode="low-discrepancy")
+    for k, kprime, j in ((40, 20, 1), (40, 20, 41), (40, 20, 60), (120, 60, 7), (179, 101, 200)):
+        term = rl.HarmonicNullTerm(k=k, j=j, kprime=kprime, coeff=1.0, d=3, R=1.0)
+        assert rl.verify_null(term, xs).max_ramp_integral <= 1e-12, (k, kprime, j)
+
+
+def test_terms_at_the_rule_size_bound_are_accepted():
+    # 65535 circle nodes; 2 * 181^2 = 65522 product-rule nodes (one step more is
+    # refused, tests/test_cli.py::test_term_past_the_rule_size_bound_is_a_domain_error)
+    rl.HarmonicNullTerm(k=65000, j=1, kprime=532, coeff=1.0, d=2, R=1.0)
+    rl.HarmonicNullTerm(k=180, j=1, kprime=178, coeff=1.0, d=3, R=1.0)
+
+
 def test_verify_null_rejects_threshold_term():
     term = rl.HarmonicNullTerm(k=4, j=1, kprime=2, coeff=1.0, d=2, R=1.0)
     xs = rl.ball_grid(2, 1.0, 10, seed=0, mode="uniform")
@@ -183,6 +198,15 @@ def test_witness_nonzero_at_example_point():
         w /= np.linalg.norm(w)
         closed = witness_closed_form(k, d, 0.7, rl.harmonic_eval(k, 1, d, w))
         assert threshold_pairing(k, 1, d, 0.7 * w) == pytest.approx(closed, rel=1e-10)
+
+
+def test_witness_nonzero_d3_above_the_old_degree_cap():
+    # the zonal harmonic at the pole and the top sectoral one on the equator
+    for k in (16, 20):
+        for j, w in ((k + 1, np.array([0.0, 0.0, 1.0])), (2 * k + 1, np.array([1.0, 0.0, 0.0]))):
+            closed = witness_closed_form(k, 3, 0.95, rl.harmonic_eval(k, j, 3, w))
+            assert abs(closed) > 1e-10
+            assert threshold_pairing(k, j, 3, 0.95 * w) == pytest.approx(closed, rel=1e-6)
 
 
 def test_witness_zero_on_nodal_line():

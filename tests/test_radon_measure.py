@@ -392,11 +392,11 @@ def test_moments_exact_on_high_degree_polynomial_profiles():
         exact = (hi**42 - lo**42) / 42 + (hi**44 - lo**44) / 88
         assert profile_moment(density, 0, 21, lo, hi) == pytest.approx(exact, rel=1e-13, abs=1e-16)
     assert profile_moment(density, 0, 20, -1.0, 1.0) == pytest.approx(2 / 41 + 1 / 43, rel=1e-13)
-    # self-pairing of Y_{22,j} b^20: coeff * (int Y^2 = 1) * (int b^40 = 2/41)
-    # (d=2 only: d=3 harmonics stop at degree 12)
-    for j in (1, 2):
-        term = rl.HarmonicNullTerm(k=22, j=j, kprime=20, coeff=1.5, d=2, R=1.0)
-        got = harmonic_moment(rl.null_term_density(term, m=64), 22, j, 20)
+    # self-pairing of Y_{22,j} b^20: coeff * (int Y^2 = 1) * (int b^40 = 2/41),
+    # on rules exact to degree 44
+    for d, j, m in ((2, 1, 64), (2, 2, 64), (3, 3, 23)):
+        term = rl.HarmonicNullTerm(k=22, j=j, kprime=20, coeff=1.5, d=d, R=1.0)
+        got = harmonic_moment(rl.null_term_density(term, m=m), 22, j, 20)
         assert got == pytest.approx(1.5 * 2 / 41, rel=1e-10)
 
 
