@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 
@@ -48,15 +50,22 @@ def integer_field(payload: dict, key: str, what: str) -> int:
 def float_field(payload: dict, key: str, what: str, array: bool = False):
     """``payload[key]`` of an input file as a float, or with ``array`` as a float array of the lists' shape.
 
-    A value that does not convert raises, naming the field.
+    A value that does not convert raises, naming the field, and so does one that
+    converts but is not a JSON number: a boolean, or a string such as "1".
     """
     value = payload[key]
+    kind = "numbers" if array else "a number"
     try:
-        return np.array(value, dtype=float) if array else float(value)
+        out = np.array(value, dtype=float) if array else float(value)
     except (TypeError, ValueError) as exc:
-        raise InvalidInputError(
-            f"malformed {what} file: {key!r} must be {'numbers' if array else 'a number'}: {exc}"
-        ) from None
+        raise InvalidInputError(f"malformed {what} file: {key!r} must be {kind}: {exc}") from None
+    leaves = [value]
+    for _ in range(out.ndim if array else 0):  # it converted, so its lists nest out.ndim deep
+        leaves = list(chain.from_iterable(leaves))
+    if not set(map(type, leaves)) <= {int, float}:
+        bad = next(x for x in leaves if type(x) not in (int, float))
+        raise InvalidInputError(f"malformed {what} file: {key!r} must be {kind}, not {bad!r}")
+    return out
 
 
 # CLI contract: 0 pass, 1 assertion fail, 2 parse error, 3 invariant violation,

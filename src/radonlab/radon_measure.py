@@ -130,6 +130,8 @@ class RadonDensity:
     poly: np.ndarray = ()
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _panels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the sampler's inverse-CDF start tables, per interval (``sparsifier._start_table``)
+    _start_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dirs = np.atleast_2d(np.asarray(self.directions, dtype=float))

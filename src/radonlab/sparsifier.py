@@ -20,8 +20,10 @@ Both samplers and ``error_decay_experiment``, the width ladder behind the
 density and convention, then one inverse-CDF pass over the neurons of any
 number of seeded streams, whatever their directions.
 Each draw is a Newton solve kept inside its panel, by the same bracketed
-Newton that refines the sign-change roots, started from the CDF of a sine
-lobe that vanishes at the panel's roots.
+Newton that refines the sign-change roots, started from a table of every
+panel's inverse CDF: cubics in theta = arccos(1 - 2s)/pi, s the share of
+the panel's mass, solved at a few nodes per panel once per density and
+interval, so that a draw's first step is mostly its last.
 
 Every network is evaluated one way: its neurons are grouped by distinct
 direction, and each direction's ramps are summed from one histogram of its
@@ -153,28 +155,101 @@ class TwoLayerNet:
                 raise InvalidInputError("prop2 outer scale exceeds sqrt(d) * norm")
 
 
+# the most nodes of a density's start table, panel edges included: a density
+# of P panels gets min(_TABLE_CELLS, _TABLE_NODES // P - 1) cells per panel,
+# each with one node more, and below 3 cells per panel the linear start
+_TABLE_NODES = 2**13
+_TABLE_CELLS = 128
+
+
+def _solve_in_panels(density: RadonDensity, edges, g1, k, sign, rows, rest, x, tol: float) -> np.ndarray:
+    """b in panel k (from edge k to edge k + 1) of profile ``rows``, where g has the sign
+    ``sign``, at which the mass of |g| from the panel's left edge reaches ``rest``: by
+    ``_bracketed_newton`` from x clipped into the panel.
+
+    Inside a panel the mass sign (G_1(b) - G_1(edge k)) is monotone with derivative |g|.
+    Each Newton step reads G_1 and g off one evaluation of the trig terms of its own
+    profile only, so a solution has the same bits in any batch.
+    """
+    start, left, right = g1[k], edges[k], edges[k + 1]
+
+    def excess(live, x):
+        G1, g = density._values(x, (1, 0), rows[live])
+        return sign[live] * (G1 - start[live]) - rest[live], sign[live] * g
+
+    return _bracketed_newton(excess, np.minimum(np.maximum(x, left), right), left, right, tol)
+
+
+def _start_table(density: RadonDensity, lo: float, hi: float) -> tuple[np.ndarray, int, np.ndarray | None]:
+    """The sign of g on every panel on (lo, hi), and its inverse CDF as cubics in theta =
+    arccos(1 - 2s)/pi, s the share of the panel's mass, built once per density and
+    interval: ``(sign, M, coef)`` gives panel k (indexed by its left edge) the sign
+    ``sign[k]`` and M cells of theta, cell i in column k M + i of the (4, cells) ``coef``:
+    the coefficients of b in t = M theta - i, low order first.
+
+    theta is the coordinate in which the CDF of a sine lobe is linear, and in which
+    b(theta) stays smooth at both kinds of panel edge: near a sign-change root s grows
+    like (b - r)^2 and near an end of (lo, hi) like b - lo, while s(theta) grows like
+    theta^2.  A density of P panels gets M = min(_TABLE_CELLS, _TABLE_NODES // P - 1):
+    every panel's biases are solved, to the draws' tolerance, at the M - 1 inner nodes
+    theta = j / M (the end nodes are the panel's edges), in one Newton pass, and each
+    cell holds the cubic through its 4 nearest nodes.  Where fewer than 3 cells fit, M is
+    1, ``coef`` is None and each draw starts on the line b = left + (right - left) theta.
+    The coefficients are elementwise sums in a fixed order, so a panel's cubics have the
+    same bits in any density with the same M: in every density of at most 63 panels.
+    """
+    key = (float(lo), float(hi))
+    if key in density._start_tables:
+        return density._start_tables[key]
+    starts, edges, g1, cum = density.panels(lo, hi)
+    sign = np.where(g1[1:] >= g1[:-1], 1.0, -1.0)
+    panel = np.ones(len(sign), dtype=bool)
+    panel[starts[1:-1] - 1] = False  # a profile's last edge starts no panel
+    M = min(_TABLE_CELLS, _TABLE_NODES // max(1, int(panel.sum())) - 1)
+    if M < 3:
+        M, coef = 1, None
+    else:
+        # the nodes j = 0..M of every panel: its edges, and the inner ones solved
+        y = np.linspace(edges[:-1], edges[1:], M + 1, axis=1)  # the linear start of each node
+        k, j = np.flatnonzero(panel).repeat(M - 1), np.tile(np.arange(1, M), int(panel.sum()))
+        rest = 0.5 * (1.0 - np.cos(np.pi * j / M)) * (cum[k + 1] - cum[k])
+        rows = np.searchsorted(starts, k, side="right") - 1
+        y[k, j] = _solve_in_panels(density, edges, g1, k, sign[k], rows, rest, y[k, j], 1e-9 * (hi - lo))
+        # each cell i: the cubic through its stencil of nodes j0..j0 + 3, by forward
+        # differences in tau = j - j0, then shifted to t = tau - (i - j0)
+        i = np.arange(M)
+        j0 = np.clip(i - 1, 0, M - 3)
+        y0, y1, y2, y3 = y[:, j0], y[:, j0 + 1], y[:, j0 + 2], y[:, j0 + 3]
+        d1 = y1 - y0
+        d2 = (y2 - y1) - d1
+        d3 = ((y3 - y2) - (y2 - y1)) - d2
+        c1, c2, c3 = d1 - 0.5 * d2 + d3 / 3.0, 0.5 * d2 - 0.5 * d3, d3 / 6.0
+        o = (i - j0).astype(float)
+        coef = np.stack(
+            [y0 + o * (c1 + o * (c2 + o * c3)), c1 + o * (2.0 * c2 + 3.0 * o * c3), c2 + 3.0 * o * c3, c3]
+        ).reshape(4, -1)
+    density._start_tables[key] = sign, M, coef
+    return sign, M, coef
+
+
 def _draw_biases(density: RadonDensity, idx, u, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
     """Inverse-CDF biases from |g_w| on the open interval (lo, hi) for the
     drawn directions ``idx``, and the signs a = sign(g_w(b)) of the panels
     they lie in: neuron i's bias is where the mass of |g| of profile
     ``idx[i]`` from lo reaches u_i times its mass, clipped into (lo, hi).
 
-    The panel holding each target comes from its profile's running masses;
-    inside it the CDF |G_1(b) - G_1(r_k)| is monotone with derivative |g|,
-    and one ``_bracketed_newton`` call solves every neuron's b, whatever its
+    The panel holding each target comes from its profile's running masses,
+    and one ``_solve_in_panels`` call solves every neuron's b, whatever its
     direction, with its panel as its bracket.  Newton's method starts from
-    the CDF of a sine lobe with the panel's roots: the interior panel edges
-    are sign-change roots, where g = 0, so with s the target's share of the
-    panel mass a panel with a root at both edges starts at the fraction
-    arccos(1 - 2s)/pi of its width, one with a root at its left edge only
-    at (2/pi) arccos(1 - s), at its right edge only at (2/pi) arcsin(s), and
-    one with no root at s.  A draw stops once its step is at most 1e-9 of
-    the interval: Newton's error after such a step is of its square, and
-    smaller steps would only chase the rounding noise of G_1.  Each step
-    reads G_1 and g off one evaluation of the trig terms, of the draw's own
-    profile only, so a bias has the same bits in any batch.
+    the panel's inverse CDF in ``_start_table``: the cubic of the target's
+    theta cell, read in one gather and evaluated by Horner's rule, or the
+    line in theta where the table has no cubics.  A draw stops once its step is at most 1e-9 of the
+    interval: Newton's error after such a step is of its square, and smaller
+    steps would only chase the rounding noise of G_1.  A start within that
+    tolerance stops after one profile evaluation.
     """
     starts, edges, g1, cum = density.panels(lo, hi)
+    panel_sign, M, coef = _start_table(density, lo, hi)
     first, last = starts[idx], starts[idx + 1] - 1  # each neuron's profile: its first and last edge
     target = u * cum[last]
     k = np.empty(len(idx), dtype=np.intp)
@@ -183,24 +258,21 @@ def _draw_biases(density: RadonDensity, idx, u, lo: float, hi: float) -> tuple[n
         k[sel] = np.searchsorted(cum[starts[r] : starts[r + 1]], target[sel], side="right")
     k = np.minimum(first + k - 1, last - 1)
     rest = target - cum[k]
-    sign = np.where(g1[k + 1] >= g1[k], 1.0, -1.0)
-    left, right = edges[k], edges[k + 1]
     panel_mass = cum[k + 1] - cum[k]
     s = np.clip(np.divide(rest, panel_mass, out=np.zeros_like(rest), where=panel_mass > 0), 0.0, 1.0)
-    rooted_left, rooted_right = k > first, k < last - 1  # the panel's left and right edges are roots
-    lobe = np.where(
-        rooted_left,
-        np.where(rooted_right, np.arccos(1.0 - 2.0 * s) / np.pi, np.arccos(1.0 - s) * (2.0 / np.pi)),
-        np.where(rooted_right, np.arcsin(s) * (2.0 / np.pi), s),
-    )
-    start, x = g1[k], left + (right - left) * lobe
-    del first, last, target, k, panel_mass, s, lobe  # a batch's Newton pass holds only what it reads
-
-    def excess(live, x):
-        G1, g = density._values(x, (1, 0), idx[live])
-        return sign[live] * (G1 - start[live]) - rest[live], sign[live] * g
-
-    b = _bracketed_newton(excess, x, left, right, 1e-9 * (hi - lo))
+    theta = np.arccos(1.0 - 2.0 * s) / np.pi
+    if coef is None:
+        x = edges[k] + (edges[k + 1] - edges[k]) * theta
+    else:
+        pos = theta * M
+        i = np.minimum(pos.astype(np.intp), M - 1)  # pos >= 0: truncation is floor
+        t = pos - i
+        c = coef.take(k * M + i, axis=1)
+        x = c[0] + t * (c[1] + t * (c[2] + t * c[3]))
+        del pos, i, t, c
+    del first, last, target, panel_mass, s, theta  # a batch's Newton pass holds only what it reads
+    sign = panel_sign[k]
+    b = _solve_in_panels(density, edges, g1, k, sign, idx, rest, x, 1e-9 * (hi - lo))
     return np.clip(b, np.nextafter(lo, hi), np.nextafter(hi, lo)), sign
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InconsistentMeasureError, InvalidInputError, integer_field
+from .errors import DomainError, InconsistentMeasureError, InvalidInputError, float_field, integer_field
 
 _UNIT_TOL = 1e-12
 
@@ -188,7 +188,9 @@ def load_spectrum(path) -> tuple[int, list[tuple[float, np.ndarray]]]:
         payload = json.load(fh)
     try:
         d = integer_field(payload, "d", "spectrum")
-        terms = [(float(t["amplitude"]), np.asarray(t["xi"], dtype=float)) for t in payload["terms"]]
+        terms = [
+            (float_field(t, "amplitude", "spectrum"), float_field(t, "xi", "spectrum", array=True)) for t in payload["terms"]
+        ]
     except (KeyError, TypeError, ValueError) as exc:
         fault = "missing" if isinstance(exc, KeyError) else "wrong type:"
         raise InvalidInputError(f"malformed spectrum file: {fault} {exc}") from exc
@@ -198,7 +200,7 @@ def load_spectrum(path) -> tuple[int, list[tuple[float, np.ndarray]]]:
         if not np.isfinite(amp):
             raise InvalidInputError(f"non-finite amplitude {amp} in spectrum file")
         if xi.shape != (d,):
-            raise InvalidInputError(f"xi entry of length {len(xi)} does not match d={d}")
+            raise InvalidInputError(f"xi entry of shape {xi.shape} does not match d={d}")
         if not np.all(np.isfinite(xi)):
             raise InvalidInputError("non-finite frequency vector in spectrum file")
     return d, terms

@@ -662,12 +662,55 @@ def test_verify_null_names_a_non_numeric_field(tmp_path, capsys, term_path, fiel
 @pytest.mark.parametrize(
     "field, value, message",
     [
+        ("amplitude", True, "'amplitude' must be a number, not True"),
+        ("amplitude", "1", "'amplitude' must be a number, not '1'"),
+        ("xi", [True], "'xi' must be numbers, not True"),
+        ("xi", ["1"], "'xi' must be numbers, not '1'"),
+        ("xi", True, "'xi' must be numbers, not True"),
+    ],
+)
+def test_norm_refuses_a_boolean_or_a_string_for_a_number(tmp_path, capsys, field, value, message):
+    # read as float(), true and "1" ran as 1.0 and exited 0
+    path = tmp_path / "spectrum.json"
+    path.write_text(json.dumps({"d": 1, "terms": [{"amplitude": 1.0, "xi": [1.0], field: value}]}))
+    out = tmp_path / "report.json"
+    assert main(["norm", "--spectrum", str(path), "--R", "1", "--out", str(out)]) == EXIT_PARSE
+    assert capsys.readouterr().err == f"radonlab: malformed spectrum file: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("xi, shape", [(2.0, "()"), ([1.0, 2.0], "(2,)"), ([[1.0]], "(1, 1)")])
+def test_norm_refuses_an_xi_of_the_wrong_shape(tmp_path, capsys, xi, shape):
+    # a number for xi raised len()'s TypeError past the CLI: a traceback and exit 1
+    path = tmp_path / "spectrum.json"
+    path.write_text(json.dumps({"d": 1, "terms": [{"amplitude": 1.0, "xi": xi}]}))
+    assert main(["norm", "--spectrum", str(path), "--R", "1", "--out", str(tmp_path / "r.json")]) == EXIT_PARSE
+    assert capsys.readouterr().err == f"radonlab: xi entry of shape {shape} does not match d=1\n"
+
+
+@pytest.mark.parametrize("field, value", [("coeff", True), ("coeff", "1"), ("R", True)])
+def test_verify_null_refuses_a_boolean_or_a_string_for_a_number(tmp_path, capsys, term_path, field, value):
+    term = read_json(term_path)
+    term[field] = value
+    path = tmp_path / "bad-term.json"
+    path.write_text(json.dumps(term))
+    out = tmp_path / "report.json"
+    assert main(["verify-null", "--term", str(path), "--out", str(out)]) == EXIT_PARSE
+    assert capsys.readouterr().err == f"radonlab: malformed null-term file: {field!r} must be a number, not {value!r}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
         ("kappa", '"x"', "malformed network file: 'kappa' must be a number: could not convert string to float: 'x'"),
         ("c", "null", "malformed network file: 'c' must be a number: float() argument must be a string or a real number, not 'NoneType'"),
         ("a", '"x"', "malformed network file: 'a' must be numbers: could not convert string to float: 'x'"),
         ("b", '{"x": 1}', "malformed network file: 'b' must be numbers: float() argument must be a string or a real number, not 'dict'"),
         ("omega", '[1.0, "x"]', "malformed network file: 'omega' must be numbers: could not convert string to float: 'x'"),
         ("v", '["x", 0.0]', "malformed network file: 'v' must be numbers: could not convert string to float: 'x'"),
+        ("kappa", "true", "malformed network file: 'kappa' must be a number, not True"),
+        ("omega", '[1.0, "0"]', "malformed network file: 'omega' must be numbers, not '0'"),
         # the field converts, and the network refuses its shape
         ("v", "[[0.0, 0.0]]", "affine part v of shape (1, 2) does not match d=2"),
         ("omega", "[1.0, 0.0, 0.5]", "neuron directions omega of shape (1, 3) do not form an n x d = 1 x 2 array"),

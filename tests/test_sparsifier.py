@@ -515,6 +515,52 @@ def test_inverse_cdf_starts_from_the_lobe_of_its_panel(monkeypatch):
     assert roots == 0 and per_draw <= 3.5
 
 
+def newton_points_per_draw(monkeypatch, density, u):
+    """Profile points that the Newton pass of draws u from the density's first profile
+    on (-1, 1) evaluates, per draw; its panels and start table are built beforehand."""
+    draw_one(density, u[:1], -1.0, 1.0)
+    points = []
+    values = RadonDensity._values
+
+    def counted(self, b, *args):
+        points.append(np.size(b))
+        return values(self, b, *args)
+
+    monkeypatch.setattr(RadonDensity, "_values", counted)
+    draw_one(density, u, -1.0, 1.0)
+    monkeypatch.undo()
+    return sum(points) / len(u)
+
+
+def test_a_draw_starting_from_the_table_makes_one_profile_evaluation(monkeypatch):
+    rng = np.random.default_rng(0)
+    # from the sine-lobe start, this two-term profile took 3.2 points per draw
+    two_terms = rl.density_from_spectrum(rl.from_cosine_sum(1, [(1.0, [5.0]), (-0.6, [13.0])]), 1.0)
+    assert newton_points_per_draw(monkeypatch, two_terms, rng.random(10_000)) <= 1.1
+    # and the two end panels of cos(5x), between an end of (-1, 1) and its nearest root, 3.8
+    cos5 = rl.density_from_spectrum(rl.from_cosine_sum(1, [(1.0, [5.0])]), 1.0)
+    starts, _, _, cum = cos5.panels(-1.0, 1.0)
+    share = cum[1] / cum[starts[1] - 1]
+    u = np.concatenate([rng.uniform(0.0, share, 5000), rng.uniform(1.0 - share, 1.0, 5000)])
+    assert newton_points_per_draw(monkeypatch, cos5, u) <= 1.1
+
+
+@pytest.mark.parametrize("xi, cells", [(2000.0, 1), (300.0, 20), (5.0, sparsifier._TABLE_CELLS)])
+def test_start_table_node_solves_stay_within_the_budget(monkeypatch, xi, cells):
+    # at xi = 2000 the density has 2548 panels: 129 nodes per panel took 330k
+    # solves and made a 16..4096 x 20-trial ladder 3.6 times slower, and on the
+    # full lobes of a single cosine the linear start is already the answer
+    density = rl.density_from_spectrum(rl.from_cosine_sum(1, [(1.0, [xi])]), 1.0)
+    panels = len(density.panels(-1.0, 1.0)[1]) - len(density)
+    solved = []
+    newton = sparsifier._bracketed_newton
+    monkeypatch.setattr(sparsifier, "_bracketed_newton", lambda fn, x, *a: solved.append(len(x)) or newton(fn, x, *a))
+    _, M, coef = sparsifier._start_table(density, -1.0, 1.0)
+    assert M == cells and (coef is None) == (cells == 1)
+    assert sum(solved) == panels * (cells - 1) and len(solved) == (cells > 1)
+    assert cells == 1 or (cells + 1) * panels <= sparsifier._TABLE_NODES
+
+
 # --- TwoLayerNet.evaluate against the dense sum -------------------------------
 
 
@@ -680,7 +726,8 @@ def test_error_decay_of_many_narrow_streams_stays_bounded(near_cancel_measure):
 
 
 def test_error_decay_makes_one_newton_call_per_batch(monkeypatch, axis_measure):
-    # every direction's draws of a batch are solved together
+    # every direction's draws of a batch are solved together, and the start
+    # table's nodes of every direction in one more pass per ladder
     newton, scored = [], []
     bracketed_newton, ramp_sums = sparsifier._bracketed_newton, sparsifier._ramp_sums
     monkeypatch.setattr(sparsifier, "_bracketed_newton", lambda *args: newton.append(1) or bracketed_newton(*args))
@@ -694,7 +741,7 @@ def test_error_decay_makes_one_newton_call_per_batch(monkeypatch, axis_measure):
             batches, size, streams = batches + 1, 0, 0
         size, streams = size + n, streams + 1
     assert len(rl.density_from_spectrum(axis_measure, 1.0)) == 6
-    assert len(newton) == len(scored) == batches < len(LADDER) * trials
+    assert len(newton) - 1 == len(scored) == batches < len(LADDER) * trials
 
 
 # --- inverse CDF against brentq on the exact CDF -----------------------------
@@ -791,6 +838,24 @@ def test_a_batch_draws_each_direction_as_it_would_alone(lo, hi):
         alone = padded_density(density.directions[r : r + 1], [profile])
         for got in (_draw_biases(density, idx[sel], u[sel], lo, hi), draw_one(alone, u[sel], lo, hi)):
             assert np.array_equal(got[0], b[sel]) and np.array_equal(got[1], a[sel])
+
+
+@pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (0.0, 1.0)])
+def test_64_padded_profiles_draw_as_each_would_alone(monkeypatch, lo, hi):
+    # a start table whose coefficients came from a tiled BLAS product could
+    # differ with a profile's place in the density; with the node budget out
+    # of the way every density here gets the same 128 cells per panel
+    monkeypatch.setattr(sparsifier, "_TABLE_NODES", 2**40)
+    rng = np.random.default_rng(12)
+    profiles = [random_terms(rng, int(rng.integers(1, 5)), int(rng.integers(0, 3))) for _ in range(64)]
+    density = padded_density(rng.normal(size=(64, 2)), profiles)
+    idx, u = rng.integers(0, 64, 16_000), rng.random(16_000)
+    b, a = _draw_biases(density, idx, u, lo, hi)
+    assert sparsifier._start_table(density, lo, hi)[1] == sparsifier._TABLE_CELLS
+    for r, profile in enumerate(profiles):
+        sel = idx == r
+        got = draw_one(padded_density(density.directions[r : r + 1], [profile]), u[sel], lo, hi)
+        assert np.array_equal(got[0], b[sel]) and np.array_equal(got[1], a[sel])
 
 
 @pytest.mark.parametrize("d", range(2, 11))

@@ -184,7 +184,7 @@ def test_spectrum_dimension_may_be_an_integral_float(tmp_path):
     [
         ('{"d": 1, "terms": 5}', "wrong type: 'int' object is not iterable"),
         ('{"d": 1, "terms": [3.0]}', "wrong type: 'float' object is not subscriptable"),
-        ('{"d": 1, "terms": [{"amplitude": "one", "xi": [1.0]}]}', "wrong type: could not convert string"),
+        ('{"d": 1, "terms": [{"amplitude": "one", "xi": [1.0]}]}', "'amplitude' must be a number: could not convert string"),
         ('{"d": 1, "terms": [{"xi": [1.0]}]}', "missing 'amplitude'"),
         ('{"terms": []}', "missing 'd'"),
     ],
