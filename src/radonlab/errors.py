@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all modules, the CLI exit-code mapping and the input-file field checks."""
+"""Exception hierarchy shared by all modules, the CLI exit-code mapping, the input-file field checks
+and the check of a count argument."""
 
 from __future__ import annotations
 
@@ -45,6 +46,14 @@ def integer_field(payload: dict, key: str, what: str) -> int:
     if isinstance(value, bool) or not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
         raise InvalidInputError(f"malformed {what} file: {key!r} must be an integer, not {value!r}")
     return int(value)
+
+
+def check_count(n, what: str) -> None:
+    """Refuse a count that is not a positive integer: Python and numpy ints pass, bools and whole floats do not."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise InvalidInputError(f"{what} must be an integer, not {n!r}")
+    if n < 1:
+        raise InvalidInputError(f"{what} must be positive, not {n}")
 
 
 def float_field(payload: dict, key: str, what: str, array: bool = False):

@@ -29,7 +29,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidInputError, PreconditionError, UnsupportedDimensionError, float_field, integer_field
+from .errors import (
+    DomainError,
+    InvalidInputError,
+    PreconditionError,
+    UnsupportedDimensionError,
+    check_count,
+    float_field,
+    integer_field,
+)
 from .harmonics import harmonic_dim, harmonic_eval
 from .quadrature import BallGrid, QuadratureRule, gauss_legendre, sphere_rule
 from .radon_measure import RadonDensity
@@ -239,6 +247,7 @@ def discretize_null(term: HarmonicNullTerm, n: int) -> TwoLayerNet:
     h(w_i, b_j) * weight_i * weight_j; the quadrature convention makes the
     network value the quadrature approximation of the (null) ramp pairing.
     """
+    check_count(n, "neuron count")  # a float count would reach sphere_rule on some branches only
     if n < 16:
         raise InvalidInputError("need at least 16 neurons to factor the product rule")
     m_s, m_b = _factor_neurons(n, term.d, term.k, term.kprime)

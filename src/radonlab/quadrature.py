@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidInputError, UnsupportedDimensionError
+from .errors import InvalidInputError, UnsupportedDimensionError, check_count
 
 
 @dataclass(frozen=True)
@@ -78,10 +78,9 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def gauss_legendre(n: int, a: float, b: float) -> QuadratureRule:
     """Return the n-point Gauss-Legendre rule on (a, b); exact to degree 2n-1."""
+    check_count(n, "node count")
     if not (np.isfinite(a) and np.isfinite(b)):
         raise InvalidInputError("interval bounds must be finite")
-    if n < 1:
-        raise InvalidInputError("need at least one node")
     if not a < b:
         raise InvalidInputError(f"empty interval: a={a} >= b={b}")
     x, w = _leggauss(n)
@@ -98,8 +97,7 @@ def sphere_rule(d: int, m: int) -> QuadratureRule:
     """
     if d not in (2, 3):
         raise UnsupportedDimensionError(f"sphere rules are defined for d = 2 and d = 3, not d = {d}")
-    if m < 1:
-        raise InvalidInputError("resolution must be positive")
+    check_count(m, "resolution")
     if d == 2:
         theta = 2.0 * np.pi * np.arange(m) / m
         nodes = np.column_stack([np.cos(theta), np.sin(theta)])

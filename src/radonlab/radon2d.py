@@ -12,13 +12,14 @@ convention, which fixes the normalization globally.
 
 Cost: at resolution n the adjointness check evaluates the bump at n^2
 chord points for its lhs (the n lines of one direction x n chord nodes;
-the other directions reuse them) and at 2 n^2 disk points for its rhs,
-and psi at 2 n^3 + n^2 points (2 n^2 disk points x n circle nodes, and
-the n^2 lines), all as array expressions in blocks of at most 2^14
-evaluations, with no Python call per line or per point.
-``radon_transform_2d`` and ``dual_radon_transform`` are the 1 x 1 cases of
-the same two kernels, whose per-line and per-point sums use the BLAS dots
-of a scalar loop, so the checks keep the values of one.
+the other directions reuse them) and at the n disk radii for its rhs.  It
+evaluates psi on the n^2 lines of its lhs and on n^2 (n + 1) lines for its
+rhs, where the n rings of the disk meet each direction's lines at n + 1
+distinct offsets, in blocks of whole directions of at most 2^14 pairs (one
+direction at least).  No Python call is made per line or per point.
+``radon_transform_2d`` is the 1 x 1 case of the line kernel, whose
+per-line sums use the BLAS dots of a scalar loop, so the checks keep the
+values of one.
 """
 
 from __future__ import annotations
@@ -156,25 +157,6 @@ def _psi_values(psi, omegas: np.ndarray, b: np.ndarray) -> np.ndarray:
     return vals.reshape(len(b))
 
 
-def _dual_transform(psi, xs: np.ndarray, rule: QuadratureRule) -> np.ndarray:
-    """Circle integral of psi(omega, <omega, x>) at each row x of ``xs``.
-
-    psi is evaluated over (points x circle nodes) in blocks of whole points,
-    at most ``_BLOCK`` pairs each, and contracted with the rule's weights.
-    """
-    nodes = rule.nodes
-    out = np.empty(len(xs))
-    step = max(1, _BLOCK // len(nodes))
-    tiled = np.tile(nodes, (min(step, len(xs)), 1))
-    weights = np.broadcast_to(rule.weights, (min(step, len(xs)), len(nodes)))
-    for lo in range(0, len(xs), step):
-        x = xs[lo : lo + step]
-        b = np.matmul(nodes, x[:, :, None])[:, :, 0]  # row i is nodes @ x_i
-        vals = _psi_values(psi, tiled[: b.size], b.ravel()).reshape(b.shape)
-        out[lo : lo + step] = _rowdot(weights[: len(x)], vals)
-    return out
-
-
 @cache
 def _chord_rule_64() -> QuadratureRule:
     """The reference chord rule of ``radon_transform_2d``, built once."""
@@ -208,8 +190,9 @@ def radon_transform_2d(phi: BumpFunction, omega, b: float) -> float:
 def dual_radon_transform(psi, x) -> float:
     """Circle integral of psi(omega, <omega, x>) over all directions, by a 64-node rule.
 
-    ``psi(omega_batch, b_batch)`` must be vectorized.  Odd integrands are
-    rejected: hyperplane-space functions are even by convention.
+    ``psi(omega_batch, b_batch)`` must be vectorized and finite.  Odd
+    integrands are rejected: hyperplane-space functions are even by
+    convention.
     """
     rule = _circle_rule_64()
     x = np.asarray(x, dtype=float)
@@ -218,13 +201,16 @@ def dual_radon_transform(psi, x) -> float:
     if not np.all(np.isfinite(x)):
         raise InvalidInputError(f"dual transform point must be finite, got {x}")
     nodes = rule.nodes
+    value = float(rule.weights @ _psi_values(psi, nodes, nodes @ x))
+    if not np.isfinite(value):  # a NaN or infinity among the values shows in their sum
+        raise InvalidInputError(f"psi must return finite values; the dual transform came to {value}")
     for bb in np.linspace(-0.9, 0.9, 7):
         vals = _psi_values(psi, nodes, np.full(len(nodes), bb))
         flipped = _psi_values(psi, -nodes, np.full(len(nodes), -bb))
         scale = max(1.0, float(np.abs(vals).max()))
         if np.max(np.abs(vals - flipped)) > _EVEN_TOL * scale:
             raise InvalidInputError("dual transform requires an even integrand on S^1 x R")
-    return float(_dual_transform(psi, x[None, :], rule)[0])
+    return value
 
 
 def _disk_rule(center, radius: float, resolution: int):
@@ -260,12 +246,23 @@ def adjointness_check(phi: BumpFunction, psi, resolution: int = 64) -> tuple[flo
     lhs: integral over S^1 x R of (R phi) * psi, the bias integral truncated
     to the support interval of R phi along each direction.
     rhs: integral over the support disk of phi * (dual transform of psi).
+    ``psi(omega_batch, b_batch)`` must be vectorized and finite; it need not
+    be even.
 
     ``BumpFunction`` is radial, so R phi(omega, b) depends on b - <omega, c>
     alone, and ``_bias_lines`` puts every direction's bias nodes at the same
     offsets from <omega, c>: the n line integrals of the first direction
     serve all n directions.  The offsets agree up to the rounding of
     <omega, c> +- r, which moves the lhs by less than 1e-15 relative.
+
+    The rhs is the quadrature of ``_disk_rule`` regrouped on its polar
+    lattice.  The circle angles 2 pi j / n are the even-indexed disk angles
+    theta_i = 2 pi i / (2n), so the line of omega_j through c + rho_k e_i has
+    bias p_j + rho_k cos theta_{(i - 2j) mod 2n}, p_j = <omega_j, c>.  With
+    cos theta_l = cos theta_{2n - l} and phi radial about c,
+    rhs = sum_k W_k phi(rho_k) sum_j v_j sum_{l=0..n} mu_l psi(omega_j, p_j + rho_k cos theta_l)
+    with mu_0 = mu_n = 1 and mu_l = 2 otherwise: psi runs on n + 1 offsets
+    per ring and direction, and phi on the n radii.
     """
     if phi.d != 2:
         raise InvalidInputError("adjointness check is implemented for d=2")
@@ -277,8 +274,23 @@ def adjointness_check(phi: BumpFunction, psi, resolution: int = 64) -> tuple[flo
     integrand = _psi_values(psi, omegas, b).reshape(bias_weights.shape) * rphi
     per_direction = circle.weights * _rowdot(bias_weights, integrand)
     lhs = float(sum(per_direction.tolist()))  # a running total, direction by direction
-    pts, wts = _disk_rule(phi.center, phi.r, resolution)
-    rhs = float(wts @ (phi(pts) * _dual_transform(psi, pts, circle)))
+    rad = gauss_legendre(n, 0.0, phi.r)
+    cos_offsets = np.cos(2.0 * np.pi * np.arange(n + 1) / (2 * n))
+    mu = np.full(n + 1, 2.0)
+    mu[[0, n]] = 1.0
+    offsets = np.multiply.outer(rad.nodes, cos_offsets).ravel()  # (radius, offset) pairs of one direction
+    p = circle.nodes @ phi.center
+    ring = np.zeros(n)  # per radius: sum_j v_j sum_l mu_l psi
+    step = max(1, _BLOCK // len(offsets))
+    for lo in range(0, n, step):
+        sl = slice(lo, lo + step)
+        lines = np.add.outer(p[sl], offsets)
+        vals = _psi_values(psi, np.repeat(circle.nodes[sl], len(offsets), axis=0), lines.ravel())
+        ring += circle.weights[sl] @ (vals.reshape(len(lines), n, n + 1) @ mu)
+    ring_weights = rad.weights * rad.nodes * (np.pi / n)  # W_k, the disk rule's weight on ring k
+    rhs = float(ring_weights @ (phi._from_u((rad.nodes / phi.r) ** 2) * ring))
+    if not np.isfinite([lhs, rhs]).all():  # a NaN or infinity among psi's values shows in the sums
+        raise InvalidInputError(f"psi must return finite values; the sides came to {lhs} and {rhs}")
     return lhs, rhs
 
 

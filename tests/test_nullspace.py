@@ -251,6 +251,12 @@ def test_discretize_null_linearity():
     assert net2.evaluate(x)[0] == pytest.approx(2.0 * net1.evaluate(x)[0], rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [400.0, 400.5, "400"], ids=["whole-float", "fraction", "string"])
+def test_discretize_null_refuses_a_neuron_count_that_is_not_an_integer(n):
+    with pytest.raises(InvalidInputError, match="neuron count must be an integer"):
+        rl.discretize_null(EX2_TERM, n)
+
+
 def test_discretize_null_convergence_and_mass():
     grid = rl.ball_grid(2, 1.0, 500, mode="low-discrepancy")
     sups = {}

@@ -91,6 +91,30 @@ def test_gauss_legendre_invalid_inputs():
         rl.gauss_legendre(3, -np.inf, 1.0)
 
 
+NOT_INTEGERS = [True, 2.5, 3.0, "8", None]
+NOT_INTEGER_IDS = ["bool", "fraction", "whole-float", "string", "none"]
+
+
+@pytest.mark.parametrize("n", NOT_INTEGERS, ids=NOT_INTEGER_IDS)
+def test_gauss_legendre_refuses_a_node_count_that_is_not_an_integer(n):
+    with pytest.raises(InvalidInputError, match="node count must be an integer"):
+        rl.gauss_legendre(n, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("m", NOT_INTEGERS, ids=NOT_INTEGER_IDS)
+def test_sphere_rule_refuses_a_resolution_that_is_not_an_integer(m, d):
+    with pytest.raises(InvalidInputError, match="resolution must be an integer"):
+        rl.sphere_rule(d, m)
+
+
+@pytest.mark.parametrize("n", [5, np.int64(5), np.int32(5), np.uint8(5)], ids=["int", "int64", "int32", "uint8"])
+def test_rules_take_python_and_numpy_integers(n):
+    assert rl.gauss_legendre(n, -1.0, 1.0).nodes.tobytes() == rl.gauss_legendre(5, -1.0, 1.0).nodes.tobytes()
+    assert rl.sphere_rule(2, n).nodes.tobytes() == rl.sphere_rule(2, 5).nodes.tobytes()
+    assert rl.sphere_rule(3, n).nodes.tobytes() == rl.sphere_rule(3, 5).nodes.tobytes()
+
+
 def test_sphere_rule_totals():
     assert rl.sphere_rule(2, 64).weights.sum() == pytest.approx(2 * np.pi, abs=1e-12)
     assert rl.sphere_rule(3, 16).weights.sum() == pytest.approx(4 * np.pi, abs=1e-12)

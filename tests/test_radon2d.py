@@ -143,6 +143,28 @@ def test_adjointness_refuses_a_psi_of_the_wrong_count(bump):
         rl.adjointness_check(bump, lambda W, B: np.ones(3), 32)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_transforms_refuse_a_psi_that_is_not_finite(bump, bad):
+    def psi(W, B):
+        vals = psi_even(W, B)
+        vals[len(vals) // 2] = bad  # one pair of the dual's circle and of the adjointness rhs's lattice
+        return vals
+
+    with pytest.raises(InvalidInputError, match="finite"):
+        rl.dual_radon_transform(psi, [0.1, 0.2])
+    with pytest.raises(InvalidInputError, match="finite"):
+        rl.adjointness_check(bump, psi, 32)
+
+
+@pytest.mark.parametrize("resolution", [True, 2.5, 3.0, "8", None], ids=["bool", "fraction", "whole-float", "string", "none"])
+def test_planar_checks_refuse_a_resolution_that_is_not_an_integer(bump, resolution):
+    mu = rl.from_cosine_sum(2, [(1.0, [0.7, 0.2])])
+    with pytest.raises(InvalidInputError, match="must be an integer"):
+        rl.adjointness_check(bump, psi_even, resolution)
+    with pytest.raises(InvalidInputError, match="must be an integer"):
+        rl.radon_pairing_check(mu, rl.density_from_spectrum(mu, 1.0), bump, resolution)
+
+
 def test_dual_transform_constant_and_quadratic():
     assert rl.dual_radon_transform(lambda W, B: np.ones(len(np.atleast_2d(W))), [0.3, 0.2]) == pytest.approx(
         2 * math.pi, abs=1e-12

@@ -12,7 +12,7 @@ import pytest
 from scipy.integrate import quad
 
 import radonlab as rl
-from radonlab.radon2d import _BLOCK, _disk_rule, _dual_transform, _line_integrals
+from radonlab.radon2d import _BLOCK, _disk_rule, _line_integrals
 
 
 def bump_values(center, r, amplitude, X):
@@ -138,15 +138,14 @@ def psi_mixed(W, B):
     return np.exp(-(B**2)) * (1.0 + 0.4 * W[:, 0] ** 2 - 0.3 * W[:, 0] * W[:, 1]) + 0.2 * B**2 * W[:, 1] ** 2
 
 
-@pytest.mark.parametrize("m", [7, 96, 3000])
-def test_dual_transform_matches_a_per_point_loop(m):
-    rng = np.random.default_rng(m)
-    theta = 2.0 * np.pi * np.arange(m) / m
-    nodes, weights = unit(theta), np.full(m, 2.0 * np.pi / m)
-    xs = rng.uniform(-1.0, 1.0, (max(3, 3 * _BLOCK // m + 5), 2))  # several blocks and a partial one
-    got = _dual_transform(psi_mixed, xs, rl.sphere_rule(2, m))
-    want = np.array([weights @ psi_mixed(nodes, nodes @ x) for x in xs])
-    assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+@pytest.mark.parametrize("seed", [7, 96, 3000])
+def test_dual_transform_matches_a_per_point_loop(seed):
+    rng = np.random.default_rng(seed)
+    theta = 2.0 * np.pi * np.arange(64) / 64
+    nodes, weights = unit(theta), np.full(64, 2.0 * np.pi / 64)
+    for x in rng.uniform(-1.0, 1.0, (20, 2)):
+        want = weights @ psi_mixed(nodes, nodes @ x)
+        assert abs(rl.dual_radon_transform(psi_mixed, x) - want) <= 1e-15 * abs(want)
 
 
 def disk_loop(center, radius, resolution):
@@ -228,9 +227,24 @@ def test_radon_pairing_check_matches_the_loop(res):
     assert rhs == pytest.approx(want_rhs, rel=1e-14, abs=1e-15)
 
 
+def psi_uneven(W, B):
+    """A psi with psi(-w, -b) != psi(w, b): the rhs's lattice regrouping assumes no symmetry."""
+    W, B = np.atleast_2d(W), np.asarray(B, dtype=float)
+    return np.exp(-((B - 0.3) ** 2)) * (1.0 + 0.5 * W[:, 0] + 0.2 * W[:, 1] ** 3) + 0.1 * B
+
+
+@pytest.mark.parametrize("res", [1, 2, 5, 33, 97])
+def test_adjointness_check_matches_the_loop_for_an_uneven_psi(res):
+    center, r, amp = seeded_bump(np.random.default_rng(200 + res))
+    lhs, rhs = rl.adjointness_check(rl.BumpFunction(center, r, amp), psi_uneven, res)
+    want_lhs, want_rhs = adjointness_loop(center, r, amp, psi_uneven, res)
+    assert lhs == pytest.approx(want_lhs, rel=1e-14, abs=0)
+    assert rhs == pytest.approx(want_rhs, rel=1e-14, abs=0)
+
+
 @pytest.mark.parametrize("res", [32, 64])
-def test_adjointness_check_evaluates_the_bump_at_3n2_points(res, monkeypatch):
-    # n^2 chord points for the lhs, one direction's lines; 2 n^2 disk points for the rhs
+def test_adjointness_check_evaluates_the_bump_at_n2_plus_n_points(res, monkeypatch):
+    # n^2 chord points for the lhs, one direction's lines; the n disk radii for the rhs
     evaluated = []
     from_u = rl.BumpFunction._from_u
 
@@ -240,7 +254,22 @@ def test_adjointness_check_evaluates_the_bump_at_3n2_points(res, monkeypatch):
 
     monkeypatch.setattr(rl.BumpFunction, "_from_u", counting)
     rl.adjointness_check(rl.BumpFunction([0.1, -0.05], 0.5, 1.2), lambda W, B: np.exp(-np.asarray(B) ** 2), res)
-    assert sum(evaluated) == 3 * res**2
+    assert sum(evaluated) == res**2 + res
+
+
+@pytest.mark.parametrize("res", [1, 5, 32, 64, 128, 131])
+def test_adjointness_check_evaluates_psi_on_the_lattice_in_blocks(res):
+    # n^2 lines for the lhs; n (n + 1) offsets per direction for the rhs, whole directions per block
+    calls = []
+
+    def psi(W, B):
+        assert len(W) == len(B)
+        calls.append(len(B))
+        return psi_uneven(W, B)
+
+    rl.adjointness_check(rl.BumpFunction([0.1, -0.05], 0.5, 1.2), psi, res)
+    assert sum(calls) == res**2 * (res + 1) + res**2
+    assert max(calls) <= max(_BLOCK, res * (res + 1))
 
 
 def test_radon_transform_2d_is_the_one_line_kernel_with_a_fresh_rule():
