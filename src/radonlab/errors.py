@@ -1,5 +1,5 @@
 """Exception hierarchy shared by all modules, the CLI exit-code mapping, the input-file field checks
-and the check of a count argument."""
+and the checks of an integer or count argument."""
 
 from __future__ import annotations
 
@@ -48,10 +48,15 @@ def integer_field(payload: dict, key: str, what: str) -> int:
     return int(value)
 
 
-def check_count(n, what: str) -> None:
-    """Refuse a count that is not a positive integer: Python and numpy ints pass, bools and whole floats do not."""
+def check_integer(n, what: str) -> None:
+    """Refuse a value that is not an integer: Python and numpy ints pass, bools and whole floats do not."""
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise InvalidInputError(f"{what} must be an integer, not {n!r}")
+
+
+def check_count(n, what: str) -> None:
+    """Refuse a count that is not a positive integer, as ``check_integer`` does a non-integer."""
+    check_integer(n, what)
     if n < 1:
         raise InvalidInputError(f"{what} must be positive, not {n}")
 

@@ -35,6 +35,7 @@ from .errors import (
     PreconditionError,
     UnsupportedDimensionError,
     check_count,
+    check_integer,
     float_field,
     integer_field,
 )
@@ -78,6 +79,8 @@ class HarmonicNullTerm:
     R: float
 
     def __post_init__(self):
+        for name in ("k", "j", "kprime", "d"):
+            check_integer(getattr(self, name), f"null term field {name}")
         if self.d not in (2, 3):
             raise UnsupportedDimensionError(f"null terms are supported in d = 2 and d = 3, not d = {self.d}")
         if self.kprime < 0:
@@ -180,8 +183,11 @@ def verify_null(
     """Check that the term pairs to ~0 against every ramp centered in the grid.
 
     The bias integral uses the closed form, so the only numerical error is
-    the sphere rule's.  The default rule, of size ``_null_rule_size``, is
-    exact to degree k + k' + 2; a rule passed in should be too.  The
+    the sphere rule's.  The default rule is the smallest exact to degree
+    k + k' + 2 (``_rule_resolution``): k + k' + 3 circle nodes in d=2, and
+    2 m^2 nodes in d=3 with m = max(floor((k + k' + 4) / 2), k + 1), which
+    is k + 1 for every null-set term (k' <= k - 4).  A rule passed in
+    should be exact to that degree too.  The
     pairing of point x is sum_i v_i q(<w_i, x>) with v = weights * Y_{k,j},
     and q has three monomials, so the grid's pairings are the moments
     top * (c^k2 @ v) + lin * (c @ v) + const * sum(v) of the points x nodes
@@ -194,7 +200,7 @@ def verify_null(
     if xs.R > term.R:
         raise InvalidInputError("grid must lie inside the term's ball")
     if rule is None:
-        rule = sphere_rule(term.d, _null_rule_size(term))
+        rule = sphere_rule(term.d, _rule_resolution(term.d, term.k, term.kprime))
     y = np.asarray(harmonic_eval(term.k, term.j, term.d, rule.nodes), dtype=float)
     v = rule.weights * y
     c = xs.points @ rule.nodes.T
@@ -204,19 +210,17 @@ def verify_null(
     return NullVerificationReport(term=term, points=len(xs), max_ramp_integral=worst, tolerance=tolerance)
 
 
-def _null_rule_size(term: HarmonicNullTerm) -> int:
-    """Sphere-rule size for the term's pairings: ``_rule_resolution``, at least 64 circle nodes or 16 in d=3."""
-    return max(64 if term.d == 2 else 16, _rule_resolution(term.d, term.k, term.kprime))
-
-
 def null_term_density(term: HarmonicNullTerm, m: int | None = None) -> RadonDensity:
     """Interpret the term as a RadonDensity on the direction atoms of a sphere rule.
 
-    The continuous sphere marginal is discretized on an antipodally symmetric
-    rule of size m, by default ``_null_rule_size``; quadrature weights fold
-    into polynomial bias profiles.
+    The continuous sphere marginal is discretized on the sphere rule of
+    resolution m, by default the smallest exact to degree k + k' + 2
+    (``_rule_resolution``), so that the ramp pairings are exact; quadrature
+    weights fold into polynomial bias profiles.  That d=2 rule has
+    k + k' + 3 nodes, an odd number since k and k' share parity, so its
+    directions are not antipodally symmetric.
     """
-    rule = sphere_rule(term.d, m or _null_rule_size(term))
+    rule = sphere_rule(term.d, _rule_resolution(term.d, term.k, term.kprime) if m is None else m)
     y = np.asarray(harmonic_eval(term.k, term.j, term.d, rule.nodes), dtype=float)
     poly = np.zeros((term.kprime + 1, len(y)))
     poly[term.kprime] = term.coeff * y * rule.weights

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidInputError, UnsupportedDimensionError, check_count
+from .errors import InvalidInputError, UnsupportedDimensionError, check_count, check_integer
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ def sphere_rule(d: int, m: int) -> QuadratureRule:
         weights = np.full(m, 2.0 * np.pi / m)
         return QuadratureRule(nodes, weights, exactness_degree=m - 1)
     # d == 3: product rule
-    t, wt = np.polynomial.legendre.leggauss(m)  # t = cos(theta)
+    t, wt = _leggauss(m)  # t = cos(theta)
     phi = 2.0 * np.pi * np.arange(2 * m) / (2 * m)
     t2 = np.repeat(t, 2 * m)
     wt2 = np.repeat(wt, 2 * m)
@@ -178,6 +178,7 @@ def ball_grid(d: int, R: float, m: int, seed: int | None = None, mode: str = "lo
     ``uniform`` (seeded uniform sampling).  For a fixed (mode, seed) the grid
     is reproducible point for point.
     """
+    check_integer(m, "grid point count")
     if m < 1:
         raise InvalidInputError("need at least one grid point")
     if not (math.isfinite(R) and R > 0):

@@ -124,8 +124,8 @@ class TwoLayerNet:
             raise InvalidInputError(f"points of shape {pts.shape} do not match d={self.d}")
         out = _project(pts, self.v[None, :])[0] + self.c
         if self.n:
-            _, first, labels = np.unique(self.omegas, axis=0, return_index=True, return_inverse=True)
-            ramps = _ramp_sums(self.a, self.b, labels.ravel(), _project(pts, self.omegas[first]))
+            first, labels = _group_rows(self.omegas)
+            ramps = _ramp_sums(self.a, self.b, labels, _project(pts, self.omegas[first]))
             out = out + (self.kappa / self.n) * ramps
         return float(out[0]) if single else out
 
@@ -398,6 +398,19 @@ def l1_normalized_network(density: RadonDensity, affine: AffinePart, n: int, see
     return plan.net(*_draw(plan, [(n, seed)]))
 
 
+def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The index and inverse of ``np.unique(rows, axis=0, return_index=True, return_inverse=True)``,
+    from one stable ``np.lexsort`` and a compare of adjacent sorted rows (so -0.0 equals 0.0 there too):
+    ``rows[first]`` are the distinct rows in order, each at its first index, and row i is ``rows[first[labels[i]]]``."""
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    starts = np.ones(len(rows), dtype=bool)
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=starts[1:])
+    labels = np.empty(len(rows), dtype=np.intp)
+    labels[order] = np.cumsum(starts) - 1
+    return order[starts], labels
+
+
 def _project(points: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     """dirs @ points.T, summed coordinate by coordinate in elementwise products.
 
@@ -564,8 +577,8 @@ def error_decay_experiment(
         raise DomainError(f"f overflows a float on the ball of radius R = {R}")
     if not np.isfinite(base).all():
         raise DomainError(f"the affine part (v, c) = ({plan.v.tolist()}, {plan.c}) of f overflows a float on the ball")
-    rows, labels = np.unique(plan.rows, axis=0, return_inverse=True)
-    proj, labels = _project(grid.points, rows), labels.ravel()
+    first, labels = _group_rows(plan.rows)
+    proj = _project(grid.points, plan.rows[first])
     # whole (n, seed) streams in (width, trial) order, in runs of at most
     # _BATCH_DRAWS neurons and of streams whose ramp sums fill _SCORE_BLOCK
     batches, size = [[]], 0

@@ -12,7 +12,7 @@ import pytest
 
 import radonlab as rl
 from radonlab.errors import DomainError, InvalidInputError, PreconditionError
-from radonlab.nullspace import _int_power
+from radonlab.nullspace import _int_power, _rule_resolution
 from radonlab.radon_measure import ramp_integral_grid
 
 from conftest import threshold_pairing, witness_closed_form
@@ -159,6 +159,40 @@ def test_verify_null_d3_above_the_old_degree_cap():
         assert rl.verify_null(term, xs).max_ramp_integral <= 1e-12, (k, kprime, j)
 
 
+@pytest.mark.parametrize("k, kprime, j", [(5, 1, 1), (8, 2, 2), (10, 4, 1), (12, 0, 2), (9, 5, 1), (20, 8, 1)])
+def test_verify_null_d2_default_rule_is_the_smallest_exact_one(k, kprime, j):
+    # k + k' + 3 circle nodes are exact to degree k + k' + 2; one node fewer
+    # aliases the top frequency of Y_k times c^{k'+2} onto the constant
+    term = rl.HarmonicNullTerm(k=k, j=j, kprime=kprime, coeff=1.0, d=2, R=1.0)
+    xs = rl.ball_grid(2, 1.0, 200, mode="low-discrepancy")
+    m = _rule_resolution(2, k, kprime)
+    assert m == k + kprime + 3
+    default = rl.verify_null(term, xs)
+    assert default == rl.verify_null(term, xs, rl.sphere_rule(2, m))
+    assert default.verdict and default.max_ramp_integral <= 1e-14
+    assert rl.verify_null(term, xs, rl.sphere_rule(2, m - 1)).max_ramp_integral > 1e-5
+
+
+@pytest.mark.parametrize("k, kprime, j", [(5, 1, 1), (6, 0, 7), (8, 4, 3), (10, 2, 21)])
+def test_verify_null_d3_default_resolution_is_k_plus_1(k, kprime, j):
+    # for k' <= k - 4 the degree needs only (k + k' + 4) // 2 <= k, so the
+    # azimuth guard m >= k + 1 binds, and not a floor of 16
+    term = rl.HarmonicNullTerm(k=k, j=j, kprime=kprime, coeff=1.0, d=3, R=1.0)
+    xs = rl.ball_grid(3, 1.0, 100, mode="low-discrepancy")
+    assert _rule_resolution(3, k, kprime) == k + 1
+    default = rl.verify_null(term, xs)
+    assert default == rl.verify_null(term, xs, rl.sphere_rule(3, k + 1))
+    assert default.max_ramp_integral <= 1e-14
+
+
+@pytest.mark.parametrize("k", [5, 6, 9])
+def test_d3_rule_at_resolution_k_misses_the_top_sectoral_harmonic(k):
+    # sin(k phi) vanishes at the 2k equispaced azimuths of resolution k, so a
+    # check there would pass with nothing paired: the guard m >= k + 1 stays
+    assert np.max(np.abs(rl.harmonic_eval(k, 1, 3, rl.sphere_rule(3, k).nodes))) <= 1e-12
+    assert np.max(np.abs(rl.harmonic_eval(k, 1, 3, rl.sphere_rule(3, k + 1).nodes))) >= 0.1
+
+
 def test_terms_at_the_rule_size_bound_are_accepted():
     # 65535 circle nodes; 2 * 181^2 = 65522 product-rule nodes (one step more is
     # refused, tests/test_cli.py::test_term_past_the_rule_size_bound_is_a_domain_error)
@@ -178,6 +212,22 @@ def test_term_parity_and_index_validation():
         rl.HarmonicNullTerm(k=4, j=1, kprime=1, coeff=1.0, d=2, R=1.0)
     with pytest.raises(InvalidInputError):
         rl.HarmonicNullTerm(k=4, j=3, kprime=0, coeff=1.0, d=2, R=1.0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("k", 6.0), ("k", True), ("j", 1.0), ("j", True), ("kprime", 2.0), ("kprime", False), ("d", 3.0), ("d", True)],
+)
+def test_term_refuses_integer_fields_that_are_not_integers(field, value):
+    fields = dict(k=6, j=1, kprime=2, coeff=1.0, d=3, R=1.0)
+    fields[field] = value
+    with pytest.raises(InvalidInputError, match=f"null term field {field} must be an integer, not {value!r}"):
+        rl.HarmonicNullTerm(**fields)
+
+
+def test_term_accepts_numpy_integers_and_a_zero_monomial_degree():
+    term = rl.HarmonicNullTerm(k=np.int64(6), j=np.int32(1), kprime=0, coeff=1.0, d=np.int64(3), R=1.0)
+    assert term.in_set_a
 
 
 def test_witness_nonzero_at_example_point():
@@ -338,8 +388,14 @@ def test_null_term_density_is_null_at_high_degree():
     term = rl.HarmonicNullTerm(k=60, j=1, kprime=40, coeff=1.0, d=2, R=1.0)
     X = rl.ball_grid(2, 1.0, 50, seed=0, mode="uniform").points
     assert np.max(np.abs(ramp_integral_grid(rl.null_term_density(term), X))) <= 1e-12
+    # the default is the exact rule of k + k' + 3 = 103 nodes, an odd count;
     # an explicit rule size is kept
+    assert len(rl.null_term_density(term)) == 103
     assert len(rl.null_term_density(term, m=64)) == 64
+    # and a zero or boolean one is refused, not read as "default"
+    for m, message in ((0, "must be positive, not 0"), (False, "must be an integer, not False")):
+        with pytest.raises(InvalidInputError, match=message):
+            rl.null_term_density(term, m=m)
 
 
 def test_null_term_json_roundtrip(tmp_path):

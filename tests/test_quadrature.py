@@ -113,6 +113,23 @@ def test_rules_take_python_and_numpy_integers(n):
     assert rl.gauss_legendre(n, -1.0, 1.0).nodes.tobytes() == rl.gauss_legendre(5, -1.0, 1.0).nodes.tobytes()
     assert rl.sphere_rule(2, n).nodes.tobytes() == rl.sphere_rule(2, 5).nodes.tobytes()
     assert rl.sphere_rule(3, n).nodes.tobytes() == rl.sphere_rule(3, 5).nodes.tobytes()
+    for mode in ("lattice", "low-discrepancy", "uniform"):
+        assert rl.ball_grid(2, 1.0, n, seed=1, mode=mode).points.tobytes() == rl.ball_grid(2, 1.0, 5, seed=1, mode=mode).points.tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 16, 41])
+def test_sphere_rule_d3_is_unchanged_by_the_cached_gauss_nodes(m):
+    # the product rule as built from a fresh leggauss call, bit for bit
+    t, wt = np.polynomial.legendre.leggauss(m)
+    phi = 2.0 * np.pi * np.arange(2 * m) / (2 * m)
+    t2, phi2 = np.repeat(t, 2 * m), np.tile(phi, m)
+    s = np.sqrt(np.maximum(0.0, 1.0 - t2**2))
+    nodes = np.column_stack([s * np.cos(phi2), s * np.sin(phi2), t2])
+    weights = np.repeat(wt, 2 * m) * (2.0 * np.pi / (2 * m))
+    for _ in range(2):  # the second call reads the cached nodes
+        rule = rl.sphere_rule(3, m)
+        assert rule.nodes.tobytes() == nodes.tobytes()
+        assert rule.weights.tobytes() == weights.tobytes()
 
 
 def test_sphere_rule_totals():
@@ -183,6 +200,12 @@ def test_ball_grid_rejects_bad_inputs():
         rl.ball_grid(2, 1.0, 0)
     with pytest.raises(InvalidInputError):
         rl.ball_grid(2, 1.0, 10, mode="nope")
+
+
+@pytest.mark.parametrize("m", NOT_INTEGERS, ids=NOT_INTEGER_IDS)
+def test_ball_grid_refuses_a_point_count_that_is_not_an_integer(m):
+    with pytest.raises(InvalidInputError, match="grid point count must be an integer"):
+        rl.ball_grid(2, 1.0, m)
 
 
 @pytest.mark.parametrize("R", [math.inf, math.nan])

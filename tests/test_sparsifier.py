@@ -16,7 +16,7 @@ from scipy.optimize import brentq
 
 from radonlab.errors import DegenerateMeasureError, DomainError, InvalidInputError
 from radonlab.radon_measure import RadonDensity
-from radonlab.sparsifier import _draw, _draw_biases, _draw_plan, _exact_l1_unit, _project, _ramp_sums
+from radonlab.sparsifier import _draw, _draw_biases, _draw_plan, _exact_l1_unit, _group_rows, _project, _ramp_sums
 
 from conftest import decay_slope, padded_density, random_cosine_terms
 
@@ -595,6 +595,46 @@ def test_evaluate_matches_dense_on_distinct_directions_with_ties():
     assert len(np.unique(net.omegas, axis=0)) == net.n
     assert np.any(np.isin(net.b, X @ net.omegas.T))
     assert_evaluates_as_dense(net, X)
+
+
+def grouping_cases():
+    rng = np.random.default_rng(19)
+    repeated = np.repeat(rng.normal(size=(40, 3)), rng.integers(1, 6, 40), axis=0)
+    rng.shuffle(repeated)
+    signed_zeros = np.array([[0.0, 1.0], [-0.0, 1.0], [0.5, -0.0], [-1.0, 0.0], [0.5, 0.0], [-0.0, -0.0], [0.0, 0.0]])
+    return {
+        "null-d2": rl.discretize_null(rl.HarmonicNullTerm(k=6, j=2, kprime=2, coeff=1.0, d=2, R=1.0), 2000).omegas,
+        "null-d3": rl.discretize_null(rl.HarmonicNullTerm(k=6, j=3, kprime=2, coeff=1.0, d=3, R=1.0), 4000).omegas,
+        "shuffled-repeats": repeated,
+        "all-distinct": rng.normal(size=(300, 2)),
+        "signed-zeros": signed_zeros,
+    }
+
+
+def unique_evaluate(net, X):
+    """TwoLayerNet.evaluate with its directions grouped by np.unique."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    _, first, labels = np.unique(net.omegas, axis=0, return_index=True, return_inverse=True)
+    ramps = _ramp_sums(net.a, net.b, labels.ravel(), _project(X, net.omegas[first]))
+    return _project(X, net.v[None, :])[0] + net.c + (net.kappa / net.n) * ramps
+
+
+@pytest.mark.parametrize("case", list(grouping_cases()))
+def test_group_rows_matches_np_unique(case):
+    rows = grouping_cases()[case]
+    _, first, labels = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    got_first, got_labels = _group_rows(rows)
+    assert np.array_equal(got_first, first) and np.array_equal(got_labels, labels.ravel())
+
+
+@pytest.mark.parametrize("case", list(grouping_cases()))
+def test_evaluate_is_bitwise_the_np_unique_grouping(case):
+    omegas = grouping_cases()[case]
+    n, d = omegas.shape
+    rng = np.random.default_rng(n)
+    net = rl.TwoLayerNet(d, rng.normal(size=n), omegas, rng.uniform(-1.0, 1.0, n), 1.5, rng.normal(size=d), 0.25, "quadrature")
+    X = rl.ball_grid(d, 1.0, 200, mode="low-discrepancy").points
+    assert net.evaluate(X).tobytes() == unique_evaluate(net, X).tobytes()
 
 
 def test_evaluate_d1_point_shapes():
