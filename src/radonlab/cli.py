@@ -6,15 +6,17 @@ Subcommands
     verify-null  term.json -> null verification report
     modeconnect  network.json + term.json -> perturbation report
 
-Exit codes: 0 pass, 1 assertion fail, 2 parse error, 3 invariant violation,
-4 domain error.  Reports embed the config echo, seed, library version, and
-wall time; reruns with identical config are byte-identical except for the
-wall-time field.
+Each ``cmd_*`` returns its report and verdict; ``main`` alone applies the
+overrides, adds the config echo, seed, version and wall time, writes the
+report and maps the outcome to the exit code: 0 pass, 1 assertion fail,
+2 parse error, 3 invariant violation, 4 domain error.  Reruns with identical
+config are byte-identical except for the wall-time field.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -39,39 +41,7 @@ from .sparsifier import error_decay_experiment, load_network, save_network, writ
 from .spectrum import from_cosine_sum, fourier_constant_l1, fourier_constant_l2, load_spectrum
 
 
-def _parse_overrides(pairs):
-    out = {}
-    for raw in pairs or []:
-        if "=" not in raw:
-            raise ValueError(f"tolerance override must look like key=value, got {raw!r}")
-        key, value = raw.split("=", 1)
-        out[key.strip()] = float(value)
-    return out
-
-
-def _write_report(path, payload) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
-
-
-def _meta(args, seed, tols, started) -> dict:
-    echo = {k: v for k, v in sorted(vars(args).items()) if k != "func" and v is not None}
-    return {
-        "config": echo,
-        "seed": seed,
-        "version": __version__,
-        "tol_overrides": tols.overrides,
-        "wall_time_s": round(time.perf_counter() - started, 6),
-    }
-
-
-def cmd_norm(args) -> int:
-    started = time.perf_counter()
-    tols = DEFAULTS.apply_overrides(_parse_overrides(args.tol_override))
+def cmd_norm(args, tols) -> tuple[dict, bool]:
     d, terms = load_spectrum(args.spectrum)
     mu = from_cosine_sum(d, terms)
     R = args.R
@@ -97,14 +67,10 @@ def cmd_norm(args) -> int:
         "residual_affine": residual,
         "second_moment_check": spectral_second_moment(mu),
     }
-    report.update(_meta(args, None, tols, started))
-    _write_report(args.out, report)
-    return EXIT_PASS if ok else EXIT_FAIL
+    return report, ok
 
 
-def cmd_approximate(args) -> int:
-    started = time.perf_counter()
-    tols = DEFAULTS.apply_overrides(_parse_overrides(args.tol_override))
+def cmd_approximate(args, tols) -> tuple[dict, bool]:
     d, terms = load_spectrum(args.spectrum)
     mu = from_cosine_sum(d, terms)
     R = args.R
@@ -138,52 +104,25 @@ def cmd_approximate(args) -> int:
         "emitted_sup_error": emitted_error,
         "passed": passed,
     }
-    report.update(_meta(args, args.seed, tols, started))
-    _write_report(args.report, report)
-    return EXIT_PASS if passed else EXIT_FAIL
+    return report, passed
 
 
-def cmd_verify_null(args) -> int:
-    started = time.perf_counter()
-    tols = DEFAULTS.apply_overrides(_parse_overrides(args.tol_override))
+def cmd_verify_null(args, tols) -> tuple[dict, bool]:
     term = load_null_term(args.term)
     xs = ball_grid(term.d, term.R, args.grid, seed=args.seed, mode="uniform" if args.seed is not None else "low-discrepancy")
     result = verify_null(term, xs, tolerance=tols.null_tol)
-    report = {
-        "term": {"k": term.k, "j": term.j, "kprime": term.kprime, "coeff": term.coeff, "d": term.d, "R": term.R},
-        "points": result.points,
-        "max_ramp_integral": result.max_ramp_integral,
-        "tolerance": result.tolerance,
-        "verdict": "pass" if result.verdict else "fail",
-    }
-    report.update(_meta(args, args.seed, tols, started))
-    _write_report(args.out, report)
-    return EXIT_PASS if result.verdict else EXIT_FAIL
+    return {**dataclasses.asdict(result), "verdict": "pass" if result.verdict else "fail"}, result.verdict
 
 
-def cmd_modeconnect(args) -> int:
-    started = time.perf_counter()
-    tols = DEFAULTS.apply_overrides(_parse_overrides(args.tol_override))
+def cmd_modeconnect(args, tols) -> tuple[dict, bool]:
     base = load_network(args.network)
     term = load_null_term(args.term)
     grid = ball_grid(term.d, term.R, args.grid, mode="low-discrepancy")
     result = mode_connect_perturb(base, term, args.n, args.s, grid)
-    passed = (
-        result.functional_change <= abs(args.s) * tols.modeconnect_func_tol + 1e-15
-        and (args.s == 0 or result.coefficient_mass >= tols.modeconnect_mass_min)
+    passed = result.functional_change <= tols.modeconnect_func_tol * result.displacement and (
+        args.s == 0 or result.coefficient_mass >= tols.modeconnect_mass_min
     )
-    report = {
-        "scale": result.scale,
-        "added_neurons": result.added_neurons,
-        "functional_change": result.functional_change,
-        "displacement": result.displacement,
-        "coefficient_mass": result.coefficient_mass,
-        "grid_size": result.grid_size,
-        "passed": passed,
-    }
-    report.update(_meta(args, None, tols, started))
-    _write_report(args.out, report)
-    return EXIT_PASS if passed else EXIT_FAIL
+    return {**dataclasses.asdict(result), "passed": passed}, passed
 
 
 @functools.cache
@@ -192,9 +131,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="radonlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, out="report output path (default: stdout)"):
         p.add_argument("--tol-override", action="append", metavar="k=v", help="override a calibration constant")
-        p.add_argument("--out", help="report output path (default: stdout)")
+        p.add_argument("--out", help=out)
 
     p = sub.add_parser("norm", help="ball representation norm and Fourier bounds")
     p.add_argument("--spectrum", required=True)
@@ -212,9 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=500)
     p.add_argument("--convention", choices=["thm2", "prop2"], default="thm2")
     p.add_argument("--csv", help="decay curve CSV path")
-    p.add_argument("--out", help="network JSON path")
     p.add_argument("--report", help="JSON report path (default: stdout)")
-    p.add_argument("--tol-override", action="append", metavar="k=v", help="override a calibration constant")
+    common(p, out="network JSON path")
     p.set_defaults(func=cmd_approximate)
 
     p = sub.add_parser("verify-null", help="check a harmonic term represents zero")
@@ -242,13 +180,27 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
-    except RadonlabError as exc:
+        started = time.perf_counter()
+        tols = DEFAULTS.apply_overrides(args.tol_override)
+        report, passed = args.func(args, tols)
+        report.update(
+            config={k: v for k, v in sorted(vars(args).items()) if k != "func" and v is not None},
+            seed=getattr(args, "seed", None),
+            version=__version__,
+            tol_overrides=tols.overrides,
+            wall_time_s=round(time.perf_counter() - started, 6),
+        )
+        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        path = args.report if args.command == "approximate" else args.out
+        if path is None:
+            sys.stdout.write(text)
+        else:
+            with open(path, "w") as fh:
+                fh.write(text)
+    except (RadonlabError, ValueError, KeyError, OSError) as exc:
         print(f"radonlab: {exc}", file=sys.stderr)
         return exit_code_for(exc)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        print(f"radonlab: {exc}", file=sys.stderr)
-        return exit_code_for(exc)
+    return EXIT_PASS if passed else EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -5,7 +5,11 @@ floating-point and quadrature error on relations that hold exactly in the
 continuum (the Fourier and sampling bounds, null-measure integrals).  The
 *calibration constants* are artifact choices with no analytic status: the
 mode-connectivity thresholds were fixed by convergence runs on the bundled
-examples and are only meaningful for the default resolutions.  Both groups
+examples and are only meaningful for the default resolutions.
+``modeconnect_func_tol`` bounds the functional change relative to the
+displacement sum |s a_i| of the added null network, whose quadrature error
+grows with its coefficients; ``modeconnect_mass_min`` is the least
+coefficient mass that network must carry when s is not 0.  Both groups
 can be overridden per run (CLI ``--tol-override key=value``); every report
 echoes the overrides that were applied.
 """
@@ -28,19 +32,24 @@ class CalibrationConstants:
     modeconnect_mass_min: float = 0.5
     overrides: dict = field(default_factory=dict)
 
-    def apply_overrides(self, pairs: dict[str, float]) -> "CalibrationConstants":
-        """Return a copy with the given fields replaced by finite numbers; remembers what changed."""
+    def apply_overrides(self, pairs: list[str] | None) -> "CalibrationConstants":
+        """Return a copy with the ``key=value`` pairs applied as finite numbers; remembers what changed."""
+        parsed = {}
+        for raw in pairs or []:
+            if "=" not in raw:
+                raise ValueError(f"tolerance override must look like key=value, got {raw!r}")
+            key, value = raw.split("=", 1)
+            parsed[key.strip()] = float(value)
         valid = {f.name for f in fields(self) if f.name != "overrides"}
-        unknown = set(pairs) - valid
+        unknown = set(parsed) - valid
         if unknown:
             raise KeyError(f"unknown tolerance override(s): {sorted(unknown)}")
         out = CalibrationConstants(**{f.name: getattr(self, f.name) for f in fields(self) if f.name != "overrides"})
-        for key, value in pairs.items():
-            value = float(value)
+        for key, value in parsed.items():
             if not math.isfinite(value):
                 raise InvalidInputError(f"tolerance override {key} must be finite, not {value}")
             setattr(out, key, value)
-        out.overrides = dict(pairs)
+        out.overrides = parsed
         return out
 
 

@@ -19,7 +19,10 @@ import math
 
 import numpy as np
 
-from .errors import InvalidInputError, UnsupportedDimensionError
+from .errors import DomainError, InvalidInputError, UnsupportedDimensionError
+
+# highest degree harmonic_eval takes: the d=3 recurrence makes one Python step per degree
+_MAX_DEGREE = 2**16
 
 
 def harmonic_dim(k: int, d: int) -> int:
@@ -37,6 +40,8 @@ def harmonic_dim(k: int, d: int) -> int:
 def _check_index(k: int, j: int, d: int) -> None:
     if k < 0:
         raise InvalidInputError("degree must be nonnegative")
+    if k > _MAX_DEGREE:
+        raise DomainError(f"harmonic degree k={k} is above the limit of {_MAX_DEGREE}")
     n = harmonic_dim(k, d)
     if not 1 <= j <= n:
         raise InvalidInputError(f"harmonic index j={j} outside 1..{n} for (k={k}, d={d})")
@@ -68,6 +73,8 @@ def harmonic_eval(k: int, j: int, d: int, omega):
     """Value of the j-th orthonormal real harmonic of degree k at unit vectors.
 
     ``omega`` may be a single unit vector of shape (d,) or a batch (n, d).
+    A degree above 2^16 is refused with ``DomainError`` in either dimension;
+    no null term needs one.
     """
     _check_index(k, j, d)
     w = np.atleast_2d(np.asarray(omega, dtype=float))

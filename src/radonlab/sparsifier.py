@@ -93,6 +93,10 @@ class TwoLayerNet:
         omegas = omegas.reshape(len(a), self.d)
         b = np.atleast_1d(np.asarray(self.b, dtype=float))
         v = np.atleast_1d(np.asarray(self.v, dtype=float))
+        if a.ndim != 1 or b.ndim != 1:
+            raise InvalidInputError(
+                f"coefficients a of shape {a.shape} and biases b of shape {b.shape} must be one number per neuron"
+            )
         if len(b) != len(a):
             raise InvalidInputError("coefficient and bias counts differ")
         if v.shape != (self.d,):
@@ -665,6 +669,9 @@ def load_network(path) -> TwoLayerNet:
         payload = json.load(fh)
     try:
         neurons = payload["neurons"]
+        # a string or an object iterates, as characters or keys; any other non-list raises below
+        if isinstance(neurons, (str, dict)):
+            raise TypeError(f"'neurons' must be a list, not {neurons!r}")
         columns = {key: [x[key] for x in neurons] for key in ("a", "omega", "b")}
         return TwoLayerNet(
             d=integer_field(payload, "d", "network"),

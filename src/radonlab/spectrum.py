@@ -188,6 +188,9 @@ def load_spectrum(path) -> tuple[int, list[tuple[float, np.ndarray]]]:
         payload = json.load(fh)
     try:
         d = integer_field(payload, "d", "spectrum")
+        # a string or an object iterates, as characters or keys; any other non-list raises below
+        if isinstance(payload["terms"], (str, dict)):
+            raise TypeError(f"'terms' must be a list, not {payload['terms']!r}")
         terms = [
             (float_field(t, "amplitude", "spectrum"), float_field(t, "xi", "spectrum", array=True)) for t in payload["terms"]
         ]

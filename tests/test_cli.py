@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import functools
 import inspect
+import io
 import json
 import math
+import operator
 import subprocess
 import sys
 import tracemalloc
@@ -13,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 import radonlab as rl
 from radonlab import cli
@@ -155,6 +161,10 @@ def test_norm_parse_error_exit_code(tmp_path):
     missing_key = tmp_path / "missing.json"
     missing_key.write_text('{"terms": []}')
     assert main(["norm", "--spectrum", str(missing_key), "--R", "1"]) == EXIT_PARSE
+    for terms in ('""', "{}"):  # iterated as no terms, these ran as the empty spectrum
+        wrong_type = tmp_path / "wrong-type.json"
+        wrong_type.write_text(f'{{"d": 1, "terms": {terms}}}')
+        assert main(["norm", "--spectrum", str(wrong_type), "--R", "1"]) == EXIT_PARSE
 
 
 def test_approximate_outputs_and_exit(tmp_path, spectrum_path):
@@ -398,6 +408,33 @@ def test_modeconnect_flow(tmp_path, spectrum2_path, term_path):
     assert code == EXIT_PASS
     report = read_json(out)
     assert report["functional_change"] == 0.0 and report["displacement"] == 0.0
+
+
+@pytest.fixture
+def network2_path(tmp_path, spectrum2_path):
+    path = tmp_path / "net.json"
+    argv = ["approximate", "--spectrum", str(spectrum2_path), "--R", "1", "--n", "64", "--trials", "3", "--seed", "5"]
+    assert main([*argv, "--out", str(path), "--report", str(tmp_path / "approximate.json")]) == EXIT_PASS
+    return path
+
+
+@pytest.mark.parametrize("coeff", [1.0, 3.5, 10.0])
+def test_modeconnect_passes_relative_to_the_coefficient_mass(tmp_path, network2_path, coeff):
+    # the added network's quadrature error grows with its coefficients: at 3.5 and 10
+    # the change passed |s| 1e-3, the old absolute bound, and exited 1
+    term = tmp_path / "term.json"
+    rl.save_null_term(term, rl.HarmonicNullTerm(k=4, j=1, kprime=0, coeff=coeff, d=2, R=1.0))
+    out = tmp_path / "mc.json"
+    argv = ["modeconnect", "--network", str(network2_path), "--term", str(term), "--n", "2000", "--s", "1"]
+    assert main([*argv, "--out", str(out)]) == EXIT_PASS
+    report = read_json(out)
+    assert report["passed"] is True
+    assert report["functional_change"] / report["coefficient_mass"] == pytest.approx(7.0e-5, rel=0.01)
+    assert (report["functional_change"] > 1e-3) == (coeff > 1.0)
+    # a tolerance just below the measured ratio fails the same run
+    tight = report["functional_change"] / report["displacement"] * 0.99
+    assert main([*argv, "--out", str(out), "--tol-override", f"modeconnect_func_tol={tight!r}"]) == EXIT_FAIL
+    assert read_json(out)["passed"] is False
 
 
 def test_exit_code_mapping_table():
@@ -714,6 +751,9 @@ def test_verify_null_refuses_a_boolean_or_a_string_for_a_number(tmp_path, capsys
         # the field converts, and the network refuses its shape
         ("v", "[[0.0, 0.0]]", "affine part v of shape (1, 2) does not match d=2"),
         ("omega", "[1.0, 0.0, 0.5]", "neuron directions omega of shape (1, 3) do not form an n x d = 1 x 2 array"),
+        # a one-neuron list loaded as a 1 x 1 array, and an object iterated as no neurons
+        ("a", "[1.0]", "coefficients a of shape (1, 1) and biases b of shape (1,) must be one number per neuron"),
+        ("neurons", "{}", "malformed network file: 'neurons' must be a list, not {}"),
     ],
 )
 def test_modeconnect_refuses_a_malformed_network_field(tmp_path, capsys, term_path, field, value, message):
@@ -914,3 +954,195 @@ def test_norm_of_the_empty_spectrum_on_a_ball_whose_diameter_is_finite(tmp_path)
     assert main(["norm", "--spectrum", str(path), "--R=5e307", "--out", str(out)]) == EXIT_PASS
     report = read_json(out)
     assert report["bound_2RCf"] == 0.0 and report["norm"] == 0.0
+
+
+# --- one command path: main times, echoes, writes and exits --------------------
+
+META = {"config", "seed", "version", "tol_overrides", "wall_time_s"}
+REPORT_KEYS = {
+    "norm": {"norm", "C_f", "C_tilde", "bound_2RCf", "bound_ok", "R", "d", "residual_affine", "second_moment_check"},
+    "approximate": {
+        "convention", "norm", "kappa", "widths", "bounds", "mean_errors", "min_errors", "max_errors",
+        "emitted_width", "emitted_sup_error", "passed",
+    },
+    "verify-null": {"term", "points", "max_ramp_integral", "tolerance", "verdict"},
+    "modeconnect": {"scale", "added_neurons", "functional_change", "displacement", "coefficient_mass", "grid_size", "passed"},
+}
+
+
+def command_argv(command, tmp_path, spectrum2_path, term_path, network2_path):
+    """A quick run of ``command``, and the path its report goes to."""
+    out = tmp_path / f"{command}.report.json"
+    argv = {
+        "norm": ["--spectrum", str(spectrum2_path), "--R", "1", "--out", str(out)],
+        "approximate": [
+            "--spectrum", str(spectrum2_path), "--R", "1", "--n", "16,32", "--trials", "2", "--seed", "3",
+            "--out", str(tmp_path / "emitted.json"), "--report", str(out),
+        ],
+        "verify-null": ["--term", str(term_path), "--grid", "50", "--seed", "4", "--out", str(out)],
+        "modeconnect": [
+            "--network", str(network2_path), "--term", str(term_path), "--n", "400", "--s", "-0.5", "--out", str(out),
+        ],
+    }[command]
+    return [command, *argv], out
+
+
+@pytest.mark.parametrize("command", list(REPORT_KEYS))
+def test_report_keys_of_each_command(tmp_path, spectrum2_path, term_path, network2_path, command):
+    argv, out = command_argv(command, tmp_path, spectrum2_path, term_path, network2_path)
+    assert main([*argv, "--tol-override", "bound_slack=1e-9"]) == EXIT_PASS
+    report = read_json(out)
+    assert set(report) == REPORT_KEYS[command] | META
+    assert report["config"]["command"] == command and "func" not in report["config"]
+    assert report["version"] == rl.__version__ and report["tol_overrides"] == {"bound_slack": 1e-9}
+    assert report["seed"] == {"approximate": 3, "verify-null": 4}.get(command)
+    if command == "verify-null":
+        assert report["term"] == {"k": 4, "j": 1, "kprime": 0, "coeff": 1.0, "d": 2, "R": 1.0}
+
+
+@pytest.mark.parametrize("command", list(REPORT_KEYS))
+def test_report_goes_to_stdout_without_its_path(tmp_path, capsys, spectrum2_path, term_path, network2_path, command):
+    # the report's path is --report for approximate, whose --out is the network, and --out for the others
+    argv, out = command_argv(command, tmp_path, spectrum2_path, term_path, network2_path)
+    i = argv.index(str(out))
+    capsys.readouterr()
+    assert main(argv[: i - 1] + argv[i + 1 :]) == EXIT_PASS
+    assert set(json.loads(capsys.readouterr().out)) == REPORT_KEYS[command] | META
+    assert not out.exists()
+    assert (tmp_path / "emitted.json").exists() == (command == "approximate")
+
+
+def test_verify_null_byte_identical_reruns(tmp_path, spectrum2_path, term_path, network2_path):
+    argv, out = command_argv("verify-null", tmp_path, spectrum2_path, term_path, network2_path)
+    main(argv)
+    first = strip_wall_time(out)
+    main(argv)
+    assert strip_wall_time(out) == first
+
+
+def test_modeconnect_byte_identical_reruns(tmp_path, spectrum2_path, term_path, network2_path):
+    argv, out = command_argv("modeconnect", tmp_path, spectrum2_path, term_path, network2_path)
+    main(argv)
+    first = strip_wall_time(out)
+    main(argv)
+    assert strip_wall_time(out) == first
+
+
+# --- corrupted input files -------------------------------------------------------
+
+
+def json_kind(value) -> str:
+    """The JSON type of a loaded value; integers and floats are both numbers."""
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "bool"
+    return {int: "number", float: "number", str: "string", list: "array", dict: "object"}[type(value)]
+
+
+# one value of each JSON type, drawn per example
+WRONG_TYPED = st.fixed_dictionaries({
+    "null": st.none(),
+    "bool": st.booleans(),
+    "number": st.integers(-3, 3) | st.floats(-10, 10),
+    "string": st.text(max_size=2),
+    "array": st.lists(st.integers(-3, 3), max_size=2),
+    "object": st.dictionaries(st.text(max_size=2), st.integers(-3, 3), max_size=1),
+})
+
+
+def paths(value, prefix=()):
+    """The path of every key and list item inside a loaded JSON value."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield prefix + (key,)
+        yield from paths(item, prefix + (key,))
+
+
+def corruptions(payload, values):
+    """``payload`` as JSON bytes with one key dropped, or one value replaced by the ``values`` of each other type."""
+    for where in paths(payload):
+        old = functools.reduce(operator.getitem, where, payload)
+        for kind, value in [("drop", None), *values.items()]:
+            if kind == json_kind(old) or (kind == "drop" and not isinstance(where[-1], str)):
+                continue
+            changed = json.loads(json.dumps(payload))
+            parent = functools.reduce(operator.getitem, where[:-1], changed)
+            if kind == "drop":
+                del parent[where[-1]]
+            else:
+                parent[where[-1]] = value
+            yield json.dumps(changed).encode()
+
+
+def not_json(raw: bytes) -> bool:
+    try:
+        json.loads(raw)
+    except ValueError:
+        return True
+    return False
+
+
+UNIT = st.floats(-2, 2).filter(lambda x: abs(x) > 0.1)
+VALID = {
+    "spectrum": st.integers(1, 3).flatmap(
+        lambda d: st.fixed_dictionaries({
+            "d": st.just(d),
+            "terms": st.lists(
+                st.fixed_dictionaries({"amplitude": UNIT, "xi": st.lists(UNIT, min_size=d, max_size=d)}),
+                min_size=1, max_size=3,
+            ),
+        })
+    ),
+    "term": st.fixed_dictionaries(
+        {"k": st.just(4), "j": st.integers(1, 2), "kprime": st.just(0), "coeff": UNIT, "d": st.just(2), "R": st.just(1.0)}
+    ),
+    "network": st.fixed_dictionaries({
+        "d": st.just(2),
+        "convention": st.just("thm2"),
+        "kappa": UNIT,
+        "neurons": st.lists(
+            st.fixed_dictionaries({"a": UNIT, "omega": st.lists(UNIT, min_size=2, max_size=2), "b": UNIT}),
+            min_size=1, max_size=3,
+        ),
+        "v": st.lists(UNIT, min_size=2, max_size=2),
+        "c": UNIT,
+    }),
+}  # fmt: skip
+
+
+@pytest.mark.parametrize(
+    "command, corrupt", [("norm", "spectrum"), ("verify-null", "term"), ("modeconnect", "term"), ("modeconnect", "network")]
+)
+def test_a_corrupted_input_file_exits_2_with_one_message(tmp_path_factory, command, corrupt):
+    # every dropped key and every value of another JSON type in a generated input file, and non-JSON bytes;
+    # a "terms" or "neurons" string or object iterated as no terms or neurons, and a single neuron's
+    # list-valued a or b loaded as an array of another shape
+    work = tmp_path_factory.mktemp(f"{command}-{corrupt}")
+    files = {kind: work / f"{kind}.json" for kind in VALID}
+    out = work / "report.json"
+    sources = {
+        "norm": ["--spectrum", files["spectrum"], "--R", "1", "--grid", "8"],
+        "verify-null": ["--term", files["term"], "--grid", "8"],
+        "modeconnect": ["--network", files["network"], "--term", files["term"], "--n", "16", "--grid", "8"],
+    }
+    argv = [command, *map(str, sources[command]), "--out", str(out)]
+
+    # no shrinking: each example runs about a hundred files, and the failing file is in the message
+    @settings(max_examples=15, deadline=None, database=None, phases=[Phase.generate])
+    @given(payloads=st.fixed_dictionaries(VALID), values=WRONG_TYPED, junk=st.binary(max_size=40).filter(not_json))
+    def run(payloads, values, junk):
+        for kind, payload in payloads.items():
+            files[kind].write_text(json.dumps(payload))
+        assert main(argv) in (EXIT_PASS, EXIT_FAIL)  # the uncorrupted files run
+        out.unlink()
+        for raw in [junk, *corruptions(payloads[corrupt], values)]:
+            files[corrupt].write_bytes(raw)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(argv)
+            lines = err.getvalue().splitlines()
+            assert code == EXIT_PARSE and len(lines) == 1 and lines[0].startswith("radonlab: "), (raw, err.getvalue())
+            assert not out.exists(), raw
+
+    run()

@@ -11,7 +11,7 @@ import pytest
 from scipy.special import lpmv
 
 import radonlab as rl
-from radonlab.errors import InvalidInputError, UnsupportedDimensionError
+from radonlab.errors import DomainError, InvalidInputError, UnsupportedDimensionError
 
 from conftest import funk_hecke_sides, legendre_oracle, weighted_legendre_integral
 
@@ -141,6 +141,18 @@ def test_harmonic_invalid_index():
         rl.harmonic_eval(2, 6, 3, np.array([0.0, 0.0, 1.0]))
     with pytest.raises(InvalidInputError):
         rl.harmonic_eval(3, 0, 2, np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_harmonic_degree_above_two_to_the_sixteen_is_refused(d):
+    # the d=3 recurrence makes one Python step per degree, so an unbounded degree is an unbounded wait
+    w = np.eye(d)[:1]
+    with pytest.raises(DomainError, match="harmonic degree k=65537 is above the limit of 65536"):
+        rl.harmonic_eval(2**16 + 1, 1, d, w)
+
+
+def test_harmonic_degree_two_to_the_sixteen_is_accepted():
+    assert rl.harmonic_eval(2**16, 1, 2, np.array([1.0, 0.0])) == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-15)
 
 
 def test_funk_hecke_closed_form_case():

@@ -44,3 +44,25 @@ def test_cli_imports_no_private_name():
     assert ("sparsifier", "error_decay_experiment") in imported
     # __version__ is public: a dunder, and in __all__
     assert [name for name in imported if name[1].startswith("_") and not name[1].endswith("__")] == []
+
+
+def _writer_names(fn: ast.FunctionDef) -> set[str]:
+    """The names in ``fn`` that write a report or choose an exit code: ``open``, ``sys.stdout``, ``EXIT_*``."""
+    found = set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Name) and (node.id == "open" or node.id.startswith("EXIT_")):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr == "stdout" and getattr(node.value, "id", None) == "sys":
+            found.add("sys.stdout")
+    return found
+
+
+def test_commands_leave_writing_and_exit_codes_to_main():
+    # each command returns its report and verdict; main alone writes the report and maps the verdict
+    tree = ast.parse(Path(cli.__file__).read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    commands = [name for name in functions if name.startswith("cmd_")]
+    assert commands == ["cmd_norm", "cmd_approximate", "cmd_verify_null", "cmd_modeconnect"]
+    for name in commands:
+        assert _writer_names(functions[name]) == set(), name
+    assert _writer_names(functions["main"]) == {"open", "sys.stdout", "EXIT_PASS", "EXIT_FAIL"}
