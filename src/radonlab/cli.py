@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .config import DEFAULTS
-from .errors import EXIT_FAIL, EXIT_PASS, DomainError, InvalidInputError, RadonlabError, exit_code_for
+from .errors import CLI_ERRORS, EXIT_FAIL, EXIT_PASS, DomainError, InvalidInputError, exit_code_for
 from .nullspace import load_null_term, mode_connect_perturb, verify_null
 from .quadrature import ball_grid
 from .radon_measure import (
@@ -53,7 +53,7 @@ def cmd_norm(args, tols) -> tuple[dict, bool]:
     if not math.isfinite(bound):
         raise DomainError(f"the Fourier bound 2 R C_f = 2 * {R} * {c_f} overflows a float")
     # the whole identity f = ramp pairing + affine part, on points inside the ball
-    X = ball_grid(d, R, args.grid, mode="low-discrepancy").points
+    X = ball_grid(d, R, args.grid).points
     residual = float(np.max(np.abs(mu.evaluate(X) - ramp_integral_grid(density, X) - fit_affine(density)(X))))
     ok = norm <= bound + tols.bound_slack
     report = {
@@ -109,7 +109,7 @@ def cmd_approximate(args, tols) -> tuple[dict, bool]:
 
 def cmd_verify_null(args, tols) -> tuple[dict, bool]:
     term = load_null_term(args.term)
-    xs = ball_grid(term.d, term.R, args.grid, seed=args.seed, mode="uniform" if args.seed is not None else "low-discrepancy")
+    xs = ball_grid(term.d, term.R, args.grid, seed=args.seed)
     result = verify_null(term, xs, tolerance=tols.null_tol)
     return {**dataclasses.asdict(result), "verdict": "pass" if result.verdict else "fail"}, result.verdict
 
@@ -117,7 +117,7 @@ def cmd_verify_null(args, tols) -> tuple[dict, bool]:
 def cmd_modeconnect(args, tols) -> tuple[dict, bool]:
     base = load_network(args.network)
     term = load_null_term(args.term)
-    grid = ball_grid(term.d, term.R, args.grid, mode="low-discrepancy")
+    grid = ball_grid(term.d, term.R, args.grid)
     result = mode_connect_perturb(base, term, args.n, args.s, grid)
     passed = result.functional_change <= tols.modeconnect_func_tol * result.displacement and (
         args.s == 0 or result.coefficient_mass >= tols.modeconnect_mass_min
@@ -197,7 +197,7 @@ def main(argv=None) -> int:
         else:
             with open(path, "w") as fh:
                 fh.write(text)
-    except (RadonlabError, ValueError, KeyError, OSError) as exc:
+    except CLI_ERRORS as exc:
         print(f"radonlab: {exc}", file=sys.stderr)
         return exit_code_for(exc)
     return EXIT_PASS if passed else EXIT_FAIL

@@ -34,23 +34,22 @@ class CalibrationConstants:
 
     def apply_overrides(self, pairs: list[str] | None) -> "CalibrationConstants":
         """Return a copy with the ``key=value`` pairs applied as finite numbers; remembers what changed."""
+        valid = [f.name for f in fields(self) if f.name != "overrides"]
         parsed = {}
         for raw in pairs or []:
             if "=" not in raw:
-                raise ValueError(f"tolerance override must look like key=value, got {raw!r}")
+                raise InvalidInputError(f"tolerance override must look like key=value, got {raw!r}")
             key, value = raw.split("=", 1)
-            parsed[key.strip()] = float(value)
-        valid = {f.name for f in fields(self) if f.name != "overrides"}
-        unknown = set(parsed) - valid
-        if unknown:
-            raise KeyError(f"unknown tolerance override(s): {sorted(unknown)}")
-        out = CalibrationConstants(**{f.name: getattr(self, f.name) for f in fields(self) if f.name != "overrides"})
-        for key, value in parsed.items():
-            if not math.isfinite(value):
-                raise InvalidInputError(f"tolerance override {key} must be finite, not {value}")
-            setattr(out, key, value)
-        out.overrides = parsed
-        return out
+            key = key.strip()
+            if key not in valid:
+                raise InvalidInputError(f"unknown tolerance override {key!r}; the known keys are {', '.join(valid)}")
+            try:
+                parsed[key] = float(value)
+            except ValueError:
+                raise InvalidInputError(f"tolerance override {key} must be a number, not {value!r}") from None
+            if not math.isfinite(parsed[key]):
+                raise InvalidInputError(f"tolerance override {key} must be finite, not {parsed[key]}")
+        return CalibrationConstants(**({key: getattr(self, key) for key in valid} | parsed), overrides=parsed)
 
 
 DEFAULTS = CalibrationConstants()

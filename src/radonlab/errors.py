@@ -48,17 +48,29 @@ def integer_field(payload: dict, key: str, what: str) -> int:
     return int(value)
 
 
+def list_field(payload: dict, key: str, what: str) -> list:
+    """``payload[key]`` of an input file as a list of JSON objects: anything else raises, naming the field."""
+    value = payload[key]
+    if not isinstance(value, list):
+        raise InvalidInputError(f"malformed {what} file: {key!r} must be a list, not {value!r}")
+    bad = [x for x in value if not isinstance(x, dict)]
+    if bad:
+        raise InvalidInputError(f"malformed {what} file: {key!r} entries must be objects, not {bad[0]!r}")
+    return value
+
+
 def check_integer(n, what: str) -> None:
     """Refuse a value that is not an integer: Python and numpy ints pass, bools and whole floats do not."""
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise InvalidInputError(f"{what} must be an integer, not {n!r}")
 
 
-def check_count(n, what: str) -> None:
-    """Refuse a count that is not a positive integer, as ``check_integer`` does a non-integer."""
+def check_count(n, what: str, zero: bool = False) -> None:
+    """Refuse a count that is not a positive integer, or with ``zero`` a non-negative one, as
+    ``check_integer`` does a non-integer."""
     check_integer(n, what)
-    if n < 1:
-        raise InvalidInputError(f"{what} must be positive, not {n}")
+    if n < (0 if zero else 1):
+        raise InvalidInputError(f"{what} must be {'non-negative' if zero else 'positive'}, not {n}")
 
 
 def float_field(payload: dict, key: str, what: str, array: bool = False):
@@ -90,6 +102,10 @@ EXIT_PARSE = 2
 EXIT_INVARIANT = 3
 EXIT_DOMAIN = 4
 
+# what the CLI reports as one line and an exit code rather than a traceback: the
+# library's own errors, and what a malformed file or argument raises underneath
+CLI_ERRORS = (RadonlabError, ValueError, KeyError, TypeError, OSError)
+
 
 def exit_code_for(exc: BaseException) -> int:
     """Map an exception to the CLI exit code contract."""
@@ -97,6 +113,6 @@ def exit_code_for(exc: BaseException) -> int:
         return EXIT_DOMAIN
     if isinstance(exc, InvariantViolationError):
         return EXIT_INVARIANT
-    if isinstance(exc, (InvalidInputError, ValueError, KeyError, TypeError, OSError)):
+    if isinstance(exc, CLI_ERRORS):
         return EXIT_PARSE
     return EXIT_FAIL

@@ -3,8 +3,8 @@
 Interval rules are Gauss-Legendre.  Sphere rules are equispaced angles on
 S^1 (trapezoidal, spectrally exact for band-limited integrands) and a
 Gauss-Legendre x equispaced-azimuth product rule on S^2.  Ball grids
-provide evaluation sets for sup-norm estimates and come in lattice,
-low-discrepancy (Halton), and seeded-uniform flavors.
+provide evaluation sets for sup-norm estimates: Halton points mapped into
+the ball, or seeded uniform points when a seed is given.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidInputError, UnsupportedDimensionError, check_count, check_integer
+from .errors import DomainError, InvalidInputError, UnsupportedDimensionError, check_count
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,6 @@ class BallGrid:
     d: int
     R: float
     points: np.ndarray
-    mode: str
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -115,11 +114,10 @@ def sphere_rule(d: int, m: int) -> QuadratureRule:
     return QuadratureRule(nodes, weights, exactness_degree=2 * m - 1)
 
 
-def _vdc(indices: np.ndarray, base: int) -> np.ndarray:
+def _vdc(idx: np.ndarray, base: int) -> np.ndarray:
     """Van der Corput radical inverse of the given integer indices."""
-    out = np.zeros(len(indices), dtype=float)
+    out = np.zeros(len(idx), dtype=float)
     denom = 1.0
-    idx = indices.copy()
     while idx.any():
         denom *= base
         idx, rem = np.divmod(idx, base)
@@ -170,33 +168,20 @@ def _cube_to_ball(u: np.ndarray, d: int, R: float) -> np.ndarray:
     return normals / norms[:, None] * r[:, None]
 
 
-def ball_grid(d: int, R: float, m: int, seed: int | None = None, mode: str = "low-discrepancy") -> BallGrid:
-    """Build a deterministic evaluation grid strictly inside the open ball.
+_MAX_GRID_UNIFORMS = 1 << 22  # m (d or d + 1) uniforms: the d > 3 map takes about 2 s at the bound
 
-    Modes: ``lattice`` (equispaced product grid, interior points only),
-    ``low-discrepancy`` (Halton mapped into the ball; the default), and
-    ``uniform`` (seeded uniform sampling).  For a fixed (mode, seed) the grid
-    is reproducible point for point.
-    """
-    check_integer(m, "grid point count")
-    if m < 1:
-        raise InvalidInputError("need at least one grid point")
+
+def ball_grid(d: int, R: float, m: int, seed: int | None = None) -> BallGrid:
+    """Build m points strictly inside the open ball, reproducible point for point: the first m Halton
+    points mapped into the ball, or with a seed m uniform draws of ``default_rng(seed)`` mapped alike.
+    A grid of more than ``_MAX_GRID_UNIFORMS`` uniforms is refused before any is made."""
+    check_count(m, "grid point count")
     if not (math.isfinite(R) and R > 0):
         raise InvalidInputError(f"ball radius R must be positive and finite, not {R}")
-    if mode == "lattice":
-        n_side = m if d == 1 else math.ceil(m ** (1.0 / d))
-        axis = R * (2.0 * np.arange(n_side) + 1.0 - n_side) / n_side
-        if d == 1:
-            pts = axis[:, None]
-        else:
-            mesh = np.meshgrid(*([axis] * d), indexing="ij")
-            pts = np.column_stack([g.ravel() for g in mesh])
-            pts = pts[np.linalg.norm(pts, axis=1) < R]
-    elif mode == "low-discrepancy":
-        pts = _cube_to_ball(_halton(m, d if d <= 3 else d + 1), d, R)
-    elif mode == "uniform":
-        rng = np.random.default_rng(seed)
-        pts = _cube_to_ball(rng.random((m, d if d <= 3 else d + 1)), d, R)
-    else:
-        raise InvalidInputError(f"unknown ball grid mode: {mode!r}")
-    return BallGrid(d=d, R=float(R), points=pts, mode=mode)
+    if seed is not None:
+        check_count(seed, "seed", zero=True)
+    dims = d if d <= 3 else d + 1
+    if int(m) * dims > _MAX_GRID_UNIFORMS:
+        raise DomainError(f"a ball grid of m = {m} points in d = {d} takes more than {_MAX_GRID_UNIFORMS} uniforms")
+    u = _halton(m, dims) if seed is None else np.random.default_rng(seed).random((m, dims))
+    return BallGrid(d=d, R=float(R), points=_cube_to_ball(u, d, R))

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMeasureError, DomainError, InvalidInputError, float_field, integer_field
+from .errors import DegenerateMeasureError, DomainError, InvalidInputError, check_count, float_field, integer_field, list_field
 from .quadrature import BallGrid, ball_grid
 from .radon_measure import (
     AffinePart,
@@ -567,9 +567,12 @@ def error_decay_experiment(
         raise InvalidInputError("widths must be strictly increasing")
     if trials < 1:
         raise InvalidInputError("need at least one trial")
+    check_count(seed, "seed", zero=True)
+    if convention not in ("thm2", "prop2"):
+        raise InvalidInputError(f"unknown convention {convention!r}: expected 'thm2' or 'prop2'")
     density = density_from_spectrum(mu, R)
     norm = tv_norm(density)
-    grid = ball_grid(mu.d, R, grid_size, mode="low-discrepancy")
+    grid = ball_grid(mu.d, R, grid_size)
     # f, the affine part and the projections on every direction a neuron can
     # draw, once; directions are labelled by the ranks that evaluate gives them.
     # Overflow is refused below, not warned about.
@@ -668,10 +671,7 @@ def load_network(path) -> TwoLayerNet:
     with open(path) as fh:
         payload = json.load(fh)
     try:
-        neurons = payload["neurons"]
-        # a string or an object iterates, as characters or keys; any other non-list raises below
-        if isinstance(neurons, (str, dict)):
-            raise TypeError(f"'neurons' must be a list, not {neurons!r}")
+        neurons = list_field(payload, "neurons", "network")
         columns = {key: [x[key] for x in neurons] for key in ("a", "omega", "b")}
         return TwoLayerNet(
             d=integer_field(payload, "d", "network"),

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InconsistentMeasureError, InvalidInputError, float_field, integer_field
+from .errors import DomainError, InconsistentMeasureError, InvalidInputError, float_field, integer_field, list_field
 
 _UNIT_TOL = 1e-12
 
@@ -188,11 +188,9 @@ def load_spectrum(path) -> tuple[int, list[tuple[float, np.ndarray]]]:
         payload = json.load(fh)
     try:
         d = integer_field(payload, "d", "spectrum")
-        # a string or an object iterates, as characters or keys; any other non-list raises below
-        if isinstance(payload["terms"], (str, dict)):
-            raise TypeError(f"'terms' must be a list, not {payload['terms']!r}")
         terms = [
-            (float_field(t, "amplitude", "spectrum"), float_field(t, "xi", "spectrum", array=True)) for t in payload["terms"]
+            (float_field(t, "amplitude", "spectrum"), float_field(t, "xi", "spectrum", array=True))
+            for t in list_field(payload, "terms", "spectrum")
         ]
     except (KeyError, TypeError, ValueError) as exc:
         fault = "missing" if isinstance(exc, KeyError) else "wrong type:"

@@ -146,3 +146,15 @@ def decay_slope(reports) -> float:
     y = np.log([r.mean_error for r in reports])
     slope, _ = np.polyfit(x, y, 1)
     return float(slope)
+
+
+def lattice_grid(d: int, R: float, m: int) -> rl.BallGrid:
+    """An equispaced product grid inside the ball of radius R: m cell midpoints of
+    (-R, R) for d=1, and for d >= 2 the midpoints of ceil(m^(1/d)) cells per axis
+    that lie strictly inside the ball."""
+    n_side = m if d == 1 else math.ceil(m ** (1.0 / d))
+    axis = R * (2.0 * np.arange(n_side) + 1.0 - n_side) / n_side
+    if d == 1:
+        return rl.BallGrid(d, R, axis[:, None])
+    pts = np.column_stack([g.ravel() for g in np.meshgrid(*([axis] * d), indexing="ij")])
+    return rl.BallGrid(d, R, pts[np.linalg.norm(pts, axis=1) < R])

@@ -100,7 +100,7 @@ def test_criterion_3_affine_representation():
         mu = rl.from_cosine_sum(d, terms)
         R = 1.0
         density = rl.density_from_spectrum(mu, R)
-        grid = rl.ball_grid(d, R, 200, mode="low-discrepancy")
+        grid = rl.ball_grid(d, R, 200)
         affine = rl.fit_affine(density)
         recon = ramp_integral_grid(density, grid.points) + affine(grid.points)
         worst_recon = max(worst_recon, float(np.max(np.abs(recon - mu.evaluate(grid.points)))))
@@ -153,12 +153,12 @@ def test_criterion_6_null_terms_and_witness():
     started = time.perf_counter()
     # bundled d=2 example density (degree-4 harmonic, constant bias profile)
     ex2 = rl.HarmonicNullTerm(k=4, j=1, kprime=0, coeff=1.0, d=2, R=1.0)
-    xs = rl.ball_grid(2, 1.0, 100, seed=99, mode="uniform")
+    xs = rl.ball_grid(2, 1.0, 100, seed=99)
     rep = rl.verify_null(ex2, xs, rl.sphere_rule(2, 64))
     worst = rep.max_ramp_integral
     all_terms_ok = rep.max_ramp_integral <= 1e-8
     for d, rule in ((2, rl.sphere_rule(2, 64)), (3, rl.sphere_rule(3, 16))):
-        pts = rl.ball_grid(d, 1.0, 25, seed=d, mode="uniform")
+        pts = rl.ball_grid(d, 1.0, 25, seed=d)
         for k in range(3, 9):
             for kprime in range(k % 2, k - 2, 2):
                 for j in range(1, rl.harmonic_dim(k, d) + 1):
@@ -191,7 +191,7 @@ def test_criterion_7_null_invariance_and_flat_direction():
     terms = random_cosine_terms(rng, 2, n_terms=2)
     mu = rl.from_cosine_sum(2, terms)
     density = rl.density_from_spectrum(mu, 1.0)
-    grid = rl.ball_grid(2, 1.0, 200, mode="low-discrepancy")
+    grid = rl.ball_grid(2, 1.0, 200)
     affine = rl.fit_affine(density)
     base_vals = ramp_integral_grid(density, grid.points) + affine(grid.points)
     term = rl.HarmonicNullTerm(k=4, j=1, kprime=0, coeff=1.0, d=2, R=1.0)
@@ -199,7 +199,7 @@ def test_criterion_7_null_invariance_and_flat_direction():
     delta = float(np.max(np.abs(ramp_integral_grid(merged, grid.points) + affine(grid.points) - base_vals)))
     invariance_ok = delta <= 1e-6
     base = rl.sample_network(density, affine, 64, seed=1)
-    mc = rl.mode_connect_perturb(base, term, 2000, 1.0, rl.ball_grid(2, 1.0, 500, mode="low-discrepancy"))
+    mc = rl.mode_connect_perturb(base, term, 2000, 1.0, rl.ball_grid(2, 1.0, 500))
     flat_ok = mc.functional_change <= 1e-3 and mc.coefficient_mass >= 0.5
     elapsed = time.perf_counter() - started
     ok = invariance_ok and flat_ok

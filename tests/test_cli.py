@@ -317,7 +317,7 @@ def test_commands_refuse_a_grid_without_points(tmp_path, capsys, spectrum_path, 
         argv = [command, "--spectrum", str(spectrum_path), "--R", "1"]
         argv += ["--out", str(out)] if command == "norm" else ["--n", "16", "--seed", "1", "--report", str(out)]
     assert main([*argv, f"--grid={grid}"]) == EXIT_PARSE
-    assert capsys.readouterr().err == "radonlab: need at least one grid point\n"
+    assert capsys.readouterr().err == f"radonlab: grid point count must be positive, not {grid}\n"
     assert not out.exists()
 
 
@@ -445,6 +445,16 @@ def test_exit_code_mapping_table():
     assert exit_code_for(RuntimeError("x")) == EXIT_FAIL
 
 
+def test_main_reports_every_error_it_maps_to_an_exit_code(monkeypatch, capsys, spectrum_path):
+    # main caught no TypeError, which exit_code_for maps to 2: it ended in a traceback
+    def refuse(path):
+        raise TypeError("boom")
+
+    monkeypatch.setattr(cli, "load_spectrum", refuse)
+    assert main(["norm", "--spectrum", str(spectrum_path), "--R", "1"]) == EXIT_PARSE
+    assert capsys.readouterr().err == "radonlab: boom\n"
+
+
 def test_invariant_violation_exit_path(tmp_path, monkeypatch, spectrum_path):
     # a symmetry-broken measure cannot be written through the cosine schema,
     # so exercise the invariant branch by intercepting validation
@@ -461,12 +471,58 @@ def test_invariant_violation_exit_path(tmp_path, monkeypatch, spectrum_path):
     "key",
     ["definitely_not_a_knob", "symmetry_tol", "affine_residual_tol", "witness_min", "mean_error_slack", "decay_slope_max"],
 )
-def test_unknown_tol_override_is_parse_error(tmp_path, spectrum_path, key):
+def test_unknown_tol_override_is_parse_error(tmp_path, capsys, spectrum_path, key):
     code = main([
         "norm", "--spectrum", str(spectrum_path), "--R", "1",
         "--tol-override", f"{key}=1",
     ])
     assert code == EXIT_PARSE
+    # printed as a KeyError's quoted repr: radonlab: "unknown tolerance override(s): ['foo']"
+    assert capsys.readouterr().err == (
+        f"radonlab: unknown tolerance override {key!r}; the known keys are "
+        "bound_slack, null_tol, modeconnect_func_tol, modeconnect_mass_min\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ("bound_slack=x", "tolerance override bound_slack must be a number, not 'x'"),
+        ("null_tol=", "tolerance override null_tol must be a number, not ''"),
+        ("bound_slack", "tolerance override must look like key=value, got 'bound_slack'"),
+    ],
+)
+def test_malformed_tol_override_names_the_key(tmp_path, capsys, spectrum_path, override, message):
+    # bound_slack=x printed float()'s "could not convert string to float: 'x'"
+    out = tmp_path / "report.json"
+    assert main(["norm", "--spectrum", str(spectrum_path), "--R", "1", "--out", str(out), "--tol-override", override]) == EXIT_PARSE
+    assert capsys.readouterr().err == f"radonlab: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["approximate", "verify-null"])
+def test_commands_name_a_negative_seed(tmp_path, capsys, spectrum_path, term_path, command):
+    # numpy refused it as "expected non-negative integer", naming no seed
+    out = tmp_path / "report.json"
+    if command == "verify-null":
+        argv = [command, "--term", str(term_path), "--out", str(out)]
+    else:
+        argv = [command, "--spectrum", str(spectrum_path), "--R", "1", "--n", "16", "--report", str(out)]
+    assert main([*argv, "--seed", "-1"]) == EXIT_PARSE
+    assert capsys.readouterr().err == "radonlab: seed must be non-negative, not -1\n"
+    assert not out.exists()
+
+
+def test_norm_refuses_an_oversized_grid_before_building_it(tmp_path, capsys):
+    # numpy failed to allocate 2.60 TiB for the Halton bases: a traceback and exit 1
+    path = tmp_path / "spectrum.json"
+    path.write_text('{"d": 100000000000, "terms": []}')
+    out = tmp_path / "report.json"
+    assert main(["norm", "--spectrum", str(path), "--R", "1", "--out", str(out)]) == EXIT_DOMAIN
+    assert capsys.readouterr().err == (
+        "radonlab: a ball grid of m = 200 points in d = 100000000000 takes more than 4194304 uniforms\n"
+    )
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -546,7 +602,7 @@ def test_approximate_emitted_error_is_last_min_error(tmp_path, spectrum2_path, c
     assert report["emitted_sup_error"] == report["min_errors"][-1]
     # the ladder's own score is the emitted network's sup error on the default grid, to the bit
     mu = rl.from_cosine_sum(*rl.load_spectrum(spectrum2_path))
-    grid = rl.ball_grid(2, float(R), 500, mode="low-discrepancy")
+    grid = rl.ball_grid(2, float(R), 500)
     assert report["emitted_sup_error"] == rl.sup_error(rl.load_network(net_path), mu, grid)
 
 
@@ -754,6 +810,13 @@ def test_verify_null_refuses_a_boolean_or_a_string_for_a_number(tmp_path, capsys
         # a one-neuron list loaded as a 1 x 1 array, and an object iterated as no neurons
         ("a", "[1.0]", "coefficients a of shape (1, 1) and biases b of shape (1,) must be one number per neuron"),
         ("neurons", "{}", "malformed network file: 'neurons' must be a list, not {}"),
+        # a number, boolean or null was iterated, and an entry subscripted: Python's own text
+        ("neurons", "5", "malformed network file: 'neurons' must be a list, not 5"),
+        ("neurons", "true", "malformed network file: 'neurons' must be a list, not True"),
+        ("neurons", "null", "malformed network file: 'neurons' must be a list, not None"),
+        ("neurons", '"ab"', "malformed network file: 'neurons' must be a list, not 'ab'"),
+        ("neurons", "[5]", "malformed network file: 'neurons' entries must be objects, not 5"),
+        ("neurons", "[[1.0, 0.0]]", "malformed network file: 'neurons' entries must be objects, not [1.0, 0.0]"),
     ],
 )
 def test_modeconnect_refuses_a_malformed_network_field(tmp_path, capsys, term_path, field, value, message):

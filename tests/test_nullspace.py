@@ -65,7 +65,7 @@ def test_ramp_moment_vectorized_matches_scalar():
 def test_verify_null_matches_pointwise_loop():
     # an 8-node circle rule is not exact for k=10, so the pairings are far from 0
     term = rl.HarmonicNullTerm(k=10, j=2, kprime=4, coeff=1.3, d=2, R=1.0)
-    xs = rl.ball_grid(2, 1.0, 40, seed=3, mode="uniform")
+    xs = rl.ball_grid(2, 1.0, 40, seed=3)
     rule = rl.sphere_rule(2, 8)
     y = rl.harmonic_eval(term.k, term.j, 2, rule.nodes)
     loop = max(
@@ -101,7 +101,7 @@ def test_int_power_matches_exact_powers():
     ],
 )
 def test_verify_null_matches_pointwise_loop_on_inexact_rules(term, rule):
-    xs = rl.ball_grid(term.d, term.R, 30, seed=4, mode="uniform")
+    xs = rl.ball_grid(term.d, term.R, 30, seed=4)
     y = rl.harmonic_eval(term.k, term.j, term.d, rule.nodes)
     loop = max(
         abs(term.coeff * float(rule.weights @ (y * np.array([rl.ramp_moment_closed_form(float(u), term.kprime, term.R) for u in rule.nodes @ x]))))
@@ -113,13 +113,13 @@ def test_verify_null_matches_pointwise_loop_on_inexact_rules(term, rule):
 
 
 def test_verify_null_refuses_a_kink_on_the_sphere():
-    xs = rl.BallGrid(2, 1.0, np.array([[1.0, 0.0]]), "uniform")
+    xs = rl.BallGrid(2, 1.0, np.array([[1.0, 0.0]]))
     with pytest.raises(DomainError, match=re.escape("kink position |c| = 1.0 must lie inside (-R, R)")):
         rl.verify_null(EX2_TERM, xs, rl.sphere_rule(2, 64))
 
 
 def test_verify_null_example_density():
-    xs = rl.ball_grid(2, 1.0, 100, seed=42, mode="uniform")
+    xs = rl.ball_grid(2, 1.0, 100, seed=42)
     report = rl.verify_null(EX2_TERM, xs, rl.sphere_rule(2, 64))
     assert report.verdict
     assert report.max_ramp_integral <= 1e-8
@@ -128,21 +128,21 @@ def test_verify_null_example_density():
 
 def test_verify_null_odd_term_d2():
     term = rl.HarmonicNullTerm(k=5, j=2, kprime=1, coeff=1.0, d=2, R=1.0)
-    xs = rl.ball_grid(2, 1.0, 50, seed=1, mode="uniform")
+    xs = rl.ball_grid(2, 1.0, 50, seed=1)
     report = rl.verify_null(term, xs, rl.sphere_rule(2, 64))
     assert report.max_ramp_integral <= 1e-8
 
 
 def test_verify_null_d3():
     term = rl.HarmonicNullTerm(k=4, j=1, kprime=0, coeff=1.0, d=3, R=1.0)
-    xs = rl.ball_grid(3, 1.0, 50, seed=2, mode="uniform")
+    xs = rl.ball_grid(3, 1.0, 50, seed=2)
     report = rl.verify_null(term, xs, rl.sphere_rule(3, 16))
     assert report.max_ramp_integral <= 1e-8
 
 
 def test_verify_null_all_set_a_terms_k_le_8():
     for d, rule in ((2, rl.sphere_rule(2, 64)), (3, rl.sphere_rule(3, 16))):
-        xs = rl.ball_grid(d, 1.0, 20, seed=7, mode="uniform")
+        xs = rl.ball_grid(d, 1.0, 20, seed=7)
         for k in range(3, 9):
             for kprime in range(k % 2, k - 2, 2):
                 for j in range(1, rl.harmonic_dim(k, d) + 1):
@@ -153,7 +153,7 @@ def test_verify_null_all_set_a_terms_k_le_8():
 
 def test_verify_null_d3_above_the_old_degree_cap():
     # d=3 harmonics stopped at degree 12; the default rule is exact to degree k + k' + 2
-    xs = rl.ball_grid(3, 1.0, 100, mode="low-discrepancy")
+    xs = rl.ball_grid(3, 1.0, 100)
     for k, kprime, j in ((40, 20, 1), (40, 20, 41), (40, 20, 60), (120, 60, 7), (179, 101, 200)):
         term = rl.HarmonicNullTerm(k=k, j=j, kprime=kprime, coeff=1.0, d=3, R=1.0)
         assert rl.verify_null(term, xs).max_ramp_integral <= 1e-12, (k, kprime, j)
@@ -164,7 +164,7 @@ def test_verify_null_d2_default_rule_is_the_smallest_exact_one(k, kprime, j):
     # k + k' + 3 circle nodes are exact to degree k + k' + 2; one node fewer
     # aliases the top frequency of Y_k times c^{k'+2} onto the constant
     term = rl.HarmonicNullTerm(k=k, j=j, kprime=kprime, coeff=1.0, d=2, R=1.0)
-    xs = rl.ball_grid(2, 1.0, 200, mode="low-discrepancy")
+    xs = rl.ball_grid(2, 1.0, 200)
     m = _rule_resolution(2, k, kprime)
     assert m == k + kprime + 3
     default = rl.verify_null(term, xs)
@@ -178,7 +178,7 @@ def test_verify_null_d3_default_resolution_is_k_plus_1(k, kprime, j):
     # for k' <= k - 4 the degree needs only (k + k' + 4) // 2 <= k, so the
     # azimuth guard m >= k + 1 binds, and not a floor of 16
     term = rl.HarmonicNullTerm(k=k, j=j, kprime=kprime, coeff=1.0, d=3, R=1.0)
-    xs = rl.ball_grid(3, 1.0, 100, mode="low-discrepancy")
+    xs = rl.ball_grid(3, 1.0, 100)
     assert _rule_resolution(3, k, kprime) == k + 1
     default = rl.verify_null(term, xs)
     assert default == rl.verify_null(term, xs, rl.sphere_rule(3, k + 1))
@@ -202,7 +202,7 @@ def test_terms_at_the_rule_size_bound_are_accepted():
 
 def test_verify_null_rejects_threshold_term():
     term = rl.HarmonicNullTerm(k=4, j=1, kprime=2, coeff=1.0, d=2, R=1.0)
-    xs = rl.ball_grid(2, 1.0, 10, seed=0, mode="uniform")
+    xs = rl.ball_grid(2, 1.0, 10, seed=0)
     with pytest.raises(PreconditionError):
         rl.verify_null(term, xs, rl.sphere_rule(2, 64))
 
@@ -308,7 +308,7 @@ def test_discretize_null_refuses_a_neuron_count_that_is_not_an_integer(n):
 
 
 def test_discretize_null_convergence_and_mass():
-    grid = rl.ball_grid(2, 1.0, 500, mode="low-discrepancy")
+    grid = rl.ball_grid(2, 1.0, 500)
     sups = {}
     for n in (500, 2000, 8000):
         net = rl.discretize_null(EX2_TERM, n)
@@ -321,7 +321,7 @@ def test_discretize_null_convergence_and_mass():
 
 def test_discretize_null_d3():
     term = rl.HarmonicNullTerm(k=4, j=1, kprime=0, coeff=1.0, d=3, R=1.0)
-    grid = rl.ball_grid(3, 1.0, 300, mode="low-discrepancy")
+    grid = rl.ball_grid(3, 1.0, 300)
     net = rl.discretize_null(term, 4000)
     assert float(np.max(np.abs(net.evaluate(grid.points)))) < 5e-3
     assert np.abs(net.a).sum() > 0.5
@@ -331,7 +331,7 @@ def test_discretize_null_d3_sphere_factor_follows_degree():
     # the budget alone gives a 5 x 10 product rule, exact to degree 9 < k + k' + 2 = 16;
     # m = 9 would do for the degree, and m >= k + 1 = 10 keeps every azimuthal order off the zeros
     term = rl.HarmonicNullTerm(k=9, j=2, kprime=5, coeff=1.0, d=3, R=1.0)
-    grid = rl.ball_grid(3, 1.0, 500, mode="low-discrepancy")
+    grid = rl.ball_grid(3, 1.0, 500)
     net = rl.discretize_null(term, 3000)
     assert net.n == 2 * 10**2 * 15
     assert float(np.max(np.abs(net.evaluate(grid.points)))) <= 1e-3
@@ -354,7 +354,7 @@ def test_mode_connect_zero_scale(near_cancel_measure):
     mu2 = rl.from_cosine_sum(2, [(1.0, [1.0, 0.3])])
     d2 = rl.density_from_spectrum(mu2, 1.0)
     base2 = rl.sample_network(d2, rl.AffinePart.zero(2), 32, seed=0)
-    grid = rl.ball_grid(2, 1.0, 200, mode="low-discrepancy")
+    grid = rl.ball_grid(2, 1.0, 200)
     report = rl.mode_connect_perturb(base2, EX2_TERM, 2000, 0.0, grid)
     assert report.functional_change == 0.0
     assert report.displacement == 0.0
@@ -364,7 +364,7 @@ def test_mode_connect_flat_direction():
     mu = rl.from_cosine_sum(2, [(1.0, [1.0, 0.3])])
     density = rl.density_from_spectrum(mu, 1.0)
     base = rl.sample_network(density, rl.AffinePart.zero(2), 64, seed=4)
-    grid = rl.ball_grid(2, 1.0, 500, mode="low-discrepancy")
+    grid = rl.ball_grid(2, 1.0, 500)
     report = rl.mode_connect_perturb(base, EX2_TERM, 2000, 1.0, grid)
     assert report.functional_change <= 1e-3
     assert report.displacement >= 0.5
@@ -376,7 +376,7 @@ def test_mode_connect_linear_in_scale():
     mu = rl.from_cosine_sum(2, [(1.0, [1.0, 0.3])])
     density = rl.density_from_spectrum(mu, 1.0)
     base = rl.sample_network(density, rl.AffinePart.zero(2), 16, seed=4)
-    grid = rl.ball_grid(2, 1.0, 100, mode="low-discrepancy")
+    grid = rl.ball_grid(2, 1.0, 100)
     r1 = rl.mode_connect_perturb(base, EX2_TERM, 500, 1.0, grid)
     r3 = rl.mode_connect_perturb(base, EX2_TERM, 500, 3.0, grid)
     assert r3.functional_change == pytest.approx(3.0 * r1.functional_change, rel=1e-12)
@@ -386,7 +386,7 @@ def test_mode_connect_linear_in_scale():
 def test_null_term_density_is_null_at_high_degree():
     # k + k' + 2 = 102: a 64-node circle, exact to degree 63, left 1.7e-4
     term = rl.HarmonicNullTerm(k=60, j=1, kprime=40, coeff=1.0, d=2, R=1.0)
-    X = rl.ball_grid(2, 1.0, 50, seed=0, mode="uniform").points
+    X = rl.ball_grid(2, 1.0, 50, seed=0).points
     assert np.max(np.abs(ramp_integral_grid(rl.null_term_density(term), X))) <= 1e-12
     # the default is the exact rule of k + k' + 3 = 103 nodes, an odd count;
     # an explicit rule size is kept

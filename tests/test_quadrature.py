@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import radonlab as rl
-from radonlab.errors import InvalidInputError, UnsupportedDimensionError
-from radonlab.quadrature import _halton, _primes
+from radonlab import quadrature
+from radonlab.errors import DomainError, InvalidInputError, UnsupportedDimensionError
+from radonlab.quadrature import _cube_to_ball, _halton, _primes
 
 
 def monomial_integral(p, a, b):
@@ -113,8 +114,9 @@ def test_rules_take_python_and_numpy_integers(n):
     assert rl.gauss_legendre(n, -1.0, 1.0).nodes.tobytes() == rl.gauss_legendre(5, -1.0, 1.0).nodes.tobytes()
     assert rl.sphere_rule(2, n).nodes.tobytes() == rl.sphere_rule(2, 5).nodes.tobytes()
     assert rl.sphere_rule(3, n).nodes.tobytes() == rl.sphere_rule(3, 5).nodes.tobytes()
-    for mode in ("lattice", "low-discrepancy", "uniform"):
-        assert rl.ball_grid(2, 1.0, n, seed=1, mode=mode).points.tobytes() == rl.ball_grid(2, 1.0, 5, seed=1, mode=mode).points.tobytes()
+    for seed in (None, 1):
+        assert rl.ball_grid(2, 1.0, n, seed=seed).points.tobytes() == rl.ball_grid(2, 1.0, 5, seed=seed).points.tobytes()
+    assert rl.ball_grid(2, 1.0, 5, seed=n).points.tobytes() == rl.ball_grid(2, 1.0, 5, seed=5).points.tobytes()
 
 
 @pytest.mark.parametrize("m", [1, 2, 7, 16, 41])
@@ -173,33 +175,56 @@ def test_rules_are_immutable():
         rule.nodes[0] = 0.0
 
 
-def test_ball_grid_d1_lattice():
-    grid = rl.ball_grid(1, 1.0, 5, mode="lattice")
-    assert np.allclose(grid.points.ravel(), [-0.8, -0.4, 0.0, 0.4, 0.8], atol=1e-15)
-
-
-@pytest.mark.parametrize("mode", ["lattice", "low-discrepancy", "uniform"])
-def test_ball_grid_containment(mode):
-    grid = rl.ball_grid(2, 1.0, 100, seed=7, mode=mode)
+@pytest.mark.parametrize("seed", [None, 7], ids=["low-discrepancy", "uniform"])
+def test_ball_grid_containment(seed):
+    grid = rl.ball_grid(2, 1.0, 100, seed=seed)
     assert np.all(np.linalg.norm(grid.points, axis=1) < 1.0)
-    if mode != "lattice":
-        assert len(grid) == 100
+    assert len(grid) == 100
 
 
 def test_ball_grid_determinism():
-    g1 = rl.ball_grid(3, 2.0, 64, seed=11, mode="uniform")
-    g2 = rl.ball_grid(3, 2.0, 64, seed=11, mode="uniform")
+    g1 = rl.ball_grid(3, 2.0, 64, seed=11)
+    g2 = rl.ball_grid(3, 2.0, 64, seed=11)
     assert np.array_equal(g1.points, g2.points)
     h1 = rl.ball_grid(2, 1.0, 64)
     h2 = rl.ball_grid(2, 1.0, 64)
     assert np.array_equal(h1.points, h2.points)
 
 
+def test_ball_grid_is_chosen_by_the_seed():
+    # a seed was ignored unless mode="uniform" was also passed
+    halton = rl.ball_grid(2, 1.0, 3)
+    seeded = rl.ball_grid(2, 1.0, 3, seed=5)
+    assert halton.points.tobytes() == _cube_to_ball(_halton(3, 2), 2, 1.0).tobytes()
+    assert seeded.points.tobytes() == _cube_to_ball(np.random.default_rng(5).random((3, 2)), 2, 1.0).tobytes()
+    assert set(vars(seeded)) == {"d", "R", "points"}
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "1"], ids=["negative", "fraction", "bool", "str"])
+def test_ball_grid_names_a_refused_seed(seed):
+    with pytest.raises(InvalidInputError, match="^seed must be"):
+        rl.ball_grid(2, 1.0, 10, seed=seed)
+
+
+@pytest.mark.parametrize("d, m", [(10**11, 200), (1, 2**22 + 1), (4, 2**22 // 5 + 1)])
+def test_ball_grid_refuses_an_oversized_grid_before_building_it(d, m):
+    # d = 1e11 asked numpy for 2.6 TiB of Halton bases, and d = 2e5 took 13 s to sieve them
+    with pytest.raises(DomainError, match=f"m = {m} points in d = {d} takes more than 4194304 uniforms"):
+        rl.ball_grid(d, 1.0, m)
+
+
+def test_ball_grid_bound_counts_d_plus_one_uniforms_above_d3(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_GRID_UNIFORMS", 50)
+    assert len(rl.ball_grid(3, 1.0, 16)) == 16  # 48 uniforms
+    assert len(rl.ball_grid(4, 1.0, 10)) == 10  # 50 uniforms, at the bound
+    for d, m in [(3, 17), (4, 11)]:
+        with pytest.raises(DomainError):
+            rl.ball_grid(d, 1.0, m)
+
+
 def test_ball_grid_rejects_bad_inputs():
     with pytest.raises(InvalidInputError):
         rl.ball_grid(2, 1.0, 0)
-    with pytest.raises(InvalidInputError):
-        rl.ball_grid(2, 1.0, 10, mode="nope")
 
 
 @pytest.mark.parametrize("m", NOT_INTEGERS, ids=NOT_INTEGER_IDS)
@@ -218,7 +243,7 @@ def test_ball_grid_higher_dimensions():
     # d > 3 has no deterministic sphere rule, but evaluation grids must still
     # exist for the sampling path
     for d in (4, 5, 8, 9, 32):
-        uniform = rl.ball_grid(d, 1.0, 150, seed=3, mode="uniform")
+        uniform = rl.ball_grid(d, 1.0, 150, seed=3)
         assert uniform.points.shape == (150, d)
         assert np.all(np.linalg.norm(uniform.points, axis=1) < 1.0)
         halton = rl.ball_grid(d, 1.0, 150)

@@ -25,6 +25,7 @@ from radonlab.radon_measure import (
 from conftest import (
     EPS,
     abs_cos_integral,
+    lattice_grid,
     near_cancel_fpp,
     norm_and_fourier_bound,
     padded_density,
@@ -157,7 +158,7 @@ def test_reconstruct_affine_only():
 
 
 def test_reconstruct_cosine(cos_measure, cos_density):
-    grid = rl.ball_grid(1, math.pi / 2, 64, mode="lattice")
+    grid = lattice_grid(1, math.pi / 2, 64)
     affine = rl.fit_affine(cos_density)
     assert sup_gap(cos_measure, cos_density, affine, grid.points) < 1e-8
     assert (ramp_integral_grid(cos_density, [[0.3]]) + affine([[0.3]]))[0] == pytest.approx(math.cos(0.3), abs=1e-8)
@@ -165,7 +166,7 @@ def test_reconstruct_cosine(cos_measure, cos_density):
 
 def test_reconstruct_near_cancel_on_grid(near_cancel_measure):
     density = rl.density_from_spectrum(near_cancel_measure, 1.0)
-    grid = rl.ball_grid(1, 1.0, 50, mode="lattice")
+    grid = lattice_grid(1, 1.0, 50)
     affine = rl.fit_affine(density)
     values = ramp_integral_grid(density, grid.points) + affine(grid.points)
     assert np.max(np.abs(values - near_cancel_measure.evaluate(grid.points))) <= 1e-7
@@ -174,7 +175,7 @@ def test_reconstruct_near_cancel_on_grid(near_cancel_measure):
 def test_fit_affine_zero_spectrum():
     mu = rl.SpectralMeasure(d=1)
     density = rl.density_from_spectrum(mu, 1.0)
-    grid = rl.ball_grid(1, 1.0, 20, mode="lattice")
+    grid = lattice_grid(1, 1.0, 20)
     affine = rl.fit_affine(density)
     assert np.allclose(affine.v, 0.0, atol=1e-14)
     assert affine.c == pytest.approx(0.0, abs=1e-14)
@@ -187,7 +188,7 @@ def test_fit_affine_negative_control_detects_non_null_corruption(cos_measure, co
     corrupt = cos_density.merged_with(
         RadonDensity(1, cos_density.R, cos_density.directions, freqs=np.full((1, m), 0.9), weights=np.full((1, m), 0.8 + 0j))
     )
-    grid = rl.ball_grid(1, math.pi / 2, 64, mode="lattice")
+    grid = lattice_grid(1, math.pi / 2, 64)
     affine = rl.fit_affine(corrupt)
     assert sup_gap(cos_measure, corrupt, affine, grid.points) > 1e-3
 
@@ -198,7 +199,7 @@ def _seeded_affine_cases(count=30):
     for _ in range(count):
         d, R = int(rng.integers(1, 4)), float(rng.uniform(0.5, 3.0))
         mu = rl.from_cosine_sum(d, random_cosine_terms(rng, d, n_terms=int(rng.integers(1, 6))))
-        yield mu, rl.density_from_spectrum(mu, R), rl.ball_grid(d, R, 200, mode="low-discrepancy").points
+        yield mu, rl.density_from_spectrum(mu, R), rl.ball_grid(d, R, 200).points
 
 
 def test_fit_affine_matches_a_least_squares_oracle():
@@ -232,7 +233,7 @@ def test_thm1_residual_on_random_spectra_d1_d2():
             mu = rl.from_cosine_sum(d, terms)
             R = 1.0
             density = rl.density_from_spectrum(mu, R)
-            grid = rl.ball_grid(d, R, 200, mode="low-discrepancy")
+            grid = rl.ball_grid(d, R, 200)
             affine = rl.fit_affine(density)
             assert sup_gap(mu, density, affine, grid.points) <= 1e-6
 
@@ -328,7 +329,7 @@ def test_null_density_added_to_density_leaves_reconstruct_unchanged(near_cancel_
     terms = random_cosine_terms(rng, 2, n_terms=2)
     mu = rl.from_cosine_sum(2, terms)
     density = rl.density_from_spectrum(mu, 1.0)
-    grid = rl.ball_grid(2, 1.0, 100, mode="low-discrepancy")
+    grid = rl.ball_grid(2, 1.0, 100)
     affine = rl.fit_affine(density)
     base_vals = ramp_integral_grid(density, grid.points) + affine(grid.points)
     term = rl.HarmonicNullTerm(k=4, j=1, kprime=0, coeff=1.0, d=2, R=1.0)
@@ -355,7 +356,7 @@ def test_ramp_integral_is_the_per_direction_sum_bit_for_bit(monkeypatch):
     mu = rl.from_cosine_sum(2, random_cosine_terms(rng, 2, n_terms=4))
     term = rl.HarmonicNullTerm(k=4, j=1, kprime=0, coeff=1.0, d=2, R=1.0)
     density = rl.density_from_spectrum(mu, 1.0).merged_with(rl.null_term_density(term, m=16))
-    X = rl.ball_grid(2, 1.0, 150, mode="low-discrepancy").points
+    X = rl.ball_grid(2, 1.0, 150).points
     loop = np.zeros(len(X))
     for r, w in enumerate(density.directions):
         u = X @ w

@@ -18,7 +18,7 @@ from radonlab.errors import DegenerateMeasureError, DomainError, InvalidInputErr
 from radonlab.radon_measure import RadonDensity
 from radonlab.sparsifier import _draw, _draw_biases, _draw_plan, _exact_l1_unit, _group_rows, _project, _ramp_sums
 
-from conftest import decay_slope, padded_density, random_cosine_terms
+from conftest import decay_slope, lattice_grid, padded_density, random_cosine_terms
 
 
 @pytest.fixture
@@ -108,7 +108,7 @@ def test_sup_error_zero_network():
         d=1, a=np.zeros(0), omegas=np.zeros((0, 1)), b=np.zeros(0),
         kappa=0.0, v=np.zeros(1), c=0.0, convention="quadrature",
     )
-    grid = rl.ball_grid(1, 1.0, 50, mode="lattice")
+    grid = lattice_grid(1, 1.0, 50)
     assert rl.sup_error(net, mu, grid) == 0.0
 
 
@@ -116,7 +116,7 @@ def test_quadrature_network_converges_to_reconstruction(cos_measure):
     # a dense product-quadrature net approaches the ramp pairing
     R = math.pi / 2
     density = rl.density_from_spectrum(cos_measure, R)
-    grid = rl.ball_grid(1, R, 100, mode="lattice")
+    grid = lattice_grid(1, R, 100)
     affine = rl.fit_affine(density)
     errors = {}
     for m in (32, 128):
@@ -170,7 +170,7 @@ def test_l1_network_represents_f(near_cancel_setup):
     # folding the negative biases into (v, c) must preserve the function:
     # a wrong fold shows up as an O(norm) offset, far above sampling noise
     mu, density, norm, affine = near_cancel_setup
-    grid = rl.ball_grid(1, 1.0, 200, mode="low-discrepancy")
+    grid = rl.ball_grid(1, 1.0, 200)
     errs = [
         rl.sup_error(rl.l1_normalized_network(density, affine, 2048, seed=s), mu, grid)
         for s in range(5)
@@ -203,6 +203,19 @@ def test_error_decay_requires_a_width(near_cancel_measure):
     # an empty list raised "not enough values to unpack (expected 2, got 0)"
     with pytest.raises(InvalidInputError, match="need at least one width"):
         rl.error_decay_experiment(near_cancel_measure, 1.0, [], trials=2, seed=1)
+
+
+@pytest.mark.parametrize("convention", ["foo", "quadrature", "THM2"])
+def test_error_decay_refuses_an_unknown_convention(near_cancel_measure, convention):
+    # any convention but prop2 ran as thm2
+    with pytest.raises(InvalidInputError, match=f"unknown convention {convention!r}"):
+        rl.error_decay_experiment(near_cancel_measure, 1.0, [16], trials=2, seed=1, convention=convention)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, None], ids=["negative", "fraction", "bool", "none"])
+def test_error_decay_names_a_refused_seed(near_cancel_measure, seed):
+    with pytest.raises(InvalidInputError, match="^seed must be"):
+        rl.error_decay_experiment(near_cancel_measure, 1.0, [16], trials=2, seed=seed)
 
 
 def test_network_json_roundtrip(tmp_path, near_cancel_setup):
@@ -319,11 +332,11 @@ def axis_measure():
 def test_ramp_sums_match_dense_thm2(axis_measure):
     density = rl.density_from_spectrum(axis_measure, 1.0)
     affine = rl.fit_affine(density)
-    X = rl.ball_grid(2, 1.0, 500, mode="low-discrepancy").points
+    X = rl.ball_grid(2, 1.0, 500).points
     for n in (1, 37, 4096):
         net = rl.sample_network(density, affine, n, seed=n)
         assert_matches_dense(kernel_ramp_sum(net, X), dense_ramp_sum(X, net.omegas, net.a, net.b))
-        assert rl.sup_error(net, axis_measure, rl.BallGrid(2, 1.0, X, "lattice")) == pytest.approx(
+        assert rl.sup_error(net, axis_measure, rl.BallGrid(2, 1.0, X)) == pytest.approx(
             dense_sup_error(net, axis_measure, X), rel=1e-12
         )
 
@@ -337,10 +350,10 @@ def test_ramp_sums_match_dense_prop2_with_clamped_biases(axis_measure):
     b[::10] = 1.0
     net = rl.TwoLayerNet(2, net.a, net.omegas, b, net.kappa, net.v, net.c, convention="prop2")
     net.check_convention()
-    X = np.vstack([rl.ball_grid(2, 1.0, 300, mode="low-discrepancy").points, [[1.0, 0.0], [-1.0, 0.0]]])
+    X = np.vstack([rl.ball_grid(2, 1.0, 300).points, [[1.0, 0.0], [-1.0, 0.0]]])
     assert 1.0 in (X @ net.omegas.T)
     assert_matches_dense(kernel_ramp_sum(net, X), dense_ramp_sum(X, net.omegas, net.a, net.b))
-    assert rl.sup_error(net, axis_measure, rl.BallGrid(2, 1.0, X, "lattice")) == pytest.approx(
+    assert rl.sup_error(net, axis_measure, rl.BallGrid(2, 1.0, X)) == pytest.approx(
         dense_sup_error(net, axis_measure, X), rel=1e-12
     )
 
@@ -361,12 +374,12 @@ def test_ramp_sums_ties_and_repeated_directions_out_of_order():
     relabel = np.array([1, 2, 0])
     assert_matches_dense(_ramp_sums(a, b, relabel[order], _project(X, dirs[[2, 0, 1]])), want)
     mu = rl.from_cosine_sum(2, [(1.0, [1.0, 2.0])])
-    assert rl.sup_error(net, mu, rl.BallGrid(2, 1.0, X, "lattice")) == pytest.approx(dense_sup_error(net, mu, X), rel=1e-12)
+    assert rl.sup_error(net, mu, rl.BallGrid(2, 1.0, X)) == pytest.approx(dense_sup_error(net, mu, X), rel=1e-12)
 
 
 def test_ramp_sums_with_undrawn_directions(axis_measure):
     density = rl.density_from_spectrum(axis_measure, 1.0)
-    X = rl.ball_grid(2, 1.0, 200, mode="low-discrepancy").points
+    X = rl.ball_grid(2, 1.0, 200).points
     plan = _draw_plan(density, rl.AffinePart.zero(2), "thm2")
     idx, a, b = _draw(plan, [(3, 1)])
     net = plan.net(idx, a, b)
@@ -376,11 +389,11 @@ def test_ramp_sums_with_undrawn_directions(axis_measure):
 
 
 def test_ramp_sums_empty_network():
-    X = rl.ball_grid(2, 1.0, 50, mode="lattice").points
+    X = lattice_grid(2, 1.0, 50).points
     assert np.array_equal(_ramp_sums(np.zeros(0), np.zeros(0), np.zeros(0, int), np.zeros((0, len(X)))), np.zeros(len(X)))
     mu = rl.from_cosine_sum(2, [(1.0, [1.0, 2.0])])
     net = rl.TwoLayerNet(2, np.zeros(0), np.zeros((0, 2)), np.zeros(0), 0.0, np.array([0.5, 1.0]), -0.25, "quadrature")
-    assert rl.sup_error(net, mu, rl.BallGrid(2, 1.0, X, "lattice")) == pytest.approx(dense_sup_error(net, mu, X), rel=1e-12)
+    assert rl.sup_error(net, mu, rl.BallGrid(2, 1.0, X)) == pytest.approx(dense_sup_error(net, mu, X), rel=1e-12)
 
 
 def stream_case(rng, ties):
@@ -578,7 +591,7 @@ def assert_evaluates_as_dense(net, X):
 def test_evaluate_matches_dense_on_a_null_net():
     net = rl.discretize_null(rl.HarmonicNullTerm(k=6, j=1, kprime=0, coeff=1.0, d=2, R=1.0), 4000)
     assert len(np.unique(net.omegas, axis=0)) == 63 and net.n == 3969
-    assert_evaluates_as_dense(net, rl.ball_grid(2, 1.0, 500, mode="low-discrepancy").points)
+    assert_evaluates_as_dense(net, rl.ball_grid(2, 1.0, 500).points)
 
 
 def test_evaluate_matches_dense_on_distinct_directions_with_ties():
@@ -633,7 +646,7 @@ def test_evaluate_is_bitwise_the_np_unique_grouping(case):
     n, d = omegas.shape
     rng = np.random.default_rng(n)
     net = rl.TwoLayerNet(d, rng.normal(size=n), omegas, rng.uniform(-1.0, 1.0, n), 1.5, rng.normal(size=d), 0.25, "quadrature")
-    X = rl.ball_grid(d, 1.0, 200, mode="low-discrepancy").points
+    X = rl.ball_grid(d, 1.0, 200).points
     assert net.evaluate(X).tobytes() == unique_evaluate(net, X).tobytes()
 
 
@@ -653,7 +666,7 @@ def test_evaluate_d1_point_shapes():
 
 def test_evaluate_empty_network():
     net = rl.TwoLayerNet(2, np.zeros(0), np.zeros((0, 2)), np.zeros(0), 0.0, np.array([0.5, 1.0]), -0.25, "quadrature")
-    X = rl.ball_grid(2, 1.0, 50, mode="lattice").points
+    X = lattice_grid(2, 1.0, 50).points
     assert_evaluates_as_dense(net, X)
     assert net.evaluate([0.5, 0.25]) == 0.25
 
@@ -671,7 +684,7 @@ def test_evaluate_rejects_points_of_the_wrong_width():
 def test_evaluate_null_net_memory():
     # the dense N x n ramp matrix of this net peaked at about 30 MiB
     net = rl.discretize_null(rl.HarmonicNullTerm(k=6, j=1, kprime=0, coeff=1.0, d=2, R=1.0), 4000)
-    X = rl.ball_grid(2, 1.0, 500, mode="low-discrepancy").points
+    X = rl.ball_grid(2, 1.0, 500).points
     net.evaluate(X[:1])
     tracemalloc.start()
     try:
@@ -693,7 +706,7 @@ def test_error_decay_trials_equal_sup_error_bit_for_bit(axis_measure, convention
     reports = rl.error_decay_experiment(mu, R, [16, 256], trials=3, seed=11, convention=convention)[0]
     density = rl.density_from_spectrum(mu, R)
     affine = rl.fit_affine(density)
-    grid = rl.ball_grid(d, R, 500, mode="low-discrepancy")
+    grid = rl.ball_grid(d, R, 500)
     for ni, report in enumerate(reports):
         for t, err in enumerate(report.errors):
             if convention == "prop2":
@@ -711,7 +724,7 @@ def test_error_decay_adds_directions_in_the_order_evaluate_does():
     reports = rl.error_decay_experiment(mu, R, [16, 256, 1024], trials=6, seed=11, convention="prop2")[0]
     density = rl.density_from_spectrum(mu, R)
     affine = rl.fit_affine(density)
-    grid = rl.ball_grid(3, R, 500, mode="low-discrepancy")
+    grid = rl.ball_grid(3, R, 500)
     for ni, report in enumerate(reports):
         for t, err in enumerate(report.errors):
             assert rl.sup_error(rl.l1_normalized_network(density, affine, report.n, [11, ni, t]), mu, grid) == err

@@ -182,8 +182,14 @@ def test_spectrum_dimension_may_be_an_integral_float(tmp_path):
 @pytest.mark.parametrize(
     "text, message",
     [
-        ('{"d": 1, "terms": 5}', "wrong type: 'int' object is not iterable"),
-        ('{"d": 1, "terms": [3.0]}', "wrong type: 'float' object is not subscriptable"),
+        ('{"d": 1, "terms": 5}', "'terms' must be a list, not 5"),
+        ('{"d": 1, "terms": [3.0]}', "'terms' entries must be objects, not 3.0"),
+        ('{"d": 1, "terms": null}', "'terms' must be a list, not None"),
+        ('{"d": 1, "terms": true}', "'terms' must be a list, not True"),
+        ('{"d": 1, "terms": "ab"}', "'terms' must be a list, not 'ab'"),
+        ('{"d": 1, "terms": {}}', "'terms' must be a list, not {}"),
+        ('{"d": 1, "terms": [{"amplitude": 1.0, "xi": [1.0]}, [5]]}', "'terms' entries must be objects, not [5]"),
+        ('{"d": 1, "terms": [null]}', "'terms' entries must be objects, not None"),
         ('{"d": 1, "terms": [{"amplitude": "one", "xi": [1.0]}]}', "'amplitude' must be a number: could not convert string"),
         ('{"d": 1, "terms": [{"xi": [1.0]}]}', "missing 'amplitude'"),
         ('{"terms": []}', "missing 'd'"),
