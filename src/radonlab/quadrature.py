@@ -175,6 +175,7 @@ def ball_grid(d: int, R: float, m: int, seed: int | None = None) -> BallGrid:
     """Build m points strictly inside the open ball, reproducible point for point: the first m Halton
     points mapped into the ball, or with a seed m uniform draws of ``default_rng(seed)`` mapped alike.
     A grid of more than ``_MAX_GRID_UNIFORMS`` uniforms is refused before any is made."""
+    check_count(d, "dimension")
     check_count(m, "grid point count")
     if not (math.isfinite(R) and R > 0):
         raise InvalidInputError(f"ball radius R must be positive and finite, not {R}")

@@ -44,7 +44,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMeasureError, DomainError, InvalidInputError, check_count, float_field, integer_field, list_field
+from .errors import (
+    DegenerateMeasureError,
+    DomainError,
+    InvalidInputError,
+    check_count,
+    check_integer,
+    float_field,
+    integer_field,
+    list_field,
+)
 from .quadrature import BallGrid, ball_grid
 from .radon_measure import (
     AffinePart,
@@ -560,11 +569,15 @@ def error_decay_experiment(
     direction, however many one-neuron streams the ladder has.  Each batch
     is scored by one ``_ramp_sums`` call over all of its streams.
     """
+    n_list = list(n_list)
+    for n in n_list:
+        check_integer(n, "width")
     n_list = [int(n) for n in n_list]
     if not n_list:
         raise InvalidInputError("need at least one width in the width list")
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise InvalidInputError("widths must be strictly increasing")
+    check_integer(trials, "trial count")
     if trials < 1:
         raise InvalidInputError("need at least one trial")
     check_count(seed, "seed", zero=True)

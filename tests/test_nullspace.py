@@ -12,7 +12,7 @@ import pytest
 
 import radonlab as rl
 from radonlab.errors import DomainError, InvalidInputError, PreconditionError
-from radonlab.nullspace import _int_power, _rule_resolution
+from radonlab.nullspace import _factor_neurons, _int_power, _rule_resolution
 from radonlab.radon_measure import ramp_integral_grid
 
 from conftest import threshold_pairing, witness_closed_form
@@ -381,6 +381,53 @@ def test_mode_connect_linear_in_scale():
     r3 = rl.mode_connect_perturb(base, EX2_TERM, 500, 3.0, grid)
     assert r3.functional_change == pytest.approx(3.0 * r1.functional_change, rel=1e-12)
     assert r3.displacement == pytest.approx(3.0 * r1.displacement, rel=1e-12)
+
+
+def _flat_net(d):
+    """A one-neuron base network: mode_connect_perturb reads only its dimension."""
+    return rl.TwoLayerNet(
+        d=d, a=np.ones(1), omegas=np.eye(d)[:1], b=np.zeros(1), kappa=1.0, v=np.zeros(d), c=0.0,
+        convention="quadrature",
+    )
+
+
+RAISED_TERMS = [
+    rl.HarmonicNullTerm(k=60, j=1, kprime=40, coeff=1.0, d=2, R=1.0),
+    rl.HarmonicNullTerm(k=9, j=2, kprime=5, coeff=1.0, d=3, R=1.0),
+]
+
+
+BUDGETS = [(d, n) for d in (2, 3) for n in (16, 500, 2000, 4000)]
+
+
+@pytest.mark.parametrize(
+    "term, n",
+    [(rl.HarmonicNullTerm(k=6, j=2, kprime=2, coeff=1.7, d=d, R=1.0), n) for d, n in BUDGETS]
+    + [(term, 3000) for term in RAISED_TERMS],
+    ids=[f"d{d}-n{n}" for d, n in BUDGETS] + ["raised-d2", "raised-d3"],
+)
+def test_mode_connect_matches_the_built_net(term, n):
+    # the product-rule evaluation is the discretized net's value up to rounding,
+    # and the neuron count and masses are the net's to the bit
+    if term in RAISED_TERMS:
+        assert _factor_neurons(n, term.d, term.k, term.kprime)[0] == _rule_resolution(term.d, term.k, term.kprime)
+    grid = rl.ball_grid(term.d, 0.9, 300, seed=5)
+    net = rl.discretize_null(term, n)
+    s = -1.3
+    report = rl.mode_connect_perturb(_flat_net(term.d), term, n, s, grid)
+    mass = float(np.abs(net.a).sum())
+    assert report.added_neurons == net.n
+    assert report.coefficient_mass == mass
+    assert report.displacement == float(np.abs(s * net.a).sum())
+    want = abs(s) * float(np.max(np.abs(net.evaluate(grid.points))))
+    assert abs(report.functional_change - want) <= 1e-15 * mass
+    assert rl.mode_connect_perturb(_flat_net(term.d), term, n, 0.0, grid).functional_change == 0.0
+
+
+def test_mode_connect_refuses_a_grid_of_another_dimension():
+    # the evaluation never builds the net, so its point-shape check is not there to refuse it
+    with pytest.raises(InvalidInputError, match="grid dimension d = 3 differs from the term's d = 2"):
+        rl.mode_connect_perturb(_flat_net(2), EX2_TERM, 500, 1.0, rl.ball_grid(3, 1.0, 20))
 
 
 def test_null_term_density_is_null_at_high_degree():

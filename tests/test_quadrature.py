@@ -233,6 +233,17 @@ def test_ball_grid_refuses_a_point_count_that_is_not_an_integer(m):
         rl.ball_grid(2, 1.0, m)
 
 
+@pytest.mark.parametrize(
+    "d, message",
+    [(0, "positive, not 0"), (-2, "positive, not -2"), (2.0, "an integer, not 2.0"), (True, "an integer, not True")],
+)
+def test_ball_grid_refuses_a_dimension_that_is_not_a_positive_integer(d, message):
+    # d = 0 raised numpy's "need at least one array to concatenate", d = 2.0
+    # "slice indices must be integers", and d = True made a d = 1 grid
+    with pytest.raises(InvalidInputError, match=f"^dimension must be {message}"):
+        rl.ball_grid(d, 1.0, 5)
+
+
 @pytest.mark.parametrize("R", [math.inf, math.nan])
 def test_ball_grid_refuses_a_non_finite_radius(R):
     with pytest.raises(InvalidInputError, match="finite"):

@@ -218,6 +218,20 @@ def test_error_decay_names_a_refused_seed(near_cancel_measure, seed):
         rl.error_decay_experiment(near_cancel_measure, 1.0, [16], trials=2, seed=seed)
 
 
+@pytest.mark.parametrize("trials", [2.5, 2.0, True, "2"], ids=["fraction", "whole-float", "bool", "str"])
+def test_error_decay_refuses_a_trial_count_that_is_not_an_integer(near_cancel_measure, trials):
+    # trials=2.5 raised "'float' object cannot be interpreted as an integer"
+    with pytest.raises(InvalidInputError, match="^trial count must be an integer"):
+        rl.error_decay_experiment(near_cancel_measure, 1.0, [16], trials=trials, seed=1)
+
+
+@pytest.mark.parametrize("widths", [[16.5], [16, 64.0], [True, 16]], ids=["fraction", "whole-float", "bool"])
+def test_error_decay_refuses_a_width_that_is_not_an_integer(near_cancel_measure, widths):
+    # int() turned a width of 16.5 into 16
+    with pytest.raises(InvalidInputError, match="^width must be an integer"):
+        rl.error_decay_experiment(near_cancel_measure, 1.0, widths, trials=2, seed=1)
+
+
 def test_network_json_roundtrip(tmp_path, near_cancel_setup):
     mu, density, norm, affine = near_cancel_setup
     net = rl.sample_network(density, affine, 32, seed=2)
