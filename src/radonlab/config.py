@@ -16,10 +16,9 @@ echoes the overrides that were applied.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_finite
 
 
 @dataclass
@@ -47,8 +46,7 @@ class CalibrationConstants:
                 parsed[key] = float(value)
             except ValueError:
                 raise InvalidInputError(f"tolerance override {key} must be a number, not {value!r}") from None
-            if not math.isfinite(parsed[key]):
-                raise InvalidInputError(f"tolerance override {key} must be finite, not {parsed[key]}")
+            check_finite(parsed[key], f"tolerance override {key}")
         return CalibrationConstants(**({key: getattr(self, key) for key in valid} | parsed), overrides=parsed)
 
 

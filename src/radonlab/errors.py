@@ -1,5 +1,5 @@
-"""Exception hierarchy shared by all modules, the CLI exit-code mapping, the input-file field checks
-and the checks of an integer or count argument."""
+"""Exception hierarchy shared by all modules, the CLI exit-code mapping, the input-file field checks, and
+the one intake of arguments: integer, count, finite and radius checks, ``freeze`` and ``as_points``."""
 
 from __future__ import annotations
 
@@ -71,6 +71,37 @@ def check_count(n, what: str, zero: bool = False) -> None:
     check_integer(n, what)
     if n < (0 if zero else 1):
         raise InvalidInputError(f"{what} must be {'non-negative' if zero else 'positive'}, not {n}")
+
+
+def check_finite(x, what: str) -> None:
+    """Refuse a number, or an array with an entry, that is NaN or infinite, naming the first such value."""
+    finite = np.isfinite(x)
+    if not (finite.all() if finite.ndim else finite):  # a number's test is a numpy bool: all() is slow on it
+        raise InvalidInputError(f"{what} must be finite, not {np.asarray(x)[~finite][0]}")
+
+
+def check_radius(R, what: str = "ball radius R") -> None:
+    """Refuse a radius that is not a positive finite number."""
+    check_finite(R, what)
+    if not R > 0:
+        raise InvalidInputError(f"{what} must be positive, not {R}")
+
+
+def freeze(record, **arrays) -> None:
+    """Set each named field of the frozen dataclass ``record`` to a read-only copy of the array given."""
+    for name, value in arrays.items():
+        value = np.array(value)
+        value.setflags(write=False)
+        object.__setattr__(record, name, value)
+
+
+def as_points(x, d: int) -> tuple[np.ndarray, bool]:
+    """``x`` as an (N, d) float array and whether it was one point, the one way every evaluator reads
+    points: a number (d = 1 only) or a (d,) vector is one point, an (N, d) array N, any other shape raises."""
+    pts = np.asarray(x, dtype=float)
+    if pts.ndim > 2 or (pts.shape or (1,))[-1] != d:
+        raise InvalidInputError(f"points of shape {pts.shape} do not match d={d}")
+    return (pts, False) if pts.ndim == 2 else (pts.reshape(1, d), True)
 
 
 def float_field(payload: dict, key: str, what: str, array: bool = False):

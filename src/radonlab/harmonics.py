@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, InvalidInputError, UnsupportedDimensionError
+from .errors import DomainError, InvalidInputError, UnsupportedDimensionError, as_points
 
 # highest degree harmonic_eval takes: the d=3 recurrence makes one Python step per degree
 _MAX_DEGREE = 2**16
@@ -72,14 +72,12 @@ def _normalized_legendre(k: int, m: int, t: np.ndarray) -> np.ndarray:
 def harmonic_eval(k: int, j: int, d: int, omega):
     """Value of the j-th orthonormal real harmonic of degree k at unit vectors.
 
-    ``omega`` may be a single unit vector of shape (d,) or a batch (n, d).
-    A degree above 2^16 is refused with ``DomainError`` in either dimension;
-    no null term needs one.
+    ``omega`` may be a single unit vector of shape (d,), whose value is a
+    float, or a batch (n, d).  A degree above 2^16 is refused with
+    ``DomainError`` in either dimension; no null term needs one.
     """
     _check_index(k, j, d)
-    w = np.atleast_2d(np.asarray(omega, dtype=float))
-    if w.shape[1] != d:
-        raise InvalidInputError(f"expected points in R^{d}, got shape {w.shape}")
+    w, single = as_points(omega, d)
     if d == 2:
         theta = np.arctan2(w[:, 1], w[:, 0])
         if k == 0:
@@ -102,4 +100,4 @@ def harmonic_eval(k: int, j: int, d: int, omega):
             out = p
     else:
         raise UnsupportedDimensionError(f"harmonic_eval supports d in {{2, 3}}, got {d}")
-    return out if np.asarray(omega).ndim > 1 else float(out[0])
+    return float(out[0]) if single else out

@@ -45,7 +45,9 @@ from .errors import (
     PreconditionError,
     UnsupportedDimensionError,
     check_count,
+    check_finite,
     check_integer,
+    check_radius,
     float_field,
     integer_field,
 )
@@ -100,12 +102,8 @@ class HarmonicNullTerm:
         n = harmonic_dim(self.k, self.d)
         if not 1 <= self.j <= n:
             raise InvalidInputError(f"index j={self.j} outside 1..{n}")
-        if not math.isfinite(self.coeff):
-            raise InvalidInputError(f"null term coefficient coeff must be finite, not {self.coeff}")
-        if not math.isfinite(self.R):
-            raise InvalidInputError(f"ball radius R must be finite, not {self.R}")
-        if self.R <= 0:
-            raise InvalidInputError("ball radius must be positive")
+        check_finite(self.coeff, "null term coefficient coeff")
+        check_radius(self.R)
         nodes = _rule_nodes(self.d, _rule_resolution(self.d, self.k, self.kprime))
         if nodes > _MAX_RULE_NODES:
             raise DomainError(
@@ -321,8 +319,7 @@ def mode_connect_perturb(
     up to rounding, within 1e-15 of the coefficient mass; the neuron count,
     displacement and coefficient mass are the net's to the bit.
     """
-    if not math.isfinite(s):
-        raise InvalidInputError(f"scale s must be finite, not {s}")
+    check_finite(s, "scale s")
     if base.d != term.d:
         raise InvalidInputError("network and term dimensions differ")
     if grid.d != term.d:

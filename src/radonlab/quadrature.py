@@ -15,7 +15,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, InvalidInputError, UnsupportedDimensionError, check_count
+from .errors import (
+    DomainError,
+    InvalidInputError,
+    UnsupportedDimensionError,
+    as_points,
+    check_count,
+    check_finite,
+    check_radius,
+    freeze,
+)
 
 
 @dataclass(frozen=True)
@@ -35,12 +44,10 @@ class QuadratureRule:
         weights = np.asarray(self.weights, dtype=float)
         if len(weights) != len(nodes):
             raise InvalidInputError("nodes and weights must have equal length")
-        if np.any(weights <= 0):
-            raise InvalidInputError("quadrature weights must be positive")
-        nodes.setflags(write=False)
-        weights.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
+        check_finite(nodes, "quadrature nodes")
+        if not np.all((weights > 0) & (weights < np.inf)):  # a NaN weight fails too
+            raise InvalidInputError("quadrature weights must be positive and finite")
+        freeze(self, nodes=nodes, weights=weights)
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -52,39 +59,40 @@ class QuadratureRule:
 
 @dataclass(frozen=True)
 class BallGrid:
-    """Finite evaluation set strictly inside the open ball of radius ``R``."""
+    """(N, d) evaluation points in the closed ball of radius ``R``, where ``ball_grid``'s r = R u^(1/d) may be R."""
 
     d: int
     R: float
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
+        check_radius(self.R)
+        pts = as_points(self.points, self.d)[0]
+        with np.errstate(over="ignore"):  # a point far outside may overflow; it is refused either way
+            scaled = pts / self.R
+            top = np.einsum("ij,ij->i", scaled, scaled).max(initial=0.0)  # the largest |x|^2 / R^2
+        if not top <= 1.0 + 2e-15:  # a point on the sphere may round a few ulps past it
+            raise InvalidInputError(f"grid point at |x| = {self.R * top**0.5:.6g} outside the ball of radius {self.R}")
+        freeze(self, points=pts)
 
     def __len__(self) -> int:
         return len(self.points)
 
 
 @lru_cache(maxsize=128)
-def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
+def _leggauss(n: int) -> QuadratureRule:
+    return QuadratureRule(*np.polynomial.legendre.leggauss(n), exactness_degree=2 * n - 1)
 
 
 def gauss_legendre(n: int, a: float, b: float) -> QuadratureRule:
     """Return the n-point Gauss-Legendre rule on (a, b); exact to degree 2n-1."""
     check_count(n, "node count")
-    if not (np.isfinite(a) and np.isfinite(b)):
-        raise InvalidInputError("interval bounds must be finite")
+    check_finite([a, b], "interval bounds")
     if not a < b:
         raise InvalidInputError(f"empty interval: a={a} >= b={b}")
-    x, w = _leggauss(n)
-    nodes = 0.5 * (b - a) * x + 0.5 * (b + a)
-    weights = 0.5 * (b - a) * w
+    ref = _leggauss(n)
+    nodes = 0.5 * (b - a) * ref.nodes + 0.5 * (b + a)
+    weights = 0.5 * (b - a) * ref.weights
     return QuadratureRule(nodes, weights, exactness_degree=2 * n - 1)
 
 
@@ -103,10 +111,10 @@ def sphere_rule(d: int, m: int) -> QuadratureRule:
         weights = np.full(m, 2.0 * np.pi / m)
         return QuadratureRule(nodes, weights, exactness_degree=m - 1)
     # d == 3: product rule
-    t, wt = _leggauss(m)  # t = cos(theta)
+    ref = _leggauss(m)  # nodes in cos(theta)
     phi = 2.0 * np.pi * np.arange(2 * m) / (2 * m)
-    t2 = np.repeat(t, 2 * m)
-    wt2 = np.repeat(wt, 2 * m)
+    t2 = np.repeat(ref.nodes, 2 * m)
+    wt2 = np.repeat(ref.weights, 2 * m)
     phi2 = np.tile(phi, m)
     s = np.sqrt(np.maximum(0.0, 1.0 - t2**2))
     nodes = np.column_stack([s * np.cos(phi2), s * np.sin(phi2), t2])
@@ -172,13 +180,12 @@ _MAX_GRID_UNIFORMS = 1 << 22  # m (d or d + 1) uniforms: the d > 3 map takes abo
 
 
 def ball_grid(d: int, R: float, m: int, seed: int | None = None) -> BallGrid:
-    """Build m points strictly inside the open ball, reproducible point for point: the first m Halton
+    """Build m points in the ball, reproducible point for point: the first m Halton
     points mapped into the ball, or with a seed m uniform draws of ``default_rng(seed)`` mapped alike.
     A grid of more than ``_MAX_GRID_UNIFORMS`` uniforms is refused before any is made."""
     check_count(d, "dimension")
     check_count(m, "grid point count")
-    if not (math.isfinite(R) and R > 0):
-        raise InvalidInputError(f"ball radius R must be positive and finite, not {R}")
+    check_radius(R)
     if seed is not None:
         check_count(seed, "seed", zero=True)
     dims = d if d <= 3 else d + 1

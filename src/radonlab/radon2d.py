@@ -29,7 +29,7 @@ from functools import cache
 
 import numpy as np
 
-from .errors import DomainError, InvalidInputError
+from .errors import DomainError, InvalidInputError, as_points, check_finite, check_radius, freeze
 from .quadrature import QuadratureRule, gauss_legendre, sphere_rule
 from .radon_measure import RadonDensity
 from .spectrum import SpectralMeasure
@@ -52,28 +52,22 @@ class BumpFunction:
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.center, dtype=float))
-        if not np.all(np.isfinite(c)):
-            raise InvalidInputError(f"bump center must be finite, got {c}")
-        if not (np.isfinite(self.r) and self.r > 0):
-            raise InvalidInputError(f"bump radius must be positive and finite, got {self.r}")
-        if not np.isfinite(self.amplitude):
-            raise InvalidInputError(f"bump amplitude must be finite, got {self.amplitude}")
-        c.setflags(write=False)
-        object.__setattr__(self, "center", c)
+        check_finite(c, "bump center")
+        check_radius(self.r, "bump radius r")
+        check_finite(self.amplitude, "bump amplitude")
+        freeze(self, center=c)
 
     @property
     def d(self) -> int:
         return len(self.center)
 
     def _u(self, X):
-        """u = |(x - c)/r|^2 at each row x of X, summed coordinate by coordinate.
+        """u = |(x - c)/r|^2 at each point x of X (read by ``as_points``), summed coordinate by coordinate.
 
         A row sum over the short coordinate axis costs several times as
         much, and for fewer than 8 coordinates adds in this same order.
         """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[1] != self.d:
-            raise InvalidInputError(f"points of shape {X.shape} do not match d={self.d}")
+        X = as_points(X, self.d)[0]
         u = ((X[:, 0] - self.center[0]) / self.r) ** 2
         for j in range(1, self.d):
             u += ((X[:, j] - self.center[j]) / self.r) ** 2
@@ -87,7 +81,7 @@ class BumpFunction:
         return out
 
     def __call__(self, X):
-        single = np.asarray(X).ndim <= 1
+        X, single = as_points(X, self.d)
         out = self._from_u(self._u(X))
         return float(out[0]) if single else out
 
@@ -97,7 +91,7 @@ class BumpFunction:
         With u = |(x-c)/r|^2 and g(u) = -1/(1-u):
         lap = A e^g [ (g'' + g'^2) * 4u/r^2 + g' * 2d/r^2 ].
         """
-        single = np.asarray(X).ndim <= 1
+        X, single = as_points(X, self.d)
         u = self._u(X)
         out = np.zeros(len(u))
         inside = u < 1.0
@@ -198,8 +192,7 @@ def dual_radon_transform(psi, x) -> float:
     x = np.asarray(x, dtype=float)
     if x.shape != (2,):
         raise InvalidInputError(f"dual transform takes a point in the plane, got an array of shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise InvalidInputError(f"dual transform point must be finite, got {x}")
+    check_finite(x, "dual transform point")
     nodes = rule.nodes
     value = float(rule.weights @ _psi_values(psi, nodes, nodes @ x))
     if not np.isfinite(value):  # a NaN or infinity among the values shows in their sum

@@ -60,7 +60,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.polynomial import polyder, polyint, polyval
 
-from .errors import DomainError, InvalidInputError
+from .errors import DomainError, InvalidInputError, as_points, check_radius, freeze
 from .spectrum import SpectralMeasure, _first_seen
 
 _ROOT_SCAN = 512
@@ -116,9 +116,10 @@ class RadonDensity:
     ``freqs`` and ``weights`` are (slots, m) and hold the terms the kernel
     sums, slot by slot; a slot with frequency 0 is empty and must have
     weight 0, since a constant belongs to the polynomial part.  ``poly`` is
-    (degree + 1, m), low order first.  The three are kept as read-only
-    copies.  Evenness, g_w(b) = g_{-w}(-b), is not checked here: it is the
-    symmetry closure of the measure the density comes from, which
+    (degree + 1, m), low order first.  R must be positive and finite and
+    ``directions`` (m, d); it and the three are kept as read-only copies.
+    Evenness, g_w(b) = g_{-w}(-b), is not checked here: it is the symmetry
+    closure of the measure the density comes from, which
     ``density_from_spectrum`` checks.
     """
 
@@ -134,10 +135,11 @@ class RadonDensity:
     _start_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        dirs = np.atleast_2d(np.asarray(self.directions, dtype=float))
+        check_radius(self.R)
+        dirs = as_points(self.directions, self.d)[0]
         columns = {"directions": dirs}
         for name, dtype in (("freqs", float), ("weights", complex), ("poly", float)):
-            a = np.array(getattr(self, name), dtype=dtype)
+            a = np.asarray(getattr(self, name), dtype=dtype)
             a = a.reshape(0, len(dirs)) if a.size == 0 else a
             if a.ndim != 2 or a.shape[1] != len(dirs):
                 raise InvalidInputError(f"{name} of shape {a.shape} must have one column per direction, {len(dirs)}")
@@ -146,9 +148,7 @@ class RadonDensity:
             raise InvalidInputError("trig frequencies and weights must align")
         if np.any((columns["freqs"] == 0) & (columns["weights"] != 0)):
             raise InvalidInputError("zero trig frequency: constants belong to the polynomial part")
-        for name, a in columns.items():
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+        freeze(self, **columns)
 
     def __len__(self) -> int:
         return len(self.directions)
@@ -275,10 +275,6 @@ def density_from_spectrum(mu: SpectralMeasure, R: float) -> RadonDensity:
     is refused with ``DomainError``, after the scan size is checked.
     """
     mu.validate()
-    if not math.isfinite(R):
-        raise InvalidInputError(f"ball radius R must be finite, not {R}")
-    if R <= 0:
-        raise InvalidInputError("ball radius must be positive")
     groups, ids = _first_seen(map(tuple, np.round(mu.omegas, 12).tolist()))
     first = np.unique(ids, return_index=True)[1]
     order = sorted(range(len(groups)), key=lambda g: mu.omegas[first[g]].tolist())
@@ -509,17 +505,14 @@ class AffinePart:
     c: float
 
     def __post_init__(self):
-        v = np.atleast_1d(np.asarray(self.v, dtype=float))
-        v.setflags(write=False)
-        object.__setattr__(self, "v", v)
+        freeze(self, v=np.atleast_1d(np.asarray(self.v, dtype=float)))
 
     @staticmethod
     def zero(d: int) -> "AffinePart":
         return AffinePart(v=np.zeros(d), c=0.0)
 
     def __call__(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return X @ self.v + self.c
+        return as_points(X, len(self.v))[0] @ self.v + self.c
 
 
 def ramp_integral_grid(density: RadonDensity, X) -> np.ndarray:
@@ -528,7 +521,7 @@ def ramp_integral_grid(density: RadonDensity, X) -> np.ndarray:
     Integrating by parts over (-R, u) with u = <w, x> gives the closed form
     G_2(u) - G_2(-R) - (u + R) G_1(-R), exact at any frequency.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = as_points(X, density.d)[0]
     out = np.zeros(len(X))
     n, R = len(X), density.R
     # G_2 and G_1 at the (direction, point) pairs and at each direction's -R,

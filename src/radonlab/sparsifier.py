@@ -48,9 +48,12 @@ from .errors import (
     DegenerateMeasureError,
     DomainError,
     InvalidInputError,
+    as_points,
     check_count,
+    check_finite,
     check_integer,
     float_field,
+    freeze,
     integer_field,
     list_field,
 )
@@ -110,12 +113,7 @@ class TwoLayerNet:
             raise InvalidInputError("coefficient and bias counts differ")
         if v.shape != (self.d,):
             raise InvalidInputError(f"affine part v of shape {v.shape} does not match d={self.d}")
-        for arr in (a, omegas, b, v):
-            arr.setflags(write=False)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "omegas", omegas)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "v", v)
+        freeze(self, a=a, omegas=omegas, b=b, v=v)
 
     @property
     def n(self) -> int:
@@ -130,11 +128,7 @@ class TwoLayerNet:
         500 points in d=3 (shared 2-core machine, 185-245 ms against 32-48
         ms for max(X W^T - b, 0) a); no CLI command evaluates such a net.
         """
-        pts = np.asarray(X, dtype=float)
-        single = pts.ndim <= 1
-        pts = np.atleast_2d(pts if pts.ndim else pts.reshape(1))
-        if pts.shape[1] != self.d:
-            raise InvalidInputError(f"points of shape {pts.shape} do not match d={self.d}")
+        pts, single = as_points(X, self.d)
         out = _project(pts, self.v[None, :])[0] + self.c
         if self.n:
             first, labels = _group_rows(self.omegas)
@@ -686,16 +680,12 @@ def load_network(path) -> TwoLayerNet:
     try:
         neurons = list_field(payload, "neurons", "network")
         columns = {key: [x[key] for x in neurons] for key in ("a", "omega", "b")}
-        return TwoLayerNet(
-            d=integer_field(payload, "d", "network"),
-            a=float_field(columns, "a", "network", array=True),
-            omegas=float_field(columns, "omega", "network", array=True),
-            b=float_field(columns, "b", "network", array=True),
-            kappa=float_field(payload, "kappa", "network"),
-            v=float_field(payload, "v", "network", array=True),
-            c=float_field(payload, "c", "network"),
-            convention=str(payload["convention"]),
-        )
+        d = integer_field(payload, "d", "network")
+        fields = {key: float_field(columns, key, "network", array=True) for key in columns}
+        fields |= {key: float_field(payload, key, "network", array=key == "v") for key in ("kappa", "v", "c")}
+        for key, value in fields.items():
+            check_finite(value, f"malformed network file: {key!r}")
+        return TwoLayerNet(d, *fields.values(), convention=str(payload["convention"]))  # a, omegas, b, kappa, v, c
     except (KeyError, TypeError) as exc:
         raise InvalidInputError(f"malformed network file: {exc}") from exc
 

@@ -16,7 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InconsistentMeasureError, InvalidInputError, float_field, integer_field, list_field
+from .errors import (
+    DomainError,
+    InconsistentMeasureError,
+    InvalidInputError,
+    as_points,
+    float_field,
+    freeze,
+    integer_field,
+    list_field,
+)
 
 _UNIT_TOL = 1e-12
 
@@ -32,16 +41,14 @@ class SpectralMeasure:
     coefs: np.ndarray = ()
 
     def __post_init__(self):
-        w, t, c = np.array(self.omegas, float), np.array(self.freqs, float), np.array(self.coefs, complex)
+        w, t, c = np.asarray(self.omegas, float), np.asarray(self.freqs, float), np.asarray(self.coefs, complex)
         w = w.reshape(0, self.d) if w.size == 0 else w
         if w.ndim != 2 or w.shape[1] != self.d or t.shape != (len(w),) or c.shape != t.shape:
             raise InvalidInputError(f"atom arrays of shapes {w.shape}, {t.shape}, {c.shape} do not match d={self.d}")
         dev = np.linalg.norm(w, axis=1) - 1.0
         if np.any(np.abs(dev) > _UNIT_TOL):
             raise InvalidInputError(f"atom direction not unit length: |omega| - 1 = {dev[np.argmax(np.abs(dev))]:+.3e}")
-        for name, arr in (("omegas", w), ("freqs", t), ("coefs", c)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        freeze(self, omegas=w, freqs=t, coefs=c)
 
     def __len__(self) -> int:
         return len(self.freqs)
@@ -66,27 +73,12 @@ class SpectralMeasure:
         """Evaluate f(x) = sum c * exp(i t <omega, x>); raises if the imaginary
         residue exceeds 1e-12 times the coefficients' total (inconsistent measure).
 
-        Accepts a scalar (d=1 only), a point of shape (d,), or a batch (n, d).
+        Takes the points as ``as_points`` reads them: a float for one point.
         """
-        pts = np.asarray(x, dtype=float)
-        single = pts.ndim <= 1
-        if pts.ndim == 0:
-            if self.d != 1:
-                raise InvalidInputError("scalar points are only valid for d=1")
-            X = pts.reshape(1, 1)
-        elif pts.ndim == 1:
-            if pts.shape != (self.d,):
-                raise InvalidInputError(f"point of shape {pts.shape} does not match d={self.d}")
-            X = pts.reshape(1, self.d)
-        else:
-            if pts.shape[1] != self.d:
-                raise InvalidInputError(f"batch of shape {pts.shape} does not match d={self.d}")
-            X = pts
-        if len(self) == 0:
-            return 0.0 if single else np.zeros(len(X))
+        X, single = as_points(x, self.d)
         phase = (X @ self.omegas.T) * self.freqs
         vals = np.exp(1j * phase) @ self.coefs
-        residue = float(np.abs(vals.imag).max())
+        residue = float(np.abs(vals.imag).max(initial=0.0))
         if residue > _UNIT_TOL * max(1.0, float(np.abs(self.coefs).sum())):
             raise InconsistentMeasureError(
                 f"imaginary residue {residue:.3e} exceeds tolerance; measure is not symmetry closed"

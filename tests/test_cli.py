@@ -817,6 +817,13 @@ def test_verify_null_refuses_a_boolean_or_a_string_for_a_number(tmp_path, capsys
         ("neurons", '"ab"', "malformed network file: 'neurons' must be a list, not 'ab'"),
         ("neurons", "[5]", "malformed network file: 'neurons' entries must be objects, not 5"),
         ("neurons", "[[1.0, 0.0]]", "malformed network file: 'neurons' entries must be objects, not [1.0, 0.0]"),
+        # a number that is not finite: a file with a and kappa NaN and c infinite exited 0
+        ("a", "NaN", "malformed network file: 'a' must be finite, not nan"),
+        ("omega", "[1.0, Infinity]", "malformed network file: 'omega' must be finite, not inf"),
+        ("b", "-Infinity", "malformed network file: 'b' must be finite, not -inf"),
+        ("kappa", "NaN", "malformed network file: 'kappa' must be finite, not nan"),
+        ("v", "[0.0, NaN]", "malformed network file: 'v' must be finite, not nan"),
+        ("c", "Infinity", "malformed network file: 'c' must be finite, not inf"),
     ],
 )
 def test_modeconnect_refuses_a_malformed_network_field(tmp_path, capsys, term_path, field, value, message):

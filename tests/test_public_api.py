@@ -5,8 +5,13 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import radonlab as rl
 from radonlab import cli
+from radonlab.errors import InvalidInputError
+from radonlab.radon_measure import ramp_integral_grid
 
 PUBLIC_API = [
     "AffinePart", "ApproxReport", "BallGrid", "BumpFunction", "CalibrationConstants",
@@ -66,3 +71,94 @@ def test_commands_leave_writing_and_exit_codes_to_main():
     for name in commands:
         assert _writer_names(functions[name]) == set(), name
     assert _writer_names(functions["main"]) == {"open", "sys.stdout", "EXIT_PASS", "EXIT_FAIL"}
+
+
+def _freezing_calls(path: Path) -> list[int]:
+    """Lines of the ``setflags(...)`` and ``object.__setattr__(...)`` calls in a module."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            owner = getattr(node.func.value, "id", None)
+            if node.func.attr == "setflags" or (node.func.attr, owner) == ("__setattr__", "object"):
+                found.append(node.lineno)
+    return found
+
+
+def test_arrays_are_frozen_in_errors_alone():
+    # every record keeps its arrays through errors.freeze, so no module grows a freezing policy of its own
+    modules = sorted(Path(rl.__file__).parent.glob("*.py"))
+    assert [path.name for path in modules if _freezing_calls(path)] == ["errors.py"]
+
+
+# --- the intake: records keep read-only copies, evaluators read points one way ---
+
+RECORDS = {
+    "QuadratureRule": lambda: (
+        rl.QuadratureRule,
+        dict(nodes=np.array([-0.5, 0.5]), weights=np.ones(2), exactness_degree=1),
+    ),
+    "BallGrid": lambda: (rl.BallGrid, dict(d=2, R=1.0, points=np.array([[0.1, 0.2], [-0.3, 0.0]]))),
+    "RadonDensity": lambda: (
+        rl.RadonDensity,
+        dict(d=1, R=1.0, directions=np.array([[1.0], [-1.0]]), freqs=np.ones((1, 2)), weights=np.full((1, 2), 0.5j)),
+    ),
+    "AffinePart": lambda: (rl.AffinePart, dict(v=np.array([1.0, -2.0]), c=0.5)),
+    "TwoLayerNet": lambda: (
+        rl.TwoLayerNet,
+        dict(d=2, a=np.ones(2), omegas=np.eye(2), b=np.array([0.1, -0.1]), kappa=1.0, v=np.array([0.5, 0.0]), c=0.0),
+    ),
+    "SpectralMeasure": lambda: (
+        rl.SpectralMeasure,
+        dict(d=1, omegas=np.array([[1.0], [-1.0]]), freqs=np.array([2.0, -2.0]), coefs=np.full(2, 0.5 + 0j)),
+    ),
+    "BumpFunction": lambda: (rl.BumpFunction, dict(center=np.array([0.1, -0.2]), r=0.5)),
+}
+
+
+@pytest.mark.parametrize("make", RECORDS.values(), ids=RECORDS.keys())
+def test_records_hold_read_only_copies_and_leave_the_callers_arrays_writable(make):
+    # BallGrid, QuadratureRule, RadonDensity.directions, AffinePart.v and
+    # TwoLayerNet.a and .b made the caller's own array read-only
+    record, kwargs = make()
+    held = record(**kwargs)
+    for name, given in kwargs.items():
+        if isinstance(given, np.ndarray):
+            kept = getattr(held, name)
+            assert given.flags.writeable, name
+            assert not kept.flags.writeable and not np.shares_memory(kept, given), name
+            assert np.array_equal(kept.ravel(), given.ravel()), name
+
+
+def _evaluators() -> dict:
+    """Each point intake, as (d, a function of the points)."""
+    mu = rl.from_cosine_sum(1, [(1.0, [2.0]), (-0.5, [0.7])])
+    density = rl.density_from_spectrum(mu, 1.0)
+    net = rl.TwoLayerNet(1, np.array([1.0, -0.5]), np.array([[1.0], [-1.0]]), np.array([0.1, -0.2]), 2.0, [0.3], 0.1)
+    return {
+        "SpectralMeasure.evaluate": (1, mu.evaluate),
+        "TwoLayerNet.evaluate": (1, net.evaluate),
+        "BumpFunction._u": (1, rl.BumpFunction(center=[0.1], r=0.5)._u),
+        "harmonic_eval": (2, lambda x: rl.harmonic_eval(3, 2, 2, x)),
+        "AffinePart.__call__": (1, rl.fit_affine(density)),
+        "ramp_integral_grid": (1, lambda x: ramp_integral_grid(density, x)),
+        "BallGrid": (3, lambda x: rl.BallGrid(3, 1.0, x).points),
+        "RadonDensity": (2, lambda x: rl.RadonDensity(2, 1.0, x).directions),
+    }
+
+
+@pytest.mark.parametrize("name", list(_evaluators()))
+def test_points_are_read_one_way(name):
+    # a number (d = 1 only), a (d,) vector and an (N, d) batch give the same values,
+    # and a batch of another d is refused: AffinePart and ramp_integral_grid raised
+    # numpy's matmul mismatch, and BallGrid and RadonDensity kept the wrong columns
+    d, evaluate = _evaluators()[name]
+    point = np.linspace(0.2, 0.4, d)
+    want = np.ravel(evaluate(point[None, :])).tolist()
+    assert np.ravel(evaluate(point)).tolist() == want
+    if d == 1:
+        assert np.ravel(evaluate(0.2)).tolist() == want
+    else:
+        with pytest.raises(InvalidInputError, match=rf"^points of shape \(\) do not match d={d}$"):
+            evaluate(0.2)
+    with pytest.raises(InvalidInputError, match=rf"^points of shape \(3, {d + 1}\) do not match d={d}$"):
+        evaluate(np.full((3, d + 1), 0.1))

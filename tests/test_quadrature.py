@@ -175,6 +175,22 @@ def test_rules_are_immutable():
         rule.nodes[0] = 0.0
 
 
+@pytest.mark.parametrize(
+    "nodes, weights, message",
+    [
+        ([0.0, 1.0], [1.0, math.nan], "quadrature weights must be positive and finite"),
+        ([0.0, 1.0], [math.inf, 1.0], "quadrature weights must be positive and finite"),
+        ([0.0, 1.0], [1.0, 0.0], "quadrature weights must be positive and finite"),
+        ([0.0, math.nan], [1.0, 1.0], "quadrature nodes must be finite, not nan"),
+        ([[1.0, 0.0], [0.0, -math.inf]], [1.0, 1.0], "quadrature nodes must be finite, not -inf"),
+    ],
+)
+def test_rule_refuses_non_finite_nodes_and_weights(nodes, weights, message):
+    # a NaN weight passed np.any(weights <= 0), and no node was checked
+    with pytest.raises(InvalidInputError, match=f"^{message}$"):
+        rl.QuadratureRule(np.array(nodes), np.array(weights), exactness_degree=1)
+
+
 @pytest.mark.parametrize("seed", [None, 7], ids=["low-discrepancy", "uniform"])
 def test_ball_grid_containment(seed):
     grid = rl.ball_grid(2, 1.0, 100, seed=seed)
@@ -248,6 +264,31 @@ def test_ball_grid_refuses_a_dimension_that_is_not_a_positive_integer(d, message
 def test_ball_grid_refuses_a_non_finite_radius(R):
     with pytest.raises(InvalidInputError, match="finite"):
         rl.ball_grid(2, R, 5)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_ball_grid_record_refuses_points_outside_the_closed_ball(d):
+    # a grid of R = 0.5 with a point at (5, 0) gave mode_connect_perturb a
+    # functional change of 0.418, measured off the ball where the term is not null
+    far = np.zeros((1, d))
+    far[0, 0] = 5.0
+    with pytest.raises(InvalidInputError, match=r"^grid point at \|x\| = 5 outside the ball of radius 0\.5$"):
+        rl.BallGrid(d, 0.5, np.vstack([np.zeros((1, d)), far]))
+    # the sphere itself is in: r = R u^(1/d) rounds to R at the largest uniform
+    # below 1, and in d = 3, 4 some of these points' |x| round one ulp past R
+    top = np.full((256, d if d <= 3 else d + 1), 1.0 - 2.0**-53)
+    top[:, 1:] = np.random.default_rng(d).random((256, top.shape[1] - 1))
+    on_sphere = _cube_to_ball(top, d, 0.5)
+    assert len(rl.BallGrid(d, 0.5, on_sphere)) == 256
+    assert len(rl.BallGrid(d, 0.5, np.eye(d) * 0.5)) == d
+
+
+@pytest.mark.parametrize(
+    "R, message", [(0.0, "positive, not 0.0"), (-1.0, "positive, not -1.0"), (math.nan, "finite, not nan")]
+)
+def test_ball_grid_record_refuses_an_unusable_radius(R, message):
+    with pytest.raises(InvalidInputError, match=f"^ball radius R must be {message}$"):
+        rl.BallGrid(2, R, np.zeros((1, 2)))
 
 
 def test_ball_grid_higher_dimensions():
