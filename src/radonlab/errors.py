@@ -1,5 +1,6 @@
 """Exception hierarchy shared by all modules, the CLI exit-code mapping, the input-file field checks, and
-the one intake of arguments: integer, count, finite and radius checks, ``freeze`` and ``as_points``."""
+the one intake of arguments: integer, count, finite and radius checks, ``freeze``, ``as_points`` and
+``as_directions``."""
 
 from __future__ import annotations
 
@@ -102,6 +103,17 @@ def as_points(x, d: int) -> tuple[np.ndarray, bool]:
     if pts.ndim > 2 or (pts.shape or (1,))[-1] != d:
         raise InvalidInputError(f"points of shape {pts.shape} do not match d={d}")
     return (pts, False) if pts.ndim == 2 else (pts.reshape(1, d), True)
+
+
+def as_directions(x, d: int) -> tuple[np.ndarray, bool]:
+    """``x`` read as ``as_points`` reads it, refused unless every row is a unit vector: a norm
+    off 1 by more than 1e-12, or not a number, raises."""
+    w, single = as_points(x, d)
+    norms = np.linalg.norm(w, axis=1)
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= 1e-12))
+    if len(bad):
+        raise InvalidInputError(f"directions must be unit vectors, not of norm {float(norms[bad[0]])!r} at row {bad[0]}")
+    return w, single
 
 
 def float_field(payload: dict, key: str, what: str, array: bool = False):

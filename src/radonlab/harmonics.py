@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, InvalidInputError, UnsupportedDimensionError, as_points
+from .errors import DomainError, InvalidInputError, UnsupportedDimensionError, as_directions
 
 # highest degree harmonic_eval takes: the d=3 recurrence makes one Python step per degree
 _MAX_DEGREE = 2**16
@@ -73,11 +73,12 @@ def harmonic_eval(k: int, j: int, d: int, omega):
     """Value of the j-th orthonormal real harmonic of degree k at unit vectors.
 
     ``omega`` may be a single unit vector of shape (d,), whose value is a
-    float, or a batch (n, d).  A degree above 2^16 is refused with
-    ``DomainError`` in either dimension; no null term needs one.
+    float, or a batch (n, d).  A vector whose norm is off 1 by more than
+    1e-12 is refused with ``InvalidInputError``, and a degree above 2^16
+    with ``DomainError``, in either dimension; no null term needs one.
     """
     _check_index(k, j, d)
-    w, single = as_points(omega, d)
+    w, single = as_directions(omega, d)
     if d == 2:
         theta = np.arctan2(w[:, 1], w[:, 0])
         if k == 0:

@@ -104,6 +104,7 @@ class HarmonicNullTerm:
             raise InvalidInputError(f"index j={self.j} outside 1..{n}")
         check_finite(self.coeff, "null term coefficient coeff")
         check_radius(self.R)
+        _check_bias_power(self.R, self.kprime)
         nodes = _rule_nodes(self.d, _rule_resolution(self.d, self.k, self.kprime))
         if nodes > _MAX_RULE_NODES:
             raise DomainError(
@@ -158,12 +159,22 @@ def _int_power(x: np.ndarray, n: int) -> np.ndarray:
     return result
 
 
+def _check_bias_power(R: float, kprime: int) -> None:
+    """Refuse a radius whose power R^(k'+2), the largest in the bias integrals of a
+    degree-k' monomial on (-R, R), overflows a float."""
+    try:
+        float(R) ** (kprime + 2)
+    except OverflowError:
+        raise DomainError(f"ball radius R = {R:g} is too large for k' = {kprime}: R^(k'+2) overflows a float") from None
+
+
 def _ramp_moment(c: np.ndarray, kprime: int, R: float) -> tuple[int, float, float, float]:
     """The closed form of ``ramp_moment_closed_form`` as (k2, top, lin, const):
-    the integral is top * c^k2 + lin * c + const.  Refuses a negative k' and
-    any kink position c outside (-R, R)."""
+    the integral is top * c^k2 + lin * c + const.  Refuses a negative k', an R
+    whose power R^(k'+2) overflows and any kink position c outside (-R, R)."""
     if kprime < 0:
         raise InvalidInputError("monomial degree must be nonnegative")
+    _check_bias_power(R, kprime)
     if c.max(initial=0.0) >= R or c.min(initial=0.0) <= -R:
         raise DomainError(f"kink position |c| = {max(c.max(), -c.min())} must lie inside (-R, R)")
     k1 = kprime + 1

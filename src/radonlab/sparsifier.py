@@ -19,6 +19,11 @@ Both samplers and ``error_decay_experiment``, the width ladder behind the
 ``approximate`` command, draw through one path: a plan computed once per
 density and convention, then one inverse-CDF pass over the neurons of any
 number of seeded streams, whatever their directions.
+A batch of streams is sorted once, by (direction, uniform), and both of
+its passes run in that order: the draw pass searches each direction's
+panels with sorted targets, and since the inverse CDF is monotone in the
+uniform, the scoring pass searches each direction's slots with its biases
+in (nearly) sorted order too.
 Each draw is a Newton solve kept inside its panel, by the same bracketed
 Newton that refines the sign-change roots, started from a table of every
 panel's inverse CDF: cubics in theta = arccos(1 - 2s)/pi, s the share of
@@ -29,7 +34,8 @@ Every network is evaluated one way: its neurons are grouped by distinct
 direction, and each direction's ramps are summed from one histogram of its
 biases over the sorted projections, with no N x n ramp matrix.  The same
 kernel scores all seeded streams of a ladder batch at once, one pass per
-direction, and a stream's values have the same bits as in its own net.  A
+direction, in the batch's draw order, and a stream's values have the same
+bits as in its own net, which sorts its neurons for itself.  A
 sampled network has only as many distinct directions as the density, and
 a null-space network repeats each sphere node over all of its bias nodes,
 so the directions are far fewer than the neurons for both.
@@ -40,7 +46,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -239,31 +245,50 @@ def _start_table(density: RadonDensity, lo: float, hi: float) -> tuple[np.ndarra
     return sign, M, coef
 
 
-def _draw_biases(density: RadonDensity, idx, u, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+def _by_direction(key: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The order of the neurons by (key, u): one argsort of u, then one stable argsort of the
+    keys narrowed to the smallest unsigned type that holds them, which numpy radix-sorts up
+    to 16 bits."""
+    by_u = np.argsort(u)
+    key = key.astype(np.min_scalar_type(key.max(initial=0)))
+    return by_u[np.argsort(key[by_u], kind="stable")]
+
+
+def _draw_biases(density: RadonDensity, idx, u, lo: float, hi: float, order=None) -> tuple[np.ndarray, np.ndarray]:
     """Inverse-CDF biases from |g_w| on the open interval (lo, hi) for the
     drawn directions ``idx``, and the signs a = sign(g_w(b)) of the panels
     they lie in: neuron i's bias is where the mass of |g| of profile
     ``idx[i]`` from lo reaches u_i times its mass, clipped into (lo, hi).
 
-    The panel holding each target comes from its profile's running masses,
-    and one ``_solve_in_panels`` call solves every neuron's b, whatever its
-    direction, with its panel as its bracket.  Newton's method starts from
-    the panel's inverse CDF in ``_start_table``: the cubic of the target's
-    theta cell, read in one gather and evaluated by Horner's rule, or the
-    line in theta where the table has no cubics.  A draw stops once its step is at most 1e-9 of the
+    The neurons are drawn in ``order``, which lists each direction's
+    neurons in one run by increasing u (the runs in any order of the
+    directions); without it they are sorted so here.  In that order each
+    direction's targets are sorted, and its panels are searched over one
+    contiguous slice of the running masses.  One ``_solve_in_panels`` call
+    then solves every neuron's b, whatever its direction, with its panel as
+    its bracket.  Newton's method starts from the panel's inverse CDF in
+    ``_start_table``: the cubic of the target's theta cell, read in one
+    gather and evaluated by Horner's rule, or the line in theta where the
+    table has no cubics.  A draw stops once its step is at most 1e-9 of the
     interval: Newton's error after such a step is of its square, and smaller
     steps would only chase the rounding noise of G_1.  A start within that
-    tolerance stops after one profile evaluation.
+    tolerance stops after one profile evaluation.  Every step is elementwise,
+    so a bias has the same bits in any order; they are returned in the
+    order of ``idx``.
     """
     starts, edges, g1, cum = density.panels(lo, hi)
     panel_sign, M, coef = _start_table(density, lo, hi)
-    first, last = starts[idx], starts[idx + 1] - 1  # each neuron's profile: its first and last edge
-    target = u * cum[last]
-    k = np.empty(len(idx), dtype=np.intp)
-    for r in range(len(density)):
-        sel = np.flatnonzero(idx == r)
-        k[sel] = np.searchsorted(cum[starts[r] : starts[r + 1]], target[sel], side="right")
-    k = np.minimum(first + k - 1, last - 1)
+    if order is None:
+        order = _by_direction(idx, u)
+    rows = idx[order]
+    last = starts[rows + 1] - 1  # each neuron's profile: its last edge
+    target = u[order] * cum[last]
+    cuts = np.flatnonzero(np.diff(rows, prepend=-1)).tolist() + [len(rows)]
+    k = np.empty(len(rows), dtype=np.intp)
+    for i, j in zip(cuts, cuts[1:]):
+        first, end = starts[rows[i]], starts[rows[i] + 1]
+        k[i:j] = first + np.searchsorted(cum[first:end], target[i:j], side="right")
+    k = np.minimum(k - 1, last - 1)
     rest = target - cum[k]
     panel_mass = cum[k + 1] - cum[k]
     s = np.clip(np.divide(rest, panel_mass, out=np.zeros_like(rest), where=panel_mass > 0), 0.0, 1.0)
@@ -277,10 +302,13 @@ def _draw_biases(density: RadonDensity, idx, u, lo: float, hi: float) -> tuple[n
         c = coef.take(k * M + i, axis=1)
         x = c[0] + t * (c[1] + t * (c[2] + t * c[3]))
         del pos, i, t, c
-    del first, last, target, panel_mass, s, theta  # a batch's Newton pass holds only what it reads
+    del last, target, panel_mass, s, theta  # a batch's Newton pass holds only what it reads
     sign = panel_sign[k]
-    b = _solve_in_panels(density, edges, g1, k, sign, idx, rest, x, 1e-9 * (hi - lo))
-    return np.clip(b, np.nextafter(lo, hi), np.nextafter(hi, lo)), sign
+    solved = _solve_in_panels(density, edges, g1, k, sign, rows, rest, x, 1e-9 * (hi - lo))
+    b, a = np.empty(len(rows)), np.empty(len(rows))
+    b[order] = np.clip(solved, np.nextafter(lo, hi), np.nextafter(hi, lo))
+    a[order] = sign
+    return b, a
 
 
 def _exact_l1_unit(w: np.ndarray) -> np.ndarray:
@@ -314,6 +342,9 @@ class _DrawPlan:
     Directions are drawn with probability proportional to ``weights`` and
     biases from |g_w| on (lo, hi); neuron i stores the direction row
     ``rows[idx_i]`` and, for prop2, its bias divided by ``l1[idx_i]``.
+    ``rows[first]`` are the distinct rows and ``labels`` each direction's
+    row among them, as ``_group_rows`` gives them and as networks evaluate
+    them; ``rank`` places each direction in (label, index) order.
     """
 
     density: RadonDensity
@@ -326,6 +357,15 @@ class _DrawPlan:
     c: float
     rows: np.ndarray
     l1: np.ndarray | None
+    first: np.ndarray = field(init=False, repr=False)
+    labels: np.ndarray = field(init=False, repr=False)
+    rank: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        first, labels = _group_rows(self.rows)
+        rank = np.empty(len(labels), dtype=np.intp)
+        rank[np.argsort(labels, kind="stable")] = np.arange(len(labels))
+        freeze(self, first=first, labels=labels, rank=rank)
 
     def net(self, idx: np.ndarray, a: np.ndarray, b: np.ndarray) -> TwoLayerNet:
         return TwoLayerNet(self.density.d, a, self.rows[idx], b, self.kappa, self.v, self.c, self.convention)
@@ -351,13 +391,18 @@ def _draw_plan(density: RadonDensity, affine: AffinePart, convention: str) -> _D
     return _DrawPlan(density, "prop2", 0.0, density.R, weights, float(weights.sum()), v, float(c), rows, l1)
 
 
-def _draw(plan: _DrawPlan, streams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Direction indices, signs and biases of the neurons of every (n, seed) stream, end to end.
+def _draw(plan: _DrawPlan, streams) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Direction indices, signs and biases of the neurons of every (n, seed) stream, end to end,
+    and the order of the neurons by (direction, uniform) in which they were drawn.
 
     Each stream draws its n directions and then its n uniforms from its own
     generator, so a stream's neurons do not depend on the streams beside
     it; the biases of all streams come from one inverse-CDF pass, whose
-    draws each stop on their own Newton step.  The directions are what
+    draws each stop on their own Newton step.  The pass runs in one order,
+    each direction's neurons by increasing uniform and the directions by
+    ``plan.rank``: as the inverse CDF is monotone in the uniform, that is
+    also the (label, bias) order, up to the Newton tolerance, that
+    ``_ramp_sums`` searches in.  The directions are what
     ``Generator.choice(len(p), size=n, p=p)`` draws, searched in one
     normalized CDF of the weights built once per call, without choice's
     checks of p on every stream: a total mass that is not finite is
@@ -375,11 +420,12 @@ def _draw(plan: _DrawPlan, streams) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     rngs = [(n, np.random.default_rng(seed)) for n, seed in streams]
     draws = [(cdf.searchsorted(rng.random(n), side="right"), rng.random(n)) for n, rng in rngs]
     idx, u = (np.concatenate(x) for x in zip(*draws))
-    b, a = _draw_biases(plan.density, idx, u, plan.lo, plan.hi)
+    order = _by_direction(plan.rank[idx], u)
+    b, a = _draw_biases(plan.density, idx, u, plan.lo, plan.hi, order)
     if plan.l1 is not None:
         b = np.minimum(b / plan.l1[idx], 1.0)
         plan.net(idx, a, b).check_convention()
-    return idx, a, b
+    return idx, a, b, order
 
 
 def sample_network(density: RadonDensity, affine: AffinePart, n: int, seed) -> TwoLayerNet:
@@ -390,7 +436,7 @@ def sample_network(density: RadonDensity, affine: AffinePart, n: int, seed) -> T
     the bias inverse-CDF, signs read off the signed profile.
     """
     plan = _draw_plan(density, affine, "thm2")
-    return plan.net(*_draw(plan, [(n, seed)]))
+    return plan.net(*_draw(plan, [(n, seed)])[:3])
 
 
 def l1_normalized_network(density: RadonDensity, affine: AffinePart, n: int, seed) -> TwoLayerNet:
@@ -402,7 +448,7 @@ def l1_normalized_network(density: RadonDensity, affine: AffinePart, n: int, see
     with the l1 weight absorbed into the outer scale kappa.
     """
     plan = _draw_plan(density, affine, "prop2")
-    return plan.net(*_draw(plan, [(n, seed)]))
+    return plan.net(*_draw(plan, [(n, seed)])[:3])
 
 
 def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -433,7 +479,7 @@ def _project(points: np.ndarray, dirs: np.ndarray) -> np.ndarray:
 _SCORE_BLOCK = 2**16  # (stream, point) entries that close a ladder batch: the size of _ramp_sums' tables
 
 
-def _ramp_sums(a: np.ndarray, b: np.ndarray, labels: np.ndarray, proj: np.ndarray, sizes=None) -> np.ndarray:
+def _ramp_sums(a: np.ndarray, b: np.ndarray, labels: np.ndarray, proj: np.ndarray, sizes=None, order=None) -> np.ndarray:
     """sum_i a_i (<w_i, x> - b_i)_+ at every point x, per stream, from one bias histogram per direction.
 
     Neuron i has direction label ``labels[i]``, and ``proj[labels[i]]``
@@ -447,16 +493,19 @@ def _ramp_sums(a: np.ndarray, b: np.ndarray, labels: np.ndarray, proj: np.ndarra
     exactly the points from ps[k_i] on lie above it (a bias equal to a
     point adds nothing either way).  The running sums A of a_i and B of
     a_i b_i over each stream's slots give sum_i a_i (p - b_i)_+ = p A - B
-    at each sorted point p.  A bin sums its own stream's neurons in their order, and a
-    direction a stream lacks adds zeros, so a row has the same bits in any
-    batch as from that stream's neurons alone.
+    at each sorted point p, read back into point order by one gather.  A
+    bin sums its own stream's neurons in their order, and a direction a
+    stream lacks adds zeros, so a row has the same bits in any batch as
+    from that stream's neurons alone.
 
-    The neurons are grouped by label with one stable argsort of the labels
-    narrowed to the smallest unsigned type that holds them, which numpy
-    radix-sorts up to 16 bits.  The slots are searched with each
-    direction's biases in sorted order, which is several times cheaper per
-    key than unsorted: the neurons are sorted by (label, bias) once per
-    call, and each direction's slots are read back into label order.
+    The slots are searched in ``order``, which lists the neurons by label
+    and each label's neurons by bias, or nearly so: a search with sorted
+    keys is several times cheaper per key than with unsorted ones, and any
+    order gives the same slots.  A ladder hands in the order its draw pass
+    ran in; without one the neurons are sorted by (label, bias) here.  The
+    bins are filled in neuron order within each label, by one stable
+    argsort of the labels narrowed to the smallest unsigned type that holds
+    them, which numpy radix-sorts up to 16 bits.
     """
     one = sizes is None
     sizes = np.array([len(a)] if one else sizes, dtype=np.intp)
@@ -464,21 +513,25 @@ def _ramp_sums(a: np.ndarray, b: np.ndarray, labels: np.ndarray, proj: np.ndarra
     out = np.zeros((S, N))
     key = labels.astype(np.min_scalar_type(labels.max(initial=0)))
     by_label = np.argsort(key, kind="stable")
-    by_bias = np.argsort(b)
-    by_slot = by_bias[np.argsort(key[by_bias], kind="stable")]  # by (label, bias)
-    labels, sorted_b = labels[by_label], b[by_slot]
+    if order is None:
+        order = _by_direction(key, b)
+    sorted_b = b[order]
+    labels, a = labels[by_label], a[by_label]
+    ab = a * b[by_label]
     cuts = np.flatnonzero(np.diff(labels, prepend=-1)).tolist() + [len(a)]
-    place = np.empty_like(by_slot)  # each neuron's place in its direction's bias order
-    place[by_slot] = np.arange(len(a)) - np.repeat(cuts[:-1], np.diff(cuts))
-    place, a, b = place[by_label], a[by_label], b[by_label]
-    ab = a * b
     first_bin = np.repeat(np.arange(S), sizes)[by_label] * (N + 1)  # of each neuron's stream
+    slot = np.empty(len(a), dtype=np.intp)
+    point_rank = np.empty(N, dtype=np.intp)
     for lo, hi in zip(cuts, cuts[1:]):
-        order = np.argsort(proj[labels[lo]])
-        ps = proj[labels[lo], order]
-        bins = first_bin[lo:hi] + ps.searchsorted(sorted_b[lo:hi], side="right")[place[lo:hi]]
+        by_point = np.argsort(proj[labels[lo]])
+        ps = proj[labels[lo], by_point]
+        point_rank[by_point] = np.arange(N)
+        slot[order[lo:hi]] = ps.searchsorted(sorted_b[lo:hi], side="right")
+        bins = first_bin[lo:hi] + slot[by_label[lo:hi]]
         A, B = (np.bincount(bins, w[lo:hi], S * (N + 1)).reshape(S, N + 1)[:, :N].cumsum(axis=1) for w in (a, ab))
-        out[:, order] += ps * A - B
+        A *= ps
+        A -= B
+        out += A[:, point_rank]
     return out[0] if one else out
 
 
@@ -591,8 +644,7 @@ def error_decay_experiment(
         raise DomainError(f"f overflows a float on the ball of radius R = {R}")
     if not np.isfinite(base).all():
         raise DomainError(f"the affine part (v, c) = ({plan.v.tolist()}, {plan.c}) of f overflows a float on the ball")
-    first, labels = _group_rows(plan.rows)
-    proj = _project(grid.points, plan.rows[first])
+    proj = _project(grid.points, plan.rows[plan.first])
     # whole (n, seed) streams in (width, trial) order, in runs of at most
     # _BATCH_DRAWS neurons and of streams whose ramp sums fill _SCORE_BLOCK
     batches, size = [[]], 0
@@ -606,9 +658,9 @@ def error_decay_experiment(
     errors, best = [], None
     for batch in batches:
         sizes = np.array([n for n, _ in batch])
-        idx, a, b = _draw(plan, batch)
+        idx, a, b, order = _draw(plan, batch)
         with np.errstate(over="ignore", invalid="ignore"):
-            sums = _ramp_sums(a, b, labels[idx], proj, sizes)
+            sums = _ramp_sums(a, b, plan.labels[idx], proj, sizes, order)
             scores = np.max(np.abs(base + (plan.kappa / sizes)[:, None] * sums - f), axis=1)
         if not np.isfinite(scores).all():
             raise DomainError("a sampled network's sup error overflows a float")

@@ -383,6 +383,23 @@ def test_term_past_the_rule_size_bound_is_a_domain_error(tmp_path, capsys, comma
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["verify-null", "modeconnect"])
+def test_term_whose_radius_power_overflows_is_a_domain_error(tmp_path, capsys, command):
+    # verify-null died with a raw OverflowError from the closed form's (-R) ** (k' + 2),
+    # and modeconnect wrote a report of NaNs after numpy's overflow warnings
+    net_path, term_path, out = tmp_path / "net.json", tmp_path / "term.json", tmp_path / "report.json"
+    save_random_network(net_path, 2)
+    term_path.write_text(json.dumps({"k": 6, "j": 1, "kprime": 2, "coeff": 1.0, "d": 2, "R": 1e100}))
+    argv = [command, "--term", str(term_path), "--out", str(out)]
+    assert main(argv + (["--network", str(net_path)] if command == "modeconnect" else [])) == EXIT_DOMAIN
+    message = "ball radius R = 1e+100 is too large for k' = 2: R^(k'+2) overflows a float"
+    assert capsys.readouterr().err == f"radonlab: {message}\n"
+    assert not out.exists()
+    # the largest R whose fourth power is a float still runs
+    term_path.write_text(json.dumps({"k": 6, "j": 1, "kprime": 2, "coeff": 1.0, "d": 2, "R": 1e77}))
+    assert main(argv + (["--network", str(net_path)] if command == "modeconnect" else [])) in (EXIT_PASS, EXIT_FAIL)
+
+
 def test_modeconnect_flow(tmp_path, spectrum2_path, term_path):
     net_path = tmp_path / "net.json"
     main([

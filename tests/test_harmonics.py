@@ -143,6 +143,31 @@ def test_harmonic_invalid_index():
         rl.harmonic_eval(3, 0, 2, np.array([1.0, 0.0]))
 
 
+@pytest.mark.parametrize("omega", [[0.0, 0.0], [3.0, 0.0], [0.6, 0.8 + 1e-11]])
+def test_harmonic_eval_refuses_a_vector_off_the_sphere(omega):
+    # the first two read as the angle 0 and returned cos(2 * 0) / sqrt(pi) = 0.5642
+    norm = float(np.linalg.norm(omega))
+    with pytest.raises(InvalidInputError, match=rf"^directions must be unit vectors, not of norm {norm!r} at row 0$"):
+        rl.harmonic_eval(2, 1, 2, omega)
+
+
+def test_harmonic_eval_refuses_a_batch_with_one_row_off_the_sphere():
+    w = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.5], [0.0, float("nan"), 1.0]])
+    with pytest.raises(InvalidInputError, match=r"not of norm 1\.5 at row 2$"):
+        rl.harmonic_eval(3, 1, 3, w)
+    with pytest.raises(InvalidInputError, match=r"not of norm nan at row 0$"):
+        rl.harmonic_eval(3, 1, 3, w[3:])
+
+
+@pytest.mark.parametrize("d, resolutions", [(2, (1, 3, 1000, 2**16)), (3, (1, 2, 5, 40, 181))])
+def test_sphere_rule_nodes_are_unit_vectors_to_harmonic_eval(d, resolutions):
+    # the nodes of the rules up to the null terms' 2^16-node bound pass the unit check
+    for m in resolutions:
+        nodes = rl.sphere_rule(d, m).nodes
+        assert np.max(np.abs(np.linalg.norm(nodes, axis=1) - 1.0)) <= 1e-15
+        assert np.all(np.isfinite(rl.harmonic_eval(1, 1, d, nodes)))
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_harmonic_degree_above_two_to_the_sixteen_is_refused(d):
     # the d=3 recurrence makes one Python step per degree, so an unbounded degree is an unbounded wait

@@ -1,0 +1,84 @@
+"""Byte identity of ``approximate``: pinned SHA-256 digests of its three outputs.
+
+Each case runs a small width ladder at a fixed seed and hashes the network
+JSON, the decay CSV and the report, the report without its wall time and the
+paths it echoes.  The ladders cross batch boundaries (streams of 4096 and
+8192 neurons) and, in d = 2 and 3, draw several directions, so a change to
+the draw or scoring order that moves one bit of one bias or one score
+changes a digest.  The digests hold for one numpy build and one libm: a
+platform that rounds the trig functions differently gives other bits.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import pytest
+
+import radonlab as rl
+from radonlab.cli import main
+from radonlab.errors import EXIT_PASS
+
+PATH_KEYS = ("spectrum", "out", "csv", "report")
+
+SPECTRA = {
+    1: [(1.0, [1.3]), (-0.6, [2.1]), (0.4, [3.2])],
+    2: [(1.0, [1.0, 0.5]), (0.5, [-0.3, 1.2]), (-0.7, [2.1, -1.4])],
+    3: [(0.8, [1.0, 0.2, -0.4]), (-0.5, [0.3, 1.5, 0.7]), (0.6, [-1.1, 0.4, 2.0]), (0.3, [0.0, -2.2, 0.9])],
+}
+
+CASES = {
+    "thm2-d1": (1, "1", "thm2", "8,4096,8192"),
+    "thm2-d2": (2, "1", "thm2", "8,4096,8192"),
+    "thm2-d3": (3, "1", "thm2", "8,4096,8192"),
+    "prop2-d2": (2, "0.8", "prop2", "16,256,4096"),
+}
+
+DIGESTS = {
+    "thm2-d1": {
+        "net": "dc73a2eefcd1af35f83de61c89e37f3d0ea4aa83c6e4f23a5d6cda1da161be92",
+        "csv": "a535c14e2242b2d9987800bf4693b60b486e13aa632200eb970834fc13a29e94",
+        "report": "8e4c6cdad462bcd7184e439574eb9cd3146c446989d0ea8934ac0224d703dc76",
+    },
+    "thm2-d2": {
+        "net": "175bfa70f4d65b8e1d12db432ee6ca97f2ad867964ef149b32e504f3bdcddffa",
+        "csv": "3803e8011809a4ad8f860b8edf32a8508e7781327ad81755d6f4029115ccb9cf",
+        "report": "b8ac32be77cd59ce199a16b254607ead83c00b6ada8b317c2521a6bb21ca2bd0",
+    },
+    "thm2-d3": {
+        "net": "989c2b7c783a26e3bff1eb16be1459990db1275c15b8e1b0b680da18616adede",
+        "csv": "739dc193648f817c11032293c1b036542e656b732902f1664c32f7cc2659de4f",
+        "report": "9ce74a3c03ac20a6e311092c86579fb6488277866b8478af644d65b0b37a7f89",
+    },
+    "prop2-d2": {
+        "net": "824683881b96d4fa0d2f660c7009e19ede3231b581c141119e092b119d5bf9ed",
+        "csv": "d9b47ffdbc55e1126f19e8062916f4b7f34bb6a95c12008f962c69f1bd3bd5ba",
+        "report": "bc4375ad7eeb8e19b4bfbbb27de5a3c3a2ca949b99471a52ae4e992a45a86117",
+    },
+}
+
+
+def output_digests(tmp_path, name: str) -> dict[str, str]:
+    d, R, convention, widths = CASES[name]
+    spectrum = tmp_path / f"{name}.json"
+    rl.save_spectrum(spectrum, d, SPECTRA[d])
+    paths = {key: tmp_path / f"{name}.{key}" for key in ("net", "csv", "report")}
+    code = main([
+        "approximate", "--spectrum", str(spectrum), "--R", R, "--n", widths, "--trials", "3",
+        "--seed", "11", "--grid", "64", "--convention", convention,
+        "--out", str(paths["net"]), "--csv", str(paths["csv"]), "--report", str(paths["report"]),
+    ])
+    assert code == EXIT_PASS
+    report = json.loads(paths["report"].read_text())
+    del report["wall_time_s"]
+    for key in PATH_KEYS:
+        del report["config"][key]
+    texts = {key: paths[key].read_bytes() for key in ("net", "csv")}
+    texts["report"] = json.dumps(report, indent=2, sort_keys=True).encode()
+    return {key: hashlib.sha256(text).hexdigest() for key, text in texts.items()}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_approximate_outputs_keep_their_bits(tmp_path, name):
+    assert output_digests(tmp_path, name) == DIGESTS[name]

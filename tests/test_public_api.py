@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import math
 from pathlib import Path
 
 import numpy as np
@@ -138,7 +139,8 @@ def _evaluators() -> dict:
         "SpectralMeasure.evaluate": (1, mu.evaluate),
         "TwoLayerNet.evaluate": (1, net.evaluate),
         "BumpFunction._u": (1, rl.BumpFunction(center=[0.1], r=0.5)._u),
-        "harmonic_eval": (2, lambda x: rl.harmonic_eval(3, 2, 2, x)),
+        # the test point (0.2, 0.4) times sqrt(5) is a unit vector, which harmonic_eval requires
+        "harmonic_eval": (2, lambda x: rl.harmonic_eval(3, 2, 2, np.multiply(x, math.sqrt(5.0)))),
         "AffinePart.__call__": (1, rl.fit_affine(density)),
         "ramp_integral_grid": (1, lambda x: ramp_integral_grid(density, x)),
         "BallGrid": (3, lambda x: rl.BallGrid(3, 1.0, x).points),

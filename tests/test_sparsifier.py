@@ -395,7 +395,7 @@ def test_ramp_sums_with_undrawn_directions(axis_measure):
     density = rl.density_from_spectrum(axis_measure, 1.0)
     X = rl.ball_grid(2, 1.0, 200).points
     plan = _draw_plan(density, rl.AffinePart.zero(2), "thm2")
-    idx, a, b = _draw(plan, [(3, 1)])
+    idx, a, b, _ = _draw(plan, [(3, 1)])
     net = plan.net(idx, a, b)
     assert len(np.unique(idx)) < len(density)
     got = _ramp_sums(net.a, net.b, idx, _project(X, density.directions))
@@ -487,7 +487,7 @@ def test_direction_draws_are_generator_choice(monkeypatch, weights):
     # _draw searches one CDF per call; Generator.choice builds and checks it per stream
     seen = []
 
-    def uniforms(density, idx, u, lo, hi):
+    def uniforms(density, idx, u, lo, hi, order):
         seen.append(u)
         return np.zeros(len(idx)), np.ones(len(idx))
 
@@ -495,7 +495,7 @@ def test_direction_draws_are_generator_choice(monkeypatch, weights):
     weights = np.asarray(weights, dtype=float)
     plan = sparsifier._DrawPlan(None, "thm2", -1.0, 1.0, weights, 1.0, np.zeros(1), 0.0, np.ones((len(weights), 1)), None)
     streams = [(1, 0), (7, 11), (300, [4, 1, 2]), (64, 2**40)]
-    idx, _, _ = _draw(plan, streams)
+    idx, _, _, _ = _draw(plan, streams)
     p = weights / weights.sum()
     want = []
     for n, seed in streams:
@@ -923,6 +923,48 @@ def test_64_padded_profiles_draw_as_each_would_alone(monkeypatch, lo, hi):
         sel = idx == r
         got = draw_one(padded_density(density.directions[r : r + 1], [profile]), u[sel], lo, hi)
         assert np.array_equal(got[0], b[sel]) and np.array_equal(got[1], a[sel])
+
+
+@pytest.fixture(scope="module")
+def many_panels():
+    """f(x) = cos(2000 x) in d=1: two directions of 1276 panel edges each on (-1, 1),
+    too many panels for the start table to hold cubics."""
+    mu = rl.from_cosine_sum(1, [(1.0, [2000.0])])
+    density = rl.density_from_spectrum(mu, 1.0)
+    starts = density.panels(-1.0, 1.0)[0]
+    assert np.array_equal(np.diff(starts), [1276, 1276])
+    assert sparsifier._start_table(density, -1.0, 1.0)[2] is None
+    return mu, density
+
+
+@pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (0.0, 1.0)])
+def test_many_panel_draws_keep_each_neurons_bits(many_panels, lo, hi):
+    # a shuffled batch of both directions is drawn in (direction, u) order,
+    # each direction's targets searched over its own ~1276 running masses
+    _, density = many_panels
+    rng = np.random.default_rng(21)
+    idx, u = rng.integers(0, 2, 300), rng.random(300)
+    u[:4] = [0.0, 1e-12, 0.5, 1.0 - 1e-12]
+    b, a = _draw_biases(density, idx, u, lo, hi)
+    assert len(np.unique(idx)) == 2 and np.all((b > lo) & (b < hi))
+    for i in range(len(u)):
+        alone = _draw_biases(density, idx[i : i + 1], u[i : i + 1], lo, hi)
+        assert alone[0][0] == b[i] and alone[1][0] == a[i], i
+    # an order listing each direction's neurons in one run gives the same bits however u runs in it
+    order = np.argsort(idx, kind="stable")
+    for got in (_draw_biases(density, idx, u, lo, hi, order), _draw_biases(density, idx, u, lo, hi, order[::-1])):
+        assert np.array_equal(got[0], b) and np.array_equal(got[1], a)
+
+
+def test_many_panel_ladder_scores_are_sup_errors_of_their_nets(many_panels):
+    mu, density = many_panels
+    widths, trials, seed, grid_size = [16, 300], 3, 8, 200
+    reports = rl.error_decay_experiment(mu, 1.0, widths, trials, seed, grid_size)[0]
+    affine, grid = rl.fit_affine(density), rl.ball_grid(1, 1.0, grid_size)
+    for ni, n in enumerate(widths):
+        for t in range(trials):
+            net = rl.sample_network(density, affine, n, [seed, ni, t])
+            assert reports[ni].errors[t] == rl.sup_error(net, mu, grid)
 
 
 @pytest.mark.parametrize("d", range(2, 11))
