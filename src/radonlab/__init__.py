@@ -20,7 +20,6 @@ from .spectrum import (
     fourier_constant_l2,
     from_cosine_sum,
     load_spectrum,
-    save_spectrum,
 )
 from .radon_measure import (
     AffinePart,
@@ -49,7 +48,6 @@ from .nullspace import (
     mode_connect_perturb,
     null_term_density,
     ramp_moment_closed_form,
-    save_null_term,
     verify_null,
 )
 from .radon2d import (
@@ -87,7 +85,6 @@ __all__ = [
     "fourier_constant_l2",
     "fourier_constant_l1",
     "load_spectrum",
-    "save_spectrum",
     # radon densities
     "RadonDensity",
     "AffinePart",
@@ -114,7 +111,6 @@ __all__ = [
     "mode_connect_perturb",
     "null_term_density",
     "load_null_term",
-    "save_null_term",
     # radon transforms in the plane
     "BumpFunction",
     "radon_transform_2d",

@@ -118,7 +118,9 @@ def cmd_modeconnect(args, tols) -> tuple[dict, bool]:
     base = load_network(args.network)
     term = load_null_term(args.term)
     grid = ball_grid(term.d, term.R, args.grid)
-    result = mode_connect_perturb(base, term, args.n, args.s, grid)
+    if base.d != term.d:
+        raise InvalidInputError("network and term dimensions differ")
+    result = mode_connect_perturb(term, args.n, args.s, grid)
     passed = result.functional_change <= tols.modeconnect_func_tol * result.displacement and (
         args.s == 0 or result.coefficient_mass >= tols.modeconnect_mass_min
     )

@@ -2,7 +2,9 @@
 
 The values below fall in two groups.  The *identity tolerances* bound
 floating-point and quadrature error on relations that hold exactly in the
-continuum (the Fourier and sampling bounds, null-measure integrals).  The
+continuum (the Fourier and sampling bounds, null-measure integrals);
+``null_tol`` is relative to a null term's scale max(1, |coeff| R^(k'+2)),
+the size of the moments its pairings sum.  The
 *calibration constants* are artifact choices with no analytic status: the
 mode-connectivity thresholds were fixed by convergence runs on the bundled
 examples and are only meaningful for the default resolutions.

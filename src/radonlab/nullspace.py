@@ -13,18 +13,21 @@ displacement directions of near-constant loss.
 
 The bias integral has three nonzero monomial coefficients in c = <w, x>,
 kept in one place (``_ramp_moment``).  ``ramp_moment_closed_form``
-evaluates them pointwise; ``verify_null`` pairs them with the sphere
-rule by moments, so a whole grid costs one integer power of the
-points x nodes array and two matrix-vector products.  Integer powers are
-taken by repeated squaring (``_int_power``): numpy sends a float array to
-any integer power but 2 through libm ``pow``, tens of times slower than
-the products.
+evaluates them pointwise; ``verify_null(term, xs, tolerance)`` pairs them
+with the smallest exact sphere rule by moments, so a whole grid costs one
+integer power of the points x nodes array and two matrix-vector products,
+and judges the largest pairing against ``tolerance`` times the term's
+scale max(1, |coeff| R^(k'+2)).  Integer powers are taken by repeated
+squaring (``_int_power``): numpy sends a float array to any integer power
+but 2 through libm ``pow``, tens of times slower than the products.
 
 ``discretize_null`` lays the term out on a product rule of sphere nodes
 w_i times Gauss-Legendre bias nodes b_j (``_product_rule``), so the net's
-coefficients have rank one, coeff * u_i * v_j.  ``mode_connect_perturb``
-evaluates that net without building it: its value is
-sum_i coeff * u_i * phi(<w_i, x>) with one piecewise-linear
+coefficients have rank one, coeff * u_i * v_j.  The sphere factor of the
+verification, the density and the product rule is one ``_sphere_factor``:
+a sphere rule and Y_{k,j} at its nodes.  ``mode_connect_perturb(term, n,
+s, grid)`` evaluates the product-rule net without building it: its value
+is sum_i coeff * u_i * phi(<w_i, x>) with one piecewise-linear
 phi(c) = sum_j v_j (c - b_j)_+ shared by every direction, read off one
 ``searchsorted`` of the projections into the bias nodes and two running
 sums.  ``TwoLayerNet.evaluate`` of the built net would regroup its
@@ -196,21 +199,31 @@ def ramp_moment_closed_form(c, kprime: int, R: float):
     return top * _int_power(c, k2) + lin * c + const
 
 
-def verify_null(
-    term: HarmonicNullTerm, xs: BallGrid, rule: QuadratureRule | None = None, tolerance: float = 1e-8
-) -> NullVerificationReport:
+def _sphere_factor(term: HarmonicNullTerm, m: int | None = None) -> tuple[QuadratureRule, np.ndarray]:
+    """The sphere rule of resolution m, by default the smallest exact to degree
+    k + k' + 2 (``_rule_resolution``), and Y_{k,j} at its nodes."""
+    rule = sphere_rule(term.d, _rule_resolution(term.d, term.k, term.kprime) if m is None else m)
+    return rule, np.asarray(harmonic_eval(term.k, term.j, term.d, rule.nodes), dtype=float)
+
+
+def verify_null(term: HarmonicNullTerm, xs: BallGrid, tolerance: float = 1e-8) -> NullVerificationReport:
     """Check that the term pairs to ~0 against every ramp centered in the grid.
 
     The bias integral uses the closed form, so the only numerical error is
-    the sphere rule's.  The default rule is the smallest exact to degree
+    the sphere rule's, and the rule is the smallest exact to degree
     k + k' + 2 (``_rule_resolution``): k + k' + 3 circle nodes in d=2, and
     2 m^2 nodes in d=3 with m = max(floor((k + k' + 4) / 2), k + 1), which
-    is k + 1 for every null-set term (k' <= k - 4).  A rule passed in
-    should be exact to that degree too.  The
-    pairing of point x is sum_i v_i q(<w_i, x>) with v = weights * Y_{k,j},
-    and q has three monomials, so the grid's pairings are the moments
+    is k + 1 for every null-set term (k' <= k - 4).  The pairing of point x
+    is sum_i v_i q(<w_i, x>) with v = weights * Y_{k,j}, and q has three
+    monomials, so the grid's pairings are the moments
     top * (c^k2 @ v) + lin * (c @ v) + const * sum(v) of the points x nodes
     array c: one integer power and two matrix-vector products.
+
+    A pairing's rounding error grows with the term, like |coeff| R^(k'+2),
+    the largest bias moment on (-R, R), so the largest pairing is judged
+    against ``tolerance`` times that scale where it passes 1, and the
+    report carries the tolerance so scaled.  A scaled tolerance that
+    overflows a float is refused.
     """
     if not term.in_set_a:
         raise PreconditionError("term is outside the null set (needs k' < k - 2)")
@@ -218,15 +231,19 @@ def verify_null(
         raise InvalidInputError("grid and term dimensions differ")
     if xs.R > term.R:
         raise InvalidInputError("grid must lie inside the term's ball")
-    if rule is None:
-        rule = sphere_rule(term.d, _rule_resolution(term.d, term.k, term.kprime))
-    y = np.asarray(harmonic_eval(term.k, term.j, term.d, rule.nodes), dtype=float)
+    scale = abs(term.coeff) * term.R ** (term.kprime + 2)
+    scaled = tolerance * max(1.0, scale)
+    if not math.isfinite(scaled):
+        raise DomainError(
+            f"the tolerance {tolerance:g} times the term's scale |coeff| R^(k'+2) = {scale:g} overflows a float"
+        )
+    rule, y = _sphere_factor(term)
     v = rule.weights * y
     c = xs.points @ rule.nodes.T
     k2, top, lin, const = _ramp_moment(c, term.kprime, term.R)
     vals = term.coeff * (top * (_int_power(c, k2) @ v) + lin * (c @ v) + const * v.sum())
     worst = float(np.abs(vals).max(initial=0.0))
-    return NullVerificationReport(term=term, points=len(xs), max_ramp_integral=worst, tolerance=tolerance)
+    return NullVerificationReport(term=term, points=len(xs), max_ramp_integral=worst, tolerance=scaled)
 
 
 def null_term_density(term: HarmonicNullTerm, m: int | None = None) -> RadonDensity:
@@ -239,8 +256,7 @@ def null_term_density(term: HarmonicNullTerm, m: int | None = None) -> RadonDens
     k + k' + 3 nodes, an odd number since k and k' share parity, so its
     directions are not antipodally symmetric.
     """
-    rule = sphere_rule(term.d, _rule_resolution(term.d, term.k, term.kprime) if m is None else m)
-    y = np.asarray(harmonic_eval(term.k, term.j, term.d, rule.nodes), dtype=float)
+    rule, y = _sphere_factor(term, m)
     poly = np.zeros((term.kprime + 1, len(y)))
     poly[term.kprime] = term.coeff * y * rule.weights
     return RadonDensity(d=term.d, R=term.R, directions=rule.nodes, poly=poly)
@@ -273,9 +289,8 @@ def _product_rule(term: HarmonicNullTerm, n: int) -> tuple[QuadratureRule, Quadr
     if n < 16:
         raise InvalidInputError("need at least 16 neurons to factor the product rule")
     m_s, m_b = _factor_neurons(n, term.d, term.k, term.kprime)
-    srule = sphere_rule(term.d, m_s)
+    srule, y = _sphere_factor(term, m_s)
     brule = gauss_legendre(m_b, -term.R, term.R)
-    y = np.asarray(harmonic_eval(term.k, term.j, term.d, srule.nodes), dtype=float)
     return srule, brule, y * srule.weights, brule.nodes**term.kprime * brule.weights
 
 
@@ -300,13 +315,7 @@ def discretize_null(term: HarmonicNullTerm, n: int) -> TwoLayerNet:
     )
 
 
-def mode_connect_perturb(
-    base: TwoLayerNet,
-    term: HarmonicNullTerm,
-    n: int,
-    s: float,
-    grid: BallGrid,
-) -> ModeConnectReport:
+def mode_connect_perturb(term: HarmonicNullTerm, n: int, s: float, grid: BallGrid) -> ModeConnectReport:
     """Add s times a discretized null network and measure what moved.
 
     Reports the sup change of the represented function on the grid next to
@@ -331,8 +340,6 @@ def mode_connect_perturb(
     displacement and coefficient mass are the net's to the bit.
     """
     check_finite(s, "scale s")
-    if base.d != term.d:
-        raise InvalidInputError("network and term dimensions differ")
     if grid.d != term.d:
         raise InvalidInputError(f"grid dimension d = {grid.d} differs from the term's d = {term.d}")
     if grid.R > term.R:
@@ -356,21 +363,6 @@ def mode_connect_perturb(
         coefficient_mass=float(np.abs(a).sum()),
         grid_size=len(grid),
     )
-
-
-def save_null_term(path, term: HarmonicNullTerm) -> None:
-    """Write the CLI-facing term JSON: {"k","j","kprime","coeff","d","R"}."""
-    payload = {
-        "k": term.k,
-        "j": term.j,
-        "kprime": term.kprime,
-        "coeff": float(term.coeff),
-        "d": term.d,
-        "R": float(term.R),
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def load_null_term(path) -> HarmonicNullTerm:

@@ -52,10 +52,6 @@ class QuadratureRule:
     def __len__(self) -> int:
         return len(self.weights)
 
-    def integrate(self, fn) -> float:
-        """Apply the rule to a vectorized integrand ``fn(nodes) -> values``."""
-        return float(self.weights @ np.asarray(fn(self.nodes), dtype=float))
-
 
 @dataclass(frozen=True)
 class BallGrid:

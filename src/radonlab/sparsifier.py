@@ -35,10 +35,10 @@ direction, and each direction's ramps are summed from one histogram of its
 biases over the sorted projections, with no N x n ramp matrix.  The same
 kernel scores all seeded streams of a ladder batch at once, one pass per
 direction, in the batch's draw order, and a stream's values have the same
-bits as in its own net, which sorts its neurons for itself.  A
-sampled network has only as many distinct directions as the density, and
-a null-space network repeats each sphere node over all of its bias nodes,
-so the directions are far fewer than the neurons for both.
+bits as in its own net, which hands in its neurons sorted by (direction,
+bias).  A sampled network has only as many distinct directions as the
+density, and a null-space network repeats each sphere node over all of its
+bias nodes, so the directions are far fewer than the neurons for both.
 """
 
 from __future__ import annotations
@@ -138,7 +138,8 @@ class TwoLayerNet:
         out = _project(pts, self.v[None, :])[0] + self.c
         if self.n:
             first, labels = _group_rows(self.omegas)
-            ramps = _ramp_sums(self.a, self.b, labels, _project(pts, self.omegas[first]))
+            proj = _project(pts, self.omegas[first])
+            ramps = _ramp_sums(self.a, self.b, labels, proj, [self.n], _by_direction(labels, self.b))[0]
             out = out + (self.kappa / self.n) * ramps
         return float(out[0]) if single else out
 
@@ -170,7 +171,7 @@ class TwoLayerNet:
 
 # the most nodes of a density's start table, panel edges included: a density
 # of P panels gets min(_TABLE_CELLS, _TABLE_NODES // P - 1) cells per panel,
-# each with one node more, and below 3 cells per panel the linear start
+# each with one node more, and below 3 cells per panel one cell holding the line
 _TABLE_NODES = 2**13
 _TABLE_CELLS = 128
 
@@ -193,7 +194,7 @@ def _solve_in_panels(density: RadonDensity, edges, g1, k, sign, rows, rest, x, t
     return _bracketed_newton(excess, np.minimum(np.maximum(x, left), right), left, right, tol)
 
 
-def _start_table(density: RadonDensity, lo: float, hi: float) -> tuple[np.ndarray, int, np.ndarray | None]:
+def _start_table(density: RadonDensity, lo: float, hi: float) -> tuple[np.ndarray, int, np.ndarray]:
     """The sign of g on every panel on (lo, hi), and its inverse CDF as cubics in theta =
     arccos(1 - 2s)/pi, s the share of the panel's mass, built once per density and
     interval: ``(sign, M, coef)`` gives panel k (indexed by its left edge) the sign
@@ -207,7 +208,8 @@ def _start_table(density: RadonDensity, lo: float, hi: float) -> tuple[np.ndarra
     every panel's biases are solved, to the draws' tolerance, at the M - 1 inner nodes
     theta = j / M (the end nodes are the panel's edges), in one Newton pass, and each
     cell holds the cubic through its 4 nearest nodes.  Where fewer than 3 cells fit, M is
-    1, ``coef`` is None and each draw starts on the line b = left + (right - left) theta.
+    1 and each panel's one cell holds the line b = left + (right - left) theta, as the
+    cubic with coefficients (left, right - left, 0, 0).
     The coefficients are elementwise sums in a fixed order, so a panel's cubics have the
     same bits in any density with the same M: in every density of at most 63 panels.
     """
@@ -220,7 +222,7 @@ def _start_table(density: RadonDensity, lo: float, hi: float) -> tuple[np.ndarra
     panel[starts[1:-1] - 1] = False  # a profile's last edge starts no panel
     M = min(_TABLE_CELLS, _TABLE_NODES // max(1, int(panel.sum())) - 1)
     if M < 3:
-        M, coef = 1, None
+        M, coef = 1, np.vstack([edges[:-1], np.diff(edges), np.zeros((2, len(sign)))])
     else:
         # the nodes j = 0..M of every panel: its edges, and the inner ones solved
         y = np.linspace(edges[:-1], edges[1:], M + 1, axis=1)  # the linear start of each node
@@ -254,7 +256,7 @@ def _by_direction(key: np.ndarray, u: np.ndarray) -> np.ndarray:
     return by_u[np.argsort(key[by_u], kind="stable")]
 
 
-def _draw_biases(density: RadonDensity, idx, u, lo: float, hi: float, order=None) -> tuple[np.ndarray, np.ndarray]:
+def _draw_biases(density: RadonDensity, idx, u, lo: float, hi: float, order) -> tuple[np.ndarray, np.ndarray]:
     """Inverse-CDF biases from |g_w| on the open interval (lo, hi) for the
     drawn directions ``idx``, and the signs a = sign(g_w(b)) of the panels
     they lie in: neuron i's bias is where the mass of |g| of profile
@@ -262,24 +264,21 @@ def _draw_biases(density: RadonDensity, idx, u, lo: float, hi: float, order=None
 
     The neurons are drawn in ``order``, which lists each direction's
     neurons in one run by increasing u (the runs in any order of the
-    directions); without it they are sorted so here.  In that order each
+    directions), as ``_by_direction`` gives it.  In that order each
     direction's targets are sorted, and its panels are searched over one
     contiguous slice of the running masses.  One ``_solve_in_panels`` call
     then solves every neuron's b, whatever its direction, with its panel as
     its bracket.  Newton's method starts from the panel's inverse CDF in
     ``_start_table``: the cubic of the target's theta cell, read in one
-    gather and evaluated by Horner's rule, or the line in theta where the
-    table has no cubics.  A draw stops once its step is at most 1e-9 of the
-    interval: Newton's error after such a step is of its square, and smaller
-    steps would only chase the rounding noise of G_1.  A start within that
-    tolerance stops after one profile evaluation.  Every step is elementwise,
-    so a bias has the same bits in any order; they are returned in the
-    order of ``idx``.
+    gather and evaluated by Horner's rule.  A draw stops once its step is
+    at most 1e-9 of the interval: Newton's error after such a step is of
+    its square, and smaller steps would only chase the rounding noise of
+    G_1.  A start within that tolerance stops after one profile
+    evaluation.  Every step is elementwise, so a bias has the same bits in
+    any order; they are returned in the order of ``idx``.
     """
     starts, edges, g1, cum = density.panels(lo, hi)
     panel_sign, M, coef = _start_table(density, lo, hi)
-    if order is None:
-        order = _by_direction(idx, u)
     rows = idx[order]
     last = starts[rows + 1] - 1  # each neuron's profile: its last edge
     target = u[order] * cum[last]
@@ -292,17 +291,12 @@ def _draw_biases(density: RadonDensity, idx, u, lo: float, hi: float, order=None
     rest = target - cum[k]
     panel_mass = cum[k + 1] - cum[k]
     s = np.clip(np.divide(rest, panel_mass, out=np.zeros_like(rest), where=panel_mass > 0), 0.0, 1.0)
-    theta = np.arccos(1.0 - 2.0 * s) / np.pi
-    if coef is None:
-        x = edges[k] + (edges[k + 1] - edges[k]) * theta
-    else:
-        pos = theta * M
-        i = np.minimum(pos.astype(np.intp), M - 1)  # pos >= 0: truncation is floor
-        t = pos - i
-        c = coef.take(k * M + i, axis=1)
-        x = c[0] + t * (c[1] + t * (c[2] + t * c[3]))
-        del pos, i, t, c
-    del last, target, panel_mass, s, theta  # a batch's Newton pass holds only what it reads
+    pos = np.arccos(1.0 - 2.0 * s) / np.pi * M
+    i = np.minimum(pos.astype(np.intp), M - 1)  # pos >= 0: truncation is floor
+    t = pos - i
+    c = coef.take(k * M + i, axis=1)
+    x = c[0] + t * (c[1] + t * (c[2] + t * c[3]))
+    del last, target, panel_mass, s, pos, i, t, c  # a batch's Newton pass holds only what it reads
     sign = panel_sign[k]
     solved = _solve_in_panels(density, edges, g1, k, sign, rows, rest, x, 1e-9 * (hi - lo))
     b, a = np.empty(len(rows)), np.empty(len(rows))
@@ -479,14 +473,13 @@ def _project(points: np.ndarray, dirs: np.ndarray) -> np.ndarray:
 _SCORE_BLOCK = 2**16  # (stream, point) entries that close a ladder batch: the size of _ramp_sums' tables
 
 
-def _ramp_sums(a: np.ndarray, b: np.ndarray, labels: np.ndarray, proj: np.ndarray, sizes=None, order=None) -> np.ndarray:
+def _ramp_sums(a: np.ndarray, b: np.ndarray, labels: np.ndarray, proj: np.ndarray, sizes, order) -> np.ndarray:
     """sum_i a_i (<w_i, x> - b_i)_+ at every point x, per stream, from one bias histogram per direction.
 
     Neuron i has direction label ``labels[i]``, and ``proj[labels[i]]``
     holds the points' projections on that direction.  The neurons are
     consecutive streams of ``sizes`` neurons, and row s of the
-    (streams, points) result sums stream s alone; without ``sizes`` they
-    are one stream and the result is that row.
+    (streams, points) result sums stream s alone.
 
     Per direction, in label order, with its projections sorted into ps:
     neuron i falls in slot k_i, the count of points at or below b_i, so
@@ -502,19 +495,16 @@ def _ramp_sums(a: np.ndarray, b: np.ndarray, labels: np.ndarray, proj: np.ndarra
     and each label's neurons by bias, or nearly so: a search with sorted
     keys is several times cheaper per key than with unsorted ones, and any
     order gives the same slots.  A ladder hands in the order its draw pass
-    ran in; without one the neurons are sorted by (label, bias) here.  The
-    bins are filled in neuron order within each label, by one stable
-    argsort of the labels narrowed to the smallest unsigned type that holds
-    them, which numpy radix-sorts up to 16 bits.
+    ran in, and ``TwoLayerNet.evaluate`` its one stream's neurons by (label,
+    bias), as ``_by_direction`` sorts them.  The bins are filled in neuron
+    order within each label, by one stable argsort of the labels narrowed
+    to the smallest unsigned type that holds them, which numpy radix-sorts
+    up to 16 bits.
     """
-    one = sizes is None
-    sizes = np.array([len(a)] if one else sizes, dtype=np.intp)
     S, N = len(sizes), proj.shape[1]
     out = np.zeros((S, N))
     key = labels.astype(np.min_scalar_type(labels.max(initial=0)))
     by_label = np.argsort(key, kind="stable")
-    if order is None:
-        order = _by_direction(key, b)
     sorted_b = b[order]
     labels, a = labels[by_label], a[by_label]
     ab = a * b[by_label]
@@ -532,7 +522,7 @@ def _ramp_sums(a: np.ndarray, b: np.ndarray, labels: np.ndarray, proj: np.ndarra
         A *= ps
         A -= B
         out += A[:, point_rank]
-    return out[0] if one else out
+    return out
 
 
 def sup_error(net: TwoLayerNet, mu: SpectralMeasure, grid: BallGrid) -> float:

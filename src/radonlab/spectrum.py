@@ -161,19 +161,6 @@ def _fourier_constant(name: str, terms, square) -> float:
     return total
 
 
-def save_spectrum(path, d: int, terms) -> None:
-    """Write the canonical spectrum JSON: {"d": int, "terms": [{"amplitude", "xi"}]}."""
-    payload = {
-        "d": int(d),
-        "terms": [
-            {"amplitude": float(a), "xi": [float(v) for v in np.atleast_1d(xi)]} for a, xi in terms
-        ],
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def load_spectrum(path) -> tuple[int, list[tuple[float, np.ndarray]]]:
     """Read the canonical spectrum JSON; returns (d, terms)."""
     with open(path) as fh:

@@ -1,8 +1,11 @@
 """Shared fixtures and oracles: bundled example spectra, random cosine sums,
-and the Funk-Hecke and threshold-witness identities built from numpy alone."""
+the Funk-Hecke and threshold-witness identities built from numpy alone, and
+the writer of the CLI's input files."""
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -11,11 +14,31 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 import radonlab as rl
+from radonlab import nullspace
 from radonlab.radon_measure import ramp_integral_grid, spectral_second_moment
 
 EPS = 0.01
 # |S^0| and |S^1|: the surface of the sphere that Funk-Hecke reduces S^{d-1} to
 SPHERE_SURFACE = {1: 2.0, 2: 2.0 * math.pi}
+
+
+def write_input(path, what, terms=None) -> None:
+    """Write a CLI input file as JSON: a null term's fields ``{"k", "j", "kprime", "coeff", "d", "R"}``,
+    or with ``terms`` the spectrum ``{"d": what, "terms": [{"amplitude", "xi"}]}`` of those (amplitude, xi) pairs."""
+    if terms is None:
+        payload = dataclasses.asdict(what)
+    else:
+        terms = [{"amplitude": float(a), "xi": np.atleast_1d(xi).astype(float).tolist()} for a, xi in terms]
+        payload = {"d": what, "terms": terms}
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+
+
+def verify_at(term, xs, m: int):
+    """``verify_null`` on the sphere rule of resolution m in place of the smallest exact one."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nullspace, "_rule_resolution", lambda d, k, kprime: m)
+        return rl.verify_null(term, xs)
 
 
 @pytest.fixture

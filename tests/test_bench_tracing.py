@@ -14,6 +14,8 @@ from pathlib import Path
 import radonlab as rl
 from radonlab.cli import main
 
+from conftest import write_input
+
 _SPEC = importlib.util.spec_from_file_location("tracing", Path(__file__).resolve().parents[1] / "bench" / "tracing.py")
 tracing = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(tracing)
@@ -38,7 +40,7 @@ def test_observed_arguments_exist():
 
 def test_traced_norm_run(tmp_path):
     spectrum = tmp_path / "spectrum.json"
-    rl.save_spectrum(spectrum, 2, [(1.0, [3.0, 4.0]), (-0.5, [1.0, -2.0])])
+    write_input(spectrum, 2, [(1.0, [3.0, 4.0]), (-0.5, [1.0, -2.0])])
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -58,7 +60,7 @@ def test_traced_norm_run(tmp_path):
 
 def test_traced_approximate_run(tmp_path):
     spectrum = tmp_path / "spectrum.json"
-    rl.save_spectrum(spectrum, 2, [(1.0, [3.0, 4.0]), (-0.5, [1.0, -2.0])])
+    write_input(spectrum, 2, [(1.0, [3.0, 4.0]), (-0.5, [1.0, -2.0])])
     tracer = tracing.Tracer()
     tracer.install()
     try:

@@ -34,27 +34,27 @@ from radonlab.errors import (
     exit_code_for,
 )
 
-from conftest import abs_cos_integral
+from conftest import abs_cos_integral, write_input
 
 
 @pytest.fixture
 def spectrum_path(tmp_path):
     path = tmp_path / "spectrum.json"
-    rl.save_spectrum(path, 1, [(1.0, [1.0]), (-1.0, [1.01])])
+    write_input(path, 1, [(1.0, [1.0]), (-1.0, [1.01])])
     return path
 
 
 @pytest.fixture
 def spectrum2_path(tmp_path):
     path = tmp_path / "spectrum2.json"
-    rl.save_spectrum(path, 2, [(1.0, [1.0, 0.5]), (0.5, [-0.3, 1.2])])
+    write_input(path, 2, [(1.0, [1.0, 0.5]), (0.5, [-0.3, 1.2])])
     return path
 
 
 @pytest.fixture
 def term_path(tmp_path):
     path = tmp_path / "term.json"
-    rl.save_null_term(path, rl.HarmonicNullTerm(k=4, j=1, kprime=0, coeff=1.0, d=2, R=1.0))
+    write_input(path, rl.HarmonicNullTerm(k=4, j=1, kprime=0, coeff=1.0, d=2, R=1.0))
     return path
 
 
@@ -86,7 +86,7 @@ def test_norm_report_contents(tmp_path, spectrum_path):
 
 def test_norm_empty_spectrum(tmp_path):
     path = tmp_path / "empty.json"
-    rl.save_spectrum(path, 1, [])
+    write_input(path, 1, [])
     out = tmp_path / "report.json"
     assert main(["norm", "--spectrum", str(path), "--R", "1", "--out", str(out)]) == EXIT_PASS
     report = read_json(out)
@@ -112,7 +112,7 @@ def cos_norm(t, R):
 @pytest.fixture
 def slow_cos_path(tmp_path):
     path = tmp_path / "slow_cos.json"
-    rl.save_spectrum(path, 1, [(1.0, [0.001])])
+    write_input(path, 1, [(1.0, [0.001])])
     return path
 
 
@@ -249,7 +249,7 @@ def test_norm_and_approximate_past_nine_dimensions(tmp_path, d):
     xi = np.zeros(d)
     xi[[0, 1, 2, -1]] = [0.412, 1.043, -0.129, 0.7]
     path = tmp_path / "spectrum.json"
-    rl.save_spectrum(path, d, [(-1.5, xi)])
+    write_input(path, d, [(-1.5, xi)])
     out = tmp_path / "norm.json"
     assert main(["norm", "--spectrum", str(path), "--R", "1.5", "--out", str(out)]) == EXIT_PASS
     report = read_json(out)
@@ -286,9 +286,29 @@ def test_verify_null_pass_and_fail(tmp_path, term_path):
     assert read_json(out)["tol_overrides"] == {"null_tol": 1e-30}
 
 
+@pytest.mark.parametrize("R", [10.0, 100.0, 1000.0])
+def test_verify_null_judges_relative_to_the_term(tmp_path, R):
+    # this null term's largest pairing is 6.4e-8 at R = 100 and 6.4e-4 at R = 1000,
+    # rounding on moments of size R^(k'+2): an absolute null_tol of 1e-8 failed both
+    path, out = tmp_path / "term.json", tmp_path / "verdict.json"
+    write_input(path, rl.HarmonicNullTerm(k=6, j=1, kprime=2, coeff=1.0, d=2, R=R))
+    assert main(["verify-null", "--term", str(path), "--out", str(out)]) == EXIT_PASS
+    report = read_json(out)
+    assert report["verdict"] == "pass" and report["tolerance"] == 1e-8 * R**4
+
+
+def test_verify_null_refuses_a_tolerance_scale_that_overflows(tmp_path, capsys):
+    path = tmp_path / "term.json"
+    write_input(path, rl.HarmonicNullTerm(k=6, j=1, kprime=2, coeff=1e300, d=2, R=1000.0))
+    assert main(["verify-null", "--term", str(path)]) == EXIT_DOMAIN
+    assert capsys.readouterr().err == (
+        "radonlab: the tolerance 1e-08 times the term's scale |coeff| R^(k'+2) = inf overflows a float\n"
+    )
+
+
 def test_verify_null_threshold_term_rejected(tmp_path, capsys):
     edge = tmp_path / "edge.json"
-    rl.save_null_term(edge, rl.HarmonicNullTerm(k=4, j=1, kprime=2, coeff=1.0, d=2, R=1.0))
+    write_input(edge, rl.HarmonicNullTerm(k=4, j=1, kprime=2, coeff=1.0, d=2, R=1.0))
     assert main(["verify-null", "--term", str(edge)]) == EXIT_DOMAIN
     assert capsys.readouterr().err == "radonlab: term is outside the null set (needs k' < k - 2)\n"
 
@@ -332,7 +352,7 @@ def test_commands_refuse_a_grid_without_points(tmp_path, capsys, spectrum_path, 
 )
 def test_verify_null_high_degree_passes(tmp_path, term):
     path = tmp_path / "term.json"
-    rl.save_null_term(path, term)
+    write_input(path, term)
     out = tmp_path / "verdict.json"
     assert main(["verify-null", "--term", str(path), "--grid", "400", "--out", str(out)]) == EXIT_PASS
     report = read_json(out)
@@ -349,17 +369,24 @@ def save_random_network(path, d=3):
 def test_modeconnect_d3_high_degree_term(tmp_path):
     net_path, term_path, out = tmp_path / "net.json", tmp_path / "term.json", tmp_path / "mc.json"
     save_random_network(net_path)
-    rl.save_null_term(term_path, rl.HarmonicNullTerm(k=9, j=2, kprime=5, coeff=1.5, d=3, R=1.0))
+    write_input(term_path, rl.HarmonicNullTerm(k=9, j=2, kprime=5, coeff=1.5, d=3, R=1.0))
     code = main(["modeconnect", "--network", str(net_path), "--term", str(term_path), "--n", "3000", "--out", str(out)])
     assert code == EXIT_PASS
     assert read_json(out)["functional_change"] <= 1e-3
+
+
+def test_modeconnect_refuses_a_network_of_another_dimension(tmp_path, capsys, term_path):
+    net_path = tmp_path / "net.json"
+    save_random_network(net_path, d=3)
+    assert main(["modeconnect", "--network", str(net_path), "--term", str(term_path)]) == EXIT_PARSE
+    assert capsys.readouterr().err == "radonlab: network and term dimensions differ\n"
 
 
 def test_modeconnect_d3_term_of_top_azimuthal_order(tmp_path):
     # j = 1 has azimuthal order k = 9: a sphere factor m = 9 put every node on its zeros
     net_path, term_path, out = tmp_path / "net.json", tmp_path / "term.json", tmp_path / "mc.json"
     save_random_network(net_path)
-    rl.save_null_term(term_path, rl.HarmonicNullTerm(k=9, j=1, kprime=5, coeff=1.5, d=3, R=1.0))
+    write_input(term_path, rl.HarmonicNullTerm(k=9, j=1, kprime=5, coeff=1.5, d=3, R=1.0))
     code = main(["modeconnect", "--network", str(net_path), "--term", str(term_path), "--n", "3000", "--out", str(out)])
     assert code == EXIT_PASS
     assert read_json(out)["coefficient_mass"] >= 0.5
@@ -440,7 +467,7 @@ def test_modeconnect_passes_relative_to_the_coefficient_mass(tmp_path, network2_
     # the added network's quadrature error grows with its coefficients: at 3.5 and 10
     # the change passed |s| 1e-3, the old absolute bound, and exited 1
     term = tmp_path / "term.json"
-    rl.save_null_term(term, rl.HarmonicNullTerm(k=4, j=1, kprime=0, coeff=coeff, d=2, R=1.0))
+    write_input(term, rl.HarmonicNullTerm(k=4, j=1, kprime=0, coeff=coeff, d=2, R=1.0))
     out = tmp_path / "mc.json"
     argv = ["modeconnect", "--network", str(network2_path), "--term", str(term), "--n", "2000", "--s", "1"]
     assert main([*argv, "--out", str(out)]) == EXIT_PASS
@@ -564,7 +591,7 @@ def test_every_calibration_constant_is_read_by_the_cli():
 @pytest.mark.parametrize("d, xi", [(2, [60.0, 80.0]), (1, [1000.0])])
 def test_norm_affine_residual_at_high_frequency(tmp_path, d, xi):
     path = tmp_path / "spectrum.json"
-    rl.save_spectrum(path, d, [(1.0, xi)])
+    write_input(path, d, [(1.0, xi)])
     out = tmp_path / "report.json"
     main(["norm", "--spectrum", str(path), "--R", "1", "--out", str(out)])
     assert read_json(out)["residual_affine"] <= 1e-6
@@ -626,7 +653,7 @@ def test_approximate_emitted_error_is_last_min_error(tmp_path, spectrum2_path, c
 def test_norm_refuses_unbounded_root_scan(tmp_path, capsys):
     # |xi| R = 1e8 would ask for a root scan of about 1e9 points
     path = tmp_path / "spectrum.json"
-    rl.save_spectrum(path, 1, [(1.0, [1e8])])
+    write_input(path, 1, [(1.0, [1e8])])
     out = tmp_path / "report.json"
     tracemalloc.start()
     try:
@@ -644,8 +671,8 @@ def test_import_cli_leaves_scipy_special_unloaded(tmp_path):
     # the library is numpy-only: the d=3 harmonics and the d > 3 ball grids,
     # scipy's last two callers, run without loading any scipy module
     term, spectrum = tmp_path / "term.json", tmp_path / "spectrum.json"
-    rl.save_null_term(term, rl.HarmonicNullTerm(k=7, j=3, kprime=1, coeff=1.0, d=3, R=1.0))
-    rl.save_spectrum(spectrum, 8, [(1.0, [0.5, 0.0, 0.3, 0.0, 0.0, 0.2, 0.0, 0.1])])
+    write_input(term, rl.HarmonicNullTerm(k=7, j=3, kprime=1, coeff=1.0, d=3, R=1.0))
+    write_input(spectrum, 8, [(1.0, [0.5, 0.0, 0.3, 0.0, 0.0, 0.2, 0.0, 0.1])])
     code = (
         "import sys, radonlab.cli as c\n"
         f"assert c.main(['verify-null', '--term', {str(term)!r}, '--out', {str(tmp_path / 'null.json')!r}]) == 0\n"
@@ -1036,7 +1063,7 @@ def test_density_commands_run_a_large_finite_amplitude(tmp_path, command):
 
 def test_norm_of_the_empty_spectrum_on_a_ball_whose_diameter_is_finite(tmp_path):
     path = tmp_path / "empty.json"
-    rl.save_spectrum(path, 1, [])
+    write_input(path, 1, [])
     out = tmp_path / "report.json"
     assert main(["norm", "--spectrum", str(path), "--R=5e307", "--out", str(out)]) == EXIT_PASS
     report = read_json(out)

@@ -15,7 +15,7 @@ from radonlab.errors import DomainError, InvalidInputError, PreconditionError
 from radonlab.nullspace import _factor_neurons, _int_power, _rule_resolution
 from radonlab.radon_measure import ramp_integral_grid
 
-from conftest import threshold_pairing, witness_closed_form
+from conftest import threshold_pairing, verify_at, witness_closed_form, write_input
 
 
 def ramp_moment_quadrature(c, kprime, R, n=64):
@@ -72,7 +72,7 @@ def test_verify_null_matches_pointwise_loop():
         abs(term.coeff * float(rule.weights @ (y * np.array([rl.ramp_moment_closed_form(float(u), 4, 1.0) for u in rule.nodes @ x]))))
         for x in xs.points
     )
-    report = rl.verify_null(term, xs, rule)
+    report = verify_at(term, xs, 8)
     assert loop > 1e-3
     assert report.max_ramp_integral == pytest.approx(loop, rel=1e-13)
 
@@ -89,25 +89,26 @@ def test_int_power_matches_exact_powers():
 
 
 @pytest.mark.parametrize(
-    "term, rule",
+    "term, m",
     [
         # no rule is exact to degree k + k' + 2, so the pairings are far from 0
-        (rl.HarmonicNullTerm(k=12, j=5, kprime=6, coeff=0.7, d=3, R=2.0), rl.sphere_rule(3, 6)),
-        (rl.HarmonicNullTerm(k=60, j=1, kprime=40, coeff=1.0, d=2, R=1.0), rl.sphere_rule(2, 64)),
+        (rl.HarmonicNullTerm(k=12, j=5, kprime=6, coeff=0.7, d=3, R=2.0), 6),
+        (rl.HarmonicNullTerm(k=60, j=1, kprime=40, coeff=1.0, d=2, R=1.0), 64),
         # 8 circle nodes alias cos(9 t) cos(t) and cos(8 t): the linear and the
         # constant monomial of the bias integral pair to nonzero values
-        (rl.HarmonicNullTerm(k=9, j=1, kprime=1, coeff=1.0, d=2, R=1.0), rl.sphere_rule(2, 8)),
-        (rl.HarmonicNullTerm(k=8, j=1, kprime=2, coeff=1.0, d=2, R=1.0), rl.sphere_rule(2, 8)),
+        (rl.HarmonicNullTerm(k=9, j=1, kprime=1, coeff=1.0, d=2, R=1.0), 8),
+        (rl.HarmonicNullTerm(k=8, j=1, kprime=2, coeff=1.0, d=2, R=1.0), 8),
     ],
 )
-def test_verify_null_matches_pointwise_loop_on_inexact_rules(term, rule):
+def test_verify_null_matches_pointwise_loop_on_inexact_rules(term, m):
     xs = rl.ball_grid(term.d, term.R, 30, seed=4)
+    rule = rl.sphere_rule(term.d, m)
     y = rl.harmonic_eval(term.k, term.j, term.d, rule.nodes)
     loop = max(
         abs(term.coeff * float(rule.weights @ (y * np.array([rl.ramp_moment_closed_form(float(u), term.kprime, term.R) for u in rule.nodes @ x]))))
         for x in xs.points
     )
-    report = rl.verify_null(term, xs, rule)
+    report = verify_at(term, xs, m)
     assert loop > 1e-6
     assert report.max_ramp_integral == pytest.approx(loop, rel=1e-12)
 
@@ -115,12 +116,12 @@ def test_verify_null_matches_pointwise_loop_on_inexact_rules(term, rule):
 def test_verify_null_refuses_a_kink_on_the_sphere():
     xs = rl.BallGrid(2, 1.0, np.array([[1.0, 0.0]]))
     with pytest.raises(DomainError, match=re.escape("kink position |c| = 1.0 must lie inside (-R, R)")):
-        rl.verify_null(EX2_TERM, xs, rl.sphere_rule(2, 64))
+        verify_at(EX2_TERM, xs, 64)
 
 
 def test_verify_null_example_density():
     xs = rl.ball_grid(2, 1.0, 100, seed=42)
-    report = rl.verify_null(EX2_TERM, xs, rl.sphere_rule(2, 64))
+    report = verify_at(EX2_TERM, xs, 64)
     assert report.verdict
     assert report.max_ramp_integral <= 1e-8
     assert report.points == 100
@@ -129,25 +130,25 @@ def test_verify_null_example_density():
 def test_verify_null_odd_term_d2():
     term = rl.HarmonicNullTerm(k=5, j=2, kprime=1, coeff=1.0, d=2, R=1.0)
     xs = rl.ball_grid(2, 1.0, 50, seed=1)
-    report = rl.verify_null(term, xs, rl.sphere_rule(2, 64))
+    report = verify_at(term, xs, 64)
     assert report.max_ramp_integral <= 1e-8
 
 
 def test_verify_null_d3():
     term = rl.HarmonicNullTerm(k=4, j=1, kprime=0, coeff=1.0, d=3, R=1.0)
     xs = rl.ball_grid(3, 1.0, 50, seed=2)
-    report = rl.verify_null(term, xs, rl.sphere_rule(3, 16))
+    report = verify_at(term, xs, 16)
     assert report.max_ramp_integral <= 1e-8
 
 
 def test_verify_null_all_set_a_terms_k_le_8():
-    for d, rule in ((2, rl.sphere_rule(2, 64)), (3, rl.sphere_rule(3, 16))):
+    for d, m in ((2, 64), (3, 16)):
         xs = rl.ball_grid(d, 1.0, 20, seed=7)
         for k in range(3, 9):
             for kprime in range(k % 2, k - 2, 2):
                 for j in range(1, rl.harmonic_dim(k, d) + 1):
                     term = rl.HarmonicNullTerm(k=k, j=j, kprime=kprime, coeff=1.0, d=d, R=1.0)
-                    report = rl.verify_null(term, xs, rule)
+                    report = verify_at(term, xs, m)
                     assert report.max_ramp_integral <= 1e-8, (d, k, j, kprime)
 
 
@@ -168,9 +169,19 @@ def test_verify_null_d2_default_rule_is_the_smallest_exact_one(k, kprime, j):
     m = _rule_resolution(2, k, kprime)
     assert m == k + kprime + 3
     default = rl.verify_null(term, xs)
-    assert default == rl.verify_null(term, xs, rl.sphere_rule(2, m))
+    assert default == verify_at(term, xs, m)
     assert default.verdict and default.max_ramp_integral <= 1e-14
-    assert rl.verify_null(term, xs, rl.sphere_rule(2, m - 1)).max_ramp_integral > 1e-5
+    assert verify_at(term, xs, m - 1).max_ramp_integral > 1e-5
+
+
+@pytest.mark.parametrize("R", [1.0, 100.0])
+def test_verify_null_tolerance_scaled_to_the_term_still_fails_an_inexact_rule(R):
+    # the tolerance grows like R^(k'+2) with the term, and so does an aliased pairing
+    term = rl.HarmonicNullTerm(k=6, j=1, kprime=2, coeff=1.0, d=2, R=R)
+    xs = rl.ball_grid(2, R, 100)
+    assert rl.verify_null(term, xs).verdict
+    short = verify_at(term, xs, _rule_resolution(2, 6, 2) - 1)
+    assert short.tolerance == 1e-8 * max(1.0, R**4) and not short.verdict
 
 
 @pytest.mark.parametrize("k, kprime, j", [(5, 1, 1), (6, 0, 7), (8, 4, 3), (10, 2, 21)])
@@ -181,7 +192,7 @@ def test_verify_null_d3_default_resolution_is_k_plus_1(k, kprime, j):
     xs = rl.ball_grid(3, 1.0, 100)
     assert _rule_resolution(3, k, kprime) == k + 1
     default = rl.verify_null(term, xs)
-    assert default == rl.verify_null(term, xs, rl.sphere_rule(3, k + 1))
+    assert default == verify_at(term, xs, k + 1)
     assert default.max_ramp_integral <= 1e-14
 
 
@@ -204,7 +215,7 @@ def test_verify_null_rejects_threshold_term():
     term = rl.HarmonicNullTerm(k=4, j=1, kprime=2, coeff=1.0, d=2, R=1.0)
     xs = rl.ball_grid(2, 1.0, 10, seed=0)
     with pytest.raises(PreconditionError):
-        rl.verify_null(term, xs, rl.sphere_rule(2, 64))
+        rl.verify_null(term, xs)
 
 
 def test_term_parity_and_index_validation():
@@ -347,25 +358,16 @@ def test_discretize_null_d3_never_samples_harmonic_zeros(j):
     assert np.abs(net.a).sum() >= 0.5
 
 
-def test_mode_connect_zero_scale(near_cancel_measure):
-    density = rl.density_from_spectrum(near_cancel_measure, 1.0)
-    base = rl.sample_network(density, rl.AffinePart.zero(1), 32, seed=0)
-    # dimensions must match the term
-    mu2 = rl.from_cosine_sum(2, [(1.0, [1.0, 0.3])])
-    d2 = rl.density_from_spectrum(mu2, 1.0)
-    base2 = rl.sample_network(d2, rl.AffinePart.zero(2), 32, seed=0)
+def test_mode_connect_zero_scale():
     grid = rl.ball_grid(2, 1.0, 200)
-    report = rl.mode_connect_perturb(base2, EX2_TERM, 2000, 0.0, grid)
+    report = rl.mode_connect_perturb(EX2_TERM, 2000, 0.0, grid)
     assert report.functional_change == 0.0
     assert report.displacement == 0.0
 
 
 def test_mode_connect_flat_direction():
-    mu = rl.from_cosine_sum(2, [(1.0, [1.0, 0.3])])
-    density = rl.density_from_spectrum(mu, 1.0)
-    base = rl.sample_network(density, rl.AffinePart.zero(2), 64, seed=4)
     grid = rl.ball_grid(2, 1.0, 500)
-    report = rl.mode_connect_perturb(base, EX2_TERM, 2000, 1.0, grid)
+    report = rl.mode_connect_perturb(EX2_TERM, 2000, 1.0, grid)
     assert report.functional_change <= 1e-3
     assert report.displacement >= 0.5
     assert report.coefficient_mass >= 0.5
@@ -373,22 +375,11 @@ def test_mode_connect_flat_direction():
 
 
 def test_mode_connect_linear_in_scale():
-    mu = rl.from_cosine_sum(2, [(1.0, [1.0, 0.3])])
-    density = rl.density_from_spectrum(mu, 1.0)
-    base = rl.sample_network(density, rl.AffinePart.zero(2), 16, seed=4)
     grid = rl.ball_grid(2, 1.0, 100)
-    r1 = rl.mode_connect_perturb(base, EX2_TERM, 500, 1.0, grid)
-    r3 = rl.mode_connect_perturb(base, EX2_TERM, 500, 3.0, grid)
+    r1 = rl.mode_connect_perturb(EX2_TERM, 500, 1.0, grid)
+    r3 = rl.mode_connect_perturb(EX2_TERM, 500, 3.0, grid)
     assert r3.functional_change == pytest.approx(3.0 * r1.functional_change, rel=1e-12)
     assert r3.displacement == pytest.approx(3.0 * r1.displacement, rel=1e-12)
-
-
-def _flat_net(d):
-    """A one-neuron base network: mode_connect_perturb reads only its dimension."""
-    return rl.TwoLayerNet(
-        d=d, a=np.ones(1), omegas=np.eye(d)[:1], b=np.zeros(1), kappa=1.0, v=np.zeros(d), c=0.0,
-        convention="quadrature",
-    )
 
 
 RAISED_TERMS = [
@@ -414,20 +405,20 @@ def test_mode_connect_matches_the_built_net(term, n):
     grid = rl.ball_grid(term.d, 0.9, 300, seed=5)
     net = rl.discretize_null(term, n)
     s = -1.3
-    report = rl.mode_connect_perturb(_flat_net(term.d), term, n, s, grid)
+    report = rl.mode_connect_perturb(term, n, s, grid)
     mass = float(np.abs(net.a).sum())
     assert report.added_neurons == net.n
     assert report.coefficient_mass == mass
     assert report.displacement == float(np.abs(s * net.a).sum())
     want = abs(s) * float(np.max(np.abs(net.evaluate(grid.points))))
     assert abs(report.functional_change - want) <= 1e-15 * mass
-    assert rl.mode_connect_perturb(_flat_net(term.d), term, n, 0.0, grid).functional_change == 0.0
+    assert rl.mode_connect_perturb(term, n, 0.0, grid).functional_change == 0.0
 
 
 def test_mode_connect_refuses_a_grid_of_another_dimension():
     # the evaluation never builds the net, so its point-shape check is not there to refuse it
     with pytest.raises(InvalidInputError, match="grid dimension d = 3 differs from the term's d = 2"):
-        rl.mode_connect_perturb(_flat_net(2), EX2_TERM, 500, 1.0, rl.ball_grid(3, 1.0, 20))
+        rl.mode_connect_perturb(EX2_TERM, 500, 1.0, rl.ball_grid(3, 1.0, 20))
 
 
 def test_null_term_density_is_null_at_high_degree():
@@ -447,6 +438,6 @@ def test_null_term_density_is_null_at_high_degree():
 
 def test_null_term_json_roundtrip(tmp_path):
     path = tmp_path / "term.json"
-    rl.save_null_term(path, EX2_TERM)
+    write_input(path, EX2_TERM)
     term = rl.load_null_term(path)
     assert term == EX2_TERM

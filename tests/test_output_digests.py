@@ -5,8 +5,10 @@ JSON, the decay CSV and the report, the report without its wall time and the
 paths it echoes.  The ladders cross batch boundaries (streams of 4096 and
 8192 neurons) and, in d = 2 and 3, draw several directions, so a change to
 the draw or scoring order that moves one bit of one bias or one score
-changes a digest.  The digests hold for one numpy build and one libm: a
-platform that rounds the trig functions differently gives other bits.
+changes a digest.  The d = 1 ladder of cos(2000 x) has too many panels for
+a start table of cubics, so its draws start on each panel's line in theta.
+The digests hold for one numpy build and one libm: a platform that rounds
+the trig functions differently gives other bits.
 """
 
 from __future__ import annotations
@@ -16,23 +18,28 @@ import json
 
 import pytest
 
-import radonlab as rl
 from radonlab.cli import main
 from radonlab.errors import EXIT_PASS
+
+from conftest import write_input
 
 PATH_KEYS = ("spectrum", "out", "csv", "report")
 
 SPECTRA = {
-    1: [(1.0, [1.3]), (-0.6, [2.1]), (0.4, [3.2])],
-    2: [(1.0, [1.0, 0.5]), (0.5, [-0.3, 1.2]), (-0.7, [2.1, -1.4])],
-    3: [(0.8, [1.0, 0.2, -0.4]), (-0.5, [0.3, 1.5, 0.7]), (0.6, [-1.1, 0.4, 2.0]), (0.3, [0.0, -2.2, 0.9])],
+    "d1": (1, [(1.0, [1.3]), (-0.6, [2.1]), (0.4, [3.2])]),
+    "d2": (2, [(1.0, [1.0, 0.5]), (0.5, [-0.3, 1.2]), (-0.7, [2.1, -1.4])]),
+    "d3": (3, [(0.8, [1.0, 0.2, -0.4]), (-0.5, [0.3, 1.5, 0.7]), (0.6, [-1.1, 0.4, 2.0]), (0.3, [0.0, -2.2, 0.9])]),
+    # cos(2000 x): over 2,500 panels, too many for a start table of cubics, so
+    # every draw starts on its panel's line in theta
+    "d1-many-panels": (1, [(1.0, [2000.0])]),
 }
 
 CASES = {
-    "thm2-d1": (1, "1", "thm2", "8,4096,8192"),
-    "thm2-d2": (2, "1", "thm2", "8,4096,8192"),
-    "thm2-d3": (3, "1", "thm2", "8,4096,8192"),
-    "prop2-d2": (2, "0.8", "prop2", "16,256,4096"),
+    "thm2-d1": ("d1", "1", "thm2", "8,4096,8192"),
+    "thm2-d2": ("d2", "1", "thm2", "8,4096,8192"),
+    "thm2-d3": ("d3", "1", "thm2", "8,4096,8192"),
+    "prop2-d2": ("d2", "0.8", "prop2", "16,256,4096"),
+    "thm2-d1-many-panels": ("d1-many-panels", "1", "thm2", "8,4096,8192"),
 }
 
 DIGESTS = {
@@ -56,13 +63,18 @@ DIGESTS = {
         "csv": "d9b47ffdbc55e1126f19e8062916f4b7f34bb6a95c12008f962c69f1bd3bd5ba",
         "report": "bc4375ad7eeb8e19b4bfbbb27de5a3c3a2ca949b99471a52ae4e992a45a86117",
     },
+    "thm2-d1-many-panels": {
+        "net": "378ab127223b93cba820155a8d12afc3f222b4ad7b36ac45fc9315394cc2ae88",
+        "csv": "b5d6fd57af7c25538b51b5b143c581f5d5d6ed23f090e0a7a7409b40fad7afb2",
+        "report": "b02ac959e870352e8d853af26674b823aefbd81b9faa8d89dc2104ad14197fc2",
+    },
 }
 
 
 def output_digests(tmp_path, name: str) -> dict[str, str]:
-    d, R, convention, widths = CASES[name]
+    key, R, convention, widths = CASES[name]
     spectrum = tmp_path / f"{name}.json"
-    rl.save_spectrum(spectrum, d, SPECTRA[d])
+    write_input(spectrum, *SPECTRA[key])
     paths = {key: tmp_path / f"{name}.{key}" for key in ("net", "csv", "report")}
     code = main([
         "approximate", "--spectrum", str(spectrum), "--R", R, "--n", widths, "--trials", "3",

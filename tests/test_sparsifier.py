@@ -16,7 +16,16 @@ from scipy.optimize import brentq
 
 from radonlab.errors import DegenerateMeasureError, DomainError, InvalidInputError
 from radonlab.radon_measure import RadonDensity
-from radonlab.sparsifier import _draw, _draw_biases, _draw_plan, _exact_l1_unit, _group_rows, _project, _ramp_sums
+from radonlab.sparsifier import (
+    _by_direction,
+    _draw,
+    _draw_biases,
+    _draw_plan,
+    _exact_l1_unit,
+    _group_rows,
+    _project,
+    _ramp_sums,
+)
 
 from conftest import decay_slope, lattice_grid, padded_density, random_cosine_terms
 
@@ -320,9 +329,14 @@ def assert_matches_dense(got, want):
     assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * np.max(np.abs(want), initial=0.0)
 
 
+def one_stream(a, b, labels, proj):
+    """``_ramp_sums`` of one stream, sorted by (label, bias) as ``TwoLayerNet.evaluate`` hands it in."""
+    return _ramp_sums(a, b, labels, proj, [len(a)], _by_direction(labels, b))[0]
+
+
 def kernel_ramp_sum(net, X):
     _, first, labels = np.unique(net.omegas, axis=0, return_index=True, return_inverse=True)
-    return _ramp_sums(net.a, net.b, labels.ravel(), _project(X, net.omegas[first]))
+    return one_stream(net.a, net.b, labels.ravel(), _project(X, net.omegas[first]))
 
 
 def dense_evaluate(net, X):
@@ -386,7 +400,7 @@ def test_ramp_sums_ties_and_repeated_directions_out_of_order():
     assert_matches_dense(kernel_ramp_sum(net, X), want)
     # labels in any numbering give the same sums
     relabel = np.array([1, 2, 0])
-    assert_matches_dense(_ramp_sums(a, b, relabel[order], _project(X, dirs[[2, 0, 1]])), want)
+    assert_matches_dense(one_stream(a, b, relabel[order], _project(X, dirs[[2, 0, 1]])), want)
     mu = rl.from_cosine_sum(2, [(1.0, [1.0, 2.0])])
     assert rl.sup_error(net, mu, rl.BallGrid(2, 1.0, X)) == pytest.approx(dense_sup_error(net, mu, X), rel=1e-12)
 
@@ -398,13 +412,13 @@ def test_ramp_sums_with_undrawn_directions(axis_measure):
     idx, a, b, _ = _draw(plan, [(3, 1)])
     net = plan.net(idx, a, b)
     assert len(np.unique(idx)) < len(density)
-    got = _ramp_sums(net.a, net.b, idx, _project(X, density.directions))
+    got = one_stream(net.a, net.b, idx, _project(X, density.directions))
     assert_matches_dense(got, dense_ramp_sum(X, net.omegas, net.a, net.b))
 
 
 def test_ramp_sums_empty_network():
     X = lattice_grid(2, 1.0, 50).points
-    assert np.array_equal(_ramp_sums(np.zeros(0), np.zeros(0), np.zeros(0, int), np.zeros((0, len(X)))), np.zeros(len(X)))
+    assert np.array_equal(one_stream(np.zeros(0), np.zeros(0), np.zeros(0, int), np.zeros((0, len(X)))), np.zeros(len(X)))
     mu = rl.from_cosine_sum(2, [(1.0, [1.0, 2.0])])
     net = rl.TwoLayerNet(2, np.zeros(0), np.zeros((0, 2)), np.zeros(0), 0.0, np.array([0.5, 1.0]), -0.25, "quadrature")
     assert rl.sup_error(net, mu, rl.BallGrid(2, 1.0, X)) == pytest.approx(dense_sup_error(net, mu, X), rel=1e-12)
@@ -452,11 +466,11 @@ def test_ramp_sums_rows_equal_one_stream_calls_bit_for_bit(ties):
     rng = np.random.default_rng(17)
     a, b, labels, proj, sizes, X, dirs = stream_case(rng, ties)
     assert not ties or np.isin(b, proj).sum() >= 20 and len(np.unique(b)) < len(b)
-    want = _ramp_sums(a, b, labels, proj, sizes)
+    want = _ramp_sums(a, b, labels, proj, sizes, _by_direction(labels, b))
     assert want.shape == (len(sizes), len(X))
     cuts = np.cumsum(sizes)[:-1]
     for row, a_t, b_t, l_t in zip(want, np.split(a, cuts), np.split(b, cuts), np.split(labels, cuts)):
-        assert np.array_equal(row, _ramp_sums(a_t, b_t, l_t, proj))
+        assert np.array_equal(row, one_stream(a_t, b_t, l_t, proj))
         assert_matches_dense(row, dense_ramp_sum(X, dirs[l_t], a_t, b_t))
 
 
@@ -472,10 +486,10 @@ def test_ramp_sums_with_more_labels_than_a_byte_holds():
     assert len(np.unique(labels)) > 256 and labels[500:700].max() < 256
     b = rng.uniform(-1.5, 1.5, len(labels))
     a = rng.normal(size=len(labels))
-    want = _ramp_sums(a, b, labels, proj, sizes)
+    want = _ramp_sums(a, b, labels, proj, sizes, _by_direction(labels, b))
     cuts = np.cumsum(sizes)[:-1]
     for row, a_t, b_t, l_t in zip(want, np.split(a, cuts), np.split(b, cuts), np.split(labels, cuts)):
-        assert np.array_equal(row, _ramp_sums(a_t, b_t, l_t, proj))
+        assert np.array_equal(row, one_stream(a_t, b_t, l_t, proj))
         assert_matches_dense(row, dense_ramp_sum(X, dirs[l_t], a_t, b_t))
 
 
@@ -583,7 +597,7 @@ def test_start_table_node_solves_stay_within_the_budget(monkeypatch, xi, cells):
     newton = sparsifier._bracketed_newton
     monkeypatch.setattr(sparsifier, "_bracketed_newton", lambda fn, x, *a: solved.append(len(x)) or newton(fn, x, *a))
     _, M, coef = sparsifier._start_table(density, -1.0, 1.0)
-    assert M == cells and (coef is None) == (cells == 1)
+    assert M == cells and coef.shape == (4, cells * (len(density.panels(-1.0, 1.0)[1]) - 1))
     assert sum(solved) == panels * (cells - 1) and len(solved) == (cells > 1)
     assert cells == 1 or (cells + 1) * panels <= sparsifier._TABLE_NODES
 
@@ -642,7 +656,7 @@ def unique_evaluate(net, X):
     """TwoLayerNet.evaluate with its directions grouped by np.unique."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     _, first, labels = np.unique(net.omegas, axis=0, return_index=True, return_inverse=True)
-    ramps = _ramp_sums(net.a, net.b, labels.ravel(), _project(X, net.omegas[first]))
+    ramps = one_stream(net.a, net.b, labels.ravel(), _project(X, net.omegas[first]))
     return _project(X, net.v[None, :])[0] + net.c + (net.kappa / net.n) * ramps
 
 
@@ -852,9 +866,14 @@ def one_profile_edges(density, lo, hi):
     return edges[starts[0] : starts[1]]
 
 
+def draw_biases(density, idx, u, lo, hi):
+    """``_draw_biases`` in the (direction, u) order a ladder batch draws in."""
+    return _draw_biases(density, idx, u, lo, hi, _by_direction(idx, u))
+
+
 def draw_one(density, u, lo, hi):
     """Biases and signs of draws u from the density's first profile on (lo, hi)."""
-    return _draw_biases(density, np.zeros(len(u), dtype=np.intp), u, lo, hi)
+    return draw_biases(density, np.zeros(len(u), dtype=np.intp), u, lo, hi)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -899,11 +918,11 @@ def test_a_batch_draws_each_direction_as_it_would_alone(lo, hi):
     profiles = [random_terms(rng, int(rng.integers(1, 5)), int(rng.integers(0, 3))) for _ in range(4)]
     density = padded_density(rng.normal(size=(4, 2)), profiles)
     idx, u = rng.integers(0, 4, 4000), rng.random(4000)
-    b, a = _draw_biases(density, idx, u, lo, hi)
+    b, a = draw_biases(density, idx, u, lo, hi)
     for r, profile in enumerate(profiles):
         sel = idx == r
         alone = padded_density(density.directions[r : r + 1], [profile])
-        for got in (_draw_biases(density, idx[sel], u[sel], lo, hi), draw_one(alone, u[sel], lo, hi)):
+        for got in (draw_biases(density, idx[sel], u[sel], lo, hi), draw_one(alone, u[sel], lo, hi)):
             assert np.array_equal(got[0], b[sel]) and np.array_equal(got[1], a[sel])
 
 
@@ -917,7 +936,7 @@ def test_64_padded_profiles_draw_as_each_would_alone(monkeypatch, lo, hi):
     profiles = [random_terms(rng, int(rng.integers(1, 5)), int(rng.integers(0, 3))) for _ in range(64)]
     density = padded_density(rng.normal(size=(64, 2)), profiles)
     idx, u = rng.integers(0, 64, 16_000), rng.random(16_000)
-    b, a = _draw_biases(density, idx, u, lo, hi)
+    b, a = draw_biases(density, idx, u, lo, hi)
     assert sparsifier._start_table(density, lo, hi)[1] == sparsifier._TABLE_CELLS
     for r, profile in enumerate(profiles):
         sel = idx == r
@@ -928,12 +947,14 @@ def test_64_padded_profiles_draw_as_each_would_alone(monkeypatch, lo, hi):
 @pytest.fixture(scope="module")
 def many_panels():
     """f(x) = cos(2000 x) in d=1: two directions of 1276 panel edges each on (-1, 1),
-    too many panels for the start table to hold cubics."""
+    too many panels for the start table to hold cubics, so each panel's one cell
+    holds the line in theta from its left edge to its right."""
     mu = rl.from_cosine_sum(1, [(1.0, [2000.0])])
     density = rl.density_from_spectrum(mu, 1.0)
-    starts = density.panels(-1.0, 1.0)[0]
+    starts, edges = density.panels(-1.0, 1.0)[:2]
     assert np.array_equal(np.diff(starts), [1276, 1276])
-    assert sparsifier._start_table(density, -1.0, 1.0)[2] is None
+    _, M, coef = sparsifier._start_table(density, -1.0, 1.0)
+    assert M == 1 and np.array_equal(coef[:2], [edges[:-1], np.diff(edges)]) and not coef[2:].any()
     return mu, density
 
 
@@ -945,10 +966,10 @@ def test_many_panel_draws_keep_each_neurons_bits(many_panels, lo, hi):
     rng = np.random.default_rng(21)
     idx, u = rng.integers(0, 2, 300), rng.random(300)
     u[:4] = [0.0, 1e-12, 0.5, 1.0 - 1e-12]
-    b, a = _draw_biases(density, idx, u, lo, hi)
+    b, a = draw_biases(density, idx, u, lo, hi)
     assert len(np.unique(idx)) == 2 and np.all((b > lo) & (b < hi))
     for i in range(len(u)):
-        alone = _draw_biases(density, idx[i : i + 1], u[i : i + 1], lo, hi)
+        alone = draw_biases(density, idx[i : i + 1], u[i : i + 1], lo, hi)
         assert alone[0][0] == b[i] and alone[1][0] == a[i], i
     # an order listing each direction's neurons in one run gives the same bits however u runs in it
     order = np.argsort(idx, kind="stable")

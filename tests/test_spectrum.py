@@ -13,7 +13,7 @@ import radonlab as rl
 from radonlab.errors import InconsistentMeasureError, InvalidInputError
 from radonlab.spectrum import SpectralMeasure
 
-from conftest import EPS, random_cosine_terms
+from conftest import EPS, random_cosine_terms, write_input
 
 
 def test_single_cosine_has_four_quarter_atoms(cos_measure):
@@ -125,7 +125,7 @@ def test_cosine_sum_always_symmetry_closed(d, seed):
 
 def test_spectrum_json_roundtrip(tmp_path, near_cancel_terms):
     path = tmp_path / "spectrum.json"
-    rl.save_spectrum(path, 1, near_cancel_terms)
+    write_input(path, 1, near_cancel_terms)
     d, terms = rl.load_spectrum(path)
     assert d == 1
     assert [(a, xi.tolist()) for a, xi in terms] == [(1.0, [1.0]), (-1.0, [1.01])]
