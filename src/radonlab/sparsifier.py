@@ -546,16 +546,18 @@ class ApproxReport:
     def __post_init__(self):
         if self.trials != len(self.errors):
             raise InvalidInputError("trial count does not match error list")
-        if min(self.errors) > sum(self.errors) / len(self.errors) + 1e-15:
-            raise InvalidInputError("min error cannot exceed the mean")
+        if not self.min_error <= self.mean_error <= self.max_error:
+            raise InvalidInputError(f"mean error {self.mean_error!r} lies outside the errors' range")
 
     @property
     def mean_error(self) -> float:
+        """The mean error, held in [min, max]: the rounded mean of equal errors
+        can land an ulp outside them."""
         with np.errstate(over="ignore"):
             mean = float(np.mean(self.errors))
         if math.isinf(mean):  # their sum overflowed; a sum of errors / n cannot
             mean = float(np.sum(np.divide(self.errors, len(self.errors))))
-        return mean
+        return min(max(mean, self.min_error), self.max_error)
 
     @property
     def min_error(self) -> float:

@@ -427,6 +427,26 @@ def test_term_whose_radius_power_overflows_is_a_domain_error(tmp_path, capsys, c
     assert main(argv + (["--network", str(net_path)] if command == "modeconnect" else [])) in (EXIT_PASS, EXIT_FAIL)
 
 
+def test_modeconnect_refuses_a_neuron_budget_past_the_bound_before_building_it(tmp_path, capsys, monkeypatch, term_path):
+    # --n 100000000 built 800 MB coefficient arrays and exited 0; nothing is factored or built here
+    class Factored(Exception):
+        pass
+
+    def factored(*args):
+        raise Factored
+
+    monkeypatch.setattr(rl.nullspace, "_factor_neurons", factored)
+    net_path, out = tmp_path / "net.json", tmp_path / "mc.json"
+    save_random_network(net_path, d=2)
+    argv = ["modeconnect", "--network", str(net_path), "--term", str(term_path), "--out", str(out), "--n"]
+    assert main([*argv, str(2**24 + 1)]) == EXIT_DOMAIN
+    assert capsys.readouterr().err == "radonlab: a null network of n = 16777217 neurons is above the limit of 16777216\n"
+    assert not out.exists()
+    # the bound itself is a budget the product rule takes
+    with pytest.raises(Factored):
+        main([*argv, str(2**24)])
+
+
 def test_modeconnect_flow(tmp_path, spectrum2_path, term_path):
     net_path = tmp_path / "net.json"
     main([

@@ -9,10 +9,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 import radonlab as rl
 from radonlab.errors import DomainError, InvalidInputError, PreconditionError
-from radonlab.nullspace import _factor_neurons, _int_power, _rule_resolution
+from radonlab.nullspace import _factor_neurons, _int_power, _nodes_below, _rule_resolution
 from radonlab.radon_measure import ramp_integral_grid
 
 from conftest import threshold_pairing, verify_at, witness_closed_form, write_input
@@ -419,6 +421,44 @@ def test_mode_connect_refuses_a_grid_of_another_dimension():
     # the evaluation never builds the net, so its point-shape check is not there to refuse it
     with pytest.raises(InvalidInputError, match="grid dimension d = 3 differs from the term's d = 2"):
         rl.mode_connect_perturb(EX2_TERM, 500, 1.0, rl.ball_grid(3, 1.0, 20))
+
+
+def assert_counts_like_searchsorted(nodes, x):
+    want = np.searchsorted(nodes, x)
+    got = _nodes_below(nodes, x)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("R", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("m", [4, 5, 16, 45, 63, 111, 112, 127, 256, 511, 1000, 2047, 4096])
+def test_nodes_below_counts_gauss_legendre_nodes_like_searchsorted(m, R):
+    # 45 and 63 are the bias rules of the benchmark's budgets; a cell holds two
+    # nodes from m = 112 on and ten at m = 4096
+    nodes = rl.gauss_legendre(m, -R, R).nodes
+    rng = np.random.default_rng(m)
+    edges = np.array([-R, R, -2 * R, 2 * R, -1e300, 1e300, np.nextafter(nodes[0], -np.inf), nodes[-1] * 1.5])
+    for x in (nodes, np.nextafter(nodes, -np.inf), np.nextafter(nodes, np.inf), edges):
+        assert_counts_like_searchsorted(nodes, x)
+    assert_counts_like_searchsorted(nodes, rng.uniform(-1.2 * R, 1.2 * R, size=(37, m)))
+
+
+def test_nodes_below_of_one_node_or_equal_nodes():
+    for nodes in (np.array([0.5]), np.full(7, -2.0), np.array([0.0, 5e-324])):
+        keys = np.array([-1e308, -2.0, -5e-324, 0.0, 5e-324, 0.5, 1e308])
+        assert_counts_like_searchsorted(nodes, np.concatenate([keys, nodes]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None, phases=[Phase.generate])
+@given(
+    values=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40),
+    repeats=st.lists(st.integers(1, 4), min_size=40, max_size=40),
+    keys=st.lists(st.floats(-2e6, 2e6), max_size=40),
+)
+def test_nodes_below_counts_sorted_nodes_with_repeats_like_searchsorted(values, repeats, keys):
+    nodes = np.sort(np.repeat(values, repeats[: len(values)]))
+    near = np.concatenate([nodes, np.nextafter(nodes, -np.inf), np.nextafter(nodes, np.inf)])
+    assert_counts_like_searchsorted(nodes, np.concatenate([keys, near]))
 
 
 def test_null_term_density_is_null_at_high_degree():

@@ -1,8 +1,9 @@
-"""Byte identity of ``approximate``: pinned SHA-256 digests of its three outputs.
+"""Byte identity of ``approximate``, ``modeconnect`` and ``verify-null``:
+pinned SHA-256 digests of their outputs.
 
-Each case runs a small width ladder at a fixed seed and hashes the network
-JSON, the decay CSV and the report, the report without its wall time and the
-paths it echoes.  The ladders cross batch boundaries (streams of 4096 and
+Each ``approximate`` case runs a small width ladder at a fixed seed and
+hashes the network JSON, the decay CSV and the report, the report without
+its wall time and the paths it echoes.  The ladders cross batch boundaries (streams of 4096 and
 8192 neurons) and, in d = 2 and 3, draw several directions, so a change to
 the draw or scoring order that moves one bit of one bias or one score
 changes a digest.  The d = 1 ladder of cos(2000 x) has too many panels for
@@ -16,8 +17,10 @@ from __future__ import annotations
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
+from radonlab import HarmonicNullTerm, TwoLayerNet, save_network
 from radonlab.cli import main
 from radonlab.errors import EXIT_PASS
 
@@ -94,3 +97,83 @@ def output_digests(tmp_path, name: str) -> dict[str, str]:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_approximate_outputs_keep_their_bits(tmp_path, name):
     assert output_digests(tmp_path, name) == DIGESTS[name]
+
+
+# Byte identity of the null-term commands: pinned digests of each run's exit
+# code and report, the report without its wall time and the paths it echoes.
+# The modeconnect cases cover both dimensions, the smallest budget, the
+# benchmark's budgets and terms whose sphere factor is raised above the
+# budget's share; the s = 0 and negative-scale runs keep their signs.
+
+NULL_TERMS = {
+    "d2": HarmonicNullTerm(k=4, j=1, kprime=0, coeff=1.0, d=2, R=1.0),
+    "d3": HarmonicNullTerm(k=6, j=4, kprime=2, coeff=0.7, d=3, R=1.5),
+    # the budget's sphere share falls short of the exact rule, so it is raised
+    "d2-raised": HarmonicNullTerm(k=60, j=1, kprime=40, coeff=1.0, d=2, R=1.0),
+    "d3-raised": HarmonicNullTerm(k=9, j=2, kprime=5, coeff=1.5, d=3, R=1.0),
+    "d2-large-ball": HarmonicNullTerm(k=60, j=2, kprime=40, coeff=2.5, d=2, R=1000.0),
+}
+
+MODECONNECT_CASES = {
+    "d2-n16": ("d2", ["--n", "16"]),
+    "d2-n2000": ("d2", ["--n", "2000"]),
+    "d2-n4000": ("d2", ["--n", "4000", "--s", "-2.5", "--grid", "300"]),
+    "d2-s0": ("d2", ["--n", "2000", "--s", "0"]),
+    "d3-n16": ("d3", ["--n", "16"]),
+    "d3-n2000": ("d3", ["--n", "2000"]),
+    "d3-n4000": ("d3", ["--n", "4000", "--s", "0.3"]),
+    "d2-raised-n2000": ("d2-raised", ["--n", "2000"]),
+    "d3-raised-n3000": ("d3-raised", ["--n", "3000"]),
+}
+
+VERIFY_NULL_CASES = {
+    "d2": ("d2", []),
+    "d3-seeded": ("d3", ["--seed", "3", "--grid", "300"]),
+    "d3-raised": ("d3-raised", ["--grid", "250"]),
+    "d2-large-ball": ("d2-large-ball", ["--seed", "7"]),
+}
+
+NULL_DIGESTS = {
+    "modeconnect-d2-n16": "473149db546c5d49ebc9c6fdeecc3dc94052d4e4bf7e8521823d570893e8a37f",
+    "modeconnect-d2-n2000": "b04c50b308fc660cef5de9c6c8a56497b2c03b17907693e1b00dc9bddab0b101",
+    "modeconnect-d2-n4000": "6c83170f5a2f9646aec1c11976151a6bee3d87af934515cc735b2f7503ffc821",
+    "modeconnect-d2-raised-n2000": "682b1c6f5d4dbda75f1e9faf2825ad699c50cb0dd2a121700eb8e7f557655932",
+    "modeconnect-d2-s0": "c26f2af25acdc30ad6e1732279938675861edc0852018fc3b9d183853515c38d",
+    "modeconnect-d3-n16": "d8e16abcc753e177d32ac12ff39dc6b40dfece40a125ae847f34116cfc634e1f",
+    "modeconnect-d3-n2000": "f31d1128560234ea78d7036aeaeb170ab60bc7020ca32a7e2fd93a7ed4ec60c8",
+    "modeconnect-d3-n4000": "35a90188094311e1fae1da3126c42d10f311f22462fbc9e4ff357bbb9c65b186",
+    "modeconnect-d3-raised-n3000": "24acf6ad8c1520a034ed2b0bfe883240cd61ba8763db42b020dfda583397d0a9",
+    "verify-null-d2": "d435a758ddf2a13022870115f1f0c27132a380dd89b53ee9f504c21583d4afe5",
+    "verify-null-d2-large-ball": "f0ffd709d5e3122a2dce046f38d0ac8f2e28c5159ec27e885d4d0a99bba31c8b",
+    "verify-null-d3-raised": "60714d8a8b8a9b463509a27b05380dadaea3539a448d3c93e608aa31f6434a00",
+    "verify-null-d3-seeded": "af1a199d4d602570bcd365336d683348d4402cfdaf438039a1923b7b83b04d95",
+}
+
+
+def null_report_digest(tmp_path, command: str, term: str, options: list[str]) -> str:
+    term_path, out = tmp_path / "term.json", tmp_path / "report.json"
+    write_input(term_path, NULL_TERMS[term])
+    argv = [command, "--term", str(term_path), "--out", str(out), *options]
+    if command == "modeconnect":
+        d = NULL_TERMS[term].d
+        omegas = np.eye(d)[np.arange(8) % d]
+        net_path = tmp_path / "net.json"
+        save_network(net_path, TwoLayerNet(d, np.ones(8), omegas, np.linspace(-0.5, 0.5, 8), 8.0, np.zeros(d), 0.0))
+        argv += ["--network", str(net_path)]
+    code = main(argv)
+    report = json.loads(out.read_text())
+    del report["wall_time_s"]
+    for key in ("out", "term", "network"):
+        report["config"].pop(key, None)
+    text = json.dumps({"code": code, "report": report}, indent=2, sort_keys=True).encode()
+    return hashlib.sha256(text).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(MODECONNECT_CASES))
+def test_modeconnect_reports_keep_their_bits(tmp_path, name):
+    assert null_report_digest(tmp_path, "modeconnect", *MODECONNECT_CASES[name]) == NULL_DIGESTS[f"modeconnect-{name}"]
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_NULL_CASES))
+def test_verify_null_reports_keep_their_bits(tmp_path, name):
+    assert null_report_digest(tmp_path, "verify-null", *VERIFY_NULL_CASES[name]) == NULL_DIGESTS[f"verify-null-{name}"]

@@ -197,6 +197,31 @@ def test_error_decay_experiment_small(near_cancel_measure):
     assert decay_slope(reports) < 0.0
 
 
+def test_approx_report_of_equal_errors_keeps_their_value():
+    # the float mean of eight copies rounded one ulp below them, and the
+    # report refused itself: "min error cannot exceed the mean"
+    e = 198952082502.4874
+    assert rl.ApproxReport(16, 8, 1, 1.0, (e,) * 8, 500).mean_error == e
+    rng = np.random.default_rng(3)
+    below = 0
+    for e in 10.0 ** rng.uniform(-3, 12, size=300):
+        for trials in range(2, 31):
+            report = rl.ApproxReport(16, trials, 1, 1.0, (float(e),) * trials, 500)
+            assert report.min_error == report.mean_error == report.max_error == e
+            below += float(np.mean([e] * trials)) < e
+    assert below > 0  # the rounded mean does fall outside; the report holds it in range
+
+
+def test_approx_report_mean_of_differing_errors_keeps_its_bits():
+    rng = np.random.default_rng(4)
+    for trials in range(2, 31):
+        errors = tuple((10.0 ** rng.uniform(-3, 12)) * rng.uniform(0.5, 2.0, size=trials))
+        assert rl.ApproxReport(16, trials, 1, 1.0, errors, 500).mean_error == float(np.mean(errors))
+    # with the mean held in range, only a NaN error leaves it outside
+    with pytest.raises(InvalidInputError, match="mean error nan lies outside the errors' range"):
+        rl.ApproxReport(16, 2, 1, 1.0, (1.0, math.nan), 500)
+
+
 def test_error_decay_deterministic_and_schedule_independent(near_cancel_measure):
     r1 = rl.error_decay_experiment(near_cancel_measure, 1.0, [16, 64], trials=4, seed=5)[0]
     r2 = rl.error_decay_experiment(near_cancel_measure, 1.0, [16, 64], trials=4, seed=5)[0]
