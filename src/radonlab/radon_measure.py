@@ -305,8 +305,10 @@ def density_from_spectrum(mu: SpectralMeasure, R: float) -> RadonDensity:
 def _bracketed_newton(fn, x, lo, hi, tol: float) -> np.ndarray:
     """Solve F = 0 in each bracket [lo, hi] by Newton's method kept inside it.
 
-    ``fn(live, x)`` returns F and F' of the brackets ``live`` (indices into
-    x) at the points x, oriented so that F(lo) <= 0 <= F(hi).  Each step
+    ``fn(live, x)`` returns F and F' of the brackets ``live`` (an index of
+    x: the slice of all of them on the first step, so that no caller
+    gathers its arrays for it, and their indices after) at the points x,
+    oriented so that F(lo) <= 0 <= F(hi).  Each step
     moves the bracket end on the side of F's sign to x and takes the Newton
     step x - F/F' if it lies in the closed bracket (a step onto an end
     counts), else the midpoint.  A bracket stops once its step is at most
@@ -316,9 +318,9 @@ def _bracketed_newton(fn, x, lo, hi, tol: float) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     out = x.copy()
-    live = np.arange(len(x))
+    live = slice(None)
     for _ in range(_NEWTON_STEPS):
-        if not len(live):
+        if not len(x):
             break
         F, dF = fn(live, x)
         lo = np.where(F <= 0, x, lo)
@@ -328,7 +330,8 @@ def _bracketed_newton(fn, x, lo, hi, tol: float) -> np.ndarray:
         step = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
         out[live] = step
         moving = np.abs(step - x) > tol
-        live, x, lo, hi = live[moving], step[moving], lo[moving], hi[moving]
+        live = np.flatnonzero(moving) if isinstance(live, slice) else live[moving]
+        x, lo, hi = step[moving], lo[moving], hi[moving]
     return out
 
 

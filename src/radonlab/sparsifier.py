@@ -19,11 +19,14 @@ Both samplers and ``error_decay_experiment``, the width ladder behind the
 ``approximate`` command, draw through one path: a plan computed once per
 density and convention, then one inverse-CDF pass over the neurons of any
 number of seeded streams, whatever their directions.
-A batch of streams is sorted once, by (direction, uniform), and both of
-its passes run in that order: the draw pass searches each direction's
-panels with sorted targets, and since the inverse CDF is monotone in the
+A batch of streams is put in one order by one 16-bit radix sort, each
+direction's neurons in one run and by uniform to within 1/B, B the most
+buckets of the uniform the key has room for, and both of its passes run
+in that order: the draw pass searches each direction's panels with
+(nearly) sorted targets, and since the inverse CDF is monotone in the
 uniform, the scoring pass searches each direction's slots with its biases
-in (nearly) sorted order too.
+in nearly sorted order too.  The order only speeds the searches: each
+search gives the same panel or slot in any order.
 Each draw is a Newton solve kept inside its panel, by the same bracketed
 Newton that refines the sign-change roots, started from a table of every
 panel's inverse CDF: cubics in theta = arccos(1 - 2s)/pi, s the share of
@@ -34,11 +37,13 @@ Every network is evaluated one way: its neurons are grouped by distinct
 direction, and each direction's ramps are summed from one histogram of its
 biases over the sorted projections, with no N x n ramp matrix.  The same
 kernel scores all seeded streams of a ladder batch at once, one pass per
-direction, in the batch's draw order, and a stream's values have the same
-bits as in its own net, which hands in its neurons sorted by (direction,
-bias).  A sampled network has only as many distinct directions as the
-density, and a null-space network repeats each sphere node over all of its
-bias nodes, so the directions are far fewer than the neurons for both.
+direction, in the batch's draw order, over the grid's projections sorted
+once per ladder, and a stream's values have the same bits as in its own
+net, which sorts its projections once per call and its neurons by
+direction and bias.  A sampled network has only as many distinct
+directions as the density, and a null-space network repeats each sphere
+node over all of its bias nodes, so the directions are far fewer than the
+neurons for both.
 """
 
 from __future__ import annotations
@@ -129,18 +134,21 @@ class TwoLayerNet:
         """Network value at points of shape (d,) or (N, d); a float for a single point.
 
         Ramps are summed per distinct direction by ``_ramp_sums``, with no
-        N x n array.  With all n directions distinct its Python loop makes
-        one step per neuron: about 5x the dense product at 4096 neurons x
-        500 points in d=3 (shared 2-core machine, 185-245 ms against 32-48
-        ms for max(X W^T - b, 0) a); no CLI command evaluates such a net.
+        N x n array, over each direction's projections sorted once.  With
+        all n directions distinct its Python loop makes one step per
+        neuron: about 15x the dense product at 4096 neurons x 500 points in
+        d=3 (shared 2-core machine, best of 7: 130 ms against 8.5 ms for
+        max(X W^T - b, 0) a); no CLI command evaluates such a net.
         """
         pts, single = as_points(X, self.d)
         out = _project(pts, self.v[None, :])[0] + self.c
         if self.n:
             first, labels = _group_rows(self.omegas)
-            proj = _project(pts, self.omegas[first])
-            ramps = _ramp_sums(self.a, self.b, labels, proj, [self.n], _by_direction(labels, self.b))[0]
-            out = out + (self.kappa / self.n) * ramps
+            ps, place = _sorted_projections(_project(pts, self.omegas[first]))
+            lo, hi = self.b.min(), self.b.max()
+            with np.errstate(all="ignore"):  # the biases' shares of their range only order the searches
+                order = _by_direction(labels, (self.b - lo) / (hi - lo))
+            out = out + (self.kappa / self.n) * _ramp_sums(self.a, self.b, labels, ps, place, [self.n], order)[0]
         return float(out[0]) if single else out
 
     def check_convention(self, R: float | None = None, norm: float | None = None) -> None:
@@ -158,15 +166,22 @@ class TwoLayerNet:
             if norm is not None and self.kappa != norm:
                 raise InvalidInputError("thm2 outer scale must equal the density norm")
         elif self.convention == "prop2":
-            l1 = np.abs(self.omegas).sum(axis=1)
-            if not np.all(l1 == 1.0):
-                raise InvalidInputError("prop2 directions must be exactly l1-unit")
-            if not np.all((self.b >= 0.0) & (self.b <= 1.0)):
-                raise InvalidInputError("prop2 biases must lie in [0, 1]")
-            if not np.all(np.abs(self.a) <= 1.0):
-                raise InvalidInputError("prop2 coefficients must satisfy |a| <= 1")
+            _check_l1_rows(self.omegas)
+            _check_prop2_neurons(self.a, self.b)
             if norm is not None and self.kappa > math.sqrt(self.d) * norm + 1e-10:
                 raise InvalidInputError("prop2 outer scale exceeds sqrt(d) * norm")
+
+
+def _check_l1_rows(omegas: np.ndarray) -> None:
+    if not np.all(np.abs(omegas).sum(axis=1) == 1.0):
+        raise InvalidInputError("prop2 directions must be exactly l1-unit")
+
+
+def _check_prop2_neurons(a: np.ndarray, b: np.ndarray) -> None:
+    if not np.all((b >= 0.0) & (b <= 1.0)):
+        raise InvalidInputError("prop2 biases must lie in [0, 1]")
+    if not np.all(np.abs(a) <= 1.0):
+        raise InvalidInputError("prop2 coefficients must satisfy |a| <= 1")
 
 
 # the most nodes of a density's start table, panel edges included: a density
@@ -247,13 +262,20 @@ def _start_table(density: RadonDensity, lo: float, hi: float) -> tuple[np.ndarra
     return sign, M, coef
 
 
-def _by_direction(key: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The order of the neurons by (key, u): one argsort of u, then one stable argsort of the
-    keys narrowed to the smallest unsigned type that holds them, which numpy radix-sorts up
-    to 16 bits."""
-    by_u = np.argsort(u)
-    key = key.astype(np.min_scalar_type(key.max(initial=0)))
-    return by_u[np.argsort(key[by_u], kind="stable")]
+def _by_direction(rank: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """An order of the neurons by rank, each rank's neurons in one run and by u to within 1/B.
+
+    One stable argsort of the key rank * B + floor(u B), B the power of two that leaves the
+    key in 16 bits (1 from 2^16 ranks on), which numpy radix-sorts: u in [0, 1) falls in one
+    of B buckets, and a u outside it, or NaN, in an end bucket.  Within a bucket the neurons
+    keep their order.  Every caller reads the order only for speed: each rank's run is what
+    its searches need, and their results do not depend on the order within it.
+    """
+    top = int(rank.max(initial=0))
+    B = 1 << max(0, 16 - top.bit_length())
+    bucket = np.fmax(np.fmin(u * B, B - 1), 0.0).astype(np.intp)  # fmin and fmax send NaN to B - 1
+    key = (rank * B + bucket).astype(np.min_scalar_type(top * B + B - 1))
+    return np.argsort(key, kind="stable")
 
 
 def _draw_biases(density: RadonDensity, idx, u, lo: float, hi: float, order) -> tuple[np.ndarray, np.ndarray]:
@@ -263,12 +285,13 @@ def _draw_biases(density: RadonDensity, idx, u, lo: float, hi: float, order) -> 
     ``idx[i]`` from lo reaches u_i times its mass, clipped into (lo, hi).
 
     The neurons are drawn in ``order``, which lists each direction's
-    neurons in one run by increasing u (the runs in any order of the
-    directions), as ``_by_direction`` gives it.  In that order each
-    direction's targets are sorted, and its panels are searched over one
-    contiguous slice of the running masses.  One ``_solve_in_panels`` call
-    then solves every neuron's b, whatever its direction, with its panel as
-    its bracket.  Newton's method starts from the panel's inverse CDF in
+    neurons in one run (the runs in any order of the directions), as
+    ``_by_direction`` gives it.  Each direction's panels are searched over
+    one contiguous slice of the running masses, with its targets sorted to
+    within the order's buckets of u, which is most of the speed of a
+    search with sorted keys and gives the same panels as any order.  One
+    ``_solve_in_panels`` call then solves every neuron's b, whatever its
+    direction, with its panel as its bracket.  Newton's method starts from the panel's inverse CDF in
     ``_start_table``: the cubic of the target's theta cell, read in one
     gather and evaluated by Horner's rule.  A draw stops once its step is
     at most 1e-9 of the interval: Newton's error after such a step is of
@@ -382,21 +405,25 @@ def _draw_plan(density: RadonDensity, affine: AffinePart, convention: str) -> _D
         v = v - w * profile_moment(density, i, 0, 0.0, density.R)
         c = c + profile_moment(density, i, 1, 0.0, density.R)
     rows = np.array([_exact_l1_unit(w) for w in density.directions])
+    _check_l1_rows(rows)
     return _DrawPlan(density, "prop2", 0.0, density.R, weights, float(weights.sum()), v, float(c), rows, l1)
 
 
 def _draw(plan: _DrawPlan, streams) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Direction indices, signs and biases of the neurons of every (n, seed) stream, end to end,
-    and the order of the neurons by (direction, uniform) in which they were drawn.
+    and the order of the neurons, by direction and uniform, in which they were drawn.
 
     Each stream draws its n directions and then its n uniforms from its own
     generator, so a stream's neurons do not depend on the streams beside
     it; the biases of all streams come from one inverse-CDF pass, whose
     draws each stop on their own Newton step.  The pass runs in one order,
-    each direction's neurons by increasing uniform and the directions by
-    ``plan.rank``: as the inverse CDF is monotone in the uniform, that is
-    also the (label, bias) order, up to the Newton tolerance, that
-    ``_ramp_sums`` searches in.  The directions are what
+    ``_by_direction``'s: the directions by ``plan.rank``, each in one run,
+    and its neurons by uniform to within 1/B.  As the inverse CDF is
+    monotone in the uniform, that is also nearly the (label, bias) order
+    that ``_ramp_sums`` searches in best; the biases, signs and slots are
+    the same in any order.  A prop2 batch checks its biases and
+    coefficients against the convention; its rows were checked once, by
+    ``_draw_plan``.  The directions are what
     ``Generator.choice(len(p), size=n, p=p)`` draws, searched in one
     normalized CDF of the weights built once per call, without choice's
     checks of p on every stream: a total mass that is not finite is
@@ -418,7 +445,7 @@ def _draw(plan: _DrawPlan, streams) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     b, a = _draw_biases(plan.density, idx, u, plan.lo, plan.hi, order)
     if plan.l1 is not None:
         b = np.minimum(b / plan.l1[idx], 1.0)
-        plan.net(idx, a, b).check_convention()
+        _check_prop2_neurons(a, b)
     return idx, a, b, order
 
 
@@ -473,15 +500,29 @@ def _project(points: np.ndarray, dirs: np.ndarray) -> np.ndarray:
 _SCORE_BLOCK = 2**16  # (stream, point) entries that close a ladder batch: the size of _ramp_sums' tables
 
 
-def _ramp_sums(a: np.ndarray, b: np.ndarray, labels: np.ndarray, proj: np.ndarray, sizes, order) -> np.ndarray:
+def _sorted_projections(proj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of the (directions, points) projections ``proj`` sorted, and each point's place
+    in its sorted row: ``(ps, place)`` with ``ps[l, place[l, j]] == proj[l, j]``.  Each row is
+    sorted as ``np.argsort`` sorts it alone."""
+    by_point = np.argsort(proj, axis=1)
+    place = np.empty_like(by_point)
+    np.put_along_axis(place, by_point, np.arange(proj.shape[1]), axis=1)
+    return np.take_along_axis(proj, by_point, axis=1), place
+
+
+def _ramp_sums(
+    a: np.ndarray, b: np.ndarray, labels: np.ndarray, ps: np.ndarray, place: np.ndarray, sizes, order
+) -> np.ndarray:
     """sum_i a_i (<w_i, x> - b_i)_+ at every point x, per stream, from one bias histogram per direction.
 
-    Neuron i has direction label ``labels[i]``, and ``proj[labels[i]]``
-    holds the points' projections on that direction.  The neurons are
+    Neuron i has direction label ``labels[i]``, and ``ps[labels[i]]``
+    holds the points' projections on that direction in increasing order,
+    point j's at ``place[labels[i], j]``, as ``_sorted_projections`` gives
+    them: a ladder sorts them once for all its batches.  The neurons are
     consecutive streams of ``sizes`` neurons, and row s of the
     (streams, points) result sums stream s alone.
 
-    Per direction, in label order, with its projections sorted into ps:
+    Per direction, in label order, with its sorted projections ps:
     neuron i falls in slot k_i, the count of points at or below b_i, so
     exactly the points from ps[k_i] on lie above it (a bias equal to a
     point adds nothing either way).  The running sums A of a_i and B of
@@ -491,17 +532,18 @@ def _ramp_sums(a: np.ndarray, b: np.ndarray, labels: np.ndarray, proj: np.ndarra
     stream lacks adds zeros, so a row has the same bits in any batch as
     from that stream's neurons alone.
 
-    The slots are searched in ``order``, which lists the neurons by label
-    and each label's neurons by bias, or nearly so: a search with sorted
-    keys is several times cheaper per key than with unsorted ones, and any
-    order gives the same slots.  A ladder hands in the order its draw pass
-    ran in, and ``TwoLayerNet.evaluate`` its one stream's neurons by (label,
-    bias), as ``_by_direction`` sorts them.  The bins are filled in neuron
-    order within each label, by one stable argsort of the labels narrowed
-    to the smallest unsigned type that holds them, which numpy radix-sorts
-    up to 16 bits.
+    The slots are searched in ``order``, which lists each label's neurons
+    in one run, in label order, and within it by bias, or nearly so: a
+    search with sorted keys is several times cheaper per key than with
+    unsorted ones, and any order within a run gives the same slots.  A
+    ladder hands in the order its draw pass ran in, and
+    ``TwoLayerNet.evaluate`` its one stream's neurons by label and their
+    biases' shares of their range, as ``_by_direction`` sorts them.  The
+    bins are filled in neuron order within each label, by one stable
+    argsort of the labels narrowed to the smallest unsigned type that holds
+    them, which numpy radix-sorts up to 16 bits.
     """
-    S, N = len(sizes), proj.shape[1]
+    S, N = len(sizes), ps.shape[1]
     out = np.zeros((S, N))
     key = labels.astype(np.min_scalar_type(labels.max(initial=0)))
     by_label = np.argsort(key, kind="stable")
@@ -511,17 +553,14 @@ def _ramp_sums(a: np.ndarray, b: np.ndarray, labels: np.ndarray, proj: np.ndarra
     cuts = np.flatnonzero(np.diff(labels, prepend=-1)).tolist() + [len(a)]
     first_bin = np.repeat(np.arange(S), sizes)[by_label] * (N + 1)  # of each neuron's stream
     slot = np.empty(len(a), dtype=np.intp)
-    point_rank = np.empty(N, dtype=np.intp)
     for lo, hi in zip(cuts, cuts[1:]):
-        by_point = np.argsort(proj[labels[lo]])
-        ps = proj[labels[lo], by_point]
-        point_rank[by_point] = np.arange(N)
-        slot[order[lo:hi]] = ps.searchsorted(sorted_b[lo:hi], side="right")
+        row = labels[lo]
+        slot[order[lo:hi]] = ps[row].searchsorted(sorted_b[lo:hi], side="right")
         bins = first_bin[lo:hi] + slot[by_label[lo:hi]]
         A, B = (np.bincount(bins, w[lo:hi], S * (N + 1)).reshape(S, N + 1)[:, :N].cumsum(axis=1) for w in (a, ab))
-        A *= ps
+        A *= ps[row]
         A -= B
-        out += A[:, point_rank]
+        out += A[:, place[row]]
     return out
 
 
@@ -568,6 +607,7 @@ class ApproxReport:
         return float(max(self.errors))
 
 
+_MAX_LADDER_NEURONS = 2**24  # most neurons of a ladder over all its widths and trials; a float of each is 128 MiB
 _BATCH_DRAWS = 2**14  # most neurons per draw pass of a ladder: each holds a few float64 arrays of this size
 
 
@@ -606,7 +646,10 @@ def error_decay_experiment(
     values per stream, fill ``_SCORE_BLOCK`` entries, which bounds the two
     (streams, grid points + 1) histograms ``_ramp_sums`` builds for each
     direction, however many one-neuron streams the ladder has.  Each batch
-    is scored by one ``_ramp_sums`` call over all of its streams.
+    is scored by one ``_ramp_sums`` call over all of its streams, on the
+    grid's projections sorted once per ladder.  A ladder of more than
+    ``_MAX_LADDER_NEURONS`` neurons over all widths and trials is refused
+    with ``DomainError`` before any stream is drawn.
     """
     n_list = list(n_list)
     for n in n_list:
@@ -619,6 +662,12 @@ def error_decay_experiment(
     check_integer(trials, "trial count")
     if trials < 1:
         raise InvalidInputError("need at least one trial")
+    if n_list[0] < 1:
+        raise InvalidInputError("need at least one neuron")
+    total = sum(n_list) * int(trials)
+    if total > _MAX_LADDER_NEURONS:
+        limit = f"is above the limit of {_MAX_LADDER_NEURONS}"
+        raise DomainError(f"a ladder of {total} neurons over its widths and trials {limit}")
     check_count(seed, "seed", zero=True)
     if convention not in ("thm2", "prop2"):
         raise InvalidInputError(f"unknown convention {convention!r}: expected 'thm2' or 'prop2'")
@@ -636,7 +685,7 @@ def error_decay_experiment(
         raise DomainError(f"f overflows a float on the ball of radius R = {R}")
     if not np.isfinite(base).all():
         raise DomainError(f"the affine part (v, c) = ({plan.v.tolist()}, {plan.c}) of f overflows a float on the ball")
-    proj = _project(grid.points, plan.rows[plan.first])
+    ps, place = _sorted_projections(_project(grid.points, plan.rows[plan.first]))
     # whole (n, seed) streams in (width, trial) order, in runs of at most
     # _BATCH_DRAWS neurons and of streams whose ramp sums fill _SCORE_BLOCK
     batches, size = [[]], 0
@@ -652,7 +701,7 @@ def error_decay_experiment(
         sizes = np.array([n for n, _ in batch])
         idx, a, b, order = _draw(plan, batch)
         with np.errstate(over="ignore", invalid="ignore"):
-            sums = _ramp_sums(a, b, plan.labels[idx], proj, sizes, order)
+            sums = _ramp_sums(a, b, plan.labels[idx], ps, place, sizes, order)
             scores = np.max(np.abs(base + (plan.kappa / sizes)[:, None] * sums - f), axis=1)
         if not np.isfinite(scores).all():
             raise DomainError("a sampled network's sup error overflows a float")
@@ -684,25 +733,31 @@ def _json_list(items, indent: str) -> str:
     return f"[\n{indent}  {items}\n{indent}]"
 
 
+def _texts_by_bits(rows: np.ndarray, text) -> list[str]:
+    """``text`` of each row of floats, as a list, called once per distinct row by bits."""
+    keys = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
+    texts = {key: text(np.frombuffer(key).tolist()) for key in dict.fromkeys(keys)}
+    return list(map(texts.__getitem__, keys))
+
+
 def save_network(path, net: TwoLayerNet) -> None:
     """Write the canonical network JSON schema.
 
     The text is what ``json.dump(payload, indent=2, sort_keys=True)`` writes
     for the schema's fixed keys, composed directly: indented output goes
     through json's pure-Python encoder, which was most of the cost of
-    saving a wide network.  The neurons fill copies of one template with
-    their d + 2 floats in one ``%`` pass: their reprs, or json's names for
-    NaN and the infinities.  Each distinct bit pattern is formatted once,
-    so 0.0 and -0.0 stay apart: a ladder's net repeats its few direction
-    rows and its +-1 coefficients over every neuron, and formatting a
-    float is most of the cost of each.
+    saving a wide network.  Each neuron's text joins three texts: its
+    coefficient's with the keys around it, its bias and its whole ``omega``
+    block, every float as its repr or json's name for NaN and the
+    infinities.  A ladder's net repeats its few direction rows and its +-1
+    coefficients over every neuron, and formatting a float is most of the
+    cost of each, so each distinct row and each distinct coefficient (by
+    bits: 0.0 and -0.0 stay apart) is formatted once, found by a dict of
+    their bytes, and each bias once.
     """
-    omega = _json_list(["%s"] * net.d, "      ")
-    neuron = f'    {{\n      "a": %s,\n      "b": %s,\n      "omega": {omega}\n    }}'
-    values = np.column_stack([net.a, net.b, net.omegas]).ravel()
-    bits, which = np.unique(values.view(np.int64), return_inverse=True)
-    texts = np.array([_json_float(x) for x in bits.view(np.float64).tolist()], dtype=object)
-    neurons = ",\n".join([neuron] * net.n) % tuple(texts[which].tolist())
+    heads = _texts_by_bits(net.a[:, None], lambda a: f'    {{\n      "a": {_json_float(a[0])},\n      "b": ')
+    tails = _texts_by_bits(net.omegas, lambda w: f',\n      "omega": {_json_list(list(map(_json_float, w)), "      ")}\n    }}')
+    neurons = ",\n".join(map("".join, zip(heads, map(_json_float, net.b.tolist()), tails)))
     neuron_list = "[\n" + neurons + "\n  ]" if net.n else "[]"
     text = (
         "{\n"

@@ -653,6 +653,31 @@ def test_approximate_refuses_a_width_list_without_widths(tmp_path, capsys, spect
     assert capsys.readouterr().err == f"radonlab: --n must be a width or comma-separated widths, not {widths!r}\n"
 
 
+def test_approximate_refuses_a_ladder_past_the_bound_before_drawing_it(tmp_path, capsys, monkeypatch, spectrum_path):
+    # --n 99999999999 asked numpy for 745 GiB and exited 1 with its traceback
+    drawn = []
+    draw = rl.sparsifier._draw
+    monkeypatch.setattr(rl.sparsifier, "_draw", lambda plan, streams: drawn.append(len(streams)) or draw(plan, streams))
+    out = tmp_path / "net.json"
+    argv = ["approximate", "--spectrum", str(spectrum_path), "--R", "1", "--seed", "1", "--out", str(out)]
+    assert main([*argv, "--n", "99999999999", "--trials", "1"]) == EXIT_DOMAIN
+    limit = "is above the limit of 16777216\n"
+    assert capsys.readouterr().err == f"radonlab: a ladder of 99999999999 neurons over its widths and trials {limit}"
+    # a trial count whose streams alone would fill memory is refused as early
+    assert main([*argv, "--n", "1", "--trials", str(2**40)]) == EXIT_DOMAIN
+    assert capsys.readouterr().err == f"radonlab: a ladder of {2**40} neurons over its widths and trials {limit}"
+    assert not drawn and not out.exists()
+    # the bound counts every width's trials, and a ladder of exactly the bound runs
+    monkeypatch.setattr(rl.sparsifier, "_MAX_LADDER_NEURONS", 100)
+    assert main([*argv, "--n", "8,43", "--trials", "2"]) == EXIT_DOMAIN
+    assert capsys.readouterr().err == (
+        "radonlab: a ladder of 102 neurons over its widths and trials is above the limit of 100\n"
+    )
+    assert not drawn and not out.exists()
+    assert main([*argv, "--n", "8,42", "--trials", "2"]) == EXIT_PASS
+    assert drawn and out.exists()
+
+
 @pytest.mark.parametrize("convention, R", [("thm2", "1"), ("prop2", "0.8")])
 def test_approximate_emitted_error_is_last_min_error(tmp_path, spectrum2_path, convention, R):
     report_path, net_path = tmp_path / "report.json", tmp_path / "net.json"

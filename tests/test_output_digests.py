@@ -35,6 +35,13 @@ SPECTRA = {
     # cos(2000 x): over 2,500 panels, too many for a start table of cubics, so
     # every draw starts on its panel's line in theta
     "d1-many-panels": (1, [(1.0, [2000.0])]),
+    # 150 cosines at random frequencies: 300 directions, more than 256, so a
+    # draw's sort key leaves fewer bits to each direction's uniforms
+    "d3-many-directions": (
+        3,
+        [(a, xi) for a, xi in zip(np.random.default_rng(35).uniform(-1.0, 1.0, 150).round(3),
+                                  np.random.default_rng(36).normal(0.0, 1.5, (150, 3)).round(3))],
+    ),
 }
 
 CASES = {
@@ -43,6 +50,8 @@ CASES = {
     "thm2-d3": ("d3", "1", "thm2", "8,4096,8192"),
     "prop2-d2": ("d2", "0.8", "prop2", "16,256,4096"),
     "thm2-d1-many-panels": ("d1-many-panels", "1", "thm2", "8,4096,8192"),
+    "thm2-d3-many-directions": ("d3-many-directions", "1", "thm2", "8,512,2048"),
+    "prop2-d3-many-directions": ("d3-many-directions", "0.8", "prop2", "16,512,2048"),
 }
 
 DIGESTS = {
@@ -70,6 +79,16 @@ DIGESTS = {
         "net": "378ab127223b93cba820155a8d12afc3f222b4ad7b36ac45fc9315394cc2ae88",
         "csv": "b5d6fd57af7c25538b51b5b143c581f5d5d6ed23f090e0a7a7409b40fad7afb2",
         "report": "b02ac959e870352e8d853af26674b823aefbd81b9faa8d89dc2104ad14197fc2",
+    },
+    "thm2-d3-many-directions": {
+        "net": "a2e4f522b7a8cfa1814eb0bff1a782e97904d3a5fa9ce6303d9a59f65f35266d",
+        "csv": "183a0c479cba8db1cd7fa7724aaf9658ff3eb52194ba2dd674781c42d7e51b35",
+        "report": "b7befa6dddf4860d0cdcaac197552cabcf86953b81ed50d1c7d114134466a2e8",
+    },
+    "prop2-d3-many-directions": {
+        "net": "d9251517538c55b844d60499f38a1004cd06b662153d9a09004d1ce7071ad9ce",
+        "csv": "92afb38d7ac093a93dd66852a18905decc8f122e436e94f16f712fae8178d717",
+        "report": "ad518de6276dde23127c5e43d80912ba4eeda8fd6fe4094fdcb9480eca7c8ddc",
     },
 }
 

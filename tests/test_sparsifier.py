@@ -25,6 +25,7 @@ from radonlab.sparsifier import (
     _group_rows,
     _project,
     _ramp_sums,
+    _sorted_projections,
 )
 
 from conftest import decay_slope, lattice_grid, padded_density, random_cosine_terms
@@ -355,8 +356,8 @@ def assert_matches_dense(got, want):
 
 
 def one_stream(a, b, labels, proj):
-    """``_ramp_sums`` of one stream, sorted by (label, bias) as ``TwoLayerNet.evaluate`` hands it in."""
-    return _ramp_sums(a, b, labels, proj, [len(a)], _by_direction(labels, b))[0]
+    """``_ramp_sums`` of one stream, its neurons in ``_by_direction``'s order of their labels and biases."""
+    return _ramp_sums(a, b, labels, *_sorted_projections(proj), [len(a)], _by_direction(labels, b))[0]
 
 
 def kernel_ramp_sum(net, X):
@@ -441,6 +442,17 @@ def test_ramp_sums_with_undrawn_directions(axis_measure):
     assert_matches_dense(got, dense_ramp_sum(X, net.omegas, net.a, net.b))
 
 
+@pytest.mark.parametrize("b", [[0.25] * 6, [-1e308, 0.5, 1e308, -0.5, 0.0, 1e308]])
+def test_evaluate_orders_biases_without_a_range(b):
+    # equal biases have no range to take shares of, and +-1e308 one that
+    # overflows; both only leave evaluate's slot searches in another order
+    dirs = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.6, 0.8], [0.0, 1.0], [1.0, 0.0]])
+    a = np.array([1.0, -2.0, 0.5, 1.5, 3.0, -1.0])
+    net = rl.TwoLayerNet(2, a, dirs, b, 6.0, np.zeros(2), 0.0, convention="quadrature")
+    X = rl.ball_grid(2, 1.0, 50).points
+    assert_matches_dense(net.evaluate(X), dense_ramp_sum(X, dirs, a, net.b))
+
+
 def test_ramp_sums_empty_network():
     X = lattice_grid(2, 1.0, 50).points
     assert np.array_equal(one_stream(np.zeros(0), np.zeros(0), np.zeros(0, int), np.zeros((0, len(X)))), np.zeros(len(X)))
@@ -491,7 +503,7 @@ def test_ramp_sums_rows_equal_one_stream_calls_bit_for_bit(ties):
     rng = np.random.default_rng(17)
     a, b, labels, proj, sizes, X, dirs = stream_case(rng, ties)
     assert not ties or np.isin(b, proj).sum() >= 20 and len(np.unique(b)) < len(b)
-    want = _ramp_sums(a, b, labels, proj, sizes, _by_direction(labels, b))
+    want = _ramp_sums(a, b, labels, *_sorted_projections(proj), sizes, _by_direction(labels, b))
     assert want.shape == (len(sizes), len(X))
     cuts = np.cumsum(sizes)[:-1]
     for row, a_t, b_t, l_t in zip(want, np.split(a, cuts), np.split(b, cuts), np.split(labels, cuts)):
@@ -511,7 +523,7 @@ def test_ramp_sums_with_more_labels_than_a_byte_holds():
     assert len(np.unique(labels)) > 256 and labels[500:700].max() < 256
     b = rng.uniform(-1.5, 1.5, len(labels))
     a = rng.normal(size=len(labels))
-    want = _ramp_sums(a, b, labels, proj, sizes, _by_direction(labels, b))
+    want = _ramp_sums(a, b, labels, *_sorted_projections(proj), sizes, _by_direction(labels, b))
     cuts = np.cumsum(sizes)[:-1]
     for row, a_t, b_t, l_t in zip(want, np.split(a, cuts), np.split(b, cuts), np.split(labels, cuts)):
         assert np.array_equal(row, one_stream(a_t, b_t, l_t, proj))
@@ -543,6 +555,38 @@ def test_direction_draws_are_generator_choice(monkeypatch, weights):
     want_idx, want_u = (np.concatenate(x) for x in zip(*want))
     assert idx.dtype == want_idx.dtype and np.array_equal(idx, want_idx)
     assert np.array_equal(seen[0], want_u)
+
+
+@pytest.mark.parametrize(
+    "m, crowded", [(1, False), (2, False), (255, False), (256, False), (257, False), (4097, False), (4097, True)]
+)
+def test_draw_order_affects_speed_only(monkeypatch, m, crowded):
+    # the key rank * B + floor(u B) leaves u fewer bits the more directions
+    # there are: B = 2^16 for one, 2^8 for 256, 2^7 for 257 and 8 for 4097
+    rng = np.random.default_rng(m)
+    angles = np.linspace(0.0, np.pi, m, endpoint=False)
+    profiles = [([f], [w], []) for f, w in zip(rng.uniform(2.0, 6.0, m), rng.normal(size=m) + 1j * rng.normal(size=m))]
+    density = padded_density(np.column_stack([np.cos(angles), np.sin(angles)]), profiles)
+    plan = _draw_plan(density, rl.AffinePart.zero(2), "thm2")
+    if crowded:  # one direction draws most neurons, about a thousand to each of its 8 buckets
+        plan = dataclasses.replace(plan, weights=np.where(np.arange(m) == 7, 1e5, plan.weights))
+    assert len(plan.first) == m
+    streams = [(3000, 1), (1, 2), (5000, [3, 4])]
+    idx, a, b, order = _draw(plan, streams)
+    # each rank one contiguous run, in rank order, and its uniforms in order of their buckets
+    rank, u = plan.rank[idx], rng.random(len(idx))
+    assert np.all(np.diff(rank[order]) >= 0)
+    B = 2 ** (16 - (m - 1).bit_length())
+    by_u = _by_direction(rank, u)
+    assert np.all(np.diff(rank[by_u] * B + np.floor(u[by_u] * B)) >= 0)
+    if crowded:
+        assert np.bincount(rank[by_u] * B + np.floor(u[by_u] * B).astype(int)).max() > 500
+    # the same neurons, to the bit, as drawn in the exact (rank, u) order
+    monkeypatch.setattr(sparsifier, "_by_direction", lambda rank, u: np.lexsort((u, rank)))
+    exact = _draw(plan, streams)
+    assert not np.array_equal(exact[3], order)  # the draws ran in another order
+    for got, want in zip((idx, a, b), exact):
+        assert got.dtype == want.dtype and np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
