@@ -1,6 +1,6 @@
 """Exception hierarchy shared by all modules, the CLI exit-code mapping, the input-file field checks, and
 the one intake of arguments: integer, count, finite and radius checks, ``freeze``, ``as_points`` and
-``as_directions``."""
+``as_directions``, and the one bound on a (grid points, atoms or rule nodes) table."""
 
 from __future__ import annotations
 
@@ -107,13 +107,27 @@ def as_points(x, d: int) -> tuple[np.ndarray, bool]:
 
 def as_directions(x, d: int) -> tuple[np.ndarray, bool]:
     """``x`` read as ``as_points`` reads it, refused unless every row is a unit vector: a norm
-    off 1 by more than 1e-12, or not a number, raises."""
+    off 1 by more than 1e-12, or not a number, raises.  The one test of a direction's norm."""
     w, single = as_points(x, d)
     norms = np.linalg.norm(w, axis=1)
     bad = np.flatnonzero(~(np.abs(norms - 1.0) <= 1e-12))
     if len(bad):
         raise InvalidInputError(f"directions must be unit vectors, not of norm {float(norms[bad[0]])!r} at row {bad[0]}")
     return w, single
+
+
+# most entries of one (grid points, atoms or rule nodes) table: 256 MiB as float64
+_MAX_TABLE = 2**25
+
+
+def _check_table(points: int, columns: int, what: str) -> None:
+    """Refuse, before it is allocated, a table of ``points`` grid points by ``columns`` of
+    ``what`` that would pass ``_MAX_TABLE`` entries."""
+    if points * columns > _MAX_TABLE:
+        raise DomainError(
+            f"a table of {points} grid points x {columns} {what} is above the limit of {_MAX_TABLE} entries:"
+            " use a smaller grid"
+        )
 
 
 def float_field(payload: dict, key: str, what: str, array: bool = False):

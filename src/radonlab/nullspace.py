@@ -49,6 +49,7 @@ from .errors import (
     InvalidInputError,
     PreconditionError,
     UnsupportedDimensionError,
+    _check_table,
     check_count,
     check_finite,
     check_integer,
@@ -59,11 +60,10 @@ from .errors import (
 from .harmonics import harmonic_dim, harmonic_eval
 from .quadrature import BallGrid, QuadratureRule, gauss_legendre, sphere_rule
 from .radon_measure import RadonDensity
-from .sparsifier import TwoLayerNet, _project
+from .sparsifier import TwoLayerNet, _check_neurons, _project
 
 
 _MAX_RULE_NODES = 2**16  # largest sphere rule a null term may need
-_MAX_NEURONS = 2**24  # largest product-rule budget: its coefficients take 128 MiB
 
 
 def _rule_resolution(d: int, k: int, kprime: int) -> int:
@@ -209,6 +209,14 @@ def _sphere_factor(term: HarmonicNullTerm, m: int | None = None) -> tuple[Quadra
     return rule, np.asarray(harmonic_eval(term.k, term.j, term.d, rule.nodes), dtype=float)
 
 
+def _check_grid(term: HarmonicNullTerm, grid: BallGrid) -> None:
+    """Refuse a grid of another dimension than the term's, or on a larger ball."""
+    if grid.d != term.d:
+        raise InvalidInputError(f"grid dimension d = {grid.d} differs from the term's d = {term.d}")
+    if grid.R > term.R:
+        raise InvalidInputError("grid must lie inside the term's ball")
+
+
 def verify_null(term: HarmonicNullTerm, xs: BallGrid, tolerance: float = 1e-8) -> NullVerificationReport:
     """Check that the term pairs to ~0 against every ramp centered in the grid.
 
@@ -226,14 +234,12 @@ def verify_null(term: HarmonicNullTerm, xs: BallGrid, tolerance: float = 1e-8) -
     the largest bias moment on (-R, R), so the largest pairing is judged
     against ``tolerance`` times that scale where it passes 1, and the
     report carries the tolerance so scaled.  A scaled tolerance that
-    overflows a float is refused.
+    overflows a float is refused, and so is a points x nodes array above
+    ``errors._MAX_TABLE`` entries, before it is allocated.
     """
     if not term.in_set_a:
         raise PreconditionError("term is outside the null set (needs k' < k - 2)")
-    if xs.d != term.d:
-        raise InvalidInputError("grid and term dimensions differ")
-    if xs.R > term.R:
-        raise InvalidInputError("grid must lie inside the term's ball")
+    _check_grid(term, xs)
     scale = abs(term.coeff) * term.R ** (term.kprime + 2)
     scaled = tolerance * max(1.0, scale)
     if not math.isfinite(scaled):
@@ -241,6 +247,7 @@ def verify_null(term: HarmonicNullTerm, xs: BallGrid, tolerance: float = 1e-8) -
             f"the tolerance {tolerance:g} times the term's scale |coeff| R^(k'+2) = {scale:g} overflows a float"
         )
     rule, y = _sphere_factor(term)
+    _check_table(len(xs), len(rule), "sphere rule nodes")
     v = rule.weights * y
     c = xs.points @ rule.nodes.T
     k2, top, lin, const = _ramp_moment(c, term.kprime, term.R)
@@ -289,8 +296,7 @@ def _product_rule(term: HarmonicNullTerm, n: int) -> tuple[QuadratureRule, Quadr
     u = Y_{k,j}(w) * sphere weights and v = b^{k'} * bias weights.
     """
     check_count(n, "neuron count")  # a float count would reach sphere_rule on some branches only
-    if n > _MAX_NEURONS:
-        raise DomainError(f"a null network of n = {n} neurons is above the limit of {_MAX_NEURONS}")
+    _check_neurons(n, f"a null network of n = {n} neurons")
     if n < 16:
         raise InvalidInputError("need at least 16 neurons to factor the product rule")
     m_s, m_b = _factor_neurons(n, term.d, term.k, term.kprime)
@@ -382,15 +388,15 @@ def mode_connect_perturb(term: HarmonicNullTerm, n: int, s: float, grid: BallGri
     with ``searchsorted`` and 2.0 and 2.9 ms through the built net.  The sup
     it reports is the built net's up to rounding, within 1e-15 of the
     coefficient mass; the neuron count, displacement and coefficient mass
-    are the net's to the bit.  A budget above ``_MAX_NEURONS`` is refused
-    before anything is built.
+    are the net's to the bit.  A budget above ``sparsifier._MAX_NEURONS`` is
+    refused before anything is built, as is a (directions, points) array
+    above ``errors._MAX_TABLE`` entries, and an s or a term so large that a
+    reported sum overflows a float is refused too.
     """
     check_finite(s, "scale s")
-    if grid.d != term.d:
-        raise InvalidInputError(f"grid dimension d = {grid.d} differs from the term's d = {term.d}")
-    if grid.R > term.R:
-        raise InvalidInputError("grid must lie inside the term's ball")
+    _check_grid(term, grid)
     srule, brule, u, v = _product_rule(term, n)
+    _check_table(len(grid), len(srule), "sphere rule nodes")
     a = (term.coeff * np.multiply.outer(u, v)).ravel()
     c = _project(grid.points, srule.nodes)
     q = _nodes_below(brule.nodes, c)
@@ -399,14 +405,21 @@ def mode_connect_perturb(term: HarmonicNullTerm, n: int, s: float, grid: BallGri
     terms = (term.coeff * u)[:, None] * (c * A[q] - B[q])
     # the perturbation is additive, so the functional change is exactly the
     # scaled added component; evaluating it alone keeps s = 0 exactly zero
-    change = float(abs(s) * np.max(np.abs(terms.sum(axis=0))))
-    displacement = float(np.abs(s * a).sum())
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        change = float(abs(s) * np.max(np.abs(terms.sum(axis=0))))
+        displacement = float(np.abs(s * a).sum())
+        mass = float(np.abs(a).sum())
+    if not all(map(math.isfinite, (change, displacement, mass))):
+        raise DomainError(
+            f"the functional change {change}, displacement {displacement} or coefficient mass {mass}"
+            f" at scale s = {s:g} overflows a float"
+        )
     return ModeConnectReport(
         scale=float(s),
         added_neurons=len(a),
         functional_change=change,
         displacement=displacement,
-        coefficient_mass=float(np.abs(a).sum()),
+        coefficient_mass=mass,
         grid_size=len(grid),
     )
 

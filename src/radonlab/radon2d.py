@@ -29,13 +29,12 @@ from functools import cache
 
 import numpy as np
 
-from .errors import DomainError, InvalidInputError, as_points, check_finite, check_radius, freeze
+from .errors import DomainError, InvalidInputError, as_directions, as_points, check_finite, check_radius, freeze
 from .quadrature import QuadratureRule, gauss_legendre, sphere_rule
 from .radon_measure import RadonDensity
 from .spectrum import SpectralMeasure
 
 _EVEN_TOL = 1e-9
-_UNIT_TOL = 1e-12  # how far |omega| may be from 1
 _BLOCK = 2**14  # evaluations per block of a transform kernel
 
 
@@ -168,17 +167,15 @@ def radon_transform_2d(phi: BumpFunction, omega, b: float) -> float:
 
     Integrates along the chord the line cuts through the support disk by
     64-node Gauss-Legendre; returns 0 when the line misses the support.
-    ``omega`` must be a unit 2-vector and ``b`` finite: any other omega
-    names a different line or none.
+    ``omega`` must be one unit 2-vector, as ``as_directions`` reads it, and
+    ``b`` finite: any other omega names a different line or none.
     """
     if phi.d != 2:
         raise InvalidInputError("line-integral transform is implemented for d=2")
-    omega = np.asarray(omega, dtype=float)
-    if omega.shape != (2,) or not np.all(np.isfinite(omega)) or abs(np.hypot(*omega) - 1.0) > _UNIT_TOL:
-        raise InvalidInputError(f"omega must be a unit 2-vector, got {omega}")
-    if np.ndim(b) != 0 or not np.isfinite(b):
-        raise InvalidInputError(f"bias must be a finite number, got {b}")
-    return float(_line_integrals(phi, omega[None, :], np.array([b], dtype=float), _chord_rule_64())[0])
+    w, single = as_directions(omega, 2)
+    if not single or np.ndim(b) != 0 or not np.isfinite(b):
+        raise InvalidInputError(f"a line needs one unit 2-vector omega and one finite bias, not {omega} and {b}")
+    return float(_line_integrals(phi, w, np.array([b], dtype=float), _chord_rule_64())[0])
 
 
 def dual_radon_transform(psi, x) -> float:

@@ -60,7 +60,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.polynomial import polyder, polyint, polyval
 
-from .errors import DomainError, InvalidInputError, as_points, check_radius, freeze
+from .errors import DomainError, InvalidInputError, as_directions, as_points, check_radius, freeze
 from .spectrum import SpectralMeasure, _first_seen
 
 _ROOT_SCAN = 512
@@ -75,8 +75,9 @@ _SCAN_BLOCK = 1 << 13
 # most points a root scan may take: 8 MiB per float64 array of the scan, and
 # |t| * R up to about 1e5 on (-R, R)
 _MAX_SCAN = 1 << 20
+_NEWTON_STOP = 1e-9  # the step, as a share of its interval, that stops a bracket: Newton's error is then its square
 # a cap only: bisection alone takes a bracket as wide as the interval below
-# 1e-9 of it in 30 steps
+# _NEWTON_STOP of it in 30 steps
 _NEWTON_STEPS = 64
 # the roots of a set of functions: the function's row and the root
 _ROOTS = np.dtype([("row", np.intp), ("x", float)])
@@ -117,10 +118,10 @@ class RadonDensity:
     sums, slot by slot; a slot with frequency 0 is empty and must have
     weight 0, since a constant belongs to the polynomial part.  ``poly`` is
     (degree + 1, m), low order first.  R must be positive and finite and
-    ``directions`` (m, d); it and the three are kept as read-only copies.
-    Evenness, g_w(b) = g_{-w}(-b), is not checked here: it is the symmetry
-    closure of the measure the density comes from, which
-    ``density_from_spectrum`` checks.
+    ``directions`` (m, d) unit vectors (``as_directions``); it and the three
+    are kept as read-only copies.  Evenness, g_w(b) = g_{-w}(-b), is not
+    checked here: it is the symmetry closure of the measure the density
+    comes from, which ``density_from_spectrum`` checks.
     """
 
     d: int
@@ -136,7 +137,7 @@ class RadonDensity:
 
     def __post_init__(self):
         check_radius(self.R)
-        dirs = as_points(self.directions, self.d)[0]
+        dirs = as_directions(self.directions, self.d)[0]
         columns = {"directions": dirs}
         for name, dtype in (("freqs", float), ("weights", complex), ("poly", float)):
             a = np.asarray(getattr(self, name), dtype=dtype)
@@ -302,7 +303,7 @@ def density_from_spectrum(mu: SpectralMeasure, R: float) -> RadonDensity:
     return density
 
 
-def _bracketed_newton(fn, x, lo, hi, tol: float) -> np.ndarray:
+def _bracketed_newton(fn, x, lo, hi, span: float) -> np.ndarray:
     """Solve F = 0 in each bracket [lo, hi] by Newton's method kept inside it.
 
     ``fn(live, x)`` returns F and F' of the brackets ``live`` (an index of
@@ -312,13 +313,13 @@ def _bracketed_newton(fn, x, lo, hi, tol: float) -> np.ndarray:
     moves the bracket end on the side of F's sign to x and takes the Newton
     step x - F/F' if it lies in the closed bracket (a step onto an end
     counts), else the midpoint.  A bracket stops once its step is at most
-    ``tol``, and every bracket after ``_NEWTON_STEPS`` steps; its solution
-    is its last step.  Each bracket's steps read only its own F, so a
-    solution does not depend on the other brackets solved with it.
+    ``_NEWTON_STOP * span``, and every bracket after ``_NEWTON_STEPS`` steps;
+    its solution is its last step.  Each bracket's steps read only its own
+    F, so a solution does not depend on the other brackets solved with it.
     """
     x = np.asarray(x, dtype=float)
     out = x.copy()
-    live = slice(None)
+    live, tol = slice(None), _NEWTON_STOP * span
     for _ in range(_NEWTON_STEPS):
         if not len(x):
             break
@@ -346,11 +347,10 @@ def sign_change_roots(fn, lo: float, hi: float, scans) -> np.ndarray:
     opposite sign (a zero counts as positive) bracket a root.  The brackets
     of every function are refined together by ``_bracketed_newton`` from
     their midpoints, each oriented by the sign at its left end, until a
-    step is at most 1e-9 of hi - lo: Newton's error after such a step is of
-    its square.  Returns one ``(row, x)`` record per root, by row and then x.
-    Roots that do not flip the sign between two scan points are not found;
-    the caller sizes ``scans`` (see the module docstring for what a missed
-    pair can cost).
+    step is at most ``_NEWTON_STOP`` of hi - lo.  Returns one ``(row, x)``
+    record per root, by row and then x.  Roots that do not flip the sign
+    between two scan points are not found; the caller sizes ``scans`` (see
+    the module docstring for what a missed pair can cost).
     """
     scans = np.asarray(scans, dtype=np.intp)
     starts = np.concatenate([[0], np.cumsum(scans)])
@@ -377,7 +377,7 @@ def sign_change_roots(fn, lo: float, hi: float, scans) -> np.ndarray:
 
     roots = np.empty(len(a), dtype=_ROOTS)
     roots["row"] = row
-    roots["x"] = _bracketed_newton(oriented, 0.5 * (a + b), a, b, 1e-9 * (hi - lo))
+    roots["x"] = _bracketed_newton(oriented, 0.5 * (a + b), a, b, hi - lo)
     return roots
 
 

@@ -52,6 +52,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -59,6 +60,7 @@ from .errors import (
     DegenerateMeasureError,
     DomainError,
     InvalidInputError,
+    as_directions,
     as_points,
     check_count,
     check_finite,
@@ -159,8 +161,7 @@ class TwoLayerNet:
         if self.convention == "thm2":
             if not np.all(np.abs(self.a) == 1.0):
                 raise InvalidInputError("thm2 coefficients must be exactly +-1")
-            if np.max(np.abs(np.linalg.norm(self.omegas, axis=1) - 1.0)) > 1e-12:
-                raise InvalidInputError("thm2 directions must be l2-unit")
+            as_directions(self.omegas, self.d)
             if R is not None and not np.all((self.b > -R) & (self.b < R)):
                 raise InvalidInputError("thm2 biases must lie in (-R, R)")
             if norm is not None and self.kappa != norm:
@@ -191,10 +192,10 @@ _TABLE_NODES = 2**13
 _TABLE_CELLS = 128
 
 
-def _solve_in_panels(density: RadonDensity, edges, g1, k, sign, rows, rest, x, tol: float) -> np.ndarray:
+def _solve_in_panels(density: RadonDensity, edges, g1, k, sign, rows, rest, x, span: float) -> np.ndarray:
     """b in panel k (from edge k to edge k + 1) of profile ``rows``, where g has the sign
     ``sign``, at which the mass of |g| from the panel's left edge reaches ``rest``: by
-    ``_bracketed_newton`` from x clipped into the panel.
+    ``_bracketed_newton`` from x clipped into the panel, on an interval of width ``span``.
 
     Inside a panel the mass sign (G_1(b) - G_1(edge k)) is monotone with derivative |g|.
     Each Newton step reads G_1 and g off one evaluation of the trig terms of its own
@@ -206,7 +207,7 @@ def _solve_in_panels(density: RadonDensity, edges, g1, k, sign, rows, rest, x, t
         G1, g = density._values(x, (1, 0), rows[live])
         return sign[live] * (G1 - start[live]) - rest[live], sign[live] * g
 
-    return _bracketed_newton(excess, np.minimum(np.maximum(x, left), right), left, right, tol)
+    return _bracketed_newton(excess, np.minimum(np.maximum(x, left), right), left, right, span)
 
 
 def _start_table(density: RadonDensity, lo: float, hi: float) -> tuple[np.ndarray, int, np.ndarray]:
@@ -244,7 +245,7 @@ def _start_table(density: RadonDensity, lo: float, hi: float) -> tuple[np.ndarra
         k, j = np.flatnonzero(panel).repeat(M - 1), np.tile(np.arange(1, M), int(panel.sum()))
         rest = 0.5 * (1.0 - np.cos(np.pi * j / M)) * (cum[k + 1] - cum[k])
         rows = np.searchsorted(starts, k, side="right") - 1
-        y[k, j] = _solve_in_panels(density, edges, g1, k, sign[k], rows, rest, y[k, j], 1e-9 * (hi - lo))
+        y[k, j] = _solve_in_panels(density, edges, g1, k, sign[k], rows, rest, y[k, j], hi - lo)
         # each cell i: the cubic through its stencil of nodes j0..j0 + 3, by forward
         # differences in tau = j - j0, then shifted to t = tau - (i - j0)
         i = np.arange(M)
@@ -294,11 +295,10 @@ def _draw_biases(density: RadonDensity, idx, u, lo: float, hi: float, order) -> 
     direction, with its panel as its bracket.  Newton's method starts from the panel's inverse CDF in
     ``_start_table``: the cubic of the target's theta cell, read in one
     gather and evaluated by Horner's rule.  A draw stops once its step is
-    at most 1e-9 of the interval: Newton's error after such a step is of
-    its square, and smaller steps would only chase the rounding noise of
-    G_1.  A start within that tolerance stops after one profile
-    evaluation.  Every step is elementwise, so a bias has the same bits in
-    any order; they are returned in the order of ``idx``.
+    at most ``_NEWTON_STOP`` of the interval, as a root does; a start
+    within that tolerance stops after one profile evaluation.  Every step
+    is elementwise, so a bias has the same bits in any order; they are
+    returned in the order of ``idx``.
     """
     starts, edges, g1, cum = density.panels(lo, hi)
     panel_sign, M, coef = _start_table(density, lo, hi)
@@ -321,7 +321,7 @@ def _draw_biases(density: RadonDensity, idx, u, lo: float, hi: float, order) -> 
     x = c[0] + t * (c[1] + t * (c[2] + t * c[3]))
     del last, target, panel_mass, s, pos, i, t, c  # a batch's Newton pass holds only what it reads
     sign = panel_sign[k]
-    solved = _solve_in_panels(density, edges, g1, k, sign, rows, rest, x, 1e-9 * (hi - lo))
+    solved = _solve_in_panels(density, edges, g1, k, sign, rows, rest, x, hi - lo)
     b, a = np.empty(len(rows)), np.empty(len(rows))
     b[order] = np.clip(solved, np.nextafter(lo, hi), np.nextafter(hi, lo))
     a[order] = sign
@@ -356,9 +356,9 @@ def _exact_l1_unit(w: np.ndarray) -> np.ndarray:
 class _DrawPlan:
     """What every network drawn from one density under one convention shares.
 
-    Directions are drawn with probability proportional to ``weights`` and
-    biases from |g_w| on (lo, hi); neuron i stores the direction row
-    ``rows[idx_i]`` and, for prop2, its bias divided by ``l1[idx_i]``.
+    Directions are drawn by ``cdf``, the running share of ``weights`` in their
+    total ``kappa``, summed and checked once here, and biases from |g_w| on
+    (lo, hi); neuron i stores row ``rows[idx_i]`` and, for prop2, its bias over ``l1[idx_i]``.
     ``rows[first]`` are the distinct rows and ``labels`` each direction's
     row among them, as ``_group_rows`` gives them and as networks evaluate
     them; ``rank`` places each direction in (label, index) order.
@@ -369,20 +369,30 @@ class _DrawPlan:
     lo: float
     hi: float
     weights: np.ndarray
-    kappa: float
     v: np.ndarray
     c: float
     rows: np.ndarray
     l1: np.ndarray | None
+    cdf: np.ndarray = field(init=False, repr=False)
     first: np.ndarray = field(init=False, repr=False)
     labels: np.ndarray = field(init=False, repr=False)
     rank: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not math.isfinite(self.kappa):
+            raise DomainError(f"cannot sample from a density of total mass {self.kappa}")
+        if self.kappa <= 0:
+            raise DegenerateMeasureError("cannot sample from a zero-mass density")
+        cdf = np.cumsum(self.weights / self.kappa)
+        cdf /= cdf[-1]
         first, labels = _group_rows(self.rows)
         rank = np.empty(len(labels), dtype=np.intp)
         rank[np.argsort(labels, kind="stable")] = np.arange(len(labels))
-        freeze(self, first=first, labels=labels, rank=rank)
+        freeze(self, cdf=cdf, first=first, labels=labels, rank=rank)
+
+    @cached_property
+    def kappa(self) -> float:
+        return float(self.weights.sum())
 
     def net(self, idx: np.ndarray, a: np.ndarray, b: np.ndarray) -> TwoLayerNet:
         return TwoLayerNet(self.density.d, a, self.rows[idx], b, self.kappa, self.v, self.c, self.convention)
@@ -393,7 +403,7 @@ def _draw_plan(density: RadonDensity, affine: AffinePart, convention: str) -> _D
     A thm2 outer scale is the density norm, summed as ``tv_norm`` sums it."""
     if convention != "prop2":
         masses, R = direction_masses(density), density.R
-        return _DrawPlan(density, "thm2", -R, R, masses, float(masses.sum()), affine.v, affine.c, density.directions, None)
+        return _DrawPlan(density, "thm2", -R, R, masses, affine.v, affine.c, density.directions, None)
     if density.R > 1.0:
         raise DomainError("l1-normalized networks require the ball radius R <= 1")
     l1 = np.abs(density.directions).sum(axis=1)
@@ -404,9 +414,9 @@ def _draw_plan(density: RadonDensity, affine: AffinePart, convention: str) -> _D
     for i, w in enumerate(density.directions):
         v = v - w * profile_moment(density, i, 0, 0.0, density.R)
         c = c + profile_moment(density, i, 1, 0.0, density.R)
-    rows = np.array([_exact_l1_unit(w) for w in density.directions])
+    rows = np.array([_exact_l1_unit(w) for w in density.directions]).reshape(density.directions.shape)
     _check_l1_rows(rows)
-    return _DrawPlan(density, "prop2", 0.0, density.R, weights, float(weights.sum()), v, float(c), rows, l1)
+    return _DrawPlan(density, "prop2", 0.0, density.R, weights, v, float(c), rows, l1)
 
 
 def _draw(plan: _DrawPlan, streams) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -422,24 +432,14 @@ def _draw(plan: _DrawPlan, streams) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     monotone in the uniform, that is also nearly the (label, bias) order
     that ``_ramp_sums`` searches in best; the biases, signs and slots are
     the same in any order.  A prop2 batch checks its biases and
-    coefficients against the convention; its rows were checked once, by
-    ``_draw_plan``.  The directions are what
-    ``Generator.choice(len(p), size=n, p=p)`` draws, searched in one
-    normalized CDF of the weights built once per call, without choice's
-    checks of p on every stream: a total mass that is not finite is
-    refused here instead.
+    coefficients against the convention; the plan checked its rows and its
+    mass once.  The directions are what ``Generator.choice`` draws with p the
+    shares of the weights, searched in the plan's ``cdf`` without its checks.
     """
     if any(n < 1 for n, _ in streams):
         raise InvalidInputError("need at least one neuron")
-    total = float(plan.weights.sum())
-    if not math.isfinite(total):
-        raise DomainError(f"cannot sample from a density of total mass {total}")
-    if total <= 0 or plan.kappa <= 0:
-        raise DegenerateMeasureError("cannot sample from a zero-mass density")
-    cdf = np.cumsum(plan.weights / total)
-    cdf /= cdf[-1]
     rngs = [(n, np.random.default_rng(seed)) for n, seed in streams]
-    draws = [(cdf.searchsorted(rng.random(n), side="right"), rng.random(n)) for n, rng in rngs]
+    draws = [(plan.cdf.searchsorted(rng.random(n), side="right"), rng.random(n)) for n, rng in rngs]
     idx, u = (np.concatenate(x) for x in zip(*draws))
     order = _by_direction(plan.rank[idx], u)
     b, a = _draw_biases(plan.density, idx, u, plan.lo, plan.hi, order)
@@ -607,8 +607,13 @@ class ApproxReport:
         return float(max(self.errors))
 
 
-_MAX_LADDER_NEURONS = 2**24  # most neurons of a ladder over all its widths and trials; a float of each is 128 MiB
+_MAX_NEURONS = 2**24  # most neurons of a null network, or of a ladder over its widths and trials: 128 MiB a float
 _BATCH_DRAWS = 2**14  # most neurons per draw pass of a ladder: each holds a few float64 arrays of this size
+
+
+def _check_neurons(n: int, what: str) -> None:
+    if n > _MAX_NEURONS:
+        raise DomainError(f"{what} is above the limit of {_MAX_NEURONS}")
 
 
 def error_decay_experiment(
@@ -648,8 +653,8 @@ def error_decay_experiment(
     direction, however many one-neuron streams the ladder has.  Each batch
     is scored by one ``_ramp_sums`` call over all of its streams, on the
     grid's projections sorted once per ladder.  A ladder of more than
-    ``_MAX_LADDER_NEURONS`` neurons over all widths and trials is refused
-    with ``DomainError`` before any stream is drawn.
+    ``_MAX_NEURONS`` neurons over all widths and trials is refused with
+    ``DomainError`` before any stream is drawn.
     """
     n_list = list(n_list)
     for n in n_list:
@@ -665,9 +670,7 @@ def error_decay_experiment(
     if n_list[0] < 1:
         raise InvalidInputError("need at least one neuron")
     total = sum(n_list) * int(trials)
-    if total > _MAX_LADDER_NEURONS:
-        limit = f"is above the limit of {_MAX_LADDER_NEURONS}"
-        raise DomainError(f"a ladder of {total} neurons over its widths and trials {limit}")
+    _check_neurons(total, f"a ladder of {total} neurons over its widths and trials")
     check_count(seed, "seed", zero=True)
     if convention not in ("thm2", "prop2"):
         raise InvalidInputError(f"unknown convention {convention!r}: expected 'thm2' or 'prop2'")

@@ -20,6 +20,8 @@ from .errors import (
     DomainError,
     InconsistentMeasureError,
     InvalidInputError,
+    _check_table,
+    as_directions,
     as_points,
     float_field,
     freeze,
@@ -27,7 +29,7 @@ from .errors import (
     list_field,
 )
 
-_UNIT_TOL = 1e-12
+_CLOSURE_TOL = 1e-12  # relative: how far partner coefficients, or f's imaginary part, may be off
 
 
 @dataclass(frozen=True)
@@ -45,26 +47,29 @@ class SpectralMeasure:
         w = w.reshape(0, self.d) if w.size == 0 else w
         if w.ndim != 2 or w.shape[1] != self.d or t.shape != (len(w),) or c.shape != t.shape:
             raise InvalidInputError(f"atom arrays of shapes {w.shape}, {t.shape}, {c.shape} do not match d={self.d}")
-        dev = np.linalg.norm(w, axis=1) - 1.0
-        if np.any(np.abs(dev) > _UNIT_TOL):
-            raise InvalidInputError(f"atom direction not unit length: |omega| - 1 = {dev[np.argmax(np.abs(dev))]:+.3e}")
-        freeze(self, omegas=w, freqs=t, coefs=c)
+        freeze(self, omegas=as_directions(w, self.d)[0], freqs=t, coefs=c)
 
     def __len__(self) -> int:
         return len(self.freqs)
 
     def validate(self) -> None:
-        """Check the symmetry closure: for every atom (w, t, c) the partners
-        (-w, -t, c), (-w, t, conj c), (w, -t, conj c) are present, to 1e-12
-        relative.  Atoms are keyed by (w, t) to 9 decimals (``_rounded``) and
-        summed per key."""
+        """Check the symmetry closure.  Atoms are keyed by (w, t) to 9 decimals
+        (``_rounded``) and their coefficients summed per key: every key
+        (w, t) of sum C needs the partner keys (-w, -t) of sum C and (-w, t),
+        (w, -t) of sum conj C, to 1e-12 of max(1, the key's sum of |c|).
+        Sums are compared with sums, so atoms a rounding apart, which share
+        a key, close as one."""
         w, t, c = np.round(self.omegas, 9), _rounded(self.freqs, 9), self.coefs
         table, ids = _first_seen(_keys(w, t))
-        sums = np.zeros(len(table), dtype=complex)
+        sums, mass = np.zeros(len(table), dtype=complex), np.zeros(len(table))
         np.add.at(sums, ids, c)
-        pw, pt, pc = np.concatenate([-w, -w, w]), np.concatenate([-t, t, -t]), np.concatenate([c, c.conj(), c.conj()])
-        got = np.array([table.get(k, -1) for k in _keys(pw, pt)], dtype=np.intp)
-        bad = ((got < 0) | (np.abs(sums[got] - pc) > _UNIT_TOL * np.maximum(1.0, np.abs(pc)))).reshape(3, -1).any(axis=0)
+        np.add.at(mass, ids, np.abs(c))
+        first = np.unique(ids, return_index=True)[1]  # each key's first atom
+        w, t, conj = w[first], t[first], sums.conj()
+        partners = _keys(np.concatenate([-w, -w, w]), np.concatenate([-t, t, -t]))
+        got = np.array([table.get(k, -1) for k in partners], dtype=np.intp)
+        want, tol = np.concatenate([sums, conj, conj]), _CLOSURE_TOL * np.maximum(1.0, np.tile(mass, 3))
+        bad = ((got < 0) | (np.abs(sums[got] - want) > tol)).reshape(3, -1).any(axis=0)[ids]
         if bad.any():
             omega, freq = self.omegas[np.argmax(bad)], self.freqs[np.argmax(bad)]
             raise InconsistentMeasureError(f"missing symmetry partner for atom (omega={omega}, t={freq})")
@@ -76,10 +81,11 @@ class SpectralMeasure:
         Takes the points as ``as_points`` reads them: a float for one point.
         """
         X, single = as_points(x, self.d)
+        _check_table(len(X), len(self), "atoms")
         phase = (X @ self.omegas.T) * self.freqs
         vals = np.exp(1j * phase) @ self.coefs
         residue = float(np.abs(vals.imag).max(initial=0.0))
-        if residue > _UNIT_TOL * max(1.0, float(np.abs(self.coefs).sum())):
+        if residue > _CLOSURE_TOL * max(1.0, float(np.abs(self.coefs).sum())):
             raise InconsistentMeasureError(
                 f"imaginary residue {residue:.3e} exceeds tolerance; measure is not symmetry closed"
             )

@@ -447,6 +447,70 @@ def test_modeconnect_refuses_a_neuron_budget_past_the_bound_before_building_it(t
         main([*argv, str(2**24)])
 
 
+def test_modeconnect_refuses_a_scale_whose_displacement_overflows(tmp_path, capsys):
+    # --s 1e308 printed numpy's overflow warning, wrote "displacement": Infinity and passed
+    net_path, term_path, out = tmp_path / "net.json", tmp_path / "term.json", tmp_path / "mc.json"
+    save_random_network(net_path, d=2)
+    write_input(term_path, rl.HarmonicNullTerm(k=4, j=1, kprime=0, coeff=1.5, d=2, R=1.0))
+    argv = ["modeconnect", "--network", str(net_path), "--term", str(term_path), "--out", str(out), "--s"]
+    assert main([*argv, "1e308"]) == EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert err.startswith("radonlab: the functional change ") and ", displacement inf or coefficient mass " in err
+    assert err.endswith(" at scale s = 1e+308 overflows a float\n")
+    assert not out.exists()
+    assert main([*argv, "1e300"]) == EXIT_PASS
+    out.unlink()
+    # a coefficient so large that the null network's own mass overflows is refused at any s, 0 too
+    write_input(term_path, rl.HarmonicNullTerm(k=4, j=1, kprime=0, coeff=1e308, d=2, R=1.0))
+    for s in ("1", "0"):
+        assert main([*argv, s]) == EXIT_DOMAIN
+        assert capsys.readouterr().err.endswith(f"coefficient mass inf at scale s = {s} overflows a float\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, grid, table, fits",
+    [
+        ("norm", 200, "200 grid points x 8 atoms", 125),
+        ("approximate", 500, "500 grid points x 8 atoms", 125),
+        ("verify-null", 200, "200 grid points x 7 sphere rule nodes", 142),
+        ("modeconnect", 500, "500 grid points x 44 sphere rule nodes", 22),
+    ],
+)
+def test_commands_refuse_a_grid_table_past_the_bound_before_building_it(
+    tmp_path, capsys, monkeypatch, spectrum_path, term_path, command, grid, table, fits
+):
+    # a large --grid asked numpy for a (points, atoms or nodes) table of many GiB and exited 1 with its traceback
+    monkeypatch.setattr(rl.errors, "_MAX_TABLE", 1000)
+    net_path, out = tmp_path / "net.json", tmp_path / "out.json"
+    save_random_network(net_path, d=2)
+    inputs = {
+        "norm": ["--spectrum", str(spectrum_path), "--R", "1", "--out"],
+        "approximate": ["--spectrum", str(spectrum_path), "--R", "1", "--n", "16", "--seed", "1", "--report"],
+        "verify-null": ["--term", str(term_path), "--out"],
+        "modeconnect": ["--network", str(net_path), "--term", str(term_path), "--out"],
+    }[command]
+    assert main([command, *inputs, str(out), "--grid", str(grid)]) == EXIT_DOMAIN
+    limit = "is above the limit of 1000 entries: use a smaller grid\n"
+    assert capsys.readouterr().err == f"radonlab: a table of {table} {limit}"
+    assert not out.exists()
+    # the largest grid whose table fits the bound runs
+    assert main([command, *inputs, str(out), "--grid", str(fits)]) == EXIT_PASS
+
+
+@pytest.mark.parametrize("xi", [[1.0000000001], [0.9999999999], [1.0 + 1e-14]])
+def test_norm_and_approximate_accept_frequencies_a_rounding_apart(tmp_path, xi):
+    # both exited 3: "missing symmetry partner for atom (omega=[1.], t=1.0)"
+    path = tmp_path / "near.json"
+    write_input(path, 1, [(1.0, [1.0]), (1.0, xi)])
+    assert main(["norm", "--spectrum", str(path), "--R", "1", "--out", str(tmp_path / "norm.json")]) == EXIT_PASS
+    argv = ["approximate", "--spectrum", str(path), "--R", "1", "--n", "16,64", "--trials", "2", "--seed", "1"]
+    assert main([*argv, "--report", str(tmp_path / "approx.json")]) == EXIT_PASS
+    path2 = tmp_path / "near2.json"
+    write_input(path2, 2, [(1.0, [1.0, 0.0]), (1.0, [1.0, xi[0] - 1.0])])
+    assert main(["norm", "--spectrum", str(path2), "--R", "1", "--out", str(tmp_path / "norm2.json")]) == EXIT_PASS
+
+
 def test_modeconnect_flow(tmp_path, spectrum2_path, term_path):
     net_path = tmp_path / "net.json"
     main([
@@ -668,7 +732,7 @@ def test_approximate_refuses_a_ladder_past_the_bound_before_drawing_it(tmp_path,
     assert capsys.readouterr().err == f"radonlab: a ladder of {2**40} neurons over its widths and trials {limit}"
     assert not drawn and not out.exists()
     # the bound counts every width's trials, and a ladder of exactly the bound runs
-    monkeypatch.setattr(rl.sparsifier, "_MAX_LADDER_NEURONS", 100)
+    monkeypatch.setattr(rl.sparsifier, "_MAX_NEURONS", 100)
     assert main([*argv, "--n", "8,43", "--trials", "2"]) == EXIT_DOMAIN
     assert capsys.readouterr().err == (
         "radonlab: a ladder of 102 neurons over its widths and trials is above the limit of 100\n"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import inspect
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ import radonlab as rl
 from radonlab import cli
 from radonlab.errors import InvalidInputError
 from radonlab.radon_measure import ramp_integral_grid
+from radonlab.spectrum import SpectralMeasure
 
 PUBLIC_API = [
     "AffinePart", "ApproxReport", "BallGrid", "BumpFunction", "CalibrationConstants",
@@ -153,7 +155,8 @@ def _evaluators() -> dict:
         "AffinePart.__call__": (1, rl.fit_affine(density)),
         "ramp_integral_grid": (1, lambda x: ramp_integral_grid(density, x)),
         "BallGrid": (3, lambda x: rl.BallGrid(3, 1.0, x).points),
-        "RadonDensity": (2, lambda x: rl.RadonDensity(2, 1.0, x).directions),
+        # the same unit vector, as RadonDensity reads its directions through as_directions
+        "RadonDensity": (2, lambda x: rl.RadonDensity(2, 1.0, np.multiply(x, math.sqrt(5.0))).directions),
     }
 
 
@@ -173,3 +176,22 @@ def test_points_are_read_one_way(name):
             evaluate(0.2)
     with pytest.raises(InvalidInputError, match=rf"^points of shape \(3, {d + 1}\) do not match d={d}$"):
         evaluate(np.full((3, d + 1), 0.1))
+
+
+DIRECTION_READERS = {
+    "SpectralMeasure": lambda w: SpectralMeasure(2, [w], [1.0], [1.0]),
+    "RadonDensity": lambda w: rl.RadonDensity(2, 1.0, [w]),
+    "thm2 check_convention": lambda w: rl.TwoLayerNet(2, [1.0], [w], [0.0], 1.0, [0.0, 0.0], 0.0).check_convention(),
+    "radon_transform_2d": lambda w: rl.radon_transform_2d(rl.BumpFunction(center=[0.0, 0.0], r=0.5), w, 0.0),
+}
+
+
+@pytest.mark.parametrize("row", [[math.nan, 0.0], [1.0 + 2e-12, 0.0]], ids=["nan", "norm-1+2e-12"])
+@pytest.mark.parametrize("reader", list(DIRECTION_READERS))
+def test_directions_are_read_one_way(reader, row):
+    # each reader tested |w| - 1 its own way, and RadonDensity not at all; a NaN
+    # direction passed SpectralMeasure and was blamed on a missing symmetry partner
+    norm = float(np.linalg.norm(row))
+    message = rf"^directions must be unit vectors, not of norm {re.escape(repr(norm))} at row 0$"
+    with pytest.raises(InvalidInputError, match=message):
+        DIRECTION_READERS[reader](np.array(row))

@@ -544,7 +544,7 @@ def test_direction_draws_are_generator_choice(monkeypatch, weights):
 
     monkeypatch.setattr(sparsifier, "_draw_biases", uniforms)
     weights = np.asarray(weights, dtype=float)
-    plan = sparsifier._DrawPlan(None, "thm2", -1.0, 1.0, weights, 1.0, np.zeros(1), 0.0, np.ones((len(weights), 1)), None)
+    plan = sparsifier._DrawPlan(None, "thm2", -1.0, 1.0, weights, np.zeros(1), 0.0, np.ones((len(weights), 1)), None)
     streams = [(1, 0), (7, 11), (300, [4, 1, 2]), (64, 2**40)]
     idx, _, _, _ = _draw(plan, streams)
     p = weights / weights.sum()
@@ -597,6 +597,35 @@ def test_draw_refuses_a_non_finite_total_mass(axis_measure, bad):
     weights[1] = bad
     with pytest.raises(DomainError, match="total mass"):
         _draw(dataclasses.replace(plan, weights=weights), [(4, 1)])
+
+
+@pytest.mark.parametrize("convention", ["thm2", "prop2"])
+def test_a_zero_mass_plan_is_refused_before_any_stream_is_drawn(monkeypatch, convention):
+    # the plan sums, checks and normalizes its mass once; _draw did it again on every batch,
+    # and a prop2 plan of an empty spectrum died on numpy's "axis 1 is out of bounds" first
+    empty = rl.from_cosine_sum(2, [])
+    with pytest.raises(DegenerateMeasureError, match=r"^cannot sample from a zero-mass density$"):
+        _draw_plan(rl.density_from_spectrum(empty, 1.0), rl.AffinePart.zero(2), convention)
+    drawn = []
+    monkeypatch.setattr(sparsifier, "_draw", lambda plan, streams: drawn.append(streams))
+    with pytest.raises(DegenerateMeasureError, match=r"^cannot sample from a zero-mass density$"):
+        rl.error_decay_experiment(empty, 1.0, [4, 8], 2, 0, grid_size=10, convention=convention)
+    assert not drawn
+
+
+def test_one_neuron_budget_bounds_ladders_and_null_networks(monkeypatch):
+    monkeypatch.setattr(sparsifier, "_MAX_NEURONS", 100)
+    mu = rl.from_cosine_sum(1, [(1.0, [1.0])])
+    limit = "is above the limit of 100$"
+    with pytest.raises(DomainError, match=rf"^a ladder of 102 neurons over its widths and trials {limit}"):
+        rl.error_decay_experiment(mu, 1.0, [17, 34], 2, 0, grid_size=10)
+    rl.error_decay_experiment(mu, 1.0, [16, 34], 2, 0, grid_size=10)
+    term = rl.HarmonicNullTerm(k=4, j=1, kprime=0, coeff=1.0, d=2, R=1.0)
+    grid = rl.ball_grid(2, 1.0, 10)
+    for build in (lambda n: rl.discretize_null(term, n), lambda n: rl.mode_connect_perturb(term, n, 1.0, grid)):
+        with pytest.raises(DomainError, match=rf"^a null network of n = 101 neurons {limit}"):
+            build(101)
+        build(100)
 
 
 def ramp_points_per_draw(monkeypatch, freq):
@@ -985,7 +1014,8 @@ def test_a_batch_draws_each_direction_as_it_would_alone(lo, hi):
     # profiles of different term counts and degrees, padded into one density
     rng = np.random.default_rng(11)
     profiles = [random_terms(rng, int(rng.integers(1, 5)), int(rng.integers(0, 3))) for _ in range(4)]
-    density = padded_density(rng.normal(size=(4, 2)), profiles)
+    rows = rng.normal(size=(4, 2))
+    density = padded_density(rows / np.linalg.norm(rows, axis=1, keepdims=True), profiles)
     idx, u = rng.integers(0, 4, 4000), rng.random(4000)
     b, a = draw_biases(density, idx, u, lo, hi)
     for r, profile in enumerate(profiles):
@@ -1003,7 +1033,8 @@ def test_64_padded_profiles_draw_as_each_would_alone(monkeypatch, lo, hi):
     monkeypatch.setattr(sparsifier, "_TABLE_NODES", 2**40)
     rng = np.random.default_rng(12)
     profiles = [random_terms(rng, int(rng.integers(1, 5)), int(rng.integers(0, 3))) for _ in range(64)]
-    density = padded_density(rng.normal(size=(64, 2)), profiles)
+    rows = rng.normal(size=(64, 2))
+    density = padded_density(rows / np.linalg.norm(rows, axis=1, keepdims=True), profiles)
     idx, u = rng.integers(0, 64, 16_000), rng.random(16_000)
     b, a = draw_biases(density, idx, u, lo, hi)
     assert sparsifier._start_table(density, lo, hi)[1] == sparsifier._TABLE_CELLS

@@ -354,6 +354,27 @@ def test_crafted_spectra_match_per_atom_reference(d, terms):
         assert_matches_reference(d, terms, pick)
 
 
+@pytest.mark.parametrize("gap", [1e-10, -1e-10, 1e-12, -1e-12, 1e-14, -1e-14])
+@pytest.mark.parametrize("d", [1, 2])
+def test_frequencies_a_rounding_apart_close_as_one_key(d, gap):
+    # validate compared a partner key's summed coefficient with one atom's own, so
+    # cos(x) + cos(x'), with x' a 9-decimal rounding from x, was a "missing symmetry partner"
+    base, near = ([1.0], [1.0 + gap]) if d == 1 else ([1.0, 0.0], [1.0, gap])
+    mu = rl.from_cosine_sum(d, [(1.0, base), (1.0, near)])
+    mu.validate()
+    doubled = rl.tv_norm(rl.density_from_spectrum(rl.from_cosine_sum(d, [(2.0, base)]), 1.0))
+    assert rl.tv_norm(rl.density_from_spectrum(mu, 1.0)) == pytest.approx(doubled, rel=1e-6)
+
+
+def test_a_key_whose_partner_sums_differ_is_refused():
+    # two atoms a rounding apart share the key (1, 1); the partner key (-1, -1) holds only one of them
+    mu = rl.from_cosine_sum(1, [(1.0, [1.0]), (1.0, [1.0 + 1e-10])])
+    keep = ~(mu.freqs < -1.0)
+    assert np.count_nonzero(~keep) == 2
+    with pytest.raises(InconsistentMeasureError, match="missing symmetry partner"):
+        SpectralMeasure(1, mu.omegas[keep], mu.freqs[keep], mu.coefs[keep]).validate()
+
+
 def test_validate_rejects_a_coefficient_off_by_two_tolerances():
     mu = rl.from_cosine_sum(1, [(8.0, [1.0]), (-4.0, [1.01])])  # |c| >= 1: the tolerance is 1e-12 |c|
     coefs = mu.coefs.copy()
