@@ -1,5 +1,5 @@
-"""Byte identity of ``approximate``, ``modeconnect`` and ``verify-null``:
-pinned SHA-256 digests of their outputs.
+"""Byte identity of ``approximate``, ``modeconnect``, ``verify-null`` and
+``norm``: pinned SHA-256 digests of their outputs.
 
 Each ``approximate`` case runs a small width ladder at a fixed seed and
 hashes the network JSON, the decay CSV and the report, the report without
@@ -24,7 +24,7 @@ from radonlab import HarmonicNullTerm, TwoLayerNet, save_network
 from radonlab.cli import main
 from radonlab.errors import EXIT_PASS
 
-from conftest import write_input
+from conftest import random_cosine_terms, write_input
 
 PATH_KEYS = ("spectrum", "out", "csv", "report")
 
@@ -196,3 +196,70 @@ def test_modeconnect_reports_keep_their_bits(tmp_path, name):
 @pytest.mark.parametrize("name", sorted(VERIFY_NULL_CASES))
 def test_verify_null_reports_keep_their_bits(tmp_path, name):
     assert null_report_digest(tmp_path, "verify-null", *VERIFY_NULL_CASES[name]) == NULL_DIGESTS[f"verify-null-{name}"]
+
+
+# Byte identity of ``norm``: pinned digests of each run's exit code and report,
+# the report without its wall time and the paths it echoes.  Besides seeded
+# spectra, the cases hold parallel and antiparallel terms, which share
+# directions and fold into shared slots, the near-cancelling pair on a small
+# and a large ball, a frequency whose roots outnumber the minimum scan, and
+# the 300-direction spectrum.
+
+NORM_SPECTRA = {
+    **{
+        f"seeded-d{d}": (
+            d,
+            [(round(a, 3), np.round(xi, 3)) for a, xi in random_cosine_terms(np.random.default_rng(40 + d), d, 2 + d, (0.5, 12.0))],
+        )
+        for d in (1, 2, 3)
+    },
+    "parallel-d1": (1, [(1.0, [1.5]), (-0.5, [-3.0]), (0.25, [4.5]), (0.7, [-1.5])]),
+    "parallel-d2": (2, [(1.0, [1.0, 2.0]), (0.5, [-2.0, -4.0]), (-0.8, [3.0, 6.0]), (0.3, [2.0, -1.0])]),
+    "parallel-d3": (3, [(0.6, [1.0, -0.5, 2.0]), (-0.4, [-2.0, 1.0, -4.0]), (0.9, [0.5, 1.5, -1.0])]),
+    "near-cancel": (1, [(1.0, [1.0]), (-1.0, [1.01])]),
+    "cos1000x": (1, [(1.0, [1000.0])]),
+    "d3-many-directions": SPECTRA["d3-many-directions"],
+}
+
+NORM_CASES = {
+    "seeded-d1": ("seeded-d1", "1.5"),
+    "seeded-d2": ("seeded-d2", "1"),
+    "seeded-d3": ("seeded-d3", "2"),
+    "parallel-d1": ("parallel-d1", "2"),
+    "parallel-d2": ("parallel-d2", "1"),
+    "parallel-d3": ("parallel-d3", "1.5"),
+    "near-cancel-R1": ("near-cancel", "1"),
+    "near-cancel-R30": ("near-cancel", "30"),
+    "cos1000x": ("cos1000x", "1"),
+    "d3-many-directions": ("d3-many-directions", "1"),
+}
+
+NORM_DIGESTS = {
+    "cos1000x": "c2b23b80516ddf55eaa2b4f706c6dc94fa3a308b9149bf6c3362e9d5c542013f",
+    "d3-many-directions": "db6d49c51e7459072b3be2956f5c3c23bb65cb4f5a16fb0b827276028fc3578d",
+    "near-cancel-R1": "082621e84dac44f54be9ef1c9f224bff74fcc00338d8179401d3dffcd086d04a",
+    "near-cancel-R30": "581a23efc36abe836fc0834e31662ee39e79f16f00352ef6296c01af133d9a8c",
+    "parallel-d1": "2c3c3a3e5a337a125fb6e9d23d38e152d6058b9232f23a4daecee8b52540787e",
+    "parallel-d2": "22985b4d16f3c184257e20e7198fc4e3169674d075fb4d9ad5a1bfd9b40c364e",
+    "parallel-d3": "9c2c85c4b93aab72477b56c4c776a22eab811e57257ce04764629b6dd744630b",
+    "seeded-d1": "fef0e08f787f37949159006bbe37cdb341e1a39cd5034764b00ff30124f5c13b",
+    "seeded-d2": "75c309bb2d093ab664100f41e5fcdb90b83e08d7dd23a1fe64f31749b4604691",
+    "seeded-d3": "ff99971b509aa65f8964032d6e2a15f820d9014af6c5049859df05311419f3bf",
+}
+
+
+def norm_report_digest(tmp_path, spectrum: str, R: str) -> str:
+    path, out = tmp_path / "spectrum.json", tmp_path / "report.json"
+    write_input(path, *NORM_SPECTRA[spectrum])
+    code = main(["norm", "--spectrum", str(path), "--R", R, "--out", str(out)])
+    report = json.loads(out.read_text())
+    del report["wall_time_s"]
+    for key in ("spectrum", "out"):
+        del report["config"][key]
+    text = json.dumps({"code": code, "report": report}, indent=2, sort_keys=True).encode()
+    return hashlib.sha256(text).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(NORM_CASES))
+def test_norm_reports_keep_their_bits(tmp_path, name):
+    assert norm_report_digest(tmp_path, *NORM_CASES[name]) == NORM_DIGESTS[name]
