@@ -32,7 +32,7 @@ import numpy as np
 from .errors import DomainError, InvalidInputError, as_directions, as_points, check_finite, check_radius, freeze
 from .quadrature import QuadratureRule, gauss_legendre, sphere_rule
 from .radon_measure import RadonDensity
-from .spectrum import SpectralMeasure
+from .spectrum import SpectralMeasure, _rowdot
 
 _EVEN_TOL = 1e-9
 _BLOCK = 2**14  # evaluations per block of a transform kernel
@@ -107,11 +107,6 @@ class BumpFunction:
     def check_support_inside(self, R: float) -> None:
         if float(np.linalg.norm(self.center)) + self.r >= R:
             raise DomainError("bump support must lie strictly inside the ball")
-
-
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products a_i @ b_i, each by the BLAS dot that a 1-D a_i @ b_i uses."""
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
 def _line_integrals(phi: BumpFunction, omegas: np.ndarray, b: np.ndarray, rule: QuadratureRule) -> np.ndarray:

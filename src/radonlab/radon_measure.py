@@ -25,11 +25,16 @@ the affine part is what that leaves of sum_w G_2(<w, x>) = f(x), and
 moments follow by integration by parts.
 
 The roots come from ``sign_change_roots``, run once per density and
-interval over every profile together: a uniform scan per profile brackets
-each sign change, and the brackets of all profiles are refined together by
-``_bracketed_newton``, Newton's method on g with g' = G_{-1} that falls back
-to the midpoint whenever a step leaves its bracket.  The sampler's
-inverse-CDF draws are its other caller.  The scan has at least
+interval over its lines together.  A line is a set of columns whose
+profiles are the same function of b (``RadonDensity._lines``): the
+directions w and -w of a spectrum's density, whose real weights make each
+term w cos(t b) even in t.  A uniform scan of each line's value g alone
+brackets each sign change, the brackets of all lines are refined together
+by ``_bracketed_newton``, Newton's method on g with g' = G_{-1} that falls
+back to the midpoint whenever a step leaves its bracket, and every column
+copies its line's roots, panel edges, G_1 values and running masses.  The
+sampler's inverse-CDF draws and start tables solve with the same
+``_bracketed_newton``, the start tables once per line.  The scan has at least
 ``_SCAN_PER_HALF_PERIOD`` points per half-period pi/t of its profile's top
 frequency (and never fewer than ``_ROOT_SCAN``), so it brackets every root
 of a single cosine.  A profile whose scan would pass ``_MAX_SCAN`` points
@@ -56,6 +61,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.polynomial import polyder, polyint, polyval
@@ -83,14 +89,13 @@ _NEWTON_STEPS = 64
 _ROOTS = np.dtype([("row", np.intp), ("x", float)])
 
 
-def _folded_terms(freqs: np.ndarray, weights: np.ndarray) -> list[tuple[float, complex]]:
+def _folded_terms(terms: list[tuple[float, complex]]) -> list[tuple[float, complex]]:
     """The terms (t, w), with each pair (t, w), (-t, conj w) as one term (t, 2 w).
 
     The two terms of such a pair are complex conjugates at every b, so the
     pair is exactly twice the real part of either: a spectrum's profiles,
     made of such pairs, take half the trig evaluations.
     """
-    terms = list(zip(freqs.tolist(), weights.tolist()))
     where = {term: j for j, term in enumerate(terms)}
     folded, used = [], set()
     for j, (t, w) in enumerate(terms):
@@ -131,6 +136,7 @@ class RadonDensity:
     weights: np.ndarray = ()
     poly: np.ndarray = ()
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _scans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _panels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # the sampler's inverse-CDF start tables, per interval (``sparsifier._start_table``)
     _start_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -153,6 +159,21 @@ class RadonDensity:
 
     def __len__(self) -> int:
         return len(self.directions)
+
+    @cached_property
+    def _lines(self) -> np.ndarray:
+        """Each column's line: the first column whose profile is the same function of b.
+
+        Two columns are when all their weights are real and, slot by slot, they
+        hold the same |t| and the same weight, and their polynomial columns are
+        the same, all bit for bit: a real weight's term w cos(t b) is even in t.
+        The profiles of w and -w in a spectrum's density are such a pair, the
+        two directions of one hyperplane family.  Any other column is its own line.
+        """
+        keys = np.concatenate([np.abs(self.freqs), self.weights.real, self.poly]).T.view(np.int64).tolist()
+        real = (self.weights.imag == 0).all(axis=0).tolist()
+        first: dict = {}
+        return np.array([first.setdefault(tuple(k), r) if ok else r for r, (k, ok) in enumerate(zip(keys, real))], dtype=np.intp)
 
     def panels(self, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Sign-constant panels of every profile on (lo, hi), computed once per interval: flat
@@ -278,18 +299,21 @@ def density_from_spectrum(mu: SpectralMeasure, R: float) -> RadonDensity:
     mu.validate()
     groups, ids = _first_seen(map(tuple, np.round(mu.omegas, 12).tolist()))
     first = np.unique(ids, return_index=True)[1]
-    order = sorted(range(len(groups)), key=lambda g: mu.omegas[first[g]].tolist())
-    members = [[] for _ in groups]  # each direction's atoms with a frequency, in atom order
-    for j in np.flatnonzero(mu.freqs).tolist():
-        members[ids[j]].append(j)
+    keys = mu.omegas[first].tolist()
+    order = sorted(range(len(groups)), key=keys.__getitem__)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         weights = -mu.freqs**2 * mu.coefs
-    columns = [_folded_terms(mu.freqs[members[g]], weights[members[g]]) for g in order]
+    members = [[] for _ in groups]  # each direction's terms with a frequency, in atom order
+    for g, term in zip(ids.tolist(), zip(mu.freqs.tolist(), weights.tolist())):
+        if term[0]:
+            members[g].append(term)
+    columns = [_folded_terms(members[g]) for g in order]
+    slot = [j for terms in columns for j in range(len(terms))]
+    column = [r for r, terms in enumerate(columns) for _ in terms]
     freqs = np.zeros((max(map(len, columns), default=0), len(columns)))
     folded = np.zeros(freqs.shape, dtype=complex)
-    for r, terms in enumerate(columns):
-        if terms:
-            freqs[: len(terms), r], folded[: len(terms), r] = zip(*terms)
+    freqs[slot, column] = [t for terms in columns for t, _ in terms]
+    folded[slot, column] = [w for terms in columns for _, w in terms]
     density = RadonDensity(mu.d, float(R), mu.omegas[first[order]], freqs, folded)
     # a ball too large to scan is refused here, before anything is evaluated on
     # it, and so is one whose diameter overflows, which an empty spectrum never scans
@@ -336,55 +360,76 @@ def _bracketed_newton(fn, x, lo, hi, span: float) -> np.ndarray:
     return out
 
 
-def sign_change_roots(fn, lo: float, hi: float, scans) -> np.ndarray:
-    """Roots of the real functions x -> fn(rows, x)[0], one per entry of ``scans``:
-    a uniform scan of each, then one Newton pass over all of them.
+def sign_change_roots(density: RadonDensity, lo: float, hi: float, scans) -> np.ndarray:
+    """Roots of the profiles of ``density`` on (lo, hi): a uniform scan of each
+    line, then one Newton pass over all of them.
 
-    ``fn(rows, x)`` returns the value and the derivative of function
-    ``rows[i]`` at ``x[i]``.  Function r is scanned at
-    ``np.linspace(lo, hi, scans[r])``, all scans in blocks of at most
-    ``_SCAN_BLOCK`` points, reading the values only; adjacent scan points of
-    opposite sign (a zero counts as positive) bracket a root.  The brackets
-    of every function are refined together by ``_bracketed_newton`` from
-    their midpoints, each oriented by the sign at its left end, until a
-    step is at most ``_NEWTON_STOP`` of hi - lo.  Returns one ``(row, x)``
-    record per root, by row and then x.  Roots that do not flip the sign
-    between two scan points are not found; the caller sizes ``scans`` (see
-    the module docstring for what a missed pair can cost).
+    Only the first column of each line (``RadonDensity._lines``) is solved.
+    Its profile is scanned at ``np.linspace(lo, hi, scans[r])``, one
+    linspace per distinct scan size over every line of that size, in blocks
+    of at most ``_SCAN_BLOCK`` points, reading the value g alone; adjacent
+    scan points of opposite sign (a zero counts as positive, a NaN as
+    neither) bracket a root.  The brackets of every line are refined
+    together by ``_bracketed_newton`` on g and g' from their midpoints, each
+    oriented by the sign at its left end, until a step is at most
+    ``_NEWTON_STOP`` of hi - lo.  Returns one ``(row, x)`` record per root
+    of every column, its line's roots, by row and then x.  Roots that do not
+    flip the sign between two scan points are not found; the caller sizes
+    ``scans`` (see the module docstring for what a missed pair can cost).
     """
-    scans = np.asarray(scans, dtype=np.intp)
-    starts = np.concatenate([[0], np.cumsum(scans)])
-    steps = (hi - lo) / (scans - 1)
-    found = [(np.zeros(0, np.intp), np.zeros(0), np.zeros(0), np.zeros(0))]  # rows, a, b, f(a) of the brackets
-    for s in range(0, starts[-1] - 1, _SCAN_BLOCK):
-        # the block's points, and the first point of the next block
-        idx = np.arange(s, min(s + _SCAN_BLOCK + 1, starts[-1]))
-        rows = np.searchsorted(starts, idx, side="right") - 1
-        k = idx - starts[rows]
-        xs = np.where(k == scans[rows] - 1, hi, k * steps[rows] + lo)  # np.linspace's points, bit for bit
-        vals = np.asarray(fn(rows, xs)[0], dtype=float)
-        signs = np.sign(vals)
-        signs[signs == 0] = 1.0
-        i = np.flatnonzero((signs[:-1] * signs[1:] < 0) & (rows[:-1] == rows[1:]))
-        found.append((rows[i], xs[i], xs[i + 1], vals[i]))
+    scans, line = np.asarray(scans, dtype=np.intp), density._lines
+    solved = np.flatnonzero(line == np.arange(len(line)))
+    found = [(np.zeros(0, np.intp), np.zeros(0), np.zeros(0), np.zeros(0))]  # rows, a, b, g(a) of the brackets
+    for n in np.unique(scans[solved]).tolist():
+        xs = np.linspace(lo, hi, n)
+        group = solved[scans[solved] == n]
+        cells, per = min(n - 1, _SCAN_BLOCK), max(1, _SCAN_BLOCK // n)  # cells per block, profiles per block
+        for i in range(0, len(group), per):
+            rows = group[i : i + per]
+            for s in range(0, n - 1, cells):
+                x = xs[s : s + cells + 1]
+                vals = density._values(np.tile(x, len(rows)), (0,), rows.repeat(len(x)))[0].reshape(len(rows), -1)
+                neg, pos = vals < 0, vals >= 0
+                r, c = np.nonzero((neg[:, :-1] & pos[:, 1:]) | (pos[:, :-1] & neg[:, 1:]))
+                found.append((rows[r], x[c], x[c + 1], vals[r, c]))
     row, a, b, fa = (np.concatenate(parts) for parts in zip(*found))
-    # rising brackets keep the sign of fn, falling ones flip it
+    by_row = np.argsort(row, kind="stable")
+    row, a, b, fa = row[by_row], a[by_row], b[by_row], fa[by_row]
+    # rising brackets keep the sign of g, falling ones flip it
     sign = np.where(fa < 0, 1.0, -1.0)
 
     def oriented(live, x):
-        g, dg = fn(row[live], x)
+        g, dg = density._values(x, (0, -1), row[live])
         return sign[live] * g, sign[live] * dg
 
-    roots = np.empty(len(a), dtype=_ROOTS)
-    roots["row"] = row
-    roots["x"] = _bracketed_newton(oriented, 0.5 * (a + b), a, b, hi - lo)
+    x = _bracketed_newton(oriented, 0.5 * (a + b), a, b, hi - lo)
+    _, rows, _, source = _line_runs(line, np.bincount(row, minlength=len(line))[line])
+    roots = np.empty(len(rows), dtype=_ROOTS)
+    roots["row"] = rows
+    roots["x"][source == np.arange(len(rows))] = x
+    roots["x"] = roots["x"][source]
     return roots
+
+
+def _line_runs(line: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Runs of ``counts[r]`` entries per column r, laid out column after column
+    (the columns of a line have runs of one length): the start of each run,
+    and each entry's column, its place in its run and the entry at the same
+    place in the run of its line's first column, which it copies (itself in
+    that column)."""
+    starts = np.concatenate([[0], np.cumsum(counts)])
+    rows = np.arange(len(counts)).repeat(counts)
+    place = np.arange(starts[-1]) - starts[rows]
+    return starts, rows, place, starts[line[rows]] + place
 
 
 def _scan_sizes(density: RadonDensity, lo: float, hi: float) -> np.ndarray:
     """Root-scan points of each profile on (lo, hi), sized by its top
-    frequency (empty slots count as none); a scan of more than
-    ``_MAX_SCAN`` points raises ``DomainError``."""
+    frequency (empty slots count as none) once per density and interval;
+    a scan of more than ``_MAX_SCAN`` points raises ``DomainError``."""
+    key = (float(lo), float(hi))
+    if key in density._scans:
+        return density._scans[key]
     top = np.abs(density.freqs).max(axis=0, initial=0.0)
     cells = _SCAN_PER_HALF_PERIOD * top * (hi - lo) / math.pi
     # compared as floats, so that a count that overflows to inf is refused too
@@ -395,21 +440,25 @@ def _scan_sizes(density: RadonDensity, lo: float, hi: float) -> np.ndarray:
             f"frequency too high for the ball: |xi| * R = {t * max(abs(lo), abs(hi)):.6g} needs a root scan "
             f"of more than the {_MAX_SCAN} points allowed"
         )
-    return np.maximum(_ROOT_SCAN, np.ceil(cells).astype(np.intp) + 1)
+    density._scans[key] = np.maximum(_ROOT_SCAN, np.ceil(cells).astype(np.intp) + 1)
+    return density._scans[key]
 
 
 def _density_panels(density: RadonDensity, lo: float, hi: float):
-    """The panels of ``RadonDensity.panels``, from one root pass over every profile.
-    The running integral of |g| restarts at 0 on each profile: the profiles with c
-    edges are summed as the rows of one (profiles, c) table of panel masses."""
-    roots = sign_change_roots(lambda rows, x: density._values(x, (0, -1), rows), lo, hi, _scan_sizes(density, lo, hi))
+    """The panels of ``RadonDensity.panels``, from one root pass over the lines.
+    Each column copies its line's edges, G_1 and running masses, computed on the
+    line's first column.  The running integral of |g| restarts at 0 on each
+    profile: the profiles with c edges are summed as the rows of one
+    (profiles, c) table of panel masses."""
+    roots = sign_change_roots(density, lo, hi, _scan_sizes(density, lo, hi))
     counts = np.bincount(roots["row"], minlength=len(density)) + 2
-    starts = np.concatenate([[0], np.cumsum(counts)])
-    rows = np.arange(len(density)).repeat(counts)
-    place = np.arange(len(rows)) - starts[rows]  # each edge's place in its profile
+    starts, rows, place, source = _line_runs(density._lines, counts)
     edges = np.where(place == 0, lo, hi)
     edges[(place > 0) & (place < counts[rows] - 1)] = roots["x"]
-    g1 = density._values(edges, (1,), rows)[0]
+    own = np.flatnonzero(source == np.arange(len(rows)))
+    g1 = np.empty(len(rows))
+    g1[own] = density._values(edges[own], (1,), rows[own])[0]
+    g1 = g1[source]
     mass = np.where(place > 0, np.abs(np.diff(g1, prepend=0.0)), 0.0)
     cum = np.empty(len(mass))
     for c in np.unique(counts).tolist():

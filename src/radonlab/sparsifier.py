@@ -60,6 +60,7 @@ from .errors import (
     DegenerateMeasureError,
     DomainError,
     InvalidInputError,
+    _check_table,
     as_directions,
     as_points,
     check_count,
@@ -75,6 +76,7 @@ from .radon_measure import (
     AffinePart,
     RadonDensity,
     _bracketed_newton,
+    _line_runs,
     density_from_spectrum,
     direction_masses,
     fit_affine,
@@ -146,6 +148,7 @@ class TwoLayerNet:
         out = _project(pts, self.v[None, :])[0] + self.c
         if self.n:
             first, labels = _group_rows(self.omegas)
+            _check_table(len(pts), len(first), "directions")  # the projections, sorted and placed
             ps, place = _sorted_projections(_project(pts, self.omegas[first]))
             lo, hi = self.b.min(), self.b.max()
             with np.errstate(all="ignore"):  # the biases' shares of their range only order the searches
@@ -222,8 +225,9 @@ def _start_table(density: RadonDensity, lo: float, hi: float) -> tuple[np.ndarra
     like (b - r)^2 and near an end of (lo, hi) like b - lo, while s(theta) grows like
     theta^2.  A density of P panels gets M = min(_TABLE_CELLS, _TABLE_NODES // P - 1):
     every panel's biases are solved, to the draws' tolerance, at the M - 1 inner nodes
-    theta = j / M (the end nodes are the panel's edges), in one Newton pass, and each
-    cell holds the cubic through its 4 nearest nodes.  Where fewer than 3 cells fit, M is
+    theta = j / M (the end nodes are the panel's edges), in one Newton pass over the
+    panels of each line's first column (``RadonDensity._lines``), whose nodes the line's
+    other columns copy, and each cell holds the cubic through its 4 nearest nodes.  Where fewer than 3 cells fit, M is
     1 and each panel's one cell holds the line b = left + (right - left) theta, as the
     cubic with coefficients (left, right - left, 0, 0).
     The coefficients are elementwise sums in a fixed order, so a panel's cubics have the
@@ -241,11 +245,15 @@ def _start_table(density: RadonDensity, lo: float, hi: float) -> tuple[np.ndarra
         M, coef = 1, np.vstack([edges[:-1], np.diff(edges), np.zeros((2, len(sign)))])
     else:
         # the nodes j = 0..M of every panel: its edges, and the inner ones solved
+        # on the first column of each line, whose panels the line's others copy
         y = np.linspace(edges[:-1], edges[1:], M + 1, axis=1)  # the linear start of each node
-        k, j = np.flatnonzero(panel).repeat(M - 1), np.tile(np.arange(1, M), int(panel.sum()))
+        _, rows, _, source = _line_runs(density._lines, np.diff(starts))
+        copies = source[:-1] != np.arange(len(sign))
+        solved = np.flatnonzero(panel & ~copies)
+        k, j = solved.repeat(M - 1), np.tile(np.arange(1, M), len(solved))
         rest = 0.5 * (1.0 - np.cos(np.pi * j / M)) * (cum[k + 1] - cum[k])
-        rows = np.searchsorted(starts, k, side="right") - 1
-        y[k, j] = _solve_in_panels(density, edges, g1, k, sign[k], rows, rest, y[k, j], hi - lo)
+        y[k, j] = _solve_in_panels(density, edges, g1, k, sign[k], rows[k], rest, y[k, j], hi - lo)
+        y[copies] = y[source[:-1][copies]]
         # each cell i: the cubic through its stencil of nodes j0..j0 + 3, by forward
         # differences in tau = j - j0, then shifted to t = tau - (i - j0)
         i = np.arange(M)

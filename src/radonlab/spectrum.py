@@ -61,9 +61,7 @@ class SpectralMeasure:
         a key, close as one."""
         w, t, c = np.round(self.omegas, 9), _rounded(self.freqs, 9), self.coefs
         table, ids = _first_seen(_keys(w, t))
-        sums, mass = np.zeros(len(table), dtype=complex), np.zeros(len(table))
-        np.add.at(sums, ids, c)
-        np.add.at(mass, ids, np.abs(c))
+        sums, mass = _sums(ids, c, len(table)), np.bincount(ids, np.abs(c), len(table))
         first = np.unique(ids, return_index=True)[1]  # each key's first atom
         w, t, conj = w[first], t[first], sums.conj()
         partners = _keys(np.concatenate([-w, -w, w]), np.concatenate([-t, t, -t]))
@@ -112,34 +110,51 @@ def _first_seen(keys) -> tuple[dict, np.ndarray]:
     return table, np.array([table.setdefault(k, len(table)) for k in keys], dtype=np.intp)
 
 
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products a_i @ b_i, each by the BLAS dot that a 1-D a_i @ b_i uses."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _sums(ids: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """The complex values summed per id, each sum in the order of ``values``."""
+    out = np.empty(n, dtype=complex)
+    out.real, out.imag = np.bincount(ids, values.real, n), np.bincount(ids, values.imag, n)
+    return out
+
+
 def from_cosine_sum(d: int, terms) -> SpectralMeasure:
     """Spectral measure of f(x) = sum_i a_i cos(<xi_i, x>).
 
     Each term (a, xi) with xi != 0 becomes four atoms at (+-xi/|xi|, +-|xi|)
     with coefficient a/4.  Atoms whose (direction, frequency) agree to 15
     decimals (``_rounded``) merge, in the order first seen: (direction,
-    frequency) from the last term, coefficients summed in term order."""
-    omegas, norms, quarters = [], [], []
-    for amp, xi in terms:
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        if xi.shape != (d,):
-            raise InvalidInputError(f"frequency vector shape {xi.shape} does not match d={d}")
-        # |xi| as scale * |xi / scale|, whose squares cannot overflow; a power of two scales exactly
-        scale = math.ldexp(1.0, math.frexp(float(np.abs(xi).max()))[1] - 1)
-        norm = scale * float(np.linalg.norm(xi / scale))
-        if norm == 0.0:
+    frequency) from the last term, coefficients summed in term order.
+    The first term whose xi is not a d-vector, is zero, or has a norm that
+    overflows a float is refused."""
+    pairs = list(terms)
+    amps, xis = zip(*pairs) if pairs else ((), ())
+    xis = [np.atleast_1d(np.asarray(xi, dtype=float)) for xi in xis]
+    fits = [xi.shape == (d,) for xi in xis]
+    n = fits.index(False) if not all(fits) else len(xis)  # the terms before the first misfit
+    xi = np.array(xis[:n]).reshape(n, d)
+    # |xi| as scale * |xi / scale|, whose squares cannot overflow; a power of two scales exactly
+    scale = np.ldexp(1.0, np.frexp(np.abs(xi).max(axis=1, initial=0.0))[1] - 1)
+    y = xi / scale[:, None]
+    with np.errstate(over="ignore"):  # a norm that overflows is refused below
+        norm = scale * np.sqrt(_rowdot(y, y))
+    zero, huge = norm == 0.0, np.isinf(norm) & np.isfinite(xi).all(axis=1)
+    if (zero | huge).any():
+        i = int(np.argmax(zero | huge))
+        if zero[i]:
             raise InvalidInputError("zero frequency vector: constant terms carry no spectrum")
-        if math.isinf(norm) and np.isfinite(xi).all():
-            raise DomainError(f"frequency too high: |xi| of xi = {xi.tolist()} overflows a float")
-        omegas.append(xi / norm)
-        norms.append(norm)
-        quarters.append(complex(amp) / 4.0)
-    omega, norm = np.array(omegas).reshape(len(omegas), d), np.array(norms)
+        raise DomainError(f"frequency too high: |xi| of xi = {xi[i].tolist()} overflows a float")
+    if n < len(xis):
+        raise InvalidInputError(f"frequency vector shape {xis[n].shape} does not match d={d}")
+    omega = xi / norm[:, None]
     w = np.stack([omega, -omega, omega, -omega], axis=1).reshape(-1, d)
     t = np.stack([norm, -norm, -norm, norm], axis=1).ravel()
     table, ids = _first_seen(_keys(np.round(w, 15), _rounded(t, 15)))
-    coefs = np.zeros(len(table), dtype=complex)
-    np.add.at(coefs, ids, np.repeat(quarters, 4))
+    coefs = _sums(ids, np.repeat(np.array(amps, dtype=complex) / 4.0, 4), len(table))
     last = len(ids) - 1 - np.unique(ids[::-1], return_index=True)[1]  # each key's last atom
     return SpectralMeasure(d, w[last], t[last], coefs)
 

@@ -276,7 +276,7 @@ def test_criterion_9_infrastructure(tmp_path):
     runs = []
     for _ in range(2):
         main(["norm", "--spectrum", str(spectrum), "--R", "1", "--out", str(out)])
-        runs.append([l for l in open(out) if "wall_time" not in l])
+        runs.append([l for l in out.read_text().splitlines(keepends=True) if "wall_time" not in l])
     net_runs = []
     for _ in range(2):
         main([
@@ -286,7 +286,7 @@ def test_criterion_9_infrastructure(tmp_path):
         ])
         net_runs.append(
             ((tmp_path / "net.json").read_bytes(), (tmp_path / "decay.csv").read_bytes(),
-             tuple(l for l in open(out) if "wall_time" not in l))
+             tuple(l for l in out.read_text().splitlines(keepends=True) if "wall_time" not in l))
         )
     determinism_ok = runs[0] == runs[1] and net_runs[0] == net_runs[1]
     elapsed = time.perf_counter() - started

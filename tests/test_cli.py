@@ -64,7 +64,7 @@ def read_json(path):
 
 
 def strip_wall_time(path):
-    return [line for line in open(path) if "wall_time" not in line]
+    return [line for line in Path(path).read_text().splitlines(keepends=True) if "wall_time" not in line]
 
 
 def test_norm_report_contents(tmp_path, spectrum_path):

@@ -7,9 +7,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import radonlab as rl
+from radonlab import radon_measure
 from radonlab.errors import InvalidInputError
 from radonlab.radon_measure import (
     _NEWTON_STEPS,
@@ -433,11 +436,6 @@ def scalar_bisection_roots(fn, lo, hi, scan, tol=1e-12):
     return roots
 
 
-def value_and_slope(density, r, x):
-    """g and g' of column r, the pair ``sign_change_roots`` refines with."""
-    return density.antiderivative(x, 0, r), density.antiderivative(x, -1, r)
-
-
 def alone(profile, R=1.0):
     """A density of one direction whose column is ``profile`` = (freqs, weights, poly)."""
     return padded_density([[1.0]], [profile], R)
@@ -457,7 +455,7 @@ def test_vectorized_roots_match_scalar_bisection():
             R,
         )
         for scan in (512, 2049):
-            got = sign_change_roots(lambda rows, x: value_and_slope(density, 0, x), -R, R, [scan])["x"]
+            got = sign_change_roots(density, -R, R, [scan])["x"]
             expected = scalar_bisection_roots(lambda x: density.antiderivative(x, 0, 0), -R, R, scan)
             assert len(got) > 0 and len(got) == len(expected)
             assert np.max(np.abs(got - expected)) <= 2e-12 * max(1.0, R)
@@ -490,7 +488,7 @@ def test_conjugate_pairs_fold_into_one_term():
     # a term repeated with its partner repeated, an unpaired term and a pair split by others
     freqs = np.array([3.0, -3.0, 3.0, 5.0, -3.0, 11.0, -5.0])
     weights = np.array([w, np.conj(w), w, 1.5j, np.conj(w), 0.2, -1.5j])
-    folded = _folded_terms(freqs, weights)
+    folded = _folded_terms(list(zip(freqs.tolist(), weights.tolist())))
     assert folded == [(3.0, 2 * w), (-3.0, 2 * np.conj(w)), (5.0, 3.0j), (11.0, 0.2)]
     density = alone((freqs, weights, np.zeros(0)))
     b = np.linspace(-2.0, 2.0, 101)
@@ -531,11 +529,11 @@ def test_one_root_pass_matches_each_profile_alone():
     scans = [512, 700, 2049, 513, 512, 900, 4000]
     profiles = [random_profile(rng, int(rng.integers(1, 6)), int(rng.integers(-1, 3))) for _ in scans]
     density = padded_density(np.ones((len(scans), 1)), profiles, R=1.5)
-    roots = sign_change_roots(lambda rows, x: density._values(x, (0, -1), rows), -1.5, 1.5, scans)
+    roots = sign_change_roots(density, -1.5, 1.5, scans)
     assert np.all(np.diff(roots["row"]) >= 0)
     for r, (profile, scan) in enumerate(zip(profiles, scans)):
         one = alone(profile, 1.5)
-        own = sign_change_roots(lambda rows, x: value_and_slope(one, 0, x), -1.5, 1.5, [scan])["x"]
+        own = sign_change_roots(one, -1.5, 1.5, [scan])["x"]
         assert np.array_equal(roots["x"][roots["row"] == r], own)
         expected = scalar_bisection_roots(lambda x: one.antiderivative(x, 0, 0), -1.5, 1.5, scan)
         assert len(own) == len(expected) and np.max(np.abs(own - expected), initial=0.0) <= 2e-12 * 1.5
@@ -653,3 +651,120 @@ def test_empty_slots_and_a_poly_only_column_scan_at_a_huge_radius():
     assert masses[0] == pytest.approx(2 * 2 * lobes / t, rel=1e-9)
     assert masses[1] == 2 * R
     assert rl.tv_norm(density) == masses[0] + masses[1]
+
+
+# --- the norm's exact invariances ------------------------------------------------
+# Each holds exactly in the mathematics and to rounding in the code: the norm of
+# a transformed spectrum is computed from scratch, so these check the root pass
+# and its lines against an oracle that shares nothing with them.
+
+INVARIANCE = settings(max_examples=25, deadline=None, derandomize=True, database=None, phases=[Phase.generate])
+
+
+def ball_norm(d: int, terms, R: float) -> float:
+    return rl.tv_norm(rl.density_from_spectrum(rl.from_cosine_sum(d, terms), R))
+
+
+def seeded_terms(seed: int, d: int, n: int):
+    """n cosines with |a| in [0.2, 2] and |xi| in [0.5, 10]."""
+    rng = np.random.default_rng(seed)
+    amps = rng.uniform(0.2, 2.0, n) * rng.choice([-1.0, 1.0], n)
+    return random_cosine_terms(rng, d, n, freq_range=(0.5, 10.0)), amps
+
+
+@INVARIANCE
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 3), n=st.integers(1, 4), R=st.floats(0.5, 2.0))
+def test_norm_is_invariant_under_rotations(seed, d, n, R):
+    terms, _ = seeded_terms(seed, d, n)
+    Q = np.linalg.qr(np.random.default_rng(seed + 1).normal(size=(d, d)))[0]
+    rotated = [(a, Q @ xi) for a, xi in terms]
+    assert ball_norm(d, rotated, R) == pytest.approx(ball_norm(d, terms, R), rel=1e-12)
+
+
+@INVARIANCE
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3), n=st.integers(1, 4), lam=st.floats(-10.0, 10.0))
+def test_norm_is_absolutely_homogeneous(seed, d, n, lam):
+    terms, _ = seeded_terms(seed, d, n)
+    lam = math.copysign(max(abs(lam), 0.1), lam)
+    scaled = [(lam * a, xi) for a, xi in terms]
+    assert ball_norm(d, scaled, 1.0) == pytest.approx(abs(lam) * ball_norm(d, terms, 1.0), rel=1e-12)
+
+
+@INVARIANCE
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3), n=st.integers(1, 4), s=st.floats(0.25, 4.0))
+def test_a_dilation_scales_the_norm_on_the_shrunk_ball(seed, d, n, s):
+    # f(s x) on the ball of radius R / s has s times the norm of f on the ball of radius R
+    terms, _ = seeded_terms(seed, d, n)
+    dilated = [(a, s * xi) for a, xi in terms]
+    assert ball_norm(d, dilated, 1.5 / s) == pytest.approx(s * ball_norm(d, terms, 1.5), rel=1e-12)
+
+
+@INVARIANCE
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 3), n=st.integers(1, 4))
+def test_a_spectrum_on_one_line_has_the_norm_of_its_projection(seed, d, n):
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=d)
+    u /= np.linalg.norm(u)
+    k = rng.uniform(0.5, 10.0, n) * rng.choice([-1.0, 1.0], n)
+    amps = rng.uniform(0.2, 2.0, n) * rng.choice([-1.0, 1.0], n)
+    on_line = [(a, kk * u) for a, kk in zip(amps, k)]
+    projected = [(a, [kk]) for a, kk in zip(amps, k)]
+    assert ball_norm(d, on_line, 1.0) == pytest.approx(ball_norm(1, projected, 1.0), rel=1e-12)
+
+
+# --- lines: the two directions of a hyperplane family solved once -------------------
+
+
+def alone_panels(density, r, lo, hi):
+    """The panels of column r in a density that holds that direction alone."""
+    one = RadonDensity(density.d, density.R, density.directions[r : r + 1], density.freqs[:, r : r + 1],
+                       density.weights[:, r : r + 1], density.poly[:, r : r + 1])
+    return one.panels(lo, hi)
+
+
+def same_bits_but_signed_zeros(x, y) -> bool:
+    return np.array_equal(x, y) and np.array_equal(np.signbit(x[x != 0]), np.signbit(y[y != 0]))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_each_direction_has_the_panels_it_has_alone(seed):
+    # parallel and antiparallel terms fold into shared slots and lines
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 4))
+    base = random_cosine_terms(rng, d, 3, freq_range=(0.5, 15.0))
+    terms = base + [(float(rng.uniform(-1, 1)), float(rng.choice([-2.0, 3.0, -0.5])) * xi) for _, xi in base[:2]]
+    density = rl.density_from_spectrum(rl.from_cosine_sum(d, terms), 1.3)
+    assert len(np.unique(density._lines)) == len(density) // 2  # w and -w of every direction share a line
+    for lo, hi in ((-1.3, 1.3), (0.0, 1.3)):
+        starts, edges, g1, cum = density.panels(lo, hi)
+        for r in range(len(density)):
+            s0, e0, g0, c0 = alone_panels(density, r, lo, hi)
+            own = slice(starts[r], starts[r + 1])
+            assert np.array_equal(edges[own], e0) and np.array_equal(cum[own], c0)
+            # G_1 of the line's first column can carry the other sign of zero at b = 0
+            assert same_bits_but_signed_zeros(g1[own], g0)
+
+
+def test_partners_whose_profiles_differ_keep_a_pass_each(monkeypatch):
+    # complex weights, an odd polynomial part and a weight a rounding apart:
+    # each column its own line, each solved on its own
+    density = padded_density(
+        [[1.0], [-1.0], [1.0], [-1.0], [1.0], [-1.0]],
+        [
+            ([3.0], [1.0 + 0.5j], []), ([-3.0], [1.0 - 0.5j], []),
+            ([2.0], [1.0], [0.0, 1.0]), ([-2.0], [1.0], [0.0, -1.0]),
+            ([5.0], [1.0], []), ([-5.0], [np.nextafter(1.0, 2.0)], []),
+        ],
+    )
+    assert list(density._lines) == list(range(6))
+    solved = []
+    newton = radon_measure._bracketed_newton
+    monkeypatch.setattr(radon_measure, "_bracketed_newton", lambda fn, x, *a: solved.append(len(x)) or newton(fn, x, *a))
+    roots = sign_change_roots(density, -1.0, 1.0, [512] * 6)
+    assert solved == [len(roots)]
+    # one line of two columns: their roots are solved once and copied
+    paired = padded_density([[1.0], [-1.0]], [([4.0], [1.0], [0.5]), ([-4.0], [1.0], [0.5])])
+    assert list(paired._lines) == [0, 0]
+    solved.clear()
+    roots = sign_change_roots(paired, -1.0, 1.0, [512, 512])
+    assert 2 * solved[0] == len(roots) and np.array_equal(roots["x"][roots["row"] == 0], roots["x"][roots["row"] == 1])

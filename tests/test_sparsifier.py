@@ -696,11 +696,29 @@ def test_start_table_node_solves_stay_within_the_budget(monkeypatch, xi, cells):
     monkeypatch.setattr(sparsifier, "_bracketed_newton", lambda fn, x, *a: solved.append(len(x)) or newton(fn, x, *a))
     _, M, coef = sparsifier._start_table(density, -1.0, 1.0)
     assert M == cells and coef.shape == (4, cells * (len(density.panels(-1.0, 1.0)[1]) - 1))
-    assert sum(solved) == panels * (cells - 1) and len(solved) == (cells > 1)
+    # the two directions of cos(xi x) are one line: its nodes are solved once
+    assert list(density._lines) == [0, 0]
+    assert sum(solved) == panels // 2 * (cells - 1) and len(solved) == (cells > 1)
     assert cells == 1 or (cells + 1) * panels <= sparsifier._TABLE_NODES
 
 
 # --- TwoLayerNet.evaluate against the dense sum -------------------------------
+
+
+def test_net_evaluation_refuses_a_table_past_the_bound_before_building_it(monkeypatch):
+    # with the bound at 1000 entries a 64-direction net still evaluated 20,000 points
+    monkeypatch.setattr(rl.errors, "_MAX_TABLE", 1000)
+    rng = np.random.default_rng(36)
+    omegas = rng.normal(size=(64, 3))
+    omegas /= np.linalg.norm(omegas, axis=1)[:, None]
+    net = rl.TwoLayerNet(3, np.ones(64), omegas, rng.uniform(-1.0, 1.0, 64), 1.0, np.zeros(3), 0.0)
+    X = rng.uniform(-0.5, 0.5, (20_000, 3))
+    with pytest.raises(DomainError, match="a table of 20000 grid points x 64 directions is above the limit of 1000"):
+        net.evaluate(X)
+    # the most points whose (directions x points) table fits the bound evaluate
+    assert net.evaluate(X[:15]).shape == (15,)
+    with pytest.raises(DomainError, match="a table of 16 grid points x 64 directions"):
+        net.evaluate(X[:16])
 
 
 def assert_evaluates_as_dense(net, X):
